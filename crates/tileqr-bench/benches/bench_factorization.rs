@@ -10,9 +10,12 @@
 //!   measurement the "flip the default `inner_block`" item is blocked on.
 //!   Knobs: `TILEQR_BENCH_FACT_NB` (tile size, default 128) and
 //!   `TILEQR_BENCH_IB_LIST` (panel widths, default `8,16,32,64,nb`).
-//! * `apply_qh` times the `Qᴴ·B` reflector replay and the full
+//! * `apply_qh` times the `Qᴴ·B` reflector replay and the back half of a
 //!   least-squares solve on a factored matrix — the path
-//!   `least_squares_with_factorization` takes per right-hand side.
+//!   `least_squares_with_factorization` takes per right-hand side — and the
+//!   whole request from `(A, b)` both ways: `solve_fused` (`QrContext::solve`,
+//!   the right-hand side riding the factorization DAG) against
+//!   `solve_decomposed` (factorize, then replay), same context and plan.
 
 use tileqr_bench::microbench::{run, write_json, Sample};
 use tileqr_core::algorithms::Algorithm;
@@ -22,7 +25,7 @@ use tileqr_matrix::generate::{random_matrix, random_vector};
 use tileqr_matrix::Matrix;
 use tileqr_runtime::driver::{qr_factorize, QrConfig};
 use tileqr_runtime::solve::least_squares_with_factorization;
-use tileqr_runtime::SchedulerKind;
+use tileqr_runtime::{QrContext, QrPlan, SchedulerKind};
 
 const NB: usize = 24;
 const P: usize = 10;
@@ -191,6 +194,28 @@ fn bench_apply_qh(samples: &mut Vec<Sample>) {
         1,
         apply_flops(1),
         || {
+            std::hint::black_box(least_squares_with_factorization(&f, &rhs));
+        },
+    );
+
+    // The whole request from (A, b), sequential context: factorization +
+    // Qᴴ·b + back substitution.
+    let config = QrConfig::new(NB).with_inner_block(NB / 2);
+    let ctx = QrContext::new(1).expect("one thread");
+    let plan: QrPlan<f64> = QrPlan::new(m, n, config).expect("a tall shape");
+    let b = Matrix::from_col_major(m, 1, rhs.clone());
+    let solve_flops = apply_flops(1).map(|fl| fl + qr_flops(m, n) + (n * n) as f64);
+    run(samples, "apply_qh", "solve_fused", 1, solve_flops, || {
+        std::hint::black_box(ctx.solve(&plan, &a, &b).expect("full rank"));
+    });
+    run(
+        samples,
+        "apply_qh",
+        "solve_decomposed",
+        1,
+        solve_flops,
+        || {
+            let f = ctx.factorize(&plan, &a).expect("the plan's shape");
             std::hint::black_box(least_squares_with_factorization(&f, &rhs));
         },
     );

@@ -1,8 +1,10 @@
 //! `tileqr-analyze`: static race-freedom analyzer for tiled-QR plans.
 //!
 //! Sweeps elimination algorithms × kernel families × grid shapes, proving
-//! for each plan that every pair of conflicting tile-region accesses is
-//! ordered by the task DAG (see `tileqr_core::footprint`). Prints a hazard
+//! for each plan — the plain factorization and the fused least-squares plan
+//! with its trailing right-hand-side column — that every pair of conflicting
+//! tile-region accesses is ordered by the task DAG (see
+//! `tileqr_core::footprint`). Prints a hazard
 //! report and exits non-zero if any plan has a race or structural defect —
 //! suitable as a CI gate.
 //!
@@ -22,6 +24,8 @@ use tileqr_core::footprint::{algorithm_roster, analyze, plan_dag, PAPER_TABLE_SH
 
 struct Totals {
     plans: usize,
+    /// How many of `plans` carry the trailing right-hand-side column.
+    solve_plans: usize,
     tasks: u64,
     ordered: u64,
     transitive: u64,
@@ -105,6 +109,7 @@ fn main() -> ExitCode {
 
     let mut totals = Totals {
         plans: 0,
+        solve_plans: 0,
         tasks: 0,
         ordered: 0,
         transitive: 0,
@@ -117,39 +122,43 @@ fn main() -> ExitCode {
         let mut shape_bad = 0usize;
         for family in [KernelFamily::TT, KernelFamily::TS] {
             for algo in algorithm_roster(p, q) {
-                let dag = plan_dag(algo, p, q, family);
-                let report = analyze(&dag);
-                totals.plans += 1;
-                totals.tasks += report.tasks as u64;
-                totals.ordered += report.ordered_pairs;
-                totals.transitive += report.transitive_pairs;
-                shape_plans += 1;
-                if !report.is_race_free() {
-                    shape_bad += 1;
-                    totals.hazards += report.hazards.len();
-                    totals.structure += report.structure_errors.len();
-                    println!(
-                        "FAIL {p}x{q} {} {family:?}: {} hazard(s), {} structural error(s)",
-                        algo.name(),
-                        report.hazards.len(),
-                        report.structure_errors.len()
-                    );
-                    for h in report.hazards.iter().take(5) {
-                        println!("     {h}");
+                for trailing in [0, 1] {
+                    let dag = plan_dag(algo, p, q, family, trailing);
+                    let report = analyze(&dag);
+                    totals.plans += 1;
+                    totals.solve_plans += trailing;
+                    totals.tasks += report.tasks as u64;
+                    totals.ordered += report.ordered_pairs;
+                    totals.transitive += report.transitive_pairs;
+                    shape_plans += 1;
+                    if !report.is_race_free() {
+                        shape_bad += 1;
+                        totals.hazards += report.hazards.len();
+                        totals.structure += report.structure_errors.len();
+                        println!(
+                            "FAIL {p}x{q}+{trailing} {} {family:?}: {} hazard(s), {} structural \
+                             error(s)",
+                            algo.name(),
+                            report.hazards.len(),
+                            report.structure_errors.len()
+                        );
+                        for h in report.hazards.iter().take(5) {
+                            println!("     {h}");
+                        }
+                        for e in report.structure_errors.iter().take(5) {
+                            println!("     structure: {e}");
+                        }
+                    } else if verbose {
+                        println!(
+                            "ok   {p}x{q}+{trailing} {} {family:?}: {} tasks, {} edges, {} \
+                             ordered pairs ({} transitive)",
+                            algo.name(),
+                            report.tasks,
+                            report.edges,
+                            report.ordered_pairs,
+                            report.transitive_pairs
+                        );
                     }
-                    for e in report.structure_errors.iter().take(5) {
-                        println!("     structure: {e}");
-                    }
-                } else if verbose {
-                    println!(
-                        "ok   {p}x{q} {} {family:?}: {} tasks, {} edges, {} ordered pairs \
-                         ({} transitive)",
-                        algo.name(),
-                        report.tasks,
-                        report.edges,
-                        report.ordered_pairs,
-                        report.transitive_pairs
-                    );
                 }
             }
         }
@@ -163,10 +172,13 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "\n{} shapes, {} plans, {} tasks analyzed; {} conflicting pairs proven ordered \
-         ({} transitively); {} hazards, {} structural errors",
+        "\n{} shapes, {} plans ({} factorization + {} with a trailing rhs column), {} tasks \
+         analyzed; {} conflicting pairs proven ordered ({} transitively); {} hazards, {} \
+         structural errors",
         shapes.len(),
         totals.plans,
+        totals.plans - totals.solve_plans,
+        totals.solve_plans,
         totals.tasks,
         totals.ordered,
         totals.transitive,

@@ -153,8 +153,12 @@ pub struct TaskNode {
 pub struct TaskDag {
     /// Tile rows of the underlying grid.
     pub p: usize,
-    /// Tile columns of the underlying grid.
+    /// Tile columns of the underlying grid (the columns that are factored).
     pub q: usize,
+    /// Update-only tile columns `q..q + trailing` riding the factorization:
+    /// they receive every `UNMQR`/`TSMQR`/`TTMQR` of every panel and no
+    /// factor task, which turns a right-hand side stored there into `Qᴴ·b`.
+    pub trailing: usize,
     /// Kernel family used to build the DAG.
     pub family: KernelFamily,
     /// Task nodes in topological order.
@@ -164,15 +168,28 @@ pub struct TaskDag {
 impl TaskDag {
     /// Builds the task DAG for `list` using the requested kernel family.
     pub fn build(list: &EliminationList, family: KernelFamily) -> TaskDag {
+        TaskDag::build_with_trailing(list, family, 0)
+    }
+
+    /// [`TaskDag::build`] over `[A | B]`: the grid gains `trailing`
+    /// update-only tile columns after the `q` factored ones (see
+    /// [`TaskDag::trailing`]). The factor tasks and the updates of the first
+    /// `q` columns are the same, in the same relative order, as with
+    /// `trailing = 0`.
+    pub fn build_with_trailing(
+        list: &EliminationList,
+        family: KernelFamily,
+        trailing: usize,
+    ) -> TaskDag {
         match family {
-            KernelFamily::TT => build_tt(list),
-            KernelFamily::TS => build_ts(list),
+            KernelFamily::TT => build_tt(list, trailing),
+            KernelFamily::TS => build_ts(list, trailing),
         }
     }
 
     /// Total abstract weight of all tasks (units of `nb³/3` flops). For any
-    /// complete elimination list this equals `6pq² − 2q³` regardless of the
-    /// algorithm or kernel family.
+    /// complete elimination list without trailing columns this equals
+    /// `6pq² − 2q³` regardless of the algorithm or kernel family.
     pub fn total_weight(&self) -> u64 {
         self.tasks.iter().map(|t| t.kind.weight()).sum()
     }
@@ -326,12 +343,13 @@ fn push_task(tasks: &mut Vec<TaskNode>, kind: TaskKind, deps: Vec<usize>) -> usi
 /// TT construction: every active tile `(i, k)`, `i ≥ k`, is triangularized
 /// (GEQRT) and its row updated (UNMQR on the trailing columns); every
 /// elimination adds a TTQRT plus TTMQR updates on the trailing columns.
-fn build_tt(list: &EliminationList) -> TaskDag {
+fn build_tt(list: &EliminationList, trailing: usize) -> TaskDag {
     let p = list.tile_rows();
     let q = list.tile_cols();
+    let cols = q + trailing;
     let kmax = p.min(q);
     let mut tasks = Vec::new();
-    let mut writer = LastWriter::new(p, q);
+    let mut writer = LastWriter::new(p, cols);
 
     for k in 0..kmax {
         // Factor + row updates for every active row.
@@ -342,7 +360,7 @@ fn build_tt(list: &EliminationList) -> TaskDag {
             }
             let geqrt = push_task(&mut tasks, TaskKind::Geqrt { row: i, col: k }, deps);
             writer.set(i, k, geqrt);
-            for j in (k + 1)..q {
+            for j in (k + 1)..cols {
                 let mut deps = vec![geqrt];
                 if let Some(d) = writer.get(i, j) {
                     deps.push(d);
@@ -371,7 +389,7 @@ fn build_tt(list: &EliminationList) -> TaskDag {
             );
             writer.set(e.row, k, ttqrt);
             writer.set(e.piv, k, ttqrt);
-            for j in (k + 1)..q {
+            for j in (k + 1)..cols {
                 let mut deps = vec![ttqrt];
                 if let Some(d) = writer.get(e.row, j) {
                     deps.push(d);
@@ -397,6 +415,7 @@ fn build_tt(list: &EliminationList) -> TaskDag {
     TaskDag {
         p,
         q,
+        trailing,
         family: KernelFamily::TT,
         tasks,
     }
@@ -411,12 +430,13 @@ fn build_tt(list: &EliminationList) -> TaskDag {
 /// (Section 2.2). Diagonal tiles that never serve as pivots (e.g. the last
 /// column of a square matrix) still receive a final GEQRT so that the R
 /// factor is complete.
-fn build_ts(list: &EliminationList) -> TaskDag {
+fn build_ts(list: &EliminationList, trailing: usize) -> TaskDag {
     let p = list.tile_rows();
     let q = list.tile_cols();
+    let cols = q + trailing;
     let kmax = p.min(q);
     let mut tasks = Vec::new();
-    let mut writer = LastWriter::new(p, q);
+    let mut writer = LastWriter::new(p, cols);
 
     for k in 0..kmax {
         // triangularized[i]: whether tile (i, k) has already been factored
@@ -435,7 +455,7 @@ fn build_ts(list: &EliminationList) -> TaskDag {
             }
             let geqrt = push_task(tasks, TaskKind::Geqrt { row: i, col: k }, deps);
             writer.set(i, k, geqrt);
-            for j in (k + 1)..q {
+            for j in (k + 1)..cols {
                 let mut deps = vec![geqrt];
                 if let Some(d) = writer.get(i, j) {
                     deps.push(d);
@@ -474,7 +494,7 @@ fn build_ts(list: &EliminationList) -> TaskDag {
             let factor = push_task(&mut tasks, factor_kind, deps);
             writer.set(e.row, k, factor);
             writer.set(e.piv, k, factor);
-            for j in (k + 1)..q {
+            for j in (k + 1)..cols {
                 let mut deps = vec![factor];
                 if let Some(d) = writer.get(e.row, j) {
                     deps.push(d);
@@ -508,6 +528,7 @@ fn build_ts(list: &EliminationList) -> TaskDag {
     TaskDag {
         p,
         q,
+        trailing,
         family: KernelFamily::TS,
         tasks,
     }
@@ -734,6 +755,95 @@ mod tests {
                         prio[d] > prio[idx],
                         "priority must strictly decrease towards the exits"
                     );
+                }
+            }
+        }
+    }
+
+    /// The column a task updates, if it is an update task.
+    fn updated_column(kind: TaskKind) -> Option<usize> {
+        match kind {
+            TaskKind::Unmqr { j, .. } | TaskKind::Tsmqr { j, .. } | TaskKind::Ttmqr { j, .. } => {
+                Some(j)
+            }
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn trailing_columns_leave_the_factor_dag_unchanged() {
+        for (p, q) in [(6usize, 3usize), (4, 4), (5, 1)] {
+            for list in [greedy(p, q), flat_tree(p, q), plasma_tree(p, q, 2)] {
+                for family in [KernelFamily::TT, KernelFamily::TS] {
+                    let plain = TaskDag::build(&list, family);
+                    assert_eq!(plain.trailing, 0);
+                    let wide = TaskDag::build_with_trailing(&list, family, 2);
+                    assert_eq!((wide.p, wide.q, wide.trailing), (p, q, 2));
+                    // Dropping the tasks on the trailing columns (and
+                    // renumbering) gives back the plain DAG, task for task
+                    // and edge for edge.
+                    let mut renumber = vec![None; wide.len()];
+                    let mut kept = Vec::new();
+                    for (idx, t) in wide.tasks.iter().enumerate() {
+                        if updated_column(t.kind).is_none_or(|j| j < q) {
+                            renumber[idx] = Some(kept.len());
+                            kept.push(t);
+                        }
+                    }
+                    assert_eq!(kept.len(), plain.len());
+                    for (k, t) in kept.iter().zip(&plain.tasks) {
+                        assert_eq!(k.kind, t.kind);
+                        let deps: Vec<usize> = k.deps.iter().filter_map(|&d| renumber[d]).collect();
+                        assert_eq!(deps, t.deps, "deps of {:?}", t.kind);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_columns_receive_every_update_and_no_factor_task() {
+        let (p, q) = (7usize, 3usize);
+        for list in [greedy(p, q), fibonacci(p, q), binary_tree(p, q)] {
+            for family in [KernelFamily::TT, KernelFamily::TS] {
+                let plain = TaskDag::build(&list, family);
+                let wide = TaskDag::build_with_trailing(&list, family, 1);
+                let mut extra_weight = 0;
+                for t in &plain.tasks {
+                    // Every factor task of the plain DAG gains exactly one
+                    // update on column q, of the matching kind.
+                    let update = match t.kind {
+                        TaskKind::Geqrt { row, col } => TaskKind::Unmqr { row, col, j: q },
+                        TaskKind::Tsqrt { row, piv, col } => TaskKind::Tsmqr {
+                            row,
+                            piv,
+                            col,
+                            j: q,
+                        },
+                        TaskKind::Ttqrt { row, piv, col } => TaskKind::Ttmqr {
+                            row,
+                            piv,
+                            col,
+                            j: q,
+                        },
+                        _ => continue,
+                    };
+                    let hits = wide.tasks.iter().filter(|w| w.kind == update).count();
+                    assert_eq!(hits, 1, "{update:?}");
+                    extra_weight += update.weight();
+                }
+                assert_eq!(wide.total_weight(), plain.total_weight() + extra_weight);
+                for t in &wide.tasks {
+                    match t.kind {
+                        TaskKind::Geqrt { col, .. }
+                        | TaskKind::Tsqrt { col, .. }
+                        | TaskKind::Ttqrt { col, .. } => assert!(col < q, "{:?}", t.kind),
+                        TaskKind::Unmqr { col, j, .. }
+                        | TaskKind::Tsmqr { col, j, .. }
+                        | TaskKind::Ttmqr { col, j, .. } => {
+                            assert!(col < q && col < j && j <= q, "{:?}", t.kind)
+                        }
+                    }
                 }
             }
         }

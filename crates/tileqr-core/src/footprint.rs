@@ -105,14 +105,22 @@ pub fn algorithm_roster(p: usize, q: usize) -> Vec<Algorithm> {
 }
 
 /// Builds the task DAG of any algorithm (static via its elimination list,
-/// dynamic via the co-simulator) — the plan the analyzer checks.
-pub fn plan_dag(algo: Algorithm, p: usize, q: usize, family: KernelFamily) -> TaskDag {
+/// dynamic via the co-simulator) — the plan the analyzer checks. `trailing`
+/// is the number of update-only columns ([`TaskDag::trailing`]): 0 for a
+/// factorization, 1 for the runtime's fused least-squares plan.
+pub fn plan_dag(
+    algo: Algorithm,
+    p: usize,
+    q: usize,
+    family: KernelFamily,
+    trailing: usize,
+) -> TaskDag {
     let list = match algo {
         Algorithm::Asap => crate::sim::simulate_grasap(p, q, q).list,
         Algorithm::Grasap { asap_cols } => crate::sim::simulate_grasap(p, q, asap_cols).list,
         _ => algo.elimination_list(p, q),
     };
-    TaskDag::build(&list, family)
+    TaskDag::build_with_trailing(&list, family, trailing)
 }
 
 /// The two disjoint triangular regions of a tile.
@@ -426,7 +434,9 @@ impl Reachability {
     }
 }
 
-/// Dense resource indexing: 4 slots per tile (two regions + two T factors).
+/// Dense resource indexing: 4 slots per tile (two regions + two T factors)
+/// over all `q + trailing` tile columns. The T slots of a trailing column
+/// stay untouched — no factor task runs there.
 #[inline]
 fn slot(p: usize, resource: Resource) -> usize {
     let (row, col, s) = match resource {
@@ -506,8 +516,9 @@ pub fn analyze(dag: &TaskDag) -> AnalysisReport {
     let mut structure_errors = Vec::new();
     check_structure(dag, &mut structure_errors);
 
-    let mut frontiers: Vec<Frontier> = vec![Frontier::default(); dag.p * dag.q * 4];
-    let mut touched = vec![false; dag.p * dag.q * 4];
+    let slots = dag.p * (dag.q + dag.trailing) * 4;
+    let mut frontiers: Vec<Frontier> = vec![Frontier::default(); slots];
+    let mut touched = vec![false; slots];
     let mut resources = 0usize;
     let mut reach = Reachability::new(n);
     let mut ordered_pairs = 0u64;
@@ -593,9 +604,14 @@ mod tests {
     use crate::algorithms::Algorithm;
     use crate::dag::{KernelFamily, TaskNode};
 
-    fn race_free(p: usize, q: usize, algo: Algorithm, family: KernelFamily) -> AnalysisReport {
-        let dag = TaskDag::build(&algo.elimination_list(p, q), family);
-        analyze(&dag)
+    fn race_free(
+        p: usize,
+        q: usize,
+        algo: Algorithm,
+        family: KernelFamily,
+        trailing: usize,
+    ) -> AnalysisReport {
+        analyze(&plan_dag(algo, p, q, family, trailing))
     }
 
     #[test]
@@ -607,15 +623,21 @@ mod tests {
                 Algorithm::BinaryTree,
                 Algorithm::PlasmaTree { bs: 2 },
             ] {
-                let report = race_free(4, 3, algo, family);
-                assert!(
-                    report.is_race_free(),
-                    "{} {family:?}: {:?} {:?}",
-                    algo.name(),
-                    report.hazards.first(),
-                    report.structure_errors.first(),
-                );
-                assert!(report.ordered_pairs > 0);
+                let plain = race_free(4, 3, algo, family, 0);
+                let solve = race_free(4, 3, algo, family, 1);
+                for report in [&plain, &solve] {
+                    assert!(
+                        report.is_race_free(),
+                        "{} {family:?}: {:?} {:?}",
+                        algo.name(),
+                        report.hazards.first(),
+                        report.structure_errors.first(),
+                    );
+                }
+                assert!(plain.ordered_pairs > 0);
+                // The trailing column adds its own tiles and conflicts.
+                assert!(solve.resources > plain.resources);
+                assert!(solve.ordered_pairs > plain.ordered_pairs);
             }
         }
     }
@@ -655,6 +677,7 @@ mod tests {
         let dag = TaskDag {
             p: 2,
             q: 1,
+            trailing: 0,
             family: KernelFamily::TT,
             tasks: vec![
                 TaskNode {
@@ -681,6 +704,7 @@ mod tests {
         let dag = TaskDag {
             p: 1,
             q: 1,
+            trailing: 0,
             family: KernelFamily::TT,
             tasks: vec![TaskNode {
                 kind: TaskKind::Geqrt { row: 0, col: 0 },

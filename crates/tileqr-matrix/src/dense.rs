@@ -273,8 +273,16 @@ impl<T: Scalar> Matrix<T> {
     /// Solves the upper-triangular system `R x = b` by back substitution,
     /// where `R` is the leading `n × n` upper-triangular part of `self`.
     ///
-    /// Used by the least-squares driver. Panics if a diagonal entry is zero.
+    /// Used by the least-squares driver. Panics if a diagonal entry is zero;
+    /// [`Matrix::try_solve_upper_triangular`] reports it instead.
     pub fn solve_upper_triangular(&self, b: &[T]) -> Vec<T> {
+        self.try_solve_upper_triangular(b)
+            .unwrap_or_else(|i| panic!("singular triangular factor (zero diagonal at {i})"))
+    }
+
+    /// [`Matrix::solve_upper_triangular`] that reports an exactly zero
+    /// diagonal entry as `Err(index)` instead of panicking.
+    pub fn try_solve_upper_triangular(&self, b: &[T]) -> Result<Vec<T>, usize> {
         let n = self.cols.min(self.rows);
         assert!(b.len() >= n, "right-hand side too short");
         let mut x = vec![T::ZERO; n];
@@ -284,10 +292,12 @@ impl<T: Scalar> Matrix<T> {
                 s -= self.get(i, j) * x[j];
             }
             let d = self.get(i, i);
-            assert!(!d.is_zero(), "singular triangular factor");
+            if d.is_zero() {
+                return Err(i);
+            }
             x[i] = s / d;
         }
-        x
+        Ok(x)
     }
 }
 
@@ -445,6 +455,13 @@ mod tests {
         let r = Matrix::from_col_major(2, 2, vec![2.0, 0.0, 1.0, 3.0]);
         let x = r.solve_upper_triangular(&[5.0, 6.0]);
         assert_eq!(x, vec![1.5, 2.0]);
+    }
+
+    #[test]
+    fn singular_triangular_solve_reports_the_zero_diagonal() {
+        // R = [2 1; 0 0]: the back substitution stops at index 1.
+        let r = Matrix::from_col_major(2, 2, vec![2.0, 0.0, 1.0, 0.0]);
+        assert_eq!(r.try_solve_upper_triangular(&[5.0, 6.0]), Err(1));
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //!   DAG with its CSR successor lists, the critical-path priorities
 //!   (computed lazily, shared by every job), and a checkout cache of
 //!   per-worker kernel [`Workspace`]s. Building a plan is the *planning*
-//!   phase; executing it is pure kernel time.
+//!   phase; executing it is pure kernel time. For least squares
+//!   ([`QrContext::solve`]) the plan also holds the schedule over `[A | B]`
+//!   — the same elimination list with the right-hand side as a trailing tile
+//!   column, built by the first solve — and the tile buffer solves factor
+//!   in, parked between calls.
 //! * [`QrError`] — typed errors replacing the driver's panics: bad shapes,
 //!   zero tile sizes and oversized thread counts are reported as values.
 //! * [`QrReflectors`] — the result of the in-place path
@@ -77,13 +81,13 @@ use tileqr_core::dag::{KernelFamily, SuccessorsCsr, TaskDag, TaskKind};
 use tileqr_kernels::{Trans, Workspace};
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
-use crate::driver::{elimination_list_for, replay_q, QrConfig, QrFactorization};
+use crate::driver::{elimination_list_for, replay_q, upper_triangle, QrConfig, QrFactorization};
 use crate::executor::{
     drive_worker, DriveCtl, FaultSink, GroupSucc, ItemMap, LockedFifo, Scheduler, SchedulerKind,
     WorkStealing, WorkStealingPriority,
 };
 use crate::pool::{payload_message, Job, RunCtl, WorkerPool};
-use crate::state::FactorizationState;
+use crate::state::{gather_row_blocks, rhs_row_blocks, FactoredParts, FactorizationState};
 use crate::sync::shim::{AtomicBool, AtomicUsize};
 use crate::sync::{Backoff, CancelCause, CancelToken, ClaimFlag, Mutex};
 
@@ -209,6 +213,18 @@ pub enum QrError {
         /// Column of the first non-finite entry.
         col: usize,
     },
+    /// The triangular factor `R` of a least-squares solve has an exactly
+    /// zero diagonal entry: `A` is rank deficient and `R·x = Qᴴ·b` has no
+    /// unique solution. Reported by [`QrContext::solve`] and the fallible
+    /// solves of [`crate::solve`].
+    ///
+    /// **Deterministic** (never auto-retried): the zero is a property of
+    /// the input.
+    SingularR {
+        /// Index of the first zero diagonal entry met by the back
+        /// substitution (which runs from the last row up).
+        index: usize,
+    },
     /// The service's bounded admission queue rejected the submission: the
     /// queue was at capacity ([`ServiceConfig::queue_capacity`]), the client
     /// was at its in-flight quota, a blocking submit's wait deadline expired
@@ -304,6 +320,10 @@ impl std::fmt::Display for QrError {
                 f,
                 "input contains a non-finite value at row {row}, column {col}"
             ),
+            QrError::SingularR { index } => write!(
+                f,
+                "singular triangular factor: R[{index}, {index}] is exactly zero (rank-deficient A)"
+            ),
             QrError::QueueFull => write!(
                 f,
                 "the service admission queue is full (or the submission was shed); \
@@ -336,6 +356,29 @@ pub(crate) struct PlanCore {
 }
 
 impl PlanCore {
+    /// Builds the schedule of `algorithm` on a `p × q` grid followed by
+    /// `trailing` update-only columns ([`TaskDag::trailing`]).
+    fn build(
+        algorithm: Algorithm,
+        family: KernelFamily,
+        p: usize,
+        q: usize,
+        trailing: usize,
+    ) -> Self {
+        let list = elimination_list_for(algorithm, p, q);
+        let dag = TaskDag::build_with_trailing(&list, family, trailing);
+        let succ = dag.successors_csr();
+        let roots = crate::executor::initial_roots(&dag);
+        let max_out_degree = succ.max_out_degree();
+        PlanCore {
+            dag: Arc::new(dag),
+            succ,
+            roots,
+            max_out_degree,
+            priorities: OnceLock::new(),
+        }
+    }
+
     fn priorities(&self) -> Arc<[u64]> {
         self.priorities
             .get_or_init(|| self.dag.priorities_with(&self.succ).into())
@@ -367,6 +410,15 @@ pub struct QrPlan<T: Scalar> {
     /// Opt-in pre-submission NaN/Inf scan ([`QrConfig::check_finite`]).
     check_finite: bool,
     pub(crate) core: Arc<PlanCore>,
+    /// The schedule of [`QrContext::solve`]: the same elimination list over
+    /// `[A | B]`, the right-hand side being one trailing tile column. It does
+    /// not depend on the width of `B`, so there is one per plan, built by the
+    /// first solve.
+    solve_core: OnceLock<Arc<PlanCore>>,
+    /// The tile buffer [`QrContext::solve`] fills and factors in place,
+    /// parked here between solves (at most one is retained), so a stream of
+    /// solves allocates nothing of `m · n` scale.
+    solve_tiles: Mutex<Option<TiledMatrix<T>>>,
     /// Checkout cache of kernel workspaces: taken at job start, returned at
     /// job end, grown on demand up to the largest worker count seen.
     ws_cache: Mutex<Vec<Workspace<T>>>,
@@ -477,11 +529,6 @@ impl<T: Scalar> QrPlan<T> {
         // `TiledMatrix::from_dense_padded`.
         let p = m.div_ceil(nb).max(1);
         let q = n.div_ceil(nb).max(1);
-        let list = elimination_list_for(config.algorithm, p, q);
-        let dag = TaskDag::build(&list, config.family);
-        let succ = dag.successors_csr();
-        let roots = crate::executor::initial_roots(&dag);
-        let max_out_degree = succ.max_out_degree();
         Ok(QrPlan {
             m,
             n,
@@ -492,13 +539,9 @@ impl<T: Scalar> QrPlan<T> {
             p,
             q,
             check_finite: config.check_finite,
-            core: Arc::new(PlanCore {
-                dag: Arc::new(dag),
-                succ,
-                roots,
-                max_out_degree,
-                priorities: OnceLock::new(),
-            }),
+            core: Arc::new(PlanCore::build(config.algorithm, config.family, p, q, 0)),
+            solve_core: OnceLock::new(),
+            solve_tiles: Mutex::new(None),
             ws_cache: Mutex::new(Vec::new()),
             ws_high_water: AtomicUsize::new(0),
             t_pool: Arc::new(TPool::new(ib, nb)),
@@ -576,6 +619,19 @@ impl<T: Scalar> QrPlan<T> {
         cache.truncate(cap);
     }
 
+    /// The schedule of the fused solve, built on first use.
+    fn solve_core(&self) -> &Arc<PlanCore> {
+        self.solve_core.get_or_init(|| {
+            Arc::new(PlanCore::build(
+                self.algorithm,
+                self.family,
+                self.p,
+                self.q,
+                1,
+            ))
+        })
+    }
+
     /// A weak back-reference to the plan's `T`-buffer pool, embedded in
     /// every result handle so dropping the handle recycles automatically.
     pub(crate) fn t_recycler(&self) -> std::sync::Weak<TPool<T>> {
@@ -595,33 +651,35 @@ impl<T: Scalar> QrPlan<T> {
 }
 
 impl<T: Scalar<Real = f64>> QrPlan<T> {
-    /// Builds one [`FactorizationState`] per tiled matrix, drawing the
+    /// Builds one [`FactorizationState`] per job item, drawing the
     /// `T`-factor buffers (2 · p · q of `ib × nb` per matrix) from the
     /// plan's recycle pool where available — the fresh-allocation fallback
     /// and the recycled path are bitwise identical because recycled buffers
     /// are zeroed in place before reuse.
-    fn build_states(&self, tiled: Vec<TiledMatrix<T>>) -> Vec<FactorizationState<T>> {
-        let need = 2 * self.p * self.q * tiled.len();
+    fn build_states(&self, items: Vec<JobItem<T>>) -> Vec<FactorizationState<T>> {
+        let need = 2 * self.p * self.q * items.len();
         // Take the recycled buffers out under a short lock; state
         // construction — tile-mutex wrapping, buffer zeroing and any
         // fresh-allocation fallback — runs lock-free, so concurrent
         // factorizations sharing one plan do not serialize here.
         let mut recycled: Vec<Matrix<T>> = self.t_pool.take(need);
-        tiled
+        let mut supply = |r: usize, c: usize| match recycled.pop() {
+            Some(mut m) => {
+                debug_assert_eq!(m.shape(), (r, c), "T pool holds only plan-shaped buffers");
+                m.as_mut_slice().fill(T::ZERO);
+                m
+            }
+            None => Matrix::zeros(r, c),
+        };
+        items
             .into_iter()
-            .map(|t| {
-                FactorizationState::with_t_supplier(t, self.ib, &mut |r, c| match recycled.pop() {
-                    Some(mut m) => {
-                        debug_assert_eq!(
-                            m.shape(),
-                            (r, c),
-                            "T pool holds only plan-shaped buffers"
-                        );
-                        m.as_mut_slice().fill(T::ZERO);
-                        m
-                    }
-                    None => Matrix::zeros(r, c),
-                })
+            .map(|(tiles, rhs)| {
+                let state = FactorizationState::with_t_supplier(tiles, self.ib, &mut supply);
+                if rhs.is_empty() {
+                    state
+                } else {
+                    state.with_rhs(rhs)
+                }
             })
             .collect()
     }
@@ -630,9 +688,26 @@ impl<T: Scalar<Real = f64>> QrPlan<T> {
     /// builds copies one at a time because each item of a mixed group draws
     /// from its own plan's pool.
     fn build_state(&self, tiled: TiledMatrix<T>) -> FactorizationState<T> {
-        self.build_states(vec![tiled])
+        self.build_states(vec![(tiled, Vec::new())])
             .pop()
             .expect("one matrix in, one state out")
+    }
+
+    /// Wraps the parts of a finished run of this plan's factor schedule into
+    /// the result handle, which shares the plan's DAG and recycles its `T`
+    /// buffers into the plan's pool when dropped.
+    fn assemble(&self, parts: FactoredParts<T>) -> QrFactorization<T> {
+        QrFactorization::from_parts(
+            self.m,
+            self.n,
+            self.nb,
+            self.ib,
+            parts.tiles,
+            parts.t_geqrt,
+            parts.t_elim,
+            Arc::clone(&self.core.dag),
+            self.t_recycler(),
+        )
     }
 
     /// Returns a consumed factorization's `T`-factor buffers to the plan's
@@ -689,6 +764,14 @@ fn find_non_finite_tiled<T: Scalar>(t: &TiledMatrix<T>) -> Option<(usize, usize)
     }
     None
 }
+
+/// One item of a pool job: the tiles to factor in place and, for a solve, the
+/// right-hand-side row blocks riding along (empty for a plain factorization).
+type JobItem<T> = (TiledMatrix<T>, Vec<Matrix<T>>);
+
+/// What a pool job hands back per item: the parts of its state and the
+/// item's fault, if any.
+type JobOutcome<T> = (FactoredParts<T>, Option<QrError>);
 
 /// Per-batch fault bookkeeping: one slot per batch copy, fed by
 /// [`drive_worker`]'s containment mode through the [`FaultSink`] trait.
@@ -1034,7 +1117,12 @@ impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> StreamJob<T, S> {
         let meta = &self.metas[copy];
         match Arc::try_unwrap(arc) {
             Ok(state) => {
-                let (tiles, t_geqrt, t_elim) = state.into_parts();
+                let FactoredParts {
+                    tiles,
+                    t_geqrt,
+                    t_elim,
+                    ..
+                } = state.into_parts();
                 let outcome = match self.tracker.take_error(copy) {
                     Some(e) => {
                         // A failed copy's T buffers go straight back to the
@@ -1323,21 +1411,88 @@ impl QrContext {
             }
         }
         let tiled = TiledMatrix::from_dense_padded(a, plan.nb);
-        let ((tiles, t_geqrt, t_elim), err) = self.run_plan(plan, tiled, deadline);
+        let (parts, err) = self
+            .run_batch(plan, &plan.core, vec![(tiled, Vec::new())], deadline)
+            .pop()
+            .expect("one matrix in, one result out");
         match err {
             Some(e) => Err(e),
-            None => Ok(QrFactorization::from_parts(
-                plan.m,
-                plan.n,
-                plan.nb,
-                plan.ib,
-                tiles,
-                t_geqrt,
-                t_elim,
-                Arc::clone(&plan.core.dag),
-                plan.t_recycler(),
-            )),
+            None => Ok(plan.assemble(parts)),
         }
+    }
+
+    /// Solves the least-squares problem `min ‖A·x − b‖₂` for every column of
+    /// `b` (`m × k`) and returns the solutions as the columns of an `n × k`
+    /// matrix.
+    ///
+    /// The whole request is **one pool job over `[A | B]`**: `B` rides the
+    /// factorization as one trailing tile column of `p` row blocks of
+    /// `nb × k` (its true width), updated by the `UNMQR`/`TSMQR`/`TTMQR`
+    /// tasks the plan's solve schedule emits next to the factor tasks. So
+    /// `Qᴴ·B` is computed by the workers, in parallel, while each reflector
+    /// tile is still in cache, and what is left afterwards is a read of `R`
+    /// from the top tile rows and a back substitution. The same scheduler,
+    /// cancellation, panic containment and watchdog apply as for
+    /// [`QrContext::factorize`].
+    ///
+    /// No factorization handle is returned, so the tile buffer and the `T`
+    /// storage go straight back to the plan: a stream of solves of one shape
+    /// allocates nothing proportional to `m · n`. Use
+    /// [`QrContext::factorize`] and
+    /// [`least_squares_with_factorization`](crate::solve::least_squares_with_factorization)
+    /// when right-hand sides arrive after the factorization; the two routes
+    /// agree bitwise.
+    ///
+    /// # Errors
+    /// [`QrError::ShapeMismatch`] if `a` is not of the plan's shape,
+    /// [`QrError::RhsLength`] if `b` does not have `m` rows,
+    /// [`QrError::SingularR`] if `A` is exactly rank deficient, and every
+    /// error [`QrContext::factorize`] can report.
+    pub fn solve<T: Scalar<Real = f64>>(
+        &self,
+        plan: &QrPlan<T>,
+        a: &Matrix<T>,
+        b: &Matrix<T>,
+    ) -> Result<Matrix<T>, QrError> {
+        if a.shape() != (plan.m, plan.n) {
+            return Err(QrError::ShapeMismatch {
+                expected: (plan.m, plan.n),
+                got: a.shape(),
+            });
+        }
+        if b.rows() != plan.m {
+            return Err(QrError::RhsLength {
+                expected: plan.m,
+                got: b.rows(),
+            });
+        }
+        if let Some((row, col)) = plan.non_finite_in(a) {
+            return Err(QrError::NonFiniteInput { row, col });
+        }
+        let parked = plan.solve_tiles.lock().take();
+        let mut tiles = parked.unwrap_or_else(|| TiledMatrix::zeros(plan.p, plan.q, plan.nb));
+        tiles.fill_from_dense_padded(a);
+        let rhs = rhs_row_blocks(b, plan.p, plan.nb);
+        let (parts, err) = self
+            .run_batch(plan, plan.solve_core(), vec![(tiles, rhs)], None)
+            .pop()
+            .expect("one matrix in, one result out");
+        let FactoredParts {
+            tiles,
+            t_geqrt,
+            t_elim,
+            rhs,
+        } = parts;
+        plan.t_pool.recycle(t_geqrt.into_iter().chain(t_elim));
+        let x = match err {
+            Some(e) => Err(e),
+            None => back_substitute(
+                &upper_triangle(&tiles, plan.n),
+                &gather_row_blocks(&rhs, plan.n),
+            ),
+        };
+        *plan.solve_tiles.lock() = Some(tiles);
+        x
     }
 
     /// Factorizes caller-owned tile storage **in place** — the tiles are
@@ -1449,29 +1604,20 @@ impl QrContext {
                 slots.push(Err(QrError::NonFiniteInput { row, col }));
             } else {
                 slots.push(Ok(()));
-                tiled.push(TiledMatrix::from_dense_padded(a, plan.nb));
+                tiled.push((TiledMatrix::from_dense_padded(a, plan.nb), Vec::new()));
             }
         }
-        let mut items = self.run_batch(plan, tiled, deadline).into_iter();
+        let mut items = self
+            .run_batch(plan, &plan.core, tiled, deadline)
+            .into_iter();
         slots
             .into_iter()
             .map(|slot| {
                 slot.and_then(|()| {
-                    let ((tiles, t_geqrt, t_elim), err) =
-                        items.next().expect("one result per conforming matrix");
+                    let (parts, err) = items.next().expect("one result per conforming matrix");
                     match err {
                         Some(e) => Err(e),
-                        None => Ok(QrFactorization::from_parts(
-                            plan.m,
-                            plan.n,
-                            plan.nb,
-                            plan.ib,
-                            tiles,
-                            t_geqrt,
-                            t_elim,
-                            Arc::clone(&plan.core.dag),
-                            plan.t_recycler(),
-                        )),
+                        None => Ok(plan.assemble(parts)),
                     }
                 })
             })
@@ -1541,9 +1687,9 @@ impl QrContext {
                 slots.push(Err(QrError::NonFiniteInput { row, col }));
             } else {
                 slots.push(Ok(()));
-                owned.push(std::mem::replace(
-                    t,
-                    TiledMatrix::from_tiles(Vec::new(), 0, 0, plan.nb),
+                owned.push((
+                    std::mem::replace(t, TiledMatrix::from_tiles(Vec::new(), 0, 0, plan.nb)),
+                    Vec::new(),
                 ));
             }
         }
@@ -1559,12 +1705,19 @@ impl QrContext {
             q: plan.q,
             nb: plan.nb,
         };
-        let mut items = self.run_batch(plan, owned, deadline).into_iter();
+        let mut items = self
+            .run_batch(plan, &plan.core, owned, deadline)
+            .into_iter();
         let mut out = Vec::with_capacity(guard.tiles.len());
         for (slot, t) in slots.into_iter().zip(guard.tiles.iter_mut()) {
             out.push(slot.and_then(|()| {
-                let ((factored, t_geqrt, t_elim), err) =
-                    items.next().expect("one result per conforming buffer");
+                let (parts, err) = items.next().expect("one result per conforming buffer");
+                let FactoredParts {
+                    tiles: factored,
+                    t_geqrt,
+                    t_elim,
+                    ..
+                } = parts;
                 // The caller gets their buffer back in every outcome: the
                 // factored tiles on success, the partially overwritten tiles
                 // on a contained fault or cancellation (grid intact, values
@@ -1591,48 +1744,21 @@ impl QrContext {
         out
     }
 
-    /// Executes the plan's DAG against `tiled`, sequentially or on the pool,
-    /// and returns the factored parts plus the item's fault, if any.
-    #[allow(clippy::type_complexity)]
-    fn run_plan<T: Scalar<Real = f64>>(
-        &self,
-        plan: &QrPlan<T>,
-        tiled: TiledMatrix<T>,
-        deadline: Option<Instant>,
-    ) -> (
-        (
-            TiledMatrix<T>,
-            Vec<Option<Matrix<T>>>,
-            Vec<Option<Matrix<T>>>,
-        ),
-        Option<QrError>,
-    ) {
-        self.run_batch(plan, vec![tiled], deadline)
-            .pop()
-            .expect("one matrix in, one result out")
-    }
-
-    /// Executes the plan's DAG against every matrix of the batch — the
-    /// single shared engine behind [`QrContext::factorize`],
-    /// [`QrContext::factorize_into`] and both batch entry points. With a
-    /// pool, the whole batch is one fused job (one wake-up); without one,
-    /// the matrices run back to back on the calling thread in topological
-    /// order (the bitwise reference order).
-    #[allow(clippy::type_complexity)]
+    /// Executes `core` — the plan's factor schedule, or its solve schedule
+    /// when the items carry right-hand sides — against every item of the
+    /// batch: the single shared engine behind [`QrContext::factorize`],
+    /// [`QrContext::factorize_into`], both batch entry points and
+    /// [`QrContext::solve`]. With a pool, the whole batch is one fused job
+    /// (one wake-up); without one, the items run back to back on the calling
+    /// thread in topological order (the bitwise reference order).
     fn run_batch<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
-        tiled: Vec<TiledMatrix<T>>,
+        core: &Arc<PlanCore>,
+        items: Vec<JobItem<T>>,
         deadline: Option<Instant>,
-    ) -> Vec<(
-        (
-            TiledMatrix<T>,
-            Vec<Option<Matrix<T>>>,
-            Vec<Option<Matrix<T>>>,
-        ),
-        Option<QrError>,
-    )> {
-        if tiled.is_empty() {
+    ) -> Vec<JobOutcome<T>> {
+        if items.is_empty() {
             return Vec::new();
         }
         // Fail fast before any state is built or kernel runs: a sticky
@@ -1646,24 +1772,38 @@ impl QrContext {
             None
         };
         if let Some(e) = pre {
-            return tiled
+            return items
                 .into_iter()
-                .map(|t| ((t, Vec::new(), Vec::new()), Some(e.clone())))
+                .map(|(tiles, rhs)| {
+                    let untouched = FactoredParts {
+                        tiles,
+                        t_geqrt: Vec::new(),
+                        t_elim: Vec::new(),
+                        rhs,
+                    };
+                    (untouched, Some(e.clone()))
+                })
                 .collect();
         }
-        let states = plan.build_states(tiled);
+        let states = plan.build_states(items);
         match &self.pool {
-            None => self.run_batch_sequential(plan, states, deadline),
+            None => self.run_batch_sequential(plan, core, states, deadline),
             Some(pool) => {
                 let copies = states.len();
-                let total = plan.core.dag.len() * copies;
+                let total = core.dag.len() * copies;
                 let threads = pool.threads();
                 match self.scheduler {
-                    SchedulerKind::LockedFifo => {
-                        self.run_batch_job(plan, pool, states, LockedFifo::new(total), deadline)
-                    }
+                    SchedulerKind::LockedFifo => self.run_batch_job(
+                        plan,
+                        core,
+                        pool,
+                        states,
+                        LockedFifo::new(total),
+                        deadline,
+                    ),
                     SchedulerKind::WorkStealing => self.run_batch_job(
                         plan,
+                        core,
                         pool,
                         states,
                         WorkStealing::new(total, threads),
@@ -1671,13 +1811,10 @@ impl QrContext {
                     ),
                     SchedulerKind::WorkStealingPriority => self.run_batch_job(
                         plan,
+                        core,
                         pool,
                         states,
-                        WorkStealingPriority::new_shared_cyclic(
-                            plan.core.priorities(),
-                            threads,
-                            copies,
-                        ),
+                        WorkStealingPriority::new_shared_cyclic(core.priorities(), threads, copies),
                         deadline,
                     ),
                 }
@@ -1690,20 +1827,13 @@ impl QrContext {
     /// robustness semantics as the pool path — per-task cancellation and
     /// deadline checks, and per-task panic containment that fails only the
     /// current copy while later copies still run.
-    #[allow(clippy::type_complexity)]
     fn run_batch_sequential<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
+        core: &PlanCore,
         states: Vec<FactorizationState<T>>,
         deadline: Option<Instant>,
-    ) -> Vec<(
-        (
-            TiledMatrix<T>,
-            Vec<Option<Matrix<T>>>,
-            Vec<Option<Matrix<T>>>,
-        ),
-        Option<QrError>,
-    )> {
+    ) -> Vec<JobOutcome<T>> {
         let mut ws = plan.checkout_workspaces(1);
         // A cancellation or expired deadline stops the whole run: the copy
         // it interrupted and every later copy report the cause.
@@ -1715,7 +1845,7 @@ impl QrContext {
                 continue;
             }
             let mut item_err: Option<QrError> = None;
-            for (local, task) in plan.core.dag.tasks.iter().enumerate() {
+            for (local, task) in core.dag.tasks.iter().enumerate() {
                 if self.cancel.is_cancelled() {
                     stop = Some(QrError::Cancelled);
                     break;
@@ -1754,36 +1884,28 @@ impl QrContext {
     /// under the submitter-side controls (cancellation, deadline, watchdog),
     /// and recovers the states, workspaces and per-item verdicts (the job is
     /// uniquely owned again once every worker signalled completion).
-    #[allow(clippy::type_complexity)]
     fn run_batch_job<T: Scalar<Real = f64>, S: Scheduler + Send + Sync + 'static>(
         &self,
         plan: &QrPlan<T>,
+        core: &Arc<PlanCore>,
         pool: &WorkerPool,
         states: Vec<FactorizationState<T>>,
         sched: S,
         deadline: Option<Instant>,
-    ) -> Vec<(
-        (
-            TiledMatrix<T>,
-            Vec<Option<Matrix<T>>>,
-            Vec<Option<Matrix<T>>>,
-        ),
-        Option<QrError>,
-    )> {
+    ) -> Vec<JobOutcome<T>> {
         let threads = pool.threads();
-        let n = plan.core.dag.len();
+        let n = core.dag.len();
         let copies = states.len();
         // Roots of every copy of the DAG, offset into that copy's id range.
-        let mut roots = Vec::with_capacity(plan.core.roots.len() * copies);
+        let mut roots = Vec::with_capacity(core.roots.len() * copies);
         for copy in 0..copies {
-            roots.extend(plan.core.roots.iter().map(|&r| copy * n + r));
+            roots.extend(core.roots.iter().map(|&r| copy * n + r));
         }
         sched.seed(&mut roots);
         let mut remaining = Vec::with_capacity(n * copies);
         for _ in 0..copies {
             remaining.extend(
-                plan.core
-                    .dag
+                core.dag
                     .tasks
                     .iter()
                     .map(|t| AtomicUsize::new(t.deps.len())),
@@ -1791,7 +1913,7 @@ impl QrContext {
         }
         let job = Arc::new(BatchJob {
             states,
-            core: Arc::clone(&plan.core),
+            core: Arc::clone(core),
             sched,
             remaining,
             completed: AtomicUsize::new(0),
@@ -1801,7 +1923,7 @@ impl QrContext {
                 .into_iter()
                 .map(|ws| Mutex::new(Some(ws)))
                 .collect(),
-            tracker: ItemTracker::new(Arc::clone(&plan.core.dag), copies),
+            tracker: ItemTracker::new(Arc::clone(&core.dag), copies),
             // A fresh per-job token: the submitter's wait loop forwards user
             // cancellation into it and triggers it on deadline/stall, so
             // internal causes never poison the context's sticky handle.
@@ -1966,25 +2088,16 @@ impl QrContext {
                 }
             }
             plan.restore_workspaces(ws);
-            let (tiles, t_geqrt, t_elim) = state.into_parts();
+            let parts = state.into_parts();
             let outcome = match item_err.or_else(|| stop.clone()) {
                 Some(e) => {
                     // A failed copy's T buffers go straight back to its own
                     // plan; its partially factored tiles are dropped.
-                    plan.t_pool.recycle(t_geqrt.into_iter().chain(t_elim));
+                    plan.t_pool
+                        .recycle(parts.t_geqrt.into_iter().chain(parts.t_elim));
                     Err(e)
                 }
-                None => Ok(QrFactorization::from_parts(
-                    plan.m,
-                    plan.n,
-                    plan.nb,
-                    plan.ib,
-                    tiles,
-                    t_geqrt,
-                    t_elim,
-                    Arc::clone(&plan.core.dag),
-                    plan.t_recycler(),
-                )),
+                None => Ok(plan.assemble(parts)),
             };
             sink.item_done(copy, outcome);
         }
@@ -2139,7 +2252,12 @@ impl QrContext {
                     let state = Arc::try_unwrap(arc).unwrap_or_else(|_| {
                         panic!("stream copy state still shared after the pool drained")
                     });
-                    let (tiles, t_geqrt, t_elim) = state.into_parts();
+                    let FactoredParts {
+                        tiles,
+                        t_geqrt,
+                        t_elim,
+                        ..
+                    } = state.into_parts();
                     let outcome = match err {
                         Some(e) => {
                             if let Some(pool) = meta.recycler.upgrade() {
@@ -2169,6 +2287,25 @@ impl QrContext {
             }
         }
     }
+}
+
+/// The triangular step of a least-squares solve: solves `R·x = c[0..n]` for
+/// every column `c` of `qhb` (`Qᴴ·B`, at least `n` rows). One column at a
+/// time through [`Matrix::try_solve_upper_triangular`], so the fused solve
+/// and [`least_squares_with_factorization`](crate::solve::least_squares_with_factorization)
+/// perform the same arithmetic.
+pub(crate) fn back_substitute<T: Scalar>(
+    r: &Matrix<T>,
+    qhb: &Matrix<T>,
+) -> Result<Matrix<T>, QrError> {
+    let mut x = Matrix::zeros(r.cols(), qhb.cols());
+    for j in 0..qhb.cols() {
+        let xj = r
+            .try_solve_upper_triangular(qhb.col(j))
+            .map_err(|index| QrError::SingularR { index })?;
+        x.col_mut(j).copy_from_slice(&xj);
+    }
+    Ok(x)
 }
 
 /// The `T` factors of an in-place factorization ([`QrContext::factorize_into`]).
@@ -2250,10 +2387,7 @@ impl<T: Scalar<Real = f64>> QrReflectors<T> {
     /// tiles.
     pub fn r(&self, tiles: &TiledMatrix<T>) -> Matrix<T> {
         self.check_tiles(tiles);
-        let full = tiles.to_dense();
-        let mut r = full.sub_matrix(0, 0, self.n, self.n);
-        r.zero_below_diagonal();
-        r
+        upper_triangle(tiles, self.n)
     }
 
     /// Applies `Qᴴ` to a dense matrix with `m` rows, replaying the block
@@ -2463,6 +2597,9 @@ mod tests {
         assert!(e.to_string().contains("out of threads"));
         let e = QrError::NonFiniteInput { row: 3, col: 1 };
         assert!(e.to_string().contains("row 3"));
+        let e = QrError::SingularR { index: 7 };
+        assert!(e.to_string().contains("R[7, 7]"));
+        assert!(!e.is_transient());
     }
 
     #[test]

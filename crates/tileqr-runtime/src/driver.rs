@@ -28,7 +28,7 @@ use tileqr_kernels::{tsmqr_ws, ttmqr_ws, unmqr_ws, Trans, Workspace};
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
 use crate::executor::{execute_parallel_with_scheduler, execute_sequential_with, SchedulerKind};
-use crate::state::FactorizationState;
+use crate::state::{gather_row_blocks, rhs_row_blocks, FactoredParts, FactorizationState};
 use crate::trace::WorkerTrace;
 
 /// Default inner blocking factor `ib` of [`QrConfig::new`], applied as
@@ -233,20 +233,27 @@ pub fn qr_factorize_traced<T: Scalar<Real = f64>>(
     (f, trace)
 }
 
-/// Untraced one-shot path: validates with the historical panics, then runs
-/// through a transient plan + context (the session API), which makes the
-/// free functions thin wrappers over [`crate::context::QrContext`].
-fn factorize_impl<T: Scalar<Real = f64>>(a: &Matrix<T>, config: QrConfig) -> QrFactorization<T> {
-    let (m, n) = a.shape();
+/// The transient plan + context behind the one-shot free functions
+/// ([`qr_factorize`], [`crate::solve::least_squares_solve`]), which makes
+/// them thin wrappers over the session API: validates with the historical
+/// panics and clamps the thread count, which the legacy API never limited.
+pub(crate) fn transient_session<T: Scalar<Real = f64>>(
+    (m, n): (usize, usize),
+    config: QrConfig,
+) -> (crate::context::QrPlan<T>, crate::context::QrContext) {
     assert!(m >= n, "tiled QR requires a tall or square matrix (m ≥ n)");
     assert!(config.tile_size >= 1, "tile size must be at least 1");
     let plan = crate::context::QrPlan::new(m, n, config)
         .expect("shape and tile size were validated above");
-    // The legacy API never limited the thread count; clamp instead of
-    // erroring so historical callers keep working.
     let threads = config.threads.clamp(1, crate::context::MAX_THREADS);
     let ctx = crate::context::QrContext::with_scheduler(threads, config.scheduler)
         .expect("thread count is clamped into the accepted range");
+    (plan, ctx)
+}
+
+/// Untraced one-shot path through a [`transient_session`].
+fn factorize_impl<T: Scalar<Real = f64>>(a: &Matrix<T>, config: QrConfig) -> QrFactorization<T> {
+    let (plan, ctx) = transient_session(a.shape(), config);
     // The legacy contract is to panic on any failure. The context API
     // contains kernel panics as `QrError::TaskPanicked`; re-raising the
     // rendered error (which carries the original panic message) keeps this
@@ -305,7 +312,12 @@ where
             |task, (ws, wt)| run(&state, task, ws, wt),
         );
     }
-    let (tiles, t_geqrt, t_elim) = state.into_parts();
+    let FactoredParts {
+        tiles,
+        t_geqrt,
+        t_elim,
+        ..
+    } = state.into_parts();
     QrFactorization {
         m,
         n,
@@ -319,9 +331,32 @@ where
     }
 }
 
+/// The upper-triangular factor `R` (`n × n`) of a factored tile grid. Reads
+/// only the tiles on and above the diagonal of the top `⌈n/nb⌉` tile rows —
+/// the rest of the grid holds Householder vectors — so the cost does not
+/// grow with the row count.
+pub(crate) fn upper_triangle<T: Scalar>(tiles: &TiledMatrix<T>, n: usize) -> Matrix<T> {
+    let nb = tiles.tile_size();
+    let mut r = Matrix::zeros(n, n);
+    for tj in 0..n.div_ceil(nb) {
+        let cols = nb.min(n - tj * nb);
+        for ti in 0..=tj {
+            let rows = nb.min(n - ti * nb);
+            r.copy_block(ti * nb, tj * nb, tiles.tile(ti, tj), 0, 0, rows, cols);
+        }
+    }
+    // The diagonal tiles keep reflectors below their diagonal.
+    r.zero_below_diagonal();
+    r
+}
+
 /// Replays the factor tasks of `dag` over a dense matrix `b` with `m` rows,
 /// applying `Q` (reverse task order) or `Qᴴ` (forward order) built from the
-/// Householder tiles and the `ib`-blocked `T` factors.
+/// Householder tiles and the `ib`-blocked `T` factors. `b` is held as `p` row
+/// blocks of `nb × k` — the same blocks, updated by the same kernels in the
+/// same per-block order, as the trailing column of the fused solve
+/// ([`QrContext::solve`](crate::context::QrContext::solve)), so the two agree
+/// bitwise.
 ///
 /// Shared by [`QrFactorization`] (owned tiles) and
 /// [`QrReflectors`](crate::context::QrReflectors) (caller-owned tiles).
@@ -349,71 +384,43 @@ pub(crate) fn replay_q<T: Scalar<Real = f64>>(
             .as_ref()
             .expect("missing elimination T factor — corrupt factorization")
     };
-    // Pad b to the same tile-row count as the factorization.
-    let mut padded = Matrix::zeros(p * nb, b.cols());
-    padded.copy_block(0, 0, b, 0, 0, b.rows(), b.cols());
-    let mut bt = TiledMatrix::from_dense_padded(&padded, nb);
-    let qb = bt.tile_cols();
+    let mut blocks = rhs_row_blocks(b, p, nb);
 
-    // The factor tasks of the DAG, in topological order.
-    let factor_tasks: Vec<TaskKind> = dag
-        .tasks
-        .iter()
-        .map(|t| t.kind)
-        .filter(|k| {
-            matches!(
-                k,
-                TaskKind::Geqrt { .. } | TaskKind::Tsqrt { .. } | TaskKind::Ttqrt { .. }
-            )
-        })
-        .collect();
-
-    // One workspace serves the whole replay; the tile pairs are updated
-    // in place (no per-task clones). The panel width must match the
-    // ib-blocked T factors produced at factor time.
+    // One workspace serves the whole replay; the blocks are updated in
+    // place. The panel width must match the ib-blocked T factors produced
+    // at factor time.
     let mut ws = Workspace::with_inner_block(nb, ib);
-    let mut apply_one = |bt: &mut TiledMatrix<T>, kind: TaskKind| match kind {
-        TaskKind::Geqrt { row, col } => {
-            let v = tiles.tile(row, col);
-            let t = t_geqrt_of(row, col);
-            for jb in 0..qb {
-                unmqr_ws(v, t, bt.tile_mut(row, jb), trans, &mut ws);
-            }
-        }
-        TaskKind::Tsqrt { row, piv, col } => {
-            let v2 = tiles.tile(row, col);
-            let t = t_elim_of(row, col);
-            for jb in 0..qb {
-                let (c1, c2) = bt.tile_pair_mut((piv, jb), (row, jb));
+    let mut apply_one = |kind: TaskKind| match kind {
+        TaskKind::Geqrt { row, col } => unmqr_ws(
+            tiles.tile(row, col),
+            t_geqrt_of(row, col),
+            &mut blocks[row],
+            trans,
+            &mut ws,
+        ),
+        TaskKind::Tsqrt { row, piv, col } | TaskKind::Ttqrt { row, piv, col } => {
+            let [c1, c2] = blocks
+                .get_disjoint_mut([piv, row])
+                .expect("an elimination couples two distinct tile rows");
+            let (v2, t) = (tiles.tile(row, col), t_elim_of(row, col));
+            if matches!(kind, TaskKind::Tsqrt { .. }) {
                 tsmqr_ws(v2, t, c1, c2, trans, &mut ws);
-            }
-        }
-        TaskKind::Ttqrt { row, piv, col } => {
-            let v2 = tiles.tile(row, col);
-            let t = t_elim_of(row, col);
-            for jb in 0..qb {
-                let (c1, c2) = bt.tile_pair_mut((piv, jb), (row, jb));
+            } else {
                 ttmqr_ws(v2, t, c1, c2, trans, &mut ws);
             }
         }
-        _ => unreachable!("only factor tasks are replayed"),
+        // Update tasks carry no reflectors of their own.
+        TaskKind::Unmqr { .. } | TaskKind::Tsmqr { .. } | TaskKind::Ttmqr { .. } => {}
     };
 
+    // The tasks are stored in topological order: forward applies Qᴴ,
+    // backward applies Q.
     match trans {
-        Trans::ConjTrans => {
-            for &kind in &factor_tasks {
-                apply_one(&mut bt, kind);
-            }
-        }
-        Trans::NoTrans => {
-            for &kind in factor_tasks.iter().rev() {
-                apply_one(&mut bt, kind);
-            }
-        }
+        Trans::ConjTrans => dag.tasks.iter().for_each(|t| apply_one(t.kind)),
+        Trans::NoTrans => dag.tasks.iter().rev().for_each(|t| apply_one(t.kind)),
     }
 
-    let dense = bt.to_dense();
-    dense.sub_matrix(0, 0, m, b.cols())
+    gather_row_blocks(&blocks, m)
 }
 
 impl<T: Scalar<Real = f64>> QrFactorization<T> {
@@ -448,10 +455,7 @@ impl<T: Scalar<Real = f64>> QrFactorization<T> {
     /// The upper-triangular factor `R` (size `n × n`, the original column
     /// count before padding).
     pub fn r(&self) -> Matrix<T> {
-        let full = self.tiles.to_dense();
-        let mut r = full.sub_matrix(0, 0, self.n, self.n);
-        r.zero_below_diagonal();
-        r
+        upper_triangle(&self.tiles, self.n)
     }
 
     /// Applies `Qᴴ` to a dense matrix with `m` rows (the original, unpadded

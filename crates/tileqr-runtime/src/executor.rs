@@ -966,6 +966,7 @@ mod tests {
         let empty = TaskDag {
             p: 0,
             q: 0,
+            trailing: 0,
             family: KernelFamily::TT,
             tasks: Vec::new(),
         };

@@ -40,8 +40,12 @@
 //!   [`driver::QrFactorization`] handle (extract `R`, apply `Q`/`Qᴴ`, build
 //!   `Q` explicitly, residuals).
 //! * [`solve`] — linear least-squares solve on top of the tiled QR, the
-//!   motivating application of the paper's introduction (one-shot,
-//!   context/plan-based and service-routed variants).
+//!   motivating application of the paper's introduction. From `(A, b)` the
+//!   solve is one plan: [`QrContext::solve`] runs the right-hand side as a
+//!   trailing tile column of the factorization DAG (one-shot and
+//!   context/plan-based wrappers for a single right-hand side); replay from
+//!   a factorization handle and a service-routed variant cover later-arriving
+//!   right-hand sides.
 //! * [`service`] — the **streaming multi-tenant service layer** (see
 //!   below): a [`QrService`](service::QrService) in front of one context,
 //!   with bounded admission, per-tenant fairness, load shedding and

@@ -1,25 +1,50 @@
 //! Linear least-squares solve on top of the tiled QR factorization.
 //!
 //! Solving `min ‖A·x − b‖₂` for a tall `m × n` matrix is the motivating
-//! application in the paper's introduction. With `A = Q·R`:
+//! application in the paper's introduction. With `A = Q·R`, `x` solves the
+//! triangular system `R·x = (Qᴴ·b)[0..n]`.
 //!
-//! 1. factor `A` with any of the tiled algorithms;
-//! 2. compute `c = Qᴴ·b` (replaying the block reflectors);
-//! 3. solve the triangular system `R·x = c[0..n]`.
+//! # From `(A, b)`: one plan
+//!
+//! [`QrContext::solve`] — and [`least_squares_solve_with`] /
+//! [`least_squares_solve`], which are that call with one right-hand side —
+//! runs the whole request as **one pool job over `[A | b]`**: `b` is a
+//! trailing tile column of the factorization DAG (`p` row blocks of
+//! `nb × k`, its true width), so the paper's own `UNMQR`/`TSMQR`/`TTMQR`
+//! update tasks compute `Qᴴ·b` on the workers while `A` is being factored.
+//! What remains is reading `R` out of the top tile rows and a back
+//! substitution.
+//!
+//! # From a factorization: replay
+//!
+//! When right-hand sides arrive *after* the factorization (or `Q` itself is
+//! wanted), [`least_squares_with_factorization`] replays the stored
+//! reflectors over the same `nb × k` row blocks
+//! ([`QrFactorization::apply_qh`]), sequentially on the calling thread.
+//! [`least_squares_solve_via`] does that behind a service ticket. Both
+//! routes run the same kernels on the same blocks in the same per-block
+//! order, so their solutions are bitwise identical.
+//!
+//! The fallible solves report an exactly rank-deficient `A` as
+//! [`QrError::SingularR`]; the legacy [`least_squares_solve`] and
+//! [`least_squares_with_factorization`] panic on it.
 
 use tileqr_matrix::{Matrix, Scalar};
 
-use crate::context::{QrContext, QrError, QrPlan};
-use crate::driver::{qr_factorize, QrConfig, QrFactorization};
+use crate::context::{back_substitute, QrContext, QrError, QrPlan};
+use crate::driver::{transient_session, QrConfig, QrFactorization};
 use crate::service::QrClient;
 
 /// Solves the least-squares problem `min ‖A·x − b‖₂` using a tiled QR
 /// factorization with the given configuration. Returns the solution vector
 /// of length `n = a.cols()`.
 ///
+/// One-shot wrapper: [`least_squares_solve_with`] on a transient plan and
+/// context.
+///
 /// # Panics
 /// Panics if `b.len() != a.rows()`, if the matrix is wide (`m < n`), or if
-/// `R` is numerically singular (rank-deficient `A`).
+/// `R` is singular (rank-deficient `A`).
 pub fn least_squares_solve<T: Scalar<Real = f64>>(
     a: &Matrix<T>,
     b: &[T],
@@ -30,15 +55,18 @@ pub fn least_squares_solve<T: Scalar<Real = f64>>(
         a.rows(),
         "right-hand side length must equal the row count of A"
     );
-    let f = qr_factorize(a, config);
-    least_squares_with_factorization(&f, b)
+    let (plan, ctx) = transient_session(a.shape(), config);
+    // The legacy contract is to panic on any failure; the rendered error
+    // carries the cause (a contained kernel panic, a singular R).
+    least_squares_solve_with(&ctx, &plan, a, b).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Solves `min ‖A·x − b‖₂` through the session API: the context's persistent
-/// pool executes the plan's precomputed schedule, so a stream of solves
-/// sharing one shape pays planning and thread startup once. Fallible
-/// counterpart of [`least_squares_solve`]: shape problems come back as
-/// [`QrError`] values instead of panics.
+/// pool executes the plan's precomputed solve schedule, so a stream of solves
+/// sharing one shape pays planning and thread startup once.
+/// [`QrContext::solve`] with one right-hand side; every failure comes back
+/// as a [`QrError`], including [`QrError::SingularR`] for an exactly
+/// rank-deficient `A`.
 pub fn least_squares_solve_with<T: Scalar<Real = f64>>(
     ctx: &QrContext,
     plan: &QrPlan<T>,
@@ -51,19 +79,21 @@ pub fn least_squares_solve_with<T: Scalar<Real = f64>>(
             got: b.len(),
         });
     }
-    let f = ctx.factorize(plan, a)?;
-    Ok(least_squares_with_factorization(&f, b))
+    let x = ctx.solve(plan, a, &Matrix::from_col_major(b.len(), 1, b.to_vec()))?;
+    Ok(x.as_slice().to_vec())
 }
 
 /// Solves `min ‖A·x − b‖₂` through the **service layer**
 /// ([`crate::service`]): submits `a` on the client's tenant lane and
-/// blocks on the ticket, so the solve rides the service's admission
-/// control, fair scheduling and transient-fault retry. Takes `a` by value
-/// — the service retains the dense input across retry attempts.
+/// blocks on the ticket, so the factorization rides the service's admission
+/// control, fair scheduling and transient-fault retry; `Qᴴ·b` is then
+/// replayed on the calling thread. Takes `a` by value — the service retains
+/// the dense input across retry attempts.
 ///
 /// Admission rejections surface unchanged: a retriable
 /// [`QrError::QueueFull`] under overload,
-/// [`QrError::ServiceShutdown`] once the service closed.
+/// [`QrError::ServiceShutdown`] once the service closed. An exactly
+/// rank-deficient `A` is [`QrError::SingularR`].
 pub fn least_squares_solve_via<T: Scalar<Real = f64>>(
     client: &QrClient<T>,
     plan: &std::sync::Arc<QrPlan<T>>,
@@ -77,11 +107,14 @@ pub fn least_squares_solve_via<T: Scalar<Real = f64>>(
         });
     }
     let f = client.submit(plan, a)?.wait()?;
-    Ok(least_squares_with_factorization(&f, b))
+    try_with_factorization(&f, b)
 }
 
 /// Solves `min ‖A·x − b‖₂` reusing an existing factorization of `A` —
 /// useful when many right-hand sides share the same matrix.
+///
+/// # Panics
+/// Panics if `b.len() != f.m` or if `R` is singular.
 pub fn least_squares_with_factorization<T: Scalar<Real = f64>>(
     f: &QrFactorization<T>,
     b: &[T],
@@ -91,11 +124,16 @@ pub fn least_squares_with_factorization<T: Scalar<Real = f64>>(
         f.m,
         "right-hand side length must equal the row count of A"
     );
-    let bmat = Matrix::from_col_major(f.m, 1, b.to_vec());
-    let c = f.apply_qh(&bmat);
-    let r = f.r();
-    let rhs: Vec<T> = (0..f.n).map(|i| c.get(i, 0)).collect();
-    r.solve_upper_triangular(&rhs)
+    try_with_factorization(f, b).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// `Qᴴ·b` by replay, then the triangular step shared with the fused solve.
+fn try_with_factorization<T: Scalar<Real = f64>>(
+    f: &QrFactorization<T>,
+    b: &[T],
+) -> Result<Vec<T>, QrError> {
+    let c = f.apply_qh(&Matrix::from_col_major(f.m, 1, b.to_vec()));
+    Ok(back_substitute(&f.r(), &c)?.as_slice().to_vec())
 }
 
 /// Residual norm `‖A·x − b‖₂` of a candidate least-squares solution.
@@ -118,6 +156,7 @@ pub fn residual_norm<T: Scalar<Real = f64>>(a: &Matrix<T>, x: &[T], b: &[T]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::qr_factorize;
     use tileqr_core::algorithms::Algorithm;
     use tileqr_core::KernelFamily;
     use tileqr_kernels::reference::least_squares_reference;

@@ -14,6 +14,14 @@
 //! this makes [`FactorizationState::run_ws`] — the per-task hot path —
 //! completely allocation-free.
 //!
+//! A state may also carry a right-hand side as one *trailing* tile column
+//! ([`FactorizationState::with_rhs`]): `p` row blocks of `nb × k` at column
+//! index `q`, behind the same per-tile locks. The update tasks a
+//! [`TaskDag`](tileqr_core::TaskDag) built with a trailing column emits for
+//! `j = q` then turn those blocks into `Qᴴ·b` while the factorization runs;
+//! nothing in [`FactorizationState::run_ws`] distinguishes them from square
+//! tiles, because the update kernels take a target of any width.
+//!
 //! [`FactorizationState::run_ws`] is the task body every scheduler of the
 //! executor drives ([`SchedulerKind`](crate::executor::SchedulerKind):
 //! locked FIFO, work stealing, priority work stealing). It is
@@ -35,7 +43,9 @@ pub struct FactorizationState<T: Scalar> {
     q: usize,
     nb: usize,
     ib: usize,
-    /// Tiles of the matrix, tile-column-major, each behind its own lock.
+    /// Tiles of the matrix, tile-column-major, each behind its own lock;
+    /// followed by the `p` right-hand-side row blocks (tile column `q`) when
+    /// the state carries one.
     tiles: Vec<Mutex<Matrix<T>>>,
     /// `T` factor of `GEQRT(row, col)`; preallocated (zero) until that
     /// kernel has run.
@@ -43,6 +53,21 @@ pub struct FactorizationState<T: Scalar> {
     /// `T` factor of the TSQRT/TTQRT that eliminated tile `(row, col)`;
     /// preallocated (zero) until that kernel has run.
     t_elim: Vec<Mutex<Option<Matrix<T>>>>,
+}
+
+/// What [`FactorizationState::into_parts`] hands back.
+pub struct FactoredParts<T: Scalar> {
+    /// The factored tiles (`R` plus the Householder vectors).
+    pub tiles: TiledMatrix<T>,
+    /// `T` factor of `GEQRT(row, col)` at `col · p + row`. Every slot is
+    /// `Some` (the storage is preallocated); slots whose kernel never ran
+    /// hold a zero matrix.
+    pub t_geqrt: Vec<Option<Matrix<T>>>,
+    /// `T` factor of the elimination of tile `(row, col)`, same layout.
+    pub t_elim: Vec<Option<Matrix<T>>>,
+    /// The right-hand-side row blocks ([`FactorizationState::with_rhs`]),
+    /// holding `Qᴴ·b` once every task ran; empty if the state carried none.
+    pub rhs: Vec<Matrix<T>>,
 }
 
 impl<T: Scalar<Real = f64>> FactorizationState<T> {
@@ -108,6 +133,25 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
         }
     }
 
+    /// Attaches a right-hand side as the trailing tile column `q`: `blocks`
+    /// are its `p` row blocks, each `nb × k` for one common `k` (see
+    /// [`rhs_row_blocks`]). The state then serves DAGs built with one
+    /// trailing column.
+    ///
+    /// # Panics
+    /// Panics unless there are exactly `p` blocks of `nb` rows and equal
+    /// width, or if a right-hand side is already attached.
+    pub fn with_rhs(mut self, blocks: Vec<Matrix<T>>) -> Self {
+        assert_eq!(self.tiles.len(), self.p * self.q, "rhs already attached");
+        assert_eq!(blocks.len(), self.p, "one rhs block per tile row");
+        let k = blocks.first().map_or(0, Matrix::cols);
+        for b in &blocks {
+            assert_eq!(b.shape(), (self.nb, k), "rhs block shape mismatch");
+        }
+        self.tiles.extend(blocks.into_iter().map(Mutex::new));
+        self
+    }
+
     /// Tile rows of the grid.
     pub fn tile_rows(&self) -> usize {
         self.p
@@ -130,7 +174,8 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
 
     #[inline]
     fn idx(&self, row: usize, col: usize) -> usize {
-        debug_assert!(row < self.p && col < self.q);
+        // `col == q` addresses the right-hand-side blocks, if attached.
+        debug_assert!(row < self.p && col * self.p + row < self.tiles.len());
         col * self.p + row
     }
 
@@ -272,25 +317,52 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
         (first, second)
     }
 
-    /// Consumes the state and returns the factored tiles plus the `T`
-    /// factors, for use by [`crate::driver::QrFactorization`].
-    ///
-    /// Every slot is `Some` (the storage is preallocated); slots whose kernel
-    /// never ran hold a zero matrix.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(
-        self,
-    ) -> (
-        TiledMatrix<T>,
-        Vec<Option<Matrix<T>>>,
-        Vec<Option<Matrix<T>>>,
-    ) {
-        let tiles: Vec<Matrix<T>> = self.tiles.into_iter().map(|m| m.into_inner()).collect();
-        let tiled = TiledMatrix::from_tiles(tiles, self.p, self.q, self.nb);
-        let t_geqrt = self.t_geqrt.into_iter().map(|m| m.into_inner()).collect();
-        let t_elim = self.t_elim.into_iter().map(|m| m.into_inner()).collect();
-        (tiled, t_geqrt, t_elim)
+    /// Consumes the state and returns the factored tiles, the `T` factors
+    /// and the right-hand-side blocks, for use by
+    /// [`crate::driver::QrFactorization`] and the fused solve.
+    pub fn into_parts(self) -> FactoredParts<T> {
+        let mut tiles: Vec<Matrix<T>> = self.tiles.into_iter().map(|m| m.into_inner()).collect();
+        let rhs = tiles.split_off(self.p * self.q);
+        FactoredParts {
+            tiles: TiledMatrix::from_tiles(tiles, self.p, self.q, self.nb),
+            t_geqrt: self.t_geqrt.into_iter().map(|m| m.into_inner()).collect(),
+            t_elim: self.t_elim.into_iter().map(|m| m.into_inner()).collect(),
+            rhs,
+        }
     }
+}
+
+/// Splits a dense `m × k` right-hand side into `p` row blocks of `nb × k`
+/// (its true width — never padded to `nb` columns), zero-padding the rows of
+/// the last block: the trailing tile column of [`FactorizationState::with_rhs`]
+/// and the unit the `Q`/`Qᴴ` replay works on.
+///
+/// # Panics
+/// Panics if `b` has more than `p · nb` rows.
+pub fn rhs_row_blocks<T: Scalar>(b: &Matrix<T>, p: usize, nb: usize) -> Vec<Matrix<T>> {
+    assert!(b.rows() <= p * nb, "right-hand side taller than the grid");
+    (0..p)
+        .map(|ti| {
+            let mut block = Matrix::zeros(nb, b.cols());
+            let rows = nb.min(b.rows().saturating_sub(ti * nb));
+            if rows > 0 {
+                block.copy_block(0, 0, b, ti * nb, 0, rows, b.cols());
+            }
+            block
+        })
+        .collect()
+}
+
+/// The first `rows` rows of the matrix whose `nb`-row blocks are `blocks` —
+/// the inverse of [`rhs_row_blocks`] when `rows` is the original row count.
+pub fn gather_row_blocks<T: Scalar>(blocks: &[Matrix<T>], rows: usize) -> Matrix<T> {
+    let (nb, k) = blocks.first().map_or((1, 0), Matrix::shape);
+    let mut out = Matrix::zeros(rows, k);
+    for (ti, block) in blocks.iter().enumerate().take(rows.div_ceil(nb)) {
+        let take = nb.min(rows - ti * nb);
+        out.copy_block(ti * nb, 0, block, 0, 0, take, k);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -309,8 +381,14 @@ mod tests {
         assert_eq!(state.tile_rows(), 3);
         assert_eq!(state.tile_cols(), 2);
         assert_eq!(state.tile_size(), 4);
-        let (back, tg, te) = state.into_parts();
+        let FactoredParts {
+            tiles: back,
+            t_geqrt: tg,
+            t_elim: te,
+            rhs,
+        } = state.into_parts();
         assert_eq!(back, tiled);
+        assert!(rhs.is_empty());
         // T storage is preallocated and zero until a kernel runs
         assert!(tg.iter().all(|t| t
             .as_ref()
@@ -328,8 +406,7 @@ mod tests {
         let lazy =
             FactorizationState::new(TiledMatrix::zeros(eager.tile_rows(), eager.tile_cols(), 4));
         lazy.fill_tiles_from_dense(&a);
-        let (filled, _, _) = lazy.into_parts();
-        assert_eq!(filled, eager);
+        assert_eq!(lazy.into_parts().tiles, eager);
     }
 
     #[test]
@@ -342,8 +419,8 @@ mod tests {
         for task in &dag.tasks {
             state.run_ws(task.kind, &mut ws);
         }
-        let (_tiles, t_geqrt, t_elim) = state.into_parts();
-        for t in t_geqrt.iter().chain(t_elim.iter()) {
+        let parts = state.into_parts();
+        for t in parts.t_geqrt.iter().chain(parts.t_elim.iter()) {
             assert_eq!(t.as_ref().unwrap().shape(), (2, 4), "T storage is ib × nb");
         }
     }
@@ -358,7 +435,9 @@ mod tests {
         for task in &dag.tasks {
             state.run_ws(task.kind, &mut ws);
         }
-        let (_tiles, t_geqrt, t_elim) = state.into_parts();
+        let FactoredParts {
+            t_geqrt, t_elim, ..
+        } = state.into_parts();
         let nonzero = |t: &Option<Matrix<f64>>| {
             t.as_ref()
                 .is_some_and(|m| m.as_slice().iter().any(|v| *v != 0.0))
@@ -383,7 +462,7 @@ mod tests {
         for task in &dag.tasks {
             reference.run_ws(task.kind, &mut ws);
         }
-        let (tiles_ref, tg_ref, te_ref) = reference.into_parts();
+        let reference = reference.into_parts();
 
         for kind in SchedulerKind::ALL {
             let state = FactorizationState::new(TiledMatrix::from_dense(&a, 4));
@@ -394,10 +473,25 @@ mod tests {
                 || Workspace::<f64>::new(4),
                 |task, ws| state.run_ws(task, ws),
             );
-            let (tiles, tg, te) = state.into_parts();
-            assert_eq!(tiles, tiles_ref, "tiles differ under {}", kind.name());
-            assert_eq!(tg, tg_ref, "GEQRT T factors differ under {}", kind.name());
-            assert_eq!(te, te_ref, "elim T factors differ under {}", kind.name());
+            let got = state.into_parts();
+            assert_eq!(
+                got.tiles,
+                reference.tiles,
+                "tiles differ under {}",
+                kind.name()
+            );
+            assert_eq!(
+                got.t_geqrt,
+                reference.t_geqrt,
+                "GEQRT T factors differ under {}",
+                kind.name()
+            );
+            assert_eq!(
+                got.t_elim,
+                reference.t_elim,
+                "elim T factors differ under {}",
+                kind.name()
+            );
         }
     }
 
@@ -415,10 +509,9 @@ mod tests {
         for task in &dag.tasks {
             state_ws.run_ws(task.kind, &mut ws);
         }
-        let (tiles_a, tg_a, te_a) = state_alloc.into_parts();
-        let (tiles_w, tg_w, te_w) = state_ws.into_parts();
-        assert_eq!(tiles_a, tiles_w);
-        assert_eq!(tg_a, tg_w);
-        assert_eq!(te_a, te_w);
+        let (alloc, reused) = (state_alloc.into_parts(), state_ws.into_parts());
+        assert_eq!(alloc.tiles, reused.tiles);
+        assert_eq!(alloc.t_geqrt, reused.t_geqrt);
+        assert_eq!(alloc.t_elim, reused.t_elim);
     }
 }

@@ -8,6 +8,8 @@
 //! count and asserts the allocation counts inside `execute_parallel_with`
 //! are essentially identical: if any task allocated, the large run would
 //! exceed the small one by at least the task-count difference (hundreds).
+//! The session-API probes after it pin the steady state of a batch loop
+//! (allocation count) and of a stream of fused solves (allocation volume).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,13 +30,16 @@ use tileqr_runtime::{QrContext, QrPlan};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes requested, for the probes that ask about allocation *volume*.
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump — the
+// SAFETY: pure pass-through to `System` plus relaxed counter bumps — the
 // layout/pointer contracts the caller upholds for us transfer unchanged to
-// the delegated calls, and the counter itself never allocates.
+// the delegated calls, and the counters themselves never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: `layout` is the caller's valid, non-zero-size layout,
         // forwarded verbatim.
         unsafe { System.alloc(layout) }
@@ -48,6 +53,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
         // SAFETY: same provenance argument as `dealloc`; `new_size` is the
         // caller's requested size, forwarded verbatim.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -61,6 +67,12 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let out = f();
     (ALLOCATIONS.load(Ordering::SeqCst) - before, out)
+}
+
+fn bytes_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = BYTES.load(Ordering::SeqCst);
+    let out = f();
+    (BYTES.load(Ordering::SeqCst) - before, out)
 }
 
 /// Runs a full Greedy/TT factorization of a p×q tile grid through the
@@ -103,8 +115,41 @@ fn hot_loops_do_not_allocate_per_task() {
         parallel_check(kind, 4);
         parallel_check(kind, 2);
         batch_check(kind);
+        solve_check(kind);
     }
     sequential_check();
+}
+
+/// A warmed-up stream of fused solves ([`QrContext::solve`]) must allocate
+/// nothing of `m · n` scale: the tile buffer is parked in the plan between
+/// solves and the `T` storage recycles, so what a request still allocates is
+/// the right-hand side (`m · k`), `R` (`n²`) and per-task bookkeeping. The
+/// first solve of a plan pays for the tiles and the `T` factors, which shows
+/// the probe would see them.
+fn solve_check(kind: SchedulerKind) {
+    let (p, q, nb, k) = (12usize, 2usize, 32usize, 1usize);
+    let (m, n) = (p * nb, q * nb);
+    let matrix_bytes = m * n * std::mem::size_of::<f64>();
+    let ctx = QrContext::with_scheduler(3, kind).expect("valid thread count");
+    let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).expect("valid shape");
+    let mats: Vec<Matrix<f64>> = (0..3).map(|i| random_matrix(m, n, 90 + i)).collect();
+    let b: Matrix<f64> = random_matrix(m, k, 99);
+    let solve = |a: &Matrix<f64>| bytes_during(|| ctx.solve(&plan, a, &b).expect("full rank")).0;
+    let cold = solve(&mats[0]);
+    assert!(
+        cold >= matrix_bytes,
+        "[{}] the first solve allocates its tiles: {cold} bytes for a {matrix_bytes}-byte matrix",
+        kind.name()
+    );
+    solve(&mats[1]);
+    for a in &mats {
+        let warm = solve(a);
+        assert!(
+            warm < matrix_bytes / 2,
+            "[{}] a warmed-up solve allocated {warm} bytes; the matrix is {matrix_bytes}",
+            kind.name()
+        );
+    }
 }
 
 /// One steady-state iteration of the allocation-free batch loop: refill the

@@ -4,7 +4,7 @@
 use tileqr_matrix::generate::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::context::MAX_THREADS;
-use tileqr_runtime::solve::least_squares_solve_with;
+use tileqr_runtime::solve::{least_squares_solve, least_squares_solve_with};
 use tileqr_runtime::{qr_factorize, QrConfig, QrContext, QrError, QrPlan};
 
 #[test]
@@ -104,6 +104,79 @@ fn context_solve_matches_the_one_shot_solve() {
     let x_ctx = least_squares_solve_with(&ctx, &plan, &a, &b).unwrap();
     let x_legacy = tileqr_runtime::least_squares_solve(&a, &b, config);
     assert_eq!(x_ctx, x_legacy, "context solve must be bitwise identical");
+}
+
+#[test]
+fn solve_checks_both_operands_against_the_plan() {
+    let ctx = QrContext::new(1).unwrap();
+    let plan: QrPlan<f64> = QrPlan::new(12, 4, QrConfig::new(4)).unwrap();
+    let a: Matrix<f64> = random_matrix(12, 4, 2);
+    assert_eq!(
+        ctx.solve(&plan, &random_matrix(12, 3, 2), &random_matrix(12, 2, 3)),
+        Err(QrError::ShapeMismatch {
+            expected: (12, 4),
+            got: (12, 3)
+        })
+    );
+    assert_eq!(
+        ctx.solve(&plan, &a, &random_matrix(11, 2, 3)),
+        Err(QrError::RhsLength {
+            expected: 12,
+            got: 11
+        })
+    );
+    assert!(ctx.solve(&plan, &a, &random_matrix(12, 2, 3)).is_ok());
+}
+
+/// An exactly rank-deficient matrix (a zero column, a duplicated column
+/// block): the fallible solves say so, the legacy ones panic.
+#[test]
+fn rank_deficient_matrices_are_reported_as_singular_r() {
+    let (m, n, nb) = (20usize, 8usize, 4usize);
+    let ctx = QrContext::new(2).unwrap();
+    let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).unwrap();
+    let b: Vec<f64> = random_matrix::<f64>(m, 1, 3).as_slice().to_vec();
+
+    // A zero column: its diagonal entry of R is exactly zero.
+    let mut zero_col: Matrix<f64> = random_matrix(m, n, 1);
+    zero_col.col_mut(5).fill(0.0);
+    let err = least_squares_solve_with(&ctx, &plan, &zero_col, &b).unwrap_err();
+    assert_eq!(err, QrError::SingularR { index: 5 });
+    assert!(!err.is_transient());
+    assert!(err.to_string().contains("singular"));
+    assert_eq!(
+        ctx.solve(&plan, &zero_col, &Matrix::from_col_major(m, 1, b.clone())),
+        Err(QrError::SingularR { index: 5 })
+    );
+
+    // The second tile column a copy of the first. In general rounding leaves
+    // tiny non-zero pivots behind such a cancellation; here every column has
+    // a single power-of-two entry (in a different tile row each), so every
+    // reflector is a signed permutation, the arithmetic is exact, and the
+    // trailing block of R is exactly zero.
+    let mut dup: Matrix<f64> = Matrix::zeros(m, n);
+    for j in 0..nb {
+        let value = [1.0, 2.0, 0.5, 4.0][j];
+        dup.set((7 * j + 3) % m, j, value);
+        dup.set((7 * j + 3) % m, nb + j, value);
+    }
+    // Back substitution runs from the last row up.
+    assert_eq!(
+        least_squares_solve_with(&ctx, &plan, &dup, &b),
+        Err(QrError::SingularR { index: n - 1 })
+    );
+
+    // The plan is unharmed: a full-rank solve right after succeeds.
+    let good: Matrix<f64> = random_matrix(m, n, 2);
+    assert!(least_squares_solve_with(&ctx, &plan, &good, &b).is_ok());
+
+    // The legacy wrapper re-raises the rendered error.
+    let legacy = std::panic::catch_unwind(|| least_squares_solve(&zero_col, &b, QrConfig::new(nb)));
+    let payload = legacy.expect_err("the legacy solve panics on a singular R");
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(message.contains("singular triangular factor"), "{message}");
 }
 
 // ---- batch API error paths -------------------------------------------------

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use tileqr_core::algorithms::Algorithm;
-use tileqr_core::dag::TaskDag;
+use tileqr_core::dag::{TaskDag, TaskKind};
 use tileqr_core::KernelFamily;
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::rng::Rng;
@@ -516,6 +516,65 @@ fn sequential_path_contains_injected_panics_too() {
     for copy in [0usize, 2] {
         let f = batch[copy].as_ref().expect("clean sibling factors");
         assert_eq!(f.factored_tiles(), references[copy].factored_tiles());
+    }
+}
+
+/// The right-hand-side updates of a fused solve are ordinary tasks of the
+/// job: a panic in one is contained like any other, fails exactly that
+/// solve, and leaves the plan's parked buffers and the pool fit for the next.
+#[test]
+fn a_panic_in_an_rhs_update_fails_only_that_solve() {
+    let _serial = serial();
+    for family in [KernelFamily::TT, KernelFamily::TS] {
+        let config = QrConfig::new(4).with_family(family).with_inner_block(2);
+        let (m, n) = (22usize, 10usize);
+        let plan: QrPlan<f64> = QrPlan::new(m, n, config).unwrap();
+        let a: Matrix<f64> = random_matrix(m, n, 500);
+        let b: Matrix<f64> = random_matrix(m, 3, 501);
+        let other: Matrix<f64> = random_matrix(m, n, 502);
+        // The solve schedule, to pick the faulted tasks: the first and the
+        // last update of the trailing column.
+        let q = plan.tile_cols();
+        let dag = TaskDag::build_with_trailing(
+            &elimination_list_for(plan.algorithm(), plan.tile_rows(), q),
+            family,
+            1,
+        );
+        let on_rhs = |kind: TaskKind| match kind {
+            TaskKind::Unmqr { j, .. } | TaskKind::Tsmqr { j, .. } | TaskKind::Ttmqr { j, .. } => {
+                j == q
+            }
+            _ => false,
+        };
+        let first = dag.tasks.iter().position(|t| on_rhs(t.kind)).unwrap();
+        let last = dag.tasks.iter().rposition(|t| on_rhs(t.kind)).unwrap();
+
+        let sequential = QrContext::new(1).expect("one thread");
+        let pooled = SchedulerKind::ALL
+            .into_iter()
+            .map(|kind| QrContext::with_scheduler(THREADS, kind).expect("valid thread count"));
+        for ctx in std::iter::once(sequential).chain(pooled) {
+            let expected = ctx.solve(&plan, &a, &b).expect("fault-free solve");
+            let expected_other = ctx.solve(&plan, &other, &b).expect("fault-free solve");
+            for task in [first, last] {
+                let armed = FaultPlan::new().panic_at(0, task).install();
+                let outcome = ctx.solve(&plan, &a, &b);
+                drop(armed);
+                match outcome {
+                    Err(QrError::TaskPanicked { kind, message }) => {
+                        assert_eq!(kind, dag.tasks[task].kind);
+                        assert!(
+                            message.contains(&format!("injected fault at (copy 0, task {task})")),
+                            "{message}"
+                        );
+                    }
+                    other => panic!("rhs-update fault not contained: {other:?}"),
+                }
+                // The next solves reuse the buffers the failed one parked.
+                assert_eq!(ctx.solve(&plan, &other, &b).unwrap(), expected_other);
+                assert_eq!(ctx.solve(&plan, &a, &b).unwrap(), expected);
+            }
+        }
     }
 }
 

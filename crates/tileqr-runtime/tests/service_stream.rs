@@ -361,12 +361,19 @@ fn least_squares_solve_via_matches_the_context_path() {
     let x = least_squares_solve_via(&client, &plan, a.clone(), &b).unwrap();
     assert_eq!(x, expected, "service-routed solve must match bitwise");
     // RHS length mismatch is typed, not a panic.
-    match least_squares_solve_via(&client, &plan, a, &b[..M - 1]) {
+    match least_squares_solve_via(&client, &plan, a.clone(), &b[..M - 1]) {
         Err(QrError::RhsLength { expected, got }) => {
             assert_eq!((expected, got), (M, M - 1));
         }
         other => panic!("expected RhsLength, got {other:?}"),
     }
+    // So is an exactly rank-deficient matrix.
+    let mut singular = a;
+    singular.col_mut(N - 1).fill(0.0);
+    assert_eq!(
+        least_squares_solve_via(&client, &plan, singular, &b),
+        Err(QrError::SingularR { index: N - 1 })
+    );
 }
 
 #[test]

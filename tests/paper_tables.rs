@@ -212,7 +212,7 @@ fn paper_table_shapes_are_covered_by_the_race_analyzer() {
     // And the analysis is reachable through the facade: one representative
     // table shape proves race-free for both kernel families.
     for family in [KernelFamily::TT, KernelFamily::TS] {
-        let report = analyze(&plan_dag(Algorithm::Greedy, 40, 13, family));
+        let report = analyze(&plan_dag(Algorithm::Greedy, 40, 13, family, 0));
         assert!(
             report.is_race_free(),
             "Greedy 40x13 {family:?}: {:?}",
