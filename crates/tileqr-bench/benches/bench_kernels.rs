@@ -3,13 +3,17 @@
 //! of the tile size) — plus the `bench_workspace` comparison group tracking
 //! the kernel-backend trajectory across PRs:
 //!
-//! * `KERNEL/seed` — the original allocating, column-at-a-time kernels
-//!   (`tileqr_bench::seed_kernels`, frozen);
+//! * `KERNEL/seed` — the original allocating, column-at-a-time kernels;
 //! * `KERNEL/ws` — the PR-1 zero-allocation blocked workspace kernels with
-//!   full-tile `T` factors and dot-product reductions
-//!   (`tileqr_bench::ws_kernels`, frozen);
+//!   full-tile `T` factors and dot-product reductions;
 //! * `KERNEL/microblas` — the production kernels: inner-blocked (`ib`),
 //!   packed-triangular TT storage, register-tiled micro-BLAS backend.
+//!
+//! The first two generations are retired: their code is gone and their rows
+//! are **frozen constants** — the last GFLOP/s the committed
+//! `BENCH_kernels.json` recorded for them (`SEED_FROZEN`, `WS_FROZEN`, and
+//! `GEMM_NAIVE_FROZEN` for the naive GEMM reference) — emitted beside the
+//! measured `microblas` cells so the trajectory table keeps its baselines.
 //!
 //! An additional `ib_sweep` group (largest configured tile size only)
 //! measures every kernel across inner blocking factors.
@@ -25,7 +29,6 @@
 //! ```
 
 use tileqr_bench::microbench::{run, write_json, Sample};
-use tileqr_bench::{seed_kernels, ws_kernels};
 use tileqr_kernels::blas::gemm_acc;
 use tileqr_kernels::flops::{gemm_flops, KernelKind};
 use tileqr_kernels::simd;
@@ -248,211 +251,76 @@ fn run_production_kernels(
     );
 }
 
-/// The backend comparison: every kernel, seed vs frozen-ws vs microblas,
-/// same inputs.
+/// GFLOP/s of the retired seed kernels (allocating, column-at-a-time), as
+/// last measured into the committed `BENCH_kernels.json` (1 vCPU). Order:
+/// GEQRT, TSQRT, TTQRT, UNMQR, TSMQR, TTMQR.
+const SEED_FROZEN: &[(usize, [f64; 6])] = &[
+    (64, [2.34, 2.60, 1.63, 2.70, 4.05, 1.61]),
+    (128, [1.95, 2.28, 1.57, 2.50, 3.49, 1.49]),
+    (192, [1.91, 2.24, 1.54, 2.56, 3.52, 1.53]),
+];
+
+/// GFLOP/s of the retired PR-1 workspace kernels (zero-allocation, full-tile
+/// `T` factors, dot-product reductions); same source and order.
+const WS_FROZEN: &[(usize, [f64; 6])] = &[
+    (64, [4.28, 4.21, 2.29, 5.28, 7.29, 5.34]),
+    (128, [4.00, 4.18, 2.33, 5.38, 6.92, 5.72]),
+    (192, [4.11, 4.39, 2.41, 5.56, 7.08, 5.89]),
+];
+
+/// GFLOP/s of the retired naive `jki` GEMM (the Figures 4–5 reference
+/// series); same source.
+const GEMM_NAIVE_FROZEN: &[(usize, f64)] = &[(64, 9.19), (128, 8.20), (192, 8.28)];
+
+const KERNELS: [(&str, KernelKind); 6] = [
+    ("GEQRT", KernelKind::Geqrt),
+    ("TSQRT", KernelKind::Tsqrt),
+    ("TTQRT", KernelKind::Ttqrt),
+    ("UNMQR", KernelKind::Unmqr),
+    ("TSMQR", KernelKind::Tsmqr),
+    ("TTMQR", KernelKind::Ttmqr),
+];
+
+/// A reference row from a frozen GFLOP/s figure.
+fn frozen_sample(group: &str, name: String, nb: usize, flops: f64, gflops: f64) -> Sample {
+    Sample {
+        group: group.to_string(),
+        name,
+        param: nb,
+        ns_per_iter: flops / gflops,
+        gflops: Some(gflops),
+    }
+}
+
+/// The backend comparison: every kernel, frozen seed and ws baselines vs the
+/// measured microblas kernels.
 fn bench_workspace(samples: &mut Vec<Sample>) {
     let group = "bench_workspace";
     for &nb in &tile_sizes() {
-        let fi = FactorInputs::new(nb);
-        // Frozen baselines factor with the unblocked path (ib = nb T layout).
-        let ui_full = UpdateInputs::new(nb, nb);
-        let mut scratch: ws_kernels::WsScratch<f64> = ws_kernels::WsScratch::new(nb);
-        let mut t = Matrix::zeros(nb, nb);
-
-        // --- seed baselines (allocating, column-at-a-time) ---
-        let flops = |k: KernelKind| Some(k.flops(nb));
-        run(
-            samples,
-            group,
-            "GEQRT/seed",
-            nb,
-            flops(KernelKind::Geqrt),
-            || {
-                let mut work = fi.a.clone();
-                seed_kernels::geqrt(&mut work, &mut t);
-            },
-        );
-        run(
-            samples,
-            group,
-            "TSQRT/seed",
-            nb,
-            flops(KernelKind::Tsqrt),
-            || {
-                let mut r = fi.r1.clone();
-                let mut a2 = fi.a2.clone();
-                seed_kernels::tsqrt(&mut r, &mut a2, &mut t);
-            },
-        );
-        run(
-            samples,
-            group,
-            "TTQRT/seed",
-            nb,
-            flops(KernelKind::Ttqrt),
-            || {
-                let mut r1 = fi.r1b.clone();
-                let mut r2 = fi.r2b.clone();
-                seed_kernels::ttqrt(&mut r1, &mut r2, &mut t);
-            },
-        );
-        let mut c = ui_full.c0.clone();
-        run(
-            samples,
-            group,
-            "UNMQR/seed",
-            nb,
-            flops(KernelKind::Unmqr),
-            || {
-                seed_kernels::unmqr(&ui_full.v, &ui_full.t_geqrt, &mut c, Trans::ConjTrans);
-            },
-        );
-        let (mut a, mut b) = (ui_full.c0.clone(), ui_full.c1.clone());
-        run(
-            samples,
-            group,
-            "TSMQR/seed",
-            nb,
-            flops(KernelKind::Tsmqr),
-            || {
-                seed_kernels::tsmqr(
-                    &ui_full.v2_ts,
-                    &ui_full.t_ts,
-                    &mut a,
-                    &mut b,
-                    Trans::ConjTrans,
-                );
-            },
-        );
-        let (mut a, mut b) = (ui_full.c0.clone(), ui_full.c1.clone());
-        run(
-            samples,
-            group,
-            "TTMQR/seed",
-            nb,
-            flops(KernelKind::Ttmqr),
-            || {
-                seed_kernels::ttmqr(
-                    &ui_full.v2_tt,
-                    &ui_full.t_tt,
-                    &mut a,
-                    &mut b,
-                    Trans::ConjTrans,
-                );
-            },
-        );
-
-        // --- frozen PR-1 workspace baselines ---
-        run(
-            samples,
-            group,
-            "GEQRT/ws",
-            nb,
-            flops(KernelKind::Geqrt),
-            || {
-                let mut work = fi.a.clone();
-                ws_kernels::geqrt_ws(&mut work, &mut t, &mut scratch);
-            },
-        );
-        run(
-            samples,
-            group,
-            "TSQRT/ws",
-            nb,
-            flops(KernelKind::Tsqrt),
-            || {
-                let mut r = fi.r1.clone();
-                let mut a2 = fi.a2.clone();
-                ws_kernels::tsqrt_ws(&mut r, &mut a2, &mut t, &mut scratch);
-            },
-        );
-        run(
-            samples,
-            group,
-            "TTQRT/ws",
-            nb,
-            flops(KernelKind::Ttqrt),
-            || {
-                let mut r1 = fi.r1b.clone();
-                let mut r2 = fi.r2b.clone();
-                ws_kernels::ttqrt_ws(&mut r1, &mut r2, &mut t, &mut scratch);
-            },
-        );
-        let mut c = ui_full.c0.clone();
-        run(
-            samples,
-            group,
-            "UNMQR/ws",
-            nb,
-            flops(KernelKind::Unmqr),
-            || {
-                ws_kernels::unmqr_ws(
-                    &ui_full.v,
-                    &ui_full.t_geqrt,
-                    &mut c,
-                    Trans::ConjTrans,
-                    &mut scratch,
-                );
-            },
-        );
-        let (mut a, mut b) = (ui_full.c0.clone(), ui_full.c1.clone());
-        run(
-            samples,
-            group,
-            "TSMQR/ws",
-            nb,
-            flops(KernelKind::Tsmqr),
-            || {
-                ws_kernels::tsmqr_ws(
-                    &ui_full.v2_ts,
-                    &ui_full.t_ts,
-                    &mut a,
-                    &mut b,
-                    Trans::ConjTrans,
-                    &mut scratch,
-                );
-            },
-        );
-        let (mut a, mut b) = (ui_full.c0.clone(), ui_full.c1.clone());
-        run(
-            samples,
-            group,
-            "TTMQR/ws",
-            nb,
-            flops(KernelKind::Ttmqr),
-            || {
-                ws_kernels::ttmqr_ws(
-                    &ui_full.v2_tt,
-                    &ui_full.t_tt,
-                    &mut a,
-                    &mut b,
-                    Trans::ConjTrans,
-                    &mut scratch,
-                );
-            },
-        );
+        for (variant, table) in [("seed", SEED_FROZEN), ("ws", WS_FROZEN)] {
+            if let Some((_, frozen)) = table.iter().find(|(p, _)| *p == nb) {
+                for ((kernel, kind), &gflops) in KERNELS.iter().zip(frozen) {
+                    let name = format!("{kernel}/{variant}");
+                    samples.push(frozen_sample(group, name, nb, kind.flops(nb), gflops));
+                }
+            }
+        }
 
         // --- production micro-BLAS kernels at the headline ib ---
+        let fi = FactorInputs::new(nb);
         let ib = headline_ib(nb);
         let ui_ib = UpdateInputs::new(nb, ib);
         run_production_kernels(samples, group, "microblas", nb, ib, &fi, &ui_ib);
 
-        // GEMM reference series (Figures 4–5): naive jki baseline and the
-        // register-tiled backend.
+        // GEMM reference series (Figures 4–5): the frozen naive jki baseline
+        // and the register-tiled backend.
+        if let Some(&(_, gflops)) = GEMM_NAIVE_FROZEN.iter().find(|(p, _)| *p == nb) {
+            let name = "GEMM/naive".to_string();
+            samples.push(frozen_sample(group, name, nb, gemm_flops(nb), gflops));
+        }
         let ga: Matrix<f64> = random_matrix(nb, nb, 17);
         let gb: Matrix<f64> = random_matrix(nb, nb, 18);
-        let mut gc = ui_full.c0.clone();
-        run(
-            samples,
-            group,
-            "GEMM/naive",
-            nb,
-            Some(gemm_flops(nb)),
-            || {
-                ws_kernels::gemm_acc_naive(&mut gc, &ga, &gb);
-            },
-        );
-        let mut gc = ui_full.c0.clone();
+        let mut gc: Matrix<f64> = random_matrix(nb, nb, 15);
         run(samples, group, "GEMM", nb, Some(gemm_flops(nb)), || {
             gemm_acc(&mut gc, &ga, &gb);
         });
@@ -507,22 +375,12 @@ fn bench_simd_dispatch(samples: &mut Vec<Sample>) {
         // Frozen native-pinned reference rows for this tile size.
         if let Some((_, frozen)) = NATIVE_FROZEN.iter().find(|(p, _)| *p == nb) {
             for (kernel, &gflops) in DISPATCH_KERNELS.iter().zip(frozen) {
-                let flops = match *kernel {
-                    "GEMM" => gemm_flops(nb),
-                    "GEQRT" => KernelKind::Geqrt.flops(nb),
-                    "TSQRT" => KernelKind::Tsqrt.flops(nb),
-                    "TTQRT" => KernelKind::Ttqrt.flops(nb),
-                    "UNMQR" => KernelKind::Unmqr.flops(nb),
-                    "TSMQR" => KernelKind::Tsmqr.flops(nb),
-                    _ => KernelKind::Ttmqr.flops(nb),
-                };
-                samples.push(Sample {
-                    group: group.to_string(),
-                    name: format!("{kernel}/native-frozen"),
-                    param: nb,
-                    ns_per_iter: flops / gflops,
-                    gflops: Some(gflops),
-                });
+                let flops = KERNELS
+                    .iter()
+                    .find(|(name, _)| name == kernel)
+                    .map_or(gemm_flops(nb), |(_, kind)| kind.flops(nb));
+                let name = format!("{kernel}/native-frozen");
+                samples.push(frozen_sample(group, name, nb, flops, gflops));
             }
         }
     }

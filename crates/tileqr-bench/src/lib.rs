@@ -25,9 +25,7 @@ pub mod experiments;
 pub mod microbench;
 pub mod model;
 pub mod report;
-pub mod seed_kernels;
 pub mod timing;
-pub mod ws_kernels;
 
 /// Scenario sizes shared by the experimental (wall-clock) binaries.
 #[derive(Clone, Copy, Debug)]

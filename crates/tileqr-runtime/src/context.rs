@@ -21,26 +21,45 @@
 //!   — the same elimination list with the right-hand side as a trailing tile
 //!   column, built by the first solve — and the tile buffer solves factor
 //!   in, parked between calls.
-//! * [`QrError`] — typed errors replacing the driver's panics: bad shapes,
-//!   zero tile sizes and oversized thread counts are reported as values.
+//! * [`QrError`] ([`crate::error`]) — typed errors replacing the driver's
+//!   panics: bad shapes, zero tile sizes and oversized thread counts are
+//!   reported as values.
 //! * [`QrReflectors`] — the result of the in-place path
 //!   [`QrContext::factorize_into`], which factors caller-owned tile storage
 //!   without the dense→tiled copy and hands back only the `T` factors.
 //!
-//! # Batched factorization
+//! # One job, many callers
 //!
-//! A service factoring many *small* matrices of one shape pays the pool
-//! wake-up (epoch bump + unpark + park-tier wake latency) per call even with
-//! a reused plan — for a 6 × 3-tile problem that overhead rivals the kernel
-//! time itself. [`QrContext::factorize_batch`] (and the in-place
-//! [`QrContext::factorize_batch_into`]) submits `k` independent matrices as
-//! **one fused pool job**: task ids are the plan's DAG tiled `k` times
-//! (`copy * tasks + local`), the per-shape CSR successor lists and
-//! critical-path priorities are reused cyclically instead of re-materialized,
-//! and the work-stealing deques load-balance freely *across* matrices — the
-//! PLASMA insight that one DAG-driven pool amortizes over problems, not just
-//! tiles. Per-item shape errors are isolated ([`Result`] per matrix); the
-//! valid items still run.
+//! Every call below runs the same engine (`QrContext::run` in `job.rs`):
+//! the inputs become the *copies* of **one fused pool job** — each copy its
+//! own schedule, contiguous task ids, no cross-copy edges — and each copy's
+//! outcome is handed, exactly once, to the job's *sink*. The calls differ
+//! only in what they put in and where the outcomes go:
+//!
+//! * [`QrContext::factorize`] / [`QrContext::factorize_into`] — one copy;
+//!   [`QrContext::factorize_batch`] / [`QrContext::factorize_batch_into`] —
+//!   `k` copies of one plan; [`QrContext::solve`] — one copy running the
+//!   plan's solve schedule with the right-hand side as a trailing tile
+//!   column. All of them (and their `_with_deadline` forms) use a
+//!   *collecting* sink: outcomes are parked until the job returns, then
+//!   wrapped into handles in input order.
+//! * the service ([`crate::service`]) submits mixed-plan groups of dense
+//!   inputs with a sink that resolves each ticket **the moment its copy's
+//!   last task retires**, while sibling copies are still running.
+//! * `threads == 1` drives the *same job* on the calling thread, ids in
+//!   ascending order (the bitwise reference order) — there is no second
+//!   engine.
+//!
+//! Why fuse: a service factoring many *small* matrices pays the pool wake-up
+//! (epoch bump + unpark + park-tier wake latency) per job — for a 6 × 3-tile
+//! problem that rivals the kernel time itself. With `k` copies in one job
+//! the per-shape CSR successor lists and critical-path priorities are shared
+//! instead of re-materialized, there is one wake-up instead of `k`, and the
+//! work-stealing deques load-balance freely *across* matrices — the PLASMA
+//! insight that one DAG-driven pool amortizes over problems, not just tiles.
+//! Per-item errors are isolated ([`Result`] per matrix): an input that fails
+//! validation never enters the job, a copy whose kernel panics fails alone,
+//! and the other copies still run.
 //!
 //! The last per-call allocation of the hot path — the `T`-factor storage —
 //! recycles through the plan: [`QrPlan::recycle`] /
@@ -67,276 +86,36 @@
 //! }
 //! ```
 //!
-//! Every execution path of the context (sequential, and each scheduler on
+//! Every way of driving the job (the calling thread, and each scheduler on
 //! the persistent pool) runs the same kernels in a DAG-respecting order, so
-//! results are **bitwise identical** to the legacy free functions — the
-//! equivalence suite pins this down for `f64` and `Complex64`.
+//! results are **bitwise identical** across all of them and to a plain
+//! in-order walk of the tasks — the equivalence suites pin this down for
+//! `f64` and `Complex64`.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use tileqr_core::algorithms::Algorithm;
-use tileqr_core::dag::{KernelFamily, SuccessorsCsr, TaskDag, TaskKind};
+use tileqr_core::dag::{KernelFamily, SuccessorsCsr, TaskDag};
 use tileqr_kernels::{Trans, Workspace};
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
 use crate::driver::{elimination_list_for, replay_q, upper_triangle, QrConfig, QrFactorization};
-use crate::executor::{
-    drive_worker, DriveCtl, FaultSink, GroupSucc, ItemMap, LockedFifo, Scheduler, SchedulerKind,
-    WorkStealing, WorkStealingPriority,
-};
-use crate::pool::{payload_message, Job, RunCtl, WorkerPool};
+pub use crate::error::QrError;
+use crate::executor::SchedulerKind;
+pub(crate) use crate::job::{ItemSink, StreamEntry, StreamInput};
+use crate::pool::WorkerPool;
 use crate::state::{gather_row_blocks, rhs_row_blocks, FactoredParts, FactorizationState};
-use crate::sync::shim::{AtomicBool, AtomicUsize};
-use crate::sync::{Backoff, CancelCause, CancelToken, ClaimFlag, Mutex};
+use crate::sync::shim::AtomicUsize;
+use crate::sync::{CancelToken, Mutex};
+use crate::trace::ExecutionTrace;
 
 /// Hard upper bound on the worker-thread count of a [`QrContext`]; requests
 /// beyond it are configuration mistakes (the pool would oversubscribe any
 /// real machine by orders of magnitude) and are rejected as
 /// [`QrError::TooManyThreads`].
 pub const MAX_THREADS: usize = 1024;
-
-/// Typed errors of the session API ([`QrContext`] / [`QrPlan`]).
-///
-/// The legacy free functions ([`crate::driver::qr_factorize`] & co.) keep
-/// their documented panicking behavior; the context API reports the same
-/// conditions as values.
-///
-/// # Retry safety
-///
-/// Service clients ([`crate::service::QrService`]) classify every variant as
-/// either **transient** — resubmitting the *same* input later can reasonably
-/// succeed — or **deterministic** — the same input will fail the same way, so
-/// a retry only burns capacity. [`QrError::is_transient`] encodes the
-/// classification, and the service's retry layer consults it: transient
-/// failures are retried (bounded attempts, decorrelated backoff),
-/// deterministic ones are surfaced immediately. Per-variant docs note which
-/// side each lands on; the transient set is [`QrError::TaskPanicked`],
-/// [`QrError::Stalled`] and [`QrError::QueueFull`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum QrError {
-    /// The matrix is wide (`m < n`); tiled QR requires tall or square.
-    WideMatrix {
-        /// Row count of the offending matrix.
-        m: usize,
-        /// Column count of the offending matrix.
-        n: usize,
-    },
-    /// The configured tile size is zero.
-    ZeroTileSize,
-    /// A context with zero worker threads was requested.
-    ZeroThreads,
-    /// More worker threads than [`MAX_THREADS`] were requested.
-    TooManyThreads {
-        /// The requested thread count.
-        requested: usize,
-        /// The maximum the context accepts.
-        max: usize,
-    },
-    /// The dense matrix handed to [`QrContext::factorize`] does not have the
-    /// shape the plan was built for.
-    ShapeMismatch {
-        /// `(m, n)` the plan was built for.
-        expected: (usize, usize),
-        /// `(m, n)` of the matrix actually supplied.
-        got: (usize, usize),
-    },
-    /// The tiled matrix handed to [`QrContext::factorize_into`] does not
-    /// match the plan's tile grid.
-    PlanMismatch {
-        /// `(p, q, nb)` the plan was built for.
-        expected: (usize, usize, usize),
-        /// `(p, q, nb)` of the tiles actually supplied.
-        got: (usize, usize, usize),
-    },
-    /// A right-hand side's length does not match the factored matrix.
-    RhsLength {
-        /// Expected length (`m` of the factored matrix).
-        expected: usize,
-        /// Length actually supplied.
-        got: usize,
-    },
-    /// A kernel task panicked while factorizing this item. The panic was
-    /// contained: only this batch item failed, its sibling items completed
-    /// normally, and the pool survived. The item's output (tiles, `T`
-    /// factors) holds partial garbage and must be refilled before reuse.
-    ///
-    /// **Transient** (retry-safe): a contained panic is environmental from
-    /// the submitter's point of view (a wedged worker, an injected fault) —
-    /// re-running the same input is reasonable and is what the service's
-    /// retry layer does.
-    TaskPanicked {
-        /// The kernel task that panicked.
-        kind: TaskKind,
-        /// The panic message (string payloads verbatim, a placeholder for
-        /// non-string payloads).
-        message: String,
-    },
-    /// The factorization was cancelled through
-    /// [`QrContext::cancel_handle`]. Batch items that had already finished
-    /// when the cancellation was observed still return `Ok`.
-    ///
-    /// **Deterministic** (never auto-retried): cancellation is a caller
-    /// decision; silently re-running cancelled work would defeat it.
-    Cancelled,
-    /// A `*_with_deadline` call ran past its deadline. Batch items that had
-    /// already finished still return `Ok`.
-    ///
-    /// **Deterministic** (never auto-retried): the deadline belongs to the
-    /// caller; retrying past it cannot make the result arrive in time.
-    DeadlineExceeded,
-    /// The pool watchdog ([`QrContext::with_watchdog`]) saw no progress from
-    /// any worker for longer than the configured bound and cancelled the
-    /// job.
-    ///
-    /// **Transient** (retry-safe): a stall is a scheduling/environment
-    /// pathology, not a property of the input — the chance it recurs on a
-    /// fresh run is exactly what bounded retries with backoff are for.
-    Stalled,
-    /// Spawning a pool worker thread failed ([`QrContext::new`] /
-    /// [`QrContext::with_scheduler`]).
-    ThreadSpawn {
-        /// The underlying OS error, rendered.
-        details: String,
-    },
-    /// The opt-in [`QrConfig::check_finite`] pre-submission scan found a NaN
-    /// or infinity; the input was rejected before any kernel ran and the
-    /// caller's buffers are untouched.
-    ///
-    /// **Deterministic** (never auto-retried): the NaN is in the data; it
-    /// will still be there on the next attempt.
-    NonFiniteInput {
-        /// Row of the first non-finite entry (column-major scan order).
-        row: usize,
-        /// Column of the first non-finite entry.
-        col: usize,
-    },
-    /// The triangular factor `R` of a least-squares solve has an exactly
-    /// zero diagonal entry: `A` is rank deficient and `R·x = Qᴴ·b` has no
-    /// unique solution. Reported by [`QrContext::solve`] and the fallible
-    /// solves of [`crate::solve`].
-    ///
-    /// **Deterministic** (never auto-retried): the zero is a property of
-    /// the input.
-    SingularR {
-        /// Index of the first zero diagonal entry met by the back
-        /// substitution (which runs from the last row up).
-        index: usize,
-    },
-    /// The service's bounded admission queue rejected the submission: the
-    /// queue was at capacity ([`ServiceConfig::queue_capacity`]), the client
-    /// was at its in-flight quota, a blocking submit's wait deadline expired
-    /// before space appeared, or a low-priority submission was shed under
-    /// saturation.
-    ///
-    /// **Transient** (retry-safe): nothing about the *input* is wrong — the
-    /// service is telling the caller to back off and resubmit later. This is
-    /// the typed backpressure signal of
-    /// [`QrClient::submit`](crate::service::QrClient::submit).
-    ///
-    /// [`ServiceConfig::queue_capacity`]: crate::service::ServiceConfig::queue_capacity
-    QueueFull,
-    /// The service was shut down (dropped, or [`QrService::shutdown`] was
-    /// called) before this item could run; queued and delayed-for-retry
-    /// items are drained with this error rather than left hanging.
-    ///
-    /// **Deterministic** (never auto-retried by the service — it no longer
-    /// exists): the caller may resubmit to a *different* service instance.
-    ///
-    /// [`QrService::shutdown`]: crate::service::QrService::shutdown
-    ServiceShutdown,
-}
-
-impl QrError {
-    /// Maps a triggered cancel token's cause to the error the affected items
-    /// report.
-    pub(crate) fn from_cancel(cause: CancelCause) -> QrError {
-        match cause {
-            CancelCause::Cancelled => QrError::Cancelled,
-            CancelCause::DeadlineExceeded => QrError::DeadlineExceeded,
-            CancelCause::Stalled => QrError::Stalled,
-        }
-    }
-
-    /// True for errors where resubmitting the *same* input later can
-    /// reasonably succeed — the classification the service's retry layer
-    /// and callers' own backoff loops key on (see the
-    /// [enum-level docs](QrError#retry-safety)).
-    ///
-    /// Transient: [`TaskPanicked`](QrError::TaskPanicked),
-    /// [`Stalled`](QrError::Stalled), [`QueueFull`](QrError::QueueFull).
-    /// Everything else — shape/configuration errors, non-finite inputs,
-    /// cancellation, deadlines, shutdown — is deterministic and must not be
-    /// blindly retried.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            QrError::TaskPanicked { .. } | QrError::Stalled | QrError::QueueFull
-        )
-    }
-}
-
-impl std::fmt::Display for QrError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QrError::WideMatrix { m, n } => write!(
-                f,
-                "tiled QR requires a tall or square matrix (m ≥ n), got {m} × {n}"
-            ),
-            QrError::ZeroTileSize => write!(f, "tile size must be at least 1"),
-            QrError::ZeroThreads => write!(f, "a context needs at least one worker thread"),
-            QrError::TooManyThreads { requested, max } => {
-                write!(f, "{requested} worker threads requested, maximum is {max}")
-            }
-            QrError::ShapeMismatch { expected, got } => write!(
-                f,
-                "plan built for a {} × {} matrix, got {} × {}",
-                expected.0, expected.1, got.0, got.1
-            ),
-            QrError::PlanMismatch { expected, got } => write!(
-                f,
-                "plan built for a {} × {} grid of nb = {} tiles, got {} × {} of nb = {}",
-                expected.0, expected.1, expected.2, got.0, got.1, got.2
-            ),
-            QrError::RhsLength { expected, got } => write!(
-                f,
-                "right-hand side length {got} does not match the factored row count {expected}"
-            ),
-            QrError::TaskPanicked { kind, message } => {
-                write!(f, "kernel task {kind:?} panicked: {message}")
-            }
-            QrError::Cancelled => write!(f, "the factorization was cancelled"),
-            QrError::DeadlineExceeded => write!(f, "the factorization deadline expired"),
-            QrError::Stalled => write!(
-                f,
-                "a pool worker stalled past the watchdog bound; the job was cancelled"
-            ),
-            QrError::ThreadSpawn { details } => {
-                write!(f, "failed to spawn a pool worker thread: {details}")
-            }
-            QrError::NonFiniteInput { row, col } => write!(
-                f,
-                "input contains a non-finite value at row {row}, column {col}"
-            ),
-            QrError::SingularR { index } => write!(
-                f,
-                "singular triangular factor: R[{index}, {index}] is exactly zero (rank-deficient A)"
-            ),
-            QrError::QueueFull => write!(
-                f,
-                "the service admission queue is full (or the submission was shed); \
-                 back off and resubmit"
-            ),
-            QrError::ServiceShutdown => {
-                write!(f, "the service was shut down before this item could run")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QrError {}
 
 /// The scalar-independent part of a plan: the schedule itself.
 ///
@@ -379,7 +158,7 @@ impl PlanCore {
         }
     }
 
-    fn priorities(&self) -> Arc<[u64]> {
+    pub(crate) fn priorities(&self) -> Arc<[u64]> {
         self.priorities
             .get_or_init(|| self.dag.priorities_with(&self.succ).into())
             .clone()
@@ -401,12 +180,12 @@ impl PlanCore {
 pub struct QrPlan<T: Scalar> {
     m: usize,
     n: usize,
-    nb: usize,
-    ib: usize,
+    pub(crate) nb: usize,
+    pub(crate) ib: usize,
     algorithm: Algorithm,
     family: KernelFamily,
-    p: usize,
-    q: usize,
+    pub(crate) p: usize,
+    pub(crate) q: usize,
     /// Opt-in pre-submission NaN/Inf scan ([`QrConfig::check_finite`]).
     check_finite: bool,
     pub(crate) core: Arc<PlanCore>,
@@ -450,8 +229,8 @@ pub(crate) struct TPool<T: Scalar> {
     ib: usize,
     nb: usize,
     bufs: Mutex<Vec<Matrix<T>>>,
-    /// Largest number of buffers a single call has checked out
-    /// (`2 · p · q` per matrix in the batch) — the retention bound, same
+    /// Largest number of buffers one job has checked out for a run of copies
+    /// of this plan (`2 · p · q` per copy) — the retention bound, same
     /// rationale as `ws_high_water`.
     high_water: AtomicUsize,
 }
@@ -481,10 +260,9 @@ impl<T: Scalar> TPool<T> {
         }
     }
 
-    /// Records a checkout of `need` buffers and takes up to that many out of
-    /// the pool (newest first) under a short lock.
+    /// Takes up to `need` buffers out of the pool (newest first) under a
+    /// short lock.
     fn take(&self, need: usize) -> Vec<Matrix<T>> {
-        self.high_water.fetch_max(need, Ordering::Relaxed);
         let mut pool = self.bufs.lock();
         let keep = pool.len().saturating_sub(need);
         pool.split_off(keep)
@@ -596,7 +374,7 @@ impl<T: Scalar> QrPlan<T> {
     /// Takes `count` workspaces out of the cache, building any that are
     /// missing; the caller returns them through
     /// [`QrPlan::restore_workspaces`] when the job is done.
-    fn checkout_workspaces(&self, count: usize) -> Vec<Workspace<T>> {
+    pub(crate) fn checkout_workspaces(&self, count: usize) -> Vec<Workspace<T>> {
         self.ws_high_water.fetch_max(count, Ordering::Relaxed);
         let mut cache = self.ws_cache.lock();
         let mut out = Vec::with_capacity(count);
@@ -612,7 +390,7 @@ impl<T: Scalar> QrPlan<T> {
     /// Returns checked-out workspaces to the cache for the next job,
     /// retaining at most one workspace per worker of the widest checkout
     /// ever made (surplus built during concurrent bursts is dropped).
-    fn restore_workspaces(&self, ws: impl IntoIterator<Item = Workspace<T>>) {
+    pub(crate) fn restore_workspaces(&self, ws: impl IntoIterator<Item = Workspace<T>>) {
         let cap = self.ws_high_water.load(Ordering::Relaxed);
         let mut cache = self.ws_cache.lock();
         cache.extend(ws);
@@ -620,7 +398,7 @@ impl<T: Scalar> QrPlan<T> {
     }
 
     /// The schedule of the fused solve, built on first use.
-    fn solve_core(&self) -> &Arc<PlanCore> {
+    pub(crate) fn solve_core(&self) -> &Arc<PlanCore> {
         self.solve_core.get_or_init(|| {
             Arc::new(PlanCore::build(
                 self.algorithm,
@@ -648,21 +426,59 @@ impl<T: Scalar> QrPlan<T> {
             .then(|| find_non_finite_dense(a))
             .flatten()
     }
+
+    /// The input checks of every call that takes dense data: `a` has the
+    /// plan's shape, a right-hand side `b` has `m` rows, and — when the plan
+    /// checks finiteness — neither holds a NaN or infinity (`a` is scanned
+    /// first).
+    pub(crate) fn validate(&self, a: &Matrix<T>, b: Option<&Matrix<T>>) -> Result<(), QrError> {
+        if a.shape() != (self.m, self.n) {
+            return Err(QrError::ShapeMismatch {
+                expected: (self.m, self.n),
+                got: a.shape(),
+            });
+        }
+        if let Some(b) = b.filter(|b| b.rows() != self.m) {
+            return Err(QrError::RhsLength {
+                expected: self.m,
+                got: b.rows(),
+            });
+        }
+        match [Some(a), b]
+            .into_iter()
+            .flatten()
+            .find_map(|x| self.non_finite_in(x))
+        {
+            Some((row, col)) => Err(QrError::NonFiniteInput { row, col }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl<T: Scalar<Real = f64>> QrPlan<T> {
-    /// Builds one [`FactorizationState`] per job item, drawing the
-    /// `T`-factor buffers (2 · p · q of `ib × nb` per matrix) from the
-    /// plan's recycle pool where available — the fresh-allocation fallback
-    /// and the recycled path are bitwise identical because recycled buffers
-    /// are zeroed in place before reuse.
-    fn build_states(&self, items: Vec<JobItem<T>>) -> Vec<FactorizationState<T>> {
-        let need = 2 * self.p * self.q * items.len();
+    /// Raises the `T` pool's retention bound to what a run of `copies`
+    /// copies of this plan in one job checks out.
+    pub(crate) fn reserve_t_buffers(&self, copies: usize) {
+        let need = 2 * self.p * self.q * copies;
+        self.t_pool.high_water.fetch_max(need, Ordering::Relaxed);
+    }
+
+    /// Builds the [`FactorizationState`] of one job copy over `tiles` (and,
+    /// for a solve, the right-hand side's row blocks), drawing the `T`-factor
+    /// buffers (2 · p · q of `ib × nb`) from the plan's recycle pool where
+    /// available — the fresh-allocation fallback and the recycled path are
+    /// bitwise identical because recycled buffers are zeroed in place before
+    /// reuse.
+    pub(crate) fn build_state(
+        &self,
+        tiles: TiledMatrix<T>,
+        rhs: Vec<Matrix<T>>,
+    ) -> FactorizationState<T> {
         // Take the recycled buffers out under a short lock; state
         // construction — tile-mutex wrapping, buffer zeroing and any
         // fresh-allocation fallback — runs lock-free, so concurrent
         // factorizations sharing one plan do not serialize here.
-        let mut recycled: Vec<Matrix<T>> = self.t_pool.take(need);
+        let mut recycled: Vec<Matrix<T>> = self.t_pool.take(2 * self.p * self.q);
         let mut supply = |r: usize, c: usize| match recycled.pop() {
             Some(mut m) => {
                 debug_assert_eq!(m.shape(), (r, c), "T pool holds only plan-shaped buffers");
@@ -671,33 +487,30 @@ impl<T: Scalar<Real = f64>> QrPlan<T> {
             }
             None => Matrix::zeros(r, c),
         };
-        items
-            .into_iter()
-            .map(|(tiles, rhs)| {
-                let state = FactorizationState::with_t_supplier(tiles, self.ib, &mut supply);
-                if rhs.is_empty() {
-                    state
-                } else {
-                    state.with_rhs(rhs)
-                }
-            })
-            .collect()
+        let state = FactorizationState::with_t_supplier(tiles, self.ib, &mut supply);
+        if rhs.is_empty() {
+            state
+        } else {
+            state.with_rhs(rhs)
+        }
     }
 
-    /// [`QrPlan::build_states`] for a single matrix — the streaming path
-    /// builds copies one at a time because each item of a mixed group draws
-    /// from its own plan's pool.
-    fn build_state(&self, tiled: TiledMatrix<T>) -> FactorizationState<T> {
-        self.build_states(vec![(tiled, Vec::new())])
-            .pop()
-            .expect("one matrix in, one state out")
-    }
-
-    /// Wraps the parts of a finished run of this plan's factor schedule into
-    /// the result handle, which shares the plan's DAG and recycles its `T`
-    /// buffers into the plan's pool when dropped.
-    fn assemble(&self, parts: FactoredParts<T>) -> QrFactorization<T> {
-        QrFactorization::from_parts(
+    /// Turns the outcome of a copy that ran this plan's factor schedule into
+    /// the caller-facing result: the handle — which shares the plan's DAG and
+    /// recycles its `T` buffers into the plan's pool when dropped — or the
+    /// copy's error, with its `T` buffers returned to the pool right away
+    /// (the tiles of a failed copy hold partial garbage and are dropped).
+    pub(crate) fn conclude(
+        &self,
+        parts: FactoredParts<T>,
+        err: Option<QrError>,
+    ) -> Result<QrFactorization<T>, QrError> {
+        if let Some(e) = err {
+            self.t_pool
+                .recycle(parts.t_geqrt.into_iter().chain(parts.t_elim));
+            return Err(e);
+        }
+        Ok(QrFactorization::from_parts(
             self.m,
             self.n,
             self.nb,
@@ -707,7 +520,7 @@ impl<T: Scalar<Real = f64>> QrPlan<T> {
             parts.t_elim,
             Arc::clone(&self.core.dag),
             self.t_recycler(),
-        )
+        ))
     }
 
     /// Returns a consumed factorization's `T`-factor buffers to the plan's
@@ -765,119 +578,6 @@ fn find_non_finite_tiled<T: Scalar>(t: &TiledMatrix<T>) -> Option<(usize, usize)
     None
 }
 
-/// One item of a pool job: the tiles to factor in place and, for a solve, the
-/// right-hand-side row blocks riding along (empty for a plain factorization).
-type JobItem<T> = (TiledMatrix<T>, Vec<Matrix<T>>);
-
-/// What a pool job hands back per item: the parts of its state and the
-/// item's fault, if any.
-type JobOutcome<T> = (FactoredParts<T>, Option<QrError>);
-
-/// Per-batch fault bookkeeping: one slot per batch copy, fed by
-/// [`drive_worker`]'s containment mode through the [`FaultSink`] trait.
-///
-/// A recorded panic poisons exactly one copy: its remaining tasks are
-/// skipped (retired without executing) while sibling copies run to
-/// completion. After the job drains, [`ItemTracker::verdict`] turns the
-/// per-copy state into the item's `Result`.
-struct ItemTracker {
-    /// Per-copy DAG, for sizing the retire target and mapping a panicking
-    /// local task id to its [`TaskKind`]. Same-plan groups hold clones of
-    /// one `Arc`; heterogeneous fused groups hold each item's own DAG.
-    dags: Vec<Arc<TaskDag>>,
-    /// Fast path: no copy has failed yet (one relaxed load per task).
-    any_failed: AtomicBool,
-    /// Per-copy failure flag, checked before executing each task.
-    failed: Vec<AtomicBool>,
-    /// First error recorded per copy.
-    errors: Vec<Mutex<Option<QrError>>>,
-    /// Tasks retired (executed or skipped) per copy; a copy with a full
-    /// count and no recorded error completed successfully.
-    done: Vec<AtomicUsize>,
-}
-
-impl ItemTracker {
-    fn new(dag: Arc<TaskDag>, copies: usize) -> Self {
-        ItemTracker::per_copy(vec![dag; copies])
-    }
-
-    /// One DAG per copy — the heterogeneous fused-group constructor.
-    fn per_copy(dags: Vec<Arc<TaskDag>>) -> Self {
-        let copies = dags.len();
-        ItemTracker {
-            dags,
-            any_failed: AtomicBool::new(false),
-            failed: (0..copies).map(|_| AtomicBool::new(false)).collect(),
-            errors: (0..copies).map(|_| Mutex::new(None)).collect(),
-            done: (0..copies).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-
-    /// Task count of `copy`'s DAG — its retire target.
-    fn tasks_of(&self, copy: usize) -> usize {
-        self.dags[copy].len()
-    }
-
-    /// The item result of `copy` once the job has drained: a recorded fault
-    /// wins; an incomplete retire count means the job was cancelled out from
-    /// under the copy (`cause` says why); otherwise the copy succeeded.
-    fn verdict(&self, copy: usize, cause: Option<CancelCause>) -> Option<QrError> {
-        if let Some(err) = self.errors[copy].lock().take() {
-            return Some(err);
-        }
-        if !self.is_complete(copy) {
-            return Some(QrError::from_cancel(
-                cause.unwrap_or(CancelCause::Cancelled),
-            ));
-        }
-        None
-    }
-
-    /// Retires one task of `copy` and returns the new retire count — the
-    /// seam the streaming job uses to detect the *final* retire of a copy
-    /// and fire its per-item completion hook on the worker thread.
-    fn retire(&self, copy: usize) -> usize {
-        self.done[copy].fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Takes the first error recorded for `copy`, if any.
-    fn take_error(&self, copy: usize) -> Option<QrError> {
-        self.errors[copy].lock().take()
-    }
-
-    /// True once every task of `copy` has retired (executed or skipped).
-    fn is_complete(&self, copy: usize) -> bool {
-        self.done[copy].load(Ordering::Acquire) >= self.dags[copy].len()
-    }
-}
-
-impl FaultSink for ItemTracker {
-    fn copy_failed(&self, copy: usize) -> bool {
-        // The relaxed fast-path load is safe: a stale `false` at worst runs
-        // one more task of an already-failed copy against garbage tile data,
-        // which only that copy's (already discarded) output can observe.
-        // Tasks released *after* the panic was recorded see the flag through
-        // the dependency counter's release/acquire chain.
-        self.any_failed.load(Ordering::Relaxed) && self.failed[copy].load(Ordering::Acquire)
-    }
-
-    fn record_panic(&self, copy: usize, local: usize, payload: &(dyn std::any::Any + Send)) {
-        let mut slot = self.errors[copy].lock();
-        if slot.is_none() {
-            *slot = Some(QrError::TaskPanicked {
-                kind: self.dags[copy].tasks[local].kind,
-                message: payload_message(payload).to_string(),
-            });
-        }
-        self.failed[copy].store(true, Ordering::Release);
-        self.any_failed.store(true, Ordering::Release);
-    }
-
-    fn task_retired(&self, copy: usize) {
-        self.retire(copy);
-    }
-}
-
 /// Unwind guard of the in-place batch path: while a fused job runs, the
 /// caller's conforming slots hold `0 × 0` placeholder grids (their tiles
 /// were moved into the job). If the job panics — a kernel bug — this guard
@@ -912,348 +612,6 @@ impl<T: Scalar> Drop for RestorePlaceholders<'_, T> {
     }
 }
 
-/// One pool job factoring a *batch* of `k ≥ 1` independent matrices of one
-/// plan's shape as a single fused DAG: `k` factorization states, the shared
-/// schedule, this job's scheduler instance and `k · n` dependency counters,
-/// and one workspace slot per worker. Global task id `g` maps to task
-/// `g % n` of the plan's DAG executed against matrix `g / n` — the
-/// single-matrix path is simply `k = 1`, where the mapping is the identity.
-struct BatchJob<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> {
-    states: Vec<FactorizationState<T>>,
-    core: Arc<PlanCore>,
-    sched: S,
-    remaining: Vec<AtomicUsize>,
-    completed: AtomicUsize,
-    aborted: AtomicBool,
-    ws_slots: Vec<Mutex<Option<Workspace<T>>>>,
-    /// Per-copy fault bookkeeping; the workers run in containment mode, so a
-    /// kernel panic poisons one copy instead of the whole job.
-    tracker: ItemTracker,
-    /// This job's cancel token: the submitter's wait loop funnels user
-    /// cancellation, the deadline and the watchdog into it; workers check it
-    /// between tasks.
-    cancel: CancelToken,
-}
-
-impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for BatchJob<T, S> {
-    fn run(&self, w: usize, heartbeat: &AtomicUsize) {
-        let n = self.core.dag.len();
-        let mut slot = self.ws_slots[w].lock();
-        let ws = slot.as_mut().expect("one workspace is staged per worker");
-        // Uniform map: the historical `g → (g / n, g % n)` arithmetic,
-        // allocation-free (no offset table is materialized).
-        let map = ItemMap::uniform(n, self.states.len());
-        let ctl = DriveCtl {
-            num_tasks: self.remaining.len(),
-            map: &map,
-            succ: GroupSucc::Shared(&self.core.succ),
-            remaining: &self.remaining,
-            completed: &self.completed,
-            aborted: &self.aborted,
-            max_out_degree: self.core.max_out_degree,
-            cancel: Some(&self.cancel),
-            faults: Some(&self.tracker),
-        };
-        drive_worker(&ctl, &self.sched, w, Some(heartbeat), &mut |g| {
-            #[cfg(feature = "fault-injection")]
-            crate::fault::check(g / n, g % n);
-            self.states[g / n].run_ws(self.core.dag.tasks[g % n].kind, ws)
-        });
-    }
-}
-
-/// Per-item completion callback of the streaming path
-/// ([`QrContext::factorize_stream`]): called exactly once per submitted
-/// matrix, **from a worker thread**, the moment that matrix's last task
-/// retires — not when the whole fused job drains. The service layer
-/// ([`crate::service`]) implements it to resolve tickets while sibling
-/// matrices are still factoring.
-///
-/// Implementations must be cheap and must not block on the pool (they run
-/// inside the job); resolving a oneshot cell and pushing to a retry list
-/// are the intended scale of work.
-pub(crate) trait ItemSink<T: Scalar>: Send + Sync {
-    /// Delivers item `index`'s outcome: the finished factorization, or the
-    /// typed per-item error (contained panic, cancellation cause, …).
-    fn item_done(&self, index: usize, outcome: Result<QrFactorization<T>, QrError>);
-}
-
-/// One item of a streaming group ([`QrContext::factorize_stream`]): the
-/// item's own plan, its input, and its fault-injection probe id. Items of
-/// one call may reference *different* plans — the job fuses them through
-/// the offset map.
-pub(crate) struct StreamEntry<T: Scalar> {
-    pub(crate) plan: Arc<QrPlan<T>>,
-    pub(crate) input: StreamInput<T>,
-    /// Fault-probe id for this item: the service remaps retry attempts to
-    /// fresh probe coordinates so a seeded fault schedule can distinguish
-    /// attempt 0 from attempt 1 of the same submission. Without the feature
-    /// the id is carried but unread.
-    pub(crate) probe: usize,
-}
-
-/// How a streaming item's matrix enters the job.
-pub(crate) enum StreamInput<T: Scalar> {
-    /// Already tiled (direct internal callers and tests).
-    #[cfg_attr(not(test), allow(dead_code))]
-    Tiled(TiledMatrix<T>),
-    /// Dense: the dispatcher allocates only a zeroed tile grid, and the
-    /// first worker that touches the copy performs the dense → tiled copy
-    /// ([`FactorizationState::fill_tiles_from_dense`]) — the admission path
-    /// never pays the `O(m·n)` tiling cost.
-    Dense(Arc<Matrix<T>>),
-}
-
-/// Per-copy shape/schedule metadata of a streaming job, drawn from that
-/// item's own plan — the seam that lets one fused job span plans: the DAG
-/// to execute, the shape to stamp on the result, and the plan pool the
-/// copy's `T` buffers recycle back to.
-struct StreamItemMeta<T: Scalar> {
-    core: Arc<PlanCore>,
-    m: usize,
-    n: usize,
-    nb: usize,
-    ib: usize,
-    recycler: std::sync::Weak<TPool<T>>,
-}
-
-/// Lazy-tiling gate of one streaming copy ([`StreamInput::Dense`]): the
-/// first worker to touch the copy claims the gate, copies the dense input
-/// into the copy's (zeroed) tiles, and publishes readiness; concurrent
-/// same-copy workers spin briefly until the tiles are in place. Pre-tiled
-/// copies are born ready.
-struct TileGate<T: Scalar> {
-    /// The dense input, taken by the claiming worker; `None` once tiled
-    /// (and for pre-tiled inputs).
-    dense: Mutex<Option<Arc<Matrix<T>>>>,
-    claim: ClaimFlag,
-    ready: AtomicBool,
-}
-
-impl<T: Scalar> TileGate<T> {
-    /// A gate for a copy whose tiles already hold the input.
-    fn ready() -> Self {
-        TileGate {
-            dense: Mutex::new(None),
-            claim: ClaimFlag::new(),
-            ready: AtomicBool::new(true),
-        }
-    }
-
-    /// A gate holding a dense input awaiting worker-side tiling.
-    fn pending(dense: Arc<Matrix<T>>) -> Self {
-        TileGate {
-            dense: Mutex::new(Some(dense)),
-            claim: ClaimFlag::new(),
-            ready: AtomicBool::new(false),
-        }
-    }
-}
-
-/// The streaming variant of [`BatchJob`]: same fused-DAG execution, but each
-/// copy's state lives behind `Mutex<Option<Arc<…>>>` so the copy that
-/// finishes *first* can be dismantled into a [`QrFactorization`] and handed
-/// to the [`ItemSink`] while the rest of the job is still running — and each
-/// copy carries its **own** plan metadata, so one job can fuse items of
-/// different shapes, tile sizes and elimination trees.
-///
-/// Global task id `g` resolves through the job's [`ItemMap`] to
-/// `(copy, local)`; same-plan groups use the uniform map (bit-for-bit the
-/// historical cyclic arithmetic) while mixed groups binary-search the
-/// prefix-sum offsets. Successor release and priority ranking follow the
-/// same per-copy contract ([`GroupSucc`],
-/// [`WorkStealingPriority::new_shared_offsets`]).
-///
-/// Completion detection rides the [`FaultSink::task_retired`] hook:
-/// [`ItemTracker::retire`] returns the copy's new retire count, and the
-/// worker that performs the final retire takes the state out of its slot.
-/// Every task's short-lived `Arc` clone is dropped *before* that task's
-/// retire increment, and the increments form a release/acquire chain on the
-/// copy's counter, so at the final retire all other clones are gone and
-/// `Arc::try_unwrap` succeeds; a put-back plus the job-end sweep in
-/// [`QrContext::run_stream_job`] covers the theoretical failure without
-/// losing the item.
-struct StreamJob<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> {
-    /// One slot per copy: `Some(state)` while the copy is in flight, taken
-    /// by the finishing worker (or the job-end sweep). The lock is held only
-    /// to clone the `Arc` out (per task) or take it (once) — never across a
-    /// kernel.
-    states: Vec<Mutex<Option<Arc<FactorizationState<T>>>>>,
-    /// Exactly-once guard per copy: claimed by whichever path (worker hook
-    /// or job-end sweep) delivers the item to the sink.
-    resolved: Vec<ClaimFlag>,
-    /// Fault-probe ids, one per copy (see [`StreamEntry::probe`]).
-    #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
-    probes: Vec<usize>,
-    /// Per-copy lazy-tiling gates.
-    gates: Vec<TileGate<T>>,
-    /// Per-copy plan metadata.
-    metas: Vec<StreamItemMeta<T>>,
-    /// `g → (copy, local)` geometry of the fused group.
-    map: ItemMap,
-    /// True when every item references the same plan: the successor CSR is
-    /// shared and the per-worker CSR-reference collection is skipped.
-    homogeneous: bool,
-    /// Largest successor batch any copy's task can enable.
-    max_out_degree: usize,
-    sched: S,
-    remaining: Vec<AtomicUsize>,
-    completed: AtomicUsize,
-    aborted: AtomicBool,
-    ws_slots: Vec<Mutex<Option<Workspace<T>>>>,
-    tracker: ItemTracker,
-    cancel: CancelToken,
-    sink: Arc<dyn ItemSink<T>>,
-}
-
-impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> StreamJob<T, S> {
-    /// Dismantles a fully-retired copy and delivers its outcome to the sink.
-    /// Called by the worker that performed the copy's final retire; a copy
-    /// whose state was already taken (or whose `Arc` is still briefly
-    /// shared — see the put-back) is left for the job-end sweep.
-    fn finish_copy(&self, copy: usize) {
-        let taken = self.states[copy].lock().take();
-        let Some(arc) = taken else { return };
-        let meta = &self.metas[copy];
-        match Arc::try_unwrap(arc) {
-            Ok(state) => {
-                let FactoredParts {
-                    tiles,
-                    t_geqrt,
-                    t_elim,
-                    ..
-                } = state.into_parts();
-                let outcome = match self.tracker.take_error(copy) {
-                    Some(e) => {
-                        // A failed copy's T buffers go straight back to the
-                        // item's own plan; its tiles hold partial garbage
-                        // and are dropped.
-                        if let Some(pool) = meta.recycler.upgrade() {
-                            pool.recycle(t_geqrt.into_iter().chain(t_elim));
-                        }
-                        Err(e)
-                    }
-                    None => Ok(QrFactorization::from_parts(
-                        meta.m,
-                        meta.n,
-                        meta.nb,
-                        meta.ib,
-                        tiles,
-                        t_geqrt,
-                        t_elim,
-                        Arc::clone(&meta.core.dag),
-                        meta.recycler.clone(),
-                    )),
-                };
-                if self.resolved[copy].claim() {
-                    self.sink.item_done(copy, outcome);
-                }
-            }
-            Err(arc) => {
-                // Another worker still holds a task-scope clone (possible
-                // only if an Arc count decrement is not yet visible, which
-                // the retire chain rules out in practice — keep the item
-                // safe regardless): put the state back for the job-end
-                // sweep.
-                *self.states[copy].lock() = Some(arc);
-            }
-        }
-    }
-
-    /// Makes sure `copy`'s tiles hold its input before a kernel touches
-    /// them: the claiming worker tiles the dense input in place, everyone
-    /// else spins until published. The spin escapes only when the copy is
-    /// poisoned (the claimer panicked mid-tiling and can never publish) —
-    /// a poisoned copy's outcome is an error, so the kernel result that
-    /// follows is discarded either way.
-    fn ensure_tiled(&self, copy: usize, state: &FactorizationState<T>) {
-        let gate = &self.gates[copy];
-        if gate.ready.load(Ordering::Acquire) {
-            return;
-        }
-        if gate.claim.claim() {
-            if let Some(dense) = gate.dense.lock().take() {
-                state.fill_tiles_from_dense(&dense);
-            }
-            gate.ready.store(true, Ordering::Release);
-        } else {
-            let mut backoff = Backoff::new();
-            while !gate.ready.load(Ordering::Acquire) {
-                if self.tracker.copy_failed(copy) {
-                    return;
-                }
-                backoff.snooze();
-            }
-        }
-    }
-}
-
-impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> FaultSink for StreamJob<T, S> {
-    fn copy_failed(&self, copy: usize) -> bool {
-        self.tracker.copy_failed(copy)
-    }
-
-    fn record_panic(&self, copy: usize, local: usize, payload: &(dyn std::any::Any + Send)) {
-        self.tracker.record_panic(copy, local, payload);
-    }
-
-    fn task_retired(&self, copy: usize) {
-        if self.tracker.retire(copy) == self.tracker.tasks_of(copy) {
-            self.finish_copy(copy);
-        }
-    }
-}
-
-impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for StreamJob<T, S> {
-    fn run(&self, w: usize, heartbeat: &AtomicUsize) {
-        let mut slot = self.ws_slots[w].lock();
-        let ws = slot.as_mut().expect("one workspace is staged per worker");
-        // Heterogeneous groups collect the per-copy CSR references once per
-        // worker run — O(group), bounded by the service's max_group —
-        // instead of materializing any fused adjacency; same-plan groups
-        // share the single CSR, allocation-free.
-        let succ_refs: Vec<&SuccessorsCsr>;
-        let succ = if self.homogeneous {
-            GroupSucc::Shared(&self.metas[0].core.succ)
-        } else {
-            succ_refs = self.metas.iter().map(|m| &m.core.succ).collect();
-            GroupSucc::PerCopy(&succ_refs)
-        };
-        let ctl = DriveCtl {
-            num_tasks: self.remaining.len(),
-            map: &self.map,
-            succ,
-            remaining: &self.remaining,
-            completed: &self.completed,
-            aborted: &self.aborted,
-            max_out_degree: self.max_out_degree,
-            cancel: Some(&self.cancel),
-            faults: Some(self),
-        };
-        drive_worker(&ctl, &self.sched, w, Some(heartbeat), &mut |g| {
-            let (copy, local) = self.map.locate(g);
-            let meta = &self.metas[copy];
-            #[cfg(feature = "fault-injection")]
-            crate::fault::check(self.probes[copy], local);
-            // Clone the Arc out under a brief lock so same-copy tasks on
-            // other workers never serialize on the slot; the clone drops
-            // before this task's retire increment (see `StreamJob` docs).
-            let state = self.states[copy].lock().as_ref().map(Arc::clone);
-            if let Some(state) = state {
-                // Mixed-ib groups: the workspace buffers are sized from the
-                // group's largest nb and serve every smaller tile; only the
-                // panel width switches, allocation-free
-                // ([`Workspace::set_inner_block`]).
-                if ws.ib() != meta.ib {
-                    ws.set_inner_block(meta.ib);
-                }
-                self.ensure_tiled(copy, &state);
-                state.run_ws(meta.core.dag.tasks[local].kind, ws);
-            }
-        });
-    }
-}
-
 /// A long-lived factorization runtime: a persistent worker pool plus a
 /// scheduling policy.
 ///
@@ -1266,15 +624,15 @@ impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for StreamJob<T, S> 
 /// The context is `Sync`; concurrent `factorize` calls from several threads
 /// are safe but serialized — the pool runs one job at a time.
 pub struct QrContext {
-    threads: usize,
-    scheduler: SchedulerKind,
-    pool: Option<WorkerPool>,
+    pub(crate) threads: usize,
+    pub(crate) scheduler: SchedulerKind,
+    pub(crate) pool: Option<WorkerPool>,
     /// The sticky user cancellation token handed out by
     /// [`QrContext::cancel_handle`]. Internal causes (deadline, watchdog)
     /// never touch it — each job gets its own token they funnel into.
-    cancel: CancelToken,
+    pub(crate) cancel: CancelToken,
     /// Stall bound of the pool watchdog, if enabled.
-    watchdog: Option<Duration>,
+    pub(crate) watchdog: Option<Duration>,
 }
 
 impl std::fmt::Debug for QrContext {
@@ -1376,7 +734,7 @@ impl QrContext {
         plan: &QrPlan<T>,
         a: &Matrix<T>,
     ) -> Result<QrFactorization<T>, QrError> {
-        self.factorize_inner(plan, a, None)
+        only(self.batch_inner(plan, std::slice::from_ref(a), None, None))
     }
 
     /// [`QrContext::factorize`] with a relative deadline: if the
@@ -1390,35 +748,8 @@ impl QrContext {
         a: &Matrix<T>,
         timeout: Duration,
     ) -> Result<QrFactorization<T>, QrError> {
-        self.factorize_inner(plan, a, Some(Instant::now() + timeout))
-    }
-
-    fn factorize_inner<T: Scalar<Real = f64>>(
-        &self,
-        plan: &QrPlan<T>,
-        a: &Matrix<T>,
-        deadline: Option<Instant>,
-    ) -> Result<QrFactorization<T>, QrError> {
-        if a.shape() != (plan.m, plan.n) {
-            return Err(QrError::ShapeMismatch {
-                expected: (plan.m, plan.n),
-                got: a.shape(),
-            });
-        }
-        if plan.check_finite {
-            if let Some((row, col)) = find_non_finite_dense(a) {
-                return Err(QrError::NonFiniteInput { row, col });
-            }
-        }
-        let tiled = TiledMatrix::from_dense_padded(a, plan.nb);
-        let (parts, err) = self
-            .run_batch(plan, &plan.core, vec![(tiled, Vec::new())], deadline)
-            .pop()
-            .expect("one matrix in, one result out");
-        match err {
-            Some(e) => Err(e),
-            None => Ok(plan.assemble(parts)),
-        }
+        let deadline = Some(Instant::now() + timeout);
+        only(self.batch_inner(plan, std::slice::from_ref(a), deadline, None))
     }
 
     /// Solves the least-squares problem `min ‖A·x − b‖₂` for every column of
@@ -1446,37 +777,22 @@ impl QrContext {
     /// # Errors
     /// [`QrError::ShapeMismatch`] if `a` is not of the plan's shape,
     /// [`QrError::RhsLength`] if `b` does not have `m` rows,
-    /// [`QrError::SingularR`] if `A` is exactly rank deficient, and every
-    /// error [`QrContext::factorize`] can report.
+    /// [`QrError::NonFiniteInput`] if the plan checks finiteness and `a` or
+    /// `b` holds a NaN or infinity, [`QrError::SingularR`] if `A` is exactly
+    /// rank deficient, and every error [`QrContext::factorize`] can report.
     pub fn solve<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
         a: &Matrix<T>,
         b: &Matrix<T>,
     ) -> Result<Matrix<T>, QrError> {
-        if a.shape() != (plan.m, plan.n) {
-            return Err(QrError::ShapeMismatch {
-                expected: (plan.m, plan.n),
-                got: a.shape(),
-            });
-        }
-        if b.rows() != plan.m {
-            return Err(QrError::RhsLength {
-                expected: plan.m,
-                got: b.rows(),
-            });
-        }
-        if let Some((row, col)) = plan.non_finite_in(a) {
-            return Err(QrError::NonFiniteInput { row, col });
-        }
+        plan.validate(a, Some(b))?;
         let parked = plan.solve_tiles.lock().take();
         let mut tiles = parked.unwrap_or_else(|| TiledMatrix::zeros(plan.p, plan.q, plan.nb));
         tiles.fill_from_dense_padded(a);
         let rhs = rhs_row_blocks(b, plan.p, plan.nb);
-        let (parts, err) = self
-            .run_batch(plan, plan.solve_core(), vec![(tiles, rhs)], None)
-            .pop()
-            .expect("one matrix in, one result out");
+        let input = StreamInput::Tiled { tiles, rhs };
+        let (parts, err) = only(self.run_collect(copies_of(plan, vec![input]), None, None));
         let FactoredParts {
             tiles,
             t_geqrt,
@@ -1506,19 +822,17 @@ impl QrContext {
     /// The grid must match the plan: `p × q` tiles of order `nb` (the shape
     /// [`TiledMatrix::from_dense_padded`] produces for an `m × n` matrix).
     ///
-    /// If a kernel panics (a bug, not a recoverable condition), the panic is
-    /// propagated; the tile buffer keeps its plan-shaped grid but its
-    /// numeric contents are lost (reset to zeros), so a
-    /// `catch_unwind`-and-retry caller can refill the same buffer and carry
-    /// on — the pool itself survives the panic.
+    /// If the call unwinds (a bug in the runtime — kernel panics are
+    /// contained and reported as [`QrError::TaskPanicked`]), the tile buffer
+    /// keeps its plan-shaped grid but its numeric contents are lost (reset to
+    /// zeros), so a `catch_unwind`-and-retry caller can refill the same
+    /// buffer and carry on — the pool itself survives the panic.
     pub fn factorize_into<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
         tiles: &mut TiledMatrix<T>,
     ) -> Result<QrReflectors<T>, QrError> {
-        self.batch_into_inner(plan, std::slice::from_mut(tiles), None)
-            .pop()
-            .expect("one buffer in, one result out")
+        only(self.batch_into_inner(plan, std::slice::from_mut(tiles), None))
     }
 
     /// [`QrContext::factorize_into`] with a relative deadline; see
@@ -1531,13 +845,8 @@ impl QrContext {
         tiles: &mut TiledMatrix<T>,
         timeout: Duration,
     ) -> Result<QrReflectors<T>, QrError> {
-        self.batch_into_inner(
-            plan,
-            std::slice::from_mut(tiles),
-            Some(Instant::now() + timeout),
-        )
-        .pop()
-        .expect("one buffer in, one result out")
+        let deadline = Some(Instant::now() + timeout);
+        only(self.batch_into_inner(plan, std::slice::from_mut(tiles), deadline))
     }
 
     /// Factorizes a batch of `k` independent matrices of the plan's shape as
@@ -1566,7 +875,7 @@ impl QrContext {
         plan: &QrPlan<T>,
         mats: &[Matrix<T>],
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        self.batch_inner(plan, mats, None)
+        self.batch_inner(plan, mats, None, None)
     }
 
     /// [`QrContext::factorize_batch`] with a relative deadline shared by the
@@ -1579,46 +888,38 @@ impl QrContext {
         mats: &[Matrix<T>],
         timeout: Duration,
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        self.batch_inner(plan, mats, Some(Instant::now() + timeout))
+        self.batch_inner(plan, mats, Some(Instant::now() + timeout), None)
     }
 
-    fn batch_inner<T: Scalar<Real = f64>>(
+    /// The copying calls: validates and tiles every matrix, runs the
+    /// conforming ones as one job (traced into `trace`, if given) and wraps
+    /// each success into its handle.
+    pub(crate) fn batch_inner<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
         mats: &[Matrix<T>],
         deadline: Option<Instant>,
+        trace: Option<&ExecutionTrace>,
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        let mut slots: Vec<Result<(), QrError>> = Vec::with_capacity(mats.len());
-        let mut tiled = Vec::with_capacity(mats.len());
-        for a in mats {
-            if a.shape() != (plan.m, plan.n) {
-                slots.push(Err(QrError::ShapeMismatch {
-                    expected: (plan.m, plan.n),
-                    got: a.shape(),
-                }));
-            } else if let Some((row, col)) = plan
-                .check_finite
-                .then(|| find_non_finite_dense(a))
-                .flatten()
-            {
-                slots.push(Err(QrError::NonFiniteInput { row, col }));
-            } else {
-                slots.push(Ok(()));
-                tiled.push((TiledMatrix::from_dense_padded(a, plan.nb), Vec::new()));
-            }
-        }
-        let mut items = self
-            .run_batch(plan, &plan.core, tiled, deadline)
-            .into_iter();
-        slots
+        let checks: Vec<Result<(), QrError>> =
+            mats.iter().map(|a| plan.validate(a, None)).collect();
+        let inputs = mats
+            .iter()
+            .zip(&checks)
+            .filter(|(_, check)| check.is_ok())
+            .map(|(a, _)| StreamInput::Tiled {
+                tiles: TiledMatrix::from_dense_padded(a, plan.nb),
+                rhs: Vec::new(),
+            })
+            .collect();
+        let entries = copies_of(plan, inputs);
+        let mut outcomes = self.run_collect(entries, deadline, trace).into_iter();
+        checks
             .into_iter()
-            .map(|slot| {
-                slot.and_then(|()| {
-                    let (parts, err) = items.next().expect("one result per conforming matrix");
-                    match err {
-                        Some(e) => Err(e),
-                        None => Ok(plan.assemble(parts)),
-                    }
+            .map(|check| {
+                check.and_then(|()| {
+                    let (parts, err) = outcomes.next().expect("one outcome per conforming matrix");
+                    plan.conclude(parts, err)
                 })
             })
             .collect()
@@ -1637,10 +938,10 @@ impl QrContext {
     /// small number of bookkeeping allocations per call — none per tile,
     /// per task or per `T` factor (see the [module docs](self)).
     ///
-    /// If a kernel panics mid-batch, the panic is propagated; every
-    /// conforming buffer keeps its plan-shaped grid (contents reset to
-    /// zeros), so a `catch_unwind`-and-retry caller can refill the same
-    /// buffers — the pool itself survives the panic.
+    /// If the call unwinds (a bug in the runtime — kernel panics are
+    /// contained per item), every conforming buffer keeps its plan-shaped
+    /// grid (contents reset to zeros), so a `catch_unwind`-and-retry caller
+    /// can refill the same buffers — the pool itself survives the panic.
     pub fn factorize_batch_into<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
@@ -1669,12 +970,12 @@ impl QrContext {
         tiles: &mut [TiledMatrix<T>],
         deadline: Option<Instant>,
     ) -> Vec<Result<QrReflectors<T>, QrError>> {
-        let mut slots: Vec<Result<(), QrError>> = Vec::with_capacity(tiles.len());
-        let mut owned = Vec::with_capacity(tiles.len());
+        let mut checks: Vec<Result<(), QrError>> = Vec::with_capacity(tiles.len());
+        let mut inputs = Vec::with_capacity(tiles.len());
         for t in tiles.iter_mut() {
             let got = (t.tile_rows(), t.tile_cols(), t.tile_size());
             if got != (plan.p, plan.q, plan.nb) {
-                slots.push(Err(QrError::PlanMismatch {
+                checks.push(Err(QrError::PlanMismatch {
                     expected: (plan.p, plan.q, plan.nb),
                     got,
                 }));
@@ -1684,34 +985,34 @@ impl QrContext {
                 .flatten()
             {
                 // Rejected before submission: the buffer is left untouched.
-                slots.push(Err(QrError::NonFiniteInput { row, col }));
+                checks.push(Err(QrError::NonFiniteInput { row, col }));
             } else {
-                slots.push(Ok(()));
-                owned.push((
-                    std::mem::replace(t, TiledMatrix::from_tiles(Vec::new(), 0, 0, plan.nb)),
-                    Vec::new(),
-                ));
+                checks.push(Ok(()));
+                let placeholder = TiledMatrix::from_tiles(Vec::new(), 0, 0, plan.nb);
+                inputs.push(StreamInput::Tiled {
+                    tiles: std::mem::replace(t, placeholder),
+                    rhs: Vec::new(),
+                });
             }
         }
-        // If the fused job panics *uncontained* (a bug in the runtime
-        // itself — kernel panics are caught per task), the unwind must not
-        // leave the caller's conforming slots holding the 0 × 0
-        // placeholders: the guard puts plan-shaped zero grids back so a
-        // recover-and-retry caller can refill the same buffers.
+        // If the job unwinds (a bug in the runtime itself — kernel panics
+        // are caught per task), the caller's conforming slots must not be
+        // left holding the 0 × 0 placeholders: the guard puts plan-shaped
+        // zero grids back so a recover-and-retry caller can refill the same
+        // buffers.
         let guard = RestorePlaceholders {
-            taken: slots.iter().map(Result::is_ok).collect(),
+            taken: checks.iter().map(Result::is_ok).collect(),
             tiles,
             p: plan.p,
             q: plan.q,
             nb: plan.nb,
         };
-        let mut items = self
-            .run_batch(plan, &plan.core, owned, deadline)
-            .into_iter();
+        let entries = copies_of(plan, inputs);
+        let mut outcomes = self.run_collect(entries, deadline, None).into_iter();
         let mut out = Vec::with_capacity(guard.tiles.len());
-        for (slot, t) in slots.into_iter().zip(guard.tiles.iter_mut()) {
-            out.push(slot.and_then(|()| {
-                let (parts, err) = items.next().expect("one result per conforming buffer");
+        for (check, t) in checks.into_iter().zip(guard.tiles.iter_mut()) {
+            out.push(check.and_then(|()| {
+                let (parts, err) = outcomes.next().expect("one outcome per conforming buffer");
                 let FactoredParts {
                     tiles: factored,
                     t_geqrt,
@@ -1744,549 +1045,54 @@ impl QrContext {
         out
     }
 
-    /// Executes `core` — the plan's factor schedule, or its solve schedule
-    /// when the items carry right-hand sides — against every item of the
-    /// batch: the single shared engine behind [`QrContext::factorize`],
-    /// [`QrContext::factorize_into`], both batch entry points and
-    /// [`QrContext::solve`]. With a pool, the whole batch is one fused job
-    /// (one wake-up); without one, the items run back to back on the calling
-    /// thread in topological order (the bitwise reference order).
-    fn run_batch<T: Scalar<Real = f64>>(
+    /// Runs `entries` as one job ([`QrContext::run`]) and returns their
+    /// outcomes in order: the engine call of every blocking entry point.
+    fn run_collect<T: Scalar<Real = f64>>(
         &self,
-        plan: &QrPlan<T>,
-        core: &Arc<PlanCore>,
-        items: Vec<JobItem<T>>,
+        entries: Vec<StreamEntry<'_, T>>,
         deadline: Option<Instant>,
+        trace: Option<&ExecutionTrace>,
     ) -> Vec<JobOutcome<T>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        // Fail fast before any state is built or kernel runs: a sticky
-        // cancellation or an already-expired deadline rejects every item
-        // with its tile buffers bitwise untouched.
-        let pre = if self.cancel.is_cancelled() {
-            Some(QrError::Cancelled)
-        } else if deadline.is_some_and(|d| Instant::now() >= d) {
-            Some(QrError::DeadlineExceeded)
-        } else {
-            None
-        };
-        if let Some(e) = pre {
-            return items
-                .into_iter()
-                .map(|(tiles, rhs)| {
-                    let untouched = FactoredParts {
-                        tiles,
-                        t_geqrt: Vec::new(),
-                        t_elim: Vec::new(),
-                        rhs,
-                    };
-                    (untouched, Some(e.clone()))
-                })
-                .collect();
-        }
-        let states = plan.build_states(items);
-        match &self.pool {
-            None => self.run_batch_sequential(plan, core, states, deadline),
-            Some(pool) => {
-                let copies = states.len();
-                let total = core.dag.len() * copies;
-                let threads = pool.threads();
-                match self.scheduler {
-                    SchedulerKind::LockedFifo => self.run_batch_job(
-                        plan,
-                        core,
-                        pool,
-                        states,
-                        LockedFifo::new(total),
-                        deadline,
-                    ),
-                    SchedulerKind::WorkStealing => self.run_batch_job(
-                        plan,
-                        core,
-                        pool,
-                        states,
-                        WorkStealing::new(total, threads),
-                        deadline,
-                    ),
-                    SchedulerKind::WorkStealingPriority => self.run_batch_job(
-                        plan,
-                        core,
-                        pool,
-                        states,
-                        WorkStealingPriority::new_shared_cyclic(core.priorities(), threads, copies),
-                        deadline,
-                    ),
-                }
-            }
-        }
-    }
-
-    /// The `threads == 1` engine: every copy runs on the calling thread in
-    /// topological order (the bitwise reference order), with the same
-    /// robustness semantics as the pool path — per-task cancellation and
-    /// deadline checks, and per-task panic containment that fails only the
-    /// current copy while later copies still run.
-    fn run_batch_sequential<T: Scalar<Real = f64>>(
-        &self,
-        plan: &QrPlan<T>,
-        core: &PlanCore,
-        states: Vec<FactorizationState<T>>,
-        deadline: Option<Instant>,
-    ) -> Vec<JobOutcome<T>> {
-        let mut ws = plan.checkout_workspaces(1);
-        // A cancellation or expired deadline stops the whole run: the copy
-        // it interrupted and every later copy report the cause.
-        let mut stop: Option<QrError> = None;
-        let mut errors: Vec<Option<QrError>> = Vec::with_capacity(states.len());
-        for (copy, state) in states.iter().enumerate() {
-            if stop.is_some() {
-                errors.push(stop.clone());
-                continue;
-            }
-            let mut item_err: Option<QrError> = None;
-            for (local, task) in core.dag.tasks.iter().enumerate() {
-                if self.cancel.is_cancelled() {
-                    stop = Some(QrError::Cancelled);
-                    break;
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    stop = Some(QrError::DeadlineExceeded);
-                    break;
-                }
-                // `copy`/`local` address the fault-injection probe; without
-                // the feature they are deliberately unused.
-                let _ = (copy, local);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-injection")]
-                    crate::fault::check(copy, local);
-                    state.run_ws(task.kind, &mut ws[0])
-                }));
-                if let Err(payload) = result {
-                    item_err = Some(QrError::TaskPanicked {
-                        kind: task.kind,
-                        message: payload_message(&*payload).to_string(),
-                    });
-                    break;
-                }
-            }
-            errors.push(item_err.or_else(|| stop.clone()));
-        }
-        plan.restore_workspaces(ws);
-        states
+        let sink = Arc::new(CollectSink(Mutex::new(
+            entries.iter().map(|_| None).collect(),
+        )));
+        self.run(entries, deadline, trace, Arc::clone(&sink) as _);
+        let outcomes = Arc::into_inner(sink)
+            .unwrap_or_else(|| panic!("sink still shared after the job ended"))
+            .0
+            .into_inner();
+        outcomes
             .into_iter()
-            .zip(errors)
-            .map(|(s, e)| (s.into_parts(), e))
+            .map(|o| o.expect("every copy resolves exactly once"))
             .collect()
     }
+}
 
-    /// Packages a batch of factorizations as one fused pool job, runs it
-    /// under the submitter-side controls (cancellation, deadline, watchdog),
-    /// and recovers the states, workspaces and per-item verdicts (the job is
-    /// uniquely owned again once every worker signalled completion).
-    fn run_batch_job<T: Scalar<Real = f64>, S: Scheduler + Send + Sync + 'static>(
-        &self,
-        plan: &QrPlan<T>,
-        core: &Arc<PlanCore>,
-        pool: &WorkerPool,
-        states: Vec<FactorizationState<T>>,
-        sched: S,
-        deadline: Option<Instant>,
-    ) -> Vec<JobOutcome<T>> {
-        let threads = pool.threads();
-        let n = core.dag.len();
-        let copies = states.len();
-        // Roots of every copy of the DAG, offset into that copy's id range.
-        let mut roots = Vec::with_capacity(core.roots.len() * copies);
-        for copy in 0..copies {
-            roots.extend(core.roots.iter().map(|&r| copy * n + r));
-        }
-        sched.seed(&mut roots);
-        let mut remaining = Vec::with_capacity(n * copies);
-        for _ in 0..copies {
-            remaining.extend(
-                core.dag
-                    .tasks
-                    .iter()
-                    .map(|t| AtomicUsize::new(t.deps.len())),
-            );
-        }
-        let job = Arc::new(BatchJob {
-            states,
-            core: Arc::clone(core),
-            sched,
-            remaining,
-            completed: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
-            ws_slots: plan
-                .checkout_workspaces(threads)
-                .into_iter()
-                .map(|ws| Mutex::new(Some(ws)))
-                .collect(),
-            tracker: ItemTracker::new(Arc::clone(&core.dag), copies),
-            // A fresh per-job token: the submitter's wait loop forwards user
-            // cancellation into it and triggers it on deadline/stall, so
-            // internal causes never poison the context's sticky handle.
-            cancel: CancelToken::new(),
-        });
-        pool.run_controlled(
-            Arc::clone(&job) as Arc<dyn Job>,
-            Some(RunCtl {
-                job_cancel: job.cancel.clone(),
-                user_cancel: self.cancel.clone(),
-                deadline,
-                stall_bound: self.watchdog,
-            }),
-        );
-        // `run_controlled` returns only after every worker dropped its
-        // reference to the job (and the pool's own slot was cleared), so the
-        // Arc is uniquely owned again.
-        let job = Arc::into_inner(job)
-            .unwrap_or_else(|| panic!("batch job still shared after the pool ran it"));
-        plan.restore_workspaces(job.ws_slots.into_iter().filter_map(Mutex::into_inner));
-        let cause = job.cancel.cause();
-        let tracker = job.tracker;
-        job.states
-            .into_iter()
-            .enumerate()
-            .map(|(copy, s)| (s.into_parts(), tracker.verdict(copy, cause)))
-            .collect()
-    }
+/// `inputs` as consecutive copies of one plan, fault-probed by position.
+fn copies_of<T: Scalar>(plan: &QrPlan<T>, inputs: Vec<StreamInput<T>>) -> Vec<StreamEntry<'_, T>> {
+    let entry = |(probe, input)| StreamEntry { plan, input, probe };
+    inputs.into_iter().enumerate().map(entry).collect()
+}
 
-    /// The streaming engine behind the service layer ([`crate::service`]):
-    /// factors `items` as one fused job like [`QrContext::run_batch`], but
-    /// delivers each item's outcome through `sink` **the moment its last
-    /// task retires** instead of returning a joined vector — and each item
-    /// carries its **own** plan, so one fused job may span different shapes,
-    /// tile sizes and elimination trees.
-    ///
-    /// Id mapping: global task id `g` resolves to `(copy, local)` through an
-    /// [`ItemMap`]. When every item references the same plan (`Arc::ptr_eq`)
-    /// the map is uniform — `g → (g / n, g % n)`, bit-for-bit the historical
-    /// cyclic arithmetic, with the shared successor CSR and the cyclic
-    /// priority ranking — so same-plan groups execute identically to the
-    /// pre-offset runtime. Mixed groups use prefix-sum offsets, per-copy
-    /// successor indexing, per-copy priority tables
-    /// ([`WorkStealingPriority::new_shared_offsets`]) and a workspace
-    /// checkout sized to the **max** tile order across the group's plans.
-    ///
-    /// Exactly-once guarantee: `sink.item_done` is called exactly once per
-    /// element of `items`, in every outcome — success, contained panic,
-    /// cancellation/stall abort, and pre-run rejection.
-    pub(crate) fn factorize_stream<T: Scalar<Real = f64>>(
-        &self,
-        items: Vec<StreamEntry<T>>,
-        sink: &Arc<dyn ItemSink<T>>,
-    ) {
-        if items.is_empty() {
-            return;
-        }
-        // Fail fast before any state is built: a sticky cancellation
-        // resolves every item without running a kernel.
-        if self.cancel.is_cancelled() {
-            for copy in 0..items.len() {
-                sink.item_done(copy, Err(QrError::Cancelled));
-            }
-            return;
-        }
-        match &self.pool {
-            None => self.run_stream_sequential(items, sink),
-            Some(pool) => {
-                let homogeneous = items[1..]
-                    .iter()
-                    .all(|e| Arc::ptr_eq(&e.plan, &items[0].plan));
-                let map = if homogeneous {
-                    ItemMap::uniform(items[0].plan.core.dag.len(), items.len())
-                } else {
-                    let counts: Vec<usize> = items.iter().map(|e| e.plan.core.dag.len()).collect();
-                    ItemMap::from_counts(&counts)
-                };
-                let total = map.total();
-                let threads = pool.threads();
-                match self.scheduler {
-                    SchedulerKind::LockedFifo => self.run_stream_job(
-                        items,
-                        map,
-                        homogeneous,
-                        pool,
-                        LockedFifo::new(total),
-                        sink,
-                    ),
-                    SchedulerKind::WorkStealing => self.run_stream_job(
-                        items,
-                        map,
-                        homogeneous,
-                        pool,
-                        WorkStealing::new(total, threads),
-                        sink,
-                    ),
-                    SchedulerKind::WorkStealingPriority => {
-                        let sched = if homogeneous {
-                            WorkStealingPriority::new_shared_cyclic(
-                                items[0].plan.core.priorities(),
-                                threads,
-                                items.len(),
-                            )
-                        } else {
-                            WorkStealingPriority::new_shared_offsets(
-                                items.iter().map(|e| e.plan.core.priorities()).collect(),
-                                threads,
-                            )
-                        };
-                        self.run_stream_job(items, map, homogeneous, pool, sched, sink)
-                    }
-                }
-            }
-        }
-    }
+/// What a job hands back per copy: the parts of its state and the copy's
+/// fault, if any.
+type JobOutcome<T> = (FactoredParts<T>, Option<QrError>);
 
-    /// [`QrContext::run_stream_sequential`]: the `threads == 1` streaming
-    /// engine. Each copy runs to completion on the calling thread (bitwise
-    /// reference order, against its own plan) and its outcome is delivered
-    /// to the sink before the next copy starts — the same per-item streaming
-    /// contract as the pool path, just with trivial ordering.
-    fn run_stream_sequential<T: Scalar<Real = f64>>(
-        &self,
-        items: Vec<StreamEntry<T>>,
-        sink: &Arc<dyn ItemSink<T>>,
-    ) {
-        // A cancellation stops the whole run: the copy it interrupted and
-        // every later copy resolve with the cause.
-        let mut stop: Option<QrError> = None;
-        for (copy, entry) in items.into_iter().enumerate() {
-            let StreamEntry { plan, input, probe } = entry;
-            if stop.is_some() {
-                sink.item_done(copy, Err(stop.clone().unwrap()));
-                continue;
-            }
-            let tiled = match input {
-                StreamInput::Tiled(t) => t,
-                StreamInput::Dense(a) => TiledMatrix::from_dense_padded(&a, plan.nb),
-            };
-            let state = plan.build_state(tiled);
-            let mut ws = plan.checkout_workspaces(1);
-            let mut item_err: Option<QrError> = None;
-            for (local, task) in plan.core.dag.tasks.iter().enumerate() {
-                if self.cancel.is_cancelled() {
-                    stop = Some(QrError::Cancelled);
-                    break;
-                }
-                // `probe`/`local` address the fault-injection probe;
-                // without the feature they are deliberately unused.
-                let _ = (probe, local);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    #[cfg(feature = "fault-injection")]
-                    crate::fault::check(probe, local);
-                    state.run_ws(task.kind, &mut ws[0])
-                }));
-                if let Err(payload) = result {
-                    item_err = Some(QrError::TaskPanicked {
-                        kind: task.kind,
-                        message: payload_message(&*payload).to_string(),
-                    });
-                    break;
-                }
-            }
-            plan.restore_workspaces(ws);
-            let parts = state.into_parts();
-            let outcome = match item_err.or_else(|| stop.clone()) {
-                Some(e) => {
-                    // A failed copy's T buffers go straight back to its own
-                    // plan; its partially factored tiles are dropped.
-                    plan.t_pool
-                        .recycle(parts.t_geqrt.into_iter().chain(parts.t_elim));
-                    Err(e)
-                }
-                None => Ok(plan.assemble(parts)),
-            };
-            sink.item_done(copy, outcome);
-        }
-    }
+/// The [`ItemSink`] of the blocking calls: parks every copy's outcome in its
+/// slot until the job returns.
+struct CollectSink<T: Scalar>(Mutex<Vec<Option<JobOutcome<T>>>>);
 
-    /// Packages the streaming batch as one fused pool job ([`StreamJob`]),
-    /// runs it under the submitter-side controls, then sweeps up every copy
-    /// the worker-side completion hook did not resolve — copies skipped by a
-    /// cancellation/stall abort (and the theoretical `Arc::try_unwrap`
-    /// put-back) — so the exactly-once sink contract holds in every outcome.
-    ///
-    /// Heterogeneous mechanics: each copy's roots/dependency counts come
-    /// from its own plan (offset by [`ItemMap::base`]); the per-worker
-    /// workspaces are checked out from the plan with the **largest** tile
-    /// order (every buffer is sized from `nb` alone, so they serve every
-    /// smaller tile — tasks switch the panel width in place via
-    /// [`Workspace::set_inner_block`]) and restored to that plan with its
-    /// own `ib` re-established; dense inputs are tiled lazily by the first
-    /// worker to touch each copy, keeping the dispatcher thread free.
-    fn run_stream_job<T: Scalar<Real = f64>, S: Scheduler + Send + Sync + 'static>(
-        &self,
-        items: Vec<StreamEntry<T>>,
-        map: ItemMap,
-        homogeneous: bool,
-        pool: &WorkerPool,
-        sched: S,
-        sink: &Arc<dyn ItemSink<T>>,
-    ) {
-        let threads = pool.threads();
-        let copies = items.len();
-        let mut roots = Vec::new();
-        for (copy, entry) in items.iter().enumerate() {
-            let base = map.base(copy);
-            roots.extend(entry.plan.core.roots.iter().map(|&r| base + r));
-        }
-        sched.seed(&mut roots);
-        let mut remaining = Vec::with_capacity(map.total());
-        for entry in &items {
-            remaining.extend(
-                entry
-                    .plan
-                    .core
-                    .dag
-                    .tasks
-                    .iter()
-                    .map(|t| AtomicUsize::new(t.deps.len())),
-            );
-        }
-        // The group's workspaces come from the largest-nb plan: its buffers
-        // serve every smaller tile order in the group.
-        let ws_owner = Arc::clone(
-            &items
-                .iter()
-                .max_by_key(|e| e.plan.nb)
-                .expect("group is non-empty")
-                .plan,
-        );
-        let max_out_degree = items
-            .iter()
-            .map(|e| e.plan.core.max_out_degree)
-            .max()
-            .unwrap_or(0);
-        let mut states = Vec::with_capacity(copies);
-        let mut gates = Vec::with_capacity(copies);
-        let mut dags = Vec::with_capacity(copies);
-        let mut probes = Vec::with_capacity(copies);
-        let mut metas = Vec::with_capacity(copies);
-        for entry in items {
-            let StreamEntry { plan, input, probe } = entry;
-            let (state, gate) = match input {
-                StreamInput::Tiled(t) => (plan.build_state(t), TileGate::ready()),
-                // Dense inputs defer the O(m·n) tiling copy to the first
-                // worker that touches the copy: the dispatcher allocates
-                // only a zeroed grid here.
-                StreamInput::Dense(a) => (
-                    plan.build_state(TiledMatrix::zeros(plan.p, plan.q, plan.nb)),
-                    TileGate::pending(a),
-                ),
-            };
-            states.push(Mutex::new(Some(Arc::new(state))));
-            gates.push(gate);
-            dags.push(Arc::clone(&plan.core.dag));
-            probes.push(probe);
-            metas.push(StreamItemMeta {
-                core: Arc::clone(&plan.core),
-                m: plan.m,
-                n: plan.n,
-                nb: plan.nb,
-                ib: plan.ib,
-                recycler: plan.t_recycler(),
-            });
-        }
-        let job = Arc::new(StreamJob {
-            states,
-            resolved: (0..copies).map(|_| ClaimFlag::new()).collect(),
-            probes,
-            gates,
-            metas,
-            map,
-            homogeneous,
-            max_out_degree,
-            sched,
-            remaining,
-            completed: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
-            ws_slots: ws_owner
-                .checkout_workspaces(threads)
-                .into_iter()
-                .map(|ws| Mutex::new(Some(ws)))
-                .collect(),
-            tracker: ItemTracker::per_copy(dags),
-            cancel: CancelToken::new(),
-            sink: Arc::clone(sink),
-        });
-        pool.run_controlled(
-            Arc::clone(&job) as Arc<dyn Job>,
-            Some(RunCtl {
-                job_cancel: job.cancel.clone(),
-                user_cancel: self.cancel.clone(),
-                // Streaming submissions carry per-item deadlines at
-                // admission time (the service layer's job); the run itself
-                // is bounded by the stall watchdog and cancellation only.
-                deadline: None,
-                stall_bound: self.watchdog,
-            }),
-        );
-        let job = Arc::into_inner(job)
-            .unwrap_or_else(|| panic!("stream job still shared after the pool ran it"));
-        // Restore with the owner plan's own panel width re-established —
-        // the last task a workspace served may have switched it.
-        ws_owner.restore_workspaces(job.ws_slots.into_iter().filter_map(Mutex::into_inner).map(
-            |mut ws| {
-                ws.set_inner_block(ws_owner.ib);
-                ws
-            },
-        ));
-        let cause = job.cancel.cause();
-        for (copy, slot) in job.states.into_iter().enumerate() {
-            if !job.resolved[copy].claim() {
-                continue; // the worker hook already delivered this copy
-            }
-            let meta = &job.metas[copy];
-            // A recorded fault wins; an incomplete retire count means the
-            // job was aborted out from under the copy; a complete count
-            // with no error is the put-back case — the copy succeeded.
-            let err = job.tracker.take_error(copy).or_else(|| {
-                (!job.tracker.is_complete(copy))
-                    .then(|| QrError::from_cancel(cause.unwrap_or(CancelCause::Cancelled)))
-            });
-            match slot.into_inner() {
-                Some(arc) => {
-                    let state = Arc::try_unwrap(arc).unwrap_or_else(|_| {
-                        panic!("stream copy state still shared after the pool drained")
-                    });
-                    let FactoredParts {
-                        tiles,
-                        t_geqrt,
-                        t_elim,
-                        ..
-                    } = state.into_parts();
-                    let outcome = match err {
-                        Some(e) => {
-                            if let Some(pool) = meta.recycler.upgrade() {
-                                pool.recycle(t_geqrt.into_iter().chain(t_elim));
-                            }
-                            Err(e)
-                        }
-                        None => Ok(QrFactorization::from_parts(
-                            meta.m,
-                            meta.n,
-                            meta.nb,
-                            meta.ib,
-                            tiles,
-                            t_geqrt,
-                            t_elim,
-                            Arc::clone(&meta.core.dag),
-                            meta.recycler.clone(),
-                        )),
-                    };
-                    sink.item_done(copy, outcome);
-                }
-                None => {
-                    // Unreachable — an unresolved copy keeps its state —
-                    // but the exactly-once contract is kept regardless.
-                    sink.item_done(copy, Err(err.unwrap_or(QrError::Stalled)));
-                }
-            }
-        }
+impl<T: Scalar> ItemSink<T> for CollectSink<T> {
+    fn item_done(&self, index: usize, parts: FactoredParts<T>, err: Option<QrError>) {
+        let slot = &mut self.0.lock()[index];
+        assert!(slot.is_none(), "copy {index} delivered twice");
+        *slot = Some((parts, err));
     }
+}
+
+/// The single result of a call that submitted a single input.
+fn only<R>(mut results: Vec<R>) -> R {
+    results.pop().expect("one input in, one result out")
 }
 
 /// The triangular step of a least-squares solve: solves `R·x = c[0..n]` for
@@ -2574,35 +1380,6 @@ mod tests {
     }
 
     #[test]
-    fn error_messages_are_displayable() {
-        let e = QrError::WideMatrix { m: 2, n: 5 };
-        assert!(e.to_string().contains("m ≥ n"));
-        let e = QrError::TooManyThreads {
-            requested: 9999,
-            max: MAX_THREADS,
-        };
-        assert!(e.to_string().contains("9999"));
-        let e = QrError::TaskPanicked {
-            kind: TaskKind::Geqrt { row: 0, col: 2 },
-            message: "boom".into(),
-        };
-        assert!(e.to_string().contains("panicked"));
-        assert!(e.to_string().contains("boom"));
-        assert!(QrError::Cancelled.to_string().contains("cancelled"));
-        assert!(QrError::DeadlineExceeded.to_string().contains("deadline"));
-        assert!(QrError::Stalled.to_string().contains("stalled"));
-        let e = QrError::ThreadSpawn {
-            details: "out of threads".into(),
-        };
-        assert!(e.to_string().contains("out of threads"));
-        let e = QrError::NonFiniteInput { row: 3, col: 1 };
-        assert!(e.to_string().contains("row 3"));
-        let e = QrError::SingularR { index: 7 };
-        assert!(e.to_string().contains("R[7, 7]"));
-        assert!(!e.is_transient());
-    }
-
-    #[test]
     fn batch_matches_per_call_factorizations_bitwise() {
         let (m, n, nb) = (24usize, 16usize, 4usize);
         let mats: Vec<Matrix<f64>> = (0..5).map(|i| random_matrix(m, n, 300 + i)).collect();
@@ -2795,207 +1572,175 @@ mod tests {
     }
 
     #[test]
-    fn pool_survives_a_mid_batch_worker_panic() {
-        // A worker panicking mid-job is what a kernel bug looks like to the
-        // pool: drive the plan's real DAG through the real pool with one
-        // poisoned task, then prove the same context still factors real
-        // batches bitwise-correctly afterwards.
-        let ctx = QrContext::new(2).unwrap();
-        let plan: QrPlan<f64> = QrPlan::new(24, 16, QrConfig::new(4)).unwrap();
-
-        struct PoisonJob {
-            core: Arc<PlanCore>,
-            sched: WorkStealing,
-            remaining: Vec<AtomicUsize>,
-            completed: AtomicUsize,
-            aborted: AtomicBool,
-            poison: usize,
-        }
-        impl Job for PoisonJob {
-            fn run(&self, w: usize, heartbeat: &AtomicUsize) {
-                let n = self.core.dag.len();
-                // Legacy abort mode (`faults: None`): the panic unwinds out
-                // of the worker and the pool re-raises it on the submitter.
-                let map = ItemMap::uniform(n, 1);
-                let ctl = DriveCtl {
-                    num_tasks: n,
-                    map: &map,
-                    succ: GroupSucc::Shared(&self.core.succ),
-                    remaining: &self.remaining,
-                    completed: &self.completed,
-                    aborted: &self.aborted,
-                    max_out_degree: self.core.max_out_degree,
-                    cancel: None,
-                    faults: None,
-                };
-                drive_worker(&ctl, &self.sched, w, Some(heartbeat), &mut |idx| {
-                    if idx == self.poison {
-                        panic!("injected mid-batch kernel failure");
-                    }
-                });
+    fn pool_survives_a_panic_that_escapes_the_job() {
+        // Kernel panics are contained per copy; what can still unwind out of
+        // a worker is the sink. Drive a real batch through the real engine
+        // with a sink that panics on one copy: the panic must reach the
+        // submitter (not hang the sibling workers), and the same context
+        // must still factor real batches bitwise-correctly afterwards.
+        struct PoisonSink;
+        impl ItemSink<f64> for PoisonSink {
+            fn item_done(&self, index: usize, _: FactoredParts<f64>, _: Option<QrError>) {
+                if index == 1 {
+                    panic!("injected sink failure");
+                }
             }
         }
-
-        let core = Arc::clone(&plan.core);
-        let sched = WorkStealing::new(core.dag.len(), 2);
-        let mut roots = core.roots.clone();
-        sched.seed(&mut roots);
-        let job = Arc::new(PoisonJob {
-            remaining: core
-                .dag
-                .tasks
-                .iter()
-                .map(|t| AtomicUsize::new(t.deps.len()))
-                .collect(),
-            completed: AtomicUsize::new(0),
-            aborted: AtomicBool::new(false),
-            poison: core.dag.len() / 2,
-            core,
-            sched,
-        });
-        let pool = ctx.pool.as_ref().expect("2-thread context has a pool");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(job as Arc<dyn Job>);
-        }));
-        assert!(
-            result.is_err(),
-            "the injected panic must reach the submitter"
-        );
-
-        // The context (and its pool) must still serve batches, bitwise equal
-        // to the sequential reference.
+        let plan: QrPlan<f64> = QrPlan::new(24, 16, QrConfig::new(4)).unwrap();
         let mats: Vec<Matrix<f64>> = (0..3).map(|i| random_matrix(24, 16, 600 + i)).collect();
         let seq = QrContext::new(1).unwrap();
-        for (a, item) in mats.iter().zip(ctx.factorize_batch(&plan, &mats)) {
-            let f = item.expect("batch after a panic must succeed");
-            assert_eq!(
-                f.factored_tiles(),
-                seq.factorize(&plan, a).unwrap().factored_tiles()
+        for threads in [1usize, 2] {
+            let ctx = QrContext::new(threads).unwrap();
+            let inputs = mats
+                .iter()
+                .map(|a| StreamInput::Tiled {
+                    tiles: TiledMatrix::from_dense_padded(a, 4),
+                    rhs: Vec::new(),
+                })
+                .collect();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.run(copies_of(&plan, inputs), None, None, Arc::new(PoisonSink));
+            }));
+            assert!(
+                result.is_err(),
+                "the injected panic must reach the submitter ({threads} threads)"
             );
-        }
-    }
-
-    /// Ordered collection sink for the stream tests: slot `i` receives
-    /// item `i`'s outcome exactly once.
-    type ItemOutcome = Result<QrFactorization<f64>, QrError>;
-    struct CollectSink {
-        results: Mutex<Vec<Option<ItemOutcome>>>,
-    }
-
-    impl ItemSink<f64> for CollectSink {
-        fn item_done(&self, index: usize, outcome: Result<QrFactorization<f64>, QrError>) {
-            let mut slots = self.results.lock();
-            assert!(slots[index].is_none(), "item {index} delivered twice");
-            slots[index] = Some(outcome);
-        }
-    }
-
-    /// The tentpole contract end to end: one fused streaming job spanning
-    /// *different* plans (shapes, tile sizes, inner blockings, trees), fed
-    /// through both input modes, with every item bitwise equal to its own
-    /// sequential single-plan reference.
-    #[test]
-    fn mixed_plan_stream_matches_each_items_sequential_reference() {
-        use tileqr_matrix::generate::random_matrix;
-        let ctx = QrContext::new(3).unwrap();
-        let seq = QrContext::new(1).unwrap();
-        let plans: Vec<Arc<QrPlan<f64>>> = vec![
-            Arc::new(QrPlan::new(40, 24, QrConfig::new(8)).unwrap()),
-            Arc::new(
-                QrPlan::new(
-                    18,
-                    18,
-                    QrConfig::new(6)
-                        .with_inner_block(3)
-                        .with_algorithm(Algorithm::FlatTree),
-                )
-                .unwrap(),
-            ),
-            Arc::new(QrPlan::new(33, 10, QrConfig::new(5)).unwrap()),
-        ];
-        // Two rounds: [0, 1, 2, 1] then [2, 0] — distinct task counts, so
-        // the heterogeneous (offset) mapping is exercised, and plan 1
-        // appears twice in one group to cover same-plan copies inside a
-        // mixed group.
-        for round in [vec![0usize, 1, 2, 1], vec![2, 0]] {
-            let mats: Vec<Matrix<f64>> = round
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| {
-                    let plan = &plans[p];
-                    random_matrix(plan.m(), plan.n(), 7_000 + i as u64)
-                })
-                .collect();
-            let entries: Vec<StreamEntry<f64>> = round
-                .iter()
-                .zip(&mats)
-                .enumerate()
-                .map(|(i, (&p, a))| StreamEntry {
-                    plan: Arc::clone(&plans[p]),
-                    // Alternate input modes: even items pre-tiled, odd items
-                    // dense (worker-side lazy tiling).
-                    input: if i % 2 == 0 {
-                        StreamInput::Tiled(TiledMatrix::from_dense_padded(a, plans[p].tile_size()))
-                    } else {
-                        StreamInput::Dense(Arc::new(a.clone()))
-                    },
-                    probe: i,
-                })
-                .collect();
-            let sink = Arc::new(CollectSink {
-                results: Mutex::new((0..round.len()).map(|_| None).collect()),
-            });
-            ctx.factorize_stream(entries, &(Arc::clone(&sink) as Arc<dyn ItemSink<f64>>));
-            let results = sink.results.lock();
-            for (i, (&p, a)) in round.iter().zip(&mats).enumerate() {
-                let got = results[i]
-                    .as_ref()
-                    .expect("every item resolves")
-                    .as_ref()
-                    .expect("mixed-group item succeeds");
-                let reference = seq.factorize(&plans[p], a).unwrap();
+            for (a, item) in mats.iter().zip(ctx.factorize_batch(&plan, &mats)) {
+                let f = item.expect("batch after a panic must succeed");
                 assert_eq!(
-                    got.factored_tiles(),
-                    reference.factored_tiles(),
-                    "round item {i} (plan {p}) must be bitwise equal to its sequential reference"
+                    f.factored_tiles(),
+                    seq.factorize(&plan, a).unwrap().factored_tiles()
                 );
             }
         }
     }
 
-    /// Same-plan streaming groups must reduce to the historical uniform
-    /// mapping: identical results to the sequential reference, via the
-    /// pre-tiled input mode (the path the old runtime used).
+    /// The engine-independent reference: the plan's factor tasks walked in
+    /// order on the calling thread, straight against the state.
+    fn reference_factorization(plan: &QrPlan<f64>, a: &Matrix<f64>) -> QrFactorization<f64> {
+        let tiles = TiledMatrix::from_dense_padded(a, plan.nb);
+        let state = FactorizationState::with_inner_block(tiles, plan.ib);
+        let mut ws = Workspace::with_inner_block(plan.nb, plan.ib);
+        for task in &plan.core.dag.tasks {
+            state.run_ws(task.kind, &mut ws);
+        }
+        plan.conclude(state.into_parts(), None).unwrap()
+    }
+
+    /// The one-engine contract end to end: the *same* entries — three plans
+    /// (shapes, tile sizes, inner blockings, trees), one of them twice; one
+    /// copy a fused solve with `k = 3`, dense copies (worker-side lazy
+    /// tiling) next to pre-tiled ones — as one job under `threads ∈ {1, 4}`
+    /// × every scheduler. Every outcome must be bitwise equal to the plain
+    /// in-order kernel walk of its own plan, and the solve to the decomposed
+    /// route.
     #[test]
-    fn homogeneous_stream_group_still_matches_the_sequential_reference() {
-        use tileqr_matrix::generate::random_matrix;
-        let ctx = QrContext::new(2).unwrap();
-        let seq = QrContext::new(1).unwrap();
-        let plan = Arc::new(QrPlan::<f64>::new(24, 16, QrConfig::new(8)).unwrap());
-        let mats: Vec<Matrix<f64>> = (0..3).map(|i| random_matrix(24, 16, 8_100 + i)).collect();
-        let entries: Vec<StreamEntry<f64>> = mats
+    fn one_job_spans_plans_inputs_and_a_solve_bitwise_on_every_engine() {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Input {
+            Tiled,
+            Dense,
+            Solve,
+        }
+        let plans: Vec<QrPlan<f64>> = vec![
+            QrPlan::new(40, 24, QrConfig::new(8)).unwrap(),
+            QrPlan::new(
+                18,
+                18,
+                QrConfig::new(6)
+                    .with_inner_block(3)
+                    .with_algorithm(Algorithm::FlatTree),
+            )
+            .unwrap(),
+            QrPlan::new(33, 10, QrConfig::new(5)).unwrap(),
+        ];
+        let table = [
+            (0usize, Input::Tiled),
+            (1, Input::Dense),
+            (2, Input::Solve),
+            (1, Input::Tiled),
+            (0, Input::Dense),
+        ];
+        let mats: Vec<Matrix<f64>> = table
             .iter()
             .enumerate()
-            .map(|(i, a)| StreamEntry {
-                plan: Arc::clone(&plan),
-                input: StreamInput::Tiled(TiledMatrix::from_dense_padded(a, plan.tile_size())),
-                probe: i,
+            .map(|(i, &(p, _))| random_matrix(plans[p].m(), plans[p].n(), 7_000 + i as u64))
+            .collect();
+        let b: Matrix<f64> = random_matrix(33, 3, 7_100);
+        let references: Vec<QrFactorization<f64>> = table
+            .iter()
+            .zip(&mats)
+            .map(|(&(p, _), a)| reference_factorization(&plans[p], a))
+            .collect();
+        for threads in [1usize, 4] {
+            for kind in SchedulerKind::ALL {
+                let ctx = QrContext::with_scheduler(threads, kind).unwrap();
+                let entries = table
+                    .iter()
+                    .zip(&mats)
+                    .enumerate()
+                    .map(|(probe, (&(p, input), a))| {
+                        let plan = &plans[p];
+                        let tiles = TiledMatrix::from_dense_padded(a, plan.nb);
+                        let input = match input {
+                            Input::Dense => StreamInput::Dense(Arc::new(a.clone())),
+                            Input::Tiled => StreamInput::Tiled {
+                                tiles,
+                                rhs: Vec::new(),
+                            },
+                            Input::Solve => StreamInput::Tiled {
+                                tiles,
+                                rhs: rhs_row_blocks(&b, plan.p, plan.nb),
+                            },
+                        };
+                        StreamEntry { plan, input, probe }
+                    })
+                    .collect();
+                let outcomes = ctx.run_collect(entries, None, None);
+                for (i, ((parts, err), reference)) in
+                    outcomes.into_iter().zip(&references).enumerate()
+                {
+                    let (p, input) = table[i];
+                    let at = format!("entry {i}, {threads} threads, {}", kind.name());
+                    assert_eq!(err, None, "{at}");
+                    if input == Input::Solve {
+                        let x = back_substitute(
+                            &upper_triangle(&parts.tiles, plans[p].n),
+                            &gather_row_blocks(&parts.rhs, plans[p].n),
+                        );
+                        let decomposed = back_substitute(&reference.r(), &reference.apply_qh(&b));
+                        assert_eq!(x, decomposed, "fused solve, {at}");
+                    }
+                    let f = plans[p].conclude(parts, None).unwrap();
+                    assert_eq!(f.factored_tiles(), reference.factored_tiles(), "{at}");
+                    // Replaying Qᴴ reads every T factor.
+                    let probe: Matrix<f64> = random_matrix(plans[p].m(), 2, 7_200);
+                    assert_eq!(f.apply_qh(&probe), reference.apply_qh(&probe), "{at}");
+                }
+            }
+        }
+    }
+
+    /// A same-plan group must reduce to the uniform id mapping and still
+    /// match the reference, copy by copy.
+    #[test]
+    fn same_plan_job_matches_the_reference_copy_by_copy() {
+        let ctx = QrContext::new(2).unwrap();
+        let plan = QrPlan::<f64>::new(24, 16, QrConfig::new(8)).unwrap();
+        let mats: Vec<Matrix<f64>> = (0..3).map(|i| random_matrix(24, 16, 8_100 + i)).collect();
+        let inputs = mats
+            .iter()
+            .map(|a| StreamInput::Tiled {
+                tiles: TiledMatrix::from_dense_padded(a, plan.nb),
+                rhs: Vec::new(),
             })
             .collect();
-        let sink = Arc::new(CollectSink {
-            results: Mutex::new((0..mats.len()).map(|_| None).collect()),
-        });
-        ctx.factorize_stream(entries, &(Arc::clone(&sink) as Arc<dyn ItemSink<f64>>));
-        let results = sink.results.lock();
-        for (i, a) in mats.iter().enumerate() {
-            let got = results[i]
-                .as_ref()
-                .expect("every item resolves")
-                .as_ref()
-                .expect("homogeneous item succeeds");
+        let outcomes = ctx.run_collect(copies_of(&plan, inputs), None, None);
+        for ((parts, err), a) in outcomes.into_iter().zip(&mats) {
+            assert_eq!(err, None);
             assert_eq!(
-                got.factored_tiles(),
-                seq.factorize(&plan, a).unwrap().factored_tiles()
+                &parts.tiles,
+                reference_factorization(&plan, a).factored_tiles()
             );
         }
     }

@@ -27,9 +27,9 @@ use tileqr_core::{EliminationList, TaskKind};
 use tileqr_kernels::{tsmqr_ws, ttmqr_ws, unmqr_ws, Trans, Workspace};
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
-use crate::executor::{execute_parallel_with_scheduler, execute_sequential_with, SchedulerKind};
-use crate::state::{gather_row_blocks, rhs_row_blocks, FactoredParts, FactorizationState};
-use crate::trace::WorkerTrace;
+use crate::executor::SchedulerKind;
+use crate::state::{gather_row_blocks, rhs_row_blocks};
+use crate::trace::ExecutionTrace;
 
 /// Default inner blocking factor `ib` of [`QrConfig::new`], applied as
 /// `min(tile_size, 16)`. Tuned end-to-end by the `factorization_ib` group of
@@ -141,8 +141,9 @@ impl QrConfig {
 /// back-reference — explicit
 /// [`QrPlan::recycle`](crate::context::QrPlan::recycle) remains available
 /// but is no longer required for the steady-state loop to stay
-/// allocation-free. One-shot factorizations from the free functions carry a
-/// dead reference and drop their buffers normally.
+/// allocation-free. One-shot factorizations from the free functions outlive
+/// their transient plan, so their reference is dead and they drop their
+/// buffers normally.
 pub struct QrFactorization<T: Scalar> {
     /// Original row count of the dense matrix (before padding).
     pub m: usize,
@@ -157,7 +158,7 @@ pub struct QrFactorization<T: Scalar> {
     /// read-only after construction and can be large).
     dag: Arc<TaskDag>,
     /// Weak back-reference to the producing plan's `T`-buffer pool; dead
-    /// (`Weak::new()`) for one-shot factorizations.
+    /// once that plan is gone (always, for one-shot factorizations).
     recycler: Weak<crate::context::TPool<T>>,
 }
 
@@ -199,7 +200,7 @@ pub fn elimination_list_for(algorithm: Algorithm, p: usize, q: usize) -> Elimina
 /// leading `n × n` block of `R` nor the action of `Q` on vectors padded the
 /// same way.
 pub fn qr_factorize<T: Scalar<Real = f64>>(a: &Matrix<T>, config: QrConfig) -> QrFactorization<T> {
-    factorize_impl(a, config)
+    factorize_impl(a, config, None)
 }
 
 /// Convenience wrapper running the factorization on `threads` worker threads
@@ -209,27 +210,23 @@ pub fn qr_factorize_parallel<T: Scalar<Real = f64>>(
     tile_size: usize,
     threads: usize,
 ) -> QrFactorization<T> {
-    factorize_impl(a, QrConfig::new(tile_size).with_threads(threads))
+    factorize_impl(a, QrConfig::new(tile_size).with_threads(threads), None)
 }
 
 /// Factorizes `a` while recording a per-task execution trace (start/finish
 /// timestamps); see [`crate::trace`]. Returns the factorization together
 /// with the collected trace.
 ///
-/// Each worker records into its own lock-free [`WorkerTrace`] buffer; the
-/// buffers are merged into the returned trace when the pool shuts down, so
-/// tracing adds no lock traffic to the executor hot loop.
+/// Each worker records into its own lock-free
+/// [`WorkerTrace`](crate::trace::WorkerTrace) buffer; the buffers are merged
+/// into the returned trace when the job ends, so tracing adds no lock traffic
+/// to the hot loop.
 pub fn qr_factorize_traced<T: Scalar<Real = f64>>(
     a: &Matrix<T>,
     config: QrConfig,
-) -> (QrFactorization<T>, crate::trace::ExecutionTrace) {
-    let trace = crate::trace::ExecutionTrace::new();
-    let f = factorize_with(
-        a,
-        config,
-        |dag_len| trace.worker_with_capacity(dag_len),
-        |state, task, ws, wt| wt.record(task, || state.run_ws(task, ws)),
-    );
+) -> (QrFactorization<T>, ExecutionTrace) {
+    let trace = ExecutionTrace::new();
+    let f = factorize_impl(a, config, Some(&trace));
     (f, trace)
 }
 
@@ -251,84 +248,22 @@ pub(crate) fn transient_session<T: Scalar<Real = f64>>(
     (plan, ctx)
 }
 
-/// Untraced one-shot path through a [`transient_session`].
-fn factorize_impl<T: Scalar<Real = f64>>(a: &Matrix<T>, config: QrConfig) -> QrFactorization<T> {
+/// One-shot path through a [`transient_session`], traced into `trace` if
+/// given.
+fn factorize_impl<T: Scalar<Real = f64>>(
+    a: &Matrix<T>,
+    config: QrConfig,
+    trace: Option<&ExecutionTrace>,
+) -> QrFactorization<T> {
     let (plan, ctx) = transient_session(a.shape(), config);
     // The legacy contract is to panic on any failure. The context API
     // contains kernel panics as `QrError::TaskPanicked`; re-raising the
     // rendered error (which carries the original panic message) keeps this
     // wrapper panicking while results stay bitwise unchanged.
-    ctx.factorize(&plan, a).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Traced driver body: tiles the matrix, builds the DAG and executes it on
-/// the scoped executor (per-worker trace buffers borrow the trace, so this
-/// path cannot ride the `'static` jobs of the persistent pool — tracing is a
-/// diagnostic mode, not the hot path).
-///
-/// `make_trace` builds one per-worker trace recorder (given the DAG length
-/// as a capacity hint) and `run` maps a task to its kernel.
-fn factorize_with<'t, T, MT, F>(
-    a: &Matrix<T>,
-    config: QrConfig,
-    make_trace: MT,
-    run: F,
-) -> QrFactorization<T>
-where
-    T: Scalar<Real = f64>,
-    MT: Fn(usize) -> WorkerTrace<'t> + Sync,
-    F: Fn(&FactorizationState<T>, tileqr_core::TaskKind, &mut Workspace<T>, &mut WorkerTrace<'t>)
-        + Sync,
-{
-    let (m, n) = a.shape();
-    assert!(m >= n, "tiled QR requires a tall or square matrix (m ≥ n)");
-    assert!(config.tile_size >= 1, "tile size must be at least 1");
-    let tiled = TiledMatrix::from_dense_padded(a, config.tile_size);
-    let (p, q) = (tiled.tile_rows(), tiled.tile_cols());
-    let list = elimination_list_for(config.algorithm, p, q);
-    let dag = TaskDag::build(&list, config.family);
-
-    // Per-worker scratch: the sequential path reuses a single workspace, the
-    // parallel path builds one per worker thread. Either way, no task on the
-    // hot path allocates. The inner blocking factor must match between the
-    // T-factor storage (state) and the kernels (workspaces).
-    let ib = config.effective_inner_block();
-    let state = FactorizationState::with_inner_block(tiled, ib);
-    if config.threads <= 1 {
-        let mut ws = Workspace::with_inner_block(config.tile_size, ib);
-        let mut wt = make_trace(dag.len());
-        execute_sequential_with(&dag, &mut ws, |task, ws| run(&state, task, ws, &mut wt));
-    } else {
-        execute_parallel_with_scheduler(
-            &dag,
-            config.threads,
-            config.scheduler,
-            || {
-                (
-                    Workspace::with_inner_block(config.tile_size, ib),
-                    make_trace(dag.len()),
-                )
-            },
-            |task, (ws, wt)| run(&state, task, ws, wt),
-        );
-    }
-    let FactoredParts {
-        tiles,
-        t_geqrt,
-        t_elim,
-        ..
-    } = state.into_parts();
-    QrFactorization {
-        m,
-        n,
-        tile_size: config.tile_size,
-        inner_block: ib,
-        tiles,
-        t_geqrt,
-        t_elim,
-        dag: Arc::new(dag),
-        recycler: Weak::new(),
-    }
+    ctx.batch_inner(&plan, std::slice::from_ref(a), None, trace)
+        .pop()
+        .expect("one matrix in, one result out")
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The upper-triangular factor `R` (`n × n`) of a factored tile grid. Reads
@@ -703,16 +638,24 @@ mod tests {
     #[test]
     fn traced_factorization_records_every_task() {
         let a: Matrix<f64> = random_matrix(24, 12, 81);
-        let config = QrConfig::new(4).with_threads(2);
-        let (f, trace) = qr_factorize_traced(&a, config);
-        assert!(f.residual(&a) < TOL);
-        // one span per DAG task
-        let list = super::elimination_list_for(config.algorithm, 6, 3);
-        let dag = TaskDag::build(&list, config.family);
-        assert_eq!(trace.len(), dag.len());
-        let summary = trace.summary();
-        assert_eq!(summary.tasks, dag.len());
-        assert!(summary.makespan >= summary.per_kernel.iter().map(|(_, _, d)| *d).max().unwrap());
-        assert!(summary.average_parallelism() > 0.0);
+        let untraced = qr_factorize(&a, QrConfig::new(4));
+        let list = super::elimination_list_for(Algorithm::Greedy, 6, 3);
+        let dag = TaskDag::build(&list, KernelFamily::TT);
+        // The calling thread, a small pool and an oversubscribed one: the
+        // trace rides the same job as every other call.
+        for threads in [1usize, 2, 4] {
+            let config = QrConfig::new(4).with_threads(threads);
+            let (f, trace) = qr_factorize_traced(&a, config);
+            assert_eq!(f.r(), untraced.r(), "tracing changed R ({threads} threads)");
+            assert!(f.residual(&a) < TOL);
+            // one span per DAG task
+            assert_eq!(trace.len(), dag.len(), "{threads} threads");
+            let summary = trace.summary();
+            assert_eq!(summary.tasks, dag.len());
+            assert!(
+                summary.makespan >= summary.per_kernel.iter().map(|(_, _, d)| *d).max().unwrap()
+            );
+            assert!(summary.average_parallelism() > 0.0);
+        }
     }
 }

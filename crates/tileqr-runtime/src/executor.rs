@@ -628,33 +628,12 @@ impl ItemMap {
     }
 }
 
-/// Successor adjacency of a fused group: one shared per-shape CSR when every
-/// copy runs the same DAG (same-plan groups, single runs), or one CSR
-/// reference per copy for heterogeneous groups.
-#[derive(Clone, Copy)]
-pub(crate) enum GroupSucc<'a> {
-    /// All copies share one CSR.
-    Shared(&'a SuccessorsCsr),
-    /// `per_copy[c]` is copy `c`'s CSR.
-    PerCopy(&'a [&'a SuccessorsCsr]),
-}
-
-impl GroupSucc<'_> {
-    #[inline]
-    fn of_copy(&self, copy: usize) -> &SuccessorsCsr {
-        match self {
-            GroupSucc::Shared(csr) => csr,
-            GroupSucc::PerCopy(per_copy) => per_copy[copy],
-        }
-    }
-}
-
 /// Receives contained task panics from [`drive_worker`] and answers which
 /// batch copies have already failed (so their remaining tasks are skipped —
 /// counted as released, never executed).
 ///
-/// Implemented by the context's per-batch item tracker; the executor itself
-/// stays ignorant of [`QrError`](crate::context::QrError).
+/// Implemented by the fused job (`job.rs`); the executor itself stays
+/// ignorant of [`QrError`](crate::context::QrError).
 pub(crate) trait FaultSink: Sync {
     /// True if `copy` has already recorded a fault; its tasks are skipped.
     fn copy_failed(&self, copy: usize) -> bool;
@@ -667,12 +646,10 @@ pub(crate) trait FaultSink: Sync {
     /// whose retired count reaches the DAG length without a recorded fault
     /// completed successfully.
     ///
-    /// This is also the generalized per-item completion hook: the retire of
-    /// a copy's *last* task is detectable inside this call (the tracker's
-    /// retire count equals the DAG length), and it fires on the worker
-    /// thread that performed it. The batch path only tallies here; the
-    /// streaming path (`StreamJob` in `context.rs`, behind the service
-    /// layer) dismantles the finished copy and resolves its ticket from
+    /// This is also the per-item completion hook: the retire of a copy's
+    /// *last* task is detectable inside this call (the retire count equals
+    /// the DAG length), and it fires on the worker thread that performed it.
+    /// The fused job drains the finished copy and hands it to its sink from
     /// this hook, while sibling copies are still running.
     fn task_retired(&self, copy: usize);
 }
@@ -689,14 +666,17 @@ pub(crate) struct DriveCtl<'a> {
     /// batches (the historical `g → (g / n, g % n)` arithmetic);
     /// prefix-sum offsets for heterogeneous fused groups.
     pub(crate) map: &'a ItemMap,
-    /// Per-copy successor adjacency, indexed by the local id from `map`.
-    pub(crate) succ: GroupSucc<'a>,
+    /// `succ[copy]` is that copy's successor adjacency (copies of one shape
+    /// repeat one reference), indexed by the local id from `map`.
+    pub(crate) succ: &'a [&'a SuccessorsCsr],
     /// Per-task dependency counters of the whole fused run.
     pub(crate) remaining: &'a [AtomicUsize],
     /// Tasks completed so far across all workers.
     pub(crate) completed: &'a AtomicUsize,
-    /// Legacy abort flag: raised when a worker panics in abort mode
-    /// (`faults: None`); sibling workers exit instead of spinning.
+    /// Raised when a panic unwinds out of a worker's loop — a task in abort
+    /// mode (`faults: None`), or the fault sink itself; sibling workers exit
+    /// instead of spinning on a completion count that can no longer be
+    /// reached.
     pub(crate) aborted: &'a AtomicBool,
     /// Largest successor batch one completion can enable.
     pub(crate) max_out_degree: usize,
@@ -716,11 +696,10 @@ pub(crate) struct DriveCtl<'a> {
 /// tasks completed (or a sibling aborted, or the cancel token fired).
 ///
 /// The loop is phrased over **raw task ids** so the same code serves every
-/// caller: the scoped executor ([`execute_parallel_with_scheduler`]), the
-/// single-factorization pool jobs of [`QrContext`](crate::context::QrContext),
-/// the *fused batch* jobs of
-/// [`QrContext::factorize_batch`](crate::context::QrContext::factorize_batch),
-/// and the service layer's heterogeneous fused groups. `ctl.map` resolves a
+/// caller: the scoped executor ([`execute_parallel_with_scheduler`]) and the
+/// fused jobs of [`QrContext`](crate::context::QrContext) — one matrix, a
+/// same-plan batch, or a heterogeneous service group, on the pool or (with
+/// `threads == 1`) on the calling thread. `ctl.map` resolves a
 /// global id to `(copy, local)` — uniform stride division for same-plan
 /// groups (bit-for-bit the historical `g → (g / n, g % n)` mapping),
 /// prefix-sum offsets for mixed-plan groups — and `ctl.succ` hands back the
@@ -736,7 +715,7 @@ pub(crate) struct DriveCtl<'a> {
 /// successor counters are released and `completed` advances) so the fused
 /// run drains normally; they are never executed.
 ///
-/// `heartbeat` is this worker's progress counter (pool workers pass theirs;
+/// `heartbeat` is this worker's progress counter (jobs pass their worker's;
 /// the scoped executor passes `None`): it is bumped once per **retired
 /// task**, never while idling, so a run whose workers all spin without
 /// retiring anything — the shape of a lost-task deadlock — is visible to the
@@ -749,16 +728,17 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
     run: &mut dyn FnMut(usize),
 ) {
     debug_assert_eq!(ctl.map.total(), ctl.num_tasks);
-    // Arms while a task runs in abort mode; if the task panics the unwind
-    // runs this Drop, flagging every other worker to exit so the caller can
-    // join them and propagate the panic instead of deadlocking on
-    // `completed < n`.
+    // Armed for the whole loop: if anything unwinds out of it — a task in
+    // abort mode, or the fault sink — this Drop flags every other worker to
+    // exit, so the caller can join them and propagate the panic instead of
+    // deadlocking on `completed < n`.
     struct AbortOnPanic<'a>(&'a AtomicBool);
     impl Drop for AbortOnPanic<'_> {
         fn drop(&mut self) {
             self.0.store(true, Ordering::Release);
         }
     }
+    let abort_guard = AbortOnPanic(ctl.aborted);
 
     // Scratch for the largest possible batch of newly-enabled successors —
     // allocated once per worker per run, never on the per-task path.
@@ -781,11 +761,7 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
                 backoff.reset();
                 let (copy, local) = ctl.map.locate(idx);
                 match ctl.faults {
-                    None => {
-                        let guard = AbortOnPanic(ctl.aborted);
-                        run(idx);
-                        std::mem::forget(guard);
-                    }
+                    None => run(idx),
                     Some(sink) => {
                         // A failed copy's tasks are skipped, not executed;
                         // they still retire below so the run drains.
@@ -810,7 +786,7 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
                 // back into the copy's global range.
                 let base = idx - local;
                 enabled.clear();
-                for &s in ctl.succ.of_copy(copy).of(local) {
+                for &s in ctl.succ[copy].of(local) {
                     let g = base + s;
                     if ctl.remaining[g].fetch_sub(1, Ordering::AcqRel) == 1 {
                         enabled.push(g);
@@ -828,6 +804,7 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
             }
         }
     }
+    std::mem::forget(abort_guard);
 }
 
 /// The worker pool, generic (monomorphized) over the scheduler so the hot
@@ -857,7 +834,7 @@ fn run_pool<S, W, M, F>(
     let ctl = DriveCtl {
         num_tasks: n,
         map: &map,
-        succ: GroupSucc::Shared(succ),
+        succ: &[succ],
         remaining: &remaining,
         completed: &completed,
         aborted: &aborted,
@@ -1200,7 +1177,7 @@ mod tests {
         let ctl = DriveCtl {
             num_tasks: map.total(),
             map: &map,
-            succ: GroupSucc::PerCopy(&per_copy),
+            succ: &per_copy,
             remaining: &remaining,
             completed: &completed,
             aborted: &aborted,

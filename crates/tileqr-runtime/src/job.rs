@@ -1,0 +1,584 @@
+//! The one execution engine: every factorization this crate runs — single,
+//! in-place, batch, fused solve, service group, traced one-shot — is one
+//! [`FusedJob`] built and driven by [`QrContext::run`].
+//!
+//! A job fuses `k ≥ 1` independent *copies* under one scheduler. Each copy
+//! brings its own schedule (a plan's factor or solve [`PlanCore`]), inner
+//! blocking, fault-probe id and input, so one job may span shapes, tile
+//! sizes and elimination trees. Global task ids are contiguous per copy
+//! ([`ItemMap`]): same-shape groups resolve `g → (g / n, g % n)`, mixed
+//! groups binary-search the prefix sums. There are no cross-copy edges, so
+//! every copy's result is bitwise identical to running it alone.
+//!
+//! What differs between the callers is only where a copy's outcome goes:
+//! the [`ItemSink`] receives `(FactoredParts, Option<QrError>)` **exactly
+//! once per copy** — from the worker that retires the copy's last task,
+//! while sibling copies are still running, or from the submitting thread
+//! for copies the run never finished (pre-run rejection, cancellation,
+//! deadline, stall). The blocking calls of [`QrContext`] collect the
+//! outcomes and return them; the service resolves tickets.
+//!
+//! With a pool the job is published to every worker; without one
+//! (`threads == 1`) the *same* job runs on the calling thread under the
+//! [`InOrder`] scheduler, which hands out ids in ascending order — copy by
+//! copy, topological within a copy: the bitwise reference order. Either way
+//! [`drive_worker`] is the only place a kernel task is contained, retired
+//! and checked against cancellation.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+use tileqr_core::dag::{SuccessorsCsr, TaskKind};
+use tileqr_kernels::Workspace;
+use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
+
+use crate::context::{PlanCore, QrContext, QrPlan};
+use crate::error::QrError;
+use crate::executor::{
+    dependency_counters, drive_worker, DriveCtl, FaultSink, ItemMap, LockedFifo, Scheduler,
+    SchedulerKind, WorkStealing, WorkStealingPriority,
+};
+use crate::pool::{payload_message, Job, RunCtl, WorkerPool};
+use crate::state::{FactoredParts, FactorizationState};
+use crate::sync::shim::{AtomicBool, AtomicUsize};
+use crate::sync::{Backoff, CancelCause, CancelToken, ClaimFlag, Mutex};
+use crate::trace::{ExecutionTrace, WorkerTrace};
+
+/// Where a job delivers its outcomes: called exactly once per entry of
+/// [`QrContext::run`] with the parts of that copy's state and its fault, if
+/// any — in every outcome (success, contained panic, cancellation, deadline,
+/// stall, pre-run rejection).
+///
+/// Calls for copies that ran to their last task come **from a worker
+/// thread**, the moment that task retires; implementations must be cheap and
+/// must not block on the pool. On an error the tiles hold whatever the run
+/// left in them (bitwise untouched if no kernel ran) and the `T` buffers
+/// should go back to the copy's plan.
+pub(crate) trait ItemSink<T: Scalar>: Send + Sync {
+    /// Delivers entry `index`'s outcome.
+    fn item_done(&self, index: usize, parts: FactoredParts<T>, err: Option<QrError>);
+}
+
+/// One copy of a job: the plan it runs under, its input, and its
+/// fault-injection probe id.
+pub(crate) struct StreamEntry<'p, T: Scalar> {
+    pub(crate) plan: &'p QrPlan<T>,
+    pub(crate) input: StreamInput<T>,
+    /// Fault-probe id of this copy: the service remaps retry attempts to
+    /// fresh probe coordinates so a seeded fault schedule can tell attempt 0
+    /// from attempt 1 of one submission; the blocking calls use the copy's
+    /// position. Without the `fault-injection` feature it is carried unread.
+    pub(crate) probe: usize,
+}
+
+/// How a copy's matrix enters the job.
+pub(crate) enum StreamInput<T: Scalar> {
+    /// Owned tiles, factored in place. A non-empty `rhs` (the row blocks of
+    /// [`rhs_row_blocks`](crate::state::rhs_row_blocks)) makes the copy a
+    /// fused solve: it runs the plan's solve schedule and the blocks come
+    /// back holding `Qᴴ·b`.
+    Tiled {
+        tiles: TiledMatrix<T>,
+        rhs: Vec<Matrix<T>>,
+    },
+    /// Dense: only a zeroed tile grid is allocated up front and the first
+    /// worker that touches the copy performs the dense → tiled copy
+    /// ([`TileGate`]), so the submitting thread never pays the `O(m·n)`
+    /// tiling cost.
+    Dense(Arc<Matrix<T>>),
+}
+
+impl<T: Scalar> StreamInput<T> {
+    /// The parts of a copy rejected before any state was built: its tiles,
+    /// bitwise untouched, and no `T` storage.
+    fn untouched(self, nb: usize) -> FactoredParts<T> {
+        let (tiles, rhs) = match self {
+            StreamInput::Tiled { tiles, rhs } => (tiles, rhs),
+            StreamInput::Dense(_) => (TiledMatrix::from_tiles(Vec::new(), 0, 0, nb), Vec::new()),
+        };
+        FactoredParts {
+            tiles,
+            t_geqrt: Vec::new(),
+            t_elim: Vec::new(),
+            rhs,
+        }
+    }
+}
+
+/// Fault and completion bookkeeping of one copy. A recorded panic poisons
+/// exactly this copy: its remaining tasks are skipped (retired without
+/// executing) while sibling copies run to completion.
+///
+/// Its own cache line: every worker on the copy bumps `done` once per task,
+/// which must not invalidate the read-mostly fields of [`JobCopy`] beside it.
+#[repr(align(64))]
+pub(crate) struct ItemTracker {
+    /// Task count of the copy's DAG — its retire target.
+    tasks: usize,
+    /// Checked before executing each task of the copy.
+    failed: AtomicBool,
+    /// First error recorded for the copy.
+    error: Mutex<Option<QrError>>,
+    /// Tasks retired (executed or skipped); a full count with no recorded
+    /// error means the copy succeeded.
+    done: AtomicUsize,
+    /// Exactly-once guard: claimed by whichever path — the last retire or
+    /// the job-end sweep — delivers the copy to the sink.
+    resolved: ClaimFlag,
+}
+
+impl ItemTracker {
+    pub(crate) fn new(tasks: usize) -> Self {
+        ItemTracker {
+            tasks,
+            failed: AtomicBool::new(false),
+            error: Mutex::new(None),
+            done: AtomicUsize::new(0),
+            resolved: ClaimFlag::new(),
+        }
+    }
+
+    /// True once a fault was recorded. A stale `false` at worst runs one more
+    /// task of an already-failed copy against garbage tile data, which only
+    /// that copy's (discarded) output can observe; tasks released *after*
+    /// the panic was recorded see the flag through the dependency counter's
+    /// release/acquire chain.
+    pub(crate) fn failed(&self) -> bool {
+        self.failed.load(Ordering::Acquire)
+    }
+
+    /// Records a panic of a `kind` task; the first recorded fault wins.
+    pub(crate) fn record_panic(&self, kind: TaskKind, payload: &(dyn std::any::Any + Send)) {
+        let mut slot = self.error.lock();
+        if slot.is_none() {
+            *slot = Some(QrError::TaskPanicked {
+                kind,
+                message: payload_message(payload).to_string(),
+            });
+        }
+        self.failed.store(true, Ordering::Release);
+    }
+
+    /// Retires one task; true for the copy's **last** retire. Every task
+    /// releases its tile locks before it retires and the increments form a
+    /// release/acquire chain, so whoever sees `true` may drain the state.
+    pub(crate) fn retire(&self) -> bool {
+        self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.tasks
+    }
+
+    /// Claims the right to deliver the copy; true for exactly one caller.
+    pub(crate) fn claim(&self) -> bool {
+        self.resolved.claim()
+    }
+
+    /// The copy's result once nothing runs on it any more: a recorded fault
+    /// wins; an incomplete retire count means the job was cancelled out from
+    /// under the copy (`cause` says why); otherwise the copy succeeded.
+    pub(crate) fn verdict(&self, cause: Option<CancelCause>) -> Option<QrError> {
+        if let Some(err) = self.error.lock().take() {
+            return Some(err);
+        }
+        (self.done.load(Ordering::Acquire) < self.tasks)
+            .then(|| QrError::from_cancel(cause.unwrap_or(CancelCause::Cancelled)))
+    }
+}
+
+/// Lazy-tiling gate of one copy ([`StreamInput::Dense`]): the first worker
+/// to touch the copy claims the gate, copies the dense input into the copy's
+/// (zeroed) tiles, and publishes readiness; concurrent same-copy workers spin
+/// briefly until the tiles are in place. Pre-tiled copies are born ready.
+pub(crate) struct TileGate<T: Scalar> {
+    /// The dense input, taken by the claiming worker; `None` once tiled
+    /// (and for pre-tiled inputs).
+    dense: Mutex<Option<Arc<Matrix<T>>>>,
+    claim: ClaimFlag,
+    ready: AtomicBool,
+}
+
+impl<T: Scalar<Real = f64>> TileGate<T> {
+    /// A gate for a copy whose tiles already hold the input (`None`) or one
+    /// holding a dense input awaiting worker-side tiling.
+    pub(crate) fn new(dense: Option<Arc<Matrix<T>>>) -> Self {
+        TileGate {
+            ready: AtomicBool::new(dense.is_none()),
+            dense: Mutex::new(dense),
+            claim: ClaimFlag::new(),
+        }
+    }
+
+    /// Makes sure `state`'s tiles hold the input before a kernel touches
+    /// them: the claiming worker tiles the dense input in place, everyone
+    /// else spins until published. The spin escapes only when the copy
+    /// `failed` (the claimer panicked mid-tiling and can never publish) — a
+    /// failed copy's outcome is an error, so the kernel result that follows
+    /// is discarded either way.
+    #[inline]
+    pub(crate) fn ensure(&self, state: &FactorizationState<T>, failed: impl Fn() -> bool) {
+        if self.ready.load(Ordering::Acquire) {
+            return;
+        }
+        if self.claim.claim() {
+            let dense = self.dense.lock().take();
+            if let Some(dense) = dense {
+                state.fill_tiles_from_dense(&dense);
+            }
+            self.ready.store(true, Ordering::Release);
+        } else {
+            let mut backoff = Backoff::new();
+            while !self.ready.load(Ordering::Acquire) && !failed() {
+                backoff.snooze();
+            }
+        }
+    }
+}
+
+/// One copy of a [`FusedJob`].
+pub(crate) struct JobCopy<T: Scalar> {
+    state: FactorizationState<T>,
+    /// The schedule the copy runs: its plan's factor or solve core.
+    core: Arc<PlanCore>,
+    /// Panel width of the copy's plan; the per-worker workspaces are sized
+    /// for the job's largest tile and switched to it per task.
+    ib: usize,
+    #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
+    probe: usize,
+    gate: TileGate<T>,
+    tracker: ItemTracker,
+}
+
+impl<T: Scalar<Real = f64>> JobCopy<T> {
+    pub(crate) fn new(entry: StreamEntry<'_, T>) -> Self {
+        let plan = entry.plan;
+        let (tiles, rhs, dense) = match entry.input {
+            StreamInput::Tiled { tiles, rhs } => (tiles, rhs, None),
+            StreamInput::Dense(a) => (
+                TiledMatrix::zeros(plan.p, plan.q, plan.nb),
+                Vec::new(),
+                Some(a),
+            ),
+        };
+        let core = Arc::clone(if rhs.is_empty() {
+            &plan.core
+        } else {
+            plan.solve_core()
+        });
+        JobCopy {
+            state: plan.build_state(tiles, rhs),
+            tracker: ItemTracker::new(core.dag.len()),
+            core,
+            ib: plan.ib,
+            probe: entry.probe,
+            gate: TileGate::new(dense),
+        }
+    }
+}
+
+/// One worker's private share of a job: its kernel scratch and its span
+/// buffer (disabled unless the run is traced).
+pub(crate) type WorkerSlot<T> = (Workspace<T>, WorkerTrace);
+
+/// Everything of a job but its scheduler.
+pub(crate) struct JobState<T: Scalar> {
+    copies: Vec<JobCopy<T>>,
+    /// `g → (copy, local)` geometry of the fused group.
+    map: ItemMap,
+    /// Largest successor batch any copy's task can enable.
+    max_out_degree: usize,
+    /// Per-task dependency counters of the whole fused run.
+    remaining: Vec<AtomicUsize>,
+    completed: AtomicUsize,
+    aborted: AtomicBool,
+    slots: Vec<Mutex<WorkerSlot<T>>>,
+    /// This job's cancel token: user cancellation, the deadline and the
+    /// watchdog are funnelled into it ([`RunCtl`]), so internal causes never
+    /// poison the context's sticky handle; workers check it between tasks.
+    pub(crate) cancel: CancelToken,
+    sink: Arc<dyn ItemSink<T>>,
+}
+
+impl<T: Scalar<Real = f64>> JobState<T> {
+    /// The shared state of a job over `copies`, one slot per worker.
+    pub(crate) fn new(
+        copies: Vec<JobCopy<T>>,
+        slots: Vec<WorkerSlot<T>>,
+        cancel: CancelToken,
+        sink: Arc<dyn ItemSink<T>>,
+    ) -> Self {
+        let counts: Vec<usize> = copies.iter().map(|c| c.core.dag.len()).collect();
+        JobState {
+            map: ItemMap::from_counts(&counts),
+            max_out_degree: copies
+                .iter()
+                .map(|c| c.core.max_out_degree)
+                .max()
+                .unwrap_or(0),
+            remaining: copies
+                .iter()
+                .flat_map(|c| dependency_counters(&c.core.dag))
+                .collect(),
+            copies,
+            completed: AtomicUsize::new(0),
+            aborted: AtomicBool::new(false),
+            slots: slots.into_iter().map(Mutex::new).collect(),
+            cancel,
+            sink,
+        }
+    }
+
+    /// Roots of every copy, offset into that copy's id range.
+    pub(crate) fn roots(&self) -> Vec<usize> {
+        let mut roots = Vec::new();
+        for (copy, c) in self.copies.iter().enumerate() {
+            let base = self.map.base(copy);
+            roots.extend(c.core.roots.iter().map(|&r| base + r));
+        }
+        roots
+    }
+
+    /// The priority scheduler over the copies' cached per-shape tables:
+    /// shared cyclically when every copy runs one schedule, by offset
+    /// otherwise.
+    fn priority_scheduler(&self, threads: usize) -> WorkStealingPriority {
+        let first = &self.copies[0].core;
+        if self.copies.iter().all(|c| Arc::ptr_eq(&c.core, first)) {
+            WorkStealingPriority::new_shared_cyclic(first.priorities(), threads, self.copies.len())
+        } else {
+            let tables = self.copies.iter().map(|c| c.core.priorities()).collect();
+            WorkStealingPriority::new_shared_offsets(tables, threads)
+        }
+    }
+
+    /// Drains `copy` and hands its outcome to the sink, unless that already
+    /// happened. Called by the worker that performed the copy's last retire
+    /// and, for every copy, by the job-end sweep — in both cases no task of
+    /// the copy is running or can start any more.
+    fn finish_copy(&self, copy: usize, cause: Option<CancelCause>) {
+        let c = &self.copies[copy];
+        if c.tracker.claim() {
+            let err = c.tracker.verdict(cause);
+            self.sink.item_done(copy, c.state.take_parts(), err);
+        }
+    }
+
+    /// Job end, every worker gone: resolves the copies a cancellation, a
+    /// deadline or a stall left unfinished and gives the worker slots back.
+    pub(crate) fn finish(self) -> Vec<WorkerSlot<T>> {
+        let cause = self.cancel.cause();
+        for copy in 0..self.copies.len() {
+            self.finish_copy(copy, cause);
+        }
+        self.slots.into_iter().map(Mutex::into_inner).collect()
+    }
+}
+
+impl<T: Scalar<Real = f64>> FaultSink for JobState<T> {
+    fn copy_failed(&self, copy: usize) -> bool {
+        self.copies[copy].tracker.failed()
+    }
+
+    fn record_panic(&self, copy: usize, local: usize, payload: &(dyn std::any::Any + Send)) {
+        let c = &self.copies[copy];
+        c.tracker
+            .record_panic(c.core.dag.tasks[local].kind, payload);
+    }
+
+    fn task_retired(&self, copy: usize) {
+        if self.copies[copy].tracker.retire() {
+            self.finish_copy(copy, None);
+        }
+    }
+}
+
+/// The pool job (and, on the calling thread, the `threads == 1` engine):
+/// [`JobState`] plus the scheduler instance multiplexing its ready tasks.
+pub(crate) struct FusedJob<T: Scalar, S> {
+    pub(crate) state: JobState<T>,
+    pub(crate) sched: S,
+}
+
+impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for FusedJob<T, S> {
+    fn run(&self, w: usize, heartbeat: &AtomicUsize) {
+        let job = &self.state;
+        let mut slot = job.slots[w].lock();
+        let (ws, spans) = &mut *slot;
+        // One CSR reference per copy, collected once per worker run —
+        // O(copies) — instead of materializing any fused adjacency.
+        let succ: Vec<&SuccessorsCsr> = job.copies.iter().map(|c| &c.core.succ).collect();
+        let ctl = DriveCtl {
+            num_tasks: job.remaining.len(),
+            map: &job.map,
+            succ: &succ,
+            remaining: &job.remaining,
+            completed: &job.completed,
+            aborted: &job.aborted,
+            max_out_degree: job.max_out_degree,
+            cancel: Some(&job.cancel),
+            faults: Some(job),
+        };
+        drive_worker(&ctl, &self.sched, w, Some(heartbeat), &mut |g| {
+            let (copy, local) = job.map.locate(g);
+            let c = &job.copies[copy];
+            #[cfg(feature = "fault-injection")]
+            crate::fault::check(c.probe, local);
+            ws.set_inner_block(c.ib);
+            c.gate.ensure(&c.state, || c.tracker.failed());
+            let kind = c.core.dag.tasks[local].kind;
+            spans.record(kind, || c.state.run_ws(kind, ws));
+        });
+    }
+}
+
+/// The `threads == 1` scheduler: ids in ascending order, which is copy by
+/// copy and topological within a copy — every dependency of a popped task
+/// has already retired, so nothing is ever queued.
+///
+/// With no submitter thread to run the pool's wait loop, the calling thread
+/// polls user cancellation and the deadline itself, between tasks.
+struct InOrder {
+    next: AtomicUsize,
+    total: usize,
+    ctl: RunCtl,
+}
+
+impl Scheduler for InOrder {
+    fn seed(&self, _roots: &mut [usize]) {}
+
+    fn push_ready(&self, _w: usize, _ready: &mut [usize]) -> Option<usize> {
+        None
+    }
+
+    fn pop(&self, _w: usize) -> Option<usize> {
+        let g = self.next.load(Ordering::Relaxed);
+        if g >= self.total || self.ctl.poll_cancel() {
+            return None;
+        }
+        self.next.store(g + 1, Ordering::Relaxed);
+        Some(g)
+    }
+}
+
+impl QrContext {
+    /// Runs `entries` as **one fused job** and delivers each copy's outcome
+    /// through `sink` — exactly once per entry, in every outcome. The single
+    /// engine behind every `factorize*` call, [`QrContext::solve`], the
+    /// service's fused groups and the traced one-shot driver.
+    ///
+    /// `deadline` bounds the whole job; `trace`, when given, receives one
+    /// span per executed task (per-worker buffers, merged when the job
+    /// ends). The per-worker workspaces are checked out from the plan with
+    /// the **largest** tile order — every buffer is sized from `nb` alone, so
+    /// they serve every smaller tile of a mixed group.
+    pub(crate) fn run<T: Scalar<Real = f64>>(
+        &self,
+        entries: Vec<StreamEntry<'_, T>>,
+        deadline: Option<Instant>,
+        trace: Option<&ExecutionTrace>,
+        sink: Arc<dyn ItemSink<T>>,
+    ) {
+        // Fail fast before any state is built or kernel runs: a sticky
+        // cancellation or an already-expired deadline rejects every entry
+        // with its tile buffers bitwise untouched.
+        let pre = if self.cancel.is_cancelled() {
+            Some(QrError::Cancelled)
+        } else if deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(QrError::DeadlineExceeded)
+        } else {
+            None
+        };
+        if let Some(e) = pre {
+            for (index, entry) in entries.into_iter().enumerate() {
+                let parts = entry.input.untouched(entry.plan.nb);
+                sink.item_done(index, parts, Some(e.clone()));
+            }
+            return;
+        }
+        let Some(ws_owner) = entries.iter().map(|e| e.plan).max_by_key(|p| p.nb) else {
+            return;
+        };
+        // A plan's `T` pool retains what its widest run of copies in one job
+        // checked out.
+        for run in entries.chunk_by(|a, b| std::ptr::eq(a.plan, b.plan)) {
+            run[0].plan.reserve_t_buffers(run.len());
+        }
+        let copies: Vec<JobCopy<T>> = entries.into_iter().map(JobCopy::new).collect();
+        let total = copies.iter().map(|c| c.core.dag.len()).sum();
+        let ctl = RunCtl {
+            job_cancel: CancelToken::new(),
+            user_cancel: self.cancel.clone(),
+            deadline,
+            stall_bound: self.watchdog,
+        };
+        let slots = ws_owner
+            .checkout_workspaces(self.threads)
+            .into_iter()
+            .map(|ws| {
+                let spans =
+                    trace.map_or_else(WorkerTrace::disabled, |t| t.worker_with_capacity(total));
+                (ws, spans)
+            })
+            .collect();
+        let state = JobState::new(copies, slots, ctl.job_cancel.clone(), sink);
+        let slots = match &self.pool {
+            None => {
+                let sched = InOrder {
+                    next: AtomicUsize::new(0),
+                    total,
+                    ctl,
+                };
+                launch(state, sched, None)
+            }
+            Some(pool) => {
+                let threads = pool.threads();
+                let on = Some((pool, ctl));
+                match self.scheduler {
+                    SchedulerKind::LockedFifo => launch(state, LockedFifo::new(total), on),
+                    SchedulerKind::WorkStealing => {
+                        launch(state, WorkStealing::new(total, threads), on)
+                    }
+                    SchedulerKind::WorkStealingPriority => {
+                        let sched = state.priority_scheduler(threads);
+                        launch(state, sched, on)
+                    }
+                }
+            }
+        };
+        // Dropping the span buffers merges them into the trace; the last
+        // task a workspace served may have switched its panel width.
+        ws_owner.restore_workspaces(slots.into_iter().map(|(mut ws, _spans)| {
+            ws.set_inner_block(ws_owner.ib);
+            ws
+        }));
+    }
+}
+
+/// Seeds `sched`, runs the job — on `pool` under the submitter-side
+/// controls, or on the calling thread — then resolves what the run left
+/// unfinished and returns the worker slots.
+fn launch<T, S>(
+    state: JobState<T>,
+    sched: S,
+    pool: Option<(&WorkerPool, RunCtl)>,
+) -> Vec<WorkerSlot<T>>
+where
+    T: Scalar<Real = f64>,
+    S: Scheduler + Send + Sync + 'static,
+{
+    sched.seed(&mut state.roots());
+    let job = FusedJob { state, sched };
+    match pool {
+        None => {
+            job.run(0, &AtomicUsize::new(0));
+            job.state.finish()
+        }
+        Some((pool, ctl)) => {
+            let job = Arc::new(job);
+            pool.run_controlled(Arc::clone(&job) as Arc<dyn Job>, Some(ctl));
+            // `run_controlled` returns only after every worker dropped its
+            // reference to the job (and the pool's own slot was cleared).
+            let job = Arc::into_inner(job)
+                .unwrap_or_else(|| panic!("job still shared after the pool ran it"));
+            job.state.finish()
+        }
+    }
+}

@@ -6,8 +6,10 @@
 //! the real floating-point kernels of `tileqr-kernels`, either sequentially
 //! or on a pool of worker threads with dependency-driven scheduling.
 //!
-//! * [`executor`] — a generic dependency-counting DAG executor (sequential
-//!   and multi-threaded variants) with a pluggable ready-task
+//! * [`executor`] — the dependency-counting worker loop every job runs, the
+//!   generic scoped DAG executors built on it (sequential and
+//!   multi-threaded; no factorization path of this crate calls them — they
+//!   serve external callers), and the pluggable ready-task
 //!   [`Scheduler`](executor::Scheduler): a legacy locked FIFO, per-worker
 //!   Chase–Lev work-stealing deques, and priority work stealing driven by
 //!   weighted critical-path-to-exit lengths
@@ -24,13 +26,18 @@
 //! * [`context`] — the **session API** and the recommended entry point for
 //!   services: a long-lived [`QrContext`] owning a persistent, parkable
 //!   worker pool, reusable shape-keyed [`QrPlan`]s (elimination list, DAG,
-//!   priorities and workspaces precomputed once), typed [`QrError`]s instead
-//!   of panics, and an in-place [`QrContext::factorize_into`] path over
-//!   caller-owned tile storage. **Batching**: `k` independent matrices of
-//!   one shape submit as a *single fused pool job* through
-//!   [`QrContext::factorize_batch`] / [`QrContext::factorize_batch_into`]
-//!   (one worker wake-up for the whole batch, work stealing balancing
-//!   across matrices, per-item errors isolated), and each consumed result's
+//!   priorities and workspaces precomputed once), typed [`QrError`]s
+//!   ([`error`]) instead of panics, and an in-place
+//!   [`QrContext::factorize_into`] path over caller-owned tile storage.
+//!   **One engine**: every call — single, in-place,
+//!   [`QrContext::factorize_batch`] / [`QrContext::factorize_batch_into`],
+//!   the fused solve, a service group, the traced one-shot driver — is *one
+//!   fused pool job* whose copies each bring their own schedule (one worker
+//!   wake-up for the whole job, work stealing balancing across matrices,
+//!   per-item errors isolated); the callers differ only in the *sink* the
+//!   job hands each copy's outcome to — a collecting sink for the blocking
+//!   calls, a ticket-resolving one for the service — and `threads == 1`
+//!   drives the same job on the calling thread. Each consumed result's
 //!   `T`-factor storage recycles through [`QrPlan::recycle`] /
 //!   [`QrPlan::recycle_reflectors`], cutting the steady-state batch loop
 //!   down to a constant *count* of per-call bookkeeping allocations — none
@@ -107,8 +114,9 @@
 //! [`QrError::Cancelled`], [`QrError::DeadlineExceeded`] and
 //! [`QrError::Stalled`].
 //!
-//! **Panic containment.** Inside the session API every kernel task runs
-//! under `catch_unwind`: a panic marks only that task's batch copy failed
+//! **Panic containment.** Every kernel task of a job runs under
+//! `catch_unwind` — at one site, the executor's worker loop: a panic marks
+//! only that task's batch copy failed
 //! (its remaining tasks are skipped — counted as released, never executed)
 //! while sibling items run to completion, the pool survives, and the failed
 //! item returns [`QrError::TaskPanicked`] carrying the panicking task's kind
@@ -172,6 +180,8 @@
 //!    while tracking happens-before. The `model_check` module (compiled
 //!    only under that cfg) then exhaustively checks small instances of the
 //!    deque, queue, once-slot, backoff and dependency-counter protocols,
+//!    the job's lazy-tiling gate and its deliver-each-copy-exactly-once
+//!    finish (the real job on two virtual workers, raced against an abort),
 //!    and replays any failing schedule deterministically:
 //!
 //!    ```text
@@ -218,9 +228,11 @@
 
 pub mod context;
 pub mod driver;
+pub mod error;
 pub mod executor;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
+mod job;
 #[cfg(all(test, tileqr_verify))]
 mod model_check;
 mod pool;

@@ -23,10 +23,20 @@
 
 use std::sync::Arc;
 
+use tileqr_core::TaskKind;
+use tileqr_kernels::Workspace;
+use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_verify::cell::RaceCell;
 use tileqr_verify::model::{Model, Report};
 use tileqr_verify::thread;
 
+use crate::context::{ItemSink, QrError, QrPlan, StreamEntry, StreamInput};
+use crate::driver::QrConfig;
+use crate::executor::{Scheduler, WorkStealing};
+use crate::job::{FusedJob, ItemTracker, JobCopy, JobState, TileGate};
+use crate::pool::Job;
+use crate::state::{FactoredParts, FactorizationState};
+use crate::sync::shim::AtomicUsize;
 use crate::sync::{
     CancelCause, CancelToken, ClaimFlag, LazyCondvar, Mutex, OnceSlot, Steal, WorkerDeque,
 };
@@ -458,6 +468,220 @@ fn claim_flag_exactly_once() {
         }
         assert_eq!(wins, 1, "a ClaimFlag must have exactly one winner");
     });
+    summarize(&report);
+}
+
+// ------------------------------------------------------------- tile gate --
+
+/// Tile order of the job models' problem: the smallest whose `GEQRT` is not
+/// the identity.
+const NB: usize = 2;
+
+/// The factored tiles of the `4 × 2` problem (a `2 × 1` grid: two `GEQRT`s
+/// and the `TTQRT` joining them) the job models below run, from a plain
+/// in-order walk of its three tasks.
+fn tiny_reference(plan: &QrPlan<f64>, a: &Matrix<f64>) -> TiledMatrix<f64> {
+    let state = FactorizationState::with_inner_block(TiledMatrix::from_dense_padded(a, NB), NB);
+    let mut ws = Workspace::with_inner_block(NB, NB);
+    for task in &plan.core.dag.tasks {
+        state.run_ws(task.kind, &mut ws);
+    }
+    state.into_parts().tiles
+}
+
+fn tiny_problem() -> (QrPlan<f64>, Matrix<f64>) {
+    let plan = QrPlan::new(4, 2, QrConfig::new(NB)).expect("4 × 2 is tall");
+    let a = Matrix::from_col_major(4, 2, vec![3.0, 4.0, 1.0, 2.0, 5.0, -1.0, 2.0, 6.0]);
+    (plan, a)
+}
+
+/// [`TileGate`], claim → fill → publish: two workers reach a dense copy at
+/// once, each about to run the `GEQRT` of its own tile row. Whoever loses the
+/// claim must not get past the gate before the winner's fill is published —
+/// a kernel that ran on a still-zero tile (to be overwritten by the late
+/// fill) leaves tiles that differ from the reference walk.
+#[test]
+fn tile_gate_publishes_the_filled_tiles_to_the_spinner() {
+    let (plan, a) = tiny_problem();
+    let reference = tiny_reference(&plan, &a);
+    let dense = Arc::new(a);
+    let report = model("tile-gate-publish").check(|| {
+        let gate = Arc::new(TileGate::new(Some(Arc::clone(&dense))));
+        let state = Arc::new(FactorizationState::with_inner_block(
+            TiledMatrix::zeros(2, 1, NB),
+            NB,
+        ));
+        let tracker = Arc::new(ItemTracker::new(3));
+        let worker = |row: usize| {
+            let (gate, state, tracker) =
+                (Arc::clone(&gate), Arc::clone(&state), Arc::clone(&tracker));
+            move || {
+                gate.ensure(&state, || tracker.failed());
+                let mut ws = Workspace::with_inner_block(NB, NB);
+                state.run_ws(TaskKind::Geqrt { row, col: 0 }, &mut ws);
+            }
+        };
+        let sibling = thread::spawn(worker(1));
+        worker(0)();
+        sibling.join().unwrap();
+        let elim = TaskKind::Ttqrt {
+            row: 1,
+            piv: 0,
+            col: 0,
+        };
+        state.run_ws(elim, &mut Workspace::with_inner_block(NB, NB));
+        assert_eq!(
+            state.take_parts().tiles,
+            reference,
+            "a kernel passed the gate before the fill was published"
+        );
+    });
+    summarize(&report);
+}
+
+/// [`TileGate`], the escape hatch: the claimer panics mid-fill (here: a
+/// dense input that does not pad to the copy's grid) and can never publish.
+/// The spinner must escape — but only through the copy's failure flag, which
+/// the claimer's containment raises — instead of spinning forever (a
+/// livelock the explorer reports as exceeding its step budget).
+#[test]
+fn tile_gate_spinner_escapes_only_when_the_copy_failed() {
+    let misfit = Arc::new(Matrix::from_col_major(5, 1, vec![1.0; 5]));
+    let report = model("tile-gate-escape")
+        .with_random_samples(env_or("TILEQR_VERIFY_SAMPLES", 2_000).min(500))
+        .check(|| {
+            let gate = Arc::new(TileGate::new(Some(Arc::clone(&misfit))));
+            let state = Arc::new(FactorizationState::with_inner_block(
+                TiledMatrix::<f64>::zeros(2, 1, NB),
+                NB,
+            ));
+            let tracker = Arc::new(ItemTracker::new(3));
+            // What `drive_worker` does around a task: contain the panic,
+            // record it against the copy. True if this worker passed the gate
+            // without panicking.
+            let worker = || {
+                let (gate, state, tracker) =
+                    (Arc::clone(&gate), Arc::clone(&state), Arc::clone(&tracker));
+                move || {
+                    let passed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        gate.ensure(&state, || tracker.failed());
+                    }));
+                    match passed {
+                        Ok(()) => true,
+                        Err(payload) if payload.is::<String>() || payload.is::<&str>() => {
+                            tracker.record_panic(TaskKind::Geqrt { row: 0, col: 0 }, &*payload);
+                            false
+                        }
+                        // The explorer tearing this execution down.
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    }
+                }
+            };
+            let sibling = thread::spawn(worker());
+            let mine = worker()();
+            let theirs = sibling.join().unwrap();
+            assert!(
+                mine ^ theirs,
+                "exactly one worker claims (and panics); the other escapes"
+            );
+            assert!(tracker.failed(), "the escape is only open to a failed copy");
+            assert!(matches!(
+                tracker.verdict(None),
+                Some(QrError::TaskPanicked { .. })
+            ));
+        });
+    summarize(&report);
+}
+
+// -------------------------------------------------- finish exactly once --
+
+/// Counts deliveries and keeps the outcome; the exactly-once oracle of the
+/// finish model.
+struct CountingSink {
+    calls: AtomicUsize,
+    outcome: Mutex<Option<(FactoredParts<f64>, Option<QrError>)>>,
+}
+
+impl ItemSink<f64> for CountingSink {
+    fn item_done(&self, _index: usize, parts: FactoredParts<f64>, err: Option<QrError>) {
+        self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        *self.outcome.lock() = Some((parts, err));
+    }
+}
+
+/// The real [`FusedJob`] — state, tracker, work-stealing scheduler,
+/// `drive_worker` — on two workers, raced against an abort: the submitter
+/// triggers the job's cancel token at an arbitrary point, joins the workers
+/// and runs the job-end sweep. The worker performing the copy's last retire
+/// and the sweep compete for the copy; the sink must fire exactly once, with
+/// `Ok` only for a fully factored copy (tiles bitwise equal to the reference
+/// walk — a drain that overtook a running task, or a task that met a drained
+/// tile, shows as a mismatch or a panic) and with the cancellation cause
+/// otherwise, the tile grid intact either way.
+#[test]
+fn finish_exactly_once_last_retire_vs_sweep_under_abort() {
+    let (plan, a) = tiny_problem();
+    let reference = tiny_reference(&plan, &a);
+    let report = model("finish-exactly-once")
+        .with_max_dfs_executions(env_or("TILEQR_VERIFY_DFS_MAX", 50_000).min(20_000))
+        .check(|| {
+            let sink = Arc::new(CountingSink {
+                calls: AtomicUsize::new(0),
+                outcome: Mutex::new(None),
+            });
+            let entry = StreamEntry {
+                plan: &plan,
+                input: StreamInput::Tiled {
+                    tiles: TiledMatrix::from_dense_padded(&a, NB),
+                    rhs: Vec::new(),
+                },
+                probe: 0,
+            };
+            let slots = (0..2)
+                .map(|_| {
+                    (
+                        Workspace::with_inner_block(NB, NB),
+                        crate::trace::WorkerTrace::disabled(),
+                    )
+                })
+                .collect();
+            let state = JobState::new(
+                vec![JobCopy::new(entry)],
+                slots,
+                CancelToken::new(),
+                Arc::clone(&sink) as Arc<dyn ItemSink<f64>>,
+            );
+            let sched = WorkStealing::new(3, 2);
+            sched.seed(&mut state.roots());
+            let job = Arc::new(FusedJob { state, sched });
+            let workers: Vec<_> = (0..2)
+                .map(|w| {
+                    let job = Arc::clone(&job);
+                    thread::spawn(move || job.run(w, &AtomicUsize::new(0)))
+                })
+                .collect();
+            job.state.cancel.trigger(CancelCause::Cancelled);
+            for w in workers {
+                w.join().unwrap();
+            }
+            let job = Arc::into_inner(job).expect("workers dropped their references");
+            job.state.finish();
+            assert_eq!(
+                sink.calls.load(std::sync::atomic::Ordering::SeqCst),
+                1,
+                "the sink must fire exactly once per copy"
+            );
+            let (parts, err) = sink.outcome.lock().take().expect("delivered");
+            assert_eq!(
+                (parts.tiles.tile_rows(), parts.tiles.tile_cols()),
+                (2, 1),
+                "the caller gets the grid back in every outcome"
+            );
+            match err {
+                None => assert_eq!(parts.tiles, reference, "Ok for a half-factored copy"),
+                Some(e) => assert_eq!(e, QrError::Cancelled),
+            }
+        });
     summarize(&report);
 }
 

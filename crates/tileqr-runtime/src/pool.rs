@@ -12,10 +12,10 @@
 //! * a job is submitted by publishing an `Arc<dyn Job>` and bumping an
 //!   epoch counter; every worker is unparked, runs `Job::run(worker_index)`,
 //!   and the submitter blocks until all of them have finished. The wake-up
-//!   cost is **per job, not per matrix**: the context's batch path
-//!   ([`QrContext::factorize_batch`](crate::context::QrContext::factorize_batch))
-//!   exists precisely so `k` small factorizations ride one epoch bump
-//!   instead of `k`;
+//!   cost is **per job, not per matrix**: jobs fuse `k` small
+//!   factorizations
+//!   ([`QrContext::factorize_batch`](crate::context::QrContext::factorize_batch),
+//!   service groups) precisely so they ride one epoch bump instead of `k`;
 //! * a panicking job is caught on the worker, the payload is stored, and
 //!   [`WorkerPool::run`] re-raises it on the submitting thread — the pool
 //!   itself stays alive and can run further jobs. When several workers panic
@@ -57,8 +57,8 @@ use crate::sync::{Backoff, CancelCause, CancelToken, Mutex};
 /// index in `0..threads` and the worker's own heartbeat counter (bumped by
 /// the executor loop once per retired task so the submitter-side watchdog
 /// can observe progress). Implementations coordinate internally — the
-/// context's `BatchJob` (which also serves single factorizations as the
-/// `k = 1` case) drives the shared fused-DAG scheduler from every worker.
+/// context's fused job (`job.rs`) drives the shared fused-DAG scheduler from
+/// every worker.
 pub(crate) trait Job: Send + Sync {
     /// Runs worker `w`'s share of the job.
     fn run(&self, w: usize, heartbeat: &AtomicUsize);
@@ -89,6 +89,20 @@ pub(crate) struct RunCtl {
     /// longer than this, `job_cancel` triggers with
     /// [`CancelCause::Stalled`].
     pub(crate) stall_bound: Option<Duration>,
+}
+
+impl RunCtl {
+    /// Forwards user cancellation and the deadline into the job token (the
+    /// first cause wins); true once the token is triggered, by whatever
+    /// cause.
+    pub(crate) fn poll_cancel(&self) -> bool {
+        if self.user_cancel.is_cancelled() {
+            self.job_cancel.trigger(CancelCause::Cancelled);
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.job_cancel.trigger(CancelCause::DeadlineExceeded);
+        }
+        self.job_cancel.is_cancelled()
+    }
 }
 
 /// State shared between the submitter and the workers.
@@ -251,22 +265,8 @@ impl WorkerPool {
     /// not per task; once the job token is triggered there is nothing left
     /// to poll.
     fn poll_control(&self, ctl: &RunCtl, watch: &mut WatchState) {
-        if ctl.job_cancel.is_cancelled() {
+        if ctl.job_cancel.is_cancelled() || ctl.poll_cancel() {
             return;
-        }
-        if ctl.user_cancel.is_cancelled() {
-            ctl.job_cancel.trigger(CancelCause::Cancelled);
-            return;
-        }
-        if ctl.deadline.is_none() && ctl.stall_bound.is_none() {
-            return;
-        }
-        let now = Instant::now();
-        if let Some(d) = ctl.deadline {
-            if now >= d {
-                ctl.job_cancel.trigger(CancelCause::DeadlineExceeded);
-                return;
-            }
         }
         if let Some(bound) = ctl.stall_bound {
             // The digest reads every worker's heartbeat line *while the
@@ -275,6 +275,7 @@ impl WorkerPool {
             // down. Probing at an eighth of the bound keeps the steady-state
             // cost off the workers' cache lines and still detects a stall
             // within ~9/8 of the configured bound.
+            let now = Instant::now();
             if now.duration_since(watch.last_probe) < bound / 8 {
                 return;
             }

@@ -89,6 +89,7 @@ use tileqr_matrix::{Matrix, Scalar};
 
 use crate::context::{ItemSink, QrContext, QrError, QrPlan, StreamEntry, StreamInput};
 use crate::driver::QrFactorization;
+use crate::state::FactoredParts;
 use crate::sync::shim::{AtomicU64, AtomicUsize};
 use crate::sync::{Condvar, LazyCondvar, Mutex, OnceSlot};
 
@@ -552,19 +553,20 @@ impl<T: Scalar<Real = f64>> Shared<T> {
     }
 }
 
-/// The per-group adapter between [`QrContext::factorize_stream`]'s
-/// worker-thread completion hook and the service's retry/resolve routing.
+/// The per-group [`ItemSink`]: adapts the job's worker-thread completion
+/// hook ([`QrContext::run`]) to the service's retry/resolve routing.
 struct GroupSink<T: Scalar<Real = f64>> {
     shared: Arc<Shared<T>>,
     items: Vec<Mutex<Option<PendingItem<T>>>>,
 }
 
 impl<T: Scalar<Real = f64>> ItemSink<T> for GroupSink<T> {
-    fn item_done(&self, index: usize, outcome: Result<QrFactorization<T>, QrError>) {
+    fn item_done(&self, index: usize, parts: FactoredParts<T>, err: Option<QrError>) {
         let item = self.items[index]
             .lock()
             .take()
-            .expect("the stream delivers each item exactly once");
+            .expect("the job delivers each item exactly once");
+        let outcome = item.plan.conclude(parts, err);
         self.shared.finish_attempt(item, outcome);
     }
 }
@@ -999,19 +1001,25 @@ fn run_group<T: Scalar<Real = f64>>(shared: &Arc<Shared<T>>, group: Vec<PendingI
     {
         shared.stats.mixed_groups.fetch_add(1, Ordering::Relaxed);
     }
+    // The job borrows the plans; the items (and their own handles on the
+    // plans) move into the sink and resolve while it runs.
+    let plans: Vec<Arc<QrPlan<T>>> = runnable.iter().map(|i| Arc::clone(&i.plan)).collect();
     let entries: Vec<StreamEntry<T>> = runnable
         .iter()
-        .map(|item| StreamEntry {
-            plan: Arc::clone(&item.plan),
+        .zip(&plans)
+        .map(|(item, plan)| StreamEntry {
+            plan,
             input: StreamInput::Dense(Arc::clone(&item.a)),
             probe: probe_id(item.seq, item.attempt),
         })
         .collect();
-    let sink: Arc<dyn ItemSink<T>> = Arc::new(GroupSink {
+    let sink = Arc::new(GroupSink {
         shared: Arc::clone(shared),
         items: runnable.into_iter().map(|i| Mutex::new(Some(i))).collect(),
     });
-    shared.ctx.factorize_stream(entries, &sink);
+    // Per-item deadlines are an admission-time matter (`submit_within`); the
+    // run itself is bounded by the stall watchdog and cancellation only.
+    shared.ctx.run(entries, None, None, sink);
 }
 
 #[cfg(test)]

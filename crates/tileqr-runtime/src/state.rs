@@ -188,7 +188,7 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
     /// the result to match [`TiledMatrix::from_dense_padded`] bitwise.
     ///
     /// Locks each tile while writing; the caller must order this before any
-    /// task of the copy runs (the stream job's tile gate does).
+    /// task of the copy runs (the job's tile gate does).
     ///
     /// # Panics
     /// Panics unless the dense matrix pads to this state's grid, i.e.
@@ -321,12 +321,23 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
     /// and the right-hand-side blocks, for use by
     /// [`crate::driver::QrFactorization`] and the fused solve.
     pub fn into_parts(self) -> FactoredParts<T> {
-        let mut tiles: Vec<Matrix<T>> = self.tiles.into_iter().map(|m| m.into_inner()).collect();
+        self.take_parts()
+    }
+
+    /// [`FactorizationState::into_parts`] through a shared reference: moves
+    /// every tile and `T` factor out from behind its lock, leaving an empty
+    /// husk. This is how a fused job drains a finished copy while sibling
+    /// copies are still running; the caller must make sure no task of *this*
+    /// state is running or can start any more (a task meeting an emptied
+    /// tile would panic).
+    pub(crate) fn take_parts(&self) -> FactoredParts<T> {
+        let take = |m: &Mutex<Matrix<T>>| std::mem::replace(&mut *m.lock(), Matrix::zeros(0, 0));
+        let mut tiles: Vec<Matrix<T>> = self.tiles.iter().map(take).collect();
         let rhs = tiles.split_off(self.p * self.q);
         FactoredParts {
             tiles: TiledMatrix::from_tiles(tiles, self.p, self.q, self.nb),
-            t_geqrt: self.t_geqrt.into_iter().map(|m| m.into_inner()).collect(),
-            t_elim: self.t_elim.into_iter().map(|m| m.into_inner()).collect(),
+            t_geqrt: self.t_geqrt.iter().map(|m| m.lock().take()).collect(),
+            t_elim: self.t_elim.iter().map(|m| m.lock().take()).collect(),
             rhs,
         }
     }

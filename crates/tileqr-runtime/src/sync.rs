@@ -301,9 +301,10 @@ impl LazyCondvar {
 }
 
 /// An exactly-once claim: many threads may race to [`ClaimFlag::claim`],
-/// exactly one wins. Backs the "resolve each ticket exactly once" guarantee
-/// of the streaming paths (a completion and a shutdown drain may race for
-/// the same item; whichever claims the flag delivers the outcome).
+/// exactly one wins. Backs the "deliver each copy exactly once" guarantee of
+/// the fused job (the worker retiring a copy's last task and the job-end
+/// sweep may both reach for it; whichever claims the flag delivers the
+/// outcome) and the tile gate's single filler.
 #[derive(Debug, Default)]
 pub(crate) struct ClaimFlag(shim::AtomicBool);
 

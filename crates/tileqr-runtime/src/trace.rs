@@ -7,14 +7,14 @@
 //! the longest chain actually observed, and a simple parallelism profile.
 //! The `schedule_trace` example prints such a report.
 //!
-//! Tracing stays off the executor's hot path: each worker records into its
-//! own local [`WorkerTrace`] buffer (no lock, no allocation once the buffer
-//! is reserved) and the buffers are merged into the shared
-//! [`ExecutionTrace`] exactly once, when the worker shuts down and drops its
-//! `WorkerTrace`. A [`WorkerTrace::disabled`] handle makes every `record`
-//! call a true no-op — not even a timestamp is taken — so untraced runs pay
-//! nothing.
+//! Tracing stays off the engine's hot path: each worker of a job records
+//! into its own local [`WorkerTrace`] buffer (no lock, no allocation once the
+//! buffer is reserved) and the buffers are merged into the shared
+//! [`ExecutionTrace`] exactly once, when the job ends and drops them. A
+//! [`WorkerTrace::disabled`] handle makes every `record` call a true no-op —
+//! not even a timestamp is taken — so untraced runs pay nothing.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::sync::Mutex;
@@ -40,10 +40,11 @@ impl TaskSpan {
 }
 
 /// A collector of [`TaskSpan`]s, safe to share across the runtime's worker
-/// threads.
+/// threads. The span storage is reference-counted, so the per-worker buffers
+/// of a pool job (which outlive any borrow) can hold on to it.
 pub struct ExecutionTrace {
     origin: Instant,
-    spans: Mutex<Vec<TaskSpan>>,
+    spans: Arc<Mutex<Vec<TaskSpan>>>,
 }
 
 impl Default for ExecutionTrace {
@@ -57,7 +58,7 @@ impl ExecutionTrace {
     pub fn new() -> Self {
         ExecutionTrace {
             origin: Instant::now(),
-            spans: Mutex::new(Vec::new()),
+            spans: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -74,32 +75,27 @@ impl ExecutionTrace {
     }
 
     /// Creates a lock-free per-worker recording buffer that merges itself
-    /// into this trace when dropped (i.e. at pool shutdown).
-    pub fn worker(&self) -> WorkerTrace<'_> {
+    /// into this trace when dropped (i.e. when its job ends).
+    pub fn worker(&self) -> WorkerTrace {
         self.worker_with_capacity(0)
     }
 
     /// Like [`ExecutionTrace::worker`], but preallocates room for
     /// `capacity` spans so recording never reallocates on the hot path
     /// (size it to the DAG length).
-    pub fn worker_with_capacity(&self, capacity: usize) -> WorkerTrace<'_> {
+    pub fn worker_with_capacity(&self, capacity: usize) -> WorkerTrace {
         WorkerTrace {
-            sink: Some(self),
+            sink: Some(ExecutionTrace {
+                origin: self.origin,
+                spans: Arc::clone(&self.spans),
+            }),
             buf: Vec::with_capacity(capacity),
         }
     }
 
-    /// Merges a batch of spans collected elsewhere (one lock per batch).
-    fn merge(&self, spans: &mut Vec<TaskSpan>) {
-        if spans.is_empty() {
-            return;
-        }
-        self.spans.lock().append(spans);
-    }
-
     /// Returns the recorded spans. Spans recorded via [`ExecutionTrace::record`]
     /// appear in completion order; spans from [`WorkerTrace`] buffers arrive
-    /// as one contiguous batch per worker at pool shutdown (completion order
+    /// as one contiguous batch per worker at job end (completion order
     /// *within* each worker, workers interleaved arbitrarily) — sort by
     /// [`TaskSpan::end`] if a global completion order is needed.
     pub fn spans(&self) -> Vec<TaskSpan> {
@@ -129,12 +125,12 @@ impl ExecutionTrace {
 /// is a complete no-op — it neither reads the clock nor touches the buffer —
 /// so the same task closure serves traced and untraced executions without a
 /// hot-path penalty.
-pub struct WorkerTrace<'a> {
-    sink: Option<&'a ExecutionTrace>,
+pub struct WorkerTrace {
+    sink: Option<ExecutionTrace>,
     buf: Vec<TaskSpan>,
 }
 
-impl WorkerTrace<'static> {
+impl WorkerTrace {
     /// A no-op recorder: every `record` call just runs the closure.
     pub fn disabled() -> Self {
         WorkerTrace {
@@ -142,14 +138,12 @@ impl WorkerTrace<'static> {
             buf: Vec::new(),
         }
     }
-}
 
-impl<'a> WorkerTrace<'a> {
     /// Runs `f` for `kind`; when a sink is installed, buffers the span
     /// locally (no lock).
     #[inline]
     pub fn record<R>(&mut self, kind: TaskKind, f: impl FnOnce() -> R) -> R {
-        let Some(trace) = self.sink else {
+        let Some(trace) = &self.sink else {
             return f();
         };
         let start = trace.origin.elapsed();
@@ -165,10 +159,10 @@ impl<'a> WorkerTrace<'a> {
     }
 }
 
-impl Drop for WorkerTrace<'_> {
+impl Drop for WorkerTrace {
     fn drop(&mut self) {
-        if let Some(trace) = self.sink {
-            trace.merge(&mut self.buf);
+        if let Some(trace) = &self.sink {
+            trace.spans.lock().append(&mut self.buf);
         }
     }
 }

@@ -128,6 +128,45 @@ fn solve_checks_both_operands_against_the_plan() {
     assert!(ctx.solve(&plan, &a, &random_matrix(12, 2, 3)).is_ok());
 }
 
+/// `check_finite` covers both operands of a solve: a NaN or infinity in the
+/// right-hand side is rejected with its coordinates in `b` (`a` is scanned
+/// first, so its coordinates win when both are bad). Without the option the
+/// value flows through, as for `factorize`.
+#[test]
+fn solve_scans_the_right_hand_side_when_the_plan_checks_finiteness() {
+    let ctx = QrContext::new(2).unwrap();
+    let checked: QrPlan<f64> =
+        QrPlan::new(64, 16, QrConfig::new(16).with_check_finite(true)).unwrap();
+    let unchecked: QrPlan<f64> = QrPlan::new(64, 16, QrConfig::new(16)).unwrap();
+    let a: Matrix<f64> = random_matrix(64, 16, 4);
+    let clean: Matrix<f64> = random_matrix(64, 2, 5);
+    for (bad, at) in [(f64::NAN, (5, 0)), (f64::INFINITY, (63, 1))] {
+        let mut b = clean.clone();
+        b.set(at.0, at.1, bad);
+        assert_eq!(
+            ctx.solve(&checked, &a, &b),
+            Err(QrError::NonFiniteInput {
+                row: at.0,
+                col: at.1
+            })
+        );
+        let x = ctx.solve(&unchecked, &a, &b).expect("not scanned");
+        assert!(
+            x.as_slice().iter().any(|v| !v.is_finite()),
+            "the non-finite value reaches the solution"
+        );
+    }
+    let mut bad_a = a.clone();
+    bad_a.set(9, 3, f64::NAN);
+    let mut bad_b = clean.clone();
+    bad_b.set(0, 0, f64::NAN);
+    assert_eq!(
+        ctx.solve(&checked, &bad_a, &bad_b),
+        Err(QrError::NonFiniteInput { row: 9, col: 3 })
+    );
+    assert!(ctx.solve(&checked, &a, &clean).is_ok());
+}
+
 /// An exactly rank-deficient matrix (a zero column, a duplicated column
 /// block): the fallible solves say so, the legacy ones panic.
 #[test]

@@ -64,7 +64,7 @@ fn chaos_round<T: RandomScalar>(
         .min(m)
         .max(1);
     let algo = algorithms[(rng.next_u64() % 4) as usize];
-    let family = if rng.next_u64() % 2 == 0 {
+    let family = if rng.next_u64().is_multiple_of(2) {
         KernelFamily::TT
     } else {
         KernelFamily::TS
@@ -242,7 +242,7 @@ fn service_chaos_round<T: RandomScalar>(rng: &mut Rng, services: &[QrService<T>]
         .min(m)
         .max(1);
     let algo = algorithms[(rng.next_u64() % 4) as usize];
-    let family = if rng.next_u64() % 2 == 0 {
+    let family = if rng.next_u64().is_multiple_of(2) {
         KernelFamily::TT
     } else {
         KernelFamily::TS
@@ -661,13 +661,13 @@ fn mixed_plan_service_chaos_contains_faults_and_retries_exactly() {
 
     const ITEMS: usize = 8;
     let plan_of = |idx: usize| {
-        if idx % 2 == 0 {
+        if idx.is_multiple_of(2) {
             (&plan_a, &config_a)
         } else {
             (&plan_b, &config_b)
         }
     };
-    let mut rng = Rng::seed_from_u64(0xC0FFEE_A11);
+    let mut rng = Rng::seed_from_u64(0xC_0FFE_EA11);
     let mats: Vec<Matrix<f64>> = (0..ITEMS)
         .map(|idx| {
             let (plan, _) = plan_of(idx);

@@ -124,3 +124,72 @@ fn reflectors_roundtrip_q_applications() {
     assert_eq!(f.apply_qh(&b), qhb);
     assert!(f.residual(&a) < 1e-11);
 }
+
+/// One engine, pinned from the outside: the *same* requests — a dense
+/// factorization, a pre-tiled in-place one and a fused solve with `k = 3`,
+/// each on its own plan (shape, tile size, inner blocking, tree) — through
+/// `threads ∈ {1, 4}` × every scheduler. Every outcome must be bitwise equal
+/// to sequential `qr_factorize` of the same configuration and, for the
+/// solve, to the decomposed route (`apply_qh`, `r`, back substitution).
+#[test]
+fn every_entry_point_is_bitwise_identical_on_every_engine() {
+    let configs = [
+        QrConfig::new(8),
+        QrConfig::new(6)
+            .with_inner_block(3)
+            .with_algorithm(Algorithm::FlatTree)
+            .with_family(KernelFamily::TS),
+        QrConfig::new(5).with_algorithm(Algorithm::Fibonacci),
+    ];
+    let shapes = [(40usize, 24usize), (18, 18), (33, 10)];
+    let mats: Vec<Matrix<f64>> = shapes
+        .iter()
+        .zip(300u64..)
+        .map(|(&(m, n), seed)| random_matrix(m, n, seed))
+        .collect();
+    let b: Matrix<f64> = random_matrix(33, 3, 310);
+    let references: Vec<_> = mats
+        .iter()
+        .zip(configs)
+        .map(|(a, config)| qr_factorize(a, config))
+        .collect();
+    let decomposed = {
+        let (f, n) = (&references[2], shapes[2].1);
+        let qhb = f.apply_qh(&b);
+        let mut x: Matrix<f64> = Matrix::zeros(n, 3);
+        for j in 0..3 {
+            let xj = f.r().solve_upper_triangular(&qhb.col(j)[..n]);
+            x.col_mut(j).copy_from_slice(&xj);
+        }
+        x
+    };
+    let plans: Vec<QrPlan<f64>> = shapes
+        .iter()
+        .zip(configs)
+        .map(|(&(m, n), config)| QrPlan::new(m, n, config).unwrap())
+        .collect();
+    for threads in [1usize, 4] {
+        for kind in SchedulerKind::ALL {
+            let at = format!("{threads} threads, {}", kind.name());
+            let ctx = QrContext::with_scheduler(threads, kind).unwrap();
+            let dense = ctx.factorize(&plans[0], &mats[0]).unwrap();
+            assert_eq!(
+                dense.factored_tiles(),
+                references[0].factored_tiles(),
+                "{at}"
+            );
+            let mut tiles = TiledMatrix::from_dense_padded(&mats[1], configs[1].tile_size);
+            let refl = ctx.factorize_into(&plans[1], &mut tiles).unwrap();
+            assert_eq!(&tiles, references[1].factored_tiles(), "{at}");
+            assert_eq!(
+                refl.apply_qh(&tiles, &mats[1]),
+                references[1].apply_qh(&mats[1])
+            );
+            assert_eq!(
+                ctx.solve(&plans[2], &mats[2], &b).unwrap(),
+                decomposed,
+                "{at}"
+            );
+        }
+    }
+}

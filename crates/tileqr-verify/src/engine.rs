@@ -402,12 +402,17 @@ impl Engine {
 
     /// Picks the next thread to run at a schedule point and hands it the
     /// token. `me_unavailable` marks forced switches (the caller just
-    /// blocked or finished), which cost no preemption.
+    /// blocked, finished or yielded), which cost no preemption.
     fn choose_next_locked(&self, st: &mut EngineState, me: Tid, me_unavailable: bool) {
         // Note: with `me_unavailable` the caller just blocked, but `me` may
         // still appear as an option if it blocked in a *timed* condvar wait
         // (choosing it means its timeout fires immediately).
         let mut options = st.runnable_options(me);
+        // A yielding caller is still `Ready`: it goes to the back of the
+        // line, and runs on only if nobody else can.
+        if me_unavailable && options.len() > 1 && st.threads[me].status == Status::Ready {
+            options.remove(0);
+        }
         if options.is_empty() {
             let summary = st.blocked_summary();
             self.fail_locked(
@@ -471,6 +476,19 @@ impl Engine {
     /// A schedule point before a shim operation: pick who runs next, then
     /// wait until this thread is scheduled again.
     pub(crate) fn op_point(self: &Arc<Self>, me: Tid, what: &'static str) {
+        self.schedule_point(me, what, false);
+    }
+
+    /// A yield: a schedule point at which another runnable thread, if there
+    /// is one, runs next — a forced switch, free of preemption cost. This is
+    /// what keeps a spin-wait finite under exploration: the spinner cannot
+    /// be scheduled again and again while the thread it waits for is
+    /// runnable.
+    pub(crate) fn yield_point(self: &Arc<Self>, me: Tid) {
+        self.schedule_point(me, "thread.yield_now", true);
+    }
+
+    fn schedule_point(self: &Arc<Self>, me: Tid, what: &'static str, yielding: bool) {
         let mut st = self.lock();
         if st.aborting {
             drop(st);
@@ -495,7 +513,7 @@ impl Engine {
             drop(st);
             abort_unwind();
         }
-        self.choose_next_locked(&mut st, me, false);
+        self.choose_next_locked(&mut st, me, yielding);
         self.wait_token(st, me);
     }
 

@@ -73,11 +73,12 @@ where
     }
 }
 
-/// Yield point: a plain schedule point inside a model (the scheduler may
-/// switch), `std::thread::yield_now` outside.
+/// Yield point: inside a model, a schedule point at which some *other*
+/// runnable thread runs next, if there is one (so spin-waits terminate under
+/// every explored schedule); `std::thread::yield_now` outside.
 pub fn yield_now() {
     if let Some((engine, me)) = current() {
-        engine.op_point(me, "thread.yield_now");
+        engine.yield_point(me);
     } else {
         std::thread::yield_now();
     }
