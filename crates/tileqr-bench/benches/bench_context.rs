@@ -223,7 +223,7 @@ fn main() {
                 t.fill_from_dense_padded(a);
             }
             for item in ctx.factorize_batch_into(&plan_b, &mut batch_tiles) {
-                plan_b.recycle_reflectors(std::hint::black_box(
+                drop(std::hint::black_box(
                     item.expect("tiles match the plan grid"),
                 ));
             }
@@ -253,7 +253,7 @@ fn main() {
                 &mut batch_tiles,
                 std::time::Duration::from_secs(60),
             ) {
-                plan_b.recycle_reflectors(std::hint::black_box(
+                drop(std::hint::black_box(
                     item.expect("a 60 s deadline never fires here"),
                 ));
             }
@@ -278,7 +278,7 @@ fn main() {
                 &mut batch_tiles,
                 std::time::Duration::from_secs(60),
             ) {
-                plan_b.recycle_reflectors(std::hint::black_box(
+                drop(std::hint::black_box(
                     item.expect("neither the deadline nor the watchdog fires"),
                 ));
             }

@@ -188,7 +188,7 @@ fn main() {
                 t.fill_from_dense_padded(a);
             }
             for item in ctx.factorize_batch_into(&plan_ctx, &mut tiles) {
-                plan_ctx.recycle_reflectors(std::hint::black_box(
+                drop(std::hint::black_box(
                     item.expect("tiles match the plan grid"),
                 ));
             }

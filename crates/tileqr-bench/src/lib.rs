@@ -16,8 +16,8 @@
 //!
 //! Every binary accepts its problem sizes from environment variables so the
 //! paper-scale runs (`p = 40`, `nb = 200`) can be requested explicitly while
-//! the defaults stay laptop-friendly; see `EXPERIMENTS.md` at the repository
-//! root for the mapping to the paper's tables and figures.
+//! the defaults stay laptop-friendly; each binary is named after the paper
+//! table or figure it reproduces.
 
 #![warn(missing_docs)]
 

@@ -3,7 +3,7 @@
 //! Tile" CAQR, Section 4): flat trees inside domains of `BS` rows anchored at
 //! the *top of the matrix* (row 0), merged by a binary tree.
 //!
-//! The difference with [`crate::algorithms::plasma_tree`] is the anchoring:
+//! The difference with [`mod@crate::algorithms::plasma_tree`] is the anchoring:
 //! PLASMA's domains start at the panel row `k` (the bottom domain shrinks as
 //! `k` grows), whereas Hadri et al. keep the domain boundaries fixed at rows
 //! `0, BS, 2BS, …` so it is the *top* domain that loses rows as the

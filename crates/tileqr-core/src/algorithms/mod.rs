@@ -3,13 +3,13 @@
 //! Each static algorithm is a function from the tile-grid shape `(p, q)` to
 //! an [`EliminationList`]:
 //!
-//! * [`flat_tree`] — Sameh-Kuck: the panel row eliminates every tile below
+//! * [`mod@flat_tree`] — Sameh-Kuck: the panel row eliminates every tile below
 //!   it (called `FlatTree` in PLASMA).
-//! * [`fibonacci`] — the Fibonacci scheme of order 1 (Modi & Clarke).
-//! * [`greedy`] — the Greedy algorithm (Cosnard, Muller & Robert): at every
+//! * [`mod@fibonacci`] — the Fibonacci scheme of order 1 (Modi & Clarke).
+//! * [`mod@greedy`] — the Greedy algorithm (Cosnard, Muller & Robert): at every
 //!   step eliminate as many tiles as possible in every column.
-//! * [`binary_tree`] — binary-tree reduction in every column.
-//! * [`plasma_tree`] — the PLASMA trade-off between FlatTree and BinaryTree
+//! * [`mod@binary_tree`] — binary-tree reduction in every column.
+//! * [`mod@plasma_tree`] — the PLASMA trade-off between FlatTree and BinaryTree
 //!   controlled by the domain size `BS`.
 //!
 //! The *dynamic* algorithms Asap and Grasap(k) depend on the weighted task

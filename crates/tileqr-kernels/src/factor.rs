@@ -19,7 +19,7 @@
 //!
 //! All three kernels are PLASMA-style inner-blocked: the tile is factored in
 //! panels of `ib` columns (`ib` comes from the
-//! [`Workspace`](crate::workspace::Workspace)). Within a panel the
+//! [`Workspace`]). Within a panel the
 //! reflectors are generated and applied column by column; the *trailing*
 //! columns of the tile are then updated once per panel with the blocked
 //! compact-WY application `C ← C − V·Tᴴ·(VᴴC)`, whose dense bulk runs on the

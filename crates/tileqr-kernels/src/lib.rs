@@ -30,7 +30,7 @@
 //!    decide *what* is computed.
 //! 2. **Inner panel level (`ib`)** — each `nb × nb` tile is factored and
 //!    applied in panels of `ib` columns (the
-//!    [`Workspace`](workspace::Workspace) carries `ib`; `ib = nb` reproduces
+//!    [`Workspace`] carries `ib`; `ib = nb` reproduces
 //!    the historical unblocked path bit for bit). Reflectors are generated
 //!    column by column *inside* a panel, and the trailing columns are
 //!    touched once per panel through the blocked compact-WY update
@@ -71,10 +71,10 @@
 //!
 //! * an allocating entry point with the historical signature
 //!   ([`geqrt`], [`tsqrt`], [`ttqrt`], [`unmqr`], [`tsmqr`], [`ttmqr`]) that
-//!   builds a fresh [`Workspace`](workspace::Workspace) per call — convenient
+//!   builds a fresh [`Workspace`] per call — convenient
 //!   for tests and one-off use, source-compatible with earlier releases;
 //! * a `*_ws` variant ([`factor::geqrt_ws`], [`apply::tsmqr_ws`], …) taking a
-//!   caller-provided [`Workspace`](workspace::Workspace) and performing
+//!   caller-provided [`Workspace`] and performing
 //!   **zero heap allocations**: the staging panel, the micro-BLAS pack
 //!   buffers and the packed triangular scratch are all preallocated for the
 //!   worst case at workspace construction. The runtime (`tileqr-runtime`)
@@ -82,7 +82,7 @@
 //!   tasks of a factorization touches the allocator.
 //!
 //! The crate also provides a reference unblocked Householder QR on dense
-//! matrices ([`reference`]) used to validate the tiled factorizations, and
+//! matrices ([`mod@reference`]) used to validate the tiled factorizations, and
 //! flop counters ([`flops`]) used by the benchmark harness to report GFLOP/s.
 
 #![warn(missing_docs)]

@@ -20,7 +20,7 @@
 //!
 //! The block shape is an associated const of the scalar type
 //! ([`Scalar::MR`]/[`Scalar::NR`]): `f64` keeps the historical `8 × 4`,
-//! while [`Complex64`] gets its own `4 × 4` block (16 complex = 32 doubles)
+//! while [`Complex64`](tileqr_matrix::Complex64) gets its own `4 × 4` block (16 complex = 32 doubles)
 //! instead of reusing the f64 shape (64 doubles, which spilled on every
 //! ISA). Because every output element's reduction over `k` stays sequential,
 //! the block shape never changes results bitwise — only which elements are
@@ -210,7 +210,7 @@ fn init_active() -> SimdLevel {
 /// # Panics
 ///
 /// If the running CPU cannot execute `level` — the dispatch safety invariant
-/// is that [`ACTIVE`] only ever holds supported levels.
+/// is that `ACTIVE` only ever holds supported levels.
 pub fn set_active(level: SimdLevel) -> SimdLevel {
     assert!(
         is_supported(level),

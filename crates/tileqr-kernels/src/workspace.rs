@@ -18,7 +18,7 @@
 //! allocated **once** (per worker thread, in the runtime) and reused by every
 //! kernel invocation, so the hot path performs zero heap allocations — the
 //! worst case over every kernel and every inner-blocking factor is sized at
-//! construction, and [`Workspace::require`] asserts the invariant on each
+//! construction, and `Workspace::require` asserts the invariant on each
 //! kernel entry.
 //!
 //! # Inner blocking

@@ -2,7 +2,7 @@
 //!
 //! The benchmark harness, examples and property tests all need random (and a
 //! few structured) matrices. Generators take an explicit seed so every
-//! experiment in `EXPERIMENTS.md` can be re-run bit-for-bit.
+//! experiment and benchmark run can be repeated bit-for-bit.
 
 use crate::complex::Complex64;
 use crate::dense::Matrix;

@@ -5,7 +5,7 @@
 //! domain algorithm by Blackman & Vigna, seeded through SplitMix64 exactly as
 //! the reference implementation recommends). It is *not* cryptographic — it
 //! only has to be fast, well distributed and bit-for-bit reproducible across
-//! platforms so every experiment in `EXPERIMENTS.md` can be replayed.
+//! platforms so every experiment and benchmark run can be replayed.
 
 /// A small, seedable, reproducible PRNG (xoshiro256++).
 #[derive(Clone, Debug)]

@@ -1,7 +1,7 @@
 //! Session-style factorization API: [`QrContext`] + [`QrPlan`].
 //!
 //! The free functions of [`crate::driver`] are one-shot: every call re-tiles
-//! the matrix, rebuilds the elimination list and [`TaskDag`], reallocates all
+//! the matrix, rebuilds the elimination list and [`TaskDag`](tileqr_core::dag::TaskDag), reallocates all
 //! scratch, and spawns a fresh set of worker threads. That is the right shape
 //! for a single large factorization, but a service factoring a *stream* of
 //! moderate-size matrices pays the planning and pool-startup cost on every
@@ -15,7 +15,7 @@
 //!   `(m, n, nb, ib, algorithm, family)`: the elimination list, the task
 //!   DAG with its CSR successor lists, the critical-path priorities
 //!   (computed lazily, shared by every job), and a checkout cache of
-//!   per-worker kernel [`Workspace`]s. Building a plan is the *planning*
+//!   per-worker kernel [`Workspace`](tileqr_kernels::Workspace)s. Building a plan is the *planning*
 //!   phase; executing it is pure kernel time. For least squares
 //!   ([`QrContext::solve`]) the plan also holds the schedule over `[A | B]`
 //!   — the same elimination list with the right-hand side as a trailing tile
@@ -24,9 +24,12 @@
 //! * [`QrError`] ([`crate::error`]) — typed errors replacing the driver's
 //!   panics: bad shapes, zero tile sizes and oversized thread counts are
 //!   reported as values.
-//! * [`QrReflectors`] — the result of the in-place path
-//!   [`QrContext::factorize_into`], which factors caller-owned tile storage
-//!   without the dense→tiled copy and hands back only the `T` factors.
+//! * [`QrReflectors`] ([`crate::reflectors`]) — the result of the in-place
+//!   path [`QrContext::factorize_into`], which factors caller-owned tile
+//!   storage without the dense→tiled copy and hands back only the `T`
+//!   factors.
+//!
+//! [`QrPlan`] lives in [`crate::plan`]; both are re-exported here.
 //!
 //! # One job, many callers
 //!
@@ -62,12 +65,15 @@
 //! and the other copies still run.
 //!
 //! The last per-call allocation of the hot path — the `T`-factor storage —
-//! recycles through the plan: [`QrPlan::recycle`] /
-//! [`QrPlan::recycle_reflectors`] return a consumed result's `ib × nb`
-//! buffers to a checkout pool the next factorization draws from (zeroed in
-//! place, so results stay bitwise identical to the fresh-allocation path).
-//! A steady-state loop of `factorize_batch_into` + `recycle_reflectors` over
-//! refilled tile buffers performs only a fixed, small *number* of heap
+//! recycles through the plan, and **dropping the handle is the recycle
+//! path**: a copy's `T` factors are one value
+//! ([`TFactors`](crate::reflectors::TFactors)) checked out of the plan's pool
+//! (zeroed in place, so results stay bitwise identical to the
+//! fresh-allocation path) that returns its `ib × nb` buffers to that pool
+//! wherever it is dropped — inside a [`QrFactorization`] or [`QrReflectors`]
+//! going out of scope, a failed or rejected copy, a consumed solve. A
+//! steady-state loop of `factorize_batch_into` over refilled tile buffers
+//! that drops its results performs only a fixed, small *number* of heap
 //! allocations per call — none per task, per tile or per `T` factor. (The
 //! few per-call bookkeeping buffers that remain — dependency counters,
 //! scheduler deques — are each one allocation whose *size* scales with the
@@ -92,22 +98,20 @@
 //! in-order walk of the tasks — the equivalence suites pin this down for
 //! `f64` and `Complex64`.
 
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tileqr_core::algorithms::Algorithm;
-use tileqr_core::dag::{KernelFamily, SuccessorsCsr, TaskDag};
-use tileqr_kernels::{Trans, Workspace};
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
-use crate::driver::{elimination_list_for, replay_q, upper_triangle, QrConfig, QrFactorization};
+use crate::driver::QrFactorization;
 pub use crate::error::QrError;
 use crate::executor::SchedulerKind;
 pub(crate) use crate::job::{ItemSink, StreamEntry, StreamInput};
+pub use crate::plan::QrPlan;
 use crate::pool::WorkerPool;
-use crate::state::{gather_row_blocks, rhs_row_blocks, FactoredParts, FactorizationState};
-use crate::sync::shim::AtomicUsize;
+use crate::reflectors::upper_triangle;
+pub use crate::reflectors::QrReflectors;
+use crate::state::{gather_row_blocks, rhs_row_blocks, FactoredParts};
 use crate::sync::{CancelToken, Mutex};
 use crate::trace::ExecutionTrace;
 
@@ -116,467 +120,6 @@ use crate::trace::ExecutionTrace;
 /// real machine by orders of magnitude) and are rejected as
 /// [`QrError::TooManyThreads`].
 pub const MAX_THREADS: usize = 1024;
-
-/// The scalar-independent part of a plan: the schedule itself.
-///
-/// Shared (`Arc`) between the plan, in-flight pool jobs and every
-/// [`QrFactorization`]/[`QrReflectors`] produced from it, so the DAG is built
-/// once per shape and never copied.
-pub(crate) struct PlanCore {
-    pub(crate) dag: Arc<TaskDag>,
-    pub(crate) succ: SuccessorsCsr,
-    /// Initially-ready task indices, in topological order.
-    pub(crate) roots: Vec<usize>,
-    /// Largest successor batch a single task completion can enable.
-    pub(crate) max_out_degree: usize,
-    /// Weighted critical-path-to-exit priorities, computed on first use by
-    /// the priority scheduler and shared by every subsequent job.
-    priorities: OnceLock<Arc<[u64]>>,
-}
-
-impl PlanCore {
-    /// Builds the schedule of `algorithm` on a `p × q` grid followed by
-    /// `trailing` update-only columns ([`TaskDag::trailing`]).
-    fn build(
-        algorithm: Algorithm,
-        family: KernelFamily,
-        p: usize,
-        q: usize,
-        trailing: usize,
-    ) -> Self {
-        let list = elimination_list_for(algorithm, p, q);
-        let dag = TaskDag::build_with_trailing(&list, family, trailing);
-        let succ = dag.successors_csr();
-        let roots = crate::executor::initial_roots(&dag);
-        let max_out_degree = succ.max_out_degree();
-        PlanCore {
-            dag: Arc::new(dag),
-            succ,
-            roots,
-            max_out_degree,
-            priorities: OnceLock::new(),
-        }
-    }
-
-    pub(crate) fn priorities(&self) -> Arc<[u64]> {
-        self.priorities
-            .get_or_init(|| self.dag.priorities_with(&self.succ).into())
-            .clone()
-    }
-}
-
-/// A reusable factorization schedule for one problem shape.
-///
-/// A plan fixes `(m, n, nb, ib, algorithm, family)` and precomputes
-/// everything about the factorization that does not depend on the matrix
-/// *values*: the elimination list, the task DAG (with CSR successor lists
-/// and root set), the critical-path priorities, and a cache of per-worker
-/// kernel workspaces sized for `(nb, ib)`. Repeated factorizations of the
-/// same shape through [`QrContext::factorize`] then pay only kernel time
-/// (plus the unavoidable per-call tile/`T`-factor storage).
-///
-/// The type parameter is the element type the plan's workspaces serve
-/// (`f64` or `Complex64`).
-pub struct QrPlan<T: Scalar> {
-    m: usize,
-    n: usize,
-    pub(crate) nb: usize,
-    pub(crate) ib: usize,
-    algorithm: Algorithm,
-    family: KernelFamily,
-    pub(crate) p: usize,
-    pub(crate) q: usize,
-    /// Opt-in pre-submission NaN/Inf scan ([`QrConfig::check_finite`]).
-    check_finite: bool,
-    pub(crate) core: Arc<PlanCore>,
-    /// The schedule of [`QrContext::solve`]: the same elimination list over
-    /// `[A | B]`, the right-hand side being one trailing tile column. It does
-    /// not depend on the width of `B`, so there is one per plan, built by the
-    /// first solve.
-    solve_core: OnceLock<Arc<PlanCore>>,
-    /// The tile buffer [`QrContext::solve`] fills and factors in place,
-    /// parked here between solves (at most one is retained), so a stream of
-    /// solves allocates nothing of `m · n` scale.
-    solve_tiles: Mutex<Option<TiledMatrix<T>>>,
-    /// Checkout cache of kernel workspaces: taken at job start, returned at
-    /// job end, grown on demand up to the largest worker count seen.
-    ws_cache: Mutex<Vec<Workspace<T>>>,
-    /// Largest single checkout so far — the retention bound of `ws_cache`.
-    /// Without it, concurrent `factorize` bursts (each building `threads`
-    /// fresh workspaces against a momentarily-empty cache) would ratchet the
-    /// cache up without limit; with it, surplus returns are dropped.
-    ws_high_water: AtomicUsize,
-    /// Recycled `ib × nb` `T`-factor buffers, returned by
-    /// [`QrPlan::recycle`] / [`QrPlan::recycle_reflectors`] — or by simply
-    /// *dropping* a result handle, which recycles through a weak
-    /// back-reference — and drawn (zeroed in place) by the next
-    /// factorization. Shared (`Arc`) so handles can outlive the plan without
-    /// keeping its DAG alive just for the buffer return.
-    t_pool: Arc<TPool<T>>,
-}
-
-/// The plan's shared pool of recycled `ib × nb` `T`-factor buffers.
-///
-/// Extracted behind an `Arc` so result handles ([`QrFactorization`] /
-/// [`QrReflectors`]) can hold a `Weak` back-reference and return their
-/// buffers automatically on drop — service clients who simply drop results
-/// get the same allocation-free steady state as callers of the explicit
-/// [`QrPlan::recycle`] path, and a handle dropped after its plan costs
-/// nothing (the upgrade fails). Buffers of a foreign shape are dropped, and
-/// the pool retains at most the widest checkout ever made, so recycling can
-/// never ratchet memory up.
-pub(crate) struct TPool<T: Scalar> {
-    ib: usize,
-    nb: usize,
-    bufs: Mutex<Vec<Matrix<T>>>,
-    /// Largest number of buffers one job has checked out for a run of copies
-    /// of this plan (`2 · p · q` per copy) — the retention bound, same
-    /// rationale as `ws_high_water`.
-    high_water: AtomicUsize,
-}
-
-impl<T: Scalar> TPool<T> {
-    fn new(ib: usize, nb: usize) -> Self {
-        TPool {
-            ib,
-            nb,
-            bufs: Mutex::new(Vec::new()),
-            high_water: AtomicUsize::new(0),
-        }
-    }
-
-    /// Returns buffers to the pool, keeping only plan-shaped ones and at
-    /// most the high-water count.
-    pub(crate) fn recycle(&self, bufs: impl Iterator<Item = Option<Matrix<T>>>) {
-        let cap = self.high_water.load(Ordering::Relaxed);
-        let mut pool = self.bufs.lock();
-        for b in bufs.flatten() {
-            if pool.len() >= cap {
-                break;
-            }
-            if b.shape() == (self.ib, self.nb) {
-                pool.push(b);
-            }
-        }
-    }
-
-    /// Takes up to `need` buffers out of the pool (newest first) under a
-    /// short lock.
-    fn take(&self, need: usize) -> Vec<Matrix<T>> {
-        let mut pool = self.bufs.lock();
-        let keep = pool.len().saturating_sub(need);
-        pool.split_off(keep)
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.bufs.lock().len()
-    }
-}
-
-impl<T: Scalar> std::fmt::Debug for QrPlan<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QrPlan")
-            .field("m", &self.m)
-            .field("n", &self.n)
-            .field("tile_size", &self.nb)
-            .field("inner_block", &self.ib)
-            .field("algorithm", &self.algorithm)
-            .field("family", &self.family)
-            .field("grid", &(self.p, self.q))
-            .field("tasks", &self.core.dag.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Scalar> QrPlan<T> {
-    /// Builds the plan for factorizing `m × n` matrices with the shape
-    /// parameters of `config` (`tile_size`, `inner_block`, `algorithm`,
-    /// `family` — the `threads`/`scheduler` fields belong to the
-    /// [`QrContext`] and are ignored here).
-    pub fn new(m: usize, n: usize, config: QrConfig) -> Result<Self, QrError> {
-        if config.tile_size == 0 {
-            return Err(QrError::ZeroTileSize);
-        }
-        if m < n {
-            return Err(QrError::WideMatrix { m, n });
-        }
-        let nb = config.tile_size;
-        let ib = config.effective_inner_block();
-        // Degenerate empty matrices pad to one tile, exactly like
-        // `TiledMatrix::from_dense_padded`.
-        let p = m.div_ceil(nb).max(1);
-        let q = n.div_ceil(nb).max(1);
-        Ok(QrPlan {
-            m,
-            n,
-            nb,
-            ib,
-            algorithm: config.algorithm,
-            family: config.family,
-            p,
-            q,
-            check_finite: config.check_finite,
-            core: Arc::new(PlanCore::build(config.algorithm, config.family, p, q, 0)),
-            solve_core: OnceLock::new(),
-            solve_tiles: Mutex::new(None),
-            ws_cache: Mutex::new(Vec::new()),
-            ws_high_water: AtomicUsize::new(0),
-            t_pool: Arc::new(TPool::new(ib, nb)),
-        })
-    }
-
-    /// Row count the plan factorizes.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Column count the plan factorizes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Tile size `nb`.
-    pub fn tile_size(&self) -> usize {
-        self.nb
-    }
-
-    /// Inner blocking factor `ib` the kernels will run with.
-    pub fn inner_block(&self) -> usize {
-        self.ib
-    }
-
-    /// Reduction tree the schedule was generated from.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// Kernel family (TT or TS) of the schedule.
-    pub fn family(&self) -> KernelFamily {
-        self.family
-    }
-
-    /// Tile rows `p` of the padded grid.
-    pub fn tile_rows(&self) -> usize {
-        self.p
-    }
-
-    /// Tile columns `q` of the padded grid.
-    pub fn tile_cols(&self) -> usize {
-        self.q
-    }
-
-    /// Number of kernel tasks one factorization executes.
-    pub fn task_count(&self) -> usize {
-        self.core.dag.len()
-    }
-
-    /// Takes `count` workspaces out of the cache, building any that are
-    /// missing; the caller returns them through
-    /// [`QrPlan::restore_workspaces`] when the job is done.
-    pub(crate) fn checkout_workspaces(&self, count: usize) -> Vec<Workspace<T>> {
-        self.ws_high_water.fetch_max(count, Ordering::Relaxed);
-        let mut cache = self.ws_cache.lock();
-        let mut out = Vec::with_capacity(count);
-        while out.len() < count {
-            match cache.pop() {
-                Some(ws) => out.push(ws),
-                None => out.push(Workspace::with_inner_block(self.nb, self.ib)),
-            }
-        }
-        out
-    }
-
-    /// Returns checked-out workspaces to the cache for the next job,
-    /// retaining at most one workspace per worker of the widest checkout
-    /// ever made (surplus built during concurrent bursts is dropped).
-    pub(crate) fn restore_workspaces(&self, ws: impl IntoIterator<Item = Workspace<T>>) {
-        let cap = self.ws_high_water.load(Ordering::Relaxed);
-        let mut cache = self.ws_cache.lock();
-        cache.extend(ws);
-        cache.truncate(cap);
-    }
-
-    /// The schedule of the fused solve, built on first use.
-    pub(crate) fn solve_core(&self) -> &Arc<PlanCore> {
-        self.solve_core.get_or_init(|| {
-            Arc::new(PlanCore::build(
-                self.algorithm,
-                self.family,
-                self.p,
-                self.q,
-                1,
-            ))
-        })
-    }
-
-    /// A weak back-reference to the plan's `T`-buffer pool, embedded in
-    /// every result handle so dropping the handle recycles automatically.
-    pub(crate) fn t_recycler(&self) -> std::sync::Weak<TPool<T>> {
-        Arc::downgrade(&self.t_pool)
-    }
-
-    /// The opt-in pre-submission finiteness scan, for callers that hold the
-    /// dense input themselves (the service layer applies it at dispatch
-    /// time): the first non-finite entry when the plan was built with
-    /// [`QrConfig::check_finite`](crate::driver::QrConfig::check_finite),
-    /// `None` otherwise.
-    pub(crate) fn non_finite_in(&self, a: &Matrix<T>) -> Option<(usize, usize)> {
-        self.check_finite
-            .then(|| find_non_finite_dense(a))
-            .flatten()
-    }
-
-    /// The input checks of every call that takes dense data: `a` has the
-    /// plan's shape, a right-hand side `b` has `m` rows, and — when the plan
-    /// checks finiteness — neither holds a NaN or infinity (`a` is scanned
-    /// first).
-    pub(crate) fn validate(&self, a: &Matrix<T>, b: Option<&Matrix<T>>) -> Result<(), QrError> {
-        if a.shape() != (self.m, self.n) {
-            return Err(QrError::ShapeMismatch {
-                expected: (self.m, self.n),
-                got: a.shape(),
-            });
-        }
-        if let Some(b) = b.filter(|b| b.rows() != self.m) {
-            return Err(QrError::RhsLength {
-                expected: self.m,
-                got: b.rows(),
-            });
-        }
-        match [Some(a), b]
-            .into_iter()
-            .flatten()
-            .find_map(|x| self.non_finite_in(x))
-        {
-            Some((row, col)) => Err(QrError::NonFiniteInput { row, col }),
-            None => Ok(()),
-        }
-    }
-}
-
-impl<T: Scalar<Real = f64>> QrPlan<T> {
-    /// Raises the `T` pool's retention bound to what a run of `copies`
-    /// copies of this plan in one job checks out.
-    pub(crate) fn reserve_t_buffers(&self, copies: usize) {
-        let need = 2 * self.p * self.q * copies;
-        self.t_pool.high_water.fetch_max(need, Ordering::Relaxed);
-    }
-
-    /// Builds the [`FactorizationState`] of one job copy over `tiles` (and,
-    /// for a solve, the right-hand side's row blocks), drawing the `T`-factor
-    /// buffers (2 · p · q of `ib × nb`) from the plan's recycle pool where
-    /// available — the fresh-allocation fallback and the recycled path are
-    /// bitwise identical because recycled buffers are zeroed in place before
-    /// reuse.
-    pub(crate) fn build_state(
-        &self,
-        tiles: TiledMatrix<T>,
-        rhs: Vec<Matrix<T>>,
-    ) -> FactorizationState<T> {
-        // Take the recycled buffers out under a short lock; state
-        // construction — tile-mutex wrapping, buffer zeroing and any
-        // fresh-allocation fallback — runs lock-free, so concurrent
-        // factorizations sharing one plan do not serialize here.
-        let mut recycled: Vec<Matrix<T>> = self.t_pool.take(2 * self.p * self.q);
-        let mut supply = |r: usize, c: usize| match recycled.pop() {
-            Some(mut m) => {
-                debug_assert_eq!(m.shape(), (r, c), "T pool holds only plan-shaped buffers");
-                m.as_mut_slice().fill(T::ZERO);
-                m
-            }
-            None => Matrix::zeros(r, c),
-        };
-        let state = FactorizationState::with_t_supplier(tiles, self.ib, &mut supply);
-        if rhs.is_empty() {
-            state
-        } else {
-            state.with_rhs(rhs)
-        }
-    }
-
-    /// Turns the outcome of a copy that ran this plan's factor schedule into
-    /// the caller-facing result: the handle — which shares the plan's DAG and
-    /// recycles its `T` buffers into the plan's pool when dropped — or the
-    /// copy's error, with its `T` buffers returned to the pool right away
-    /// (the tiles of a failed copy hold partial garbage and are dropped).
-    pub(crate) fn conclude(
-        &self,
-        parts: FactoredParts<T>,
-        err: Option<QrError>,
-    ) -> Result<QrFactorization<T>, QrError> {
-        if let Some(e) = err {
-            self.t_pool
-                .recycle(parts.t_geqrt.into_iter().chain(parts.t_elim));
-            return Err(e);
-        }
-        Ok(QrFactorization::from_parts(
-            self.m,
-            self.n,
-            self.nb,
-            self.ib,
-            parts.tiles,
-            parts.t_geqrt,
-            parts.t_elim,
-            Arc::clone(&self.core.dag),
-            self.t_recycler(),
-        ))
-    }
-
-    /// Returns a consumed factorization's `T`-factor buffers to the plan's
-    /// recycle pool, making the next [`QrContext::factorize`] /
-    /// [`QrContext::factorize_batch`] call of this plan allocation-free for
-    /// `T` storage — the last per-call allocation of the hot path. Buffers
-    /// whose shape does not match the plan's `(ib, nb)` (a factorization
-    /// from a differently-blocked plan) are silently dropped, and the pool
-    /// retains at most the widest checkout ever made, so recycling can never
-    /// ratchet memory up.
-    pub fn recycle(&self, f: QrFactorization<T>) {
-        let (t_geqrt, t_elim) = f.into_t_parts();
-        self.t_pool.recycle(t_geqrt.into_iter().chain(t_elim));
-    }
-
-    /// [`QrPlan::recycle`] for the in-place path: returns a
-    /// [`QrReflectors`] handle's `T` buffers to the pool. The steady-state
-    /// batch loop — refill tiles, [`QrContext::factorize_batch_into`], use
-    /// the reflectors, `recycle_reflectors` — keeps a constant per-call
-    /// allocation *count*, with nothing allocated per tile, task or `T`
-    /// factor (see the [module docs](self)).
-    pub fn recycle_reflectors(&self, r: QrReflectors<T>) {
-        let (t_geqrt, t_elim) = r.into_t_parts();
-        self.t_pool.recycle(t_geqrt.into_iter().chain(t_elim));
-    }
-}
-
-/// Column-major scan for the first non-finite entry of a dense matrix
-/// (the [`QrConfig::check_finite`] pre-submission check).
-fn find_non_finite_dense<T: Scalar>(a: &Matrix<T>) -> Option<(usize, usize)> {
-    let (m, n) = a.shape();
-    for col in 0..n {
-        for row in 0..m {
-            if !a.get(row, col).is_finite() {
-                return Some((row, col));
-            }
-        }
-    }
-    None
-}
-
-/// [`find_non_finite_dense`] for caller-owned tile storage: scans the whole
-/// padded grid (global coordinates), since a non-finite value anywhere in
-/// the buffer — padding included — would poison the factorization.
-fn find_non_finite_tiled<T: Scalar>(t: &TiledMatrix<T>) -> Option<(usize, usize)> {
-    let rows = t.tile_rows() * t.tile_size();
-    let cols = t.tile_cols() * t.tile_size();
-    for col in 0..cols {
-        for row in 0..rows {
-            if !t.get(row, col).is_finite() {
-                return Some((row, col));
-            }
-        }
-    }
-    None
-}
 
 /// Unwind guard of the in-place batch path: while a fused job runs, the
 /// caller's conforming slots hold `0 × 0` placeholder grids (their tiles
@@ -792,22 +335,16 @@ impl QrContext {
         tiles.fill_from_dense_padded(a);
         let rhs = rhs_row_blocks(b, plan.p, plan.nb);
         let input = StreamInput::Tiled { tiles, rhs };
+        // The copy's `T` factors go back to the plan's pool as `parts` drops.
         let (parts, err) = only(self.run_collect(copies_of(plan, vec![input]), None, None));
-        let FactoredParts {
-            tiles,
-            t_geqrt,
-            t_elim,
-            rhs,
-        } = parts;
-        plan.t_pool.recycle(t_geqrt.into_iter().chain(t_elim));
         let x = match err {
             Some(e) => Err(e),
             None => back_substitute(
-                &upper_triangle(&tiles, plan.n),
-                &gather_row_blocks(&rhs, plan.n),
+                &upper_triangle(&parts.tiles, plan.n()),
+                &gather_row_blocks(&parts.rhs, plan.n()),
             ),
         };
-        *plan.solve_tiles.lock() = Some(tiles);
+        *plan.solve_tiles.lock() = Some(parts.tiles);
         x
     }
 
@@ -868,8 +405,8 @@ impl QrContext {
     /// the conforming matrices still factor. An empty batch returns an empty
     /// vector without touching the pool.
     ///
-    /// Pair with [`QrPlan::recycle`] to return each consumed result's
-    /// `T`-factor storage for the next call.
+    /// Dropping a consumed result returns its `T`-factor storage to the plan
+    /// for the next call.
     pub fn factorize_batch<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
@@ -901,26 +438,15 @@ impl QrContext {
         deadline: Option<Instant>,
         trace: Option<&ExecutionTrace>,
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        let checks: Vec<Result<(), QrError>> =
-            mats.iter().map(|a| plan.validate(a, None)).collect();
-        let inputs = mats
-            .iter()
-            .zip(&checks)
-            .filter(|(_, check)| check.is_ok())
-            .map(|(a, _)| StreamInput::Tiled {
-                tiles: TiledMatrix::from_dense_padded(a, plan.nb),
-                rhs: Vec::new(),
-            })
-            .collect();
-        let entries = copies_of(plan, inputs);
-        let mut outcomes = self.run_collect(entries, deadline, trace).into_iter();
-        checks
+        let checked = mats.iter().map(|a| {
+            plan.validate(a, None)
+                .map(|()| TiledMatrix::from_dense_padded(a, plan.nb))
+        });
+        self.run_checked(plan, checked.collect(), deadline, trace)
             .into_iter()
-            .map(|check| {
-                check.and_then(|()| {
-                    let (parts, err) = outcomes.next().expect("one outcome per conforming matrix");
-                    plan.conclude(parts, err)
-                })
+            .map(|ran| {
+                let (tiles, reflectors) = ran?;
+                Ok(reflectors?.into_factorization(tiles))
             })
             .collect()
     }
@@ -933,10 +459,10 @@ impl QrContext {
     /// a non-conforming buffer gets `Err(`[`QrError::PlanMismatch`]`)` in
     /// its slot and is left untouched while the conforming buffers still
     /// factor. Combined with [`TiledMatrix::fill_from_dense_padded`] to
-    /// refill the buffers and [`QrPlan::recycle_reflectors`] to return the
-    /// `T` storage, a steady-state batch loop performs only a constant,
-    /// small number of bookkeeping allocations per call — none per tile,
-    /// per task or per `T` factor (see the [module docs](self)).
+    /// refill the buffers — the dropped handles return the `T` storage — a
+    /// steady-state batch loop performs only a constant, small number of
+    /// bookkeeping allocations per call — none per tile, per task or per `T`
+    /// factor (see the [module docs](self)).
     ///
     /// If the call unwinds (a bug in the runtime — kernel panics are
     /// contained per item), every conforming buffer keeps its plan-shaped
@@ -970,84 +496,82 @@ impl QrContext {
         tiles: &mut [TiledMatrix<T>],
         deadline: Option<Instant>,
     ) -> Vec<Result<QrReflectors<T>, QrError>> {
-        let mut checks: Vec<Result<(), QrError>> = Vec::with_capacity(tiles.len());
-        let mut inputs = Vec::with_capacity(tiles.len());
-        for t in tiles.iter_mut() {
-            let got = (t.tile_rows(), t.tile_cols(), t.tile_size());
-            if got != (plan.p, plan.q, plan.nb) {
-                checks.push(Err(QrError::PlanMismatch {
-                    expected: (plan.p, plan.q, plan.nb),
-                    got,
-                }));
-            } else if let Some((row, col)) = plan
-                .check_finite
-                .then(|| find_non_finite_tiled(t))
-                .flatten()
-            {
-                // Rejected before submission: the buffer is left untouched.
-                checks.push(Err(QrError::NonFiniteInput { row, col }));
-            } else {
-                checks.push(Ok(()));
+        // A rejected buffer is left untouched; a conforming one moves into
+        // the job, a 0 × 0 placeholder standing in for it meanwhile.
+        let checked: Vec<_> = tiles
+            .iter_mut()
+            .map(|t| {
                 let placeholder = TiledMatrix::from_tiles(Vec::new(), 0, 0, plan.nb);
-                inputs.push(StreamInput::Tiled {
-                    tiles: std::mem::replace(t, placeholder),
-                    rhs: Vec::new(),
-                });
-            }
-        }
+                plan.validate_tiles(t)
+                    .map(|()| std::mem::replace(t, placeholder))
+            })
+            .collect();
         // If the job unwinds (a bug in the runtime itself — kernel panics
         // are caught per task), the caller's conforming slots must not be
-        // left holding the 0 × 0 placeholders: the guard puts plan-shaped
-        // zero grids back so a recover-and-retry caller can refill the same
+        // left holding the placeholders: the guard puts plan-shaped zero
+        // grids back so a recover-and-retry caller can refill the same
         // buffers.
         let guard = RestorePlaceholders {
-            taken: checks.iter().map(Result::is_ok).collect(),
+            taken: checked.iter().map(Result::is_ok).collect(),
             tiles,
             p: plan.p,
             q: plan.q,
             nb: plan.nb,
         };
-        let entries = copies_of(plan, inputs);
-        let mut outcomes = self.run_collect(entries, deadline, None).into_iter();
-        let mut out = Vec::with_capacity(guard.tiles.len());
-        for (check, t) in checks.into_iter().zip(guard.tiles.iter_mut()) {
-            out.push(check.and_then(|()| {
-                let (parts, err) = outcomes.next().expect("one outcome per conforming buffer");
-                let FactoredParts {
-                    tiles: factored,
-                    t_geqrt,
-                    t_elim,
-                    ..
-                } = parts;
+        let ran = self.run_checked(plan, checked, deadline, None);
+        ran.into_iter()
+            .zip(guard.tiles.iter_mut())
+            .map(|(ran, slot)| {
                 // The caller gets their buffer back in every outcome: the
                 // factored tiles on success, the partially overwritten tiles
                 // on a contained fault or cancellation (grid intact, values
                 // to be refilled), and the bitwise-untouched tiles when the
                 // run was rejected before any kernel executed.
-                *t = factored;
-                match err {
-                    Some(e) => Err(e),
-                    None => Ok(QrReflectors {
-                        m: plan.m,
-                        n: plan.n,
-                        nb: plan.nb,
-                        ib: plan.ib,
-                        p: plan.p,
-                        q: plan.q,
-                        dag: Arc::clone(&plan.core.dag),
-                        t_geqrt,
-                        t_elim,
-                        recycler: plan.t_recycler(),
-                    }),
+                let (factored, reflectors) = ran?;
+                *slot = factored;
+                reflectors
+            })
+            .collect()
+    }
+
+    /// The checked fan-out/fan-in of the blocking calls: runs the tiles that
+    /// passed their input check as consecutive copies of `plan` in one job
+    /// and hands back, in input order, the check's error or what
+    /// [`QrPlan::conclude`] makes of the copy's outcome.
+    fn run_checked<T: Scalar<Real = f64>>(
+        &self,
+        plan: &QrPlan<T>,
+        checked: Vec<Result<TiledMatrix<T>, QrError>>,
+        deadline: Option<Instant>,
+        trace: Option<&ExecutionTrace>,
+    ) -> Vec<Result<Concluded<T>, QrError>> {
+        let mut rejections = Vec::with_capacity(checked.len());
+        let mut inputs = Vec::with_capacity(checked.len());
+        for check in checked {
+            match check {
+                Ok(tiles) => {
+                    inputs.push(tiles_only(tiles));
+                    rejections.push(None);
                 }
-            }));
+                Err(e) => rejections.push(Some(e)),
+            }
         }
-        out
+        let mut outcomes = self
+            .run_collect(copies_of(plan, inputs), deadline, trace)
+            .into_iter();
+        let concluded = rejections.into_iter().map(|rejection| match rejection {
+            Some(e) => Err(e),
+            None => {
+                let (parts, err) = outcomes.next().expect("one outcome per conforming input");
+                Ok(plan.conclude(parts, err))
+            }
+        });
+        concluded.collect()
     }
 
     /// Runs `entries` as one job ([`QrContext::run`]) and returns their
     /// outcomes in order: the engine call of every blocking entry point.
-    fn run_collect<T: Scalar<Real = f64>>(
+    pub(crate) fn run_collect<T: Scalar<Real = f64>>(
         &self,
         entries: Vec<StreamEntry<'_, T>>,
         deadline: Option<Instant>,
@@ -1068,6 +592,14 @@ impl QrContext {
     }
 }
 
+/// A copy's input that is tiles alone — a factorization, not a solve.
+fn tiles_only<T: Scalar>(tiles: TiledMatrix<T>) -> StreamInput<T> {
+    StreamInput::Tiled {
+        tiles,
+        rhs: Vec::new(),
+    }
+}
+
 /// `inputs` as consecutive copies of one plan, fault-probed by position.
 fn copies_of<T: Scalar>(plan: &QrPlan<T>, inputs: Vec<StreamInput<T>>) -> Vec<StreamEntry<'_, T>> {
     let entry = |(probe, input)| StreamEntry { plan, input, probe };
@@ -1077,6 +609,10 @@ fn copies_of<T: Scalar>(plan: &QrPlan<T>, inputs: Vec<StreamInput<T>>) -> Vec<St
 /// What a job hands back per copy: the parts of its state and the copy's
 /// fault, if any.
 type JobOutcome<T> = (FactoredParts<T>, Option<QrError>);
+
+/// What a blocking call makes of a copy that ran ([`QrPlan::conclude`]): its
+/// tiles, and the reflectors or the copy's fault.
+type Concluded<T> = (TiledMatrix<T>, Result<QrReflectors<T>, QrError>);
 
 /// The [`ItemSink`] of the blocking calls: parks every copy's outcome in its
 /// slot until the job returns.
@@ -1114,170 +650,14 @@ pub(crate) fn back_substitute<T: Scalar>(
     Ok(x)
 }
 
-/// The `T` factors of an in-place factorization ([`QrContext::factorize_into`]).
-///
-/// The factored tiles stay with the caller; combined with them, this handle
-/// replays the block reflectors (`Q`/`Qᴴ` application, `R` extraction) or
-/// upgrades into a self-contained [`QrFactorization`] by taking ownership of
-/// the tiles.
-///
-/// Dropping the handle returns its `ib × nb` `T` buffers to the owning
-/// plan's recycle pool automatically (via a weak back-reference), so a
-/// caller who never calls [`QrPlan::recycle_reflectors`] explicitly still
-/// keeps the steady-state loop allocation-free. If the plan is already gone,
-/// the buffers are simply freed.
-pub struct QrReflectors<T: Scalar> {
-    m: usize,
-    n: usize,
-    nb: usize,
-    ib: usize,
-    p: usize,
-    q: usize,
-    dag: Arc<TaskDag>,
-    t_geqrt: Vec<Option<Matrix<T>>>,
-    t_elim: Vec<Option<Matrix<T>>>,
-    recycler: std::sync::Weak<TPool<T>>,
-}
-
-impl<T: Scalar> Drop for QrReflectors<T> {
-    fn drop(&mut self) {
-        if let Some(pool) = self.recycler.upgrade() {
-            let t_geqrt = std::mem::take(&mut self.t_geqrt);
-            let t_elim = std::mem::take(&mut self.t_elim);
-            pool.recycle(t_geqrt.into_iter().chain(t_elim));
-        }
-    }
-}
-
-impl<T: Scalar> std::fmt::Debug for QrReflectors<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QrReflectors")
-            .field("m", &self.m)
-            .field("n", &self.n)
-            .field("tile_size", &self.nb)
-            .field("inner_block", &self.ib)
-            .field("grid", &(self.p, self.q))
-            .finish_non_exhaustive()
-    }
-}
-
-impl<T: Scalar<Real = f64>> QrReflectors<T> {
-    /// Original (unpadded) row count of the factored matrix.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Original (unpadded) column count of the factored matrix.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Inner blocking factor the `T` factors are stored with.
-    pub fn inner_block(&self) -> usize {
-        self.ib
-    }
-
-    /// Panics unless `tiles` has the grid this factorization was computed
-    /// on — the `tiles` handed back by [`QrContext::factorize_into`].
-    fn check_tiles(&self, tiles: &TiledMatrix<T>) {
-        assert!(
-            (tiles.tile_rows(), tiles.tile_cols(), tiles.tile_size()) == (self.p, self.q, self.nb),
-            "tile grid does not match the factorization ({}×{} of nb={})",
-            self.p,
-            self.q,
-            self.nb
-        );
-    }
-
-    /// The upper-triangular factor `R` (`n × n`), read out of the factored
-    /// tiles.
-    pub fn r(&self, tiles: &TiledMatrix<T>) -> Matrix<T> {
-        self.check_tiles(tiles);
-        upper_triangle(tiles, self.n)
-    }
-
-    /// Applies `Qᴴ` to a dense matrix with `m` rows, replaying the block
-    /// reflectors stored in `tiles`.
-    pub fn apply_qh(&self, tiles: &TiledMatrix<T>, b: &Matrix<T>) -> Matrix<T> {
-        self.check_tiles(tiles);
-        replay_q(
-            tiles,
-            &self.t_geqrt,
-            &self.t_elim,
-            &self.dag,
-            self.ib,
-            self.m,
-            b,
-            Trans::ConjTrans,
-        )
-    }
-
-    /// Applies `Q` to a dense matrix with `m` rows.
-    pub fn apply_q(&self, tiles: &TiledMatrix<T>, b: &Matrix<T>) -> Matrix<T> {
-        self.check_tiles(tiles);
-        replay_q(
-            tiles,
-            &self.t_geqrt,
-            &self.t_elim,
-            &self.dag,
-            self.ib,
-            self.m,
-            b,
-            Trans::NoTrans,
-        )
-    }
-
-    /// Upgrades into a self-contained [`QrFactorization`] by taking
-    /// ownership of the factored tiles. The auto-recycle back-reference
-    /// moves with the `T` buffers, so dropping the factorization still
-    /// returns them to the plan.
-    pub fn into_factorization(mut self, tiles: TiledMatrix<T>) -> QrFactorization<T> {
-        self.check_tiles(&tiles);
-        // `mem::take` rather than destructuring: the handle has a `Drop`
-        // impl (the auto-recycle path), which forbids moving fields out.
-        // The emptied vectors make that drop a no-op.
-        let t_geqrt = std::mem::take(&mut self.t_geqrt);
-        let t_elim = std::mem::take(&mut self.t_elim);
-        QrFactorization::from_parts(
-            self.m,
-            self.n,
-            self.nb,
-            self.ib,
-            tiles,
-            t_geqrt,
-            t_elim,
-            Arc::clone(&self.dag),
-            std::mem::take(&mut self.recycler),
-        )
-    }
-
-    /// Moves the `T` buffers out for explicit recycling
-    /// ([`QrPlan::recycle_reflectors`]), disarming the drop-recycle path.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_t_parts(mut self) -> (Vec<Option<Matrix<T>>>, Vec<Option<Matrix<T>>>) {
-        (
-            std::mem::take(&mut self.t_geqrt),
-            std::mem::take(&mut self.t_elim),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::QrConfig;
+    use crate::state::FactorizationState;
+    use tileqr_core::algorithms::Algorithm;
+    use tileqr_kernels::Workspace;
     use tileqr_matrix::generate::random_matrix;
-
-    #[test]
-    fn plan_rejects_bad_shapes() {
-        assert_eq!(
-            QrPlan::<f64>::new(4, 8, QrConfig::new(2)).err(),
-            Some(QrError::WideMatrix { m: 4, n: 8 })
-        );
-        assert_eq!(
-            QrPlan::<f64>::new(8, 4, QrConfig::new(0)).err(),
-            Some(QrError::ZeroTileSize)
-        );
-    }
 
     #[test]
     fn context_rejects_bad_thread_counts() {
@@ -1361,25 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_cache_is_bounded_by_the_widest_checkout() {
-        // Simulate a concurrent burst: three checkouts in flight at once
-        // against a cold cache. The cache must retain at most one workspace
-        // per worker of the widest checkout, not the sum of the burst.
-        let plan: QrPlan<f64> = QrPlan::new(16, 8, QrConfig::new(4)).unwrap();
-        let a = plan.checkout_workspaces(2);
-        let b = plan.checkout_workspaces(2);
-        let c = plan.checkout_workspaces(2);
-        plan.restore_workspaces(a);
-        plan.restore_workspaces(b);
-        plan.restore_workspaces(c);
-        assert!(plan.ws_cache.lock().len() <= 2);
-        // A wider context later raises the retention bound.
-        let d = plan.checkout_workspaces(3);
-        plan.restore_workspaces(d);
-        assert!(plan.ws_cache.lock().len() <= 3);
-    }
-
-    #[test]
     fn batch_matches_per_call_factorizations_bitwise() {
         let (m, n, nb) = (24usize, 16usize, 4usize);
         let mats: Vec<Matrix<f64>> = (0..5).map(|i| random_matrix(m, n, 300 + i)).collect();
@@ -1430,106 +791,6 @@ mod tests {
         let plan: QrPlan<f64> = QrPlan::new(12, 8, QrConfig::new(4)).unwrap();
         assert!(ctx.factorize_batch(&plan, &[]).is_empty());
         assert!(ctx.factorize_batch_into(&plan, &mut []).is_empty());
-    }
-
-    #[test]
-    fn t_factor_recycling_is_bitwise_invisible_and_bounded() {
-        let (m, n, nb) = (16usize, 8usize, 4usize);
-        let ctx = QrContext::new(2).unwrap();
-        let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).unwrap();
-        let a: Matrix<f64> = random_matrix(m, n, 500);
-        let reference = ctx.factorize(&plan, &a).unwrap();
-        let r_ref = reference.r();
-        let b: Matrix<f64> = random_matrix(m, 2, 501);
-        let qhb_ref = reference.apply_qh(&b);
-        // Recycle and refactor several times: results must not change by a
-        // bit, and the pool must stay bounded by the widest checkout
-        // (2 · p · q buffers for the single-matrix calls here).
-        plan.recycle(reference);
-        let per_call = 2 * plan.tile_rows() * plan.tile_cols();
-        for _ in 0..3 {
-            assert!(plan.t_pool.len() <= per_call);
-            let f = ctx.factorize(&plan, &a).unwrap();
-            assert_eq!(f.r(), r_ref, "recycled T buffers changed the result");
-            assert_eq!(f.apply_qh(&b), qhb_ref, "recycled T buffers broke Q replay");
-            plan.recycle(f);
-        }
-        // Foreign-shaped buffers are dropped, not pooled: recycling through
-        // a differently-blocked plan of the same grid must not grow its pool
-        // with mismatched matrices.
-        let plan_ib1: QrPlan<f64> =
-            QrPlan::new(m, n, QrConfig::new(nb).with_inner_block(1)).unwrap();
-        let f = ctx.factorize(&plan, &a).unwrap();
-        plan_ib1.recycle(f);
-        assert_eq!(plan_ib1.t_pool.len(), 0);
-    }
-
-    #[test]
-    fn dropping_a_result_recycles_t_buffers_automatically() {
-        let (m, n, nb) = (16usize, 8usize, 4usize);
-        let ctx = QrContext::new(2).unwrap();
-        let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).unwrap();
-        let a: Matrix<f64> = random_matrix(m, n, 520);
-        let per_call = 2 * plan.tile_rows() * plan.tile_cols();
-
-        // Dense path: plain `drop` refills the pool through the weak
-        // back-reference, and the next run is bitwise identical whether its
-        // T storage was fresh or pool-drawn.
-        let reference = ctx.factorize(&plan, &a).unwrap();
-        let r_ref = reference.r();
-        assert_eq!(plan.t_pool.len(), 0);
-        drop(reference);
-        assert_eq!(plan.t_pool.len(), per_call);
-        let again = ctx.factorize(&plan, &a).unwrap();
-        assert_eq!(again.r(), r_ref);
-        assert_eq!(plan.t_pool.len(), 0, "pool drained by the recycled run");
-
-        // Explicit recycle after the fields were moved out must not
-        // double-return: `recycle` consumes via `into_t_parts`, which disarms
-        // the drop path.
-        plan.recycle(again);
-        assert_eq!(plan.t_pool.len(), per_call);
-
-        // In-place path: dropping the reflectors handle recycles too.
-        let mut tiles = TiledMatrix::from_dense_padded(&a, nb);
-        let refl = ctx.factorize_into(&plan, &mut tiles).unwrap();
-        assert_eq!(plan.t_pool.len(), 0);
-        drop(refl);
-        assert_eq!(plan.t_pool.len(), per_call);
-
-        // `into_factorization` moves the back-reference with the buffers.
-        let refl = ctx.factorize_into(&plan, &mut tiles).unwrap();
-        let f = refl.into_factorization(tiles);
-        assert_eq!(plan.t_pool.len(), 0);
-        drop(f);
-        assert_eq!(plan.t_pool.len(), per_call);
-
-        // A handle that outlives its plan frees the buffers quietly.
-        let f = ctx.factorize(&plan, &a).unwrap();
-        drop(plan);
-        drop(f);
-    }
-
-    #[test]
-    fn reflector_recycling_keeps_the_in_place_loop_stable() {
-        let (m, n, nb) = (24usize, 12usize, 4usize);
-        let ctx = QrContext::new(2).unwrap();
-        let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).unwrap();
-        let a: Matrix<f64> = random_matrix(m, n, 510);
-        let oneshot = ctx.factorize(&plan, &a).unwrap();
-        let mut tiles = TiledMatrix::from_dense_padded(&a, nb);
-        for _ in 0..4 {
-            tiles.fill_from_dense_padded(&a);
-            let mut batch = vec![std::mem::replace(&mut tiles, TiledMatrix::zeros(6, 3, nb))];
-            let refl = ctx
-                .factorize_batch_into(&plan, &mut batch)
-                .pop()
-                .unwrap()
-                .unwrap();
-            tiles = batch.pop().unwrap();
-            assert_eq!(&tiles, oneshot.factored_tiles());
-            plan.recycle_reflectors(refl);
-        }
     }
 
     #[test]
@@ -1593,10 +854,7 @@ mod tests {
             let ctx = QrContext::new(threads).unwrap();
             let inputs = mats
                 .iter()
-                .map(|a| StreamInput::Tiled {
-                    tiles: TiledMatrix::from_dense_padded(a, 4),
-                    rhs: Vec::new(),
-                })
+                .map(|a| tiles_only(TiledMatrix::from_dense_padded(a, 4)))
                 .collect();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 ctx.run(copies_of(&plan, inputs), None, None, Arc::new(PoisonSink));
@@ -1624,7 +882,8 @@ mod tests {
         for task in &plan.core.dag.tasks {
             state.run_ws(task.kind, &mut ws);
         }
-        plan.conclude(state.into_parts(), None).unwrap()
+        let (tiles, reflectors) = plan.conclude(state.into_parts(), None);
+        reflectors.unwrap().into_factorization(tiles)
     }
 
     /// The one-engine contract end to end: the *same* entries — three plans
@@ -1684,10 +943,7 @@ mod tests {
                         let tiles = TiledMatrix::from_dense_padded(a, plan.nb);
                         let input = match input {
                             Input::Dense => StreamInput::Dense(Arc::new(a.clone())),
-                            Input::Tiled => StreamInput::Tiled {
-                                tiles,
-                                rhs: Vec::new(),
-                            },
+                            Input::Tiled => tiles_only(tiles),
                             Input::Solve => StreamInput::Tiled {
                                 tiles,
                                 rhs: rhs_row_blocks(&b, plan.p, plan.nb),
@@ -1705,13 +961,14 @@ mod tests {
                     assert_eq!(err, None, "{at}");
                     if input == Input::Solve {
                         let x = back_substitute(
-                            &upper_triangle(&parts.tiles, plans[p].n),
-                            &gather_row_blocks(&parts.rhs, plans[p].n),
+                            &upper_triangle(&parts.tiles, plans[p].n()),
+                            &gather_row_blocks(&parts.rhs, plans[p].n()),
                         );
                         let decomposed = back_substitute(&reference.r(), &reference.apply_qh(&b));
                         assert_eq!(x, decomposed, "fused solve, {at}");
                     }
-                    let f = plans[p].conclude(parts, None).unwrap();
+                    let (tiles, reflectors) = plans[p].conclude(parts, None);
+                    let f = reflectors.unwrap().into_factorization(tiles);
                     assert_eq!(f.factored_tiles(), reference.factored_tiles(), "{at}");
                     // Replaying Qᴴ reads every T factor.
                     let probe: Matrix<f64> = random_matrix(plans[p].m(), 2, 7_200);
@@ -1721,7 +978,7 @@ mod tests {
         }
     }
 
-    /// A same-plan group must reduce to the uniform id mapping and still
+    /// A same-plan group runs on the one prefix-sum id map and must still
     /// match the reference, copy by copy.
     #[test]
     fn same_plan_job_matches_the_reference_copy_by_copy() {
@@ -1730,10 +987,7 @@ mod tests {
         let mats: Vec<Matrix<f64>> = (0..3).map(|i| random_matrix(24, 16, 8_100 + i)).collect();
         let inputs = mats
             .iter()
-            .map(|a| StreamInput::Tiled {
-                tiles: TiledMatrix::from_dense_padded(a, plan.nb),
-                rhs: Vec::new(),
-            })
+            .map(|a| tiles_only(TiledMatrix::from_dense_padded(a, plan.nb)))
             .collect();
         let outcomes = ctx.run_collect(copies_of(&plan, inputs), None, None);
         for ((parts, err), a) in outcomes.into_iter().zip(&mats) {
@@ -1743,5 +997,48 @@ mod tests {
                 reference_factorization(&plan, a).factored_tiles()
             );
         }
+    }
+
+    /// `T`-pool retention counts a plan's copies over the **whole** job, not
+    /// per run of adjacent entries: an interleaved group `[A, B, A]` checks
+    /// out two copies' worth of plan `A`'s buffers, so that is what `A`'s
+    /// pool must retain — and what the next round must find there.
+    #[test]
+    fn t_pool_retains_every_copy_of_an_interleaved_plan() {
+        let ctx = QrContext::new(2).unwrap();
+        let a = QrPlan::<f64>::new(16, 8, QrConfig::new(4)).unwrap();
+        let b = QrPlan::<f64>::new(12, 12, QrConfig::new(4)).unwrap();
+        let per_copy = 2 * a.p * a.q;
+        let round = || {
+            let entries = [&a, &b, &a]
+                .into_iter()
+                .enumerate()
+                .map(|(probe, plan)| StreamEntry {
+                    plan,
+                    input: tiles_only(TiledMatrix::from_dense_padded(
+                        &random_matrix(plan.m(), plan.n(), 9_000 + probe as u64),
+                        plan.nb,
+                    )),
+                    probe,
+                })
+                .collect();
+            ctx.run_collect(entries, None, None)
+        };
+        for _ in 0..2 {
+            drop(round());
+            assert_eq!(
+                a.t_pool.len(),
+                2 * per_copy,
+                "both copies' buffers retained"
+            );
+        }
+        // Third round: while its outcomes are alive, plan A's pool is empty —
+        // both copies drew their `T` storage from it, none was allocated.
+        let outcomes = round();
+        assert!(outcomes.iter().all(|(_, err)| err.is_none()));
+        assert_eq!(a.t_pool.len(), 0);
+        drop(outcomes);
+        assert_eq!(a.t_pool.len(), 2 * per_copy);
+        assert_eq!(b.t_pool.len(), 2 * b.p * b.q);
     }
 }

@@ -18,17 +18,14 @@
 //! size) and are bitwise identical to the session API — both run the same
 //! kernels in a DAG-respecting order.
 
-use std::sync::{Arc, Weak};
-
 use tileqr_core::algorithms::Algorithm;
-use tileqr_core::dag::{KernelFamily, TaskDag};
+use tileqr_core::dag::KernelFamily;
 use tileqr_core::sim::simulate_grasap;
-use tileqr_core::{EliminationList, TaskKind};
-use tileqr_kernels::{tsmqr_ws, ttmqr_ws, unmqr_ws, Trans, Workspace};
+use tileqr_core::EliminationList;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
 use crate::executor::SchedulerKind;
-use crate::state::{gather_row_blocks, rhs_row_blocks};
+use crate::reflectors::QrReflectors;
 use crate::trace::ExecutionTrace;
 
 /// Default inner blocking factor `ib` of [`QrConfig::new`], applied as
@@ -131,55 +128,29 @@ impl QrConfig {
 }
 
 /// The result of a tiled QR factorization: the factored tiles (R on the
-/// diagonal blocks, Householder vectors elsewhere), the `T` factors of every
-/// block reflector, and the DAG needed to replay the transformations.
+/// diagonal blocks, Householder vectors elsewhere) and their
+/// [`QrReflectors`] — the `T` factors of every block reflector and the DAG
+/// needed to replay the transformations.
 ///
-/// Factorizations produced through the session API
+/// Dropping a factorization produced through the session API
 /// ([`QrContext`](crate::context::QrContext) with a
-/// [`QrPlan`](crate::context::QrPlan)) return their `ib × nb` `T` buffers to
-/// the plan's recycle pool automatically when dropped, via a weak
-/// back-reference — explicit
-/// [`QrPlan::recycle`](crate::context::QrPlan::recycle) remains available
-/// but is no longer required for the steady-state loop to stay
-/// allocation-free. One-shot factorizations from the free functions outlive
-/// their transient plan, so their reference is dead and they drop their
-/// buffers normally.
+/// [`QrPlan`](crate::context::QrPlan)) returns its `ib × nb` `T` buffers to
+/// the plan's recycle pool: dropping the handle *is* the recycle path.
+/// One-shot factorizations from the free functions outlive their transient
+/// plan and free their buffers normally.
 pub struct QrFactorization<T: Scalar> {
     /// Original row count of the dense matrix (before padding).
     pub m: usize,
     /// Original column count of the dense matrix (before padding).
     pub n: usize,
-    tile_size: usize,
-    inner_block: usize,
-    tiles: TiledMatrix<T>,
-    t_geqrt: Vec<Option<Matrix<T>>>,
-    t_elim: Vec<Option<Matrix<T>>>,
-    /// Shared with the plan that produced the factorization (the DAG is
-    /// read-only after construction and can be large).
-    dag: Arc<TaskDag>,
-    /// Weak back-reference to the producing plan's `T`-buffer pool; dead
-    /// once that plan is gone (always, for one-shot factorizations).
-    recycler: Weak<crate::context::TPool<T>>,
-}
-
-impl<T: Scalar> Drop for QrFactorization<T> {
-    fn drop(&mut self) {
-        if let Some(pool) = self.recycler.upgrade() {
-            let t_geqrt = std::mem::take(&mut self.t_geqrt);
-            let t_elim = std::mem::take(&mut self.t_elim);
-            pool.recycle(t_geqrt.into_iter().chain(t_elim));
-        }
-    }
+    pub(crate) tiles: TiledMatrix<T>,
+    pub(crate) reflectors: QrReflectors<T>,
 }
 
 impl<T: Scalar> std::fmt::Debug for QrFactorization<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QrFactorization")
-            .field("m", &self.m)
-            .field("n", &self.n)
-            .field("tile_size", &self.tile_size)
-            .field("inner_block", &self.inner_block)
-            .field("tasks", &self.dag.len())
+            .field("reflectors", &self.reflectors)
             .finish_non_exhaustive()
     }
 }
@@ -266,142 +237,22 @@ fn factorize_impl<T: Scalar<Real = f64>>(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The upper-triangular factor `R` (`n × n`) of a factored tile grid. Reads
-/// only the tiles on and above the diagonal of the top `⌈n/nb⌉` tile rows —
-/// the rest of the grid holds Householder vectors — so the cost does not
-/// grow with the row count.
-pub(crate) fn upper_triangle<T: Scalar>(tiles: &TiledMatrix<T>, n: usize) -> Matrix<T> {
-    let nb = tiles.tile_size();
-    let mut r = Matrix::zeros(n, n);
-    for tj in 0..n.div_ceil(nb) {
-        let cols = nb.min(n - tj * nb);
-        for ti in 0..=tj {
-            let rows = nb.min(n - ti * nb);
-            r.copy_block(ti * nb, tj * nb, tiles.tile(ti, tj), 0, 0, rows, cols);
-        }
-    }
-    // The diagonal tiles keep reflectors below their diagonal.
-    r.zero_below_diagonal();
-    r
-}
-
-/// Replays the factor tasks of `dag` over a dense matrix `b` with `m` rows,
-/// applying `Q` (reverse task order) or `Qᴴ` (forward order) built from the
-/// Householder tiles and the `ib`-blocked `T` factors. `b` is held as `p` row
-/// blocks of `nb × k` — the same blocks, updated by the same kernels in the
-/// same per-block order, as the trailing column of the fused solve
-/// ([`QrContext::solve`](crate::context::QrContext::solve)), so the two agree
-/// bitwise.
-///
-/// Shared by [`QrFactorization`] (owned tiles) and
-/// [`QrReflectors`](crate::context::QrReflectors) (caller-owned tiles).
-#[allow(clippy::too_many_arguments)] // internal seam between the two handles
-pub(crate) fn replay_q<T: Scalar<Real = f64>>(
-    tiles: &TiledMatrix<T>,
-    t_geqrt: &[Option<Matrix<T>>],
-    t_elim: &[Option<Matrix<T>>],
-    dag: &TaskDag,
-    ib: usize,
-    m: usize,
-    b: &Matrix<T>,
-    trans: Trans,
-) -> Matrix<T> {
-    assert_eq!(b.rows(), m, "row count must match the factored matrix");
-    let nb = tiles.tile_size();
-    let p = tiles.tile_rows();
-    let t_geqrt_of = |row: usize, col: usize| -> &Matrix<T> {
-        t_geqrt[col * p + row]
-            .as_ref()
-            .expect("missing GEQRT T factor — corrupt factorization")
-    };
-    let t_elim_of = |row: usize, col: usize| -> &Matrix<T> {
-        t_elim[col * p + row]
-            .as_ref()
-            .expect("missing elimination T factor — corrupt factorization")
-    };
-    let mut blocks = rhs_row_blocks(b, p, nb);
-
-    // One workspace serves the whole replay; the blocks are updated in
-    // place. The panel width must match the ib-blocked T factors produced
-    // at factor time.
-    let mut ws = Workspace::with_inner_block(nb, ib);
-    let mut apply_one = |kind: TaskKind| match kind {
-        TaskKind::Geqrt { row, col } => unmqr_ws(
-            tiles.tile(row, col),
-            t_geqrt_of(row, col),
-            &mut blocks[row],
-            trans,
-            &mut ws,
-        ),
-        TaskKind::Tsqrt { row, piv, col } | TaskKind::Ttqrt { row, piv, col } => {
-            let [c1, c2] = blocks
-                .get_disjoint_mut([piv, row])
-                .expect("an elimination couples two distinct tile rows");
-            let (v2, t) = (tiles.tile(row, col), t_elim_of(row, col));
-            if matches!(kind, TaskKind::Tsqrt { .. }) {
-                tsmqr_ws(v2, t, c1, c2, trans, &mut ws);
-            } else {
-                ttmqr_ws(v2, t, c1, c2, trans, &mut ws);
-            }
-        }
-        // Update tasks carry no reflectors of their own.
-        TaskKind::Unmqr { .. } | TaskKind::Tsmqr { .. } | TaskKind::Ttmqr { .. } => {}
-    };
-
-    // The tasks are stored in topological order: forward applies Qᴴ,
-    // backward applies Q.
-    match trans {
-        Trans::ConjTrans => dag.tasks.iter().for_each(|t| apply_one(t.kind)),
-        Trans::NoTrans => dag.tasks.iter().rev().for_each(|t| apply_one(t.kind)),
-    }
-
-    gather_row_blocks(&blocks, m)
-}
-
 impl<T: Scalar<Real = f64>> QrFactorization<T> {
-    /// Assembles a factorization from its parts (used by the session API in
-    /// [`crate::context`], which shares the plan's DAG instead of rebuilding
-    /// it).
-    #[allow(clippy::too_many_arguments)] // crate-internal constructor
-    pub(crate) fn from_parts(
-        m: usize,
-        n: usize,
-        tile_size: usize,
-        inner_block: usize,
-        tiles: TiledMatrix<T>,
-        t_geqrt: Vec<Option<Matrix<T>>>,
-        t_elim: Vec<Option<Matrix<T>>>,
-        dag: Arc<TaskDag>,
-        recycler: Weak<crate::context::TPool<T>>,
-    ) -> Self {
-        QrFactorization {
-            m,
-            n,
-            tile_size,
-            inner_block,
-            tiles,
-            t_geqrt,
-            t_elim,
-            dag,
-            recycler,
-        }
-    }
-
     /// The upper-triangular factor `R` (size `n × n`, the original column
     /// count before padding).
     pub fn r(&self) -> Matrix<T> {
-        upper_triangle(&self.tiles, self.n)
+        self.reflectors.r(&self.tiles)
     }
 
     /// Applies `Qᴴ` to a dense matrix with `m` rows (the original, unpadded
     /// row count) and returns the result.
     pub fn apply_qh(&self, b: &Matrix<T>) -> Matrix<T> {
-        self.apply(b, Trans::ConjTrans)
+        self.reflectors.apply_qh(&self.tiles, b)
     }
 
     /// Applies `Q` to a dense matrix with `m` rows and returns the result.
     pub fn apply_q(&self, b: &Matrix<T>) -> Matrix<T> {
-        self.apply(b, Trans::NoTrans)
+        self.reflectors.apply_q(&self.tiles, b)
     }
 
     /// Forms the economy-size orthogonal factor `Q` (`m × n`): the result of
@@ -439,14 +290,14 @@ impl<T: Scalar<Real = f64>> QrFactorization<T> {
 
     /// Tile size `nb`.
     pub fn tile_size(&self) -> usize {
-        self.tile_size
+        self.tiles.tile_size()
     }
 
     /// Inner blocking factor `ib` the tiles were factored with (the `T`
     /// factors are stored `ib`-blocked, so replaying the reflectors uses the
     /// same panel width).
     pub fn inner_block(&self) -> usize {
-        self.inner_block
+        self.reflectors.inner_block()
     }
 
     /// Access to the factored tiles (R + Householder vectors), mainly for
@@ -454,38 +305,12 @@ impl<T: Scalar<Real = f64>> QrFactorization<T> {
     pub fn factored_tiles(&self) -> &TiledMatrix<T> {
         &self.tiles
     }
-
-    /// Dismantles the factorization into its `T`-factor storage, for
-    /// recycling through [`QrPlan::recycle`](crate::context::QrPlan::recycle).
-    /// `mem::take` rather than destructuring because the handle has a `Drop`
-    /// impl (the auto-recycle path); the emptied vectors make it a no-op.
-    #[allow(clippy::type_complexity)] // crate-internal seam
-    pub(crate) fn into_t_parts(mut self) -> (Vec<Option<Matrix<T>>>, Vec<Option<Matrix<T>>>) {
-        (
-            std::mem::take(&mut self.t_geqrt),
-            std::mem::take(&mut self.t_elim),
-        )
-    }
-
-    /// Applies `Q` or `Qᴴ` to a dense matrix with `self.m` rows by replaying
-    /// the factorization's block reflectors on a tiled copy of `b`.
-    fn apply(&self, b: &Matrix<T>, trans: Trans) -> Matrix<T> {
-        replay_q(
-            &self.tiles,
-            &self.t_geqrt,
-            &self.t_elim,
-            &self.dag,
-            self.inner_block,
-            self.m,
-            b,
-            trans,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tileqr_core::dag::TaskDag;
     use tileqr_matrix::generate::{random_matrix, RandomScalar};
     use tileqr_matrix::norms::{frobenius_norm, orthogonality_residual};
     use tileqr_matrix::Complex64;

@@ -3,14 +3,16 @@
 //! The task graph built by `tileqr-core` is already in topological order with
 //! explicit predecessor lists. Two execution strategies are provided:
 //!
-//! * [`execute_sequential`] / [`execute_sequential_with`] simply walk the
-//!   tasks in order — used by the sequential driver and as the reference for
-//!   correctness tests;
-//! * [`execute_parallel`] / [`execute_parallel_with`] /
-//!   [`execute_parallel_with_scheduler`] run a pool of worker threads that
-//!   pull ready tasks from a [`Scheduler`] and release their successors as
-//!   they finish — a miniature version of the PLASMA/QUARK dynamic scheduler
-//!   used in the paper's experiments.
+//! * [`execute_sequential_with`] simply walks the tasks in order — the
+//!   reference for correctness tests;
+//! * [`execute_parallel_with_scheduler`] runs a scoped pool of worker threads
+//!   that pull ready tasks from a [`Scheduler`] and release their successors
+//!   as they finish — a miniature version of the PLASMA/QUARK dynamic
+//!   scheduler used in the paper's experiments.
+//!
+//! No factorization path of this crate calls either (every job runs on the
+//! persistent pool, `job.rs`); they stay public as the engine-independent
+//! reference that tests compare against and the benchmark ledger times.
 //!
 //! # Schedulers
 //!
@@ -18,11 +20,11 @@
 //! trait; [`SchedulerKind`] selects between the three implementations:
 //!
 //! * [`SchedulerKind::LockedFifo`] — the original single
-//!   [`TaskQueue`](crate::sync::TaskQueue) (a mutex-protected FIFO) shared by
+//!   [`TaskQueue`] (a mutex-protected FIFO) shared by
 //!   every worker. Kept for ablation: it is correct and simple, but on many
 //!   cores the single lock serializes every push and pop.
 //! * [`SchedulerKind::WorkStealing`] — one Chase–Lev
-//!   [`WorkerDeque`](crate::sync::WorkerDeque) per worker plus a global FIFO
+//!   [`WorkerDeque`] per worker plus a global FIFO
 //!   injector holding the initially-ready tasks. A worker pushes the tasks it
 //!   enables onto its *own* deque and pops them back LIFO (cache-warm tiles);
 //!   an idle worker first drains the injector, then steals the *oldest* task
@@ -39,14 +41,13 @@
 //! setup, preserving the executor's **zero per-task allocation** guarantee
 //! (verified by the counting-allocator integration test).
 //!
-//! The `_with` variants thread a per-worker **workspace** through the task
-//! closure: `make_ws` is called once per worker thread (and once for the
+//! Both thread a per-worker **workspace** through the task closure: `make_ws` is called once per worker thread (and once for the
 //! sequential path), and every task executed by that worker receives a
 //! mutable reference to its worker's workspace. With
 //! [`tileqr_kernels::Workspace`] as the workspace type this makes the hot
 //! loop allocation-free: all kernel scratch is preallocated before the first
 //! task runs. Idle workers back off with
-//! [`Backoff`](crate::sync::Backoff) (spin → yield → bounded park), so they
+//! [`Backoff`] (spin → yield → bounded park), so they
 //! stop burning a core at the tail of the DAG.
 //!
 //! [`TaskDag::priorities`]: tileqr_core::dag::TaskDag::priorities
@@ -59,17 +60,6 @@ use tileqr_core::dag::{SuccessorsCsr, TaskDag};
 use tileqr_core::TaskKind;
 
 use crate::sync::{Backoff, CancelToken, Steal, TaskQueue, WorkerDeque};
-
-/// Executes every task of the DAG in topological order on the current
-/// thread.
-pub fn execute_sequential<F>(dag: &TaskDag, mut run: F)
-where
-    F: FnMut(TaskKind),
-{
-    for task in &dag.tasks {
-        run(task.kind);
-    }
-}
 
 /// Executes every task in topological order, threading a caller-provided
 /// workspace through the task closure.
@@ -278,100 +268,33 @@ impl Scheduler for WorkStealing {
     }
 }
 
-/// How [`WorkStealingPriority`] maps a global task id to its critical-path
-/// rank.
-enum PriorityRanking {
-    /// One shared per-shape table reused cyclically: task `t` is ranked by
-    /// `priority[t % period]`. Serves a single DAG (`period == len`) and a
-    /// fused batch of identical copies (ids `copy * period + local`), with
-    /// no per-call priority allocation.
-    Cyclic {
-        priority: std::sync::Arc<[u64]>,
-        period: usize,
-    },
-    /// Heterogeneous fused group: copy `c` owns the contiguous id range
-    /// `offsets[c] .. offsets[c + 1]` and ranks its tasks with its own
-    /// shared per-shape table. Same prefix-sum geometry as
-    /// [`ItemMap::from_counts`].
-    Offsets {
-        tables: Vec<std::sync::Arc<[u64]>>,
-        offsets: Vec<usize>,
-    },
-}
-
-impl PriorityRanking {
-    #[inline]
-    fn rank(&self, t: usize) -> u64 {
-        match self {
-            PriorityRanking::Cyclic { priority, period } => priority[t % period],
-            PriorityRanking::Offsets { tables, offsets } => {
-                let copy = offsets.partition_point(|&o| o <= t) - 1;
-                tables[copy][t - offsets[copy]]
-            }
-        }
-    }
-}
-
 /// Work stealing with critical-path priorities: each batch of newly-enabled
 /// tasks is pushed so the owner pops the task with the largest weighted
 /// critical-path-to-exit first, and stealers take the least critical one.
 pub struct WorkStealingPriority {
     inner: WorkStealing,
-    /// `rank(i)` = weighted longest path from task `i` to its DAG's exit
-    /// ([`TaskDag::priorities`](tileqr_core::dag::TaskDag::priorities)),
-    /// looked up through the shared per-shape table(s) so a reusable plan
-    /// hands the same table to many jobs without copying it.
-    ranking: PriorityRanking,
+    /// `tables[c][l]` = weighted longest path from task `l` of copy `c` to
+    /// its DAG's exit
+    /// ([`TaskDag::priorities`](tileqr_core::dag::TaskDag::priorities)):
+    /// `Arc` clones of each plan's cached table, so a reusable plan hands the
+    /// same table to many jobs without copying it.
+    tables: Vec<std::sync::Arc<[u64]>>,
+    /// Global id → `(copy, local)`, the same geometry the job drives.
+    map: ItemMap,
 }
 
 impl WorkStealingPriority {
-    /// Builds the scheduler from precomputed per-task priorities.
-    pub fn new(priority: Vec<u64>, workers: usize) -> Self {
-        WorkStealingPriority::new_shared(priority.into(), workers)
-    }
-
-    /// Builds the scheduler from a shared priority table — the allocation-free
-    /// path used by [`QrPlan`](crate::context::QrPlan), which computes the
-    /// priorities once and reuses them for every factorization of the shape.
-    pub fn new_shared(priority: std::sync::Arc<[u64]>, workers: usize) -> Self {
-        WorkStealingPriority::new_shared_cyclic(priority, workers, 1)
-    }
-
-    /// Builds the scheduler for a fused batch of `copies` independent
-    /// instances of one DAG: the deques hold `copies * priority.len()` task
-    /// ids, and task `t` is ranked by `priority[t % priority.len()]` — every
-    /// copy shares the single per-shape priority table, so batching adds no
-    /// per-call priority allocation.
-    pub fn new_shared_cyclic(
-        priority: std::sync::Arc<[u64]>,
-        workers: usize,
-        copies: usize,
-    ) -> Self {
-        let period = priority.len().max(1);
-        WorkStealingPriority {
-            inner: WorkStealing::new(priority.len() * copies.max(1), workers),
-            ranking: PriorityRanking::Cyclic { priority, period },
-        }
-    }
-
-    /// Builds the scheduler for a *heterogeneous* fused group: `tables[c]`
-    /// is copy `c`'s shared per-shape priority table, and copy `c` owns the
-    /// contiguous global id range starting at the prefix sum of the earlier
-    /// table lengths — the same `g → (copy, local)` contract as
-    /// [`ItemMap::from_counts`]. Tables are `Arc` clones of each plan's
-    /// cached priorities, so mixed groups cost one small `Vec` per job, not
-    /// a fused priority table.
+    /// Builds the scheduler for a fused group: `tables[c]` is copy `c`'s
+    /// shared per-shape priority table, and copy `c` owns the contiguous
+    /// global id range starting at the prefix sum of the earlier table
+    /// lengths. A single DAG is a group of one. Mixed groups cost one small
+    /// `Vec` per job, not a fused priority table.
     pub fn new_shared_offsets(tables: Vec<std::sync::Arc<[u64]>>, workers: usize) -> Self {
-        let mut offsets = Vec::with_capacity(tables.len() + 1);
-        let mut total = 0usize;
-        offsets.push(0);
-        for t in &tables {
-            total += t.len();
-            offsets.push(total);
-        }
+        let map = ItemMap::from_counts(tables.iter().map(|t| t.len()));
         WorkStealingPriority {
-            inner: WorkStealing::new(total, workers),
-            ranking: PriorityRanking::Offsets { tables, offsets },
+            inner: WorkStealing::new(map.total(), workers),
+            tables,
+            map,
         }
     }
 
@@ -380,7 +303,10 @@ impl WorkStealingPriority {
     /// maximum out-degree — `O(q)` for tiled QR).
     #[inline]
     fn sort_ascending(&self, batch: &mut [usize]) {
-        batch.sort_unstable_by_key(|&t| self.ranking.rank(t));
+        batch.sort_unstable_by_key(|&t| {
+            let (copy, local) = self.map.locate(t);
+            self.tables[copy][local]
+        });
     }
 }
 
@@ -410,26 +336,6 @@ impl Scheduler for WorkStealingPriority {
     fn pop(&self, w: usize) -> Option<usize> {
         self.inner.pop_from(w)
     }
-}
-
-/// Executes the DAG on `num_threads` worker threads (workspace-free
-/// compatibility wrapper over [`execute_parallel_with`]).
-pub fn execute_parallel<F>(dag: &TaskDag, num_threads: usize, run: F)
-where
-    F: Fn(TaskKind) + Sync,
-{
-    execute_parallel_with(dag, num_threads, || (), |task, _ws: &mut ()| run(task));
-}
-
-/// Executes the DAG on `num_threads` worker threads with one workspace per
-/// worker, using the default scheduler ([`SchedulerKind::WorkStealing`]).
-pub fn execute_parallel_with<W, M, F>(dag: &TaskDag, num_threads: usize, make_ws: M, run: F)
-where
-    W: Send,
-    M: Fn() -> W + Sync,
-    F: Fn(TaskKind, &mut W) + Sync,
-{
-    execute_parallel_with_scheduler(dag, num_threads, SchedulerKind::default(), make_ws, run)
 }
 
 /// Executes the DAG on `num_threads` worker threads with one workspace per
@@ -490,7 +396,7 @@ pub fn execute_parallel_with_scheduler<W, M, F>(
                 dag,
                 &succ,
                 num_threads,
-                &WorkStealingPriority::new(priorities, num_threads),
+                &WorkStealingPriority::new_shared_offsets(vec![priorities.into()], num_threads),
                 make_ws,
                 run,
             )
@@ -521,110 +427,44 @@ pub(crate) fn initial_roots(dag: &TaskDag) -> Vec<usize> {
 ///
 /// A fused pool job runs several independent DAG instances ("copies") under
 /// one scheduler. Global ids are assigned contiguously per copy: copy `c`
-/// owns `base(c) .. base(c) + tasks_of(c)`. Two representations share the
-/// type:
-///
-/// * **Uniform** (`stride != 0`): every copy has `stride` tasks, so
-///   `locate` is `g → (g / stride, g % stride)` — bit-for-bit the
-///   historical cyclic mapping of same-plan batches, with no per-call
-///   allocation (`offsets` stays empty).
-/// * **Heterogeneous** (`stride == 0`): `offsets` is the task-count prefix
-///   sum (`offsets[c]` = first id of copy `c`, `offsets.len() == copies + 1`)
-///   and `locate` binary-searches it — `O(log copies)` on a group bounded
-///   by the service's `max_group`.
-///
-/// [`ItemMap::from_counts`] detects the all-equal case and collapses it to
-/// the uniform form, so same-plan groups keep the exact pre-offset id
-/// arithmetic on every path that consumes the map.
+/// owns `offsets[c] .. offsets[c + 1]`, the prefix sums of the copies' task
+/// counts (a single DAG of `n` tasks is `[0, n]`), and `locate`
+/// binary-searches them — `O(log copies)`, the crate's one
+/// `partition_point`.
 pub(crate) struct ItemMap {
-    /// Tasks per copy when uniform; `0` flags the heterogeneous form.
-    stride: usize,
-    #[cfg_attr(not(test), allow(dead_code))]
-    copies: usize,
-    total: usize,
-    /// Prefix-sum id offsets (heterogeneous form only; empty when uniform).
+    /// `offsets[c]` = first id of copy `c`; `offsets.len() == copies + 1`.
     offsets: Vec<usize>,
 }
 
 impl ItemMap {
-    /// A group of `copies` identical DAGs of `local_tasks` tasks each.
-    pub(crate) fn uniform(local_tasks: usize, copies: usize) -> Self {
-        let local_tasks = local_tasks.max(1);
-        ItemMap {
-            stride: local_tasks,
-            copies,
-            total: local_tasks * copies,
-            offsets: Vec::new(),
-        }
-    }
-
     /// A group described by one task count per copy.
-    pub(crate) fn from_counts(counts: &[usize]) -> Self {
-        if let Some(&first) = counts.first() {
-            if counts.iter().all(|&c| c == first) {
-                return ItemMap::uniform(first, counts.len());
-            }
-        }
-        let mut offsets = Vec::with_capacity(counts.len() + 1);
-        let mut total = 0usize;
+    pub(crate) fn from_counts(counts: impl IntoIterator<Item = usize>) -> Self {
+        let counts = counts.into_iter();
+        let mut offsets = Vec::with_capacity(counts.size_hint().0 + 1);
         offsets.push(0);
-        for &c in counts {
-            total += c;
-            offsets.push(total);
+        for count in counts {
+            offsets.push(offsets[offsets.len() - 1] + count);
         }
-        ItemMap {
-            stride: 0,
-            copies: counts.len(),
-            total,
-            offsets,
-        }
-    }
-
-    /// Number of DAG copies in the group.
-    #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn copies(&self) -> usize {
-        self.copies
+        ItemMap { offsets }
     }
 
     /// Total task count across all copies.
     #[inline]
     pub(crate) fn total(&self) -> usize {
-        self.total
+        self.offsets[self.offsets.len() - 1]
     }
 
     /// First global id of `copy`.
     #[inline]
     pub(crate) fn base(&self, copy: usize) -> usize {
-        if self.stride != 0 {
-            copy * self.stride
-        } else {
-            self.offsets[copy]
-        }
-    }
-
-    /// Task count of `copy`.
-    #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn tasks_of(&self, copy: usize) -> usize {
-        if self.stride != 0 {
-            self.stride
-        } else {
-            self.offsets[copy + 1] - self.offsets[copy]
-        }
+        self.offsets[copy]
     }
 
     /// `g → (copy, local)`.
     #[inline]
-    // `stride != 0` selects the uniform mode, it is not a div-by-zero guard.
-    #[allow(clippy::manual_checked_ops)]
     pub(crate) fn locate(&self, g: usize) -> (usize, usize) {
-        if self.stride != 0 {
-            (g / self.stride, g % self.stride)
-        } else {
-            let copy = self.offsets.partition_point(|&o| o <= g) - 1;
-            (copy, g - self.offsets[copy])
-        }
+        let copy = self.offsets.partition_point(|&o| o <= g) - 1;
+        (copy, g - self.offsets[copy])
     }
 }
 
@@ -662,9 +502,7 @@ pub(crate) struct DriveCtl<'a> {
     /// reaches it.
     pub(crate) num_tasks: usize,
     /// Global-id geometry of the run: `map.locate(g)` resolves every task id
-    /// to its `(copy, local)` pair. Uniform for single runs and same-plan
-    /// batches (the historical `g → (g / n, g % n)` arithmetic);
-    /// prefix-sum offsets for heterogeneous fused groups.
+    /// to its `(copy, local)` pair.
     pub(crate) map: &'a ItemMap,
     /// `succ[copy]` is that copy's successor adjacency (copies of one shape
     /// repeat one reference), indexed by the local id from `map`.
@@ -699,16 +537,14 @@ pub(crate) struct DriveCtl<'a> {
 /// caller: the scoped executor ([`execute_parallel_with_scheduler`]) and the
 /// fused jobs of [`QrContext`](crate::context::QrContext) — one matrix, a
 /// same-plan batch, or a heterogeneous service group, on the pool or (with
-/// `threads == 1`) on the calling thread. `ctl.map` resolves a
-/// global id to `(copy, local)` — uniform stride division for same-plan
-/// groups (bit-for-bit the historical `g → (g / n, g % n)` mapping),
-/// prefix-sum offsets for mixed-plan groups — and `ctl.succ` hands back the
-/// copy's own successor CSR, so no per-call fused adjacency is ever
-/// materialized. Released successors stay within the task's copy by
-/// offsetting local successor ids with the copy's base. For a single DAG the
-/// id arithmetic is the identity. Same-plan paths are bitwise equivalent by
-/// construction because they run exactly this code over the same per-tile
-/// kernel ordering.
+/// `threads == 1`) on the calling thread. `ctl.map` resolves a global id to
+/// `(copy, local)` — once per task, here; the task body `run` receives the
+/// pair — and `ctl.succ` hands back the copy's own successor CSR, so no
+/// per-call fused adjacency is ever materialized. Released successors stay
+/// within the task's copy by offsetting local successor ids with the copy's
+/// base. For a single DAG the id arithmetic is the identity. Every path is
+/// bitwise equivalent by construction because it runs exactly this code over
+/// the same per-tile kernel ordering.
 ///
 /// Panic handling depends on `ctl.faults` — see [`DriveCtl::faults`]. In
 /// containment mode a failed copy's remaining tasks still *retire* (their
@@ -725,7 +561,7 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
     sched: &S,
     w: usize,
     heartbeat: Option<&AtomicUsize>,
-    run: &mut dyn FnMut(usize),
+    run: &mut dyn FnMut(usize, usize),
 ) {
     debug_assert_eq!(ctl.map.total(), ctl.num_tasks);
     // Armed for the whole loop: if anything unwinds out of it — a task in
@@ -761,13 +597,15 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
                 backoff.reset();
                 let (copy, local) = ctl.map.locate(idx);
                 match ctl.faults {
-                    None => run(idx),
+                    None => run(copy, local),
                     Some(sink) => {
                         // A failed copy's tasks are skipped, not executed;
                         // they still retire below so the run drains.
                         if !sink.copy_failed(copy) {
                             let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(idx)));
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                    run(copy, local)
+                                }));
                             if let Err(payload) = result {
                                 sink.record_panic(copy, local, &*payload);
                             }
@@ -830,7 +668,7 @@ fn run_pool<S, W, M, F>(
     let completed = AtomicUsize::new(0);
     let aborted = AtomicBool::new(false);
 
-    let map = ItemMap::uniform(n, 1);
+    let map = ItemMap::from_counts([n]);
     let ctl = DriveCtl {
         num_tasks: n,
         map: &map,
@@ -850,8 +688,8 @@ fn run_pool<S, W, M, F>(
             let run = &run;
             scope.spawn(move || {
                 let mut ws = make_ws();
-                drive_worker(ctl, *sched, w, None, &mut |idx| {
-                    run(dag.tasks[idx].kind, &mut ws)
+                drive_worker(ctl, *sched, w, None, &mut |_copy, local| {
+                    run(dag.tasks[local].kind, &mut ws)
                 });
             });
         }
@@ -874,7 +712,7 @@ mod tests {
     fn sequential_visits_every_task_once() {
         let dag = sample_dag(6, 3);
         let mut seen = Vec::new();
-        execute_sequential(&dag, |k| seen.push(k));
+        execute_sequential_with(&dag, &mut (), |k, _ws| seen.push(k));
         assert_eq!(seen.len(), dag.len());
         let unique: HashSet<_> = seen.iter().collect();
         assert_eq!(unique.len(), dag.len());
@@ -948,8 +786,14 @@ mod tests {
             tasks: Vec::new(),
         };
         let mut count = 0;
-        execute_sequential(&empty, |_| count += 1);
-        execute_parallel(&empty, 4, |_| panic!("should not run"));
+        execute_sequential_with(&empty, &mut (), |_, _ws| count += 1);
+        execute_parallel_with_scheduler(
+            &empty,
+            4,
+            SchedulerKind::default(),
+            || (),
+            |_, _ws: &mut ()| panic!("should not run"),
+        );
         assert_eq!(count, 0);
         assert_eq!(dag.len(), 1);
     }
@@ -981,9 +825,10 @@ mod tests {
         let counter = AtomicUsize::new(0);
         let used = Mutex::new(HashSet::new());
         let tasks = Mutex::new(0usize);
-        execute_parallel_with(
+        execute_parallel_with_scheduler(
             &dag,
             4,
+            SchedulerKind::default(),
             || counter.fetch_add(1, Ordering::SeqCst),
             |_task, ws_id| {
                 used.lock().insert(*ws_id);
@@ -1047,7 +892,7 @@ mod tests {
         // one worker with no pushes: the injector must yield them in
         // decreasing priority order.
         let priority = vec![5u64, 40, 10, 7, 99, 1];
-        let sched = WorkStealingPriority::new(priority.clone(), 2);
+        let sched = WorkStealingPriority::new_shared_offsets(vec![priority.clone().into()], 2);
         let mut roots = vec![0usize, 1, 2, 3, 4, 5];
         sched.seed(&mut roots);
         let mut got = Vec::new();
@@ -1061,7 +906,7 @@ mod tests {
     #[test]
     fn priority_scheduler_runs_batches_most_critical_first() {
         let priority = vec![3u64, 8, 1, 12];
-        let sched = WorkStealingPriority::new(priority, 1);
+        let sched = WorkStealingPriority::new_shared_offsets(vec![priority.into()], 1);
         let mut batch = vec![0usize, 1, 2, 3];
         // The most critical task comes back as the work-first continuation;
         // the rest pop in decreasing priority.
@@ -1073,47 +918,42 @@ mod tests {
     }
 
     #[test]
-    fn item_map_uniform_matches_historical_cyclic_arithmetic() {
-        let map = ItemMap::uniform(7, 4);
-        assert_eq!(map.copies(), 4);
+    fn item_map_equal_counts_match_historical_cyclic_arithmetic() {
+        // A same-plan group on the prefix-sum form resolves every id exactly
+        // like the historical `g → (g / n, g % n)`.
+        let map = ItemMap::from_counts([7, 7, 7, 7]);
         assert_eq!(map.total(), 28);
         for g in 0..map.total() {
             assert_eq!(map.locate(g), (g / 7, g % 7));
         }
         for c in 0..4 {
             assert_eq!(map.base(c), c * 7);
-            assert_eq!(map.tasks_of(c), 7);
         }
     }
 
     #[test]
-    fn item_map_equal_counts_collapse_to_uniform() {
-        let map = ItemMap::from_counts(&[5, 5, 5]);
-        assert_eq!(map.stride, 5, "same-plan groups must take the uniform path");
-        assert!(map.offsets.is_empty());
-        for g in 0..15 {
-            assert_eq!(map.locate(g), (g / 5, g % 5));
+    fn item_map_of_one_copy_is_the_identity() {
+        let map = ItemMap::from_counts([5]);
+        assert_eq!((map.total(), map.base(0)), (5, 0));
+        for g in 0..5 {
+            assert_eq!(map.locate(g), (0, g));
         }
     }
 
     #[test]
     fn item_map_heterogeneous_is_a_bijection_over_disjoint_ranges() {
         let counts = [3usize, 7, 1, 4];
-        let map = ItemMap::from_counts(&counts);
-        assert_eq!(map.copies(), 4);
+        let map = ItemMap::from_counts(counts);
         assert_eq!(map.total(), 15);
         let mut seen = HashSet::new();
         for g in 0..map.total() {
             let (copy, local) = map.locate(g);
-            assert!(copy < map.copies());
-            assert!(local < map.tasks_of(copy));
+            assert!(copy < counts.len());
+            assert!(local < counts[copy]);
             assert_eq!(map.base(copy) + local, g);
             assert!(seen.insert((copy, local)), "id {g} not unique");
         }
         assert_eq!(seen.len(), map.total());
-        for (c, &count) in counts.iter().enumerate() {
-            assert_eq!(map.tasks_of(c), count);
-        }
     }
 
     #[test]
@@ -1146,7 +986,7 @@ mod tests {
         assert_ne!(dag_a.len(), dag_b.len(), "copies must be heterogeneous");
         let succ_a = dag_a.successors_csr();
         let succ_b = dag_b.successors_csr();
-        let map = ItemMap::from_counts(&[dag_a.len(), dag_b.len()]);
+        let map = ItemMap::from_counts([dag_a.len(), dag_b.len()]);
         assert_eq!(map.total(), dag_a.len() + dag_b.len());
         let per_copy = [&succ_a, &succ_b];
         let dags = [&dag_a, &dag_b];
@@ -1192,8 +1032,8 @@ mod tests {
                 let sched = &sched;
                 let order = &order;
                 scope.spawn(move || {
-                    drive_worker(ctl, sched, w, None, &mut |g| {
-                        order.lock().push(g);
+                    drive_worker(ctl, sched, w, None, &mut |copy, local| {
+                        order.lock().push(ctl.map.base(copy) + local);
                     });
                 });
             }

@@ -6,9 +6,9 @@
 //! brings its own schedule (a plan's factor or solve [`PlanCore`]), inner
 //! blocking, fault-probe id and input, so one job may span shapes, tile
 //! sizes and elimination trees. Global task ids are contiguous per copy
-//! ([`ItemMap`]): same-shape groups resolve `g → (g / n, g % n)`, mixed
-//! groups binary-search the prefix sums. There are no cross-copy edges, so
-//! every copy's result is bitwise identical to running it alone.
+//! ([`ItemMap`]: the prefix sums of the copies' task counts). There are no
+//! cross-copy edges, so every copy's result is bitwise identical to running
+//! it alone.
 //!
 //! What differs between the callers is only where a copy's outcome goes:
 //! the [`ItemSink`] receives `(FactoredParts, Option<QrError>)` **exactly
@@ -33,13 +33,15 @@ use tileqr_core::dag::{SuccessorsCsr, TaskKind};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
-use crate::context::{PlanCore, QrContext, QrPlan};
+use crate::context::QrContext;
 use crate::error::QrError;
 use crate::executor::{
     dependency_counters, drive_worker, DriveCtl, FaultSink, ItemMap, LockedFifo, Scheduler,
     SchedulerKind, WorkStealing, WorkStealingPriority,
 };
+use crate::plan::{PlanCore, QrPlan};
 use crate::pool::{payload_message, Job, RunCtl, WorkerPool};
+use crate::reflectors::TFactors;
 use crate::state::{FactoredParts, FactorizationState};
 use crate::sync::shim::{AtomicBool, AtomicUsize};
 use crate::sync::{Backoff, CancelCause, CancelToken, ClaimFlag, Mutex};
@@ -53,8 +55,8 @@ use crate::trace::{ExecutionTrace, WorkerTrace};
 /// Calls for copies that ran to their last task come **from a worker
 /// thread**, the moment that task retires; implementations must be cheap and
 /// must not block on the pool. On an error the tiles hold whatever the run
-/// left in them (bitwise untouched if no kernel ran) and the `T` buffers
-/// should go back to the copy's plan.
+/// left in them (bitwise untouched if no kernel ran); the `T` factors go back
+/// to the copy's plan whenever the sink drops them.
 pub(crate) trait ItemSink<T: Scalar>: Send + Sync {
     /// Delivers entry `index`'s outcome.
     fn item_done(&self, index: usize, parts: FactoredParts<T>, err: Option<QrError>);
@@ -99,8 +101,7 @@ impl<T: Scalar> StreamInput<T> {
         };
         FactoredParts {
             tiles,
-            t_geqrt: Vec::new(),
-            t_elim: Vec::new(),
+            t: TFactors::none(),
             rhs,
         }
     }
@@ -305,9 +306,8 @@ impl<T: Scalar<Real = f64>> JobState<T> {
         cancel: CancelToken,
         sink: Arc<dyn ItemSink<T>>,
     ) -> Self {
-        let counts: Vec<usize> = copies.iter().map(|c| c.core.dag.len()).collect();
         JobState {
-            map: ItemMap::from_counts(&counts),
+            map: ItemMap::from_counts(copies.iter().map(|c| c.core.dag.len())),
             max_out_degree: copies
                 .iter()
                 .map(|c| c.core.max_out_degree)
@@ -336,17 +336,10 @@ impl<T: Scalar<Real = f64>> JobState<T> {
         roots
     }
 
-    /// The priority scheduler over the copies' cached per-shape tables:
-    /// shared cyclically when every copy runs one schedule, by offset
-    /// otherwise.
+    /// The priority scheduler over the copies' cached per-shape tables.
     fn priority_scheduler(&self, threads: usize) -> WorkStealingPriority {
-        let first = &self.copies[0].core;
-        if self.copies.iter().all(|c| Arc::ptr_eq(&c.core, first)) {
-            WorkStealingPriority::new_shared_cyclic(first.priorities(), threads, self.copies.len())
-        } else {
-            let tables = self.copies.iter().map(|c| c.core.priorities()).collect();
-            WorkStealingPriority::new_shared_offsets(tables, threads)
-        }
+        let tables = self.copies.iter().map(|c| c.core.priorities()).collect();
+        WorkStealingPriority::new_shared_offsets(tables, threads)
     }
 
     /// Drains `copy` and hands its outcome to the sink, unless that already
@@ -416,8 +409,7 @@ impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for FusedJob<T, S> {
             cancel: Some(&job.cancel),
             faults: Some(job),
         };
-        drive_worker(&ctl, &self.sched, w, Some(heartbeat), &mut |g| {
-            let (copy, local) = job.map.locate(g);
+        drive_worker(&ctl, &self.sched, w, Some(heartbeat), &mut |copy, local| {
             let c = &job.copies[copy];
             #[cfg(feature = "fault-injection")]
             crate::fault::check(c.probe, local);
@@ -496,10 +488,15 @@ impl QrContext {
         let Some(ws_owner) = entries.iter().map(|e| e.plan).max_by_key(|p| p.nb) else {
             return;
         };
-        // A plan's `T` pool retains what its widest run of copies in one job
-        // checked out.
-        for run in entries.chunk_by(|a, b| std::ptr::eq(a.plan, b.plan)) {
-            run[0].plan.reserve_t_buffers(run.len());
+        // A plan's `T` pool retains what all of its copies in one job checked
+        // out, wherever they sit among the entries: counted once per plan, at
+        // its first entry.
+        for (i, first) in entries.iter().enumerate() {
+            let same_plan = |e: &StreamEntry<'_, T>| std::ptr::eq(e.plan, first.plan);
+            if !entries[..i].iter().any(same_plan) {
+                let copies = entries[i..].iter().filter(|e| same_plan(e)).count();
+                first.plan.reserve_t_buffers(copies);
+            }
         }
         let copies: Vec<JobCopy<T>> = entries.into_iter().map(JobCopy::new).collect();
         let total = copies.iter().map(|c| c.core.dag.len()).sum();

@@ -37,11 +37,15 @@
 //!   per-item errors isolated); the callers differ only in the *sink* the
 //!   job hands each copy's outcome to — a collecting sink for the blocking
 //!   calls, a ticket-resolving one for the service — and `threads == 1`
-//!   drives the same job on the calling thread. Each consumed result's
-//!   `T`-factor storage recycles through [`QrPlan::recycle`] /
-//!   [`QrPlan::recycle_reflectors`], cutting the steady-state batch loop
-//!   down to a constant *count* of per-call bookkeeping allocations — none
-//!   per task, tile or `T` factor.
+//!   drives the same job on the calling thread. A copy's `T` factors are one
+//!   value ([`reflectors::TFactors`]) that returns its buffers to the plan's
+//!   pool wherever it is dropped — **dropping the handle is the recycle
+//!   path** — cutting the steady-state batch loop down to a constant *count*
+//!   of per-call bookkeeping allocations — none per task, tile or `T`
+//!   factor. The session API is three modules — [`plan`] ([`QrPlan`] and its
+//!   caches), [`reflectors`] ([`QrReflectors`], the `T` factors and the
+//!   `Q`/`Qᴴ` replay) and [`context`] (the entry points) — all re-exported
+//!   from [`context`].
 //! * [`driver`] — one-shot convenience wrappers over the session API:
 //!   [`driver::qr_factorize`], [`driver::qr_factorize_parallel`] and the
 //!   [`driver::QrFactorization`] handle (extract `R`, apply `Q`/`Qᴴ`, build
@@ -54,16 +58,16 @@
 //!   a factorization handle and a service-routed variant cover later-arriving
 //!   right-hand sides.
 //! * [`service`] — the **streaming multi-tenant service layer** (see
-//!   below): a [`QrService`](service::QrService) in front of one context,
+//!   below): a [`QrService`] in front of one context,
 //!   with bounded admission, per-tenant fairness, load shedding and
 //!   transient-fault retry.
 //!
 //! # Service layer
 //!
 //! `QrService` turns the session API into a long-running, multi-tenant
-//! front end. Many concurrent [`QrClient`](service::QrClient) handles
+//! front end. Many concurrent [`QrClient`] handles
 //! submit dense matrices; each accepted submission returns a
-//! [`Ticket`](service::Ticket) that resolves with that matrix's `Result`
+//! [`Ticket`] that resolves with that matrix's `Result`
 //! the moment its last task retires — per-item streaming out of fused
 //! pool jobs, not join-the-whole-batch. The overload surface is typed and
 //! first-class:
@@ -221,8 +225,6 @@
 //! [`QrContext::factorize_into`]: context::QrContext::factorize_into
 //! [`QrContext::factorize_batch`]: context::QrContext::factorize_batch
 //! [`QrContext::factorize_batch_into`]: context::QrContext::factorize_batch_into
-//! [`QrPlan::recycle`]: context::QrPlan::recycle
-//! [`QrPlan::recycle_reflectors`]: context::QrPlan::recycle_reflectors
 
 #![warn(missing_docs)]
 
@@ -235,7 +237,9 @@ pub mod fault;
 mod job;
 #[cfg(all(test, tileqr_verify))]
 mod model_check;
+pub mod plan;
 mod pool;
+pub mod reflectors;
 pub mod service;
 pub mod solve;
 pub mod state;

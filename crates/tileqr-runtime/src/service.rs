@@ -4,9 +4,8 @@
 //! concurrent [`QrClient`] handles. Each accepted submission returns a
 //! [`Ticket`] that resolves with that matrix's `Result` **the moment its
 //! last task retires** — items stream out of fused pool jobs individually
-//! instead of joining at batch boundaries (the generalized per-item
-//! completion hook of
-//! [`FaultSink::task_retired`](crate::executor::FaultSink)).
+//! instead of joining at batch boundaries (the job hands each finished copy
+//! to the service's sink from the worker that retired its last task).
 //!
 //! # Admission & backpressure
 //!
@@ -49,9 +48,8 @@
 //! ≤ g) − 1` and `local = g − offset[copy]`. Successor release, priority
 //! ranking and `T`-factor recycling all follow that per-copy contract,
 //! and the group's worker workspaces are sized by its largest tile order.
-//! Same-plan groups collapse to the historical uniform mapping
-//! `g → (g / n, g % n)` and execute bitwise-identically to the
-//! single-plan service. Per-item tiling happens *inside* the fused job
+//! Same-plan groups run on the same map and execute bitwise-identically
+//! to the single-plan service. Per-item tiling happens *inside* the fused job
 //! (the first worker to touch a copy tiles its dense input), so the
 //! dispatcher thread stays responsive regardless of group size.
 //!
@@ -566,7 +564,8 @@ impl<T: Scalar<Real = f64>> ItemSink<T> for GroupSink<T> {
             .lock()
             .take()
             .expect("the job delivers each item exactly once");
-        let outcome = item.plan.conclude(parts, err);
+        let (tiles, reflectors) = item.plan.conclude(parts, err);
+        let outcome = reflectors.map(|r| r.into_factorization(tiles));
         self.shared.finish_attempt(item, outcome);
     }
 }
@@ -722,7 +721,7 @@ impl<T: Scalar<Real = f64>> QrClient<T> {
         a: Matrix<T>,
         priority: Priority,
     ) -> Result<Ticket<T>, QrError> {
-        check_shape(plan, &a)?;
+        plan.check_shape(&a)?;
         let ticket = {
             let mut inner = self.shared.inner.lock();
             match self.shared.check_admission(&inner, self.id, priority) {
@@ -749,7 +748,7 @@ impl<T: Scalar<Real = f64>> QrClient<T> {
         priority: Priority,
         timeout: Duration,
     ) -> Result<Ticket<T>, QrError> {
-        check_shape(plan, &a)?;
+        plan.check_shape(&a)?;
         let deadline = Instant::now() + timeout;
         let mut inner = self.shared.inner.lock();
         let ticket = loop {
@@ -780,17 +779,6 @@ impl<T: Scalar<Real = f64>> QrClient<T> {
     pub fn stats(&self) -> ServiceStats {
         self.shared.stats_snapshot()
     }
-}
-
-/// O(1) metadata check shared by every submission path.
-fn check_shape<T: Scalar<Real = f64>>(plan: &QrPlan<T>, a: &Matrix<T>) -> Result<(), QrError> {
-    if a.shape() != (plan.m(), plan.n()) {
-        return Err(QrError::ShapeMismatch {
-            expected: (plan.m(), plan.n()),
-            got: a.shape(),
-        });
-    }
-    Ok(())
 }
 
 /// Resolves every still-queued and awaiting-retry item with

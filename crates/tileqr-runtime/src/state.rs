@@ -1,7 +1,7 @@
 //! Shared factorization state and the task → kernel mapping.
 //!
-//! Every tile of the matrix, and every auxiliary `T` factor, lives behind its
-//! own [`Mutex`](crate::sync::Mutex). Conflicting tasks are already ordered
+//! Every tile of the matrix, and every tile's pair of auxiliary `T` factors,
+//! lives behind its own [`Mutex`]. Conflicting tasks are already ordered
 //! by the DAG, so locks are essentially uncontended; they exist to make the
 //! concurrent access to *different parts of the same tile* (e.g. UNMQR
 //! reading the Householder vectors while a TTQRT rewrites the R part above
@@ -9,8 +9,9 @@
 //! single global order (tile index, then auxiliary arrays), so the executor
 //! can never deadlock.
 //!
-//! All `T`-factor storage is preallocated in [`FactorizationState::new`]:
-//! together with the per-worker [`Workspace`]s threaded in by the executor,
+//! All `T`-factor storage ([`TFactors`]) is allocated — or checked out of a
+//! plan's recycle pool — before the state is built: together with the
+//! per-worker [`Workspace`]s threaded in by the executor,
 //! this makes [`FactorizationState::run_ws`] — the per-task hot path —
 //! completely allocation-free.
 //!
@@ -29,6 +30,10 @@
 //! ordering conflicting tasks, never on *which* ready task runs first, so
 //! the factorization output is bitwise identical under every policy.
 
+use std::sync::Weak;
+
+use crate::plan::TPool;
+use crate::reflectors::{TFactors, TPair};
 use crate::sync::{Mutex, MutexGuard};
 use tileqr_core::TaskKind;
 use tileqr_kernels::{
@@ -47,24 +52,21 @@ pub struct FactorizationState<T: Scalar> {
     /// followed by the `p` right-hand-side row blocks (tile column `q`) when
     /// the state carries one.
     tiles: Vec<Mutex<Matrix<T>>>,
-    /// `T` factor of `GEQRT(row, col)`; preallocated (zero) until that
-    /// kernel has run.
-    t_geqrt: Vec<Mutex<Option<Matrix<T>>>>,
-    /// `T` factor of the TSQRT/TTQRT that eliminated tile `(row, col)`;
-    /// preallocated (zero) until that kernel has run.
-    t_elim: Vec<Mutex<Option<Matrix<T>>>>,
+    /// The copy's [`TFactors`] while it runs: every tile's pair behind its
+    /// own lock, in [`TFactors::slot`] order.
+    t: Vec<Mutex<TPair<T>>>,
+    /// The pool the `T` buffers came from; leaves with them in
+    /// [`FactorizationState::take_parts`].
+    t_home: Weak<TPool<T>>,
 }
 
 /// What [`FactorizationState::into_parts`] hands back.
 pub struct FactoredParts<T: Scalar> {
     /// The factored tiles (`R` plus the Householder vectors).
     pub tiles: TiledMatrix<T>,
-    /// `T` factor of `GEQRT(row, col)` at `col · p + row`. Every slot is
-    /// `Some` (the storage is preallocated); slots whose kernel never ran
+    /// The `T` factor every factor kernel left; slots whose kernel never ran
     /// hold a zero matrix.
-    pub t_geqrt: Vec<Option<Matrix<T>>>,
-    /// `T` factor of the elimination of tile `(row, col)`, same layout.
-    pub t_elim: Vec<Option<Matrix<T>>>,
+    pub t: TFactors<T>,
     /// The right-hand-side row blocks ([`FactorizationState::with_rhs`]),
     /// holding `Qᴴ·b` once every task ran; empty if the state carried none.
     pub rhs: Vec<Matrix<T>>,
@@ -89,47 +91,34 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
     /// workspaces threaded in by the executor must be built with the same
     /// `ib` ([`Workspace::with_inner_block`]).
     pub fn with_inner_block(a: TiledMatrix<T>, ib: usize) -> Self {
-        FactorizationState::with_t_supplier(a, ib, &mut |r, c| Matrix::zeros(r, c))
+        let nb = a.tile_size();
+        let grid = (a.tile_rows(), a.tile_cols());
+        FactorizationState::over(a, TFactors::fresh(grid, ib.clamp(1, nb.max(1)), nb))
     }
 
-    /// Like [`FactorizationState::with_inner_block`], but draws every
-    /// `T`-factor slot from `supply` instead of allocating it — the seam
-    /// that lets a reusable plan ([`QrPlan`](crate::context::QrPlan)) feed
-    /// recycled buffers back into the state, removing the last per-call
-    /// allocation that scales with the tile grid.
-    ///
-    /// `supply(rows, cols)` is called exactly `2 · p · q` times and must
-    /// return an all-zero `rows × cols` matrix (`rows` is the clamped inner
-    /// blocking factor, `cols` the tile size) — recycled buffers must be
-    /// zeroed by the supplier so results stay bitwise identical to the
-    /// allocating constructor.
-    pub fn with_t_supplier(
-        a: TiledMatrix<T>,
-        ib: usize,
-        supply: &mut dyn FnMut(usize, usize) -> Matrix<T>,
-    ) -> Self {
+    /// The state of one copy over its tiles and its (all-zero) `T` factors —
+    /// how a reusable plan ([`QrPlan`](crate::context::QrPlan)) feeds recycled
+    /// `T` buffers back in, removing the last per-call allocation that scales
+    /// with the tile grid.
+    pub(crate) fn over(a: TiledMatrix<T>, t: TFactors<T>) -> Self {
         let (tiles, p, q, nb) = a.into_tiles();
-        let ib = ib.clamp(1, nb.max(1));
-        let tiles = tiles.into_iter().map(Mutex::new).collect();
-        let mut slot = || {
-            let m = supply(ib, nb);
-            debug_assert_eq!(m.shape(), (ib, nb), "supplied T buffer has the wrong shape");
-            debug_assert!(
-                m.as_slice().iter().all(|v| *v == T::ZERO),
-                "supplied T buffer must be zeroed"
-            );
-            Mutex::new(Some(m))
-        };
-        let t_geqrt = (0..p * q).map(|_| slot()).collect();
-        let t_elim = (0..p * q).map(|_| slot()).collect();
+        let ib = t.inner_block();
+        let (t, t_home) = t.into_slots();
+        debug_assert_eq!(t.len(), p * q, "one T pair per tile");
+        debug_assert!(
+            t.iter()
+                .flat_map(|s| [&s.geqrt, &s.elim])
+                .all(|m| { m.shape() == (ib, nb) && m.as_slice().iter().all(|v| *v == T::ZERO) }),
+            "T factors must enter the state as zeroed ib × nb buffers"
+        );
         FactorizationState {
             p,
             q,
             nb,
             ib,
-            tiles,
-            t_geqrt,
-            t_elim,
+            tiles: tiles.into_iter().map(Mutex::new).collect(),
+            t: t.into_iter().map(Mutex::new).collect(),
+            t_home,
         }
     }
 
@@ -219,13 +208,6 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
         }
     }
 
-    /// Executes one task of the DAG with a fresh workspace (matching the
-    /// state's inner blocking) — allocating compatibility wrapper over
-    /// [`FactorizationState::run_ws`].
-    pub fn run(&self, task: TaskKind) {
-        self.run_ws(task, &mut Workspace::with_inner_block(self.nb, self.ib));
-    }
-
     /// Executes one task of the DAG against a caller-provided workspace
     /// (zero heap allocations). Safe to call concurrently for tasks that are
     /// not ordered by the DAG.
@@ -233,9 +215,7 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
         match task {
             TaskKind::Geqrt { row, col } => {
                 let mut tile = self.tiles[self.idx(row, col)].lock();
-                let mut t_slot = self.t_geqrt[self.idx(row, col)].lock();
-                let t = t_slot.as_mut().expect("T factor storage is preallocated");
-                geqrt_ws(&mut tile, t, ws);
+                geqrt_ws(&mut tile, &mut self.t_of(row, col).geqrt, ws);
             }
             TaskKind::Unmqr { row, col, j } => {
                 // lock order: smaller tile index first
@@ -243,9 +223,7 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
                 debug_assert!(iv < ic);
                 let v = self.tiles[iv].lock();
                 let mut c = self.tiles[ic].lock();
-                let t_guard = self.t_geqrt[iv].lock();
-                let t = t_guard.as_ref().expect("UNMQR before GEQRT");
-                unmqr_ws(&v, t, &mut c, Trans::ConjTrans, ws);
+                unmqr_ws(&v, &self.t_of(row, col).geqrt, &mut c, Trans::ConjTrans, ws);
             }
             TaskKind::Tsqrt { row, piv, col } => {
                 let (ip, ir) = (self.idx(piv, col), self.idx(row, col));
@@ -256,9 +234,7 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
                 } else {
                     (&mut *second, &mut *first)
                 };
-                let mut t_slot = self.t_elim[self.idx(row, col)].lock();
-                let t = t_slot.as_mut().expect("T factor storage is preallocated");
-                tsqrt_ws(r1, a2, t, ws);
+                tsqrt_ws(r1, a2, &mut self.t_of(row, col).elim, ws);
             }
             TaskKind::Ttqrt { row, piv, col } => {
                 let (ip, ir) = (self.idx(piv, col), self.idx(row, col));
@@ -268,39 +244,40 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
                 } else {
                     (&mut *second, &mut *first)
                 };
-                let mut t_slot = self.t_elim[self.idx(row, col)].lock();
-                let t = t_slot.as_mut().expect("T factor storage is preallocated");
-                ttqrt_ws(r1, r2, t, ws);
+                ttqrt_ws(r1, r2, &mut self.t_of(row, col).elim, ws);
             }
             TaskKind::Tsmqr { row, piv, col, j } => {
                 let iv = self.idx(row, col);
                 let (ic1, ic2) = (self.idx(piv, j), self.idx(row, j));
                 let v = self.tiles[iv].lock();
                 let (mut first, mut second) = self.lock_pair(ic1, ic2);
-                let t_guard = self.t_elim[iv].lock();
-                let t = t_guard.as_ref().expect("TSMQR before TSQRT");
                 let (c1, c2) = if ic1 < ic2 {
                     (&mut *first, &mut *second)
                 } else {
                     (&mut *second, &mut *first)
                 };
-                tsmqr_ws(&v, t, c1, c2, Trans::ConjTrans, ws);
+                tsmqr_ws(&v, &self.t_of(row, col).elim, c1, c2, Trans::ConjTrans, ws);
             }
             TaskKind::Ttmqr { row, piv, col, j } => {
                 let iv = self.idx(row, col);
                 let (ic1, ic2) = (self.idx(piv, j), self.idx(row, j));
                 let v = self.tiles[iv].lock();
                 let (mut first, mut second) = self.lock_pair(ic1, ic2);
-                let t_guard = self.t_elim[iv].lock();
-                let t = t_guard.as_ref().expect("TTMQR before TTQRT");
                 let (c1, c2) = if ic1 < ic2 {
                     (&mut *first, &mut *second)
                 } else {
                     (&mut *second, &mut *first)
                 };
-                ttmqr_ws(&v, t, c1, c2, Trans::ConjTrans, ws);
+                ttmqr_ws(&v, &self.t_of(row, col).elim, c1, c2, Trans::ConjTrans, ws);
             }
         }
+    }
+
+    /// Locks the `T` pair of tile `(row, col)`. Always taken after the tile
+    /// locks of the task, and every task touching the pair holds tile
+    /// `(row, col)` itself, so the lock is never contended.
+    fn t_of(&self, row: usize, col: usize) -> MutexGuard<'_, TPair<T>> {
+        self.t[TFactors::<T>::slot(self.p, row, col)].lock()
     }
 
     /// Locks two distinct tiles in global index order and returns the guards
@@ -334,10 +311,11 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
         let take = |m: &Mutex<Matrix<T>>| std::mem::replace(&mut *m.lock(), Matrix::zeros(0, 0));
         let mut tiles: Vec<Matrix<T>> = self.tiles.iter().map(take).collect();
         let rhs = tiles.split_off(self.p * self.q);
+        let take_t = |m: &Mutex<TPair<T>>| std::mem::replace(&mut *m.lock(), TPair::empty());
+        let t = self.t.iter().map(take_t).collect();
         FactoredParts {
             tiles: TiledMatrix::from_tiles(tiles, self.p, self.q, self.nb),
-            t_geqrt: self.t_geqrt.iter().map(|m| m.lock().take()).collect(),
-            t_elim: self.t_elim.iter().map(|m| m.lock().take()).collect(),
+            t: TFactors::from_slots(self.p, self.ib, t, self.t_home.clone()),
             rhs,
         }
     }
@@ -384,6 +362,13 @@ mod tests {
     use tileqr_core::KernelFamily;
     use tileqr_matrix::generate::random_matrix;
 
+    /// Every `T` factor of a `p × q` grid: both halves of every tile's pair.
+    fn t_slots(t: &TFactors<f64>, p: usize, q: usize) -> impl Iterator<Item = &Matrix<f64>> {
+        (0..q)
+            .flat_map(move |col| (0..p).map(move |row| (row, col)))
+            .flat_map(move |(row, col)| [t.geqrt(row, col), t.elim(row, col)])
+    }
+
     #[test]
     fn state_roundtrip_preserves_grid_shape() {
         let a = random_matrix::<f64>(12, 8, 1);
@@ -394,19 +379,13 @@ mod tests {
         assert_eq!(state.tile_size(), 4);
         let FactoredParts {
             tiles: back,
-            t_geqrt: tg,
-            t_elim: te,
+            t,
             rhs,
         } = state.into_parts();
         assert_eq!(back, tiled);
         assert!(rhs.is_empty());
         // T storage is preallocated and zero until a kernel runs
-        assert!(tg.iter().all(|t| t
-            .as_ref()
-            .is_some_and(|m| m.as_slice().iter().all(|v| *v == 0.0))));
-        assert!(te.iter().all(|t| t
-            .as_ref()
-            .is_some_and(|m| m.as_slice().iter().all(|v| *v == 0.0))));
+        assert!(t_slots(&t, 3, 2).all(|m| m.as_slice().iter().all(|v| *v == 0.0)));
     }
 
     #[test]
@@ -431,8 +410,9 @@ mod tests {
             state.run_ws(task.kind, &mut ws);
         }
         let parts = state.into_parts();
-        for t in parts.t_geqrt.iter().chain(parts.t_elim.iter()) {
-            assert_eq!(t.as_ref().unwrap().shape(), (2, 4), "T storage is ib × nb");
+        assert_eq!(parts.t.inner_block(), 2);
+        for t in t_slots(&parts.t, 3, 2) {
+            assert_eq!(t.shape(), (2, 4), "T storage is ib × nb");
         }
     }
 
@@ -446,17 +426,16 @@ mod tests {
         for task in &dag.tasks {
             state.run_ws(task.kind, &mut ws);
         }
-        let FactoredParts {
-            t_geqrt, t_elim, ..
-        } = state.into_parts();
-        let nonzero = |t: &Option<Matrix<f64>>| {
-            t.as_ref()
-                .is_some_and(|m| m.as_slice().iter().any(|v| *v != 0.0))
+        let t = state.into_parts().t;
+        let nonzero = |m: &Matrix<f64>| m.as_slice().iter().any(|v| *v != 0.0);
+        let count = |of: fn(&TFactors<f64>, usize, usize) -> &Matrix<f64>| {
+            let grid = (0..2).flat_map(|col| (0..3).map(move |row| (row, col)));
+            grid.filter(|&(row, col)| nonzero(of(&t, row, col))).count()
         };
         // TT: every active tile has a GEQRT T factor
-        assert_eq!(t_geqrt.iter().filter(|t| nonzero(t)).count(), 3 + 2);
+        assert_eq!(count(TFactors::geqrt), 3 + 2);
         // and every sub-diagonal tile has an elimination T factor
-        assert_eq!(t_elim.iter().filter(|t| nonzero(t)).count(), 2 + 1);
+        assert_eq!(count(TFactors::elim), 2 + 1);
     }
 
     #[test]
@@ -491,38 +470,11 @@ mod tests {
                 "tiles differ under {}",
                 kind.name()
             );
-            assert_eq!(
-                got.t_geqrt,
-                reference.t_geqrt,
-                "GEQRT T factors differ under {}",
-                kind.name()
-            );
-            assert_eq!(
-                got.t_elim,
-                reference.t_elim,
-                "elim T factors differ under {}",
+            assert!(
+                got.t == reference.t,
+                "T factors differ under {}",
                 kind.name()
             );
         }
-    }
-
-    #[test]
-    fn run_and_run_ws_agree_bitwise() {
-        let a = random_matrix::<f64>(16, 8, 3);
-        let dag = TaskDag::build(&Algorithm::Greedy.elimination_list(4, 2), KernelFamily::TT);
-
-        let state_alloc = FactorizationState::new(TiledMatrix::from_dense(&a, 4));
-        for task in &dag.tasks {
-            state_alloc.run(task.kind);
-        }
-        let state_ws = FactorizationState::new(TiledMatrix::from_dense(&a, 4));
-        let mut ws = Workspace::new(4);
-        for task in &dag.tasks {
-            state_ws.run_ws(task.kind, &mut ws);
-        }
-        let (alloc, reused) = (state_alloc.into_parts(), state_ws.into_parts());
-        assert_eq!(alloc.tiles, reused.tiles);
-        assert_eq!(alloc.t_geqrt, reused.t_geqrt);
-        assert_eq!(alloc.t_elim, reused.t_elim);
     }
 }

@@ -5,8 +5,8 @@
 //! allocations per run (thread spawns, one workspace per worker) is allowed.
 //!
 //! The test runs a small DAG and a much larger DAG with the same worker
-//! count and asserts the allocation counts inside `execute_parallel_with`
-//! are essentially identical: if any task allocated, the large run would
+//! count and asserts the allocation counts inside
+//! `execute_parallel_with_scheduler` are essentially identical: if any task allocated, the large run would
 //! exceed the small one by at least the task-count difference (hundreds).
 //! The session-API probes after it pin the steady state of a batch loop
 //! (allocation count) and of a stream of fused solves (allocation volume).
@@ -153,38 +153,28 @@ fn solve_check(kind: SchedulerKind) {
 }
 
 /// One steady-state iteration of the allocation-free batch loop: refill the
-/// tile buffers, factor them in place as one fused pool job, return the `T`
-/// storage — either through the explicit [`QrPlan::recycle_reflectors`] call
-/// or by just dropping the results (the handles auto-recycle on drop).
+/// tile buffers, factor them in place as one fused pool job, and drop the
+/// results — which is what returns the `T` storage to the plan's pool.
 /// Returns the allocations performed inside the loop body.
 fn batch_steady_state_allocations(
     ctx: &QrContext,
     plan: &QrPlan<f64>,
     mats: &[Matrix<f64>],
     tiles: &mut [TiledMatrix<f64>],
-    explicit_recycle: bool,
 ) -> usize {
     let (allocs, ()) = allocations_during(|| {
         for (t, a) in tiles.iter_mut().zip(mats) {
             t.fill_from_dense_padded(a);
         }
-        let refls = ctx.factorize_batch_into(plan, tiles);
-        if explicit_recycle {
-            for r in refls {
-                plan.recycle_reflectors(r.expect("conforming buffers must factor"));
-            }
-        } else {
-            // Drop-based recycling: the `Drop` impl hands the `T` buffers
-            // back to the plan's pool, so this must be exactly as
-            // allocation-free as the explicit call.
-            drop(refls);
+        for r in ctx.factorize_batch_into(plan, tiles) {
+            drop(r.expect("conforming buffers must factor"));
         }
     });
     allocs
 }
 
-/// The batch hot path — `factorize_batch_into` + `recycle_reflectors` over
-/// a warm plan — must perform **zero allocations that scale with the tile
+/// The batch hot path — `factorize_batch_into` over a warm plan, results
+/// dropped — must perform **zero allocations that scale with the tile
 /// grid or the task count**: the kernels run against recycled `T` buffers
 /// and cached workspaces, and the fused-DAG bookkeeping is a handful of
 /// O(batch) vectors. Two probes:
@@ -194,16 +184,12 @@ fn batch_steady_state_allocations(
 /// 2. the absolute steady-state count must undercut the 2 · p · q `T`-factor
 ///    allocations a single *non-recycled* matrix would need — direct
 ///    evidence the recycle pool, not the allocator, feeds the `T` slots.
-///
-/// Both probes run twice: once recycling explicitly and once just dropping
-/// the result handles, so drop-based auto-recycling is pinned to the same
-/// zero-growth steady state as the explicit call.
 fn batch_check(kind: SchedulerKind) {
     let nb = 4;
     let k = 3;
     let threads = 3;
     let ctx = QrContext::with_scheduler(threads, kind).expect("valid thread count");
-    let steady = |p: usize, q: usize, explicit_recycle: bool| -> usize {
+    let steady = |p: usize, q: usize| -> usize {
         let plan: QrPlan<f64> =
             QrPlan::new(p * nb, q * nb, QrConfig::new(nb)).expect("valid shape");
         let mats: Vec<Matrix<f64>> = (0..k)
@@ -217,34 +203,26 @@ fn batch_check(kind: SchedulerKind) {
         // sizes every retained vector; the measured iteration after it is
         // the steady state a batch service runs in.
         for _ in 0..2 {
-            let _ =
-                batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles, explicit_recycle);
+            let _ = batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles);
         }
-        batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles, explicit_recycle)
+        batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles)
     };
-    for explicit_recycle in [true, false] {
-        let small = steady(3, 2, explicit_recycle);
-        let large = steady(10, 6, explicit_recycle);
-        let mode = if explicit_recycle {
-            "explicit recycle"
-        } else {
-            "drop-based recycle"
-        };
-        let slack = 32;
-        assert!(
-            large <= small + slack,
-            "[{} / {mode}] batch hot path allocates per task/tile: {small} allocs on 6 tiles \
-             but {large} on 60 tiles",
-            kind.name()
-        );
-        assert!(
-            large < 2 * 10 * 6,
-            "[{} / {mode}] steady-state batch call allocated {large} times — the T-factor \
-             pool is not feeding the hot path (a cold call needs 2·p·q·k = {})",
-            kind.name(),
-            2 * 10 * 6 * k
-        );
-    }
+    let small = steady(3, 2);
+    let large = steady(10, 6);
+    let slack = 32;
+    assert!(
+        large <= small + slack,
+        "[{}] batch hot path allocates per task/tile: {small} allocs on 6 tiles but {large} on \
+         60 tiles",
+        kind.name()
+    );
+    assert!(
+        large < 2 * 10 * 6,
+        "[{}] steady-state batch call allocated {large} times — the T-factor pool is not \
+         feeding the hot path (a cold call needs 2·p·q·k = {})",
+        kind.name(),
+        2 * 10 * 6 * k
+    );
 }
 
 fn parallel_check(kind: SchedulerKind, ib: usize) {

@@ -7,7 +7,7 @@
 //! and checked **bitwise** against the sequential per-matrix factorization
 //! (`qr_factorize` with one thread). The batch machinery fuses k copies of
 //! one DAG into a single pool job; nothing about the fusion — offset task
-//! ids, cyclic successor/priority reuse, cross-matrix work stealing, T-factor
+//! ids, shared successor/priority tables, cross-matrix work stealing, T-factor
 //! recycling — may change a single bit of any matrix's result.
 //!
 //! The contexts run 4 workers on (usually) fewer cores, so oversubscription
@@ -92,10 +92,9 @@ fn stress_round<T: RandomScalar>(
                     "{} (R)",
                     label()
                 );
-                // Recycling mid-stress: later rounds draw these buffers back
-                // out of the pool, so any recycle bug shows up as a bitwise
-                // divergence in a subsequent iteration.
-                plan.recycle_reflectors(refl);
+                // Recycling mid-stress: `refl` drops here, later rounds draw
+                // its buffers back out of the pool, so any recycle bug shows
+                // up as a bitwise divergence in a subsequent iteration.
             }
         } else {
             let batch = ctx.factorize_batch(&plan, &mats);
@@ -108,7 +107,6 @@ fn stress_round<T: RandomScalar>(
                     "{} (tiles)",
                     label()
                 );
-                plan.recycle(f);
             }
         }
     }

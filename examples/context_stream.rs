@@ -14,9 +14,9 @@
 //! 4. `QrContext::factorize_batch_into` — groups the stream into batches of
 //!    8 submitted as **one fused pool job each** (one worker wake-up per
 //!    batch instead of per matrix, work stealing balancing across the
-//!    matrices), recycling every result's `T`-factor storage back into the
-//!    plan (`QrPlan::recycle_reflectors`) so the steady-state loop allocates
-//!    nothing per tile, task or `T` factor.
+//!    matrices); every dropped result returns its `T`-factor storage to the
+//!    plan, so the steady-state loop allocates nothing per tile, task or `T`
+//!    factor.
 //!
 //! Run with:
 //! ```text
@@ -74,8 +74,8 @@ fn main() {
     let in_place = start.elapsed();
     println!("  context + in-place tile reuse  : {in_place:?}");
 
-    // 4. Batched: 8 matrices per fused pool job, T factors recycled — the
-    //    allocation-free steady state of a batch service.
+    // 4. Batched: 8 matrices per fused pool job, T factors recycled as each
+    //    `refl` drops — the allocation-free steady state of a batch service.
     let batch = 8usize;
     let mut batch_tiles: Vec<TiledMatrix<f64>> = (0..batch)
         .map(|_| TiledMatrix::zeros(m / nb, n / nb, nb))
@@ -90,7 +90,6 @@ fn main() {
         for (refl, tiles) in refls.into_iter().zip(&batch_tiles) {
             let refl = refl.expect("grid matches");
             checksum_bat += refl.r(tiles).get(0, 0).abs();
-            plan.recycle_reflectors(refl);
         }
     }
     let batched = start.elapsed();

@@ -20,8 +20,10 @@
 //!   (bounded admission, fair scheduling, load shedding, transient-fault
 //!   retry).
 //!
-//! See `README.md` for a quickstart and `EXPERIMENTS.md` for the full
-//! reproduction of the paper's tables and figures.
+//! `examples/quickstart.rs` is the quickstart; `ROADMAP.md` holds the state
+//! and aims of the repository, and `benchmark/README.md` the end-to-end
+//! benchmark and its layer ledger. The paper's tables and figures are
+//! reproduced by the `table*`/`figure*` binaries of `tileqr-bench`.
 
 pub use tileqr_core as core;
 pub use tileqr_kernels as kernels;
