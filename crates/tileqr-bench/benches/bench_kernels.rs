@@ -20,7 +20,8 @@
 //!
 //! A summary of every sample is written to `BENCH_kernels.json` at the
 //! workspace root (override with `TILEQR_BENCH_JSON`) so the perf trajectory
-//! is tracked across PRs. Run with e.g.
+//! is tracked across PRs; its first row names the host (CPU model, CPUs,
+//! detected SIMD level). Run with e.g.
 //!
 //! ```text
 //! cargo bench -p tileqr-bench --bench bench_kernels
@@ -341,10 +342,11 @@ const NATIVE_FROZEN: &[(usize, [f64; 7])] = &[
 const DISPATCH_KERNELS: [&str; 7] = ["GEQRT", "TSQRT", "TTQRT", "UNMQR", "TSMQR", "TTMQR", "GEMM"];
 
 /// The runtime-dispatch comparison: the six f64 kernels + GEMM per forced
-/// SIMD level (scalar vs every ISA this CPU supports), with the frozen
-/// native-pinned microblas numbers emitted as reference rows, plus the
-/// Complex64 register-block cells (the per-scalar `4 × 4` block this release
-/// introduced — previously complex reused f64's `8 × 4` shape and spilled).
+/// SIMD level (scalar vs every ISA this CPU supports, each on its own
+/// register-block shape — this is the group that picks a level's shape:
+/// run it under the candidates), with the frozen native-pinned microblas
+/// numbers emitted as reference rows, plus the Complex64 register-block
+/// cells (`4 × 4` at every level).
 fn bench_simd_dispatch(samples: &mut Vec<Sample>) {
     let group = "simd_dispatch";
     let initial = simd::active();
@@ -556,8 +558,30 @@ fn print_speedups(samples: &[Sample]) {
     }
 }
 
+/// The machine the measured rows come from, as the first row of the JSON:
+/// CPU model, CPUs offered to the process and the detected SIMD level in the
+/// name, no timing. (The frozen rows come from the hosts named at their
+/// tables.)
+fn host_sample() -> Sample {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(|| std::env::consts::ARCH.to_string());
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    Sample {
+        group: "host".to_string(),
+        name: format!("{cpu}; simd={}", simd::detect().name()),
+        param: cpus,
+        ns_per_iter: 0.0,
+        gflops: None,
+    }
+}
+
 fn main() {
-    let mut samples = Vec::new();
+    let mut samples = vec![host_sample()];
     bench_workspace(&mut samples);
     bench_simd_dispatch(&mut samples);
     bench_ib_sweep(&mut samples);

@@ -13,35 +13,27 @@
 //!
 //! The factorization kernels produce one block reflector per panel of `ib`
 //! columns (`Q = P_1·P_2⋯P_l`, see [`crate::factor`]), so the update kernels
-//! replay the panels in factor order for `Qᴴ` and in reverse for `Q`, each
-//! through the blocked compact-WY scheme
+//! replay the panels in factor order for `Qᴴ` and in reverse for `Q`. Each
+//! panel is one call of the crate's block-reflector primitive — three
+//! products on the register-tiled [`crate::microblas`] backend:
 //!
 //! ```text
-//! W := V_sᴴ·C,   W := op(T_s)·W,   C := C − V_s·W.
+//! W += V_sᴴ·C,   W₂ := op(T_s)·W,   C −= V_s·W₂.
 //! ```
 //!
-//! The dense bulk of every panel product runs on the register-tiled
-//! [`crate::microblas`] backend; the structured parts (the unit-lower
-//! triangle of UNMQR reflectors, the packed upper triangle of TTMQR
-//! reflectors, the identity top block of the stacked TS/TT reflectors) use
-//! the small panel helpers in [`crate::blas`]. Targets wider than `nb` are
-//! processed in `nb`-column chunks staged through the workspace's `W`
-//! buffer, exactly as before. The workspace's `ib` must match the one used
-//! at factor time — the `T` factors are stored `ib`-blocked. With `ib = nb`
-//! there is a single panel per tile and [`unmqr_ws`] is bit-identical to the
-//! historical unblocked path; [`ttmqr_ws`] additionally packs `V2`'s
-//! triangle into the workspace's packed scratch (contiguous columns, no
-//! reads of the garbage below the diagonal), which leaves its arithmetic
-//! order unchanged.
+//! The three kernels below differ only in how they describe `V_s` to it:
+//! [`unmqr_ws`] hands over the rows of the GEQRT tile from the panel's
+//! diagonal down as a unit-lower trapezoid (the `R` entries stored on and
+//! above the diagonal are never read), [`tsmqr_ws`] a dense `V2` under an
+//! identity that acts on the pivot tile's rows, [`ttmqr_ws`] the columns of
+//! an upper-triangular `V2` cut at their diagonal (the vectors of an earlier
+//! GEQRT below it are never read). Targets wider than `nb` are processed in
+//! `nb`-column chunks. The workspace's `ib` must match the one used at
+//! factor time — the `T` factors are stored `ib`-blocked.
 
-use tileqr_matrix::packed::{pack_upper_triangle, packed_col, packed_len};
 use tileqr_matrix::{Matrix, Scalar};
 
-use crate::blas::{
-    copy_rows_window_into, panel_packed_upper_apply, panel_packed_upper_stage,
-    panel_unit_lower_apply, panel_unit_lower_stage, sub_rows_window_assign, trmm_upper_left_window,
-};
-use crate::microblas::{gemm_into, AMode};
+use crate::reflector::{apply_panel, PivotRows};
 use crate::workspace::Workspace;
 
 /// Whether an update kernel applies `Q` or `Qᴴ`.
@@ -88,11 +80,9 @@ pub fn unmqr<T: Scalar<Real = f64>>(v: &Matrix<T>, t: &Matrix<T>, c: &mut Matrix
 
 /// UNMQR with caller-provided scratch: zero heap allocations.
 ///
-/// The update is the blocked compact-WY application of `larfb` per reflector
-/// panel: the target is processed in contiguous chunks of at most `nb`
-/// columns, each staged through the workspace's `W` buffer as `W := V_sᴴC`,
-/// `W := op(T_s)·W`, `C := C − V_s·W`, with the dense rows of the
-/// trapezoidal panel running on the micro-BLAS backend.
+/// One block-reflector application per panel and chunk of at most `nb`
+/// target columns: the panel is rows `j0..nb` of its columns, a unit-lower
+/// trapezoid whose zeros and unit diagonal are supplied at pack time.
 pub fn unmqr_ws<T: Scalar<Real = f64>>(
     v: &Matrix<T>,
     t: &Matrix<T>,
@@ -110,53 +100,26 @@ pub fn unmqr_ws<T: Scalar<Real = f64>>(
     ws.require(nb);
     let ib = ws.ib_for(nb);
     assert!(t.rows() >= ib && t.cols() >= nb, "T factor too small");
-    let Workspace {
-        w: wmat,
-        apack,
-        bpack,
-        ..
-    } = ws;
     let ncols = c.cols();
     let ldc = c.rows();
-    let ldw = wmat.rows();
     let mut c0 = 0;
     while c0 < ncols {
         let width = nb.min(ncols - c0);
         for j0 in trans.panel_starts(nb, ib) {
             let w = ib.min(nb - j0);
-            let j1 = j0 + w;
-            let coffc = |j: usize| (c0 + j) * ldc;
-            // W := V_triᴴ·C_top (+ V_denseᴴ·C_bot via the microkernel)
-            panel_unit_lower_stage(|k| v.col(k), j0, w, c.as_slice(), coffc, width, wmat);
-            gemm_into(
+            // Rows j0.. of the panel's columns: the unit-lower trapezoid.
+            apply_panel(
+                |i| &v.col(j0 + i)[j0..],
+                nb - j0,
+                None,
+                t,
+                j0,
                 w,
-                width,
-                nb - j1,
-                AMode::ConjTrans,
-                |i| &v.col(j0 + i)[j1..],
-                |j| &c.col(c0 + j)[j1..],
-                wmat.as_mut_slice(),
-                |j| j * ldw,
-                false,
-                apack,
-                bpack,
-            );
-            // W := op(T_s)·W
-            trmm_upper_left_window(t, j0, w, wmat, width, trans.conj_t());
-            // C := C − V_s·W
-            panel_unit_lower_apply(|k| v.col(k), j0, w, c.as_mut_slice(), coffc, width, wmat);
-            gemm_into(
-                nb - j1,
-                width,
-                w,
-                AMode::NoTrans,
-                |p| &v.col(j0 + p)[j1..],
-                |j| wmat.col(j),
+                trans.conj_t(),
                 c.as_mut_slice(),
-                |j| (c0 + j) * ldc + j1,
-                true,
-                apack,
-                bpack,
+                |j| (c0 + j) * ldc + j0,
+                width,
+                &mut ws.panel,
             );
         }
         c0 += width;
@@ -185,10 +148,9 @@ pub fn tsmqr<T: Scalar<Real = f64>>(
 
 /// TSMQR with caller-provided scratch: zero heap allocations.
 ///
-/// Blocked compact-WY application per reflector panel over contiguous column
-/// chunks: `W := C1[panel rows] + V2_sᴴ·C2`, `W := op(T_s)·W`,
-/// `C1[panel rows] −= W`, `C2 −= V2_s·W` — both matrix products run on the
-/// micro-BLAS backend (this is the GEMM-richest kernel of the six).
+/// One block-reflector application per panel and chunk: the stacked
+/// reflector is `[I; V2_s]`, so `W` starts as rows `j0 .. j0+w` of `C1` and
+/// `W₂` is subtracted from them, while the dense `V2_s` meets all of `C2`.
 pub fn tsmqr_ws<T: Scalar<Real = f64>>(
     v2: &Matrix<T>,
     t: &Matrix<T>,
@@ -205,52 +167,29 @@ pub fn tsmqr_ws<T: Scalar<Real = f64>>(
     ws.require(nb);
     let ib = ws.ib_for(nb);
     assert!(t.rows() >= ib && t.cols() >= nb, "T factor too small");
-    let Workspace {
-        w: wmat,
-        apack,
-        bpack,
-        ..
-    } = ws;
     let ncols = c1.cols();
     let ldc = c1.rows();
-    let ldw = wmat.rows();
     let mut c0 = 0;
     while c0 < ncols {
         let width = nb.min(ncols - c0);
         for j0 in trans.panel_starts(nb, ib) {
             let w = ib.min(nb - j0);
-            let coffc = |j: usize| (c0 + j) * ldc;
-            // W := C1[j0..j0+w, :] + V2_sᴴ·C2 (identity top block + GEMM)
-            copy_rows_window_into(c1.as_slice(), coffc, j0, w, width, wmat);
-            gemm_into(
-                w,
-                width,
-                nb,
-                AMode::ConjTrans,
+            apply_panel(
                 |i| v2.col(j0 + i),
-                |j| c2.col(c0 + j),
-                wmat.as_mut_slice(),
-                |j| j * ldw,
-                false,
-                apack,
-                bpack,
-            );
-            // W := op(T_s)·W
-            trmm_upper_left_window(t, j0, w, wmat, width, trans.conj_t());
-            // C1[j0..j0+w, :] −= W ; C2 −= V2_s·W
-            sub_rows_window_assign(c1.as_mut_slice(), coffc, j0, w, width, wmat);
-            gemm_into(
                 nb,
-                width,
+                Some(PivotRows {
+                    c1: c1.as_mut_slice(),
+                    start: c0 * ldc + j0,
+                    ld: ldc,
+                }),
+                t,
+                j0,
                 w,
-                AMode::NoTrans,
-                |p| v2.col(j0 + p),
-                |j| wmat.col(j),
+                trans.conj_t(),
                 c2.as_mut_slice(),
-                coffc,
-                true,
-                apack,
-                bpack,
+                |j| (c0 + j) * ldc,
+                width,
+                &mut ws.panel,
             );
         }
         c0 += width;
@@ -279,13 +218,11 @@ pub fn ttmqr<T: Scalar<Real = f64>>(
 
 /// TTMQR with caller-provided scratch: zero heap allocations.
 ///
-/// Same blocked compact-WY panel structure as [`tsmqr_ws`], but `V2`'s upper
-/// triangle is packed once into the workspace's column-major packed scratch
-/// (only the triangle is read — never the GEQRT vectors below the diagonal)
-/// and every product with it is restricted to the trapezoid: the dense rows
-/// above the current panel run on the micro-BLAS backend, the `w × w`
-/// triangle on the packed panel helpers. This is what makes the TT kernel
-/// half the cost of the TS one.
+/// Same structure as [`tsmqr_ws`], but a panel of the upper-triangular `V2`
+/// spans only rows `0 .. j0+w` — of `V2` and of `C2` — and its columns are
+/// handed over cut at their diagonal, so nothing below it is read and the
+/// packer supplies the zeros of the `w × w` corner. That restriction is
+/// what makes the TT kernel half the cost of the TS one.
 pub fn ttmqr_ws<T: Scalar<Real = f64>>(
     v2: &Matrix<T>,
     t: &Matrix<T>,
@@ -302,62 +239,32 @@ pub fn ttmqr_ws<T: Scalar<Real = f64>>(
     ws.require(nb);
     let ib = ws.ib_for(nb);
     assert!(t.rows() >= ib && t.cols() >= nb, "T factor too small");
-    let Workspace {
-        w: wmat,
-        apack,
-        bpack,
-        tri,
-        ..
-    } = ws;
-    let tri = &mut tri[..packed_len(nb)];
-    pack_upper_triangle(v2, tri);
-    let tri = &*tri;
-    let vcol = |k: usize| packed_col(tri, k);
     let ncols = c1.cols();
     let ldc = c1.rows();
-    let ldw = wmat.rows();
     let mut c0 = 0;
     while c0 < ncols {
         let width = nb.min(ncols - c0);
         for j0 in trans.panel_starts(nb, ib) {
             let w = ib.min(nb - j0);
-            let coffc = |j: usize| (c0 + j) * ldc;
-            // W := C1[j0..j0+w, :] + V2_sᴴ·C2[0..j0+w, :]
-            // (identity top block, then dense rows 0..j0 via the microkernel
-            // and the w × w triangle via the packed panel helper)
-            copy_rows_window_into(c1.as_slice(), coffc, j0, w, width, wmat);
-            gemm_into(
-                w,
-                width,
+            // Column j0+i of V2 ends at its diagonal: rows 0..=j0+i of the
+            // j0+w the panel spans, the rest implied zero.
+            apply_panel(
+                |i| &v2.col(j0 + i)[..j0 + i + 1],
+                j0 + w,
+                Some(PivotRows {
+                    c1: c1.as_mut_slice(),
+                    start: c0 * ldc + j0,
+                    ld: ldc,
+                }),
+                t,
                 j0,
-                AMode::ConjTrans,
-                |i| vcol(j0 + i),
-                |j| c2.col(c0 + j),
-                wmat.as_mut_slice(),
-                |j| j * ldw,
-                false,
-                apack,
-                bpack,
-            );
-            panel_packed_upper_stage(vcol, j0, w, c2.as_slice(), coffc, width, wmat);
-            // W := op(T_s)·W
-            trmm_upper_left_window(t, j0, w, wmat, width, trans.conj_t());
-            // C1[j0..j0+w, :] −= W ; C2[0..j0+w, :] −= V2_s·W
-            sub_rows_window_assign(c1.as_mut_slice(), coffc, j0, w, width, wmat);
-            gemm_into(
-                j0,
-                width,
                 w,
-                AMode::NoTrans,
-                |p| &vcol(j0 + p)[..j0],
-                |j| wmat.col(j),
+                trans.conj_t(),
                 c2.as_mut_slice(),
-                coffc,
-                true,
-                apack,
-                bpack,
+                |j| (c0 + j) * ldc,
+                width,
+                &mut ws.panel,
             );
-            panel_packed_upper_apply(vcol, j0, w, c2.as_mut_slice(), coffc, width, wmat);
         }
         c0 += width;
     }
@@ -404,27 +311,71 @@ mod tests {
         Matrix::<T>::identity(2 * nb).sub(&v.matmul(&t.matmul(&v.conj_transpose())))
     }
 
+    /// Target widths around the active level's register block: the square
+    /// tile, a right-hand-side column and its neighbours, one column short
+    /// of and one past a full block, and a chunked target wider than `nb`.
+    fn target_widths<T: Scalar>(nb: usize) -> [usize; 7] {
+        let nr = crate::simd::block_shape::<T>(crate::simd::active()).nr;
+        [nb, 1, 2, 3, nr - 1, nr + 1, nb + 3]
+    }
+
     fn check_unmqr<T: tileqr_matrix::generate::RandomScalar>(nb: usize, seed: u64) {
         let mut a: Matrix<T> = random_matrix(nb, nb, seed);
         let mut t = Matrix::zeros(nb, nb);
         geqrt(&mut a, &mut t);
         let q = explicit_q_geqrt(&a, &t);
 
-        let c0: Matrix<T> = random_matrix(nb, nb, seed + 1);
-        let mut c = c0.clone();
-        unmqr(&a, &t, &mut c, Trans::ConjTrans);
-        assert_close(&c, &q.conj_transpose().matmul(&c0));
+        for width in target_widths::<T>(nb) {
+            let c0: Matrix<T> = random_matrix(nb, width, seed + 1);
+            let mut c = c0.clone();
+            unmqr(&a, &t, &mut c, Trans::ConjTrans);
+            assert_close(&c, &q.conj_transpose().matmul(&c0));
 
-        let mut c = c0.clone();
-        unmqr(&a, &t, &mut c, Trans::NoTrans);
-        assert_close(&c, &q.matmul(&c0));
+            let mut c = c0.clone();
+            unmqr(&a, &t, &mut c, Trans::NoTrans);
+            assert_close(&c, &q.matmul(&c0));
+        }
     }
 
     #[test]
     fn unmqr_applies_q_and_qh() {
-        for nb in [1usize, 2, 5, 16] {
+        for nb in [1usize, 2, 5, 16, 35] {
             check_unmqr::<f64>(nb, 300 + nb as u64);
             check_unmqr::<Complex64>(nb, 400 + nb as u64);
+        }
+    }
+
+    /// The shared signature of [`tsmqr`] and [`ttmqr`].
+    type StackedUpdate<T> = fn(&Matrix<T>, &Matrix<T>, &mut Matrix<T>, &mut Matrix<T>, Trans);
+
+    /// A TS/TT update kernel against the explicit `Q` of `[I; V2]`, both
+    /// transposes, every target width.
+    fn check_stacked_update<T: tileqr_matrix::generate::RandomScalar>(
+        v2: &Matrix<T>,
+        t: &Matrix<T>,
+        seed: u64,
+        kernel: StackedUpdate<T>,
+    ) {
+        let nb = v2.rows();
+        let q = explicit_q_stacked(v2, t);
+        for width in target_widths::<T>(nb) {
+            let c1_0: Matrix<T> = random_matrix(nb, width, seed);
+            let c2_0: Matrix<T> = random_matrix(nb, width, seed + 1);
+            let mut stacked = Matrix::zeros(2 * nb, width);
+            stacked.copy_block(0, 0, &c1_0, 0, 0, nb, width);
+            stacked.copy_block(nb, 0, &c2_0, 0, 0, nb, width);
+
+            for trans in [Trans::ConjTrans, Trans::NoTrans] {
+                let mut c1 = c1_0.clone();
+                let mut c2 = c2_0.clone();
+                kernel(v2, t, &mut c1, &mut c2, trans);
+                let expected = match trans {
+                    Trans::ConjTrans => q.conj_transpose().matmul(&stacked),
+                    Trans::NoTrans => q.matmul(&stacked),
+                };
+                assert_close(&c1, &expected.sub_matrix(0, 0, nb, width));
+                assert_close(&c2, &expected.sub_matrix(nb, 0, nb, width));
+            }
         }
     }
 
@@ -434,30 +385,12 @@ mod tests {
         let mut a2: Matrix<T> = random_matrix(nb, nb, seed + 1);
         let mut t = Matrix::zeros(nb, nb);
         tsqrt(&mut r1, &mut a2, &mut t);
-        let q = explicit_q_stacked(&a2, &t);
-
-        let c1_0: Matrix<T> = random_matrix(nb, nb, seed + 2);
-        let c2_0: Matrix<T> = random_matrix(nb, nb, seed + 3);
-        let mut stacked = Matrix::zeros(2 * nb, nb);
-        stacked.copy_block(0, 0, &c1_0, 0, 0, nb, nb);
-        stacked.copy_block(nb, 0, &c2_0, 0, 0, nb, nb);
-
-        for trans in [Trans::ConjTrans, Trans::NoTrans] {
-            let mut c1 = c1_0.clone();
-            let mut c2 = c2_0.clone();
-            tsmqr(&a2, &t, &mut c1, &mut c2, trans);
-            let expected = match trans {
-                Trans::ConjTrans => q.conj_transpose().matmul(&stacked),
-                Trans::NoTrans => q.matmul(&stacked),
-            };
-            assert_close(&c1, &expected.sub_matrix(0, 0, nb, nb));
-            assert_close(&c2, &expected.sub_matrix(nb, 0, nb, nb));
-        }
+        check_stacked_update(&a2, &t, seed + 2, tsmqr);
     }
 
     #[test]
     fn tsmqr_applies_q_and_qh() {
-        for nb in [1usize, 2, 4, 12] {
+        for nb in [1usize, 2, 4, 12, 35] {
             check_tsmqr::<f64>(nb, 500 + nb as u64);
             check_tsmqr::<Complex64>(nb, 600 + nb as u64);
         }
@@ -470,74 +403,15 @@ mod tests {
         r2.zero_below_diagonal();
         let mut t = Matrix::zeros(nb, nb);
         ttqrt(&mut r1, &mut r2, &mut t);
-        let q = explicit_q_stacked(&r2, &t);
-
-        let c1_0: Matrix<T> = random_matrix(nb, nb, seed + 2);
-        let c2_0: Matrix<T> = random_matrix(nb, nb, seed + 3);
-        let mut stacked = Matrix::zeros(2 * nb, nb);
-        stacked.copy_block(0, 0, &c1_0, 0, 0, nb, nb);
-        stacked.copy_block(nb, 0, &c2_0, 0, 0, nb, nb);
-
-        for trans in [Trans::ConjTrans, Trans::NoTrans] {
-            let mut c1 = c1_0.clone();
-            let mut c2 = c2_0.clone();
-            ttmqr(&r2, &t, &mut c1, &mut c2, trans);
-            let expected = match trans {
-                Trans::ConjTrans => q.conj_transpose().matmul(&stacked),
-                Trans::NoTrans => q.matmul(&stacked),
-            };
-            assert_close(&c1, &expected.sub_matrix(0, 0, nb, nb));
-            assert_close(&c2, &expected.sub_matrix(nb, 0, nb, nb));
-        }
+        check_stacked_update(&r2, &t, seed + 2, ttmqr);
     }
 
     #[test]
     fn ttmqr_applies_q_and_qh() {
-        for nb in [1usize, 2, 4, 12] {
+        for nb in [1usize, 2, 4, 12, 35] {
             check_ttmqr::<f64>(nb, 700 + nb as u64);
             check_ttmqr::<Complex64>(nb, 800 + nb as u64);
         }
-    }
-
-    #[test]
-    fn ttmqr_ignores_garbage_below_v2_diagonal() {
-        // After TTQRT in a real factorization the lower part of the V2 tile
-        // still holds Householder vectors from an earlier GEQRT; TTMQR must
-        // not read them.
-        let nb = 6;
-        let mut r1: Matrix<f64> = random_matrix(nb, nb, 900);
-        r1.zero_below_diagonal();
-        let mut r2: Matrix<f64> = random_matrix(nb, nb, 901);
-        r2.zero_below_diagonal();
-        let mut t = Matrix::zeros(nb, nb);
-        ttqrt(&mut r1, &mut r2, &mut t);
-
-        let c1_0: Matrix<f64> = random_matrix(nb, nb, 902);
-        let c2_0: Matrix<f64> = random_matrix(nb, nb, 903);
-
-        let mut c1_clean = c1_0.clone();
-        let mut c2_clean = c2_0.clone();
-        ttmqr(&r2, &t, &mut c1_clean, &mut c2_clean, Trans::ConjTrans);
-
-        // pollute the strictly lower part of v2
-        let mut r2_dirty = r2.clone();
-        for j in 0..nb {
-            for i in (j + 1)..nb {
-                r2_dirty.set(i, j, 1234.5);
-            }
-        }
-        let mut c1_dirty = c1_0.clone();
-        let mut c2_dirty = c2_0.clone();
-        ttmqr(
-            &r2_dirty,
-            &t,
-            &mut c1_dirty,
-            &mut c2_dirty,
-            Trans::ConjTrans,
-        );
-
-        assert_eq!(c1_clean, c1_dirty);
-        assert_eq!(c2_clean, c2_dirty);
     }
 
     #[test]

@@ -1,35 +1,20 @@
-//! Small BLAS-like helpers used by the tile kernels.
+//! The few BLAS-like helpers the tile kernels need beside the micro-BLAS
+//! products of [`crate::microblas`].
 //!
-//! These are deliberately specialized (left-multiplication by a small upper
-//! triangular matrix, `C ± A·B`, `Aᴴ·B`) rather than a general GEMM: each
-//! kernel's update is expressed with two or three of these calls, which keeps
-//! the kernel code close to the mathematics in the paper and in the LAPACK
-//! `larfb`/`tpmqrt` routines they mirror.
+//! * [`dot_conj`] — the reduction of the *in-panel* reflector sweep of the
+//!   factorization kernels (one reflector applied to the remaining columns
+//!   of its own `ib` panel) and of the `T`-factor construction: Level-2 work
+//!   that no block reflector exists for yet.
+//! * [`copy_rows_window_into`] / [`sub_rows_window_assign`] — the identity
+//!   top block of the stacked TS/TT reflectors `[I; V2]`, which moves a
+//!   window of pivot rows in and out of the staging panels without a
+//!   product.
+//! * [`gemm_acc`] — the whole-matrix GEMM the benchmark harnesses use as
+//!   the reference series of Figures 4–5.
 //!
-//! Three families live here:
-//!
-//! * the original allocating helpers ([`conj_trans_mul`],
-//!   [`conj_trans_mul_unit_lower`], …) that return fresh matrices — kept for
-//!   API compatibility and as the readable reference formulation;
-//! * allocation-free column-window variants (`*_into` / `*_cols`) that write
-//!   into a caller-provided staging panel (the `W` buffer of a
-//!   [`crate::workspace::Workspace`]) and operate on a contiguous window of
-//!   `width` columns starting at column `c0` — the pre-inner-blocking
-//!   formulation, retained for tests and as the frozen benchmark baseline;
-//! * *panel* helpers (`panel_*`, [`trmm_upper_left_window`],
-//!   [`copy_rows_window_into`], …) used by the inner-blocked (`ib`) kernels:
-//!   they handle the small structured parts of a trapezoidal reflector panel
-//!   (the unit-lower or packed-upper triangle, the `T`-factor `trmm`, the
-//!   pivot-row staging), while the dense rank-`ib` bulk of every update goes
-//!   through the register-tiled [`crate::microblas`] backend. Operand
-//!   columns are supplied as accessor closures and destinations as raw
-//!   column-major buffers plus a column-offset map, so the same code serves
-//!   dense tiles, `split_at_mut` windows and packed triangular storage.
-//!
-//! Reductions in the first two families go through [`dot_conj`], which
-//! splits the accumulation into four independent chains so the CPU is not
-//! serialized on floating-point add latency; the micro-BLAS path gets its
-//! instruction-level parallelism from the `MR × NR` register block instead.
+//! Everything structured about a reflector *application* — unit-lower and
+//! upper-trapezoidal `V`, triangular `T` — is expressed at pack time by the
+//! block-reflector primitive and costs no code here.
 
 use tileqr_matrix::{Matrix, Scalar};
 
@@ -60,377 +45,6 @@ pub fn dot_conj<T: Scalar>(a: &[T], b: &[T]) -> T {
         acc0 += x.conj() * y;
     }
     (acc0 + acc1) + (acc2 + acc3)
-}
-
-/// `W(:, 0..width) := Vᴴ · C(:, c0..c0+width)` where `V` is unit lower
-/// triangular as in [`conj_trans_mul_unit_lower`], writing into the staging
-/// panel `w` instead of allocating.
-pub fn conj_trans_mul_unit_lower_into<T: Scalar>(
-    v: &Matrix<T>,
-    c: &Matrix<T>,
-    c0: usize,
-    width: usize,
-    w: &mut Matrix<T>,
-) {
-    let n = v.rows();
-    assert_eq!(v.cols(), n, "V must be square");
-    assert_eq!(c.rows(), n, "Vᴴ·C: row counts must agree");
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let c_col = c.col(c0 + j);
-        let w_col = w.col_mut(j);
-        for k in 0..n {
-            let v_col = v.col(k);
-            // unit diagonal contributes c_col[k] directly
-            w_col[k] = c_col[k] + dot_conj(&v_col[k + 1..n], &c_col[k + 1..n]);
-        }
-    }
-}
-
-/// `C(:, c0..c0+width) -= V · W(:, 0..width)` where `V` is unit lower
-/// triangular; the in-place companion of [`conj_trans_mul_unit_lower_into`].
-pub fn sub_mul_assign_unit_lower_cols<T: Scalar>(
-    c: &mut Matrix<T>,
-    c0: usize,
-    width: usize,
-    v: &Matrix<T>,
-    w: &Matrix<T>,
-) {
-    let n = v.rows();
-    assert_eq!(v.cols(), n, "V must be square");
-    assert_eq!(c.rows(), n, "C-=V·W: row counts must agree");
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let c_col = c.col_mut(c0 + j);
-        for k in 0..n {
-            let wkj = w.col(j)[k];
-            if wkj.is_zero() {
-                continue;
-            }
-            let v_col = v.col(k);
-            c_col[k] -= wkj; // unit diagonal entry
-            for (ci, &vi) in c_col[k + 1..n].iter_mut().zip(&v_col[k + 1..n]) {
-                *ci -= vi * wkj;
-            }
-        }
-    }
-}
-
-/// `W(:, 0..width) := C(:, c0..c0+width)` — loads the staging panel.
-pub fn copy_cols_into<T: Scalar>(c: &Matrix<T>, c0: usize, width: usize, w: &mut Matrix<T>) {
-    let n = c.rows();
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        w.col_mut(j)[..n].copy_from_slice(c.col(c0 + j));
-    }
-}
-
-/// `W(:, 0..width) += Aᴴ · B(:, c0..c0+width)` for a dense `A` — the
-/// accumulate-into variant of [`conj_trans_mul`].
-pub fn acc_conj_trans_mul_into<T: Scalar>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    c0: usize,
-    width: usize,
-    w: &mut Matrix<T>,
-) {
-    assert_eq!(a.rows(), b.rows(), "Aᴴ·B: row counts must agree");
-    assert!(c0 + width <= b.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= a.cols() && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let b_col = b.col(c0 + j);
-        let w_col = w.col_mut(j);
-        for (k, wk) in w_col.iter_mut().enumerate().take(a.cols()) {
-            *wk += dot_conj(a.col(k), b_col);
-        }
-    }
-}
-
-/// `W(:, 0..width) += Vᴴ · B(:, c0..c0+width)` where only the **upper
-/// triangle** of `V` is referenced (column `k` of `V` has nonzeros in rows
-/// `0..=k`) — the TTMQR-shaped accumulation.
-pub fn acc_conj_trans_mul_upper_into<T: Scalar>(
-    v: &Matrix<T>,
-    b: &Matrix<T>,
-    c0: usize,
-    width: usize,
-    w: &mut Matrix<T>,
-) {
-    let n = v.rows();
-    assert_eq!(v.cols(), n, "V must be square");
-    assert_eq!(b.rows(), n, "Vᴴ·B: row counts must agree");
-    assert!(c0 + width <= b.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let b_col = b.col(c0 + j);
-        let w_col = w.col_mut(j);
-        for (k, wk) in w_col.iter_mut().enumerate().take(n) {
-            *wk += dot_conj(&v.col(k)[..k + 1], &b_col[..k + 1]);
-        }
-    }
-}
-
-/// `C(:, c0..c0+width) -= W(:, 0..width)` — element-wise panel subtraction.
-pub fn sub_cols_assign<T: Scalar>(c: &mut Matrix<T>, c0: usize, width: usize, w: &Matrix<T>) {
-    let n = c.rows();
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        for (ci, &wi) in c.col_mut(c0 + j).iter_mut().zip(&w.col(j)[..n]) {
-            *ci -= wi;
-        }
-    }
-}
-
-/// `C(:, c0..c0+width) -= A · W(:, 0..width)` for a dense `A` — the
-/// column-window variant of [`sub_mul_assign`].
-pub fn sub_mul_assign_cols<T: Scalar>(
-    c: &mut Matrix<T>,
-    c0: usize,
-    width: usize,
-    a: &Matrix<T>,
-    w: &Matrix<T>,
-) {
-    assert_eq!(c.rows(), a.rows(), "C-=A·W: row counts must agree");
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= a.cols() && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let c_col = c.col_mut(c0 + j);
-        for k in 0..a.cols() {
-            let wkj = w.col(j)[k];
-            if wkj.is_zero() {
-                continue;
-            }
-            for (ci, &ai) in c_col.iter_mut().zip(a.col(k)) {
-                *ci -= ai * wkj;
-            }
-        }
-    }
-}
-
-/// `C(:, c0..c0+width) -= V · W(:, 0..width)` where only the **upper
-/// triangle** of `V` is referenced — the TTMQR-shaped application.
-pub fn sub_mul_assign_upper_cols<T: Scalar>(
-    c: &mut Matrix<T>,
-    c0: usize,
-    width: usize,
-    v: &Matrix<T>,
-    w: &Matrix<T>,
-) {
-    let n = v.rows();
-    assert_eq!(v.cols(), n, "V must be square");
-    assert_eq!(c.rows(), n, "C-=V·W: row counts must agree");
-    assert!(c0 + width <= c.cols(), "column window out of bounds");
-    assert!(
-        w.rows() >= n && w.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let c_col = c.col_mut(c0 + j);
-        for k in 0..n {
-            let wkj = w.col(j)[k];
-            if wkj.is_zero() {
-                continue;
-            }
-            for (ci, &vi) in c_col[..k + 1].iter_mut().zip(&v.col(k)[..k + 1]) {
-                *ci -= vi * wkj;
-            }
-        }
-    }
-}
-
-/// In-place `B(:, 0..width) := op(T) · B(:, 0..width)` for upper triangular
-/// `T` — the partial-panel variant of [`trmm_upper_left`] used on workspace
-/// staging panels (which may have more rows/columns than `T`).
-pub fn trmm_upper_left_partial<T: Scalar>(
-    t: &Matrix<T>,
-    b: &mut Matrix<T>,
-    width: usize,
-    conj_trans: bool,
-) {
-    let n = t.rows();
-    assert_eq!(t.cols(), n, "T must be square");
-    assert!(
-        b.rows() >= n && b.cols() >= width,
-        "op(T)·B: panel too small"
-    );
-    for j in 0..width {
-        let b_col = &mut b.col_mut(j)[..n];
-        if conj_trans {
-            // (Tᴴ B)[i] = Σ_{k≤i} conj(T[k,i])·B[k]; bottom-up keeps reads on
-            // original values, and the column of T is contiguous.
-            for i in (0..n).rev() {
-                let acc = dot_conj(&t.col(i)[..i + 1], &b_col[..i + 1]);
-                b_col[i] = acc;
-            }
-        } else {
-            // (T B)[i] = Σ_{k≥i} T[i,k]·B[k]; top-down keeps reads original.
-            for i in 0..n {
-                let mut acc = T::ZERO;
-                for (k, &bk) in b_col.iter().enumerate().skip(i) {
-                    acc += t.get(i, k) * bk;
-                }
-                b_col[i] = acc;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Panel helpers for the inner-blocked (`ib`) kernels.
-//
-// Under inner blocking a reflector panel covers tile columns `j0 .. j0+w`
-// (`w ≤ ib`). Its structured part — the unit-lower triangle of GEQRT/UNMQR
-// reflectors in rows `j0 .. j0+w`, or the packed upper triangle of TT
-// reflectors — is applied by the small loops below (`O(nb·w²)` work), while
-// the dense remainder goes through `crate::microblas::gemm_into`. Target
-// columns are addressed through a raw buffer + offset map so tiles, split
-// windows and packed triangles all work; `vcol(k)` yields (the full column
-// of) the tile holding the reflectors.
-// ---------------------------------------------------------------------------
-
-/// Staging of the unit-lower-triangular part of a trapezoidal panel:
-/// `W(r, j) := C[j0+r, j] + Σ_{i=j0+r+1}^{j0+w-1} conj(V[i, j0+r]) · C[i, j]`
-/// for `r < w`, `j < width`. (The dense rows `≥ j0+w` of the panel are
-/// accumulated onto `W` separately via the micro-BLAS backend.)
-pub fn panel_unit_lower_stage<'a, T: Scalar + 'a>(
-    vcol: impl Fn(usize) -> &'a [T],
-    j0: usize,
-    w: usize,
-    c: &[T],
-    coff: impl Fn(usize) -> usize,
-    width: usize,
-    wmat: &mut Matrix<T>,
-) {
-    let j1 = j0 + w;
-    assert!(
-        wmat.rows() >= w && wmat.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let ccol = &c[coff(j)..];
-        let wc = wmat.col_mut(j);
-        for r in 0..w {
-            let k = j0 + r;
-            wc[r] = ccol[k] + dot_conj(&vcol(k)[k + 1..j1], &ccol[k + 1..j1]);
-        }
-    }
-}
-
-/// Application of the unit-lower-triangular part of a trapezoidal panel:
-/// `C[j0+r, j] -= W(r, j)` and
-/// `C[j0+r+1 .. j0+w, j] -= V[.., j0+r] · W(r, j)`.
-pub fn panel_unit_lower_apply<'a, T: Scalar + 'a>(
-    vcol: impl Fn(usize) -> &'a [T],
-    j0: usize,
-    w: usize,
-    c: &mut [T],
-    coff: impl Fn(usize) -> usize,
-    width: usize,
-    wmat: &Matrix<T>,
-) {
-    let j1 = j0 + w;
-    assert!(
-        wmat.rows() >= w && wmat.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let ccol = &mut c[coff(j)..];
-        let wc = wmat.col(j);
-        for r in 0..w {
-            let k = j0 + r;
-            let wkj = wc[r];
-            if wkj.is_zero() {
-                continue;
-            }
-            ccol[k] -= wkj; // unit diagonal entry
-            for (ci, &vi) in ccol[k + 1..j1].iter_mut().zip(&vcol(k)[k + 1..j1]) {
-                *ci -= vi * wkj;
-            }
-        }
-    }
-}
-
-/// Staging of the triangular part of a packed-upper TT reflector panel:
-/// `W(r, j) += Σ_{p=j0}^{j0+r} conj(V2[p, j0+r]) · C[p, j]`, where
-/// `vcol(k)` yields the packed column `k` (rows `0..=k`, contiguous). Rows
-/// `< j0` of the panel are dense and handled by the micro-BLAS backend.
-pub fn panel_packed_upper_stage<'a, T: Scalar + 'a>(
-    vcol: impl Fn(usize) -> &'a [T],
-    j0: usize,
-    w: usize,
-    c: &[T],
-    coff: impl Fn(usize) -> usize,
-    width: usize,
-    wmat: &mut Matrix<T>,
-) {
-    assert!(
-        wmat.rows() >= w && wmat.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let ccol = &c[coff(j)..];
-        let wc = wmat.col_mut(j);
-        for r in 0..w {
-            let v = vcol(j0 + r);
-            wc[r] += dot_conj(&v[j0..], &ccol[j0..j0 + r + 1]);
-        }
-    }
-}
-
-/// Application of the triangular part of a packed-upper TT reflector panel:
-/// `C[j0 .. j0+r+1, j] -= V2[j0.., j0+r] · W(r, j)`.
-pub fn panel_packed_upper_apply<'a, T: Scalar + 'a>(
-    vcol: impl Fn(usize) -> &'a [T],
-    j0: usize,
-    w: usize,
-    c: &mut [T],
-    coff: impl Fn(usize) -> usize,
-    width: usize,
-    wmat: &Matrix<T>,
-) {
-    assert!(
-        wmat.rows() >= w && wmat.cols() >= width,
-        "staging panel too small"
-    );
-    for j in 0..width {
-        let ccol = &mut c[coff(j)..];
-        let wc = wmat.col(j);
-        for r in 0..w {
-            let wkj = wc[r];
-            if wkj.is_zero() {
-                continue;
-            }
-            let v = vcol(j0 + r);
-            for (ci, &vi) in ccol[j0..j0 + r + 1].iter_mut().zip(&v[j0..]) {
-                *ci -= vi * wkj;
-            }
-        }
-    }
 }
 
 /// `W(r, j) := C[r0+r, j]` for `r < w`, `j < width` — stages the pivot-row
@@ -476,172 +90,6 @@ pub fn sub_rows_window_assign<T: Scalar>(
     }
 }
 
-/// In-place `B(:, 0..width) := op(T_s) · B(:, 0..width)` for the `w × w`
-/// upper triangular panel factor stored `ib`-blocked at rows `0..w` of
-/// columns `t_c0 .. t_c0+w` of `t` — the windowed generalization of
-/// [`trmm_upper_left_partial`] (bit-identical to it at `t_c0 = 0`,
-/// `w = t.rows()`).
-pub fn trmm_upper_left_window<T: Scalar>(
-    t: &Matrix<T>,
-    t_c0: usize,
-    w: usize,
-    b: &mut Matrix<T>,
-    width: usize,
-    conj_trans: bool,
-) {
-    assert!(
-        t.rows() >= w && t.cols() >= t_c0 + w,
-        "T window out of bounds"
-    );
-    assert!(
-        b.rows() >= w && b.cols() >= width,
-        "op(T)·B: panel too small"
-    );
-    for j in 0..width {
-        let b_col = &mut b.col_mut(j)[..w];
-        if conj_trans {
-            // (Tᴴ B)[i] = Σ_{k≤i} conj(T[k,i])·B[k]; bottom-up keeps reads on
-            // original values, and the column of T is contiguous.
-            for i in (0..w).rev() {
-                let acc = dot_conj(&t.col(t_c0 + i)[..i + 1], &b_col[..i + 1]);
-                b_col[i] = acc;
-            }
-        } else {
-            // (T B)[i] = Σ_{k≥i} T[i,k]·B[k]; top-down keeps reads original.
-            for i in 0..w {
-                let mut acc = T::ZERO;
-                for (k, &bk) in b_col.iter().enumerate().take(w).skip(i) {
-                    acc += t.get(i, t_c0 + k) * bk;
-                }
-                b_col[i] = acc;
-            }
-        }
-    }
-}
-
-/// Returns `Aᴴ · B`.
-pub fn conj_trans_mul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    assert_eq!(a.rows(), b.rows(), "Aᴴ·B: row counts must agree");
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    for j in 0..b.cols() {
-        let b_col = b.col(j);
-        let o_col = out.col_mut(j);
-        for (k, o) in o_col.iter_mut().enumerate() {
-            let a_col = a.col(k);
-            let mut acc = T::ZERO;
-            for i in 0..a.rows() {
-                acc += a_col[i].conj() * b_col[i];
-            }
-            *o = acc;
-        }
-    }
-    out
-}
-
-/// `C := C - A · B`.
-pub fn sub_mul_assign<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
-    assert_eq!(a.cols(), b.rows(), "C-=A·B: inner dimensions must agree");
-    assert_eq!(c.rows(), a.rows(), "C-=A·B: row counts must agree");
-    assert_eq!(c.cols(), b.cols(), "C-=A·B: column counts must agree");
-    for j in 0..b.cols() {
-        for k in 0..a.cols() {
-            let bkj = b.get(k, j);
-            if bkj.is_zero() {
-                continue;
-            }
-            let a_col = a.col(k);
-            let c_col = c.col_mut(j);
-            for i in 0..a_col.len() {
-                c_col[i] -= a_col[i] * bkj;
-            }
-        }
-    }
-}
-
-/// `C := C - A · B` where `A` is *unit lower triangular* (implicit unit
-/// diagonal, strictly-lower entries taken from `a`, upper part ignored).
-///
-/// This is the `V`-application shape used by [`crate::unmqr`], where the
-/// Householder vectors are stored in the strictly lower part of the factored
-/// tile.
-pub fn sub_mul_assign_unit_lower<T: Scalar>(c: &mut Matrix<T>, a: &Matrix<T>, b: &Matrix<T>) {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "V must be square");
-    assert_eq!(b.rows(), n, "C-=V·B: inner dimensions must agree");
-    assert_eq!(c.rows(), n, "C-=V·B: row counts must agree");
-    assert_eq!(c.cols(), b.cols(), "C-=V·B: column counts must agree");
-    for j in 0..b.cols() {
-        for k in 0..n {
-            let bkj = b.get(k, j);
-            if bkj.is_zero() {
-                continue;
-            }
-            let a_col = a.col(k);
-            let c_col = c.col_mut(j);
-            // unit diagonal entry
-            c_col[k] -= bkj;
-            for i in (k + 1)..n {
-                c_col[i] -= a_col[i] * bkj;
-            }
-        }
-    }
-}
-
-/// Returns `Vᴴ · B` where `V` is *unit lower triangular* as in
-/// [`sub_mul_assign_unit_lower`].
-pub fn conj_trans_mul_unit_lower<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "V must be square");
-    assert_eq!(b.rows(), n, "Vᴴ·B: row counts must agree");
-    let mut out = Matrix::zeros(n, b.cols());
-    for j in 0..b.cols() {
-        let b_col = b.col(j);
-        let o_col = out.col_mut(j);
-        for (k, o) in o_col.iter_mut().enumerate() {
-            let a_col = a.col(k);
-            let mut acc = b_col[k]; // unit diagonal: conj(1) * b[k]
-            for i in (k + 1)..n {
-                acc += a_col[i].conj() * b_col[i];
-            }
-            *o = acc;
-        }
-    }
-    out
-}
-
-/// In-place left multiplication by an upper triangular matrix:
-/// `B := op(T) · B`, with `op(T) = T` or `op(T) = Tᴴ`.
-///
-/// Only the upper triangle of `t` is referenced.
-pub fn trmm_upper_left<T: Scalar>(t: &Matrix<T>, b: &mut Matrix<T>, conj_trans: bool) {
-    let n = t.rows();
-    assert_eq!(t.cols(), n, "T must be square");
-    assert_eq!(b.rows(), n, "op(T)·B: dimensions must agree");
-    for j in 0..b.cols() {
-        let b_col = b.col_mut(j);
-        if conj_trans {
-            // (Tᴴ B)[i] = sum_{k<=i} conj(T[k,i]) * B[k]; compute bottom-up so
-            // B entries are still the originals when read.
-            for i in (0..n).rev() {
-                let mut acc = T::ZERO;
-                for (k, &bk) in b_col.iter().enumerate().take(i + 1) {
-                    acc += t.get(k, i).conj() * bk;
-                }
-                b_col[i] = acc;
-            }
-        } else {
-            // (T B)[i] = sum_{k>=i} T[i,k] * B[k]; compute top-down.
-            for i in 0..n {
-                let mut acc = T::ZERO;
-                for (k, &bk) in b_col.iter().enumerate().skip(i) {
-                    acc += t.get(i, k) * bk;
-                }
-                b_col[i] = acc;
-            }
-        }
-    }
-}
-
 /// General matrix product used by the benchmark harness as the GEMM
 /// reference series in Figures 4–5: `C := C + A·B`.
 ///
@@ -666,97 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn conj_trans_mul_matches_naive() {
-        let a: Matrix<f64> = random_matrix(5, 3, 1);
-        let b: Matrix<f64> = random_matrix(5, 4, 2);
-        let expected = a.conj_transpose().matmul(&b);
-        assert_close(&conj_trans_mul(&a, &b), &expected, 1e-13);
-
-        let az: Matrix<Complex64> = random_matrix(5, 3, 3);
-        let bz: Matrix<Complex64> = random_matrix(5, 4, 4);
-        let expectedz = az.conj_transpose().matmul(&bz);
-        assert_close(&conj_trans_mul(&az, &bz), &expectedz, 1e-13);
-    }
-
-    #[test]
-    fn sub_mul_assign_matches_naive() {
-        let a: Matrix<f64> = random_matrix(4, 3, 5);
-        let b: Matrix<f64> = random_matrix(3, 6, 6);
-        let mut c: Matrix<f64> = random_matrix(4, 6, 7);
-        let expected = c.sub(&a.matmul(&b));
-        sub_mul_assign(&mut c, &a, &b);
-        assert_close(&c, &expected, 1e-13);
-    }
-
-    #[test]
-    fn unit_lower_helpers_match_explicit_v() {
-        let n = 6;
-        let a: Matrix<Complex64> = random_matrix(n, n, 8);
-        // Build the explicit unit-lower-triangular V that the helpers assume.
-        let v = Matrix::from_fn(n, n, |i, j| {
-            if i == j {
-                Complex64::ONE
-            } else if i > j {
-                a.get(i, j)
-            } else {
-                Complex64::ZERO
-            }
-        });
-        let b: Matrix<Complex64> = random_matrix(n, 4, 9);
-
-        let expected_vh_b = v.conj_transpose().matmul(&b);
-        assert_close(&conj_trans_mul_unit_lower(&a, &b), &expected_vh_b, 1e-13);
-
-        let w: Matrix<Complex64> = random_matrix(n, 4, 10);
-        let mut c = b.clone();
-        let expected = b.sub(&v.matmul(&w));
-        sub_mul_assign_unit_lower(&mut c, &a, &w);
-        assert_close(&c, &expected, 1e-13);
-    }
-
-    #[test]
-    fn trmm_upper_left_matches_explicit_triangle() {
-        let n = 5;
-        let full: Matrix<Complex64> = random_matrix(n, n, 11);
-        let t = Matrix::from_fn(n, n, |i, j| {
-            if i <= j {
-                full.get(i, j)
-            } else {
-                Complex64::ZERO
-            }
-        });
-        let b: Matrix<Complex64> = random_matrix(n, 3, 12);
-
-        let mut b1 = b.clone();
-        trmm_upper_left(&t, &mut b1, false);
-        assert_close(&b1, &t.matmul(&b), 1e-13);
-
-        let mut b2 = b.clone();
-        trmm_upper_left(&t, &mut b2, true);
-        assert_close(&b2, &t.conj_transpose().matmul(&b), 1e-13);
-    }
-
-    #[test]
-    fn trmm_ignores_strictly_lower_part() {
-        let n = 4;
-        let t_upper: Matrix<f64> =
-            Matrix::from_fn(n, n, |i, j| if i <= j { (i + j + 1) as f64 } else { 0.0 });
-        let mut t_dirty = t_upper.clone();
-        // garbage below the diagonal must not change the result
-        for j in 0..n {
-            for i in (j + 1)..n {
-                t_dirty.set(i, j, 99.0);
-            }
-        }
-        let b: Matrix<f64> = random_matrix(n, 2, 13);
-        let mut b1 = b.clone();
-        let mut b2 = b.clone();
-        trmm_upper_left(&t_upper, &mut b1, false);
-        trmm_upper_left(&t_dirty, &mut b2, false);
-        assert_eq!(b1, b2);
-    }
-
-    #[test]
     fn dot_conj_matches_sequential_sum() {
         for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 33] {
             let a: Vec<Complex64> = (0..n)
@@ -771,87 +128,6 @@ mod tests {
                 (got - expected).abs() < 1e-12 * (1.0 + expected.abs()),
                 "n={n}: {got} vs {expected}"
             );
-        }
-    }
-
-    #[test]
-    fn into_variants_match_allocating_helpers() {
-        let n = 7;
-        let width = 3;
-        let v: Matrix<Complex64> = random_matrix(n, n, 40);
-        let c: Matrix<Complex64> = random_matrix(n, n, 41);
-
-        // unit-lower Vᴴ·C on a column window
-        let mut w = Matrix::<Complex64>::zeros(n, n);
-        conj_trans_mul_unit_lower_into(&v, &c, 2, width, &mut w);
-        let reference = conj_trans_mul_unit_lower(&v, &c.sub_matrix(0, 2, n, width));
-        for j in 0..width {
-            for i in 0..n {
-                assert!((w.get(i, j) - reference.get(i, j)).abs() < 1e-13);
-            }
-        }
-
-        // W = C1 window, then W += Vᴴ·C2 window
-        let c2: Matrix<Complex64> = random_matrix(n, n, 42);
-        let mut w2 = Matrix::<Complex64>::zeros(n, n);
-        copy_cols_into(&c, 1, width, &mut w2);
-        acc_conj_trans_mul_into(&v, &c2, 1, width, &mut w2);
-        let reference2 =
-            conj_trans_mul(&v, &c2.sub_matrix(0, 1, n, width)).add(&c.sub_matrix(0, 1, n, width));
-        for j in 0..width {
-            for i in 0..n {
-                assert!((w2.get(i, j) - reference2.get(i, j)).abs() < 1e-13);
-            }
-        }
-    }
-
-    #[test]
-    fn column_window_application_matches_allocating_path() {
-        let n = 6;
-        let v: Matrix<f64> = random_matrix(n, n, 50);
-        let w: Matrix<f64> = random_matrix(n, n, 51);
-        let c0: Matrix<f64> = random_matrix(n, n, 52);
-
-        // dense C -= V·W on the full window
-        let mut dense_new = c0.clone();
-        sub_mul_assign_cols(&mut dense_new, 0, n, &v, &w);
-        let mut dense_old = c0.clone();
-        sub_mul_assign(&mut dense_old, &v, &w);
-        assert_eq!(dense_new, dense_old);
-
-        // unit-lower C -= V·W
-        let mut ul_new = c0.clone();
-        sub_mul_assign_unit_lower_cols(&mut ul_new, 0, n, &v, &w);
-        let mut ul_old = c0.clone();
-        sub_mul_assign_unit_lower(&mut ul_old, &v, &w);
-        assert_eq!(ul_new, ul_old);
-    }
-
-    #[test]
-    fn trmm_partial_matches_full_trmm() {
-        let n = 5;
-        let full: Matrix<Complex64> = random_matrix(n, n, 60);
-        let t = Matrix::from_fn(n, n, |i, j| {
-            if i <= j {
-                full.get(i, j)
-            } else {
-                Complex64::ZERO
-            }
-        });
-        let b: Matrix<Complex64> = random_matrix(n, 4, 61);
-        for conj_trans in [false, true] {
-            let mut partial = b.clone();
-            trmm_upper_left_partial(&t, &mut partial, 4, conj_trans);
-            let mut reference = b.clone();
-            trmm_upper_left(&t, &mut reference, conj_trans);
-            for j in 0..4 {
-                for i in 0..n {
-                    assert!(
-                        (partial.get(i, j) - reference.get(i, j)).abs() < 1e-13,
-                        "mismatch at ({i},{j}) conj_trans={conj_trans}"
-                    );
-                }
-            }
         }
     }
 

@@ -18,37 +18,36 @@
 //! # Inner blocking
 //!
 //! All three kernels are PLASMA-style inner-blocked: the tile is factored in
-//! panels of `ib` columns (`ib` comes from the
-//! [`Workspace`]). Within a panel the
-//! reflectors are generated and applied column by column; the *trailing*
-//! columns of the tile are then updated once per panel with the blocked
-//! compact-WY application `C ← C − V·Tᴴ·(VᴴC)`, whose dense bulk runs on the
-//! register-tiled [`crate::microblas`] backend. The `w × w` panel factors
-//! are stored `ib`-blocked: panel `s` (columns `j0 .. j0+w`) occupies rows
-//! `0..w` of columns `j0 .. j0+w` of `t`, so `t` needs only `ib` rows. With
-//! `ib = nb` (the default workspace) there is a single panel, no trailing
-//! update, and the kernels are bit-identical to the historical unblocked
-//! path.
+//! panels of `ib` columns (`ib` comes from the [`Workspace`]). Within a
+//! panel the reflectors are generated and applied column by column (the
+//! Level-2 sweep, on [`crate::blas::dot_conj`]); the *trailing* columns of
+//! the tile are then updated once per panel with the same block-reflector
+//! primitive the update kernels use — `W += VᴴC`, `W₂ := Tᴴ·W`,
+//! `C −= V·W₂`, three products on the register-tiled [`crate::microblas`]
+//! backend — with the panel's own columns as `V` (a `split_at_mut` of the
+//! tile keeps them readable while the trailing columns are written). The
+//! `w × w` panel factors are stored `ib`-blocked: panel `s` (columns
+//! `j0 .. j0+w`) occupies rows `0..w` of columns `j0 .. j0+w` of `t`, so
+//! `t` needs only `ib` rows. With `ib = nb` (the default workspace) there
+//! is a single panel and no trailing update.
 //!
 //! [`ttqrt_ws`] additionally packs the triangular tile being annihilated
 //! into the workspace's packed column-major triangular scratch
 //! ([`tileqr_matrix::packed`]) for the duration of the kernel: packing reads
 //! only the triangle (the strictly-lower Householder vectors of an earlier
 //! GEQRT on the same tile are never touched), every column access inside the
-//! elimination loop is contiguous, and the result is unpacked back into the
-//! triangle on exit.
+//! elimination loop is contiguous — a packed column is exactly the short
+//! column the block reflector wants — and the result is unpacked back into
+//! the triangle on exit.
 
 use tileqr_matrix::packed::{
     pack_upper_triangle, packed_col, packed_col_mut, packed_len, packed_off, unpack_upper_triangle,
 };
 use tileqr_matrix::{Matrix, Scalar};
 
-use crate::blas::{
-    copy_rows_window_into, dot_conj, panel_packed_upper_apply, panel_packed_upper_stage,
-    panel_unit_lower_apply, panel_unit_lower_stage, sub_rows_window_assign, trmm_upper_left_window,
-};
+use crate::blas::dot_conj;
 use crate::householder::{larfg, larft_panel_from_tile};
-use crate::microblas::{gemm_into, AMode};
+use crate::reflector::{apply_panel, PivotRows};
 use crate::workspace::Workspace;
 
 /// GEQRT: in-place QR factorization of a square `nb × nb` tile.
@@ -83,9 +82,7 @@ pub fn geqrt_ws<T: Scalar<Real = f64>>(
         tau,
         tail,
         wcol,
-        w: wmat,
-        apack,
-        bpack,
+        panel,
         ..
     } = ws;
 
@@ -123,44 +120,21 @@ pub fn geqrt_ws<T: Scalar<Real = f64>>(
         larft_panel_from_tile(a, j0, w, &tau[..w], t, wcol);
         // --- trailing update: C(:, j1..) ← (I − V·T·Vᴴ)ᴴ · C(:, j1..) ---
         if j1 < nb {
-            let trail = nb - j1;
-            let ldw = wmat.rows();
             // V lives in columns j0..j1 of the tile, the targets in j1..nb:
             // split the storage so both can be accessed at once.
             let (left, right) = a.as_mut_slice().split_at_mut(j1 * nb);
-            let vcol = |k: usize| &left[k * nb..(k + 1) * nb];
-            // W := V_triᴴ · C_top  (unit-lower w × w triangle, rows j0..j1)
-            panel_unit_lower_stage(vcol, j0, w, right, |j| j * nb, trail, wmat);
-            // W += V_denseᴴ · C_bot  (rows j1..nb of the trapezoid)
-            gemm_into(
+            apply_panel(
+                |i| &left[(j0 + i) * nb + j0..(j0 + i + 1) * nb],
+                nb - j0,
+                None,
+                t,
+                j0,
                 w,
-                trail,
-                nb - j1,
-                AMode::ConjTrans,
-                |i| &vcol(j0 + i)[j1..],
-                |j| &right[j * nb + j1..(j + 1) * nb],
-                wmat.as_mut_slice(),
-                |j| j * ldw,
-                false,
-                apack,
-                bpack,
-            );
-            // W := Tᴴ · W
-            trmm_upper_left_window(t, j0, w, wmat, trail, true);
-            // C_top -= V_tri · W ; C_bot -= V_dense · W
-            panel_unit_lower_apply(vcol, j0, w, right, |j| j * nb, trail, wmat);
-            gemm_into(
-                nb - j1,
-                trail,
-                w,
-                AMode::NoTrans,
-                |p| &vcol(j0 + p)[j1..],
-                |j| wmat.col(j),
-                right,
-                |j| j * nb + j1,
                 true,
-                apack,
-                bpack,
+                right,
+                |j| j * nb + j0,
+                nb - j1,
+                panel,
             );
         }
         j0 = j1;
@@ -203,9 +177,7 @@ pub fn tsqrt_ws<T: Scalar<Real = f64>>(
         tau,
         tail,
         wcol,
-        w: wmat,
-        apack,
-        bpack,
+        panel,
         ..
     } = ws;
 
@@ -243,43 +215,25 @@ pub fn tsqrt_ws<T: Scalar<Real = f64>>(
         build_t_panel_ts(a2, j0, w, &tau[..w], t, wcol);
         // --- trailing update of [R1; A2] columns j1..nb ---
         if j1 < nb {
-            let trail = nb - j1;
-            let ldw = wmat.rows();
-            // V2 lives in columns j0..j1 of a2, the targets in j1..nb.
+            // V2 lives in columns j0..j1 of a2, the targets in j1..nb; the
+            // identity block acts on R1[j0..j1, j1..nb].
             let (left, right) = a2.as_mut_slice().split_at_mut(j1 * nb);
-            let v2col = |p: usize| &left[(j0 + p) * nb..(j0 + p + 1) * nb];
-            // W := R1[j0..j1, j1..nb]  (identity top block of the reflector)
-            copy_rows_window_into(r1.as_slice(), |j| (j1 + j) * nb, j0, w, trail, wmat);
-            // W += V2ᴴ · A2(:, j1..nb)
-            gemm_into(
-                w,
-                trail,
+            apply_panel(
+                |i| &left[(j0 + i) * nb..(j0 + i + 1) * nb],
                 nb,
-                AMode::ConjTrans,
-                v2col,
-                |j| &right[j * nb..(j + 1) * nb],
-                wmat.as_mut_slice(),
-                |j| j * ldw,
-                false,
-                apack,
-                bpack,
-            );
-            // W := Tᴴ · W
-            trmm_upper_left_window(t, j0, w, wmat, trail, true);
-            // R1[j0..j1, j1..nb] -= W ; A2(:, j1..nb) -= V2 · W
-            sub_rows_window_assign(r1.as_mut_slice(), |j| (j1 + j) * nb, j0, w, trail, wmat);
-            gemm_into(
-                nb,
-                trail,
+                Some(PivotRows {
+                    c1: r1.as_mut_slice(),
+                    start: j1 * nb + j0,
+                    ld: nb,
+                }),
+                t,
+                j0,
                 w,
-                AMode::NoTrans,
-                v2col,
-                |j| wmat.col(j),
+                true,
                 right,
                 |j| j * nb,
-                true,
-                apack,
-                bpack,
+                nb - j1,
+                panel,
             );
         }
         j0 = j1;
@@ -329,9 +283,7 @@ pub fn ttqrt_ws<T: Scalar<Real = f64>>(
         tau,
         tail,
         wcol,
-        w: wmat,
-        apack,
-        bpack,
+        panel,
         tri,
         ..
     } = ws;
@@ -371,51 +323,29 @@ pub fn ttqrt_ws<T: Scalar<Real = f64>>(
         build_t_panel_tt(tri, j0, w, &tau[..w], t, wcol);
         // --- trailing update of [R1; R2] columns j1..nb ---
         if j1 < nb {
-            let trail = nb - j1;
-            let ldw = wmat.rows();
             // V2 (packed columns j0..j1) is read while the packed trailing
             // columns are updated: split the packed buffer between them.
-            let (vpart, cpart) = tri.split_at_mut(packed_off(j1));
+            // Every trailing column holds at least the j1 rows the panel
+            // spans; the panel's own columns end at their diagonal.
             let base = packed_off(j1);
-            let vcol = |k: usize| packed_col(vpart, k);
-            let coffp = |j: usize| packed_off(j1 + j) - base;
-            // W := R1[j0..j1, j1..nb]
-            copy_rows_window_into(r1.as_slice(), |j| (j1 + j) * nb, j0, w, trail, wmat);
-            // W += V2ᴴ · R2[0..j1, j1..nb]: dense rows 0..j0 via the
-            // microkernel, the w × w triangle via the packed panel helper.
-            gemm_into(
-                w,
-                trail,
+            let (vpart, cpart) = tri.split_at_mut(base);
+            apply_panel(
+                |i| packed_col(vpart, j0 + i),
+                j1,
+                Some(PivotRows {
+                    c1: r1.as_mut_slice(),
+                    start: j1 * nb + j0,
+                    ld: nb,
+                }),
+                t,
                 j0,
-                AMode::ConjTrans,
-                |i| vcol(j0 + i),
-                |j| &cpart[coffp(j)..coffp(j) + j1 + j + 1],
-                wmat.as_mut_slice(),
-                |j| j * ldw,
-                false,
-                apack,
-                bpack,
-            );
-            panel_packed_upper_stage(vcol, j0, w, cpart, coffp, trail, wmat);
-            // W := Tᴴ · W
-            trmm_upper_left_window(t, j0, w, wmat, trail, true);
-            // R1[j0..j1, j1..nb] -= W
-            sub_rows_window_assign(r1.as_mut_slice(), |j| (j1 + j) * nb, j0, w, trail, wmat);
-            // R2[0..j1, j1..nb] -= V2 · W (dense rows + triangle)
-            gemm_into(
-                j0,
-                trail,
                 w,
-                AMode::NoTrans,
-                |p| &vcol(j0 + p)[..j0],
-                |j| wmat.col(j),
-                cpart,
-                coffp,
                 true,
-                apack,
-                bpack,
+                cpart,
+                |j| packed_off(j1 + j) - base,
+                nb - j1,
+                panel,
             );
-            panel_packed_upper_apply(vcol, j0, w, cpart, coffp, trail, wmat);
         }
         j0 = j1;
     }

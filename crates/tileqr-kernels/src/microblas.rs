@@ -1,64 +1,77 @@
 //! Register-tiled micro-BLAS backend for the tile kernels.
 //!
-//! This is the innermost of the crate's three blocking levels (tile `nb` →
-//! inner panel `ib` → register block `MR × NR`, see the crate docs). Every
-//! compute-bound panel update of the `*_ws` kernels — the compact-WY
-//! applications `W := VᴴC` and `C := C − V·W` — funnels through one
+//! This is the innermost of the crate's blocking levels (tile `nb` → inner
+//! panel `ib` → register block, see the crate docs). Every product of the
+//! block-reflector primitive — `W += V_sᴴ·C`, `W₂ := op(T_s)·W`,
+//! `C −= V_s·W₂`, structured operands included — is one call of the
 //! [`gemm_into`] entry point, which follows the classic GotoBLAS structure
 //! specialized to tile-sized operands (`m, n, k ≤ nb`):
 //!
 //! 1. both operands are packed once per call: `B` into `NR`-interleaved
 //!    column slabs (`bpack`) and `op(A)` into `MR`-interleaved row slabs
 //!    (`apack`, conjugation applied during packing), so the microkernel
-//!    streams both with unit stride;
-//! 2. the `j` loop is blocked into cache-sized column chunks: one chunk of
+//!    streams both with unit stride. `MR × NR` is the register block of the
+//!    *active SIMD level* ([`crate::simd::block_shape`]), so the pack layout
+//!    is a property of the level as well;
+//! 2. packing is also where operand **structure** lives and dies: a column
+//!    shorter than the nominal dimension is padded with zeros (triangular
+//!    `T` factors, upper-trapezoidal TT reflectors), and an
+//!    [`AForm::UnitLower`] operand gets its zeros and unit diagonal written
+//!    into the slab while the storage they replace is never read (GEQRT
+//!    reflectors share their tile with `R`). The compute loop below sees
+//!    dense slabs only;
+//! 3. the `j` loop is blocked into cache-sized column chunks: one chunk of
 //!    `bpack` stays resident while every row slab of `apack` streams past
 //!    it, so the per-chunk working set is a few hundred kilobytes no matter
 //!    how large the operands are — the pack buffers live in the workspace
 //!    arena and are reused by every call, which keeps them hot in L2;
-//! 3. the microkernel multiplies one `MR × k` A-slab by one `k × NR` B-slab
-//!    into a stack-resident accumulator block. The register-block shape is
-//!    per scalar ([`Scalar::MR`]/[`Scalar::NR`]: `8 × 4` for `f64`, `4 × 4`
-//!    for `Complex64` so the complex block fits the register file), and the
-//!    kernel itself is selected once per process by ISA — explicit AVX2 /
-//!    AVX-512 / NEON implementations with a generic scalar fallback, see
-//!    [`crate::simd`]. The `MR·NR` accumulators form independent dependency
-//!    chains interleaved over the `k` loop, so the floating-point units are
-//!    never serialized on add-latency — this replaces the dot-product-shaped
-//!    reductions the kernels previously used. Everything is std-only
-//!    `core::arch`, per the offline-buildability constraint.
+//! 4. the microkernel ([`crate::simd`]) multiplies one `MR × k` A-slab by
+//!    the valid columns of one `k × NR` B-slab with the whole block of `C`
+//!    in accumulator registers — independent dependency chains interleaved
+//!    over the `k` loop, enough of them that a product only `ib` deep runs
+//!    at the steady-state rate — and writes `C ±= acc` from the registers.
+//!    Everything is std-only `core::arch`, per the offline-buildability
+//!    constraint.
 //!
 //! Operands are supplied as *column accessor closures* (`Fn(usize) -> &[T]`)
 //! rather than matrix references: the same code path then serves dense tiles,
 //! column windows obtained from `split_at_mut`, staging panels with a foreign
-//! leading dimension, and the packed triangular columns of the TT kernels
-//! (columns shorter than `k` are zero-padded during packing, which is how
-//! trapezoidal reflector blocks are handled). The destination is a raw
-//! column-major buffer plus a column-offset map, so a packed triangle can be
-//! updated in place as well.
+//! leading dimension, and the packed triangular columns of TTQRT. The
+//! destination is a raw column-major buffer plus a column-offset map, so a
+//! packed triangle can be updated in place as well.
 //!
 //! The pack buffers are caller-provided (the kernels use the preallocated
 //! [`crate::workspace::Workspace`] arena), so none of this allocates.
 
 use tileqr_matrix::{Matrix, Scalar};
 
-use crate::simd::{self, ACC_CAP};
+use crate::simd::{self, BlockShape, Microkernel, NR_MAX};
 
-/// Length of the A pack buffer needed for an `m × k` `op(A)` operand of `T`
-/// (the register-block rows [`Scalar::MR`] are per scalar).
-#[inline]
-pub const fn apack_len<T: Scalar>(m: usize, k: usize) -> usize {
-    m.div_ceil(T::MR) * T::MR * k
+/// `len` rounded up to whole register blocks at the coarsest interleave any
+/// level uses: the pack buffers outlive a change of the active level, so
+/// they are sized for every shape at once.
+fn padded<T: Scalar>(len: usize, interleave: impl Fn(BlockShape) -> usize) -> usize {
+    simd::ALL_LEVELS
+        .iter()
+        .map(|&l| len.next_multiple_of(interleave(simd::block_shape::<T>(l))))
+        .max()
+        .unwrap_or(len)
+}
+
+/// Length of the A pack buffer that serves an `m × k` `op(A)` operand of
+/// `T` at every SIMD level.
+pub fn apack_len<T: Scalar>(m: usize, k: usize) -> usize {
+    padded::<T>(m, |shape| shape.mr) * k
 }
 
 /// Per-chunk budget for the resident `bpack` columns: chosen so one chunk
 /// plus one `apack` slab plus the touched `C` window stay far below L2.
 const CHUNK_BYTES: usize = 96 * 1024;
 
-/// Length of the B pack buffer needed for a `k × n` operand of `T`.
-#[inline]
-pub const fn bpack_len<T: Scalar>(k: usize, n: usize) -> usize {
-    n.div_ceil(T::NR) * T::NR * k
+/// Length of the B pack buffer that serves a `k × n` operand of `T` at
+/// every SIMD level.
+pub fn bpack_len<T: Scalar>(k: usize, n: usize) -> usize {
+    padded::<T>(n, |shape| shape.nr) * k
 }
 
 /// How the `A` operand enters the product.
@@ -70,29 +83,44 @@ pub enum AMode {
     ConjTrans,
 }
 
+/// Structure of the stored `A` operand. It exists only while packing: the
+/// microkernel sees a dense slab either way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AForm {
+    /// Every stored entry is read; a column shorter than the nominal
+    /// dimension ends in zeros. This is how upper-triangular and
+    /// upper-trapezoidal operands (`T` factors, TT reflectors) are given.
+    Dense,
+    /// Stored column `i` is zero above row `i`, **one** at row `i`, and
+    /// read from storage only below it — a GEQRT reflector panel, whose
+    /// storage on and above the diagonal holds `R` and must be ignored.
+    UnitLower,
+}
+
 /// Packs a `k × n` operand `B` into `NR`-interleaved column slabs:
 /// slab `js` occupies `bp[js·k·NR ..][.. k·NR]` with element `(p, c)` at
-/// `p·NR + c`. Columns shorter than `k` (or beyond `n`) are zero-padded.
-fn pack_b<'a, T: Scalar + 'a>(k: usize, n: usize, bcol: &impl Fn(usize) -> &'a [T], bp: &mut [T]) {
-    let nr = T::NR;
-    debug_assert!(bp.len() >= bpack_len::<T>(k, n), "B pack buffer too small");
-    for js in 0..n.div_ceil(nr) {
-        let slab = &mut bp[js * k * nr..(js + 1) * k * nr];
-        for c in 0..nr {
-            let j = js * nr + c;
-            if j < n {
-                let src = bcol(j);
-                let avail = src.len().min(k);
-                for (p, &v) in src.iter().enumerate().take(avail) {
-                    slab[p * nr + c] = v;
-                }
-                for p in avail..k {
-                    slab[p * nr + c] = T::ZERO;
-                }
-            } else {
-                for p in 0..k {
-                    slab[p * nr + c] = T::ZERO;
-                }
+/// `p·NR + c`. Columns shorter than `k` are zero-padded; the columns of the
+/// last slab beyond `n` are left as they are — the microkernel computes
+/// valid columns only and never reads them.
+fn pack_b<'a, T: Scalar + 'a, const NR: usize>(
+    k: usize,
+    n: usize,
+    bcol: &impl Fn(usize) -> &'a [T],
+    bp: &mut [T],
+) {
+    for (js, slab) in bp.chunks_exact_mut(k * NR).take(n.div_ceil(NR)).enumerate() {
+        let j0 = js * NR;
+        for c in 0..NR.min(n - j0) {
+            let src = bcol(j0 + c);
+            let src = &src[..src.len().min(k)];
+            let mut rows = slab.chunks_exact_mut(NR);
+            // `src` leads the zip: an exhausted first iterator ends it
+            // without taking (and so skipping the zero of) another row.
+            for (&v, row) in src.iter().zip(&mut rows) {
+                row[c] = v;
+            }
+            for row in rows {
+                row[c] = T::ZERO;
             }
         }
     }
@@ -100,48 +128,69 @@ fn pack_b<'a, T: Scalar + 'a>(k: usize, n: usize, bcol: &impl Fn(usize) -> &'a [
 
 /// Packs the whole `m × k` `op(A)` operand into `MR`-interleaved row slabs:
 /// slab `is` occupies `ap[is·k·MR ..][.. k·MR]` with element `(r, p)` at
-/// `p·MR + r`; missing rows/entries are zero-padded so the microkernel
-/// always runs full blocks.
-fn pack_a<'a, T: Scalar + 'a>(
+/// `p·MR + r`. Entries the storage does not hold — short columns, the rows
+/// of the last slab beyond `m`, the implied part of an
+/// [`AForm::UnitLower`] operand — are materialised here, so the microkernel
+/// always runs full-height blocks.
+fn pack_a<'a, T: Scalar + 'a, const MR: usize>(
     k: usize,
     m: usize,
     amode: AMode,
+    form: AForm,
     acol: &impl Fn(usize) -> &'a [T],
     ap: &mut [T],
 ) {
-    let mr = T::MR;
-    debug_assert!(ap.len() >= apack_len::<T>(m, k), "A pack buffer too small");
-    for is in 0..m.div_ceil(mr) {
-        let i0 = is * mr;
-        let mr_valid = mr.min(m - i0);
-        let slab = &mut ap[is * k * mr..(is + 1) * k * mr];
-        match amode {
-            AMode::NoTrans => {
-                for p in 0..k {
+    let unit = form == AForm::UnitLower;
+    let n_slabs = m.div_ceil(MR);
+    match amode {
+        AMode::NoTrans => {
+            for (is, slab) in ap.chunks_exact_mut(k * MR).take(n_slabs).enumerate() {
+                let (i0, i1) = (is * MR, m.min((is + 1) * MR));
+                for (p, dst) in slab.chunks_exact_mut(MR).enumerate() {
                     let src = acol(p);
-                    let avail = src.len().saturating_sub(i0).min(mr_valid);
-                    for r in 0..avail {
-                        slab[p * mr + r] = src[i0 + r];
+                    // Stored rows of this column that fall in the slab.
+                    let lo = if unit { (p + 1).max(i0) } else { i0 };
+                    let hi = src.len().min(i1);
+                    if lo == i0 && hi == i0 + MR {
+                        // The bulk: a whole block row, a fixed-size copy.
+                        dst.copy_from_slice(&src[i0..i0 + MR]);
+                        continue;
                     }
-                    for r in avail..mr {
-                        slab[p * mr + r] = T::ZERO;
+                    dst.fill(T::ZERO);
+                    if lo < hi {
+                        dst[lo - i0..hi - i0].copy_from_slice(&src[lo..hi]);
+                    }
+                    if unit && (i0..i1).contains(&p) {
+                        dst[p - i0] = T::ONE;
                     }
                 }
             }
-            AMode::ConjTrans => {
-                for r in 0..mr_valid {
-                    let src = acol(i0 + r);
-                    let avail = src.len().min(k);
-                    for (p, &v) in src.iter().enumerate().take(avail) {
-                        slab[p * mr + r] = v.conj();
+        }
+        // Stored column `i` becomes packed row `i`: `lo` zeros, the stored
+        // entries from `lo` on, then zeros; all zeros beyond `m`.
+        AMode::ConjTrans => {
+            for (is, slab) in ap.chunks_exact_mut(k * MR).take(n_slabs).enumerate() {
+                for r in 0..MR {
+                    let i = is * MR + r;
+                    let (src, unit) = if i < m {
+                        (acol(i), unit)
+                    } else {
+                        (&[][..], false)
+                    };
+                    let lo = if unit { (i + 1).min(k) } else { 0 };
+                    let stored = src.get(lo..src.len().min(k)).unwrap_or_default();
+                    let mut steps = slab.chunks_exact_mut(MR);
+                    for step in (&mut steps).take(lo) {
+                        step[r] = T::ZERO;
                     }
-                    for p in avail..k {
-                        slab[p * mr + r] = T::ZERO;
+                    for (&v, step) in stored.iter().zip(&mut steps) {
+                        step[r] = v.conj();
                     }
-                }
-                for r in mr_valid..mr {
-                    for p in 0..k {
-                        slab[p * mr + r] = T::ZERO;
+                    for step in steps {
+                        step[r] = T::ZERO;
+                    }
+                    if unit && i < k {
+                        slab[i * MR + r] = T::ONE;
                     }
                 }
             }
@@ -152,9 +201,10 @@ fn pack_a<'a, T: Scalar + 'a>(
 /// `C(0..m, 0..n) ±= op(A) · B` through the register-tiled microkernel.
 ///
 /// * `acol(p)` yields column `p` of the stored `A` (see [`AMode`] for which
-///   index runs over columns); `bcol(j)` yields column `j` of `B`. Columns
-///   may be shorter than the nominal dimension — missing entries count as
-///   zero, which is how triangular/trapezoidal operands are expressed.
+///   index runs over columns, [`AForm`] for which of its entries count);
+///   `bcol(j)` yields column `j` of `B`. Columns may be shorter than the
+///   nominal dimension — missing entries count as zero, which is how
+///   triangular/trapezoidal operands are expressed.
 /// * The destination is `c`, a column-major buffer in which column `j` of
 ///   the updated block starts at offset `coff(j)` (rows contiguous).
 /// * `sub` selects `C -= op(A)·B` (the reflector applications) over
@@ -168,6 +218,7 @@ pub fn gemm_into<'a, 'b, T: Scalar + 'a + 'b>(
     n: usize,
     k: usize,
     amode: AMode,
+    form: AForm,
     acol: impl Fn(usize) -> &'a [T],
     bcol: impl Fn(usize) -> &'b [T],
     c: &mut [T],
@@ -179,28 +230,34 @@ pub fn gemm_into<'a, 'b, T: Scalar + 'a + 'b>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let (mr, nr) = (T::MR, T::NR);
-    assert!(
-        apack.len() >= apack_len::<T>(m, k),
-        "A pack buffer too small"
-    );
-    assert!(
-        bpack.len() >= bpack_len::<T>(k, n),
-        "B pack buffer too small"
-    );
-    pack_b(k, n, &bcol, bpack);
-    pack_a(k, m, amode, &acol, apack);
-    // The microkernel ISA is resolved once per process ([`simd::active`]);
-    // fetching it here, outside the slab loops, keeps the per-block dispatch
-    // a predicted branch on a register value — zero per-call detection cost.
-    let level = simd::active();
+    // Shape and ISA kernel of the active level, resolved once per product
+    // ([`simd::active`] caches the detection): the packers below lay the
+    // slabs out for exactly the block the kernel consumes.
+    let kernel = Microkernel::<T>::active();
+    let BlockShape { mr, nr } = kernel.shape();
+    let n_islabs = m.div_ceil(mr);
+    let n_jslabs = n.div_ceil(nr);
+    assert!(apack.len() >= n_islabs * mr * k, "A pack buffer too small");
+    assert!(bpack.len() >= n_jslabs * nr * k, "B pack buffer too small");
+    // The packers are instantiated per interleave, so their inner loops
+    // run on compile-time strides.
+    match nr {
+        4 => pack_b::<T, 4>(k, n, &bcol, bpack),
+        8 => pack_b::<T, 8>(k, n, &bcol, bpack),
+        _ => unreachable!("no level has a register block {nr} columns wide"),
+    }
+    match mr {
+        4 => pack_a::<T, 4>(k, m, amode, form, &acol, apack),
+        8 => pack_a::<T, 8>(k, m, amode, form, &acol, apack),
+        16 => pack_a::<T, 16>(k, m, amode, form, &acol, apack),
+        _ => unreachable!("no level has a register block {mr} rows high"),
+    }
     // Blocked sweep: a cache-resident chunk of B column slabs is reused by
     // every A row slab before moving on (each output column is computed
     // independently, so the chunking does not change the arithmetic).
-    let n_islabs = m.div_ceil(mr);
-    let n_jslabs = n.div_ceil(nr);
     let slab_bytes = k * nr * std::mem::size_of::<T>();
     let jc = (CHUNK_BYTES / slab_bytes.max(1)).max(1);
+    let mut coffs = [0usize; NR_MAX];
     let mut js0 = 0;
     while js0 < n_jslabs {
         let js1 = (js0 + jc).min(n_jslabs);
@@ -211,27 +268,18 @@ pub fn gemm_into<'a, 'b, T: Scalar + 'a + 'b>(
             for js in js0..js1 {
                 let j0 = js * nr;
                 let nr_valid = nr.min(n - j0);
-                let mut acc = [T::ZERO; ACC_CAP];
-                simd::ukernel(
-                    level,
+                for (cc, off) in coffs[..nr_valid].iter_mut().enumerate() {
+                    *off = coff(j0 + cc) + i0;
+                }
+                kernel.run(
                     k,
                     aslab,
                     &bpack[js * k * nr..(js + 1) * k * nr],
-                    &mut acc,
+                    c,
+                    &coffs[..nr_valid],
+                    mr_valid,
+                    sub,
                 );
-                for cc in 0..nr_valid {
-                    let base = coff(j0 + cc) + i0;
-                    let dst = &mut c[base..base + mr_valid];
-                    if sub {
-                        for (d, &v) in dst.iter_mut().zip(&acc[cc * mr..cc * mr + mr_valid]) {
-                            *d -= v;
-                        }
-                    } else {
-                        for (d, &v) in dst.iter_mut().zip(&acc[cc * mr..cc * mr + mr_valid]) {
-                            *d += v;
-                        }
-                    }
-                }
             }
         }
         js0 = js1;
@@ -265,6 +313,7 @@ pub fn gemm_matrix<T: Scalar>(
         n,
         k,
         amode,
+        AForm::Dense,
         |p| a.col(p),
         |j| b.col(j),
         c.as_mut_slice(),
@@ -370,6 +419,7 @@ mod tests {
             n,
             k,
             AMode::ConjTrans,
+            AForm::Dense,
             |i| &a.col(i)[..i + 1],
             |j| b.col(j),
             c.as_mut_slice(),
@@ -403,6 +453,7 @@ mod tests {
             n,
             k,
             AMode::NoTrans,
+            AForm::Dense,
             |p| a.col(p),
             |j| b.col(j),
             &mut buf,
@@ -434,6 +485,7 @@ mod tests {
                 n,
                 k,
                 AMode::NoTrans,
+                AForm::Dense,
                 |p| a.col(p),
                 |j| b.col(j),
                 c.as_mut_slice(),

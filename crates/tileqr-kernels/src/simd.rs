@@ -1,29 +1,42 @@
 //! Portable explicit-SIMD microkernels with runtime ISA dispatch.
 //!
-//! The register level of the blocking hierarchy (see the crate docs) used to
-//! rely on autovectorization under `-C target-cpu=native`, which pinned every
-//! release binary to the build machine's microarchitecture. This module makes
-//! the sequential kernel peak portable: the `MR × NR` register-block update
-//! at the heart of [`crate::microblas::gemm_into`] is implemented once per
-//! instruction set with explicit [`core::arch`] intrinsics (std only, no
-//! external dependencies), and the best implementation the *running* CPU
-//! supports is selected once per process.
+//! The register level of the blocking hierarchy (see the crate docs): one
+//! register block of `C ±= A·B`, implemented once per instruction set with
+//! explicit [`core::arch`] intrinsics (std only, no external dependencies),
+//! the best implementation the *running* CPU supports selected once per
+//! process — so a portable build, with no `-C target-cpu=native` pin,
+//! reaches the machine's kernel peak wherever it lands.
 //!
 //! # Levels
+//!
+//! The **shape** of the register block is part of the level: it is sized to
+//! the level's register file and FMA pipes, and the packers of
+//! [`crate::microblas`] lay their slabs out for it ([`block_shape`]).
 //!
 //! | [`SimdLevel`] | ISA | f64 block | Complex64 block |
 //! |---|---|---|---|
 //! | `Scalar` | baseline (any target) | 8 × 4, generic loop | 4 × 4, generic loop |
-//! | `Avx2`   | x86-64 AVX2 + FMA     | 8 × 4, 8 `ymm` accumulators | 4 × 4, 8 `ymm` accumulators |
-//! | `Avx512` | x86-64 AVX-512F       | 8 × 4, 4 `zmm` accumulators | 4 × 4, 4–8 `zmm` accumulators |
-//! | `Neon`   | aarch64 NEON          | 8 × 4, 16 `v` accumulators  | 4 × 4, 16 `v` accumulators |
+//! | `Avx2`   | x86-64 AVX2 + FMA     | 8 × 4, 8 `ymm` accumulators   | 4 × 4, 8 `ymm` accumulators |
+//! | `Avx512` | x86-64 AVX-512F       | 16 × 8, 16 `zmm` accumulators | 4 × 4, 4–8 `zmm` accumulators |
+//! | `Neon`   | aarch64 NEON          | 8 × 4, 16 `v` accumulators    | 4 × 4, 16 `v` accumulators |
 //!
-//! The block shape is an associated const of the scalar type
-//! ([`Scalar::MR`]/[`Scalar::NR`]): `f64` keeps the historical `8 × 4`,
-//! while [`Complex64`](tileqr_matrix::Complex64) gets its own `4 × 4` block (16 complex = 32 doubles)
-//! instead of reusing the f64 shape (64 doubles, which spilled on every
-//! ISA). Because every output element's reduction over `k` stays sequential,
-//! the block shape never changes results bitwise — only which elements are
+//! The AVX-512 f64 block is `16 × 8` because four `zmm` accumulators (the
+//! `8 × 4` it used to share with the other levels) cannot cover the latency
+//! of two FMA pipes: on the reference host the isolated kernel runs at
+//! ~34 GFLOP/s at `8 × 4` and 43–46 at `16 × 8`, from `k = 32` up — and the
+//! `C −= V_s·W₂` product of every block reflector is exactly `k = ib` deep.
+//! The AVX2 block stays `8 × 4`: measured on the same host (forced with
+//! `TILEQR_SIMD=avx2`) it already runs at that level's FMA peak, and `8 × 6`
+//! moved `k = 128` products by ≤ 6% while losing a third on the `ib`-sized
+//! ones to its non-power-of-two interleave. `Scalar`, `Neon` (review-only:
+//! no aarch64 host has measured it) and every
+//! [`Complex64`] block are unchanged.
+//!
+//! Only the valid columns of an edge block are computed, and a full-height
+//! block is added to (or subtracted from) `C` straight from the accumulator
+//! registers inside the `#[target_feature]` kernel. Because every output
+//! element's reduction over `k` runs in order from zero, neither the shape
+//! nor the edge handling changes results bitwise — only which elements are
 //! computed together.
 //!
 //! # Selection
@@ -38,7 +51,6 @@
 //!
 //! # Numerical contract
 //!
-//! * The `Scalar` level is the historical generic microkernel, bit for bit.
 //! * With the `fma` cargo feature **off**, the SIMD levels use unfused
 //!   multiply + add intrinsics in the exact evaluation order of the scalar
 //!   path, so **every level is bitwise identical** to the scalar fallback.
@@ -48,16 +60,11 @@
 //!   scalar path in low-order bits (the factorization stays backward
 //!   stable — it is still ordinary Householder arithmetic). The scalar
 //!   fallback itself stays unfused on a generic x86-64 target (see
-//!   [`Scalar::mul_acc`]), preserving bitwise compatibility with earlier
-//!   releases.
+//!   [`Scalar::mul_acc`]).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use tileqr_matrix::Scalar;
-
-/// Capacity of the stack accumulator block handed to the microkernels:
-/// the largest `MR · NR` over the supported scalar types (f64's `8 × 4`).
-pub const ACC_CAP: usize = 32;
+use tileqr_matrix::{Complex64, Scalar};
 
 /// One instruction-set level of the register-block microkernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -142,17 +149,20 @@ pub fn is_supported(level: SimdLevel) -> bool {
     }
 }
 
+/// Every level there is, `Scalar` first.
+pub(crate) const ALL_LEVELS: [SimdLevel; 4] = [
+    SimdLevel::Scalar,
+    SimdLevel::Avx2,
+    SimdLevel::Avx512,
+    SimdLevel::Neon,
+];
+
 /// Every level the running CPU supports, `Scalar` first.
 pub fn available_levels() -> Vec<SimdLevel> {
-    [
-        SimdLevel::Scalar,
-        SimdLevel::Avx2,
-        SimdLevel::Avx512,
-        SimdLevel::Neon,
-    ]
-    .into_iter()
-    .filter(|&l| is_supported(l))
-    .collect()
+    ALL_LEVELS
+        .into_iter()
+        .filter(|&l| is_supported(l))
+        .collect()
 }
 
 /// Resolves the level from an optional override string (the `TILEQR_SIMD`
@@ -223,6 +233,55 @@ pub fn set_active(level: SimdLevel) -> SimdLevel {
 }
 
 // ---------------------------------------------------------------------------
+// Register-block shapes
+// ---------------------------------------------------------------------------
+
+/// Shape of one register block: `mr` rows (the vectorized dimension) by
+/// `nr` columns of `C` computed together.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BlockShape {
+    /// Rows of the block — the interleave of the packed `A` slabs.
+    pub mr: usize,
+    /// Columns of the block — the interleave of the packed `B` slabs.
+    pub nr: usize,
+}
+
+/// The scalar level's blocks, which are also what every level runs for a
+/// scalar type without explicit kernels.
+const F64_SCALAR: BlockShape = BlockShape { mr: 8, nr: 4 };
+const C64_BLOCK: BlockShape = BlockShape { mr: 4, nr: 4 };
+
+/// Largest `nr` over every shape [`block_shape`] can return.
+pub(crate) const NR_MAX: usize = 8;
+
+/// Elements in the largest register block (AVX-512 f64, `16 × 8`): the size
+/// of the stack block a row-ragged edge is staged through.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+const ACC_CAP: usize = 128;
+
+/// The register block `level` uses for scalar type `T` — the level table in
+/// the module docs. The packers of [`crate::microblas`] lay their slabs out
+/// for exactly this shape, so pack layout is a property of the level too.
+///
+/// A level whose kernels are compiled out on this target (and can therefore
+/// never be active) reports the scalar shape.
+pub fn block_shape<T: Scalar>(level: SimdLevel) -> BlockShape {
+    if same_type::<T, Complex64>() {
+        return C64_BLOCK;
+    }
+    if !same_type::<T, f64>() {
+        return F64_SCALAR;
+    }
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => x86::F64_AVX2,
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => x86::F64_AVX512,
+        _ => F64_SCALAR,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
@@ -231,110 +290,242 @@ fn same_type<A: 'static, B: 'static>() -> bool {
     std::any::TypeId::of::<A>() == std::any::TypeId::of::<B>()
 }
 
-/// `acc[c·MR + r] += Σ_p ap[p·MR + r] · bp[p·NR + c]` for one register
-/// block, through the `level` microkernel.
-///
-/// `ap`/`bp` are the `MR`-/`NR`-interleaved slabs produced by the packing
-/// routines in [`crate::microblas`]; `acc` is the caller's stack block
-/// (the leading `MR · NR` entries are live). Scalar types without an
-/// explicit kernel for `level` (only `f64` and `Complex64` have them) fall
-/// back to the generic scalar loop; the type test monomorphizes to a
-/// constant, so the dispatch is branch-free after inlining.
-#[inline]
-pub(crate) fn ukernel<T: Scalar>(
-    level: SimdLevel,
-    k: usize,
-    ap: &[T],
-    bp: &[T],
-    acc: &mut [T; ACC_CAP],
-) {
-    debug_assert!(T::MR * T::NR <= ACC_CAP, "register block exceeds ACC_CAP");
-    debug_assert!(ap.len() >= k * T::MR, "A slab shorter than k·MR");
-    debug_assert!(bp.len() >= k * T::NR, "B slab shorter than k·NR");
+/// Where an ISA kernel sends a finished block. Pointers and strides are in
+/// `f64` units on the kernel side; `coffs` holds *element* offsets, which
+/// the complex kernels double.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[derive(Clone, Copy)]
+enum Sink {
+    /// Full-height block: `c[coffs[j] + r] ±= acc(r, j)` straight from the
+    /// accumulator registers, `j <` the kernel's column count.
+    Direct {
+        c: *mut f64,
+        coffs: *const usize,
+        sub: bool,
+    },
+    /// Row-ragged block: the accumulators are dumped column-major with
+    /// stride `MR` for the caller's scalar writeback of the valid rows.
+    Spill { acc: *mut f64 },
+}
+
+/// One ISA implementation: `(k, ap, bp, nrv, sink)` computes the leading
+/// `nrv` columns of one register block from an `MR`-interleaved `A` slab
+/// and an `NR`-interleaved `B` slab of `k` steps each.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+type BlockFn = unsafe fn(usize, *const f64, *const f64, usize, Sink);
+
+/// The explicit kernel for (`T`, `level`), if this target has one.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+fn simd_block_fn<T: Scalar>(level: SimdLevel) -> Option<BlockFn> {
+    let (real, complex) = (same_type::<T, f64>(), same_type::<T, Complex64>());
     match level {
-        SimdLevel::Scalar => scalar_ukernel(k, ap, bp, acc),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Avx512 => {
-            if same_type::<T, f64>() {
-                // SAFETY: T is f64 (same layout); `level` passed
-                // `is_supported`, so the required ISA is present.
-                unsafe {
-                    let ap = std::slice::from_raw_parts(ap.as_ptr().cast::<f64>(), ap.len());
-                    let bp = std::slice::from_raw_parts(bp.as_ptr().cast::<f64>(), bp.len());
-                    let acc = &mut *(acc as *mut [T; ACC_CAP]).cast::<[f64; ACC_CAP]>();
-                    if level == SimdLevel::Avx2 {
-                        x86::f64_ukernel_avx2(k, ap, bp, acc);
-                    } else {
-                        x86::f64_ukernel_avx512(k, ap, bp, acc);
-                    }
-                }
-            } else if same_type::<T, tileqr_matrix::Complex64>() {
-                // SAFETY: T is Complex64, which is `#[repr(C)] { re: f64,
-                // im: f64 }` — an interleaved f64 slice of twice the length.
-                unsafe {
-                    let ap = std::slice::from_raw_parts(ap.as_ptr().cast::<f64>(), 2 * ap.len());
-                    let bp = std::slice::from_raw_parts(bp.as_ptr().cast::<f64>(), 2 * bp.len());
-                    let acc = &mut *(acc as *mut [T; ACC_CAP]).cast::<[f64; 2 * ACC_CAP]>();
-                    if level == SimdLevel::Avx2 {
-                        x86::c64_ukernel_avx2(k, ap, bp, acc);
-                    } else {
-                        x86::c64_ukernel_avx512(k, ap, bp, acc);
-                    }
-                }
-            } else {
-                scalar_ukernel(k, ap, bp, acc)
-            }
-        }
+        SimdLevel::Avx2 if real => Some(x86::f64_avx2),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if complex => Some(x86::c64_avx2),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 if real => Some(x86::f64_avx512),
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 if complex => Some(x86::c64_avx512),
         #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => {
-            if same_type::<T, f64>() {
-                // SAFETY: T is f64; NEON was detected (see `is_supported`).
-                unsafe {
-                    let ap = std::slice::from_raw_parts(ap.as_ptr().cast::<f64>(), ap.len());
-                    let bp = std::slice::from_raw_parts(bp.as_ptr().cast::<f64>(), bp.len());
-                    let acc = &mut *(acc as *mut [T; ACC_CAP]).cast::<[f64; ACC_CAP]>();
-                    neon::f64_ukernel_neon(k, ap, bp, acc);
-                }
-            } else if same_type::<T, tileqr_matrix::Complex64>() {
-                // SAFETY: as above; Complex64 is repr(C) {re, im}.
-                unsafe {
-                    let ap = std::slice::from_raw_parts(ap.as_ptr().cast::<f64>(), 2 * ap.len());
-                    let bp = std::slice::from_raw_parts(bp.as_ptr().cast::<f64>(), 2 * bp.len());
-                    let acc = &mut *(acc as *mut [T; ACC_CAP]).cast::<[f64; 2 * ACC_CAP]>();
-                    neon::c64_ukernel_neon(k, ap, bp, acc);
-                }
-            } else {
-                scalar_ukernel(k, ap, bp, acc)
-            }
-        }
-        // A level whose arch module is compiled out can never be stored in
-        // ACTIVE on this target (`is_supported` is cfg-gated the same way),
-        // but the match must stay exhaustive for every target.
-        #[allow(unreachable_patterns)]
-        _ => scalar_ukernel(k, ap, bp, acc),
+        SimdLevel::Neon if real => Some(neon::f64_neon),
+        #[cfg(target_arch = "aarch64")]
+        SimdLevel::Neon if complex => Some(neon::c64_neon),
+        _ => None,
     }
 }
 
-/// The generic scalar register-block kernel — the portability baseline, and
-/// (for `f64`'s unchanged `8 × 4` shape) bit-for-bit the historical
-/// microkernel. The `MR · NR` accumulators form independent dependency
-/// chains interleaved over the `k` loop, so autovectorized builds still get
-/// instruction-level parallelism.
+/// The register-block microkernel of the active level for scalar type `T`.
+///
+/// Block shape and ISA implementation are resolved together, once per
+/// product, so the packers and the compute can never disagree about the
+/// slab layout. The only constructor reads [`active`], which holds nothing
+/// but levels that passed [`is_supported`] — the proof the
+/// `#[target_feature]` kernels need.
+pub(crate) struct Microkernel<T> {
+    shape: BlockShape,
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    simd: Option<BlockFn>,
+    _scalar: std::marker::PhantomData<fn(T)>,
+}
+
+impl<T: Scalar> Microkernel<T> {
+    /// The microkernel of the process's active level.
+    #[inline]
+    pub(crate) fn active() -> Self {
+        let level = active();
+        Microkernel {
+            shape: block_shape::<T>(level),
+            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+            simd: simd_block_fn::<T>(level),
+            _scalar: std::marker::PhantomData,
+        }
+    }
+
+    /// The shape the operands must be packed for.
+    #[inline]
+    pub(crate) fn shape(&self) -> BlockShape {
+        self.shape
+    }
+
+    /// One register block of `C ±= A·B`:
+    /// `c[coffs[j] + r] ±= Σ_{p<k} ap[p·MR + r] · bp[p·NR + j]` for
+    /// `r < mr_valid`, `j < coffs.len()`.
+    ///
+    /// `ap`/`bp` are one slab each of the packings of
+    /// [`crate::microblas`]. Only the `coffs.len()` valid columns are
+    /// computed (a width-1 right-hand side costs one column, not `NR`), and
+    /// a full-height block (`mr_valid == MR`) is written from the
+    /// accumulator registers inside the ISA kernel; a row-ragged one is
+    /// staged through a stack block. Each element's reduction runs over `p`
+    /// in order from zero whatever the block it falls in, so neither the
+    /// shape nor the edge handling changes a result bit.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // one block of the gemm surface
+    pub(crate) fn run(
+        &self,
+        k: usize,
+        ap: &[T],
+        bp: &[T],
+        c: &mut [T],
+        coffs: &[usize],
+        mr_valid: usize,
+        sub: bool,
+    ) {
+        let BlockShape { mr, nr } = self.shape;
+        let nrv = coffs.len();
+        // The ISA kernels below read and write through raw pointers: these
+        // checks are what makes that sound.
+        assert!(
+            ap.len() >= k * mr && bp.len() >= k * nr,
+            "packed slab shorter than k steps"
+        );
+        assert!(
+            (1..=nr).contains(&nrv) && (1..=mr).contains(&mr_valid),
+            "register block larger than the level's shape"
+        );
+        assert!(
+            coffs
+                .iter()
+                .all(|&off| off <= c.len() && c.len() - off >= mr_valid),
+            "register block outside the destination"
+        );
+        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+        if let Some(block) = self.simd {
+            // `simd` is only set for f64 (as is) and Complex64, which is
+            // `#[repr(C)] { re: f64, im: f64 }` — an interleaved f64 pair.
+            let (ap, bp) = (ap.as_ptr().cast::<f64>(), bp.as_ptr().cast::<f64>());
+            if mr_valid == mr {
+                let sink = Sink::Direct {
+                    c: c.as_mut_ptr().cast::<f64>(),
+                    coffs: coffs.as_ptr(),
+                    sub,
+                };
+                // SAFETY: the level is active, hence supported; the slabs
+                // hold `k·MR` / `k·NR` elements and every one of the `nrv`
+                // destination columns holds `MR` elements from its offset
+                // (asserted above with `mr_valid == MR`).
+                unsafe { block(k, ap, bp, nrv, sink) };
+            } else {
+                let mut acc = [T::ZERO; ACC_CAP];
+                let sink = Sink::Spill {
+                    acc: acc.as_mut_ptr().cast::<f64>(),
+                };
+                // SAFETY: as above for the level and the slabs; `acc` holds
+                // `ACC_CAP ≥ MR·NR` elements, all a spilling kernel writes.
+                unsafe { block(k, ap, bp, nrv, sink) };
+                write_back(&acc, mr, c, coffs, mr_valid, sub);
+            }
+            return;
+        }
+        if same_type::<T, Complex64>() {
+            scalar_block::<T, 4, 4>(k, ap, bp, c, coffs, mr_valid, sub);
+        } else {
+            scalar_block::<T, 8, 4>(k, ap, bp, c, coffs, mr_valid, sub);
+        }
+    }
+}
+
+/// `c[coffs[j] + r] ±= acc[j·mr + r]` for the valid rows of a staged block.
 #[inline]
-pub(crate) fn scalar_ukernel<T: Scalar>(k: usize, ap: &[T], bp: &[T], acc: &mut [T; ACC_CAP]) {
-    let mr = T::MR;
-    let nr = T::NR;
-    for (a, b) in ap.chunks_exact(mr).zip(bp.chunks_exact(nr)).take(k) {
-        for (c, &bv) in b.iter().enumerate() {
-            for (r, &av) in a.iter().enumerate() {
-                // `mul_acc` is mul+add by default and a single hardware
-                // `vfmadd` only when the *compile-time* target guarantees
-                // FMA (see `Scalar::mul_acc`) — on the generic portable
-                // build this path stays bit-identical with history.
-                acc[c * mr + r] = acc[c * mr + r].mul_acc(av, bv);
+fn write_back<T: Scalar>(
+    acc: &[T],
+    mr: usize,
+    c: &mut [T],
+    coffs: &[usize],
+    mr_valid: usize,
+    sub: bool,
+) {
+    for (col, &off) in acc.chunks_exact(mr).zip(coffs) {
+        let dst = &mut c[off..off + mr_valid];
+        if sub {
+            for (d, &v) in dst.iter_mut().zip(col) {
+                *d -= v;
+            }
+        } else {
+            for (d, &v) in dst.iter_mut().zip(col) {
+                *d += v;
             }
         }
     }
+}
+
+/// The generic scalar register block — the portability baseline. The
+/// `MR · NR` accumulators form independent dependency chains interleaved
+/// over the `k` loop, so autovectorized builds still get instruction-level
+/// parallelism; the shape is a compile-time constant per scalar type
+/// (`F64_SCALAR` / `C64_BLOCK`) for the same reason.
+#[inline]
+fn scalar_block<T: Scalar, const MR: usize, const NR: usize>(
+    k: usize,
+    ap: &[T],
+    bp: &[T],
+    c: &mut [T],
+    coffs: &[usize],
+    mr_valid: usize,
+    sub: bool,
+) {
+    let nrv = coffs.len();
+    let mut acc = [[T::ZERO; MR]; NR];
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(k) {
+        for (col, &bv) in acc.iter_mut().zip(&b[..nrv]) {
+            for (cr, &av) in col.iter_mut().zip(a) {
+                // `mul_acc` is mul+add by default and a single hardware
+                // `vfmadd` only when the *compile-time* target guarantees
+                // FMA (see `Scalar::mul_acc`) — on the generic portable
+                // build this path stays unfused.
+                *cr = cr.mul_acc(av, bv);
+            }
+        }
+    }
+    write_back(acc.as_flattened(), MR, c, coffs, mr_valid, sub);
+}
+
+/// Generates the baseline-ISA entry point of one kernel: picks the
+/// instantiation of the `#[target_feature]` block for the number of valid
+/// columns.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+macro_rules! by_valid_columns {
+    ($(#[$doc:meta])* $name:ident => $block:ident :: < $($n:literal),+ >) => {
+        $(#[$doc])*
+        ///
+        /// # Safety
+        ///
+        /// The block's ISA must be present; `ap`/`bp` must hold `k·MR` /
+        /// `k·NR` elements of the kernel's scalar type; `nrv ≤ NR`; a
+        /// `Direct` sink's `coffs` must hold `nrv` offsets, each with `MR`
+        /// writable elements behind it in `c`; a `Spill` sink's `acc` must
+        /// hold `MR·NR` elements.
+        pub unsafe fn $name(k: usize, ap: *const f64, bp: *const f64, nrv: usize, sink: Sink) {
+            // SAFETY: the caller's contract is the block's, verbatim.
+            unsafe {
+                match nrv {
+                    $($n => $block::<$n>(k, ap, bp, sink),)+
+                    _ => unreachable!("more valid columns than the block has"),
+                }
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -343,108 +534,43 @@ pub(crate) fn scalar_ukernel<T: Scalar>(k: usize, ap: &[T], bp: &[T], acc: &mut 
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::ACC_CAP;
+    use super::{BlockShape, Sink, C64_BLOCK};
     use core::arch::x86_64::*;
 
-    /// f64 `8 × 4` block on AVX2: 8 `ymm` accumulators (two per column),
-    /// one broadcast per (k, column). With the `fma` cargo feature the
-    /// update is a single `vfmadd`; without it, unfused mul + add in the
-    /// scalar path's evaluation order (bitwise identical to it).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA at runtime; `ap`/`bp` must hold at least
-    /// `8·k` / `4·k` elements.
+    /// f64 on AVX2: two `ymm` per column, 8 accumulators of the 16 `ymm`.
+    pub const F64_AVX2: BlockShape = BlockShape { mr: 8, nr: 4 };
+    /// f64 on AVX-512F: two `zmm` per column, 16 accumulators of the 32
+    /// `zmm` — enough independent chains to cover the FMA latency on both
+    /// pipes, which the previous `8 × 4` (4 accumulators) could not.
+    pub const F64_AVX512: BlockShape = BlockShape { mr: 16, nr: 8 };
+
+    /// `acc + a·b` per lane: one `vfmadd` with the `fma` cargo feature,
+    /// unfused mul + add in the scalar path's evaluation order without it.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn f64_ukernel_avx2(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; ACC_CAP]) {
-        // SAFETY: the caller upholds the `# Safety` contract above — the
-        // required ISA is present and `ap`/`bp`/`acc` are at least as large
-        // as documented — so every intrinsic call and pointer offset below
-        // is in bounds.
-        unsafe {
-            let mut c = [[_mm256_setzero_pd(); 2]; 4];
-            for (j, cj) in c.iter_mut().enumerate() {
-                cj[0] = _mm256_loadu_pd(acc.as_ptr().add(j * 8));
-                cj[1] = _mm256_loadu_pd(acc.as_ptr().add(j * 8 + 4));
-            }
-            let mut a = ap.as_ptr();
-            let mut b = bp.as_ptr();
-            for _ in 0..k {
-                let a0 = _mm256_loadu_pd(a);
-                let a1 = _mm256_loadu_pd(a.add(4));
-                for (j, cj) in c.iter_mut().enumerate() {
-                    let bv = _mm256_broadcast_sd(&*b.add(j));
-                    #[cfg(feature = "fma")]
-                    {
-                        cj[0] = _mm256_fmadd_pd(a0, bv, cj[0]);
-                        cj[1] = _mm256_fmadd_pd(a1, bv, cj[1]);
-                    }
-                    #[cfg(not(feature = "fma"))]
-                    {
-                        cj[0] = _mm256_add_pd(cj[0], _mm256_mul_pd(a0, bv));
-                        cj[1] = _mm256_add_pd(cj[1], _mm256_mul_pd(a1, bv));
-                    }
-                }
-                a = a.add(8);
-                b = b.add(4);
-            }
-            for (j, cj) in c.iter().enumerate() {
-                _mm256_storeu_pd(acc.as_mut_ptr().add(j * 8), cj[0]);
-                _mm256_storeu_pd(acc.as_mut_ptr().add(j * 8 + 4), cj[1]);
-            }
+    #[inline]
+    fn mul_acc_256(acc: __m256d, a: __m256d, b: __m256d) -> __m256d {
+        #[cfg(feature = "fma")]
+        {
+            _mm256_fmadd_pd(a, b, acc)
+        }
+        #[cfg(not(feature = "fma"))]
+        {
+            _mm256_add_pd(acc, _mm256_mul_pd(a, b))
         }
     }
 
-    /// f64 `8 × 4` block on AVX-512F: one `zmm` accumulator per column
-    /// (an 8-row column is exactly one 512-bit register).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F at runtime; `ap`/`bp` must hold at least
-    /// `8·k` / `4·k` elements.
+    /// The 512-bit [`mul_acc_256`].
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn f64_ukernel_avx512(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; ACC_CAP]) {
-        // SAFETY: the caller upholds the `# Safety` contract above — the
-        // required ISA is present and `ap`/`bp`/`acc` are at least as large
-        // as documented — so every intrinsic call and pointer offset below
-        // is in bounds.
-        unsafe {
-            let mut c = [_mm512_setzero_pd(); 4];
-            for (j, cj) in c.iter_mut().enumerate() {
-                *cj = _mm512_loadu_pd(acc.as_ptr().add(j * 8));
-            }
-            let mut a = ap.as_ptr();
-            let mut b = bp.as_ptr();
-            for _ in 0..k {
-                let av = _mm512_loadu_pd(a);
-                for (j, cj) in c.iter_mut().enumerate() {
-                    let bv = _mm512_set1_pd(*b.add(j));
-                    #[cfg(feature = "fma")]
-                    {
-                        *cj = _mm512_fmadd_pd(av, bv, *cj);
-                    }
-                    #[cfg(not(feature = "fma"))]
-                    {
-                        *cj = _mm512_add_pd(*cj, _mm512_mul_pd(av, bv));
-                    }
-                }
-                a = a.add(8);
-                b = b.add(4);
-            }
-            for (j, cj) in c.iter().enumerate() {
-                _mm512_storeu_pd(acc.as_mut_ptr().add(j * 8), *cj);
-            }
+    #[inline]
+    fn mul_acc_512(acc: __m512d, a: __m512d, b: __m512d) -> __m512d {
+        #[cfg(feature = "fma")]
+        {
+            _mm512_fmadd_pd(a, b, acc)
         }
-    }
-
-    /// Sign mask flipping the *even* (real-part) lanes of a 256-bit vector.
-    ///
-    /// Register-level only: the intrinsics are safe to call inside a
-    /// matching `target_feature` fn, so no inner `unsafe` block is needed —
-    /// the `unsafe fn` merely propagates the ISA-availability obligation.
-    #[target_feature(enable = "avx2")]
-    unsafe fn sign_even_256() -> __m256d {
-        _mm256_castsi256_pd(_mm256_set_epi64x(0, i64::MIN, 0, i64::MIN))
+        #[cfg(not(feature = "fma"))]
+        {
+            _mm512_add_pd(acc, _mm512_mul_pd(a, b))
+        }
     }
 
     /// Bitwise xor of two `zmm` f64 vectors through the integer domain.
@@ -453,17 +579,172 @@ mod x86 {
     /// call in the inner loop (spilling every accumulator). The integer
     /// form is plain AVX-512F and identical bit for bit.
     #[target_feature(enable = "avx512f")]
-    unsafe fn xor_pd_512(a: __m512d, b: __m512d) -> __m512d {
-        // Register-level only; safe inside the matching `target_feature` fn.
+    #[inline]
+    fn xor_pd_512(a: __m512d, b: __m512d) -> __m512d {
         _mm512_castsi512_pd(_mm512_xor_epi64(
             _mm512_castpd_si512(a),
             _mm512_castpd_si512(b),
         ))
     }
 
-    /// Complex64 `4 × 4` block on AVX2 (operands viewed as interleaved
-    /// re/im f64 pairs): 8 `ymm` accumulators. Complex multiply-accumulate
-    /// via the standard swap/addsub formulation:
+    /// Sends a finished block of `NRV` columns, `V` `ymm` each, to its
+    /// sink; `scale` is the f64 count per element (1 real, 2 complex).
+    /// `C − acc` is computed as `C + (−acc)`, which is the same bits in
+    /// IEEE arithmetic and keeps the writeback branch-free.
+    ///
+    /// # Safety
+    ///
+    /// The sink's pointers must satisfy the contract of the kernel entry
+    /// points for a block of `4·V / scale` rows.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn finish_256<const V: usize, const NRV: usize>(
+        acc: &[[__m256d; V]; NRV],
+        sink: Sink,
+        scale: usize,
+    ) {
+        // SAFETY: every offset below stays inside the `NRV` columns of
+        // `4·V` f64 each that the caller vouches for.
+        unsafe {
+            match sink {
+                Sink::Direct { c, coffs, sub } => {
+                    let neg = _mm256_set1_pd(if sub { -0.0 } else { 0.0 });
+                    for (j, col) in acc.iter().enumerate() {
+                        let dst = c.add(*coffs.add(j) * scale);
+                        for (i, &v) in col.iter().enumerate() {
+                            let p = dst.add(4 * i);
+                            let v = _mm256_xor_pd(v, neg);
+                            _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), v));
+                        }
+                    }
+                }
+                Sink::Spill { acc: out } => {
+                    for (j, col) in acc.iter().enumerate() {
+                        for (i, &v) in col.iter().enumerate() {
+                            _mm256_storeu_pd(out.add(4 * (j * V + i)), v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The 512-bit [`finish_256`]: `V` `zmm` per column.
+    ///
+    /// # Safety
+    ///
+    /// As [`finish_256`], for a block of `8·V / scale` rows.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn finish_512<const V: usize, const NRV: usize>(
+        acc: &[[__m512d; V]; NRV],
+        sink: Sink,
+        scale: usize,
+    ) {
+        // SAFETY: every offset below stays inside the `NRV` columns of
+        // `8·V` f64 each that the caller vouches for.
+        unsafe {
+            match sink {
+                Sink::Direct { c, coffs, sub } => {
+                    let neg = _mm512_set1_pd(if sub { -0.0 } else { 0.0 });
+                    for (j, col) in acc.iter().enumerate() {
+                        let dst = c.add(*coffs.add(j) * scale);
+                        for (i, &v) in col.iter().enumerate() {
+                            let p = dst.add(8 * i);
+                            let v = xor_pd_512(v, neg);
+                            _mm512_storeu_pd(p, _mm512_add_pd(_mm512_loadu_pd(p), v));
+                        }
+                    }
+                }
+                Sink::Spill { acc: out } => {
+                    for (j, col) in acc.iter().enumerate() {
+                        for (i, &v) in col.iter().enumerate() {
+                            _mm512_storeu_pd(out.add(8 * (j * V + i)), v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// f64 block on AVX2 + FMA: one broadcast per (step, column), two
+    /// accumulators per column.
+    ///
+    /// # Safety
+    ///
+    /// See [`f64_avx2`].
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn f64_avx2_block<const NRV: usize>(
+        k: usize,
+        ap: *const f64,
+        bp: *const f64,
+        sink: Sink,
+    ) {
+        let mut acc = [[_mm256_setzero_pd(); 2]; NRV];
+        // SAFETY: the slabs hold `k` steps of `MR` / `NR` f64 (caller's
+        // contract), which is all the loop reads; the sink is forwarded.
+        unsafe {
+            let (mut a, mut b) = (ap, bp);
+            for _ in 0..k {
+                let a0 = _mm256_loadu_pd(a);
+                let a1 = _mm256_loadu_pd(a.add(4));
+                for (j, cj) in acc.iter_mut().enumerate() {
+                    let bv = _mm256_broadcast_sd(&*b.add(j));
+                    cj[0] = mul_acc_256(cj[0], a0, bv);
+                    cj[1] = mul_acc_256(cj[1], a1, bv);
+                }
+                a = a.add(F64_AVX2.mr);
+                b = b.add(F64_AVX2.nr);
+            }
+            finish_256(&acc, sink, 1);
+        }
+    }
+
+    by_valid_columns! {
+        /// f64 `8 × 4` register block on AVX2 + FMA.
+        f64_avx2 => f64_avx2_block::<1, 2, 3, 4>
+    }
+
+    /// f64 block on AVX-512F: a 16-row column is two `zmm`.
+    ///
+    /// # Safety
+    ///
+    /// See [`f64_avx512`].
+    #[target_feature(enable = "avx512f")]
+    unsafe fn f64_avx512_block<const NRV: usize>(
+        k: usize,
+        ap: *const f64,
+        bp: *const f64,
+        sink: Sink,
+    ) {
+        let mut acc = [[_mm512_setzero_pd(); 2]; NRV];
+        // SAFETY: the slabs hold `k` steps of `MR` / `NR` f64 (caller's
+        // contract), which is all the loop reads; the sink is forwarded.
+        unsafe {
+            let (mut a, mut b) = (ap, bp);
+            for _ in 0..k {
+                let a0 = _mm512_loadu_pd(a);
+                let a1 = _mm512_loadu_pd(a.add(8));
+                for (j, cj) in acc.iter_mut().enumerate() {
+                    let bv = _mm512_set1_pd(*b.add(j));
+                    cj[0] = mul_acc_512(cj[0], a0, bv);
+                    cj[1] = mul_acc_512(cj[1], a1, bv);
+                }
+                a = a.add(F64_AVX512.mr);
+                b = b.add(F64_AVX512.nr);
+            }
+            finish_512(&acc, sink, 1);
+        }
+    }
+
+    by_valid_columns! {
+        /// f64 `16 × 8` register block on AVX-512F.
+        f64_avx512 => f64_avx512_block::<1, 2, 3, 4, 5, 6, 7, 8>
+    }
+
+    /// Complex64 block on AVX2 (operands viewed as interleaved re/im f64
+    /// pairs): two `ymm` per 4-row column. Complex multiply-accumulate via
+    /// the standard swap/addsub formulation:
     ///
     /// * unfused (`fma` feature off): `t1 = a·b_re`, `t2 = swap(a)·b_im`,
     ///   `acc += addsub(t1, t2)` — every product, the sub/add and the final
@@ -474,30 +755,29 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2 and FMA at runtime; `ap`/`bp` must hold at least
-    /// `4·k` / `4·k` complex elements (`8·k` f64 each).
+    /// See [`c64_avx2`].
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn c64_ukernel_avx2(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 2 * ACC_CAP]) {
-        // SAFETY: the caller upholds the `# Safety` contract above — the
-        // required ISA is present and `ap`/`bp`/`acc` are at least as large
-        // as documented — so every intrinsic call and pointer offset below
-        // is in bounds.
+    unsafe fn c64_avx2_block<const NRV: usize>(
+        k: usize,
+        ap: *const f64,
+        bp: *const f64,
+        sink: Sink,
+    ) {
+        // Flips the sign of the even (real-part) lanes.
+        #[cfg(feature = "fma")]
+        let sign = _mm256_castsi256_pd(_mm256_set_epi64x(0, i64::MIN, 0, i64::MIN));
+        let mut acc = [[_mm256_setzero_pd(); 2]; NRV];
+        // SAFETY: the slabs hold `k` steps of 4 complex = 8 f64 each
+        // (caller's contract), which is all the loop reads; the sink is
+        // forwarded.
         unsafe {
-            let sign = sign_even_256();
-            // Column j of the 4×4 complex block = 8 doubles at acc[j*8..].
-            let mut c = [[_mm256_setzero_pd(); 2]; 4];
-            for (j, cj) in c.iter_mut().enumerate() {
-                cj[0] = _mm256_loadu_pd(acc.as_ptr().add(j * 8));
-                cj[1] = _mm256_loadu_pd(acc.as_ptr().add(j * 8 + 4));
-            }
-            let mut a = ap.as_ptr();
-            let mut b = bp.as_ptr();
+            let (mut a, mut b) = (ap, bp);
             for _ in 0..k {
                 let a0 = _mm256_loadu_pd(a); // rows 0,1: [re0 im0 re1 im1]
                 let a1 = _mm256_loadu_pd(a.add(4)); // rows 2,3
                 let s0 = _mm256_permute_pd(a0, 0b0101); // [im0 re0 im1 re1]
                 let s1 = _mm256_permute_pd(a1, 0b0101);
-                for (j, cj) in c.iter_mut().enumerate() {
+                for (j, cj) in acc.iter_mut().enumerate() {
                     let bre = _mm256_broadcast_sd(&*b.add(2 * j));
                     let bim = _mm256_broadcast_sd(&*b.add(2 * j + 1));
                     #[cfg(feature = "fma")]
@@ -508,111 +788,102 @@ mod x86 {
                     }
                     #[cfg(not(feature = "fma"))]
                     {
-                        let _ = sign;
-                        let t2_0 = _mm256_mul_pd(s0, bim);
-                        let t2_1 = _mm256_mul_pd(s1, bim);
-                        cj[0] =
-                            _mm256_add_pd(cj[0], _mm256_addsub_pd(_mm256_mul_pd(a0, bre), t2_0));
-                        cj[1] =
-                            _mm256_add_pd(cj[1], _mm256_addsub_pd(_mm256_mul_pd(a1, bre), t2_1));
+                        let t0 = _mm256_addsub_pd(_mm256_mul_pd(a0, bre), _mm256_mul_pd(s0, bim));
+                        let t1 = _mm256_addsub_pd(_mm256_mul_pd(a1, bre), _mm256_mul_pd(s1, bim));
+                        cj[0] = _mm256_add_pd(cj[0], t0);
+                        cj[1] = _mm256_add_pd(cj[1], t1);
                     }
                 }
-                a = a.add(8);
-                b = b.add(8);
+                a = a.add(2 * C64_BLOCK.mr);
+                b = b.add(2 * C64_BLOCK.nr);
             }
-            for (j, cj) in c.iter().enumerate() {
-                _mm256_storeu_pd(acc.as_mut_ptr().add(j * 8), cj[0]);
-                _mm256_storeu_pd(acc.as_mut_ptr().add(j * 8 + 4), cj[1]);
-            }
+            finish_256(&acc, sink, 2);
         }
     }
 
-    /// Complex64 `4 × 4` block on AVX-512F: a 4-complex column is exactly
-    /// one `zmm`. The fused path keeps **two** accumulator chains per
-    /// column (the `a·b_re` and `swap(a)·±b_im` partial sums, combined once
-    /// at the end) so all eight FMA chains are independent; the unfused
-    /// path keeps one chain per column in the exact scalar evaluation order
-    /// (bitwise identical to the scalar fallback).
+    by_valid_columns! {
+        /// Complex64 `4 × 4` register block on AVX2 + FMA.
+        c64_avx2 => c64_avx2_block::<1, 2, 3, 4>
+    }
+
+    /// Complex64 block on AVX-512F: a 4-complex column is exactly one
+    /// `zmm`. The fused path keeps **two** accumulator chains per column
+    /// (the `a·b_re` and `swap(a)·±b_im` partial sums, combined once at the
+    /// end) so all eight FMA chains are independent; the unfused path keeps
+    /// one chain per column in the exact scalar evaluation order (bitwise
+    /// identical to the scalar fallback).
     ///
     /// # Safety
     ///
-    /// Requires AVX-512F at runtime; `ap`/`bp` must hold at least
-    /// `4·k` / `4·k` complex elements (`8·k` f64 each).
+    /// See [`c64_avx512`].
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn c64_ukernel_avx512(
+    unsafe fn c64_avx512_block<const NRV: usize>(
         k: usize,
-        ap: &[f64],
-        bp: &[f64],
-        acc: &mut [f64; 2 * ACC_CAP],
+        ap: *const f64,
+        bp: *const f64,
+        sink: Sink,
     ) {
-        // SAFETY: the caller upholds the `# Safety` contract above — the
-        // required ISA is present and `ap`/`bp`/`acc` are at least as large
-        // as documented — so every intrinsic call and pointer offset below
-        // is in bounds.
+        // Flips the sign of the even (real-part) lanes.
+        let sign = _mm512_castsi512_pd(_mm512_set_epi64(
+            0,
+            i64::MIN,
+            0,
+            i64::MIN,
+            0,
+            i64::MIN,
+            0,
+            i64::MIN,
+        ));
+        let mut acc = [[_mm512_setzero_pd(); 1]; NRV];
+        // SAFETY: the slabs hold `k` steps of 4 complex = 8 f64 each
+        // (caller's contract), which is all the loops read; the sink is
+        // forwarded.
         unsafe {
-            let sign = _mm512_castsi512_pd(_mm512_set_epi64(
-                0,
-                i64::MIN,
-                0,
-                i64::MIN,
-                0,
-                i64::MIN,
-                0,
-                i64::MIN,
-            ));
-            let mut a = ap.as_ptr();
-            let mut b = bp.as_ptr();
+            let (mut a, mut b) = (ap, bp);
             #[cfg(feature = "fma")]
             {
-                let mut cre = [_mm512_setzero_pd(); 4];
-                let mut cim = [_mm512_setzero_pd(); 4];
-                for (j, cj) in cre.iter_mut().enumerate() {
-                    *cj = _mm512_loadu_pd(acc.as_ptr().add(j * 8));
-                }
+                let mut cim = [_mm512_setzero_pd(); NRV];
                 for _ in 0..k {
                     let av = _mm512_loadu_pd(a); // [re0 im0 .. re3 im3]
                     let sv = _mm512_permute_pd(av, 0x55); // [im0 re0 .. im3 re3]
-                    for j in 0..4 {
+                    for (j, (cre, cim)) in acc.iter_mut().zip(&mut cim).enumerate() {
                         let bre = _mm512_set1_pd(*b.add(2 * j));
                         let bpm = xor_pd_512(_mm512_set1_pd(*b.add(2 * j + 1)), sign);
-                        cre[j] = _mm512_fmadd_pd(av, bre, cre[j]);
-                        cim[j] = _mm512_fmadd_pd(sv, bpm, cim[j]);
+                        cre[0] = _mm512_fmadd_pd(av, bre, cre[0]);
+                        *cim = _mm512_fmadd_pd(sv, bpm, *cim);
                     }
-                    a = a.add(8);
-                    b = b.add(8);
+                    a = a.add(2 * C64_BLOCK.mr);
+                    b = b.add(2 * C64_BLOCK.nr);
                 }
-                for j in 0..4 {
-                    _mm512_storeu_pd(acc.as_mut_ptr().add(j * 8), _mm512_add_pd(cre[j], cim[j]));
+                for (cre, &cim) in acc.iter_mut().zip(&cim) {
+                    cre[0] = _mm512_add_pd(cre[0], cim);
                 }
             }
             #[cfg(not(feature = "fma"))]
-            {
-                let mut c = [_mm512_setzero_pd(); 4];
-                for (j, cj) in c.iter_mut().enumerate() {
-                    *cj = _mm512_loadu_pd(acc.as_ptr().add(j * 8));
+            for _ in 0..k {
+                let av = _mm512_loadu_pd(a);
+                let sv = _mm512_permute_pd(av, 0x55);
+                for (j, cj) in acc.iter_mut().enumerate() {
+                    let bre = _mm512_set1_pd(*b.add(2 * j));
+                    let bim = _mm512_set1_pd(*b.add(2 * j + 1));
+                    let t1 = _mm512_mul_pd(av, bre);
+                    // t1 - t2 on real lanes / t1 + t2 on imaginary lanes,
+                    // expressed as t1 + (t2 XOR -0.0 on real lanes): IEEE
+                    // `x + (-y)` is bitwise `x - y`, so this matches the
+                    // scalar complex multiply exactly.
+                    let t2 = xor_pd_512(_mm512_mul_pd(sv, bim), sign);
+                    cj[0] = _mm512_add_pd(cj[0], _mm512_add_pd(t1, t2));
                 }
-                for _ in 0..k {
-                    let av = _mm512_loadu_pd(a);
-                    let sv = _mm512_permute_pd(av, 0x55);
-                    for (j, cj) in c.iter_mut().enumerate() {
-                        let bre = _mm512_set1_pd(*b.add(2 * j));
-                        let bim = _mm512_set1_pd(*b.add(2 * j + 1));
-                        let t1 = _mm512_mul_pd(av, bre);
-                        // t1 - t2 on real lanes / t1 + t2 on imaginary lanes,
-                        // expressed as t1 + (t2 XOR -0.0 on real lanes): IEEE
-                        // `x + (-y)` is bitwise `x - y`, so this matches the
-                        // scalar complex multiply exactly.
-                        let t2 = xor_pd_512(_mm512_mul_pd(sv, bim), sign);
-                        *cj = _mm512_add_pd(*cj, _mm512_add_pd(t1, t2));
-                    }
-                    a = a.add(8);
-                    b = b.add(8);
-                }
-                for (j, cj) in c.iter().enumerate() {
-                    _mm512_storeu_pd(acc.as_mut_ptr().add(j * 8), *cj);
-                }
+                a = a.add(2 * C64_BLOCK.mr);
+                b = b.add(2 * C64_BLOCK.nr);
             }
+            finish_512(&acc, sink, 2);
         }
+    }
+
+    by_valid_columns! {
+        /// Complex64 `4 × 4` register block on AVX-512F.
+        c64_avx512 => c64_avx512_block::<1, 2, 3, 4>
     }
 }
 
@@ -622,32 +893,65 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::ACC_CAP;
+    use super::{Sink, C64_BLOCK, F64_SCALAR};
     use core::arch::aarch64::*;
 
-    /// f64 `8 × 4` block on NEON: 16 128-bit accumulators (four per
-    /// column). `vfmaq_f64` is fused baseline hardware on aarch64; the
-    /// unfused variant mirrors the scalar evaluation order bit for bit.
+    /// Sends a finished block of `NRV` columns, four 128-bit registers
+    /// each (8 f64 = 8 real or 4 complex rows), to its sink; `scale` is the
+    /// f64 count per element. `C − acc` is computed as `C + (−acc)`, the
+    /// same bits in IEEE arithmetic.
     ///
     /// # Safety
     ///
-    /// Requires NEON at runtime (baseline on aarch64); `ap`/`bp` must hold
-    /// at least `8·k` / `4·k` elements.
+    /// The sink's pointers must satisfy the contract of the kernel entry
+    /// points for a block of `8 / scale` rows.
     #[target_feature(enable = "neon")]
-    pub unsafe fn f64_ukernel_neon(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; ACC_CAP]) {
-        // SAFETY: the caller upholds the `# Safety` contract above — the
-        // required ISA is present and `ap`/`bp`/`acc` are at least as large
-        // as documented — so every intrinsic call and pointer offset below
-        // is in bounds.
+    #[inline]
+    unsafe fn finish<const NRV: usize>(acc: &[[float64x2_t; 4]; NRV], sink: Sink, scale: usize) {
+        // SAFETY: every offset below stays inside the `NRV` columns of
+        // 8 f64 each that the caller vouches for.
         unsafe {
-            let mut c = [[vdupq_n_f64(0.0); 4]; 4];
-            for (j, cj) in c.iter_mut().enumerate() {
-                for (i, cji) in cj.iter_mut().enumerate() {
-                    *cji = vld1q_f64(acc.as_ptr().add(j * 8 + 2 * i));
+            match sink {
+                Sink::Direct { c, coffs, sub } => {
+                    for (j, col) in acc.iter().enumerate() {
+                        let dst = c.add(*coffs.add(j) * scale);
+                        for (i, &v) in col.iter().enumerate() {
+                            let p = dst.add(2 * i);
+                            let v = if sub { vnegq_f64(v) } else { v };
+                            vst1q_f64(p, vaddq_f64(vld1q_f64(p), v));
+                        }
+                    }
+                }
+                Sink::Spill { acc: out } => {
+                    for (j, col) in acc.iter().enumerate() {
+                        for (i, &v) in col.iter().enumerate() {
+                            vst1q_f64(out.add(2 * (j * 4 + i)), v);
+                        }
+                    }
                 }
             }
-            let mut a = ap.as_ptr();
-            let mut b = bp.as_ptr();
+        }
+    }
+
+    /// f64 block on NEON: four 128-bit accumulators per 8-row column.
+    /// `vfmaq_f64` is fused baseline hardware on aarch64; the unfused
+    /// variant mirrors the scalar evaluation order bit for bit.
+    ///
+    /// # Safety
+    ///
+    /// See [`f64_neon`].
+    #[target_feature(enable = "neon")]
+    unsafe fn f64_neon_block<const NRV: usize>(
+        k: usize,
+        ap: *const f64,
+        bp: *const f64,
+        sink: Sink,
+    ) {
+        // SAFETY: the slabs hold `k` steps of `MR` / `NR` f64 (caller's
+        // contract), which is all the loop reads; the sink is forwarded.
+        unsafe {
+            let mut acc = [[vdupq_n_f64(0.0); 4]; NRV];
+            let (mut a, mut b) = (ap, bp);
             for _ in 0..k {
                 let av = [
                     vld1q_f64(a),
@@ -655,55 +959,53 @@ mod neon {
                     vld1q_f64(a.add(4)),
                     vld1q_f64(a.add(6)),
                 ];
-                for (j, cj) in c.iter_mut().enumerate() {
+                for (j, cj) in acc.iter_mut().enumerate() {
                     let bv = vdupq_n_f64(*b.add(j));
-                    for (i, cji) in cj.iter_mut().enumerate() {
+                    for (cji, &ai) in cj.iter_mut().zip(&av) {
                         #[cfg(feature = "fma")]
                         {
-                            *cji = vfmaq_f64(*cji, av[i], bv);
+                            *cji = vfmaq_f64(*cji, ai, bv);
                         }
                         #[cfg(not(feature = "fma"))]
                         {
-                            *cji = vaddq_f64(*cji, vmulq_f64(av[i], bv));
+                            *cji = vaddq_f64(*cji, vmulq_f64(ai, bv));
                         }
                     }
                 }
-                a = a.add(8);
-                b = b.add(4);
+                a = a.add(F64_SCALAR.mr);
+                b = b.add(F64_SCALAR.nr);
             }
-            for (j, cj) in c.iter().enumerate() {
-                for (i, cji) in cj.iter().enumerate() {
-                    vst1q_f64(acc.as_mut_ptr().add(j * 8 + 2 * i), *cji);
-                }
-            }
+            finish(&acc, sink, 1);
         }
     }
 
-    /// Complex64 `4 × 4` block on NEON: each 128-bit register holds one
-    /// complex element (`[re, im]`), 16 accumulators. Complex
-    /// multiply-accumulate via the swapped-operand `[-b_im, +b_im]`
-    /// formulation; the unfused variant matches the scalar complex multiply
-    /// bit for bit (`x + (-y)` ≡ `x - y` in IEEE arithmetic).
+    by_valid_columns! {
+        /// f64 `8 × 4` register block on NEON (the scalar level's shape).
+        f64_neon => f64_neon_block::<1, 2, 3, 4>
+    }
+
+    /// Complex64 block on NEON: each 128-bit register holds one complex
+    /// element (`[re, im]`), four per column. Complex multiply-accumulate
+    /// via the swapped-operand `[-b_im, +b_im]` formulation; the unfused
+    /// variant matches the scalar complex multiply bit for bit
+    /// (`x + (-y)` ≡ `x - y` in IEEE arithmetic).
     ///
     /// # Safety
     ///
-    /// Requires NEON at runtime; `ap`/`bp` must hold at least `4·k` / `4·k`
-    /// complex elements (`8·k` f64 each).
+    /// See [`c64_neon`].
     #[target_feature(enable = "neon")]
-    pub unsafe fn c64_ukernel_neon(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 2 * ACC_CAP]) {
-        // SAFETY: the caller upholds the `# Safety` contract above — the
-        // required ISA is present and `ap`/`bp`/`acc` are at least as large
-        // as documented — so every intrinsic call and pointer offset below
-        // is in bounds.
+    unsafe fn c64_neon_block<const NRV: usize>(
+        k: usize,
+        ap: *const f64,
+        bp: *const f64,
+        sink: Sink,
+    ) {
+        // SAFETY: the slabs hold `k` steps of 4 complex = 8 f64 each
+        // (caller's contract), which is all the loop reads; the sink is
+        // forwarded.
         unsafe {
-            let mut c = [[vdupq_n_f64(0.0); 4]; 4];
-            for (j, cj) in c.iter_mut().enumerate() {
-                for (r, cjr) in cj.iter_mut().enumerate() {
-                    *cjr = vld1q_f64(acc.as_ptr().add(j * 8 + 2 * r));
-                }
-            }
-            let mut a = ap.as_ptr();
-            let mut b = bp.as_ptr();
+            let mut acc = [[vdupq_n_f64(0.0); 4]; NRV];
+            let (mut a, mut b) = (ap, bp);
             for _ in 0..k {
                 let av = [
                     vld1q_f64(a),
@@ -717,7 +1019,7 @@ mod neon {
                     vextq_f64(av[2], av[2], 1),
                     vextq_f64(av[3], av[3], 1),
                 ];
-                for (j, cj) in c.iter_mut().enumerate() {
+                for (j, cj) in acc.iter_mut().enumerate() {
                     let b_im = *b.add(2 * j + 1);
                     let bre = vdupq_n_f64(*b.add(2 * j));
                     let bpm = vcombine_f64(vdup_n_f64(-b_im), vdup_n_f64(b_im));
@@ -733,15 +1035,16 @@ mod neon {
                         }
                     }
                 }
-                a = a.add(8);
-                b = b.add(8);
+                a = a.add(2 * C64_BLOCK.mr);
+                b = b.add(2 * C64_BLOCK.nr);
             }
-            for (j, cj) in c.iter().enumerate() {
-                for (r, cjr) in cj.iter().enumerate() {
-                    vst1q_f64(acc.as_mut_ptr().add(j * 8 + 2 * r), *cjr);
-                }
-            }
+            finish(&acc, sink, 2);
         }
+    }
+
+    by_valid_columns! {
+        /// Complex64 `4 × 4` register block on NEON.
+        c64_neon => c64_neon_block::<1, 2, 3, 4>
     }
 }
 

@@ -2,16 +2,17 @@
 //!
 //! Every kernel of this crate needs a small amount of scratch: the
 //! Householder scalars `τ`, the reflector tail being generated, one column of
-//! inner products while building the `T` factor, the staging panel `W` of the
-//! compact-WY applications
+//! inner products while building the `T` factor, the two staging panels of
+//! the block-reflector application
 //!
 //! ```text
-//! W := VᴴC,   W := op(T)·W,   C := C − V·W,
+//! W += VᴴC,   W₂ := op(T)·W,   C −= V·W₂,
 //! ```
 //!
-//! the pack buffers of the register-tiled micro-BLAS backend
-//! ([`crate::microblas`]), and the packed-triangular scratch of the TT
-//! kernels.
+//! (a product cannot overwrite its own operand, hence two), the pack buffers
+//! of the register-tiled micro-BLAS backend ([`crate::microblas`], sized for
+//! the register block of every SIMD level, so forcing another level never
+//! outgrows them), and the packed-triangular scratch of TTQRT.
 //!
 //! The original (seed) kernels allocated all of this on every call, i.e. on
 //! every one of the `O(p·q²)` tasks of a factorization. A [`Workspace`] is
@@ -25,10 +26,8 @@
 //!
 //! The workspace also carries the PLASMA-style inner blocking factor `ib`:
 //! kernels factor/apply each `nb × nb` tile in panels of `ib` columns (see
-//! the crate docs). [`Workspace::new`]`(nb)` uses `ib = nb` (unblocked,
-//! bit-compatible with the historical kernels);
-//! [`Workspace::with_inner_block`] selects a smaller panel width, which
-//! routes the trailing updates through the micro-BLAS GEMM path. The `T`
+//! the crate docs). [`Workspace::new`]`(nb)` uses `ib = nb` (one panel per
+//! tile); [`Workspace::with_inner_block`] selects a smaller panel width. The `T`
 //! factors produced under inner blocking are stored `ib`-blocked (an
 //! `ib × nb` matrix holding one `w × w` triangular factor per panel), so the
 //! same `ib` must be used to factor and to apply.
@@ -40,9 +39,9 @@
 //! public API source-compatible.
 
 use tileqr_matrix::packed::packed_len;
-use tileqr_matrix::{Matrix, Scalar};
+use tileqr_matrix::Scalar;
 
-use crate::microblas::{apack_len, bpack_len};
+use crate::reflector::PanelScratch;
 
 /// Reusable scratch arena for the tile kernels, sized once from the tile
 /// order `nb` and the inner blocking factor `ib`.
@@ -56,14 +55,10 @@ pub struct Workspace<T: Scalar> {
     pub(crate) tail: Vec<T>,
     /// One column of inner products while accumulating the `T` factor.
     pub(crate) wcol: Vec<T>,
-    /// `nb × nb` staging panel `W` for the blocked compact-WY updates (only
-    /// the leading `ib` rows are live under inner blocking).
-    pub(crate) w: Matrix<T>,
-    /// Micro-BLAS A-slab pack buffer ([`crate::microblas::apack_len`]).
-    pub(crate) apack: Vec<T>,
-    /// Micro-BLAS B pack buffer ([`crate::microblas::bpack_len`]).
-    pub(crate) bpack: Vec<T>,
-    /// Packed upper-triangular scratch for the TT kernels
+    /// Staging panels `W`, `W₂` and micro-BLAS pack buffers of the
+    /// block-reflector application.
+    pub(crate) panel: PanelScratch<T>,
+    /// Packed upper-triangular scratch of TTQRT
     /// ([`tileqr_matrix::packed::packed_len`]).
     pub(crate) tri: Vec<T>,
 }
@@ -86,9 +81,7 @@ impl<T: Scalar> Workspace<T> {
             tau: vec![T::ZERO; nb],
             tail: vec![T::ZERO; nb],
             wcol: vec![T::ZERO; nb],
-            w: Matrix::zeros(nb, nb),
-            apack: vec![T::ZERO; apack_len::<T>(nb, nb)],
-            bpack: vec![T::ZERO; bpack_len::<T>(nb, nb)],
+            panel: PanelScratch::new(nb),
             tri: vec![T::ZERO; packed_len(nb)],
         }
     }
@@ -131,9 +124,10 @@ impl<T: Scalar> Workspace<T> {
     }
 
     /// Asserts (in debug and release) that the workspace can serve tiles of
-    /// order `nb`, including the micro-BLAS pack buffers and the packed
-    /// triangular scratch — the zero-per-task-allocation guarantee relies on
-    /// every buffer being preallocated for the worst case.
+    /// order `nb`, including both staging panels, the micro-BLAS pack
+    /// buffers and the packed triangular scratch — the
+    /// zero-per-task-allocation guarantee relies on every buffer being
+    /// preallocated for the worst case.
     #[inline]
     pub(crate) fn require(&self, nb: usize) {
         assert!(
@@ -143,10 +137,8 @@ impl<T: Scalar> Workspace<T> {
             nb
         );
         assert!(
-            self.apack.len() >= apack_len::<T>(nb, nb)
-                && self.bpack.len() >= bpack_len::<T>(nb, nb)
-                && self.tri.len() >= packed_len(nb),
-            "workspace pack buffers are not preallocated for nb={nb}"
+            self.panel.serves(nb) && self.tri.len() >= packed_len(nb),
+            "workspace panel scratch is not preallocated for nb={nb}"
         );
     }
 }
@@ -154,6 +146,7 @@ impl<T: Scalar> Workspace<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microblas::{apack_len, bpack_len};
 
     #[test]
     fn workspace_is_sized_from_nb() {
@@ -163,22 +156,34 @@ mod tests {
         assert_eq!(ws.tau.len(), 8);
         assert_eq!(ws.tail.len(), 8);
         assert_eq!(ws.wcol.len(), 8);
-        assert_eq!(ws.w.shape(), (8, 8));
+        assert_eq!(ws.panel.w.shape(), (8, 8));
+        assert_eq!(ws.panel.w2.shape(), (8, 8));
     }
 
     #[test]
     fn pack_buffers_are_preallocated_for_any_inner_block() {
         // The zero-per-task-allocation guarantee: every buffer the kernels
-        // touch — including the micro-BLAS panels and the packed triangle —
-        // is sized for the worst case at construction, for every ib ≤ nb.
+        // touch — both staging panels, the micro-BLAS pack buffers at every
+        // SIMD level's block shape, the packed triangle — is sized for the
+        // worst case at construction, for every ib ≤ nb.
         for ib in [1usize, 3, 8, 16] {
             let ws: Workspace<f64> = Workspace::with_inner_block(16, ib);
             assert_eq!(ws.ib(), ib);
-            assert!(ws.apack.len() >= apack_len::<f64>(16, 16));
-            assert!(ws.bpack.len() >= bpack_len::<f64>(16, 16));
+            assert_eq!(ws.panel.w.shape(), (16, 16));
+            assert_eq!(ws.panel.w2.shape(), (16, 16));
+            assert!(ws.panel.apack.len() >= apack_len::<f64>(16, 16));
+            assert!(ws.panel.bpack.len() >= bpack_len::<f64>(16, 16));
             assert!(ws.tri.len() >= packed_len(16));
             ws.require(16); // must not panic: buffers cover the full tile
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "panel scratch is not preallocated")]
+    fn require_rejects_a_missing_second_staging_panel() {
+        let mut ws: Workspace<f64> = Workspace::new(8);
+        ws.panel.w2 = tileqr_matrix::Matrix::zeros(4, 8);
+        ws.require(8);
     }
 
     #[test]
@@ -201,19 +206,25 @@ mod tests {
         ws.ensure(16);
         assert_eq!(ws.nb(), 16);
         assert_eq!(ws.ib(), 2, "ensure keeps the inner blocking factor");
-        assert_eq!(ws.w.shape(), (16, 16));
+        assert_eq!(ws.panel.w.shape(), (16, 16));
+        assert_eq!(ws.panel.w2.shape(), (16, 16));
         ws.require(16);
     }
 
     #[test]
     fn set_inner_block_switches_without_reallocating() {
         let mut ws: Workspace<f64> = Workspace::with_inner_block(8, 8);
-        let cap = (
-            ws.tau.capacity(),
-            ws.apack.capacity(),
-            ws.bpack.capacity(),
-            ws.tri.capacity(),
-        );
+        let caps = |ws: &Workspace<f64>| {
+            [
+                ws.tau.capacity(),
+                ws.panel.w.as_slice().len(),
+                ws.panel.w2.as_slice().len(),
+                ws.panel.apack.capacity(),
+                ws.panel.bpack.capacity(),
+                ws.tri.capacity(),
+            ]
+        };
+        let cap = caps(&ws);
         ws.set_inner_block(3);
         assert_eq!(ws.ib(), 3);
         assert_eq!(ws.nb(), 8);
@@ -221,16 +232,7 @@ mod tests {
         assert_eq!(ws.ib(), 1, "clamped to 1");
         ws.set_inner_block(99);
         assert_eq!(ws.ib(), 8, "clamped to nb");
-        assert_eq!(
-            cap,
-            (
-                ws.tau.capacity(),
-                ws.apack.capacity(),
-                ws.bpack.capacity(),
-                ws.tri.capacity()
-            ),
-            "buffers untouched"
-        );
+        assert_eq!(cap, caps(&ws), "buffers untouched");
         ws.require(8);
     }
 

@@ -1,21 +1,23 @@
-//! Packed-triangular storage properties of the TT kernels.
+//! Storage contracts of the structured tile kernels.
 //!
 //! * `pack → unpack` must be the identity on the upper triangle and must
 //!   never touch the strictly lower half (which, in a real factorization,
 //!   still holds the Householder vectors of an earlier GEQRT on the tile).
-//! * The packed TTQRT/TTMQR production kernels must be **bitwise identical**
-//!   to the dense-tile formulation at `ib = nb`: the packed layout changes
-//!   where the triangle lives, not a single arithmetic operation. The dense
-//!   reference below is the pre-packing implementation (reflector sweep over
-//!   `r2.col(k)[..len]` windows, `build_t` over dense columns), kept
-//!   verbatim for comparison.
+//! * The packed TTQRT production kernel must be **bitwise identical** to the
+//!   dense-tile formulation at `ib = nb` (one panel, so no trailing block
+//!   update): the packed layout changes where the triangle lives, not a
+//!   single arithmetic operation of the in-panel sweep. The dense reference
+//!   below is the pre-packing implementation, kept verbatim for comparison.
+//! * **Ignored-storage invariance** of the update kernels. The structure of
+//!   a reflector block exists only while its operands are packed: the `R`
+//!   triangle sharing a GEQRT tile with `V`, the strictly lower half of a
+//!   TT `V2`, and everything in `T` outside the upper triangle of each
+//!   panel's `w × w` window are storage the block-reflector products must
+//!   never read. Polluting all of it must not change a single output bit.
 
-use tileqr_kernels::blas::{
-    acc_conj_trans_mul_upper_into, copy_cols_into, dot_conj, sub_cols_assign,
-    sub_mul_assign_upper_cols, trmm_upper_left_partial,
-};
+use tileqr_kernels::blas::dot_conj;
 use tileqr_kernels::householder::larfg;
-use tileqr_kernels::{ttmqr_ws, ttqrt_ws, Trans, Workspace};
+use tileqr_kernels::{geqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace};
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::packed::{pack_upper_triangle, packed_len, unpack_upper_triangle};
 use tileqr_matrix::{Complex64, Matrix, PackedUpperTriangular, Scalar};
@@ -74,30 +76,6 @@ fn ttqrt_dense<T: Scalar<Real = f64>>(r1: &mut Matrix<T>, r2: &mut Matrix<T>, t:
     }
 }
 
-/// Dense-tile TTMQR: the pre-packed-storage formulation (column-window blas
-/// helpers over the dense `v2` tile).
-fn ttmqr_dense<T: Scalar<Real = f64>>(
-    v2: &Matrix<T>,
-    t: &Matrix<T>,
-    c1: &mut Matrix<T>,
-    c2: &mut Matrix<T>,
-    trans: Trans,
-) {
-    let nb = v2.rows();
-    let mut w = Matrix::zeros(nb, nb);
-    let ncols = c1.cols();
-    let mut c0 = 0;
-    while c0 < ncols {
-        let width = nb.min(ncols - c0);
-        copy_cols_into(c1, c0, width, &mut w);
-        acc_conj_trans_mul_upper_into(v2, c2, c0, width, &mut w);
-        trmm_upper_left_partial(t, &mut w, width, matches!(trans, Trans::ConjTrans));
-        sub_cols_assign(c1, c0, width, &w);
-        sub_mul_assign_upper_cols(c2, c0, width, v2, &w);
-        c0 += width;
-    }
-}
-
 #[test]
 fn pack_unpack_roundtrip_is_identity() {
     for (n, seed) in [(1usize, 1u64), (2, 2), (5, 3), (16, 4), (33, 5)] {
@@ -146,22 +124,10 @@ fn check_packed_matches_dense<T: RandomScalar>(nb: usize, seed: u64) {
             }
         }
     }
-
-    // TTMQR on the factored pair, both transposes, bitwise.
-    let c1_0: Matrix<T> = random_matrix(nb, nb, seed + 2);
-    let c2_0: Matrix<T> = random_matrix(nb, nb, seed + 3);
-    for trans in [Trans::ConjTrans, Trans::NoTrans] {
-        let (mut c1_p, mut c2_p) = (c1_0.clone(), c2_0.clone());
-        ttmqr_ws(&r2_p, &t_p, &mut c1_p, &mut c2_p, trans, &mut ws);
-        let (mut c1_d, mut c2_d) = (c1_0.clone(), c2_0.clone());
-        ttmqr_dense(&r2_d, &t_d, &mut c1_d, &mut c2_d, trans);
-        assert_eq!(c1_p, c1_d, "TTMQR C1 packed vs dense, nb={nb} {trans:?}");
-        assert_eq!(c2_p, c2_d, "TTMQR C2 packed vs dense, nb={nb} {trans:?}");
-    }
 }
 
 #[test]
-fn packed_tt_kernels_match_dense_bitwise_f64() {
+fn packed_ttqrt_matches_dense_bitwise_f64() {
     for (nb, seed) in [
         (1usize, 10u64),
         (2, 11),
@@ -175,8 +141,89 @@ fn packed_tt_kernels_match_dense_bitwise_f64() {
 }
 
 #[test]
-fn packed_tt_kernels_match_dense_bitwise_complex() {
+fn packed_ttqrt_matches_dense_bitwise_complex() {
     for (nb, seed) in [(1usize, 20u64), (4, 21), (9, 22), (16, 23)] {
         check_packed_matches_dense::<Complex64>(nb, seed);
+    }
+}
+
+/// Overwrites every entry of `t` outside the upper triangles of the panels'
+/// `w × w` windows (rows `0..w` of columns `j0 .. j0+w`, `w ≤ ib`).
+fn pollute_t_outside_windows<T: Scalar>(t: &mut Matrix<T>, ib: usize, junk: T) {
+    for j in 0..t.cols() {
+        let in_panel = j % ib;
+        for i in 0..t.rows() {
+            if i > in_panel {
+                t.set(i, j, junk);
+            }
+        }
+    }
+}
+
+fn check_ignored_storage<T: RandomScalar>(nb: usize, ib: usize, seed: u64) {
+    let junk = T::from_real(-7.25e3);
+    let mut ws: Workspace<T> = Workspace::with_inner_block(nb, ib);
+    let c1_0: Matrix<T> = random_matrix(nb, nb + 3, seed + 2);
+    let c2_0: Matrix<T> = random_matrix(nb, nb + 3, seed + 3);
+
+    // GEQRT tile: V below the diagonal, R — to be ignored — on and above.
+    // `t` is allocated nb × nb, so whole rows lie outside every window.
+    let mut v: Matrix<T> = random_matrix(nb, nb, seed);
+    let mut t = Matrix::zeros(nb, nb);
+    geqrt_ws(&mut v, &mut t, &mut ws);
+    let (mut v_dirty, mut t_dirty) = (v.clone(), t.clone());
+    for j in 0..nb {
+        for i in 0..=j {
+            v_dirty.set(i, j, junk);
+        }
+    }
+    pollute_t_outside_windows(&mut t_dirty, ib, junk);
+    for trans in [Trans::ConjTrans, Trans::NoTrans] {
+        let (mut clean, mut dirty) = (c1_0.clone(), c1_0.clone());
+        unmqr_ws(&v, &t, &mut clean, trans, &mut ws);
+        unmqr_ws(&v_dirty, &t_dirty, &mut dirty, trans, &mut ws);
+        assert_eq!(
+            clean, dirty,
+            "UNMQR read R or T padding: nb={nb} ib={ib} {trans:?}"
+        );
+    }
+
+    // TT pair: V2 in the upper triangle, the vectors of an earlier GEQRT —
+    // to be ignored — strictly below.
+    let mut r1: Matrix<T> = random_matrix(nb, nb, seed + 4);
+    r1.zero_below_diagonal();
+    let mut v2: Matrix<T> = random_matrix(nb, nb, seed + 5);
+    let mut t = Matrix::zeros(nb, nb);
+    ttqrt_ws(&mut r1, &mut v2, &mut t, &mut ws);
+    let (mut v2_dirty, mut t_dirty) = (v2.clone(), t.clone());
+    for j in 0..nb {
+        for i in (j + 1)..nb {
+            v2_dirty.set(i, j, junk);
+        }
+    }
+    pollute_t_outside_windows(&mut t_dirty, ib, junk);
+    for trans in [Trans::ConjTrans, Trans::NoTrans] {
+        let (mut a1, mut a2) = (c1_0.clone(), c2_0.clone());
+        let (mut b1, mut b2) = (c1_0.clone(), c2_0.clone());
+        ttmqr_ws(&v2, &t, &mut a1, &mut a2, trans, &mut ws);
+        ttmqr_ws(&v2_dirty, &t_dirty, &mut b1, &mut b2, trans, &mut ws);
+        assert_eq!(
+            a1, b1,
+            "TTMQR C1 read ignored storage: nb={nb} ib={ib} {trans:?}"
+        );
+        assert_eq!(
+            a2, b2,
+            "TTMQR C2 read ignored storage: nb={nb} ib={ib} {trans:?}"
+        );
+    }
+}
+
+#[test]
+fn update_kernels_never_read_ignored_storage() {
+    for (nb, seed) in [(1usize, 30u64), (5, 31), (16, 32), (19, 33)] {
+        for ib in [1usize, 3, nb] {
+            check_ignored_storage::<f64>(nb, ib, seed);
+            check_ignored_storage::<Complex64>(nb, ib, seed + 50);
+        }
     }
 }

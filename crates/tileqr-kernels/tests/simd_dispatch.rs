@@ -10,8 +10,10 @@
 //! * within a **`4·ε·‖A‖` per dispatched product** tolerance where fusing
 //!   changes the rounding (the default build: the SIMD levels use fused
 //!   multiply-add intrinsics, the scalar fallback stays unfused on a
-//!   generic target) — enforced directly at the GEMM level, and compounded
-//!   by the number of `ib`-panel updates for the full kernels.
+//!   generic target) — enforced directly at the GEMM level (at each level's
+//!   own register-block edges: the block shape, and with it the pack
+//!   layout, is a property of the level), and compounded by the number of
+//!   `ib`-panel updates for the full kernels.
 //!
 //! Levels are forced in-process with [`simd::set_active`]; the process-global
 //! active level means every test here serializes on one mutex. CI re-runs
@@ -21,7 +23,8 @@
 
 use std::sync::Mutex;
 
-use tileqr_kernels::simd::{self, SimdLevel};
+use tileqr_kernels::microblas::{apack_len, bpack_len, gemm_into, AForm, AMode};
+use tileqr_kernels::simd::{self, BlockShape, SimdLevel};
 use tileqr_kernels::{
     geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace,
 };
@@ -159,7 +162,8 @@ fn run_all_kernels<T: RandomScalar>(nb: usize, ib: usize, seed: u64) -> (Vec<Mat
 fn check_levels_agree<T: RandomScalar>(type_name: &str) {
     let _guard = lock();
     let _restore = LevelRestore::new();
-    // nb covers register-block edges for both scalars (MR×NR = 8×4 and 4×4);
+    // nb covers ragged, exact and multi-block tiles for every level's shape
+    // (see `gemm_agrees_across_levels_at_block_edges` for the edges proper);
     // ib sweeps {1, odd, nb} per the inner-blocking contract.
     for &nb in &[5usize, 16, 24] {
         for ib in [1usize, 3, nb] {
@@ -199,48 +203,129 @@ fn all_levels_agree_with_scalar_complex() {
     check_levels_agree::<Complex64>("Complex64");
 }
 
+/// The three ways an `A` operand reaches the packers: every stored entry,
+/// columns cut at their diagonal (upper trapezoid, the rest implied zero),
+/// and the unit-lower form (zeros and the unit diagonal implied, the storage
+/// there never read).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Operand {
+    Full,
+    ShortColumns,
+    UnitLower,
+}
+
+/// `C ±= op(A)·B` through `gemm_into` at the active level, and the stored
+/// `A` with its implied structure made explicit (for the naive reference).
+fn structured_gemm<T: RandomScalar>(
+    (m, n, k): (usize, usize, usize),
+    amode: AMode,
+    operand: Operand,
+    sub: bool,
+    seed: u64,
+) -> (Matrix<T>, Matrix<T>, Matrix<T>, Matrix<T>) {
+    let (rows, cols) = match amode {
+        AMode::NoTrans => (m, k),
+        AMode::ConjTrans => (k, m),
+    };
+    let a: Matrix<T> = random_matrix(rows, cols, seed);
+    let b: Matrix<T> = random_matrix(k, n, seed + 1);
+    let c0: Matrix<T> = random_matrix(m, n, seed + 2);
+    let explicit = Matrix::from_fn(rows, cols, |i, j| match operand {
+        Operand::Full => a.get(i, j),
+        Operand::ShortColumns if i <= j => a.get(i, j),
+        Operand::UnitLower if i > j => a.get(i, j),
+        Operand::UnitLower if i == j => T::ONE,
+        _ => T::ZERO,
+    });
+    let form = match operand {
+        Operand::UnitLower => AForm::UnitLower,
+        _ => AForm::Dense,
+    };
+    let mut c = c0.clone();
+    let mut apack = vec![T::ZERO; apack_len::<T>(m, k)];
+    let mut bpack = vec![T::ZERO; bpack_len::<T>(k, n)];
+    gemm_into(
+        m,
+        n,
+        k,
+        amode,
+        form,
+        |j| match operand {
+            Operand::ShortColumns => &a.col(j)[..rows.min(j + 1)],
+            _ => a.col(j),
+        },
+        |j| b.col(j),
+        c.as_mut_slice(),
+        |j| j * m,
+        sub,
+        &mut apack,
+        &mut bpack,
+    );
+    (c, c0, explicit, b)
+}
+
+/// One product at `level` against the scalar level (bitwise unless the
+/// level fuses), and the scalar level against the naive product.
+fn check_gemm_case<T: RandomScalar>(
+    level: SimdLevel,
+    dims: (usize, usize, usize),
+    amode: AMode,
+    operand: Operand,
+    sub: bool,
+) {
+    let (m, n, k) = dims;
+    let run = || structured_gemm::<T>(dims, amode, operand, sub, (97 * m + 13 * n + k) as u64);
+    simd::set_active(SimdLevel::Scalar);
+    let (c_ref, c0, a, b) = run();
+    simd::set_active(level);
+    let (c, ..) = run();
+    let what = format!(
+        "{} gemm {m}x{n}x{k} {amode:?} {operand:?} sub={sub} level={}",
+        std::any::type_name::<T>(),
+        level.name()
+    );
+    let scale = frobenius_norm(&a).max(frobenius_norm(&b));
+    assert_close(&c, &c_ref, !fused_vs_scalar(level), scale, 1, &what);
+    let op_a = match amode {
+        AMode::NoTrans => a,
+        AMode::ConjTrans => a.conj_transpose(),
+    };
+    let prod = op_a.matmul(&b);
+    let want = if sub { c0.sub(&prod) } else { c0.add(&prod) };
+    let err = frobenius_norm(&c_ref.sub(&want));
+    assert!(err <= 1e-12 * (1.0 + scale), "{what}: naive Δ {err:e}");
+}
+
 #[test]
 fn gemm_agrees_across_levels_at_block_edges() {
-    // The microkernel itself, through the public gemm wrapper, at shapes
-    // that exercise full blocks, ragged edges and k == 1 for both register
-    // geometries (f64 8×4, Complex64 4×4).
-    use tileqr_kernels::blas::gemm_acc;
-    fn check<T: RandomScalar>(type_name: &str) {
+    // The microkernel and the packers at every level's *own* register-block
+    // edges — one short of, exactly, one past and two-and-a-bit blocks in
+    // both directions — for a single step and for the `ib`- and `nb`-deep
+    // products of an `(nb, ib) = (32, 8)` tile, both signs, and every
+    // operand structure the block reflector hands them.
+    fn check<T: RandomScalar>() {
         let _restore = LevelRestore::new();
-        for &(m, n, k) in &[
-            (1usize, 1usize, 1usize),
-            (4, 4, 4),
-            (8, 4, 8),
-            (9, 5, 7),
-            (16, 8, 16),
-            (17, 9, 1),
-            (23, 11, 19),
-            (32, 32, 32),
-        ] {
-            let a: Matrix<T> = random_matrix(m, k, 7 * m as u64 + n as u64);
-            let b: Matrix<T> = random_matrix(k, n, 11 * n as u64 + k as u64);
-            simd::set_active(SimdLevel::Scalar);
-            let mut c_ref: Matrix<T> = Matrix::zeros(m, n);
-            gemm_acc(&mut c_ref, &a, &b);
-            let scale = frobenius_norm(&a).max(frobenius_norm(&b));
-            for level in simd::available_levels() {
-                simd::set_active(level);
-                let mut c: Matrix<T> = Matrix::zeros(m, n);
-                gemm_acc(&mut c, &a, &b);
-                assert_close(
-                    &c,
-                    &c_ref,
-                    !fused_vs_scalar(level),
-                    scale,
-                    1,
-                    &format!("{type_name} gemm {m}x{n}x{k} level={}", level.name()),
-                );
+        for level in simd::available_levels() {
+            let BlockShape { mr, nr } = simd::block_shape::<T>(level);
+            for m in [mr - 1, mr, mr + 1, 2 * mr + 1] {
+                for n in [nr - 1, nr, nr + 1, 2 * nr + 1] {
+                    for k in [1usize, 8, 32] {
+                        for amode in [AMode::NoTrans, AMode::ConjTrans] {
+                            for operand in
+                                [Operand::Full, Operand::ShortColumns, Operand::UnitLower]
+                            {
+                                check_gemm_case::<T>(level, (m, n, k), amode, operand, false);
+                                check_gemm_case::<T>(level, (m, n, k), amode, operand, true);
+                            }
+                        }
+                    }
+                }
             }
         }
     }
     let _guard = lock();
-    check::<f64>("f64");
-    check::<Complex64>("Complex64");
+    check::<f64>();
+    check::<Complex64>();
 }
 
 #[test]

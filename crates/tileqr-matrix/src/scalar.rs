@@ -96,23 +96,6 @@ pub trait Scalar:
     /// discussion of FMA cost in real vs. complex arithmetic).
     const FLOPS_PER_FMA: usize;
 
-    /// Rows of one register block of the micro-BLAS backend (the vectorized
-    /// dimension of the `MR × NR` microkernel in `tileqr-kernels`).
-    ///
-    /// The shape is chosen **per scalar** so the accumulator block fits the
-    /// register file: `f64` uses `8 × 4` (32 doubles — 8 AVX2 `ymm` or 4
-    /// AVX-512 `zmm` accumulators, and what the historical generic kernel
-    /// always used), while [`Complex64`] uses `4 × 4` (16 complex = 32
-    /// doubles; the previous f64-shaped `8 × 4` complex block was 64 doubles
-    /// and spilled on every ISA). The block shape only decides which output
-    /// elements are computed together — each element's reduction over `k`
-    /// stays sequential — so changing it never changes results bitwise.
-    const MR: usize;
-
-    /// Columns of one register block of the micro-BLAS backend (see
-    /// [`Scalar::MR`]).
-    const NR: usize;
-
     /// Complex conjugate (identity for reals).
     fn conj(self) -> Self;
 
@@ -161,10 +144,9 @@ pub trait Scalar:
     /// `fma` cargo feature is **on by default** since the runtime-dispatch
     /// release: the explicit-SIMD microkernels in `tileqr-kernels` use fused
     /// intrinsics under it, while this scalar path stays unfused on a
-    /// generic x86-64 target (no `fma` *target* feature) — so the portable
-    /// default build's scalar fallback is still bit-identical with the
-    /// historical kernels. Build with `--no-default-features` for a fully
-    /// unfused, bitwise-reproducible binary on every path.
+    /// generic x86-64 target (no `fma` *target* feature). Build with
+    /// `--no-default-features` for a fully unfused binary in which every
+    /// SIMD level reproduces the scalar path bit for bit.
     #[inline]
     fn mul_acc(self, a: Self, b: Self) -> Self {
         self + a * b
@@ -177,8 +159,6 @@ impl Scalar for f64 {
     const ONE: f64 = 1.0;
     const REALS_PER_ELEMENT: usize = 1;
     const FLOPS_PER_FMA: usize = 2;
-    const MR: usize = 8;
-    const NR: usize = 4;
 
     #[inline]
     fn conj(self) -> Self {
@@ -231,8 +211,6 @@ impl Scalar for Complex64 {
     const ONE: Complex64 = Complex64::ONE;
     const REALS_PER_ELEMENT: usize = 2;
     const FLOPS_PER_FMA: usize = 8;
-    const MR: usize = 4;
-    const NR: usize = 4;
 
     #[inline]
     fn conj(self) -> Self {

@@ -46,8 +46,8 @@ pub struct QrConfig {
     /// store `T` factors `ib`-blocked, routing the trailing updates through
     /// the register-tiled micro-BLAS backend. Defaults to
     /// `min(tile_size, `[`DEFAULT_INNER_BLOCK`]`)` — the tuned setting; use
-    /// [`QrConfig::with_inner_block`]`(tile_size)` to reproduce the
-    /// historical unblocked kernels bit for bit.
+    /// [`QrConfig::with_inner_block`]`(tile_size)` for unblocked panels (one
+    /// block reflector per tile).
     pub inner_block: usize,
     /// Reduction tree.
     pub algorithm: Algorithm,
