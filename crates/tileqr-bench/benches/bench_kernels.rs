@@ -7,7 +7,7 @@
 //! * `KERNEL/ws` — the PR-1 zero-allocation blocked workspace kernels with
 //!   full-tile `T` factors and dot-product reductions;
 //! * `KERNEL/microblas` — the production kernels: inner-blocked (`ib`),
-//!   packed-triangular TT storage, register-tiled micro-BLAS backend.
+//!   in place on the tiles, register-tiled micro-BLAS backend.
 //!
 //! The first two generations are retired: their code is gone and their rows
 //! are **frozen constants** — the last GFLOP/s the committed

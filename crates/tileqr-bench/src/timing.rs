@@ -17,7 +17,9 @@ use tileqr_core::algorithms::Algorithm;
 use tileqr_core::KernelFamily;
 use tileqr_kernels::blas::gemm_acc;
 use tileqr_kernels::flops::{gemm_flops, qr_flops, KernelKind};
-use tileqr_kernels::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, Trans};
+use tileqr_kernels::{
+    geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace,
+};
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::Matrix;
 use tileqr_runtime::driver::{qr_factorize, QrConfig};
@@ -74,6 +76,7 @@ pub fn measure_kernel<T: RandomScalar>(
 ) -> KernelMeasurement {
     let reps = reps.max(1);
     let flops = kernel.flops(nb) * reps as f64;
+    let mut ws: Workspace<T> = Workspace::new(nb);
 
     let seconds = match kernel {
         KernelKind::Geqrt => {
@@ -83,12 +86,12 @@ pub fn measure_kernel<T: RandomScalar>(
                 .collect();
             let mut work: Vec<Matrix<T>> = pristine.clone();
             let mut t = Matrix::zeros(nb, nb);
-            geqrt(&mut work[0], &mut t); // warm-up
+            geqrt_ws(&mut work[0], &mut t, &mut ws); // warm-up
             let start = Instant::now();
             for r in 0..reps {
                 let s = r % n_sets;
                 work[s] = pristine[s].clone();
-                geqrt(&mut work[s], &mut t);
+                geqrt_ws(&mut work[s], &mut t, &mut ws);
             }
             start.elapsed().as_secs_f64()
         }
@@ -105,14 +108,14 @@ pub fn measure_kernel<T: RandomScalar>(
             let mut t = Matrix::zeros(nb, nb);
             {
                 let (r1, a2) = &mut work[0];
-                tsqrt(r1, a2, &mut t);
+                tsqrt_ws(r1, a2, &mut t, &mut ws);
             }
             let start = Instant::now();
             for r in 0..reps {
                 let s = r % n_sets;
                 work[s] = pristine[s].clone();
                 let (r1, a2) = &mut work[s];
-                tsqrt(r1, a2, &mut t);
+                tsqrt_ws(r1, a2, &mut t, &mut ws);
             }
             start.elapsed().as_secs_f64()
         }
@@ -131,14 +134,14 @@ pub fn measure_kernel<T: RandomScalar>(
             let mut t = Matrix::zeros(nb, nb);
             {
                 let (r1, r2) = &mut work[0];
-                ttqrt(r1, r2, &mut t);
+                ttqrt_ws(r1, r2, &mut t, &mut ws);
             }
             let start = Instant::now();
             for r in 0..reps {
                 let s = r % n_sets;
                 work[s] = pristine[s].clone();
                 let (r1, r2) = &mut work[s];
-                ttqrt(r1, r2, &mut t);
+                ttqrt_ws(r1, r2, &mut t, &mut ws);
             }
             start.elapsed().as_secs_f64()
         }
@@ -146,15 +149,15 @@ pub fn measure_kernel<T: RandomScalar>(
             let n_sets = pool_len::<T>(3, nb, mode);
             let mut v: Matrix<T> = random_matrix(nb, nb, 600);
             let mut t = Matrix::zeros(nb, nb);
-            geqrt(&mut v, &mut t);
+            geqrt_ws(&mut v, &mut t, &mut ws);
             let mut cs: Vec<Matrix<T>> = (0..n_sets)
                 .map(|s| random_matrix(nb, nb, 700 + s as u64))
                 .collect();
-            unmqr(&v, &t, &mut cs[0], Trans::ConjTrans);
+            unmqr_ws(&v, &t, &mut cs[0], Trans::ConjTrans, &mut ws);
             let start = Instant::now();
             for r in 0..reps {
                 let s = r % n_sets;
-                unmqr(&v, &t, &mut cs[s], Trans::ConjTrans);
+                unmqr_ws(&v, &t, &mut cs[s], Trans::ConjTrans, &mut ws);
             }
             start.elapsed().as_secs_f64()
         }
@@ -164,7 +167,7 @@ pub fn measure_kernel<T: RandomScalar>(
             r1.zero_below_diagonal();
             let mut v2: Matrix<T> = random_matrix(nb, nb, 801);
             let mut t = Matrix::zeros(nb, nb);
-            tsqrt(&mut r1, &mut v2, &mut t);
+            tsqrt_ws(&mut r1, &mut v2, &mut t, &mut ws);
             let mut pairs: Vec<(Matrix<T>, Matrix<T>)> = (0..n_sets)
                 .map(|s| {
                     (
@@ -175,13 +178,13 @@ pub fn measure_kernel<T: RandomScalar>(
                 .collect();
             {
                 let (c1, c2) = &mut pairs[0];
-                tsmqr(&v2, &t, c1, c2, Trans::ConjTrans);
+                tsmqr_ws(&v2, &t, c1, c2, Trans::ConjTrans, &mut ws);
             }
             let start = Instant::now();
             for r in 0..reps {
                 let s = r % n_sets;
                 let (c1, c2) = &mut pairs[s];
-                tsmqr(&v2, &t, c1, c2, Trans::ConjTrans);
+                tsmqr_ws(&v2, &t, c1, c2, Trans::ConjTrans, &mut ws);
             }
             start.elapsed().as_secs_f64()
         }
@@ -192,7 +195,7 @@ pub fn measure_kernel<T: RandomScalar>(
             let mut v2: Matrix<T> = random_matrix(nb, nb, 1001);
             v2.zero_below_diagonal();
             let mut t = Matrix::zeros(nb, nb);
-            ttqrt(&mut r1, &mut v2, &mut t);
+            ttqrt_ws(&mut r1, &mut v2, &mut t, &mut ws);
             let mut pairs: Vec<(Matrix<T>, Matrix<T>)> = (0..n_sets)
                 .map(|s| {
                     (
@@ -203,13 +206,13 @@ pub fn measure_kernel<T: RandomScalar>(
                 .collect();
             {
                 let (c1, c2) = &mut pairs[0];
-                ttmqr(&v2, &t, c1, c2, Trans::ConjTrans);
+                ttmqr_ws(&v2, &t, c1, c2, Trans::ConjTrans, &mut ws);
             }
             let start = Instant::now();
             for r in 0..reps {
                 let s = r % n_sets;
                 let (c1, c2) = &mut pairs[s];
-                ttmqr(&v2, &t, c1, c2, Trans::ConjTrans);
+                ttmqr_ws(&v2, &t, c1, c2, Trans::ConjTrans, &mut ws);
             }
             start.elapsed().as_secs_f64()
         }

@@ -1,4 +1,4 @@
-//! Update kernels: [`unmqr`], [`tsmqr`] and [`ttmqr`].
+//! Update kernels: [`unmqr_ws`], [`tsmqr_ws`] and [`ttmqr_ws`].
 //!
 //! Each factorization kernel of [`crate::factor`] has a companion update that
 //! applies the computed block reflector(s) to the trailing tiles of the same
@@ -13,27 +13,26 @@
 //!
 //! The factorization kernels produce one block reflector per panel of `ib`
 //! columns (`Q = P_1·P_2⋯P_l`, see [`crate::factor`]), so the update kernels
-//! replay the panels in factor order for `Qᴴ` and in reverse for `Q`. Each
-//! panel is one call of the crate's block-reflector primitive — three
-//! products on the register-tiled [`crate::microblas`] backend:
+//! replay the panels in factor order for `Qᴴ` and in reverse for `Q`. All
+//! three are one routine: per chunk of at most `nb` target columns and per
+//! panel, one call of the crate's block-reflector primitive — three products
+//! on the register-tiled [`crate::microblas`] backend:
 //!
 //! ```text
 //! W += V_sᴴ·C,   W₂ := op(T_s)·W,   C −= V_s·W₂.
 //! ```
 //!
-//! The three kernels below differ only in how they describe `V_s` to it:
-//! [`unmqr_ws`] hands over the rows of the GEQRT tile from the panel's
-//! diagonal down as a unit-lower trapezoid (the `R` entries stored on and
-//! above the diagonal are never read), [`tsmqr_ws`] a dense `V2` under an
-//! identity that acts on the pivot tile's rows, [`ttmqr_ws`] the columns of
-//! an upper-triangular `V2` cut at their diagonal (the vectors of an earlier
-//! GEQRT below it are never read). Targets wider than `nb` are processed in
-//! `nb`-column chunks. The workspace's `ib` must match the one used at
-//! factor time — the `T` factors are stored `ib`-blocked.
+//! The kernels differ only in the reflector description they hand it: a
+//! GEQRT tile for [`unmqr_ws`] (the `R` entries stored on and above the
+//! diagonal are never read), a dense `V2` under an identity that acts on
+//! the rows of `C1` for [`tsmqr_ws`], the same with columns cut at their
+//! diagonal for [`ttmqr_ws`] (the vectors of an earlier GEQRT below it are
+//! never read). The workspace's `ib` must match the one used at factor time
+//! — the `T` factors are stored `ib`-blocked.
 
 use tileqr_matrix::{Matrix, Scalar};
 
-use crate::reflector::{apply_panel, PivotRows};
+use crate::reflector::Block;
 use crate::workspace::Workspace;
 
 /// Whether an update kernel applies `Q` or `Qᴴ`.
@@ -64,25 +63,16 @@ impl Trans {
     }
 }
 
-/// UNMQR: applies the block reflectors computed by [`crate::geqrt`] on tile
-/// `(r, k)` to the trailing tile `c` of the same row.
+/// UNMQR: applies the block reflectors computed by
+/// [`geqrt_ws`](crate::geqrt_ws) on tile `(r, k)` to the trailing tile `c`
+/// of the same row, with caller-provided scratch (zero heap allocations).
 ///
 /// `v` is the factored tile (Householder vectors in its strictly lower part,
 /// unit diagonal implicit — the upper triangle holding `R` is ignored);
-/// `t` is the companion `ib`-blocked triangular factor.
+/// `t` is the companion `ib`-blocked triangular factor. `c` may be wider
+/// than `nb`.
 ///
 /// Paper cost: `6` units of `nb³/3` flops.
-///
-/// Allocating convenience wrapper around [`unmqr_ws`].
-pub fn unmqr<T: Scalar<Real = f64>>(v: &Matrix<T>, t: &Matrix<T>, c: &mut Matrix<T>, trans: Trans) {
-    unmqr_ws(v, t, c, trans, &mut Workspace::new(v.rows()));
-}
-
-/// UNMQR with caller-provided scratch: zero heap allocations.
-///
-/// One block-reflector application per panel and chunk of at most `nb`
-/// target columns: the panel is rows `j0..nb` of its columns, a unit-lower
-/// trapezoid whose zeros and unit diagonal are supplied at pack time.
 pub fn unmqr_ws<T: Scalar<Real = f64>>(
     v: &Matrix<T>,
     t: &Matrix<T>,
@@ -90,67 +80,18 @@ pub fn unmqr_ws<T: Scalar<Real = f64>>(
     trans: Trans,
     ws: &mut Workspace<T>,
 ) {
-    let nb = v.rows();
-    assert_eq!(v.cols(), nb, "UNMQR reflector tile must be square");
-    assert_eq!(
-        c.rows(),
-        nb,
-        "UNMQR target tile must match the reflector tile"
-    );
-    ws.require(nb);
-    let ib = ws.ib_for(nb);
-    assert!(t.rows() >= ib && t.cols() >= nb, "T factor too small");
-    let ncols = c.cols();
-    let ldc = c.rows();
-    let mut c0 = 0;
-    while c0 < ncols {
-        let width = nb.min(ncols - c0);
-        for j0 in trans.panel_starts(nb, ib) {
-            let w = ib.min(nb - j0);
-            // Rows j0.. of the panel's columns: the unit-lower trapezoid.
-            apply_panel(
-                |i| &v.col(j0 + i)[j0..],
-                nb - j0,
-                None,
-                t,
-                j0,
-                w,
-                trans.conj_t(),
-                c.as_mut_slice(),
-                |j| (c0 + j) * ldc + j0,
-                width,
-                &mut ws.panel,
-            );
-        }
-        c0 += width;
-    }
+    update(v, Block::Tile, t, c, trans, ws);
 }
 
-/// TSMQR: applies the block reflectors computed by [`crate::tsqrt`] to the
-/// stacked pair of trailing tiles `[c1; c2]` (pivot row on top, annihilated
-/// row below).
+/// TSMQR: applies the block reflectors computed by
+/// [`tsqrt_ws`](crate::tsqrt_ws) to the stacked pair of trailing tiles
+/// `[c1; c2]` (pivot row on top, annihilated row below), with
+/// caller-provided scratch (zero heap allocations).
 ///
-/// `v2` is the dense bottom block of Householder vectors produced by
-/// [`crate::tsqrt`] and `t` its `ib`-blocked triangular factors.
+/// `v2` is the dense bottom block of Householder vectors and `t` its
+/// `ib`-blocked triangular factors.
 ///
 /// Paper cost: `12` units of `nb³/3` flops.
-///
-/// Allocating convenience wrapper around [`tsmqr_ws`].
-pub fn tsmqr<T: Scalar<Real = f64>>(
-    v2: &Matrix<T>,
-    t: &Matrix<T>,
-    c1: &mut Matrix<T>,
-    c2: &mut Matrix<T>,
-    trans: Trans,
-) {
-    tsmqr_ws(v2, t, c1, c2, trans, &mut Workspace::new(v2.rows()));
-}
-
-/// TSMQR with caller-provided scratch: zero heap allocations.
-///
-/// One block-reflector application per panel and chunk: the stacked
-/// reflector is `[I; V2_s]`, so `W` starts as rows `j0 .. j0+w` of `C1` and
-/// `W₂` is subtracted from them, while the dense `V2_s` meets all of `C2`.
 pub fn tsmqr_ws<T: Scalar<Real = f64>>(
     v2: &Matrix<T>,
     t: &Matrix<T>,
@@ -159,70 +100,23 @@ pub fn tsmqr_ws<T: Scalar<Real = f64>>(
     trans: Trans,
     ws: &mut Workspace<T>,
 ) {
-    let nb = v2.rows();
-    assert_eq!(v2.cols(), nb, "TSMQR reflector block must be square");
-    assert_eq!(c1.rows(), nb, "TSMQR C1 must match the reflector block");
-    assert_eq!(c2.rows(), nb, "TSMQR C2 must match the reflector block");
-    assert_eq!(c1.cols(), c2.cols(), "TSMQR C1/C2 must have the same width");
-    ws.require(nb);
-    let ib = ws.ib_for(nb);
-    assert!(t.rows() >= ib && t.cols() >= nb, "T factor too small");
-    let ncols = c1.cols();
-    let ldc = c1.rows();
-    let mut c0 = 0;
-    while c0 < ncols {
-        let width = nb.min(ncols - c0);
-        for j0 in trans.panel_starts(nb, ib) {
-            let w = ib.min(nb - j0);
-            apply_panel(
-                |i| v2.col(j0 + i),
-                nb,
-                Some(PivotRows {
-                    c1: c1.as_mut_slice(),
-                    start: c0 * ldc + j0,
-                    ld: ldc,
-                }),
-                t,
-                j0,
-                w,
-                trans.conj_t(),
-                c2.as_mut_slice(),
-                |j| (c0 + j) * ldc,
-                width,
-                &mut ws.panel,
-            );
-        }
-        c0 += width;
-    }
+    let pair = Block::Pair {
+        pivot: c1,
+        triangular: false,
+    };
+    update(v2, pair, t, c2, trans, ws);
 }
 
-/// TTMQR: applies the block reflectors computed by [`crate::ttqrt`] to the
-/// stacked pair of trailing tiles `[c1; c2]`.
+/// TTMQR: applies the block reflectors computed by
+/// [`ttqrt_ws`](crate::ttqrt_ws) to the stacked pair of trailing tiles
+/// `[c1; c2]`, with caller-provided scratch (zero heap allocations).
 ///
 /// `v2` holds the Householder vectors in its **upper triangle** (the strictly
-/// lower part is ignored, matching [`crate::ttqrt`]'s output); the triangular
-/// structure is exploited so this kernel costs half of [`tsmqr`].
+/// lower part is ignored, matching TTQRT's output). A panel spans only rows
+/// `0 .. j0+w` of `V2` and of `C2`, which is what makes this kernel half the
+/// cost of TSMQR.
 ///
 /// Paper cost: `6` units of `nb³/3` flops.
-///
-/// Allocating convenience wrapper around [`ttmqr_ws`].
-pub fn ttmqr<T: Scalar<Real = f64>>(
-    v2: &Matrix<T>,
-    t: &Matrix<T>,
-    c1: &mut Matrix<T>,
-    c2: &mut Matrix<T>,
-    trans: Trans,
-) {
-    ttmqr_ws(v2, t, c1, c2, trans, &mut Workspace::new(v2.rows()));
-}
-
-/// TTMQR with caller-provided scratch: zero heap allocations.
-///
-/// Same structure as [`tsmqr_ws`], but a panel of the upper-triangular `V2`
-/// spans only rows `0 .. j0+w` — of `V2` and of `C2` — and its columns are
-/// handed over cut at their diagonal, so nothing below it is read and the
-/// packer supplies the zeros of the `w × w` corner. That restriction is
-/// what makes the TT kernel half the cost of the TS one.
 pub fn ttmqr_ws<T: Scalar<Real = f64>>(
     v2: &Matrix<T>,
     t: &Matrix<T>,
@@ -231,49 +125,57 @@ pub fn ttmqr_ws<T: Scalar<Real = f64>>(
     trans: Trans,
     ws: &mut Workspace<T>,
 ) {
-    let nb = v2.rows();
-    assert_eq!(v2.cols(), nb, "TTMQR reflector block must be square");
-    assert_eq!(c1.rows(), nb, "TTMQR C1 must match the reflector block");
-    assert_eq!(c2.rows(), nb, "TTMQR C2 must match the reflector block");
-    assert_eq!(c1.cols(), c2.cols(), "TTMQR C1/C2 must have the same width");
+    let pair = Block::Pair {
+        pivot: c1,
+        triangular: true,
+    };
+    update(v2, pair, t, c2, trans, ws);
+}
+
+/// The one update routine: applies the reflector block stored in `v` (and
+/// `t`) to `c` — and, for a pair, to the pivot tile's matching columns — in
+/// chunks of at most `nb` columns, one block-reflector call per panel.
+fn update<T: Scalar<Real = f64>>(
+    v: &Matrix<T>,
+    mut block: Block<'_, T>,
+    t: &Matrix<T>,
+    c: &mut Matrix<T>,
+    trans: Trans,
+    ws: &mut Workspace<T>,
+) {
+    let nb = v.rows();
+    assert_eq!(v.cols(), nb, "the reflector tile must be square");
+    assert_eq!(c.rows(), nb, "the target must match the reflector tile");
+    if let Block::Pair { pivot, .. } = &block {
+        assert_eq!(pivot.shape(), c.shape(), "C1 and C2 must have one shape");
+    }
     ws.require(nb);
     let ib = ws.ib_for(nb);
     assert!(t.rows() >= ib && t.cols() >= nb, "T factor too small");
-    let ncols = c1.cols();
-    let ldc = c1.rows();
-    let mut c0 = 0;
-    while c0 < ncols {
+    let ncols = c.cols();
+    for c0 in (0..ncols).step_by(nb) {
         let width = nb.min(ncols - c0);
         for j0 in trans.panel_starts(nb, ib) {
-            let w = ib.min(nb - j0);
-            // Column j0+i of V2 ends at its diagonal: rows 0..=j0+i of the
-            // j0+w the panel spans, the rest implied zero.
-            apply_panel(
-                |i| &v2.col(j0 + i)[..j0 + i + 1],
-                j0 + w,
-                Some(PivotRows {
-                    c1: c1.as_mut_slice(),
-                    start: c0 * ldc + j0,
-                    ld: ldc,
-                }),
+            block.apply_panel(
+                v.as_slice(),
+                nb,
                 t,
                 j0,
-                w,
+                ib.min(nb - j0),
                 trans.conj_t(),
-                c2.as_mut_slice(),
-                |j| (c0 + j) * ldc,
+                &mut c.as_mut_slice()[c0 * nb..],
+                c0,
                 width,
                 &mut ws.panel,
             );
         }
-        c0 += width;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factor::{geqrt, tsqrt, ttqrt};
+    use crate::factor::{geqrt_ws, tsqrt_ws, ttqrt_ws};
     use tileqr_matrix::generate::random_matrix;
     use tileqr_matrix::norms::frobenius_norm;
     use tileqr_matrix::Complex64;
@@ -320,19 +222,20 @@ mod tests {
     }
 
     fn check_unmqr<T: tileqr_matrix::generate::RandomScalar>(nb: usize, seed: u64) {
+        let mut ws = Workspace::new(nb);
         let mut a: Matrix<T> = random_matrix(nb, nb, seed);
         let mut t = Matrix::zeros(nb, nb);
-        geqrt(&mut a, &mut t);
+        geqrt_ws(&mut a, &mut t, &mut ws);
         let q = explicit_q_geqrt(&a, &t);
 
         for width in target_widths::<T>(nb) {
             let c0: Matrix<T> = random_matrix(nb, width, seed + 1);
             let mut c = c0.clone();
-            unmqr(&a, &t, &mut c, Trans::ConjTrans);
+            unmqr_ws(&a, &t, &mut c, Trans::ConjTrans, &mut ws);
             assert_close(&c, &q.conj_transpose().matmul(&c0));
 
             let mut c = c0.clone();
-            unmqr(&a, &t, &mut c, Trans::NoTrans);
+            unmqr_ws(&a, &t, &mut c, Trans::NoTrans, &mut ws);
             assert_close(&c, &q.matmul(&c0));
         }
     }
@@ -345,8 +248,9 @@ mod tests {
         }
     }
 
-    /// The shared signature of [`tsmqr`] and [`ttmqr`].
-    type StackedUpdate<T> = fn(&Matrix<T>, &Matrix<T>, &mut Matrix<T>, &mut Matrix<T>, Trans);
+    /// The shared signature of [`tsmqr_ws`] and [`ttmqr_ws`].
+    type StackedUpdate<T> =
+        fn(&Matrix<T>, &Matrix<T>, &mut Matrix<T>, &mut Matrix<T>, Trans, &mut Workspace<T>);
 
     /// A TS/TT update kernel against the explicit `Q` of `[I; V2]`, both
     /// transposes, every target width.
@@ -357,6 +261,7 @@ mod tests {
         kernel: StackedUpdate<T>,
     ) {
         let nb = v2.rows();
+        let mut ws = Workspace::new(nb);
         let q = explicit_q_stacked(v2, t);
         for width in target_widths::<T>(nb) {
             let c1_0: Matrix<T> = random_matrix(nb, width, seed);
@@ -368,7 +273,7 @@ mod tests {
             for trans in [Trans::ConjTrans, Trans::NoTrans] {
                 let mut c1 = c1_0.clone();
                 let mut c2 = c2_0.clone();
-                kernel(v2, t, &mut c1, &mut c2, trans);
+                kernel(v2, t, &mut c1, &mut c2, trans, &mut ws);
                 let expected = match trans {
                     Trans::ConjTrans => q.conj_transpose().matmul(&stacked),
                     Trans::NoTrans => q.matmul(&stacked),
@@ -384,8 +289,8 @@ mod tests {
         r1.zero_below_diagonal();
         let mut a2: Matrix<T> = random_matrix(nb, nb, seed + 1);
         let mut t = Matrix::zeros(nb, nb);
-        tsqrt(&mut r1, &mut a2, &mut t);
-        check_stacked_update(&a2, &t, seed + 2, tsmqr);
+        tsqrt_ws(&mut r1, &mut a2, &mut t, &mut Workspace::new(nb));
+        check_stacked_update(&a2, &t, seed + 2, tsmqr_ws);
     }
 
     #[test]
@@ -402,8 +307,8 @@ mod tests {
         let mut r2: Matrix<T> = random_matrix(nb, nb, seed + 1);
         r2.zero_below_diagonal();
         let mut t = Matrix::zeros(nb, nb);
-        ttqrt(&mut r1, &mut r2, &mut t);
-        check_stacked_update(&r2, &t, seed + 2, ttmqr);
+        ttqrt_ws(&mut r1, &mut r2, &mut t, &mut Workspace::new(nb));
+        check_stacked_update(&r2, &t, seed + 2, ttmqr_ws);
     }
 
     #[test]
@@ -417,13 +322,14 @@ mod tests {
     #[test]
     fn unmqr_roundtrip_q_then_qh_restores_input() {
         let nb = 10;
+        let mut ws = Workspace::new(nb);
         let mut a: Matrix<Complex64> = random_matrix(nb, nb, 950);
         let mut t = Matrix::zeros(nb, nb);
-        geqrt(&mut a, &mut t);
+        geqrt_ws(&mut a, &mut t, &mut ws);
         let c0: Matrix<Complex64> = random_matrix(nb, nb, 951);
         let mut c = c0.clone();
-        unmqr(&a, &t, &mut c, Trans::ConjTrans);
-        unmqr(&a, &t, &mut c, Trans::NoTrans);
+        unmqr_ws(&a, &t, &mut c, Trans::ConjTrans, &mut ws);
+        unmqr_ws(&a, &t, &mut c, Trans::NoTrans, &mut ws);
         assert_close(&c, &c0);
     }
 
@@ -437,7 +343,7 @@ mod tests {
             let mut ws: Workspace<Complex64> = Workspace::with_inner_block(nb, ib);
             let mut a: Matrix<Complex64> = random_matrix(nb, nb, 960 + ib as u64);
             let mut t = Matrix::zeros(ib.min(nb), nb);
-            crate::factor::geqrt_ws(&mut a, &mut t, &mut ws);
+            geqrt_ws(&mut a, &mut t, &mut ws);
             let c0: Matrix<Complex64> = random_matrix(nb, nb, 961);
             let mut c = c0.clone();
             unmqr_ws(&a, &t, &mut c, Trans::ConjTrans, &mut ws);

@@ -47,12 +47,13 @@ pub fn dot_conj<T: Scalar>(a: &[T], b: &[T]) -> T {
     (acc0 + acc1) + (acc2 + acc3)
 }
 
-/// `W(r, j) := C[r0+r, j]` for `r < w`, `j < width` — stages the pivot-row
-/// window of a TS/TT target (the identity top block of the stacked reflector
-/// contributes these rows directly).
+/// `W(r, j) := C[r0+r, j]` for `r < w`, `j < width`, `C` column-major with
+/// leading dimension `ld` — stages the pivot-row window of a TS/TT target
+/// (the identity top block of the stacked reflector contributes these rows
+/// directly).
 pub fn copy_rows_window_into<T: Scalar>(
     c: &[T],
-    coff: impl Fn(usize) -> usize,
+    ld: usize,
     r0: usize,
     w: usize,
     width: usize,
@@ -63,7 +64,7 @@ pub fn copy_rows_window_into<T: Scalar>(
         "staging panel too small"
     );
     for j in 0..width {
-        let base = coff(j) + r0;
+        let base = j * ld + r0;
         wmat.col_mut(j)[..w].copy_from_slice(&c[base..base + w]);
     }
 }
@@ -72,7 +73,7 @@ pub fn copy_rows_window_into<T: Scalar>(
 /// [`copy_rows_window_into`].
 pub fn sub_rows_window_assign<T: Scalar>(
     c: &mut [T],
-    coff: impl Fn(usize) -> usize,
+    ld: usize,
     r0: usize,
     w: usize,
     width: usize,
@@ -83,7 +84,7 @@ pub fn sub_rows_window_assign<T: Scalar>(
         "staging panel too small"
     );
     for j in 0..width {
-        let base = coff(j) + r0;
+        let base = j * ld + r0;
         for (ci, &wi) in c[base..base + w].iter_mut().zip(&wmat.col(j)[..w]) {
             *ci -= wi;
         }

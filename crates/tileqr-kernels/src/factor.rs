@@ -1,281 +1,128 @@
-//! Factorization kernels: [`geqrt`], [`tsqrt`] and [`ttqrt`].
+//! Factorization kernels: [`geqrt_ws`], [`tsqrt_ws`] and [`ttqrt_ws`].
 //!
 //! These are the three ways the paper introduces zeros (Section 2.1):
 //!
-//! * [`geqrt`] — *"factor square into triangle"*: ordinary QR of one tile.
-//! * [`tsqrt`] — *"zero square with triangle on top"*: QR of the 2·nb × nb
-//!   matrix formed by an upper-triangular tile stacked on a full tile
-//!   (the TS kernel family).
-//! * [`ttqrt`] — *"zero triangle with triangle on top"*: QR of two stacked
-//!   upper-triangular tiles (the TT kernel family), which costs a third of
-//!   [`tsqrt`] and is the building block of the new algorithms.
+//! * [`geqrt_ws`] — *"factor square into triangle"*: ordinary QR of one
+//!   tile.
+//! * [`tsqrt_ws`] — *"zero square with triangle on top"*: QR of the
+//!   2·nb × nb matrix formed by an upper-triangular tile stacked on a full
+//!   tile (the TS kernel family).
+//! * [`ttqrt_ws`] — *"zero triangle with triangle on top"*: QR of two
+//!   stacked upper-triangular tiles (the TT kernel family), which costs a
+//!   third of TSQRT and is the building block of the new algorithms.
 //!
-//! Each kernel overwrites its inputs with the `R` factor and the Householder
-//! vectors, and produces the upper triangular `T` factor(s) of the compact WY
-//! representation that the corresponding update kernel
-//! ([`crate::unmqr`], [`crate::tsmqr`], [`crate::ttmqr`]) consumes.
+//! All three are one routine over the crate's reflector description (a
+//! GEQRT tile, or a TS/TT pair whose `V2` columns end at row `nb` or at
+//! their diagonal). Each overwrites its inputs with the `R` factor and the
+//! Householder vectors, in place, and produces the upper triangular `T`
+//! factors of the compact WY representation that the companion update
+//! kernel of [`crate::apply`] consumes. Only the storage the description
+//! names is read or written: the strictly lower half of a pivot tile (and
+//! of a TT pair's second tile), which holds the vectors of an earlier GEQRT
+//! in a real factorization, is left as it was.
 //!
 //! # Inner blocking
 //!
-//! All three kernels are PLASMA-style inner-blocked: the tile is factored in
-//! panels of `ib` columns (`ib` comes from the [`Workspace`]). Within a
-//! panel the reflectors are generated and applied column by column (the
-//! Level-2 sweep, on [`crate::blas::dot_conj`]); the *trailing* columns of
-//! the tile are then updated once per panel with the same block-reflector
-//! primitive the update kernels use — `W += VᴴC`, `W₂ := Tᴴ·W`,
-//! `C −= V·W₂`, three products on the register-tiled [`crate::microblas`]
-//! backend — with the panel's own columns as `V` (a `split_at_mut` of the
-//! tile keeps them readable while the trailing columns are written). The
-//! `w × w` panel factors are stored `ib`-blocked: panel `s` (columns
-//! `j0 .. j0+w`) occupies rows `0..w` of columns `j0 .. j0+w` of `t`, so
-//! `t` needs only `ib` rows. With `ib = nb` (the default workspace) there
-//! is a single panel and no trailing update.
-//!
-//! [`ttqrt_ws`] additionally packs the triangular tile being annihilated
-//! into the workspace's packed column-major triangular scratch
-//! ([`tileqr_matrix::packed`]) for the duration of the kernel: packing reads
-//! only the triangle (the strictly-lower Householder vectors of an earlier
-//! GEQRT on the same tile are never touched), every column access inside the
-//! elimination loop is contiguous — a packed column is exactly the short
-//! column the block reflector wants — and the result is unpacked back into
-//! the triangle on exit.
+//! The tile is factored in panels of `ib` columns (`ib` comes from the
+//! [`Workspace`]). Within a panel the reflectors are generated and applied
+//! column by column (the Level-2 sweep, on [`crate::blas::dot_conj`]); the
+//! panel's `w × w` factor `T_s` is built from their inner products; the
+//! *trailing* columns of the tile (pair) are then updated once per panel
+//! with the block-reflector primitive the update kernels use — three
+//! products on the register-tiled [`crate::microblas`] backend — with the
+//! panel's own columns as `V` (a `split_at_mut` of the tile keeps them
+//! readable while the trailing columns are written). The `T_s` are stored
+//! `ib`-blocked: panel `s` (columns `j0 .. j0+w`) occupies rows `0..w` of
+//! columns `j0 .. j0+w` of `t`, so `t` needs only `ib` rows. With `ib = nb`
+//! (the default workspace) there is a single panel and no trailing update.
 
-use tileqr_matrix::packed::{
-    pack_upper_triangle, packed_col, packed_col_mut, packed_len, packed_off, unpack_upper_triangle,
-};
 use tileqr_matrix::{Matrix, Scalar};
 
 use crate::blas::dot_conj;
-use crate::householder::{larfg, larft_panel_from_tile};
-use crate::reflector::{apply_panel, PivotRows};
+use crate::householder::larfg;
+use crate::reflector::Block;
 use crate::workspace::Workspace;
 
-/// GEQRT: in-place QR factorization of a square `nb × nb` tile.
-///
-/// Allocating convenience wrapper around [`geqrt_ws`]; builds a fresh
-/// [`Workspace`] per call (with `ib = nb`, i.e. unblocked). Hot paths (the
-/// runtime) reuse a per-worker workspace instead.
-///
-/// Paper cost: `4` units of `nb³/3` flops.
-pub fn geqrt<T: Scalar<Real = f64>>(a: &mut Matrix<T>, t: &mut Matrix<T>) {
-    geqrt_ws(a, t, &mut Workspace::new(a.rows()));
-}
-
-/// GEQRT with caller-provided scratch: zero heap allocations.
+/// GEQRT: in-place QR factorization of a square `nb × nb` tile, with
+/// caller-provided scratch (zero heap allocations).
 ///
 /// On exit `a` holds `R` in its upper triangle and the Householder vectors
 /// `V` (unit diagonal implicit) in its strictly lower part; `t` receives the
 /// `ib`-blocked block-reflector factors (one `w × w` upper triangle per
 /// panel of `w ≤ ib` columns, at rows `0..w` of the panel's columns), so it
 /// must have at least `min(ib, nb)` rows and `nb` columns.
+///
+/// Paper cost: `4` units of `nb³/3` flops.
 pub fn geqrt_ws<T: Scalar<Real = f64>>(
     a: &mut Matrix<T>,
     t: &mut Matrix<T>,
     ws: &mut Workspace<T>,
 ) {
-    let nb = a.rows();
-    assert_eq!(a.cols(), nb, "GEQRT operates on square tiles");
-    ws.require(nb);
-    let ib = ws.ib_for(nb);
-    assert!(t.rows() >= ib && t.cols() >= nb, "T factor too small");
-    let Workspace {
-        tau,
-        tail,
-        wcol,
-        panel,
-        ..
-    } = ws;
-
-    let mut j0 = 0;
-    while j0 < nb {
-        let w = ib.min(nb - j0);
-        let j1 = j0 + w;
-        // --- factor the panel columns ---
-        let tail = &mut tail[..nb];
-        for jj in 0..w {
-            let j = j0 + jj;
-            // Generate the reflector annihilating a[j+1.., j].
-            let tail_len = nb - j - 1;
-            tail[..tail_len].copy_from_slice(&a.col(j)[j + 1..nb]);
-            let refl = larfg(a.get(j, j), &mut tail[..tail_len]);
-            tau[jj] = refl.tau;
-            a.set(j, j, refl.beta);
-            a.col_mut(j)[j + 1..nb].copy_from_slice(&tail[..tail_len]);
-            // Apply Hᴴ to the remaining columns of the panel.
-            if refl.tau.is_zero() {
-                continue;
-            }
-            let tau_c = refl.tau.conj();
-            for k in (j + 1)..j1 {
-                let col = a.col_mut(k);
-                let wv = col[j] + dot_conj(&tail[..tail_len], &col[j + 1..nb]);
-                let s = tau_c * wv;
-                col[j] -= s;
-                for (ci, &vi) in col[j + 1..nb].iter_mut().zip(&tail[..tail_len]) {
-                    *ci -= vi * s;
-                }
-            }
-        }
-        // --- panel T factor (V is implicit in the tile) ---
-        larft_panel_from_tile(a, j0, w, &tau[..w], t, wcol);
-        // --- trailing update: C(:, j1..) ← (I − V·T·Vᴴ)ᴴ · C(:, j1..) ---
-        if j1 < nb {
-            // V lives in columns j0..j1 of the tile, the targets in j1..nb:
-            // split the storage so both can be accessed at once.
-            let (left, right) = a.as_mut_slice().split_at_mut(j1 * nb);
-            apply_panel(
-                |i| &left[(j0 + i) * nb + j0..(j0 + i + 1) * nb],
-                nb - j0,
-                None,
-                t,
-                j0,
-                w,
-                true,
-                right,
-                |j| j * nb + j0,
-                nb - j1,
-                panel,
-            );
-        }
-        j0 = j1;
-    }
+    factor(a, Block::Tile, t, ws);
 }
 
-/// TSQRT: QR factorization of `[R1; A2]`, where `R1` is the upper triangular
-/// tile produced by an earlier [`geqrt`]/[`tsqrt`] on the pivot row and `A2`
-/// is a full square tile to be annihilated.
+/// TSQRT: QR factorization of `[R1; A2]`, where `R1` is the upper
+/// triangular tile produced by an earlier GEQRT/TSQRT on the pivot row and
+/// `A2` is a full square tile to be annihilated.
 ///
-/// On exit `r1` holds the updated `R` factor, `a2` holds the (dense) bottom
-/// parts `V2` of the Householder vectors (the top parts form an identity and
-/// are implicit), and `t` receives the `ib`-blocked block-reflector factors.
+/// On exit `r1` holds the updated `R` factor in its upper triangle, `a2`
+/// holds the (dense) bottom parts `V2` of the Householder vectors (the top
+/// parts form an identity and are implicit), and `t` receives the
+/// `ib`-blocked block-reflector factors. Zero heap allocations.
 ///
 /// Paper cost: `6` units of `nb³/3` flops.
-///
-/// Allocating convenience wrapper around [`tsqrt_ws`].
-pub fn tsqrt<T: Scalar<Real = f64>>(r1: &mut Matrix<T>, a2: &mut Matrix<T>, t: &mut Matrix<T>) {
-    tsqrt_ws(r1, a2, t, &mut Workspace::new(r1.rows()));
-}
-
-/// TSQRT with caller-provided scratch: zero heap allocations.
 pub fn tsqrt_ws<T: Scalar<Real = f64>>(
     r1: &mut Matrix<T>,
     a2: &mut Matrix<T>,
     t: &mut Matrix<T>,
     ws: &mut Workspace<T>,
 ) {
-    let nb = r1.rows();
-    assert_eq!(r1.cols(), nb, "TSQRT pivot tile must be square");
-    assert_eq!(
-        a2.shape(),
-        (nb, nb),
-        "TSQRT target tile must match the pivot tile"
-    );
-    ws.require(nb);
-    let ib = ws.ib_for(nb);
-    assert!(t.rows() >= ib && t.cols() >= nb, "T factor too small");
-    let Workspace {
-        tau,
-        tail,
-        wcol,
-        panel,
-        ..
-    } = ws;
-
-    let tail = &mut tail[..nb];
-    let mut j0 = 0;
-    while j0 < nb {
-        let w = ib.min(nb - j0);
-        let j1 = j0 + w;
-        // --- factor the panel columns ---
-        for jj in 0..w {
-            let j = j0 + jj;
-            // Reflector on [r1[j,j]; a2[:, j]] — the tail is the whole column.
-            tail.copy_from_slice(a2.col(j));
-            let refl = larfg(r1.get(j, j), tail);
-            tau[jj] = refl.tau;
-            r1.set(j, j, refl.beta);
-            a2.col_mut(j).copy_from_slice(tail);
-
-            if refl.tau.is_zero() {
-                continue;
-            }
-            let tau_c = refl.tau.conj();
-            // Apply Hᴴ to the remaining panel columns of [R1; A2].
-            for k in (j + 1)..j1 {
-                // w = r1[j,k] + v2ᴴ · a2[:,k]
-                let wv = r1.get(j, k) + dot_conj(tail, a2.col(k));
-                let s = tau_c * wv;
-                r1.set(j, k, r1.get(j, k) - s);
-                for (ci, &vi) in a2.col_mut(k).iter_mut().zip(tail.iter()) {
-                    *ci -= vi * s;
-                }
-            }
-        }
-        // --- panel T factor from the dense bottom block ---
-        build_t_panel_ts(a2, j0, w, &tau[..w], t, wcol);
-        // --- trailing update of [R1; A2] columns j1..nb ---
-        if j1 < nb {
-            // V2 lives in columns j0..j1 of a2, the targets in j1..nb; the
-            // identity block acts on R1[j0..j1, j1..nb].
-            let (left, right) = a2.as_mut_slice().split_at_mut(j1 * nb);
-            apply_panel(
-                |i| &left[(j0 + i) * nb..(j0 + i + 1) * nb],
-                nb,
-                Some(PivotRows {
-                    c1: r1.as_mut_slice(),
-                    start: j1 * nb + j0,
-                    ld: nb,
-                }),
-                t,
-                j0,
-                w,
-                true,
-                right,
-                |j| j * nb,
-                nb - j1,
-                panel,
-            );
-        }
-        j0 = j1;
-    }
+    let pair = Block::Pair {
+        pivot: r1,
+        triangular: false,
+    };
+    factor(a2, pair, t, ws);
 }
 
 /// TTQRT: QR factorization of `[R1; R2]` where **both** tiles are upper
 /// triangular. This is the cheap kernel that makes the TT algorithm family
-/// attractive: only the leading `j+1` rows of column `j` of `R2` are nonzero,
-/// so the reflectors and the updates stay within the upper triangle.
+/// attractive: only the leading `j+1` rows of column `j` of `R2` are
+/// nonzero, so the reflectors and the updates stay within the upper
+/// triangle.
 ///
-/// On exit `r1` holds the updated `R` factor, `r2` holds the (upper
-/// triangular) bottom parts `V2` of the Householder vectors, and `t` receives
-/// the `ib`-blocked block-reflector factors.
+/// On exit `r1` holds the updated `R` factor, the upper triangle of `r2`
+/// holds the (upper triangular) bottom parts `V2` of the Householder
+/// vectors, and `t` receives the `ib`-blocked block-reflector factors. Only
+/// the two upper triangles are read or written, in place. Zero heap
+/// allocations.
 ///
 /// Paper cost: `2` units of `nb³/3` flops.
-///
-/// Allocating convenience wrapper around [`ttqrt_ws`].
-pub fn ttqrt<T: Scalar<Real = f64>>(r1: &mut Matrix<T>, r2: &mut Matrix<T>, t: &mut Matrix<T>) {
-    ttqrt_ws(r1, r2, t, &mut Workspace::new(r1.rows()));
-}
-
-/// TTQRT with caller-provided scratch: zero heap allocations.
-///
-/// The triangular tile `r2` is packed into the workspace's column-major
-/// packed triangular scratch for the duration of the kernel — only its upper
-/// triangle is read and written (the strictly lower part, which still holds
-/// the Householder vectors of the earlier GEQRT on that tile, is untouched),
-/// and every elimination-loop column access is contiguous.
 pub fn ttqrt_ws<T: Scalar<Real = f64>>(
     r1: &mut Matrix<T>,
     r2: &mut Matrix<T>,
     t: &mut Matrix<T>,
     ws: &mut Workspace<T>,
 ) {
-    let nb = r1.rows();
-    assert_eq!(r1.cols(), nb, "TTQRT pivot tile must be square");
-    assert_eq!(
-        r2.shape(),
-        (nb, nb),
-        "TTQRT target tile must match the pivot tile"
-    );
+    let pair = Block::Pair {
+        pivot: r1,
+        triangular: true,
+    };
+    factor(r2, pair, t, ws);
+}
+
+/// The one factorization routine: QR of the reflector block `block` whose
+/// vectors are generated into `v`, panel by panel.
+fn factor<T: Scalar<Real = f64>>(
+    v: &mut Matrix<T>,
+    mut block: Block<'_, T>,
+    t: &mut Matrix<T>,
+    ws: &mut Workspace<T>,
+) {
+    let nb = v.rows();
+    assert_eq!(v.cols(), nb, "the factored tile must be square");
+    if let Block::Pair { pivot, .. } = &block {
+        assert_eq!(pivot.shape(), (nb, nb), "the pivot tile must match");
+    }
     ws.require(nb);
     let ib = ws.ib_for(nb);
     assert!(t.rows() >= ib && t.cols() >= nb, "T factor too small");
@@ -284,153 +131,79 @@ pub fn ttqrt_ws<T: Scalar<Real = f64>>(
         tail,
         wcol,
         panel,
-        tri,
         ..
     } = ws;
-    let tri = &mut tri[..packed_len(nb)];
-    pack_upper_triangle(r2, tri);
 
-    let mut j0 = 0;
-    while j0 < nb {
+    for j0 in (0..nb).step_by(ib) {
         let w = ib.min(nb - j0);
         let j1 = j0 + w;
-        // --- factor the panel columns (all accesses packed-contiguous) ---
+        // --- generate the panel's reflectors, applying each to the rest of
+        // the panel ---
         for jj in 0..w {
             let j = j0 + jj;
-            // Only the upper triangle of r2 is referenced: rows 0..=j of
-            // column j, which is exactly the packed column.
-            let len = j + 1;
-            tail[..len].copy_from_slice(packed_col(tri, j));
-            let refl = larfg(r1.get(j, j), &mut tail[..len]);
+            let (alpha, x) = block.column(v, j, j);
+            let tail = &mut tail[..x.len()];
+            tail.copy_from_slice(x);
+            let refl = larfg(*alpha, tail);
             tau[jj] = refl.tau;
-            r1.set(j, j, refl.beta);
-            packed_col_mut(tri, j).copy_from_slice(&tail[..len]);
-
+            *alpha = refl.beta;
+            x.copy_from_slice(tail);
             if refl.tau.is_zero() {
                 continue;
             }
             let tau_c = refl.tau.conj();
             for k in (j + 1)..j1 {
-                let wv = r1.get(j, k) + dot_conj(&tail[..len], &packed_col(tri, k)[..len]);
+                let (pivot, c) = block.column(v, j, k);
+                let wv = *pivot + dot_conj(tail, c);
                 let s = tau_c * wv;
-                r1.set(j, k, r1.get(j, k) - s);
-                for (ci, &vi) in packed_col_mut(tri, k)[..len].iter_mut().zip(&tail[..len]) {
+                *pivot -= s;
+                for (ci, &vi) in c.iter_mut().zip(tail.iter()) {
                     *ci -= vi * s;
                 }
             }
         }
-        // --- panel T factor from the packed trapezoid ---
-        build_t_panel_tt(tri, j0, w, &tau[..w], t, wcol);
-        // --- trailing update of [R1; R2] columns j1..nb ---
+        // --- the panel's T factor ---
+        panel_t(&block, v, j0, &tau[..w], t, wcol);
+        // --- trailing update of columns j1..nb ---
         if j1 < nb {
-            // V2 (packed columns j0..j1) is read while the packed trailing
-            // columns are updated: split the packed buffer between them.
-            // Every trailing column holds at least the j1 rows the panel
-            // spans; the panel's own columns end at their diagonal.
-            let base = packed_off(j1);
-            let (vpart, cpart) = tri.split_at_mut(base);
-            apply_panel(
-                |i| packed_col(vpart, j0 + i),
-                j1,
-                Some(PivotRows {
-                    c1: r1.as_mut_slice(),
-                    start: j1 * nb + j0,
-                    ld: nb,
-                }),
-                t,
-                j0,
-                w,
-                true,
-                cpart,
-                |j| packed_off(j1 + j) - base,
-                nb - j1,
-                panel,
-            );
+            // The panel's vectors live in columns j0..j1, the targets in
+            // j1..nb: split the storage so both can be accessed at once.
+            let (left, right) = v.as_mut_slice().split_at_mut(j1 * nb);
+            block.apply_panel(left, nb, t, j0, w, true, right, j1, nb - j1, panel);
         }
-        j0 = j1;
     }
-
-    unpack_upper_triangle(tri, r2);
 }
 
-/// Builds the panel `T` factor for TSQRT reflectors `[e_j; v2_j]`: the
-/// identity top parts contribute nothing to the inner products, so `T_s`
-/// only depends on the dense bottom block `V2` (columns `j0 .. j0+w` of
-/// `a2`). Written `ib`-blocked into rows `0..w` of those columns of `t`.
-fn build_t_panel_ts<T: Scalar<Real = f64>>(
-    v2: &Matrix<T>,
+/// The panel's upper triangular compact-WY factor, written `ib`-blocked to
+/// rows `0..w` of columns `j0 .. j0+w` of `t` (LAPACK `larft`):
+/// `T_s(jj, jj) = τ_jj`, `T_s(0..jj, jj) = −τ_jj · T_s(0..jj, 0..jj) · w`
+/// with `w(ii) = v_iiᴴ·v_jj`. `wcol` is scratch of at least `w` entries.
+fn panel_t<T: Scalar<Real = f64>>(
+    block: &Block<'_, T>,
+    v: &Matrix<T>,
     j0: usize,
-    w: usize,
     taus: &[T],
     t: &mut Matrix<T>,
     wcol: &mut [T],
 ) {
-    let nb = v2.rows();
-    assert!(wcol.len() >= w, "scratch column too short");
-    for jj in 0..w {
+    let w = taus.len();
+    for (jj, &tau) in taus.iter().enumerate() {
         let j = j0 + jj;
-        for i in jj..w {
-            t.set(i, j, T::ZERO);
-        }
-        if taus[jj].is_zero() {
-            for i in 0..jj {
-                t.set(i, j, T::ZERO);
-            }
+        t.col_mut(j)[..w].fill(T::ZERO);
+        if tau.is_zero() {
             continue;
         }
-        let vj = v2.col(j);
-        // w = V2(:, j0..j0+jj)ᴴ · v2_j
-        for (ii, wa) in wcol.iter_mut().enumerate().take(jj) {
-            *wa = dot_conj(&v2.col(j0 + ii)[..nb], &vj[..nb]);
+        for (ii, wi) in wcol[..jj].iter_mut().enumerate() {
+            *wi = block.vdot(v, j0 + ii, j);
         }
         for i in 0..jj {
             let mut acc = T::ZERO;
             for (idx, &wa) in wcol[..jj].iter().enumerate().skip(i) {
                 acc += t.get(i, j0 + idx) * wa;
             }
-            t.set(i, j, -taus[jj] * acc);
+            t.set(i, j, -tau * acc);
         }
-        t.set(jj, j, taus[jj]);
-    }
-}
-
-/// Builds the panel `T` factor for TTQRT reflectors from the packed upper
-/// trapezoid: column `j0+ii` has `j0+ii+1` packed entries, which is exactly
-/// the inner-product range the triangle restricts to.
-fn build_t_panel_tt<T: Scalar<Real = f64>>(
-    tri: &[T],
-    j0: usize,
-    w: usize,
-    taus: &[T],
-    t: &mut Matrix<T>,
-    wcol: &mut [T],
-) {
-    assert!(wcol.len() >= w, "scratch column too short");
-    for jj in 0..w {
-        let j = j0 + jj;
-        for i in jj..w {
-            t.set(i, j, T::ZERO);
-        }
-        if taus[jj].is_zero() {
-            for i in 0..jj {
-                t.set(i, j, T::ZERO);
-            }
-            continue;
-        }
-        let vj = packed_col(tri, j);
-        for (ii, wa) in wcol.iter_mut().enumerate().take(jj) {
-            let va = packed_col(tri, j0 + ii);
-            let lim = va.len();
-            *wa = dot_conj(va, &vj[..lim]);
-        }
-        for i in 0..jj {
-            let mut acc = T::ZERO;
-            for (idx, &wa) in wcol[..jj].iter().enumerate().skip(i) {
-                acc += t.get(i, j0 + idx) * wa;
-            }
-            t.set(i, j, -taus[jj] * acc);
-        }
-        t.set(jj, j, taus[jj]);
+        t.set(jj, j, tau);
     }
 }
 
@@ -441,11 +214,12 @@ mod tests {
     use tileqr_matrix::norms::{factorization_residual, frobenius_norm, orthogonality_residual};
     use tileqr_matrix::Complex64;
 
+    use crate::householder::apply_reflector_left;
     use crate::reference::{householder_qr, DenseQr};
 
     const TOL: f64 = 1e-12;
 
-    /// Reconstructs the 2nb × nb matrix factored by tsqrt/ttqrt from its
+    /// Reconstructs the 2nb × nb matrix factored by TSQRT/TTQRT from its
     /// compact representation, by applying Q = I − V·T·Vᴴ to [R; 0].
     fn reconstruct_stacked<T: Scalar<Real = f64>>(
         r1: &Matrix<T>,
@@ -468,16 +242,10 @@ mod tests {
         rz.sub(&v.matmul(&tw))
     }
 
-    fn check_geqrt<T: Scalar<Real = f64>>(a0: Matrix<T>) {
-        let nb = a0.rows();
-        let mut a = a0.clone();
-        let mut t = Matrix::zeros(nb, nb);
-        geqrt(&mut a, &mut t);
-        // R = upper triangle of a
-        let mut r = a.clone();
-        r.zero_below_diagonal();
-        // V = unit lower
-        let v = Matrix::from_fn(nb, nb, |i, j| {
+    /// The explicit unit-lower `V` of a GEQRT-factored tile.
+    fn unit_lower<T: Scalar<Real = f64>>(a: &Matrix<T>) -> Matrix<T> {
+        let nb = a.rows();
+        Matrix::from_fn(nb, nb, |i, j| {
             if i == j {
                 T::ONE
             } else if i > j {
@@ -485,8 +253,19 @@ mod tests {
             } else {
                 T::ZERO
             }
-        });
+        })
+    }
+
+    fn check_geqrt<T: Scalar<Real = f64>>(a0: Matrix<T>) {
+        let nb = a0.rows();
+        let mut a = a0.clone();
+        let mut t = Matrix::zeros(nb, nb);
+        geqrt_ws(&mut a, &mut t, &mut Workspace::new(nb));
+        // R = upper triangle of a
+        let mut r = a.clone();
+        r.zero_below_diagonal();
         // Q = I − V·T·Vᴴ ; A must equal Q·R
+        let v = unit_lower(&a);
         let q = Matrix::<T>::identity(nb).sub(&v.matmul(&t.matmul(&v.conj_transpose())));
         assert!(
             factorization_residual(&a0, &q, &r) < TOL,
@@ -518,7 +297,7 @@ mod tests {
         let a: Matrix<f64> = random_matrix(12, 12, 21);
         let mut tile = a.clone();
         let mut t = Matrix::zeros(12, 12);
-        geqrt(&mut tile, &mut t);
+        geqrt_ws(&mut tile, &mut t, &mut Workspace::new(12));
         let DenseQr { r, .. } = householder_qr(&a);
         let mut r_tile = tile.clone();
         r_tile.zero_below_diagonal();
@@ -532,6 +311,33 @@ mod tests {
         check_geqrt(r0);
     }
 
+    #[test]
+    fn panel_t_factors_replay_the_sequential_reflectors() {
+        // At every inner blocking the ib-blocked T factors must reproduce
+        // the reflectors one at a time: Qᴴ·C through UNMQR equals
+        // H_{nb-1}ᴴ⋯H_0ᴴ·C, with τ_j read off the diagonal of its panel's T.
+        let nb = 9;
+        for ib in [1usize, 3, 4, nb] {
+            let mut ws: Workspace<Complex64> = Workspace::with_inner_block(nb, ib);
+            let mut a: Matrix<Complex64> = random_matrix(nb, nb, 70 + ib as u64);
+            let mut t = Matrix::zeros(ib, nb);
+            geqrt_ws(&mut a, &mut t, &mut ws);
+            let c0: Matrix<Complex64> = random_matrix(nb, 5, 71);
+            let mut sequential = c0.clone();
+            for j in 0..nb {
+                let tail: Vec<Complex64> = a.col(j)[j + 1..].to_vec();
+                apply_reflector_left(&mut sequential, j, &tail, t.get(j % ib, j), 0);
+            }
+            let mut blocked = c0.clone();
+            crate::apply::unmqr_ws(&a, &t, &mut blocked, crate::Trans::ConjTrans, &mut ws);
+            let diff = frobenius_norm(&blocked.sub(&sequential));
+            assert!(
+                diff < TOL,
+                "ib={ib}: blocked and sequential differ by {diff}"
+            );
+        }
+    }
+
     fn check_tsqrt<T: tileqr_matrix::generate::RandomScalar>(nb: usize, seed: u64) {
         // Start from an upper-triangular pivot tile and a full tile below.
         let r1_0: Matrix<T> = {
@@ -543,7 +349,7 @@ mod tests {
         let mut r1 = r1_0.clone();
         let mut a2 = a2_0.clone();
         let mut t = Matrix::zeros(nb, nb);
-        tsqrt(&mut r1, &mut a2, &mut t);
+        tsqrt_ws(&mut r1, &mut a2, &mut t, &mut Workspace::new(nb));
 
         // Original stacked matrix
         let mut stacked = Matrix::zeros(2 * nb, nb);
@@ -580,7 +386,7 @@ mod tests {
         let mut r1 = r1_0.clone();
         let mut r2 = r2_0.clone();
         let mut t = Matrix::zeros(nb, nb);
-        ttqrt(&mut r1, &mut r2, &mut t);
+        ttqrt_ws(&mut r1, &mut r2, &mut t, &mut Workspace::new(nb));
 
         let mut stacked = Matrix::zeros(2 * nb, nb);
         stacked.copy_block(0, 0, &r1_0, 0, 0, nb, nb);
@@ -615,7 +421,7 @@ mod tests {
         let mut r1 = r1_0.clone();
         let mut r2 = Matrix::<f64>::zeros(nb, nb);
         let mut t = Matrix::zeros(nb, nb);
-        ttqrt(&mut r1, &mut r2, &mut t);
+        ttqrt_ws(&mut r1, &mut r2, &mut t, &mut Workspace::new(nb));
         // Nothing to annihilate if the diagonal of r1 is already "real
         // positive or negative": the reflectors may still flip signs, but the
         // reconstruction must hold and r2 must stay zero-ish in norm.
@@ -625,27 +431,5 @@ mod tests {
         stacked.copy_block(0, 0, &r1_0, 0, 0, nb, nb);
         let rec = reconstruct_stacked(&r_new, &r2, &t);
         assert!(frobenius_norm(&rec.sub(&stacked)) < TOL);
-    }
-
-    #[test]
-    fn ttqrt_preserves_the_strictly_lower_half_of_r2() {
-        // In a real factorization the lower half of the annihilated tile
-        // still holds the Householder vectors of the earlier GEQRT; the
-        // packed path must never read or write them.
-        let nb = 8;
-        let mut r1: Matrix<f64> = random_upper_triangular(nb, 70);
-        let mut r2: Matrix<f64> = random_matrix(nb, nb, 71); // lower half = "GEQRT vectors"
-        let below = r2.clone();
-        let mut t = Matrix::zeros(nb, nb);
-        ttqrt(&mut r1, &mut r2, &mut t);
-        for j in 0..nb {
-            for i in (j + 1)..nb {
-                assert_eq!(
-                    r2.get(i, j),
-                    below.get(i, j),
-                    "TTQRT touched the strictly lower half at ({i},{j})"
-                );
-            }
-        }
     }
 }

@@ -1,11 +1,11 @@
-//! Elementary Householder reflectors and the triangular `T` factor of the
-//! compact WY representation.
+//! Elementary Householder reflectors.
 //!
-//! Conventions follow LAPACK (`zlarfg` / `zlarft`): a reflector
-//! `H = I − τ·v·vᴴ` with `v[0] = 1` is generated such that `Hᴴ·x = β·e₁`
-//! with `β` real. A product of `k` reflectors is accumulated as
-//! `Q = H₁·H₂⋯H_k = I − V·T·Vᴴ` where `T` is `k × k` upper triangular.
-//! Factorization applies `Qᴴ`, i.e. `C ← C − V·Tᴴ·(Vᴴ·C)`.
+//! Conventions follow LAPACK (`zlarfg`): a reflector `H = I − τ·v·vᴴ` with
+//! `v[0] = 1` is generated such that `Hᴴ·x = β·e₁` with `β` real. The tile
+//! kernels accumulate a panel of `k` reflectors as
+//! `Q = H₁·H₂⋯H_k = I − V·T·Vᴴ`, `T` being `k × k` upper triangular (built
+//! in [`crate::factor`]); factorization applies `Qᴴ`, i.e.
+//! `C ← C − V·Tᴴ·(Vᴴ·C)`.
 
 use tileqr_matrix::{Matrix, Scalar};
 
@@ -51,124 +51,6 @@ pub fn larfg<T: Scalar<Real = f64>>(alpha: T, x: &mut [T]) -> Reflector<T> {
     Reflector { beta: beta_t, tau }
 }
 
-/// Builds the upper triangular factor `T` of the compact WY representation
-/// from the Householder vectors `V` (stored as full columns, including the
-/// unit leading entries and the zeros above them) and their scalars `tau`.
-///
-/// `v` is `m × k`, `tau` has length `k`, and the result is written into the
-/// leading `k × k` block of `t` (which must be at least `k × k`); entries
-/// below the diagonal of that block are set to zero.
-pub fn larft<T: Scalar<Real = f64>>(v: &Matrix<T>, tau: &[T], t: &mut Matrix<T>) {
-    let k = tau.len();
-    assert!(v.cols() >= k, "V has fewer columns than reflectors");
-    assert!(t.rows() >= k && t.cols() >= k, "T factor too small");
-    for j in 0..k {
-        for i in 0..k {
-            if i >= j {
-                t.set(i, j, T::ZERO);
-            }
-        }
-        if tau[j].is_zero() {
-            for i in 0..j {
-                t.set(i, j, T::ZERO);
-            }
-            continue;
-        }
-        // w = Vᴴ(:, 0..j) · v_j, then T(0..j, j) = −τ_j · T(0..j,0..j) · w
-        let m = v.rows();
-        let vj = v.col(j);
-        let mut w = vec![T::ZERO; j];
-        for (a, wa) in w.iter_mut().enumerate() {
-            let va = v.col(a);
-            let mut acc = T::ZERO;
-            for r in 0..m {
-                acc += va[r].conj() * vj[r];
-            }
-            *wa = acc;
-        }
-        // T(0..j, j) = −τ_j · (upper triangular T_{0..j,0..j}) · w
-        for i in 0..j {
-            let mut acc = T::ZERO;
-            for (a, &wa) in w.iter().enumerate().skip(i) {
-                acc += t.get(i, a) * wa;
-            }
-            t.set(i, j, -tau[j] * acc);
-        }
-        t.set(j, j, tau[j]);
-    }
-}
-
-/// Builds the compact-WY `T` factor directly from a GEQRT-factored tile.
-///
-/// The Householder vectors live in the strictly lower part of `a` with an
-/// implicit unit diagonal (the upper triangle holds `R` and is ignored), so
-/// unlike [`larft`] no explicit `V` matrix needs to be materialized. `wcol`
-/// is caller-provided scratch of length ≥ `tau.len()` (one column of inner
-/// products); the routine performs no allocation.
-pub fn larft_from_tile<T: Scalar<Real = f64>>(
-    a: &Matrix<T>,
-    tau: &[T],
-    t: &mut Matrix<T>,
-    wcol: &mut [T],
-) {
-    larft_panel_from_tile(a, 0, tau.len(), tau, t, wcol);
-}
-
-/// Builds the `w × w` compact-WY `T` factor of one reflector *panel* of a
-/// GEQRT-factored tile, stored `ib`-blocked.
-///
-/// The panel covers tile columns `j0 .. j0+w`; reflector `j0+jj` lives in
-/// the strictly lower part of column `j0+jj` of `a` with an implicit unit
-/// diagonal at row `j0+jj`. Its triangular factor is written to rows `0..w`
-/// of columns `j0 .. j0+w` of `t` — the PLASMA `ib × nb` T-factor layout,
-/// which coincides with the historical full-tile layout when the panel is
-/// the whole tile (`j0 = 0`, `w = nb`, making [`larft_from_tile`] a special
-/// case). `tau` holds the `w` panel-local scalars; `wcol` is caller-provided
-/// scratch of length ≥ `w`; the routine performs no allocation.
-pub fn larft_panel_from_tile<T: Scalar<Real = f64>>(
-    a: &Matrix<T>,
-    j0: usize,
-    w: usize,
-    tau: &[T],
-    t: &mut Matrix<T>,
-    wcol: &mut [T],
-) {
-    let nb = a.rows();
-    assert!(j0 + w <= a.cols(), "panel exceeds the tile");
-    assert!(tau.len() >= w, "fewer scalars than reflectors");
-    assert!(t.rows() >= w && t.cols() >= j0 + w, "T factor too small");
-    assert!(wcol.len() >= w, "scratch column too short");
-    for jj in 0..w {
-        let j = j0 + jj;
-        for i in jj..w {
-            t.set(i, j, T::ZERO);
-        }
-        if tau[jj].is_zero() {
-            for i in 0..jj {
-                t.set(i, j, T::ZERO);
-            }
-            continue;
-        }
-        // w[ii] = v_{j0+ii}ᴴ · v_j for ii < jj: rows < j contribute nothing
-        // (v_j is zero there except its unit at row j, where v_{j0+ii} holds
-        // a[j, j0+ii]).
-        let vj_tail = &a.col(j)[j + 1..nb];
-        for (ii, wi) in wcol.iter_mut().enumerate().take(jj) {
-            let vi = a.col(j0 + ii);
-            *wi = vi[j].conj() + crate::blas::dot_conj(&vi[j + 1..nb], vj_tail);
-        }
-        // T_s(0..jj, jj) = −τ_jj · T_s(0..jj, 0..jj) · w
-        for i in 0..jj {
-            let mut acc = T::ZERO;
-            for (idx, &wa) in wcol[..jj].iter().enumerate().skip(i) {
-                acc += t.get(i, j0 + idx) * wa;
-            }
-            t.set(i, j, -tau[jj] * acc);
-        }
-        t.set(jj, j, tau[jj]);
-    }
-}
-
 /// Applies a single reflector `Hᴴ = (I − τ·v·vᴴ)ᴴ` to a dense matrix from the
 /// left, where `v = [1, tail...]` acts on rows `offset..offset+1+tail.len()`
 /// of `a`, restricted to columns `col_start..`.
@@ -206,7 +88,7 @@ pub fn apply_reflector_left<T: Scalar<Real = f64>>(
 mod tests {
     use super::*;
     use tileqr_matrix::generate::{random_matrix, random_vector};
-    use tileqr_matrix::norms::{frobenius_norm, vector_norm2};
+    use tileqr_matrix::norms::vector_norm2;
     use tileqr_matrix::Complex64;
 
     /// Checks that Hᴴ x = β e₁ for the generated reflector.
@@ -284,56 +166,6 @@ mod tests {
         assert!(!Scalar::is_zero(r.tau));
         assert!((Scalar::abs(r.beta) - 2.0).abs() < 1e-14);
         assert!(r.beta.im.abs() < 1e-14);
-    }
-
-    #[test]
-    fn larft_builds_a_valid_block_reflector() {
-        // Factor a random matrix column by column with larfg, build T with
-        // larft, and verify that I − V·Tᴴ·Vᴴ equals the product of the
-        // individual Hᴴ's by applying both to a random matrix.
-        let m = 8;
-        let k = 4;
-        let mut a: Matrix<Complex64> = random_matrix(m, k, 3);
-        let mut v = Matrix::<Complex64>::zeros(m, k);
-        let mut taus = Vec::with_capacity(k);
-        let c0: Matrix<Complex64> = random_matrix(m, 5, 4);
-        let mut c_seq = c0.clone();
-        for j in 0..k {
-            // extract column j below the diagonal
-            let mut tail: Vec<Complex64> = (j + 1..m).map(|i| a.get(i, j)).collect();
-            let alpha = a.get(j, j);
-            let refl = larfg(alpha, &mut tail);
-            // store the full v_j (zeros above j, 1 at j, tail below)
-            v.set(j, j, Complex64::ONE);
-            for (r, &t) in tail.iter().enumerate() {
-                v.set(j + 1 + r, j, t);
-            }
-            taus.push(refl.tau);
-            // apply Hᴴ to the trailing part of `a` so subsequent columns are correct
-            apply_reflector_left(&mut a, j, &tail, refl.tau, j);
-            a.set(j, j, refl.beta);
-            for i in j + 1..m {
-                a.set(i, j, Complex64::ZERO);
-            }
-            // and to the independent test matrix
-            apply_reflector_left(&mut c_seq, j, &tail, refl.tau, 0);
-        }
-        let mut t = Matrix::<Complex64>::zeros(k, k);
-        larft(&v, &taus, &mut t);
-
-        // blocked application: C ← C − V·Tᴴ·(Vᴴ·C)
-        let mut c_blk = c0.clone();
-        let w = v.conj_transpose().matmul(&c_blk);
-        let thw = t.conj_transpose().matmul(&w);
-        c_blk = c_blk.sub(&v.matmul(&thw));
-
-        let diff = frobenius_norm(&c_blk.sub(&c_seq));
-        assert!(
-            diff < 1e-12,
-            "blocked and sequential applications differ by {diff}"
-        );
-        // T is upper triangular
-        assert!(t.is_upper_triangular());
     }
 
     #[test]

@@ -7,12 +7,18 @@
 //!
 //! | Kernel | Operation | Paper weight (`nb³/3` flops) |
 //! |---|---|---|
-//! | [`geqrt`]  | factor a square tile into a triangle | 4 |
-//! | [`tsqrt`]  | zero a square tile using the triangle on top of it | 6 |
-//! | [`ttqrt`]  | zero a *triangular* tile using the triangle on top of it | 2 |
-//! | [`unmqr`]  | apply a [`geqrt`] reflector block to a trailing tile | 6 |
-//! | [`tsmqr`]  | apply a [`tsqrt`] reflector block to a trailing tile pair | 12 |
-//! | [`ttmqr`]  | apply a [`ttqrt`] reflector block to a trailing tile pair | 6 |
+//! | [`geqrt_ws`]  | factor a square tile into a triangle | 4 |
+//! | [`tsqrt_ws`]  | zero a square tile using the triangle on top of it | 6 |
+//! | [`ttqrt_ws`]  | zero a *triangular* tile using the triangle on top of it | 2 |
+//! | [`unmqr_ws`]  | apply a GEQRT reflector block to a trailing tile | 6 |
+//! | [`tsmqr_ws`]  | apply a TSQRT reflector block to a trailing tile pair | 12 |
+//! | [`ttmqr_ws`]  | apply a TTQRT reflector block to a trailing tile pair | 6 |
+//!
+//! The six are two routines — one factorization, one update — over one
+//! description of a reflector block: a GEQRT *tile* (a unit-lower `V` under
+//! `R`) or a TS/TT *pair* (`[I; V2]`, the identity acting on a pivot tile).
+//! TS and TT differ only in how far a column of `V2` is stored: to row `nb`,
+//! or to its diagonal.
 //!
 //! All kernels are generic over the [`Scalar`](tileqr_matrix::Scalar) type,
 //! so the same code serves the paper's *double* (`f64`) and *double complex*
@@ -25,9 +31,9 @@
 //! of the instruction set the process runs on:
 //!
 //! 1. **Tile level (`nb`)** — the unit the runtime's task DAG schedules.
-//!    Owned by the kernel entry points in [`factor`] (GEQRT / TSQRT / TTQRT)
-//!    and [`apply`] (UNMQR / TSMQR / TTMQR): they walk a tile (pair) and
-//!    decide *what* is computed.
+//!    Owned by the factorization routine in [`factor`] (GEQRT / TSQRT /
+//!    TTQRT) and the update routine in [`apply`] (UNMQR / TSMQR / TTMQR):
+//!    they walk a tile (pair), in place, and decide *what* is computed.
 //! 2. **Inner panel level (`ib`)** — each `nb × nb` tile is factored and
 //!    applied in panels of `ib` columns (the [`Workspace`] carries `ib`).
 //!    Reflectors are generated column by column *inside* a panel; everything
@@ -40,11 +46,11 @@
 //!    ```
 //!
 //!    The panel `T` factors are stored `ib`-blocked (rows `0..w` of the
-//!    panel's columns — PLASMA's `ib × nb` T layout). What distinguishes the
-//!    kernel families is the *structure* of `V_s` (unit-lower trapezoid for
-//!    GEQRT/UNMQR, identity over a dense block for TS, identity over an
-//!    upper trapezoid for TT) and of the upper-triangular `T_s`, and that
-//!    structure exists only while the operands are packed: implied zeros
+//!    panel's columns — PLASMA's `ib × nb` T layout). The *structure* of
+//!    `V_s` the reflector description names (a unit-lower trapezoid for a
+//!    tile; an identity over a dense block or over an upper trapezoid for a
+//!    pair) and of the upper-triangular `T_s` exists only while the
+//!    operands are packed: implied zeros
 //!    and the unit diagonal are written into the pack buffer, never looked
 //!    up by a structured loop. [`blas`] keeps only the Level-2 pieces of
 //!    the in-panel sweep and the pivot-row window of the TS/TT identity
@@ -75,29 +81,16 @@
 //! of a structured operand are multiplied, not skipped), which every
 //! execution path of the runtime shares.
 //!
-//! [`ttqrt_ws`] additionally keeps the triangular tile it annihilates in
-//! the packed column-major layout of [`tileqr_matrix::packed`] for the
-//! duration of the kernel: only the triangle is packed/unpacked (the
-//! strictly-lower Householder vectors of an earlier GEQRT are never
-//! touched) and the elimination loops run on contiguous columns.
-//! [`ttmqr_ws`] reads its `V2` in place, column by column down to the
-//! diagonal.
-//!
 //! # Workspaces and the zero-allocation hot path
 //!
-//! Each kernel comes in two flavours:
-//!
-//! * an allocating entry point with the historical signature
-//!   ([`geqrt`], [`tsqrt`], [`ttqrt`], [`unmqr`], [`tsmqr`], [`ttmqr`]) that
-//!   builds a fresh [`Workspace`] per call — convenient
-//!   for tests and one-off use, source-compatible with earlier releases;
-//! * a `*_ws` variant ([`factor::geqrt_ws`], [`apply::tsmqr_ws`], …) taking a
-//!   caller-provided [`Workspace`] and performing
-//!   **zero heap allocations**: both staging panels, the micro-BLAS pack
-//!   buffers and the packed triangular scratch are all preallocated for the
-//!   worst case at workspace construction. The runtime (`tileqr-runtime`)
-//!   gives every worker thread its own workspace, so none of the `O(p·q²)`
-//!   tasks of a factorization touches the allocator.
+//! Every kernel takes a caller-provided [`Workspace`] and performs **zero
+//! heap allocations**: the Householder scalars, the reflector tail, both
+//! staging panels and the micro-BLAS pack buffers are preallocated for the
+//! worst case at workspace construction, and the kernels need no other
+//! scratch — a triangular tile is factored where it lies, never copied. The
+//! runtime (`tileqr-runtime`) gives every worker thread its own workspace,
+//! so none of the `O(p·q²)` tasks of a factorization touches the allocator;
+//! one-off callers build a [`Workspace::new`]`(nb)` for the call.
 //!
 //! The crate also provides a reference unblocked Householder QR on dense
 //! matrices ([`mod@reference`]) used to validate the tiled factorizations, and
@@ -116,6 +109,6 @@ mod reflector;
 pub mod simd;
 pub mod workspace;
 
-pub use apply::{tsmqr, tsmqr_ws, ttmqr, ttmqr_ws, unmqr, unmqr_ws, Trans};
-pub use factor::{geqrt, geqrt_ws, tsqrt, tsqrt_ws, ttqrt, ttqrt_ws};
+pub use apply::{tsmqr_ws, ttmqr_ws, unmqr_ws, Trans};
+pub use factor::{geqrt_ws, tsqrt_ws, ttqrt_ws};
 pub use workspace::Workspace;

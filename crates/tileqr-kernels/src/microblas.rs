@@ -36,9 +36,9 @@
 //! Operands are supplied as *column accessor closures* (`Fn(usize) -> &[T]`)
 //! rather than matrix references: the same code path then serves dense tiles,
 //! column windows obtained from `split_at_mut`, staging panels with a foreign
-//! leading dimension, and the packed triangular columns of TTQRT. The
-//! destination is a raw column-major buffer plus a column-offset map, so a
-//! packed triangle can be updated in place as well.
+//! leading dimension, and the columns of a triangular tile cut at their
+//! diagonal. The destination is a raw column-major buffer plus a
+//! column-offset map, so a window of a tile can be updated in place.
 //!
 //! The pack buffers are caller-provided (the kernels use the preallocated
 //! [`crate::workspace::Workspace`] arena), so none of this allocates.

@@ -9,10 +9,11 @@
 //! W += VᴴC,   W₂ := op(T)·W,   C −= V·W₂,
 //! ```
 //!
-//! (a product cannot overwrite its own operand, hence two), the pack buffers
-//! of the register-tiled micro-BLAS backend ([`crate::microblas`], sized for
-//! the register block of every SIMD level, so forcing another level never
-//! outgrows them), and the packed-triangular scratch of TTQRT.
+//! (a product cannot overwrite its own operand, hence two), and the pack
+//! buffers of the register-tiled micro-BLAS backend ([`crate::microblas`],
+//! sized for the register block of every SIMD level, so forcing another
+//! level never outgrows them). The kernels work on the tiles in place, so
+//! nothing else is needed — no copy of a tile, triangular or not.
 //!
 //! The original (seed) kernels allocated all of this on every call, i.e. on
 //! every one of the `O(p·q²)` tasks of a factorization. A [`Workspace`] is
@@ -34,11 +35,8 @@
 //!
 //! Sizing: a workspace built for tile order `nb` serves every kernel on
 //! tiles of order ≤ `nb`; the effective panel width for a smaller tile is
-//! `min(ib, tile order)`. The allocating wrappers ([`crate::geqrt`] & co.)
-//! build a fresh `ib = nb` workspace per call, which keeps the original
-//! public API source-compatible.
+//! `min(ib, tile order)`.
 
-use tileqr_matrix::packed::packed_len;
 use tileqr_matrix::Scalar;
 
 use crate::reflector::PanelScratch;
@@ -58,9 +56,6 @@ pub struct Workspace<T: Scalar> {
     /// Staging panels `W`, `W₂` and micro-BLAS pack buffers of the
     /// block-reflector application.
     pub(crate) panel: PanelScratch<T>,
-    /// Packed upper-triangular scratch of TTQRT
-    /// ([`tileqr_matrix::packed::packed_len`]).
-    pub(crate) tri: Vec<T>,
 }
 
 impl<T: Scalar> Workspace<T> {
@@ -82,7 +77,6 @@ impl<T: Scalar> Workspace<T> {
             tail: vec![T::ZERO; nb],
             wcol: vec![T::ZERO; nb],
             panel: PanelScratch::new(nb),
-            tri: vec![T::ZERO; packed_len(nb)],
         }
     }
 
@@ -124,10 +118,9 @@ impl<T: Scalar> Workspace<T> {
     }
 
     /// Asserts (in debug and release) that the workspace can serve tiles of
-    /// order `nb`, including both staging panels, the micro-BLAS pack
-    /// buffers and the packed triangular scratch — the
-    /// zero-per-task-allocation guarantee relies on every buffer being
-    /// preallocated for the worst case.
+    /// order `nb`, including both staging panels and the micro-BLAS pack
+    /// buffers — the zero-per-task-allocation guarantee relies on every
+    /// buffer being preallocated for the worst case.
     #[inline]
     pub(crate) fn require(&self, nb: usize) {
         assert!(
@@ -137,7 +130,7 @@ impl<T: Scalar> Workspace<T> {
             nb
         );
         assert!(
-            self.panel.serves(nb) && self.tri.len() >= packed_len(nb),
+            self.panel.serves(nb),
             "workspace panel scratch is not preallocated for nb={nb}"
         );
     }
@@ -164,8 +157,8 @@ mod tests {
     fn pack_buffers_are_preallocated_for_any_inner_block() {
         // The zero-per-task-allocation guarantee: every buffer the kernels
         // touch — both staging panels, the micro-BLAS pack buffers at every
-        // SIMD level's block shape, the packed triangle — is sized for the
-        // worst case at construction, for every ib ≤ nb.
+        // SIMD level's block shape — is sized for the worst case at
+        // construction, for every ib ≤ nb.
         for ib in [1usize, 3, 8, 16] {
             let ws: Workspace<f64> = Workspace::with_inner_block(16, ib);
             assert_eq!(ws.ib(), ib);
@@ -173,7 +166,6 @@ mod tests {
             assert_eq!(ws.panel.w2.shape(), (16, 16));
             assert!(ws.panel.apack.len() >= apack_len::<f64>(16, 16));
             assert!(ws.panel.bpack.len() >= bpack_len::<f64>(16, 16));
-            assert!(ws.tri.len() >= packed_len(16));
             ws.require(16); // must not panic: buffers cover the full tile
         }
     }
@@ -221,7 +213,6 @@ mod tests {
                 ws.panel.w2.as_slice().len(),
                 ws.panel.apack.capacity(),
                 ws.panel.bpack.capacity(),
-                ws.tri.capacity(),
             ]
         };
         let cap = caps(&ws);

@@ -4,7 +4,9 @@
 //! the very transformation its factorization kernel computed.
 
 use tileqr_kernels::reference::householder_qr;
-use tileqr_kernels::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, Trans};
+use tileqr_kernels::{
+    geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace,
+};
 use tileqr_matrix::generate::random_matrix;
 use tileqr_matrix::norms::{frobenius_norm, orthogonality_residual};
 use tileqr_matrix::{Complex64, Matrix, Scalar};
@@ -48,7 +50,7 @@ fn geqrt_is_a_qr_factorization() {
         let a0: Matrix<f64> = random_matrix(nb, nb, seed);
         let mut a = a0.clone();
         let mut t = Matrix::zeros(nb, nb);
-        geqrt(&mut a, &mut t);
+        geqrt_ws(&mut a, &mut t, &mut Workspace::new(nb));
         let mut r = a.clone();
         r.zero_below_diagonal();
         let v = Matrix::from_fn(nb, nb, |i, j| {
@@ -86,7 +88,7 @@ fn tsqrt_and_tsmqr_are_consistent() {
         let mut r_new = r1.clone();
         let mut v2 = a2.clone();
         let mut t = Matrix::zeros(nb, nb);
-        tsqrt(&mut r_new, &mut v2, &mut t);
+        tsqrt_ws(&mut r_new, &mut v2, &mut t, &mut Workspace::new(nb));
         r_new.zero_below_diagonal();
 
         // the block reflector is unitary and reproduces the stacked input
@@ -104,7 +106,14 @@ fn tsqrt_and_tsmqr_are_consistent() {
         let c2: Matrix<Complex64> = random_matrix(nb, nb, seed + 3);
         let mut u1 = c1.clone();
         let mut u2 = c2.clone();
-        tsmqr(&v2, &t, &mut u1, &mut u2, Trans::ConjTrans);
+        tsmqr_ws(
+            &v2,
+            &t,
+            &mut u1,
+            &mut u2,
+            Trans::ConjTrans,
+            &mut Workspace::new(nb),
+        );
         let expected = q.conj_transpose().matmul(&stack(&c1, &c2));
         assert!(
             frobenius_norm(&stack(&u1, &u2).sub(&expected))
@@ -126,7 +135,7 @@ fn ttqrt_and_ttmqr_are_consistent() {
         let mut r_new = r1.clone();
         let mut v2 = r2.clone();
         let mut t = Matrix::zeros(nb, nb);
-        ttqrt(&mut r_new, &mut v2, &mut t);
+        ttqrt_ws(&mut r_new, &mut v2, &mut t, &mut Workspace::new(nb));
         r_new.zero_below_diagonal();
         // the Householder block stays upper triangular — the property that
         // makes the TT kernels cheap
@@ -145,7 +154,14 @@ fn ttqrt_and_ttmqr_are_consistent() {
         let c2: Matrix<f64> = random_matrix(nb, nb, seed + 3);
         let mut u1 = c1.clone();
         let mut u2 = c2.clone();
-        ttmqr(&v2, &t, &mut u1, &mut u2, Trans::ConjTrans);
+        ttmqr_ws(
+            &v2,
+            &t,
+            &mut u1,
+            &mut u2,
+            Trans::ConjTrans,
+            &mut Workspace::new(nb),
+        );
         let expected = q.conj_transpose().matmul(&stack(&c1, &c2));
         assert!(
             frobenius_norm(&stack(&u1, &u2).sub(&expected))
@@ -160,16 +176,17 @@ fn unmqr_roundtrip_and_norm_preservation() {
     for (nb, seed) in cases(24) {
         let mut a: Matrix<Complex64> = random_matrix(nb, nb, seed);
         let mut t = Matrix::zeros(nb, nb);
-        geqrt(&mut a, &mut t);
+        let mut ws = Workspace::new(nb);
+        geqrt_ws(&mut a, &mut t, &mut ws);
         let c0: Matrix<Complex64> = random_matrix(nb, 3.min(nb), seed + 1);
         let mut c = c0.clone();
-        unmqr(&a, &t, &mut c, Trans::ConjTrans);
+        unmqr_ws(&a, &t, &mut c, Trans::ConjTrans, &mut ws);
         // unitary application preserves the Frobenius norm
         assert!(
             (frobenius_norm(&c) - frobenius_norm(&c0)).abs() < TOL * (1.0 + frobenius_norm(&c0)),
             "nb={nb} seed={seed}"
         );
-        unmqr(&a, &t, &mut c, Trans::NoTrans);
+        unmqr_ws(&a, &t, &mut c, Trans::NoTrans, &mut ws);
         assert!(
             frobenius_norm(&c.sub(&c0)) < TOL * (1.0 + frobenius_norm(&c0)),
             "nb={nb} seed={seed}"

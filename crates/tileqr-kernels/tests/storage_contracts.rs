@@ -1,29 +1,34 @@
-//! Storage contracts of the structured tile kernels.
+//! Storage contracts of the tile kernels, which work on their tiles in
+//! place and own only part of them.
 //!
-//! * `pack → unpack` must be the identity on the upper triangle and must
-//!   never touch the strictly lower half (which, in a real factorization,
-//!   still holds the Householder vectors of an earlier GEQRT on the tile).
-//! * The packed TTQRT production kernel must be **bitwise identical** to the
-//!   dense-tile formulation at `ib = nb` (one panel, so no trailing block
-//!   update): the packed layout changes where the triangle lives, not a
-//!   single arithmetic operation of the in-panel sweep. The dense reference
-//!   below is the pre-packing implementation, kept verbatim for comparison.
-//! * **Ignored-storage invariance** of the update kernels. The structure of
+//! * TTQRT at `ib = nb` (one panel, so no trailing block update) must be
+//!   **bitwise identical** to the plain dense-tile formulation below: the
+//!   kernel runs the same sweep and the same `T` recurrence on the same
+//!   entries, in the same order.
+//! * **Ignored-storage invariance of the update kernels.** The structure of
 //!   a reflector block exists only while its operands are packed: the `R`
 //!   triangle sharing a GEQRT tile with `V`, the strictly lower half of a
 //!   TT `V2`, and everything in `T` outside the upper triangle of each
 //!   panel's `w × w` window are storage the block-reflector products must
 //!   never read. Polluting all of it must not change a single output bit.
+//!   The pollution is NaN, so even a read the packer multiplies by an
+//!   implied zero poisons the outputs.
+//! * **Ignored-storage invariance of the factorization kernels.** In a real
+//!   run the strictly lower half of a TSQRT/TTQRT pivot `R1`, and of
+//!   TTQRT's `R2`, holds the Householder vectors of an earlier GEQRT, and
+//!   `T` outside the panel windows is not the kernel's either. Polluting
+//!   that storage must not change a single output bit, and it must come
+//!   back untouched — at `ib < nb` the trailing block update of TTQRT
+//!   writes into `R2`'s triangle directly.
 
 use tileqr_kernels::blas::dot_conj;
 use tileqr_kernels::householder::larfg;
-use tileqr_kernels::{geqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace};
+use tileqr_kernels::{geqrt_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace};
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
-use tileqr_matrix::packed::{pack_upper_triangle, packed_len, unpack_upper_triangle};
-use tileqr_matrix::{Complex64, Matrix, PackedUpperTriangular, Scalar};
+use tileqr_matrix::{Complex64, Matrix, Scalar};
 
-/// Dense-tile TTQRT: the pre-packed-storage formulation, arithmetic order
-/// identical to the production kernel at `ib = nb`.
+/// Dense-tile TTQRT at `ib = nb`: the straightforward formulation on the
+/// triangles, arithmetic order identical to the production kernel.
 fn ttqrt_dense<T: Scalar<Real = f64>>(r1: &mut Matrix<T>, r2: &mut Matrix<T>, t: &mut Matrix<T>) {
     let nb = r1.rows();
     let mut taus = vec![T::ZERO; nb];
@@ -76,58 +81,28 @@ fn ttqrt_dense<T: Scalar<Real = f64>>(r1: &mut Matrix<T>, r2: &mut Matrix<T>, t:
     }
 }
 
-#[test]
-fn pack_unpack_roundtrip_is_identity() {
-    for (n, seed) in [(1usize, 1u64), (2, 2), (5, 3), (16, 4), (33, 5)] {
-        let full: Matrix<Complex64> = random_matrix(n, n, seed);
-        let mut buf = vec![Complex64::ZERO; packed_len(n)];
-        pack_upper_triangle(&full, &mut buf);
-        let mut out = full.clone();
-        unpack_upper_triangle(&buf, &mut out);
-        // identity on the whole tile: triangle restored, lower half kept
-        assert_eq!(out, full, "pack → unpack must be the identity (n={n})");
-
-        // and through the owning wrapper
-        let p = PackedUpperTriangular::from_matrix(&full);
-        let mut tri = full.clone();
-        tri.zero_below_diagonal();
-        assert_eq!(p.to_matrix(), tri);
-    }
-}
-
-fn check_packed_matches_dense<T: RandomScalar>(nb: usize, seed: u64) {
+fn check_ttqrt_matches_dense<T: RandomScalar>(nb: usize, seed: u64) {
     let mut r1_0: Matrix<T> = random_matrix(nb, nb, seed);
     r1_0.zero_below_diagonal();
     // Dense lower garbage stands in for the GEQRT vectors of a real run.
     let r2_0: Matrix<T> = random_matrix(nb, nb, seed + 1);
 
-    // Production packed TTQRT (ib = nb workspace).
+    // Production TTQRT (ib = nb workspace).
     let mut ws: Workspace<T> = Workspace::new(nb);
     let (mut r1_p, mut r2_p, mut t_p) = (r1_0.clone(), r2_0.clone(), Matrix::zeros(nb, nb));
     ttqrt_ws(&mut r1_p, &mut r2_p, &mut t_p, &mut ws);
 
-    // Dense reference on a lower-zeroed copy (the dense formulation reads
-    // only the triangle anyway, but keep the comparison honest).
     let (mut r1_d, mut r2_d, mut t_d) = (r1_0.clone(), r2_0.clone(), Matrix::zeros(nb, nb));
     ttqrt_dense(&mut r1_d, &mut r2_d, &mut t_d);
 
-    assert_eq!(r1_p, r1_d, "TTQRT R1 packed vs dense, nb={nb}");
-    assert_eq!(t_p, t_d, "TTQRT T packed vs dense, nb={nb}");
-    // r2: triangle must agree bitwise; the packed path must keep the lower
-    // half untouched while the dense path writes only windows too.
-    for j in 0..nb {
-        for i in 0..nb {
-            if i <= j {
-                assert_eq!(r2_p.get(i, j), r2_d.get(i, j), "V2 triangle ({i},{j})");
-            } else {
-                assert_eq!(r2_p.get(i, j), r2_0.get(i, j), "V2 lower half ({i},{j})");
-            }
-        }
-    }
+    assert_eq!(r1_p, r1_d, "TTQRT R1 kernel vs dense, nb={nb}");
+    assert_eq!(t_p, t_d, "TTQRT T kernel vs dense, nb={nb}");
+    // Both write only R2's triangle: the whole tile must agree.
+    assert_eq!(r2_p, r2_d, "TTQRT R2 kernel vs dense, nb={nb}");
 }
 
 #[test]
-fn packed_ttqrt_matches_dense_bitwise_f64() {
+fn ttqrt_matches_the_dense_formulation_bitwise_f64() {
     for (nb, seed) in [
         (1usize, 10u64),
         (2, 11),
@@ -136,15 +111,21 @@ fn packed_ttqrt_matches_dense_bitwise_f64() {
         (13, 14),
         (24, 15),
     ] {
-        check_packed_matches_dense::<f64>(nb, seed);
+        check_ttqrt_matches_dense::<f64>(nb, seed);
     }
 }
 
 #[test]
-fn packed_ttqrt_matches_dense_bitwise_complex() {
+fn ttqrt_matches_the_dense_formulation_bitwise_complex() {
     for (nb, seed) in [(1usize, 20u64), (4, 21), (9, 22), (16, 23)] {
-        check_packed_matches_dense::<Complex64>(nb, seed);
+        check_ttqrt_matches_dense::<Complex64>(nb, seed);
     }
+}
+
+/// Whether entry `(i, j)` of an `ib`-blocked `T` factor of a tile of order
+/// `nb` lies in its panel's window (rows `0..w` of the panel's columns).
+fn in_window(nb: usize, ib: usize, i: usize, j: usize) -> bool {
+    i < ib.min(nb - j / ib * ib)
 }
 
 /// Overwrites every entry of `t` outside the upper triangles of the panels'
@@ -160,8 +141,17 @@ fn pollute_t_outside_windows<T: Scalar>(t: &mut Matrix<T>, ib: usize, junk: T) {
     }
 }
 
+/// Overwrites the strictly lower half of a square tile.
+fn pollute_strictly_lower<T: Scalar>(m: &mut Matrix<T>, junk: T) {
+    for j in 0..m.cols() {
+        for i in (j + 1)..m.rows() {
+            m.set(i, j, junk);
+        }
+    }
+}
+
 fn check_ignored_storage<T: RandomScalar>(nb: usize, ib: usize, seed: u64) {
-    let junk = T::from_real(-7.25e3);
+    let junk = T::from_real(f64::NAN);
     let mut ws: Workspace<T> = Workspace::with_inner_block(nb, ib);
     let c1_0: Matrix<T> = random_matrix(nb, nb + 3, seed + 2);
     let c2_0: Matrix<T> = random_matrix(nb, nb + 3, seed + 3);
@@ -196,11 +186,7 @@ fn check_ignored_storage<T: RandomScalar>(nb: usize, ib: usize, seed: u64) {
     let mut t = Matrix::zeros(nb, nb);
     ttqrt_ws(&mut r1, &mut v2, &mut t, &mut ws);
     let (mut v2_dirty, mut t_dirty) = (v2.clone(), t.clone());
-    for j in 0..nb {
-        for i in (j + 1)..nb {
-            v2_dirty.set(i, j, junk);
-        }
-    }
+    pollute_strictly_lower(&mut v2_dirty, junk);
     pollute_t_outside_windows(&mut t_dirty, ib, junk);
     for trans in [Trans::ConjTrans, Trans::NoTrans] {
         let (mut a1, mut a2) = (c1_0.clone(), c2_0.clone());
@@ -224,6 +210,72 @@ fn update_kernels_never_read_ignored_storage() {
         for ib in [1usize, 3, nb] {
             check_ignored_storage::<f64>(nb, ib, seed);
             check_ignored_storage::<Complex64>(nb, ib, seed + 50);
+        }
+    }
+}
+
+/// The signature TSQRT and TTQRT share.
+type PairFactor<T> = fn(&mut Matrix<T>, &mut Matrix<T>, &mut Matrix<T>, &mut Workspace<T>);
+
+/// Equal, or both NaN (the pollution).
+fn same<T: Scalar>(a: T, b: T) -> bool {
+    a == b || (a.is_nan() && b.is_nan())
+}
+
+fn check_panel_ignored_storage<T: RandomScalar>(nb: usize, ib: usize, seed: u64) {
+    let junk = T::from_real(f64::NAN);
+    let mut ws: Workspace<T> = Workspace::with_inner_block(nb, ib);
+    let kernels: [(&str, PairFactor<T>, bool); 2] =
+        [("TSQRT", tsqrt_ws, false), ("TTQRT", ttqrt_ws, true)];
+    for (name, kernel, triangular) in kernels {
+        let mut r1: Matrix<T> = random_matrix(nb, nb, seed);
+        r1.zero_below_diagonal();
+        let mut x2: Matrix<T> = random_matrix(nb, nb, seed + 1);
+        if triangular {
+            x2.zero_below_diagonal();
+        }
+        let (mut r1_clean, mut x2_clean, mut t_clean) =
+            (r1.clone(), x2.clone(), Matrix::zeros(nb, nb));
+        kernel(&mut r1_clean, &mut x2_clean, &mut t_clean, &mut ws);
+
+        // R1's (and a TT R2's) strictly lower half stands in for GEQRT's
+        // V; `t` is junk everywhere, so whole rows lie outside every window.
+        pollute_strictly_lower(&mut r1, junk);
+        if triangular {
+            pollute_strictly_lower(&mut x2, junk);
+        }
+        let mut t = Matrix::from_fn(nb, nb, |_, _| junk);
+        kernel(&mut r1, &mut x2, &mut t, &mut ws);
+
+        let at = |i: usize, j: usize| format!("{name} nb={nb} ib={ib} at ({i},{j})");
+        for j in 0..nb {
+            for i in 0..nb {
+                let upper = i <= j;
+                let want = if upper { r1_clean.get(i, j) } else { junk };
+                assert!(same(r1.get(i, j), want), "R1: {}", at(i, j));
+                let want = if upper || !triangular {
+                    x2_clean.get(i, j)
+                } else {
+                    junk
+                };
+                assert!(same(x2.get(i, j), want), "V2: {}", at(i, j));
+                let want = if in_window(nb, ib, i, j) {
+                    t_clean.get(i, j)
+                } else {
+                    junk
+                };
+                assert!(same(t.get(i, j), want), "T: {}", at(i, j));
+            }
+        }
+    }
+}
+
+#[test]
+fn factor_kernels_never_touch_ignored_storage() {
+    for (nb, seed) in [(1usize, 40u64), (5, 41), (16, 42), (19, 43)] {
+        for ib in [1usize, 3, nb] {
+            check_panel_ignored_storage::<f64>(nb, ib, seed);
+            check_panel_ignored_storage::<Complex64>(nb, ib, seed + 50);
         }
     }
 }

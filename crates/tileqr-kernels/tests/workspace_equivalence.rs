@@ -1,17 +1,14 @@
-//! Property tests pinning the workspace kernels to the allocating entry
-//! points: on identical random tiles the `*_ws` kernels must produce results
-//! **bitwise identical** (exact `==` on every f64 / Complex64 component) to
-//! the allocating kernels, for both scalar types — the allocating wrappers
-//! are required to be pure sugar over the workspace path, never a different
-//! numerical code path.
+//! Property tests pinning a reused workspace to a fresh one: on identical
+//! random tiles every kernel must produce results **bitwise identical**
+//! (exact `==` on every f64 / Complex64 component) whether it runs on a
+//! workspace allocated for the call or on one shared by the whole sweep,
+//! for both scalar types.
 //!
-//! The workspace is deliberately reused (and polluted between calls) across
-//! the whole sweep to prove that no kernel depends on the workspace's
-//! incoming contents.
+//! The shared workspace is deliberately polluted between calls to prove
+//! that no kernel depends on the workspace's incoming contents.
 
 use tileqr_kernels::{
-    geqrt, geqrt_ws, tsmqr, tsmqr_ws, tsqrt, tsqrt_ws, ttmqr, ttmqr_ws, ttqrt, ttqrt_ws, unmqr,
-    unmqr_ws, Trans, Workspace,
+    geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace,
 };
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::{Complex64, Matrix};
@@ -35,24 +32,26 @@ fn pollute<T: RandomScalar>(ws: &mut Workspace<T>, nb: usize, seed: u64) {
 }
 
 fn check_all_kernels<T: RandomScalar>(nb: usize, seed: u64, ws: &mut Workspace<T>) {
+    let fresh = || Workspace::<T>::new(nb);
+
     // GEQRT
     let a0: Matrix<T> = random_matrix(nb, nb, seed);
-    let mut a_alloc = a0.clone();
-    let mut t_alloc = Matrix::zeros(nb, nb);
-    geqrt(&mut a_alloc, &mut t_alloc);
+    let mut a_fresh = a0.clone();
+    let mut t_fresh = Matrix::zeros(nb, nb);
+    geqrt_ws(&mut a_fresh, &mut t_fresh, &mut fresh());
     let mut a_ws = a0.clone();
     let mut t_ws = Matrix::zeros(nb, nb);
     pollute(ws, nb, seed);
     geqrt_ws(&mut a_ws, &mut t_ws, ws);
-    assert_eq!(a_alloc, a_ws, "GEQRT tile mismatch nb={nb} seed={seed}");
-    assert_eq!(t_alloc, t_ws, "GEQRT T mismatch nb={nb} seed={seed}");
+    assert_eq!(a_fresh, a_ws, "GEQRT tile mismatch nb={nb} seed={seed}");
+    assert_eq!(t_fresh, t_ws, "GEQRT T mismatch nb={nb} seed={seed}");
 
     // TSQRT
     let mut r1_0: Matrix<T> = random_matrix(nb, nb, seed + 1);
     r1_0.zero_below_diagonal();
     let a2_0: Matrix<T> = random_matrix(nb, nb, seed + 2);
     let (mut r1_a, mut a2_a, mut t_a) = (r1_0.clone(), a2_0.clone(), Matrix::zeros(nb, nb));
-    tsqrt(&mut r1_a, &mut a2_a, &mut t_a);
+    tsqrt_ws(&mut r1_a, &mut a2_a, &mut t_a, &mut fresh());
     let (mut r1_w, mut a2_w, mut t_w) = (r1_0.clone(), a2_0.clone(), Matrix::zeros(nb, nb));
     pollute(ws, nb, seed + 2);
     tsqrt_ws(&mut r1_w, &mut a2_w, &mut t_w, ws);
@@ -65,7 +64,7 @@ fn check_all_kernels<T: RandomScalar>(nb: usize, seed: u64, ws: &mut Workspace<T
     let c2_0: Matrix<T> = random_matrix(nb, nb, seed + 4);
     for trans in [Trans::ConjTrans, Trans::NoTrans] {
         let (mut c1_a, mut c2_a) = (c1_0.clone(), c2_0.clone());
-        tsmqr(&a2_a, &t_a, &mut c1_a, &mut c2_a, trans);
+        tsmqr_ws(&a2_a, &t_a, &mut c1_a, &mut c2_a, trans, &mut fresh());
         let (mut c1_w, mut c2_w) = (c1_0.clone(), c2_0.clone());
         pollute(ws, nb, seed + 4);
         tsmqr_ws(&a2_a, &t_a, &mut c1_w, &mut c2_w, trans, ws);
@@ -83,7 +82,7 @@ fn check_all_kernels<T: RandomScalar>(nb: usize, seed: u64, ws: &mut Workspace<T
     let mut r2_0: Matrix<T> = random_matrix(nb, nb, seed + 5);
     r2_0.zero_below_diagonal();
     let (mut q1_a, mut q2_a, mut tt_a) = (r1_0.clone(), r2_0.clone(), Matrix::zeros(nb, nb));
-    ttqrt(&mut q1_a, &mut q2_a, &mut tt_a);
+    ttqrt_ws(&mut q1_a, &mut q2_a, &mut tt_a, &mut fresh());
     let (mut q1_w, mut q2_w, mut tt_w) = (r1_0.clone(), r2_0.clone(), Matrix::zeros(nb, nb));
     pollute(ws, nb, seed + 5);
     ttqrt_ws(&mut q1_w, &mut q2_w, &mut tt_w, ws);
@@ -94,7 +93,7 @@ fn check_all_kernels<T: RandomScalar>(nb: usize, seed: u64, ws: &mut Workspace<T
     // TTMQR (both transposes)
     for trans in [Trans::ConjTrans, Trans::NoTrans] {
         let (mut c1_a, mut c2_a) = (c1_0.clone(), c2_0.clone());
-        ttmqr(&q2_a, &tt_a, &mut c1_a, &mut c2_a, trans);
+        ttmqr_ws(&q2_a, &tt_a, &mut c1_a, &mut c2_a, trans, &mut fresh());
         let (mut c1_w, mut c2_w) = (c1_0.clone(), c2_0.clone());
         pollute(ws, nb, seed + 6);
         ttmqr_ws(&q2_a, &tt_a, &mut c1_w, &mut c2_w, trans, ws);
@@ -112,16 +111,16 @@ fn check_all_kernels<T: RandomScalar>(nb: usize, seed: u64, ws: &mut Workspace<T
     let c0: Matrix<T> = random_matrix(nb, nb, seed + 7);
     for trans in [Trans::ConjTrans, Trans::NoTrans] {
         let mut c_a = c0.clone();
-        unmqr(&a_alloc, &t_alloc, &mut c_a, trans);
+        unmqr_ws(&a_fresh, &t_fresh, &mut c_a, trans, &mut fresh());
         let mut c_w = c0.clone();
         pollute(ws, nb, seed + 7);
-        unmqr_ws(&a_alloc, &t_alloc, &mut c_w, trans, ws);
+        unmqr_ws(&a_fresh, &t_fresh, &mut c_w, trans, ws);
         assert_eq!(c_a, c_w, "UNMQR mismatch nb={nb} seed={seed} {trans:?}");
     }
 }
 
 #[test]
-fn workspace_kernels_match_allocating_kernels_bitwise_f64() {
+fn reused_workspace_matches_a_fresh_one_bitwise_f64() {
     let mut ws: Workspace<f64> = Workspace::new(32);
     for (nb, seed) in cases() {
         check_all_kernels::<f64>(nb, seed, &mut ws);
@@ -129,7 +128,7 @@ fn workspace_kernels_match_allocating_kernels_bitwise_f64() {
 }
 
 #[test]
-fn workspace_kernels_match_allocating_kernels_bitwise_complex() {
+fn reused_workspace_matches_a_fresh_one_bitwise_complex() {
     let mut ws: Workspace<Complex64> = Workspace::new(32);
     for (nb, seed) in cases() {
         check_all_kernels::<Complex64>(nb, seed, &mut ws);
@@ -138,17 +137,17 @@ fn workspace_kernels_match_allocating_kernels_bitwise_complex() {
 
 #[test]
 fn wide_and_narrow_targets_match_through_panel_chunking() {
-    // UNMQR/TSMQR accept targets wider than nb: the workspace path chunks
-    // them in nb-column panels and must agree with the allocating wrapper.
+    // UNMQR/TSMQR accept targets wider than nb: they are chunked in
+    // nb-column panels, on a reused workspace as on a fresh one.
     let nb = 6;
     let mut ws: Workspace<f64> = Workspace::new(nb);
     let mut v: Matrix<f64> = random_matrix(nb, nb, 99);
     let mut t = Matrix::zeros(nb, nb);
-    geqrt(&mut v, &mut t);
+    geqrt_ws(&mut v, &mut t, &mut Workspace::new(nb));
     for ncols in [1usize, 2, 5, 6, 7, 13, 20] {
         let c0: Matrix<f64> = random_matrix(nb, ncols, 100 + ncols as u64);
         let mut c_a = c0.clone();
-        unmqr(&v, &t, &mut c_a, Trans::ConjTrans);
+        unmqr_ws(&v, &t, &mut c_a, Trans::ConjTrans, &mut Workspace::new(nb));
         let mut c_w = c0.clone();
         unmqr_ws(&v, &t, &mut c_w, Trans::ConjTrans, &mut ws);
         assert_eq!(c_a, c_w, "UNMQR width {ncols}");

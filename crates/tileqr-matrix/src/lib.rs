@@ -11,10 +11,10 @@
 //!   operations the kernels need (norms, multiplication, triangular checks).
 //! * [`TiledMatrix`] — the PLASMA-style tile layout: a `p × q` grid of
 //!   contiguous `nb × nb` tiles, which is the unit the elimination algorithms
-//!   reason about.
-//! * [`packed`] — packed column-major storage for upper triangular tiles
-//!   (LAPACK `UPLO='U'` packed format), used by the TT kernels so the
-//!   explicit-zero halves of triangular tiles are never touched.
+//!   reason about. A triangular tile keeps this dense layout: the kernels
+//!   read and write its triangle in place, while the other half goes on
+//!   holding what an earlier kernel left there (GEQRT's Householder
+//!   vectors), so no tile is ever repacked.
 //! * [`generate`] — reproducible random and structured matrix generators used
 //!   by the tests, examples and the benchmark harness.
 //!
@@ -27,13 +27,11 @@ pub mod complex;
 pub mod dense;
 pub mod generate;
 pub mod norms;
-pub mod packed;
 pub mod rng;
 pub mod scalar;
 pub mod tiled;
 
 pub use complex::Complex64;
 pub use dense::Matrix;
-pub use packed::PackedUpperTriangular;
 pub use scalar::{RealScalar, Scalar};
 pub use tiled::{TileRef, TiledMatrix};

@@ -108,8 +108,8 @@ fn parallel_run_allocations(
 #[test]
 fn hot_loops_do_not_allocate_per_task() {
     for kind in SchedulerKind::ALL {
-        // ib = nb (unblocked) and ib < nb (micro-BLAS pack buffers + packed
-        // triangular scratch in play): the inner-blocked kernels must stay
+        // ib = nb (unblocked) and ib < nb (micro-BLAS pack buffers and the
+        // trailing panel updates in play): the inner-blocked kernels must stay
         // zero-allocation too — every panel buffer is preallocated in the
         // workspace.
         parallel_check(kind, 4);
@@ -252,7 +252,7 @@ fn parallel_check(kind: SchedulerKind, ib: usize) {
 fn sequential_check() {
     let nb = 4;
     // ib = nb and ib < nb: the inner-blocked kernels (micro-BLAS packing,
-    // packed triangular scratch) must be exactly as allocation-free as the
+    // trailing panel updates) must be exactly as allocation-free as the
     // unblocked path.
     for ib in [nb, 2] {
         let build = |p: usize, q: usize| {

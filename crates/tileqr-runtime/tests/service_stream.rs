@@ -270,37 +270,55 @@ fn fair_dequeue_keeps_a_flooding_tenant_from_starving_others() {
     let polite = service.client();
     let big = blocker_plan();
     let small = plan();
-    // Pin the dispatcher so both lanes are fully populated before the
-    // first fair-dequeue round.
-    let blocker = blocker_client
-        .submit(&big, random_matrix(256, 192, 5))
-        .unwrap();
-    wait_until_drained_queue(&service);
-    let flood: Vec<_> = (0..30u64)
-        .map(|i| {
-            flooder
-                .submit(&small, random_matrix(M, N, 200 + i))
-                .unwrap()
-        })
-        .collect();
-    let wanted: Vec<_> = (0..4u64)
-        .map(|i| polite.submit(&small, random_matrix(M, N, 300 + i)).unwrap())
-        .collect();
-    for t in wanted {
-        assert!(t.wait().is_ok());
+    // Deficit round-robin interleaves the lanes, so the polite tenant's four
+    // items resolve in the first group, long before the flooding tenant's
+    // middle item; pure FIFO would run all 30 flood items first. The premise
+    // is that the blocker pins the dispatcher until both lanes are fully
+    // populated, so the first fair-dequeue round sees all of them. That is a
+    // race, so it is observed — the blocker is still unresolved after the
+    // last submission — and a scenario whose premise failed is run again
+    // (bounded), never judged. The flood items are the heavier ones, which
+    // widens the window in which a FIFO dispatcher is caught.
+    let heavy = Arc::new(QrPlan::new(2 * M, 2 * N, QrConfig::new(NB)).expect("valid shape"));
+    const ATTEMPTS: usize = 8;
+    for _ in 0..ATTEMPTS {
+        let flood_inputs: Vec<_> = (0..30u64)
+            .map(|i| random_matrix(2 * M, 2 * N, 200 + i))
+            .collect();
+        let wanted_inputs: Vec<_> = (0..4u64).map(|i| random_matrix(M, N, 300 + i)).collect();
+        let blocker = blocker_client
+            .submit(&big, random_matrix(256, 192, 5))
+            .unwrap();
+        wait_until_drained_queue(&service);
+        let mut flood: Vec<_> = flood_inputs
+            .into_iter()
+            .map(|a| flooder.submit(&heavy, a).unwrap())
+            .collect();
+        let wanted: Vec<_> = wanted_inputs
+            .into_iter()
+            .map(|a| polite.submit(&small, a).unwrap())
+            .collect();
+        let pinned = !blocker.is_ready();
+        assert!(blocker.wait().is_ok());
+        // Looked at once the middle flood item resolved, so this thread can
+        // be late but never early; FIFO still has 14 flood items to run then.
+        let middle = flood.remove(flood.len() / 2);
+        assert!(middle.wait().is_ok());
+        if pinned {
+            assert!(
+                wanted.iter().all(|t| t.is_ready()),
+                "fair dequeue should resolve the polite tenant's items before \
+                 the flooding tenant's middle one"
+            );
+        }
+        for t in wanted.into_iter().chain(flood) {
+            assert!(t.wait().is_ok());
+        }
+        if pinned {
+            return;
+        }
     }
-    // Deficit round-robin interleaves the lanes: when the polite tenant's
-    // last item resolved, the flooding tenant must not be fully drained
-    // (pure FIFO would have run all 30 flood items first).
-    let unresolved = flood.iter().filter(|t| !t.is_ready()).count();
-    assert!(
-        unresolved >= 1,
-        "fair dequeue should leave flood items behind the polite tenant's"
-    );
-    assert!(blocker.wait().is_ok());
-    for t in flood {
-        assert!(t.wait().is_ok());
-    }
+    panic!("the blocker never pinned the dispatcher in {ATTEMPTS} attempts");
 }
 
 #[test]
