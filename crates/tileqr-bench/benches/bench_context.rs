@@ -14,7 +14,8 @@
 //!   ([`TiledMatrix::fill_from_dense_padded`]) and factoring it in place
 //!   ([`QrContext::factorize_into`]);
 //! * `context_seq` / `per_call_seq` — the same comparison at one thread
-//!   (no pool either way; isolates the planning cost from thread startup).
+//!   (no helper thread either way — the caller runs the job; isolates the
+//!   planning cost from thread startup).
 //!
 //! The `context_batch` group covers the *batched* session API on the small
 //! shape, where per-call pool wake-up dominates: a loop of k
@@ -25,8 +26,8 @@
 //!
 //! The `context_robustness` group re-runs the steady-state batch loop with
 //! the fault-isolation layer armed — a live deadline, the per-item panic
-//! tracker, worker heartbeats and (second cell) the stall watchdog — to pin
-//! the containment overhead to within noise of `context_batch`.
+//! tracker and (second cell) the stall watchdog — to pin the containment
+//! overhead to within noise of `context_batch`.
 //!
 //! Writes `BENCH_context.json`. Knobs: `TILEQR_BENCH_MS` (per-cell time),
 //! `TILEQR_BENCH_CTX_THREADS` (default 2), `TILEQR_BENCH_CTX_NB`
@@ -232,11 +233,11 @@ fn main() {
 
     // --- robustness layer overhead -----------------------------------------
     // The same steady-state batch-into-recycled loop, but with the fault
-    // isolation machinery fully armed: a live deadline (checked by the
-    // submitter's poll loop and between tasks), the per-item fault tracker,
-    // per-worker heartbeats and — in the second cell — the stall watchdog.
-    // The contract is that containment costs a handful of relaxed atomics
-    // per task, so these cells must stay within noise of
+    // isolation machinery fully armed: a live deadline (checked by every
+    // worker between tasks and while idle), the per-item fault tracker and —
+    // in the second cell — the stall watchdog (checked by idle workers). The
+    // contract is that containment costs a handful of atomics and a clock
+    // read per task, so these cells must stay within noise of
     // `batch_into_recycled` above.
     run(
         &mut samples,

@@ -1,12 +1,11 @@
-//! Scheduler ablation of the parallel executor: locked FIFO vs Chase–Lev
-//! work stealing vs priority work stealing, across grid shapes and thread
-//! counts.
+//! Scheduler ablation of the parallel executor: Chase–Lev work stealing vs
+//! priority work stealing, across grid shapes and thread counts.
 //!
-//! This is the measurement backing the work-stealing refactor: the paper's
-//! claim is that tiled QR time tracks the critical path of the task DAG, so
-//! the runtime must not let *scheduler contention* (a single locked ready
-//! queue) become the binding constraint instead of the elimination tree.
-//! Writes every sample to `BENCH_executor.json` at the repo root.
+//! The paper's claim is that tiled QR time tracks the critical path of the
+//! task DAG, so the runtime must not let the *scheduler* become the binding
+//! constraint instead of the elimination tree. Writes every sample to
+//! `BENCH_executor.json` at the repo root (its committed `locked_fifo_*`
+//! rows predate the removal of that scheduler).
 //!
 //! Measurement protocol: the schedulers of one (shape, threads) cell are
 //! timed **interleaved**, one factorization each per round, keeping each

@@ -92,8 +92,9 @@ fn bench_threads(samples: &mut Vec<Sample>) {
     let (m, n) = (p * NB, q * NB);
     let a: Matrix<f64> = random_matrix(m, n, 9);
     for threads in [1usize, 2, 4] {
-        // The multi-threaded points are measured once per scheduling policy
-        // (the single-thread point bypasses the scheduler entirely).
+        // The multi-threaded points are measured once per scheduling policy;
+        // the single-thread point, where the caller runs every task alone,
+        // once.
         let kinds: &[SchedulerKind] = if threads == 1 {
             &[SchedulerKind::WorkStealingPriority]
         } else {

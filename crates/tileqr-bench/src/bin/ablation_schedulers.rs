@@ -13,10 +13,10 @@
 //!    quantifying how much parallelism the TT kernels buy before kernel
 //!    efficiency (Figures 4–5) is taken into account.
 //! 4. **Runtime schedulers** — measured wall-clock of a real multi-threaded
-//!    factorization under each executor scheduling policy (locked FIFO vs
-//!    work stealing vs priority work stealing), the ablation of the
-//!    work-stealing refactor. `bench_executor` is the statistical version;
-//!    this section is the quick, human-readable one.
+//!    factorization under each executor scheduling policy (priority work
+//!    stealing against plain work stealing, the default).
+//!    `bench_executor` is the statistical version; this section is the
+//!    quick, human-readable one.
 
 use std::time::Instant;
 
@@ -135,7 +135,7 @@ fn main() {
             "Ablation 4 — measured executor schedulers ({ps} x {qs} tiles, nb = {nb}, \
              {threads} threads, best of 3)"
         ),
-        &["scheduler", "time (ms)", "vs locked FIFO"],
+        &["scheduler", "time (ms)", "vs work stealing"],
     );
     let measure = |kind: SchedulerKind| {
         let config = QrConfig::new(nb).with_threads(threads).with_scheduler(kind);
@@ -147,17 +147,17 @@ fn main() {
         }
         best
     };
-    let fifo = measure(SchedulerKind::LockedFifo);
+    let baseline = measure(SchedulerKind::WorkStealing);
     for kind in SchedulerKind::ALL {
-        let ms = if kind == SchedulerKind::LockedFifo {
-            fifo
+        let ms = if kind == SchedulerKind::WorkStealing {
+            baseline
         } else {
             measure(kind)
         };
         t.push_row(vec![
             kind.name().to_string(),
             format!("{ms:.2}"),
-            ratio_cell(fifo / ms),
+            ratio_cell(baseline / ms),
         ]);
     }
     println!("{}", t.render());

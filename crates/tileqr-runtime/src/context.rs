@@ -8,7 +8,8 @@
 //! request. This module splits the API the way PLASMA splits it:
 //!
 //! * [`QrContext`] — the long-lived runtime: a persistent, parkable worker
-//!   pool (built once from `threads` + [`SchedulerKind`]; workers idle
+//!   pool (built once from `threads` + [`SchedulerKind`]: the calling thread
+//!   is worker 0 of every job, beside `threads − 1` helpers that idle
 //!   through the executor's [`Backoff`](crate::sync::Backoff) between jobs
 //!   instead of being respawned) plus the scheduling policy.
 //! * [`QrPlan`] — the reusable schedule for one problem shape
@@ -49,9 +50,11 @@
 //! * the service ([`crate::service`]) submits mixed-plan groups of dense
 //!   inputs with a sink that resolves each ticket **the moment its copy's
 //!   last task retires**, while sibling copies are still running.
-//! * `threads == 1` drives the *same job* on the calling thread, ids in
-//!   ascending order (the bitwise reference order) — there is no second
-//!   engine.
+//!
+//! Every thread count runs the job the same way: the calling thread is
+//! worker 0 and the pool's `threads − 1` helpers are the others. At
+//! `threads == 1` there are no helpers, and the job runs on the calling
+//! thread alone — there is no second engine.
 //!
 //! Why fuse: a service factoring many *small* matrices pays the pool wake-up
 //! (epoch bump + unpark + park-tier wake latency) per job — for a 6 × 3-tile
@@ -92,11 +95,10 @@
 //! }
 //! ```
 //!
-//! Every way of driving the job (the calling thread, and each scheduler on
-//! the persistent pool) runs the same kernels in a DAG-respecting order, so
-//! results are **bitwise identical** across all of them and to a plain
-//! in-order walk of the tasks — the equivalence suites pin this down for
-//! `f64` and `Complex64`.
+//! Every way of driving the job (any thread count, either scheduler) runs
+//! the same kernels in a DAG-respecting order, so results are **bitwise
+//! identical** across all of them and to a plain in-order walk of the tasks
+//! — the equivalence suites pin this down for `f64` and `Complex64`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -160,28 +162,29 @@ impl<T: Scalar> Drop for RestorePlaceholders<'_, T> {
 ///
 /// Build one context per service (or per thread-count/scheduler choice) and
 /// reuse it for every factorization; combine with a [`QrPlan`] per problem
-/// shape so repeated factorizations skip planning entirely. With
-/// `threads == 1` no pool is spawned and every factorization runs on the
-/// calling thread in topological order (the bitwise reference order).
+/// shape so repeated factorizations skip planning entirely. The thread that
+/// calls a factorization is worker 0 of its job, beside the context's
+/// `threads − 1` helper threads; with `threads == 1` no thread is spawned and
+/// every factorization runs on the calling thread.
 ///
 /// The context is `Sync`; concurrent `factorize` calls from several threads
-/// are safe but serialized — the pool runs one job at a time.
+/// are safe. With helpers they are serialized — the pool runs one job at a
+/// time; a one-thread context runs each on its own caller, side by side.
 pub struct QrContext {
-    pub(crate) threads: usize,
     pub(crate) scheduler: SchedulerKind,
-    pub(crate) pool: Option<WorkerPool>,
+    pub(crate) pool: WorkerPool,
     /// The sticky user cancellation token handed out by
     /// [`QrContext::cancel_handle`]. Internal causes (deadline, watchdog)
     /// never touch it — each job gets its own token they funnel into.
     pub(crate) cancel: CancelToken,
-    /// Stall bound of the pool watchdog, if enabled.
+    /// Stall bound of the watchdog, if enabled.
     pub(crate) watchdog: Option<Duration>,
 }
 
 impl std::fmt::Debug for QrContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QrContext")
-            .field("threads", &self.threads)
+            .field("threads", &self.threads())
             .field("scheduler", &self.scheduler)
             .field("watchdog", &self.watchdog)
             .finish_non_exhaustive()
@@ -189,8 +192,12 @@ impl std::fmt::Debug for QrContext {
 }
 
 impl QrContext {
-    /// Builds a context with `threads` persistent workers and the default
-    /// scheduler ([`SchedulerKind::WorkStealing`]).
+    /// Builds a context whose jobs run on `threads` threads, with the
+    /// default scheduler ([`SchedulerKind::WorkStealing`]).
+    ///
+    /// `threads` counts the threads that execute tasks: the calling thread
+    /// (worker 0 of each job) plus `threads − 1` persistent helpers spawned
+    /// here. `threads == 1` spawns none.
     pub fn new(threads: usize) -> Result<Self, QrError> {
         QrContext::with_scheduler(threads, SchedulerKind::default())
     }
@@ -211,19 +218,14 @@ impl QrContext {
         Ok(())
     }
 
-    /// Builds a context with `threads` persistent workers and an explicit
-    /// ready-task scheduling policy.
+    /// Builds a context whose jobs run on `threads` threads (see
+    /// [`QrContext::new`]) with an explicit ready-task scheduling policy.
     pub fn with_scheduler(threads: usize, scheduler: SchedulerKind) -> Result<Self, QrError> {
         QrContext::validate_threads(threads)?;
-        let pool = if threads > 1 {
-            Some(WorkerPool::new(threads).map_err(|e| QrError::ThreadSpawn {
-                details: e.to_string(),
-            })?)
-        } else {
-            None
-        };
+        let pool = WorkerPool::new(threads).map_err(|e| QrError::ThreadSpawn {
+            details: e.to_string(),
+        })?;
         Ok(QrContext {
-            threads,
             scheduler,
             pool,
             cancel: CancelToken::new(),
@@ -231,17 +233,21 @@ impl QrContext {
         })
     }
 
-    /// Arms the pool watchdog: if no worker retires a task for longer than
-    /// `bound` while a job is in flight, the job is cancelled and its
+    /// Arms the watchdog: if a worker wants work and no task of the job
+    /// retires for longer than `bound`, the job is cancelled and its
     /// unfinished items report [`QrError::Stalled`].
     ///
-    /// The watchdog is cooperative — it reliably recovers runs whose workers
-    /// are *idling* without progress (the shape of a lost-task bug) and runs
-    /// whose stalled task eventually returns. A task wedged in an infinite
-    /// loop keeps its OS thread (safe Rust cannot kill it); the watchdog then
-    /// still stops the *other* workers from burning CPU, but the call
-    /// returns only once the wedged task does. Pick a bound comfortably
-    /// above the longest single kernel task, not the whole factorization.
+    /// The check runs on the job's own workers, in their idle loop — the
+    /// caller included, as worker 0 — at most once per `bound / 8`, so a
+    /// stall is caught within about `9/8 · bound`. It is cooperative: it
+    /// reliably recovers runs whose workers are *idling* without progress
+    /// (the shape of a lost-task bug) and runs whose stalled task eventually
+    /// returns. A task wedged in an infinite loop keeps its OS thread (safe
+    /// Rust cannot kill it); the other workers still stop, but the call
+    /// returns only once the wedged task does — and with `threads == 1`,
+    /// where the wedged task holds the only worker, nobody is idle to notice
+    /// before it returns. Pick a bound comfortably above the longest single
+    /// kernel task, not the whole factorization.
     pub fn with_watchdog(mut self, bound: Duration) -> Self {
         self.watchdog = Some(bound);
         self
@@ -257,9 +263,10 @@ impl QrContext {
         self.cancel.clone()
     }
 
-    /// Number of worker threads (1 = sequential, no pool).
+    /// Number of threads a job runs on: the caller plus the helpers
+    /// (1 = the caller alone).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads()
     }
 
     /// Ready-task scheduling policy of the pool.
@@ -282,17 +289,18 @@ impl QrContext {
 
     /// [`QrContext::factorize`] with a relative deadline: if the
     /// factorization has not finished `timeout` after the call was made, it
-    /// is cancelled and returns [`QrError::DeadlineExceeded`]. The deadline
-    /// is checked between kernel tasks, so the overrun is bounded by one
-    /// task plus the submitter's poll interval.
+    /// is cancelled and returns [`QrError::DeadlineExceeded`]. Every worker
+    /// checks the deadline between kernel tasks and while idle, so the
+    /// overrun is bounded by one task plus one idle park. A `timeout` too
+    /// large to represent as an [`Instant`] (e.g. [`Duration::MAX`]) means
+    /// no deadline.
     pub fn factorize_with_deadline<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
         a: &Matrix<T>,
         timeout: Duration,
     ) -> Result<QrFactorization<T>, QrError> {
-        let deadline = Some(Instant::now() + timeout);
-        only(self.batch_inner(plan, std::slice::from_ref(a), deadline, None))
+        only(self.batch_inner(plan, std::slice::from_ref(a), deadline_in(timeout), None))
     }
 
     /// Solves the least-squares problem `min ‖A·x − b‖₂` for every column of
@@ -382,8 +390,7 @@ impl QrContext {
         tiles: &mut TiledMatrix<T>,
         timeout: Duration,
     ) -> Result<QrReflectors<T>, QrError> {
-        let deadline = Some(Instant::now() + timeout);
-        only(self.batch_into_inner(plan, std::slice::from_mut(tiles), deadline))
+        only(self.batch_into_inner(plan, std::slice::from_mut(tiles), deadline_in(timeout)))
     }
 
     /// Factorizes a batch of `k` independent matrices of the plan's shape as
@@ -425,7 +432,7 @@ impl QrContext {
         mats: &[Matrix<T>],
         timeout: Duration,
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        self.batch_inner(plan, mats, Some(Instant::now() + timeout), None)
+        self.batch_inner(plan, mats, deadline_in(timeout), None)
     }
 
     /// The copying calls: validates and tiles every matrix, runs the
@@ -487,7 +494,7 @@ impl QrContext {
         tiles: &mut [TiledMatrix<T>],
         timeout: Duration,
     ) -> Vec<Result<QrReflectors<T>, QrError>> {
-        self.batch_into_inner(plan, tiles, Some(Instant::now() + timeout))
+        self.batch_into_inner(plan, tiles, deadline_in(timeout))
     }
 
     fn batch_into_inner<T: Scalar<Real = f64>>(
@@ -592,6 +599,12 @@ impl QrContext {
     }
 }
 
+/// The instant `timeout` from now, or `None` — no deadline — when that lies
+/// beyond what an [`Instant`] can represent.
+pub(crate) fn deadline_in(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
+}
+
 /// A copy's input that is tiles alone — a factorization, not a solve.
 fn tiles_only<T: Scalar>(tiles: TiledMatrix<T>) -> StreamInput<T> {
     StreamInput::Tiled {
@@ -669,7 +682,7 @@ mod tests {
                 max: MAX_THREADS
             })
         );
-        assert!(QrContext::new(1).unwrap().pool.is_none());
+        assert_eq!(QrContext::new(1).unwrap().threads(), 1);
         // The boundary itself is accepted; validated without spawning 1024
         // parked workers.
         assert_eq!(QrContext::validate_threads(MAX_THREADS), Ok(()));

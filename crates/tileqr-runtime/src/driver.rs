@@ -55,8 +55,9 @@ pub struct QrConfig {
     pub family: KernelFamily,
     /// Worker threads (1 = sequential).
     pub threads: usize,
-    /// Ready-task scheduling policy of the parallel executor (ignored when
-    /// `threads == 1`).
+    /// Ready-task scheduling policy of the job's workers (with
+    /// `threads == 1`, the order of the caller's own tasks); results are
+    /// bitwise identical under either.
     pub scheduler: SchedulerKind,
     /// Opt-in pre-submission scan for NaN/Inf entries (off by default — it
     /// costs one pass over the input). Plans built with it reject non-finite

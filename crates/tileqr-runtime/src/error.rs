@@ -98,9 +98,9 @@ pub enum QrError {
     /// **Deterministic** (never auto-retried): the deadline belongs to the
     /// caller; retrying past it cannot make the result arrive in time.
     DeadlineExceeded,
-    /// The pool watchdog ([`QrContext::with_watchdog`]) saw no progress from
-    /// any worker for longer than the configured bound and cancelled the
-    /// job.
+    /// The watchdog ([`QrContext::with_watchdog`]) cancelled the job: a
+    /// worker wanted work and no task retired for longer than the configured
+    /// bound.
     ///
     /// **Transient** (retry-safe): a stall is a scheduling/environment
     /// pathology, not a property of the input — the chance it recurs on a

@@ -17,12 +17,8 @@
 //! # Schedulers
 //!
 //! *Which* ready task a worker runs next is delegated to the [`Scheduler`]
-//! trait; [`SchedulerKind`] selects between the three implementations:
+//! trait; [`SchedulerKind`] selects between the two implementations:
 //!
-//! * [`SchedulerKind::LockedFifo`] — the original single
-//!   [`TaskQueue`] (a mutex-protected FIFO) shared by
-//!   every worker. Kept for ablation: it is correct and simple, but on many
-//!   cores the single lock serializes every push and pop.
 //! * [`SchedulerKind::WorkStealing`] — one Chase–Lev
 //!   [`WorkerDeque`] per worker plus a global FIFO
 //!   injector holding the initially-ready tasks. A worker pushes the tasks it
@@ -37,7 +33,7 @@
 //!   tracks the critical path, applied to the runtime itself. The injector is
 //!   seeded in decreasing priority order too.
 //!
-//! All three schedulers preallocate every buffer from `dag.len()` during
+//! Both schedulers preallocate every buffer from `dag.len()` during
 //! setup, preserving the executor's **zero per-task allocation** guarantee
 //! (verified by the counting-allocator integration test).
 //!
@@ -53,13 +49,14 @@
 //! [`TaskDag::priorities`]: tileqr_core::dag::TaskDag::priorities
 
 use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
 use crate::sync::shim::{AtomicBool, AtomicUsize};
 
 use tileqr_core::dag::{SuccessorsCsr, TaskDag};
 use tileqr_core::TaskKind;
 
-use crate::sync::{Backoff, CancelToken, Steal, TaskQueue, WorkerDeque};
+use crate::sync::{Backoff, CancelCause, CancelToken, Steal, TaskQueue, WorkerDeque};
 
 /// Executes every task in topological order, threading a caller-provided
 /// workspace through the task closure.
@@ -84,9 +81,6 @@ where
 /// regime of interest).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// Single mutex-protected FIFO shared by all workers (legacy behavior,
-    /// kept for ablation).
-    LockedFifo,
     /// Per-worker Chase–Lev deques + global injector; LIFO owner pop, FIFO
     /// steal (the default).
     #[default]
@@ -97,19 +91,17 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Short display name (`"locked_fifo"`, `"work_stealing"`,
-    /// `"ws_priority"`), used by the bench layer.
+    /// Short display name (`"work_stealing"`, `"ws_priority"`), used by the
+    /// bench layer.
     pub const fn name(self) -> &'static str {
         match self {
-            SchedulerKind::LockedFifo => "locked_fifo",
             SchedulerKind::WorkStealing => "work_stealing",
             SchedulerKind::WorkStealingPriority => "ws_priority",
         }
     }
 
     /// All scheduler kinds, for ablation sweeps.
-    pub const ALL: [SchedulerKind; 3] = [
-        SchedulerKind::LockedFifo,
+    pub const ALL: [SchedulerKind; 2] = [
         SchedulerKind::WorkStealing,
         SchedulerKind::WorkStealingPriority,
     ];
@@ -150,42 +142,6 @@ pub trait Scheduler: Sync {
     /// Returns the next task for worker `w`, or `None` if no runnable task
     /// was found right now.
     fn pop(&self, w: usize) -> Option<usize>;
-}
-
-/// The legacy scheduler: one mutex-protected FIFO shared by every worker.
-pub struct LockedFifo {
-    queue: TaskQueue,
-}
-
-impl LockedFifo {
-    /// Builds the scheduler for a DAG of `num_tasks` tasks.
-    pub fn new(num_tasks: usize) -> Self {
-        LockedFifo {
-            queue: TaskQueue::with_capacity(num_tasks),
-        }
-    }
-}
-
-impl Scheduler for LockedFifo {
-    fn seed(&self, roots: &mut [usize]) {
-        for &r in roots.iter() {
-            self.queue.push(r);
-        }
-    }
-
-    /// Everything goes through the shared queue — no work-first
-    /// continuation, faithfully reproducing the pre-refactor executor for
-    /// the ablation.
-    fn push_ready(&self, _w: usize, ready: &mut [usize]) -> Option<usize> {
-        for &r in ready.iter() {
-            self.queue.push(r);
-        }
-        None
-    }
-
-    fn pop(&self, _w: usize) -> Option<usize> {
-        self.queue.pop()
-    }
 }
 
 /// Per-worker Chase–Lev deques with a global FIFO injector for the
@@ -379,9 +335,6 @@ pub fn execute_parallel_with_scheduler<W, M, F>(
     // the priority scheduler) the bottom-level computation.
     let succ = dag.successors_csr();
     match scheduler {
-        SchedulerKind::LockedFifo => {
-            run_pool(dag, &succ, num_threads, &LockedFifo::new(n), make_ws, run)
-        }
         SchedulerKind::WorkStealing => run_pool(
             dag,
             &succ,
@@ -494,9 +447,84 @@ pub(crate) trait FaultSink: Sync {
     fn task_retired(&self, copy: usize);
 }
 
+/// The controls of one job, polled by its own workers: the job's cancel
+/// token and the three conditions that trigger it. Every worker — the caller,
+/// as worker 0, included — checks them in [`drive_worker`]; no thread watches
+/// the job from outside.
+pub(crate) struct RunCtl {
+    /// The per-job token: user cancellation, the deadline and the stall check
+    /// all funnel into it (first cause wins), so internal causes never poison
+    /// the context's sticky handle.
+    pub(crate) job_cancel: CancelToken,
+    /// The context's sticky user handle; forwarded into `job_cancel`.
+    pub(crate) user_cancel: CancelToken,
+    /// Absolute deadline; once passed, `job_cancel` triggers with
+    /// [`CancelCause::DeadlineExceeded`].
+    pub(crate) deadline: Option<Instant>,
+    /// Stall bound: a worker that wants work and sees no task of the job
+    /// retire for longer than this triggers `job_cancel` with
+    /// [`CancelCause::Stalled`].
+    pub(crate) stall_bound: Option<Duration>,
+}
+
+impl RunCtl {
+    /// Forwards user cancellation and the deadline into the job token (the
+    /// first cause wins); true once the token is triggered, by whatever
+    /// cause.
+    pub(crate) fn poll_cancel(&self) -> bool {
+        if self.user_cancel.is_cancelled() {
+            self.job_cancel.trigger(CancelCause::Cancelled);
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.job_cancel.trigger(CancelCause::DeadlineExceeded);
+        }
+        self.job_cancel.is_cancelled()
+    }
+}
+
+/// One worker's stall check over the job's `completed` counter, run from
+/// its idle loop.
+struct StallClock<'a> {
+    token: &'a CancelToken,
+    bound: Duration,
+    /// `completed` at the last probe, and when it last moved.
+    seen: usize,
+    moved: Instant,
+    probed: Instant,
+}
+
+impl<'a> StallClock<'a> {
+    fn new(token: &'a CancelToken, bound: Duration, completed: usize) -> Self {
+        let now = Instant::now();
+        StallClock {
+            token,
+            bound,
+            seen: completed,
+            moved: now,
+            probed: now,
+        }
+    }
+
+    /// Probes `completed` at most once per `bound / 8` (a stall is caught
+    /// within ~9/8 of the bound) and triggers the token once the count has
+    /// not moved for longer than `bound`.
+    fn check(&mut self, completed: usize) {
+        let now = Instant::now();
+        if now.duration_since(self.probed) < self.bound / 8 {
+            return;
+        }
+        self.probed = now;
+        if completed != self.seen {
+            self.seen = completed;
+            self.moved = now;
+        } else if now.duration_since(self.moved) > self.bound {
+            self.token.trigger(CancelCause::Stalled);
+        }
+    }
+}
+
 /// Everything one [`drive_worker`] call shares with its sibling workers:
 /// the fused-DAG geometry, the per-run counters, and the optional
-/// robustness hooks (cancellation, heartbeat, panic containment).
+/// robustness hooks (job controls, panic containment).
 pub(crate) struct DriveCtl<'a> {
     /// Total task count of the (fused) run; the loop exits when `completed`
     /// reaches it.
@@ -518,9 +546,11 @@ pub(crate) struct DriveCtl<'a> {
     pub(crate) aborted: &'a AtomicBool,
     /// Largest successor batch one completion can enable.
     pub(crate) max_out_degree: usize,
-    /// Checked once per loop iteration; a triggered token makes workers
-    /// abandon the remaining tasks and return.
-    pub(crate) cancel: Option<&'a CancelToken>,
+    /// The job's controls ([`RunCtl`]), polled once per loop iteration —
+    /// between tasks and on every idle round; once its token fires, workers
+    /// abandon the remaining tasks and return. `None` (the scoped executor)
+    /// runs every task.
+    pub(crate) control: Option<&'a RunCtl>,
     /// Panic policy: `None` — a task panic raises `aborted` and unwinds out
     /// (the scoped executor's contract, re-raised by the caller); `Some` —
     /// the panic is caught, reported to the sink, and only that task's copy
@@ -531,36 +561,37 @@ pub(crate) struct DriveCtl<'a> {
 /// One worker's share of a DAG run: pop ready tasks from the scheduler, run
 /// them, release successors, hand newly-enabled batches back to the
 /// scheduler, and back off when idle until every one of `ctl.num_tasks`
-/// tasks completed (or a sibling aborted, or the cancel token fired).
+/// tasks completed (or a sibling aborted, or the job's token fired).
 ///
 /// The loop is phrased over **raw task ids** so the same code serves every
 /// caller: the scoped executor ([`execute_parallel_with_scheduler`]) and the
 /// fused jobs of [`QrContext`](crate::context::QrContext) — one matrix, a
-/// same-plan batch, or a heterogeneous service group, on the pool or (with
-/// `threads == 1`) on the calling thread. `ctl.map` resolves a global id to
-/// `(copy, local)` — once per task, here; the task body `run` receives the
-/// pair — and `ctl.succ` hands back the copy's own successor CSR, so no
-/// per-call fused adjacency is ever materialized. Released successors stay
-/// within the task's copy by offsetting local successor ids with the copy's
-/// base. For a single DAG the id arithmetic is the identity. Every path is
-/// bitwise equivalent by construction because it runs exactly this code over
-/// the same per-tile kernel ordering.
+/// same-plan batch, or a heterogeneous service group, with the calling
+/// thread as worker 0 and the pool's helpers as the rest. `ctl.map` resolves
+/// a global id to `(copy, local)` — once per task, here; the task body `run`
+/// receives the pair — and `ctl.succ` hands back the copy's own successor
+/// CSR, so no per-call fused adjacency is ever materialized. Released
+/// successors stay within the task's copy by offsetting local successor ids
+/// with the copy's base. For a single DAG the id arithmetic is the identity.
+/// Every path is bitwise equivalent by construction because it runs exactly
+/// this code over the same per-tile kernel ordering.
 ///
 /// Panic handling depends on `ctl.faults` — see [`DriveCtl::faults`]. In
 /// containment mode a failed copy's remaining tasks still *retire* (their
 /// successor counters are released and `completed` advances) so the fused
 /// run drains normally; they are never executed.
 ///
-/// `heartbeat` is this worker's progress counter (jobs pass their worker's;
-/// the scoped executor passes `None`): it is bumped once per **retired
-/// task**, never while idling, so a run whose workers all spin without
-/// retiring anything — the shape of a lost-task deadlock — is visible to the
-/// pool watchdog as a flat heartbeat sum.
+/// With `ctl.control`, every iteration forwards user cancellation and the
+/// deadline into the job token ([`RunCtl::poll_cancel`]), and a worker that
+/// finds no task also runs the stall check: if the job's `completed` count
+/// has not moved for longer than the stall bound, it triggers the token with
+/// [`CancelCause::Stalled`]. A run whose workers all idle without retiring
+/// anything — the shape of a lost-task deadlock — therefore cancels itself.
+/// Clock reads happen only when a deadline or a stall bound is set.
 pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
     ctl: &DriveCtl<'_>,
     sched: &S,
     w: usize,
-    heartbeat: Option<&AtomicUsize>,
     run: &mut dyn FnMut(usize, usize),
 ) {
     debug_assert_eq!(ctl.map.total(), ctl.num_tasks);
@@ -580,17 +611,16 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
     // allocated once per worker per run, never on the per-task path.
     let mut enabled: Vec<usize> = Vec::with_capacity(ctl.max_out_degree);
     let mut backoff = Backoff::new();
+    let mut stall = ctl.control.and_then(|c| {
+        let completed = ctl.completed.load(Ordering::Acquire);
+        Some(StallClock::new(&c.job_cancel, c.stall_bound?, completed))
+    });
     // Work-first continuation handed back by `push_ready`: run it directly,
     // skipping the queue round-trip.
     let mut next: Option<usize> = None;
     loop {
-        if ctl.aborted.load(Ordering::Acquire) {
+        if ctl.aborted.load(Ordering::Acquire) || ctl.control.is_some_and(RunCtl::poll_cancel) {
             break;
-        }
-        if let Some(token) = ctl.cancel {
-            if token.is_cancelled() {
-                break;
-            }
         }
         match next.take().or_else(|| sched.pop(w)) {
             Some(idx) => {
@@ -613,11 +643,6 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
                         sink.task_retired(copy);
                     }
                 }
-                if let Some(hb) = heartbeat {
-                    // Single-writer counter: a plain load+store is enough
-                    // and avoids a locked RMW on the per-task path.
-                    hb.store(hb.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-                }
                 ctl.completed.fetch_add(1, Ordering::Release);
                 // Successors stay within the task's own DAG copy: look up
                 // the copy's CSR by the local id, offset the released ids
@@ -635,8 +660,12 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
                 }
             }
             None => {
-                if ctl.completed.load(Ordering::Acquire) >= ctl.num_tasks {
+                let completed = ctl.completed.load(Ordering::Acquire);
+                if completed >= ctl.num_tasks {
                     break;
+                }
+                if let Some(clock) = &mut stall {
+                    clock.check(completed);
                 }
                 backoff.snooze();
             }
@@ -677,7 +706,7 @@ fn run_pool<S, W, M, F>(
         completed: &completed,
         aborted: &aborted,
         max_out_degree,
-        cancel: None,
+        control: None,
         faults: None,
     };
     std::thread::scope(|scope| {
@@ -688,7 +717,7 @@ fn run_pool<S, W, M, F>(
             let run = &run;
             scope.spawn(move || {
                 let mut ws = make_ws();
-                drive_worker(ctl, *sched, w, None, &mut |_copy, local| {
+                drive_worker(ctl, *sched, w, &mut |_copy, local| {
                     run(dag.tasks[local].kind, &mut ws)
                 });
             });
@@ -883,7 +912,7 @@ mod tests {
     fn scheduler_kind_defaults_to_work_stealing() {
         assert_eq!(SchedulerKind::default(), SchedulerKind::WorkStealing);
         let names: HashSet<_> = SchedulerKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), 3);
+        assert_eq!(names.len(), 2);
     }
 
     #[test]
@@ -1022,7 +1051,7 @@ mod tests {
             completed: &completed,
             aborted: &aborted,
             max_out_degree: succ_a.max_out_degree().max(succ_b.max_out_degree()),
-            cancel: None,
+            control: None,
             faults: None,
         };
         let order = Mutex::new(Vec::new());
@@ -1032,7 +1061,7 @@ mod tests {
                 let sched = &sched;
                 let order = &order;
                 scope.spawn(move || {
-                    drive_worker(ctl, sched, w, None, &mut |copy, local| {
+                    drive_worker(ctl, sched, w, &mut |copy, local| {
                         order.lock().push(ctl.map.base(copy) + local);
                     });
                 });
@@ -1072,12 +1101,138 @@ mod tests {
         assert_eq!(sched.pop(0), None);
     }
 
+    /// A job's controls with fresh tokens.
+    fn control(deadline: Option<Instant>, stall_bound: Option<Duration>) -> RunCtl {
+        RunCtl {
+            job_cancel: CancelToken::new(),
+            user_cancel: CancelToken::new(),
+            deadline,
+            stall_bound,
+        }
+    }
+
+    /// Runs `dag` the way a pool job does — one scheduler, `drive_worker` on
+    /// each of `threads` workers, under `control` — with `task` as every
+    /// task's body.
+    fn drive_controlled(
+        dag: &TaskDag,
+        threads: usize,
+        sched: &dyn Scheduler,
+        control: &RunCtl,
+        task: &(dyn Fn(TaskKind) + Sync),
+    ) {
+        let succ = dag.successors_csr();
+        let map = ItemMap::from_counts([dag.len()]);
+        let remaining = dependency_counters(dag);
+        sched.seed(&mut initial_roots(dag));
+        let (completed, aborted) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let ctl = DriveCtl {
+            num_tasks: dag.len(),
+            map: &map,
+            succ: &[&succ],
+            remaining: &remaining,
+            completed: &completed,
+            aborted: &aborted,
+            max_out_degree: succ.max_out_degree(),
+            control: Some(control),
+            faults: None,
+        };
+        std::thread::scope(|scope| {
+            for w in 0..threads {
+                let ctl = &ctl;
+                scope.spawn(move || {
+                    drive_worker(ctl, sched, w, &mut |_copy, local| {
+                        task(dag.tasks[local].kind)
+                    })
+                });
+            }
+        });
+    }
+
     #[test]
-    fn locked_fifo_never_hands_back_a_continuation() {
-        let sched = LockedFifo::new(8);
-        assert_eq!(sched.push_ready(0, &mut [4usize, 5]), None);
-        assert_eq!(sched.pop(0), Some(4));
-        assert_eq!(sched.pop(1), Some(5));
-        assert_eq!(sched.pop(0), None);
+    fn watchdog_turns_a_stalled_job_into_a_cancellation() {
+        // Two shapes of a stall, each caught by an idle worker's stall check.
+        // The first task wedges until the token fires while its sibling runs
+        // out of work; and a scheduler that loses every task leaves its one
+        // worker idling with nothing retired. Without the check neither run
+        // would ever return.
+        let dag = sample_dag(6, 3);
+        let bound = Some(Duration::from_millis(20));
+        let start = Instant::now();
+        let wedged = control(None, bound);
+        let first = dag.tasks[0].kind;
+        let sched = WorkStealing::new(dag.len(), 2);
+        drive_controlled(&dag, 2, &sched, &wedged, &|kind| {
+            while kind == first && !wedged.job_cancel.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        assert_eq!(wedged.job_cancel.cause(), Some(CancelCause::Stalled));
+
+        struct LosesEveryTask;
+        impl Scheduler for LosesEveryTask {
+            fn seed(&self, _roots: &mut [usize]) {}
+            fn push_ready(&self, _w: usize, _ready: &mut [usize]) -> Option<usize> {
+                None
+            }
+            fn pop(&self, _w: usize) -> Option<usize> {
+                None
+            }
+        }
+        let lost = control(None, bound);
+        drive_controlled(&dag, 1, &LosesEveryTask, &lost, &|_| {
+            unreachable!("no task is ever handed out")
+        });
+        assert_eq!(lost.job_cancel.cause(), Some(CancelCause::Stalled));
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "the stall check must bound both runs"
+        );
+    }
+
+    #[test]
+    fn deadline_fires_through_the_worker_loop() {
+        // Every task sleeps, so tasks keep retiring and no stall check is
+        // armed: only the deadline can stop the run, on the caller alone and
+        // with a helper.
+        let dag = sample_dag(8, 4);
+        for threads in [1usize, 2] {
+            let deadline = Instant::now() + Duration::from_millis(15);
+            let control = control(Some(deadline), None);
+            let sched = WorkStealing::new(dag.len(), threads);
+            drive_controlled(&dag, threads, &sched, &control, &|_| {
+                std::thread::sleep(Duration::from_millis(1))
+            });
+            assert_eq!(
+                control.job_cancel.cause(),
+                Some(CancelCause::DeadlineExceeded),
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn user_cancellation_is_forwarded_to_the_job_token() {
+        let dag = sample_dag(8, 4);
+        for threads in [1usize, 2] {
+            let control = control(None, None);
+            let canceller = {
+                let user = control.user_cancel.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(10));
+                    user.cancel();
+                })
+            };
+            let sched = WorkStealing::new(dag.len(), threads);
+            drive_controlled(&dag, threads, &sched, &control, &|_| {
+                std::thread::sleep(Duration::from_millis(1))
+            });
+            canceller.join().unwrap();
+            assert_eq!(
+                control.job_cancel.cause(),
+                Some(CancelCause::Cancelled),
+                "{threads} threads"
+            );
+        }
     }
 }

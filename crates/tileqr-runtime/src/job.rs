@@ -13,17 +13,16 @@
 //! What differs between the callers is only where a copy's outcome goes:
 //! the [`ItemSink`] receives `(FactoredParts, Option<QrError>)` **exactly
 //! once per copy** — from the worker that retires the copy's last task,
-//! while sibling copies are still running, or from the submitting thread
-//! for copies the run never finished (pre-run rejection, cancellation,
-//! deadline, stall). The blocking calls of [`QrContext`] collect the
-//! outcomes and return them; the service resolves tickets.
+//! while sibling copies are still running, or from the calling thread, once
+//! the job ended, for copies the run never finished (pre-run rejection,
+//! cancellation, deadline, stall). The blocking calls of [`QrContext`]
+//! collect the outcomes and return them; the service resolves tickets.
 //!
-//! With a pool the job is published to every worker; without one
-//! (`threads == 1`) the *same* job runs on the calling thread under the
-//! [`InOrder`] scheduler, which hands out ids in ascending order — copy by
-//! copy, topological within a copy: the bitwise reference order. Either way
-//! [`drive_worker`] is the only place a kernel task is contained, retired
-//! and checked against cancellation.
+//! Every thread count takes one path: the calling thread is worker 0 and the
+//! pool's helpers are workers `1..threads` (none at `threads == 1`), all
+//! driving the one scheduler. [`drive_worker`] is the only place a kernel
+//! task is contained and retired, and where the job's controls
+//! ([`RunCtl`]: user cancellation, deadline, stall bound) are checked.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -36,11 +35,11 @@ use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 use crate::context::QrContext;
 use crate::error::QrError;
 use crate::executor::{
-    dependency_counters, drive_worker, DriveCtl, FaultSink, ItemMap, LockedFifo, Scheduler,
+    dependency_counters, drive_worker, DriveCtl, FaultSink, ItemMap, RunCtl, Scheduler,
     SchedulerKind, WorkStealing, WorkStealingPriority,
 };
 use crate::plan::{PlanCore, QrPlan};
-use crate::pool::{payload_message, Job, RunCtl, WorkerPool};
+use crate::pool::{payload_message, Job, WorkerPool};
 use crate::reflectors::TFactors;
 use crate::state::{FactoredParts, FactorizationState};
 use crate::sync::shim::{AtomicBool, AtomicUsize};
@@ -291,10 +290,9 @@ pub(crate) struct JobState<T: Scalar> {
     completed: AtomicUsize,
     aborted: AtomicBool,
     slots: Vec<Mutex<WorkerSlot<T>>>,
-    /// This job's cancel token: user cancellation, the deadline and the
-    /// watchdog are funnelled into it ([`RunCtl`]), so internal causes never
-    /// poison the context's sticky handle; workers check it between tasks.
-    pub(crate) cancel: CancelToken,
+    /// This job's controls: its own cancel token and what triggers it, all
+    /// checked by its workers ([`drive_worker`]).
+    pub(crate) control: RunCtl,
     sink: Arc<dyn ItemSink<T>>,
 }
 
@@ -303,7 +301,7 @@ impl<T: Scalar<Real = f64>> JobState<T> {
     pub(crate) fn new(
         copies: Vec<JobCopy<T>>,
         slots: Vec<WorkerSlot<T>>,
-        cancel: CancelToken,
+        control: RunCtl,
         sink: Arc<dyn ItemSink<T>>,
     ) -> Self {
         JobState {
@@ -321,7 +319,7 @@ impl<T: Scalar<Real = f64>> JobState<T> {
             completed: AtomicUsize::new(0),
             aborted: AtomicBool::new(false),
             slots: slots.into_iter().map(Mutex::new).collect(),
-            cancel,
+            control,
             sink,
         }
     }
@@ -357,7 +355,7 @@ impl<T: Scalar<Real = f64>> JobState<T> {
     /// Job end, every worker gone: resolves the copies a cancellation, a
     /// deadline or a stall left unfinished and gives the worker slots back.
     pub(crate) fn finish(self) -> Vec<WorkerSlot<T>> {
-        let cause = self.cancel.cause();
+        let cause = self.control.job_cancel.cause();
         for copy in 0..self.copies.len() {
             self.finish_copy(copy, cause);
         }
@@ -383,15 +381,15 @@ impl<T: Scalar<Real = f64>> FaultSink for JobState<T> {
     }
 }
 
-/// The pool job (and, on the calling thread, the `threads == 1` engine):
-/// [`JobState`] plus the scheduler instance multiplexing its ready tasks.
+/// The pool job: [`JobState`] plus the scheduler instance multiplexing its
+/// ready tasks.
 pub(crate) struct FusedJob<T: Scalar, S> {
     pub(crate) state: JobState<T>,
     pub(crate) sched: S,
 }
 
 impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for FusedJob<T, S> {
-    fn run(&self, w: usize, heartbeat: &AtomicUsize) {
+    fn run(&self, w: usize) {
         let job = &self.state;
         let mut slot = job.slots[w].lock();
         let (ws, spans) = &mut *slot;
@@ -406,10 +404,10 @@ impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for FusedJob<T, S> {
             completed: &job.completed,
             aborted: &job.aborted,
             max_out_degree: job.max_out_degree,
-            cancel: Some(&job.cancel),
+            control: Some(&job.control),
             faults: Some(job),
         };
-        drive_worker(&ctl, &self.sched, w, Some(heartbeat), &mut |copy, local| {
+        drive_worker(&ctl, &self.sched, w, &mut |copy, local| {
             let c = &job.copies[copy];
             #[cfg(feature = "fault-injection")]
             crate::fault::check(c.probe, local);
@@ -418,35 +416,6 @@ impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for FusedJob<T, S> {
             let kind = c.core.dag.tasks[local].kind;
             spans.record(kind, || c.state.run_ws(kind, ws));
         });
-    }
-}
-
-/// The `threads == 1` scheduler: ids in ascending order, which is copy by
-/// copy and topological within a copy — every dependency of a popped task
-/// has already retired, so nothing is ever queued.
-///
-/// With no submitter thread to run the pool's wait loop, the calling thread
-/// polls user cancellation and the deadline itself, between tasks.
-struct InOrder {
-    next: AtomicUsize,
-    total: usize,
-    ctl: RunCtl,
-}
-
-impl Scheduler for InOrder {
-    fn seed(&self, _roots: &mut [usize]) {}
-
-    fn push_ready(&self, _w: usize, _ready: &mut [usize]) -> Option<usize> {
-        None
-    }
-
-    fn pop(&self, _w: usize) -> Option<usize> {
-        let g = self.next.load(Ordering::Relaxed);
-        if g >= self.total || self.ctl.poll_cancel() {
-            return None;
-        }
-        self.next.store(g + 1, Ordering::Relaxed);
-        Some(g)
     }
 }
 
@@ -500,14 +469,15 @@ impl QrContext {
         }
         let copies: Vec<JobCopy<T>> = entries.into_iter().map(JobCopy::new).collect();
         let total = copies.iter().map(|c| c.core.dag.len()).sum();
-        let ctl = RunCtl {
+        let control = RunCtl {
             job_cancel: CancelToken::new(),
             user_cancel: self.cancel.clone(),
             deadline,
             stall_bound: self.watchdog,
         };
+        let threads = self.pool.threads();
         let slots = ws_owner
-            .checkout_workspaces(self.threads)
+            .checkout_workspaces(threads)
             .into_iter()
             .map(|ws| {
                 let spans =
@@ -515,29 +485,14 @@ impl QrContext {
                 (ws, spans)
             })
             .collect();
-        let state = JobState::new(copies, slots, ctl.job_cancel.clone(), sink);
-        let slots = match &self.pool {
-            None => {
-                let sched = InOrder {
-                    next: AtomicUsize::new(0),
-                    total,
-                    ctl,
-                };
-                launch(state, sched, None)
+        let state = JobState::new(copies, slots, control, sink);
+        let slots = match self.scheduler {
+            SchedulerKind::WorkStealing => {
+                launch(&self.pool, state, WorkStealing::new(total, threads))
             }
-            Some(pool) => {
-                let threads = pool.threads();
-                let on = Some((pool, ctl));
-                match self.scheduler {
-                    SchedulerKind::LockedFifo => launch(state, LockedFifo::new(total), on),
-                    SchedulerKind::WorkStealing => {
-                        launch(state, WorkStealing::new(total, threads), on)
-                    }
-                    SchedulerKind::WorkStealingPriority => {
-                        let sched = state.priority_scheduler(threads);
-                        launch(state, sched, on)
-                    }
-                }
+            SchedulerKind::WorkStealingPriority => {
+                let sched = state.priority_scheduler(threads);
+                launch(&self.pool, state, sched)
             }
         };
         // Dropping the span buffers merges them into the trace; the last
@@ -549,33 +504,19 @@ impl QrContext {
     }
 }
 
-/// Seeds `sched`, runs the job — on `pool` under the submitter-side
-/// controls, or on the calling thread — then resolves what the run left
-/// unfinished and returns the worker slots.
-fn launch<T, S>(
-    state: JobState<T>,
-    sched: S,
-    pool: Option<(&WorkerPool, RunCtl)>,
-) -> Vec<WorkerSlot<T>>
+/// Seeds `sched`, runs the job on `pool` — the calling thread as worker 0 —
+/// then resolves what the run left unfinished and returns the worker slots.
+fn launch<T, S>(pool: &WorkerPool, state: JobState<T>, sched: S) -> Vec<WorkerSlot<T>>
 where
     T: Scalar<Real = f64>,
     S: Scheduler + Send + Sync + 'static,
 {
     sched.seed(&mut state.roots());
-    let job = FusedJob { state, sched };
-    match pool {
-        None => {
-            job.run(0, &AtomicUsize::new(0));
-            job.state.finish()
-        }
-        Some((pool, ctl)) => {
-            let job = Arc::new(job);
-            pool.run_controlled(Arc::clone(&job) as Arc<dyn Job>, Some(ctl));
-            // `run_controlled` returns only after every worker dropped its
-            // reference to the job (and the pool's own slot was cleared).
-            let job = Arc::into_inner(job)
-                .unwrap_or_else(|| panic!("job still shared after the pool ran it"));
-            job.state.finish()
-        }
-    }
+    let job = Arc::new(FusedJob { state, sched });
+    pool.run(Arc::clone(&job) as Arc<dyn Job>);
+    // `run` returns only after every helper dropped its reference to the job
+    // (and the pool's own slot was cleared).
+    let job =
+        Arc::into_inner(job).unwrap_or_else(|| panic!("job still shared after the pool ran it"));
+    job.state.finish()
 }

@@ -10,9 +10,9 @@
 //!   generic scoped DAG executors built on it (sequential and
 //!   multi-threaded; no factorization path of this crate calls them — they
 //!   serve external callers), and the pluggable ready-task
-//!   [`Scheduler`](executor::Scheduler): a legacy locked FIFO, per-worker
-//!   Chase–Lev work-stealing deques, and priority work stealing driven by
-//!   weighted critical-path-to-exit lengths
+//!   [`Scheduler`](executor::Scheduler): per-worker Chase–Lev work-stealing
+//!   deques, and priority work stealing driven by weighted
+//!   critical-path-to-exit lengths
 //!   ([`TaskDag::priorities`](tileqr_core::dag::TaskDag::priorities)).
 //!   Every worker thread gets its own preallocated kernel
 //!   [`Workspace`](tileqr_kernels::Workspace), so the per-task hot loop
@@ -25,8 +25,9 @@
 //!   a [`TaskKind`] to the corresponding kernel call.
 //! * [`context`] — the **session API** and the recommended entry point for
 //!   services: a long-lived [`QrContext`] owning a persistent, parkable
-//!   worker pool, reusable shape-keyed [`QrPlan`]s (elimination list, DAG,
-//!   priorities and workspaces precomputed once), typed [`QrError`]s
+//!   worker pool (the calling thread is worker 0 of every job, beside
+//!   `threads − 1` helpers), reusable shape-keyed [`QrPlan`]s (elimination
+//!   list, DAG, priorities and workspaces precomputed once), typed [`QrError`]s
 //!   ([`error`]) instead of panics, and an in-place
 //!   [`QrContext::factorize_into`] path over caller-owned tile storage.
 //!   **One engine**: every call — single, in-place,
@@ -36,9 +37,9 @@
 //!   wake-up for the whole job, work stealing balancing across matrices,
 //!   per-item errors isolated); the callers differ only in the *sink* the
 //!   job hands each copy's outcome to — a collecting sink for the blocking
-//!   calls, a ticket-resolving one for the service — and `threads == 1`
-//!   drives the same job on the calling thread. A copy's `T` factors are one
-//!   value ([`reflectors::TFactors`]) that returns its buffers to the plan's
+//!   calls, a ticket-resolving one for the service — and every thread count
+//!   runs it the same way (at `threads == 1`, the caller alone). A copy's
+//!   `T` factors are one value ([`reflectors::TFactors`]) that returns its buffers to the plan's
 //!   pool wherever it is dropped — **dropping the handle is the recycle
 //!   path** — cutting the steady-state batch loop down to a constant *count*
 //!   of per-call bookkeeping allocations — none per task, tile or `T`
@@ -136,13 +137,15 @@
 //! **Cancellation, deadlines, watchdog.** [`QrContext::cancel_handle`]
 //! returns a sticky, cloneable [`CancelToken`] checked between tasks;
 //! `*_with_deadline` entry-point variants bound wall-clock time; and
-//! [`QrContext::with_watchdog`] arms a pool watchdog that watches per-worker
-//! heartbeat counters from the submitting thread and cancels a job whose
-//! workers stop retiring tasks past the bound ([`QrError::Stalled`]) instead
-//! of hanging the caller. Batches report partial results: items that
-//! finished before the trigger still return `Ok`. All clock reads happen on
-//! the submitting thread — the per-task cost of the whole robustness layer
-//! is a handful of relaxed atomic operations.
+//! [`QrContext::with_watchdog`] arms a stall check that cancels a job when a
+//! worker wants work and no task has retired for longer than the bound
+//! ([`QrError::Stalled`]) instead of hanging the caller. No thread watches a
+//! job from outside: its own workers — the caller, as worker 0, included —
+//! poll all three between tasks, and run the stall check (at most once per
+//! eighth of the bound) while idle. Batches report partial results: items
+//! that finished before the trigger still return `Ok`. Clocks are read only
+//! when a deadline or a stall bound is set — otherwise the per-task cost of
+//! the whole robustness layer is a handful of atomic loads.
 //!
 //! **Deterministic fault injection** (`--features fault-injection`,
 //! default-off, zero-cost when disabled). The `fault` module installs a
@@ -185,7 +188,8 @@
 //!    only under that cfg) then exhaustively checks small instances of the
 //!    deque, queue, once-slot, backoff and dependency-counter protocols,
 //!    the job's lazy-tiling gate and its deliver-each-copy-exactly-once
-//!    finish (the real job on two virtual workers, raced against an abort),
+//!    finish (the real job on the main thread as worker 0 and one helper,
+//!    raced against a user cancellation from a third thread),
 //!    and replays any failing schedule deterministically:
 //!
 //!    ```text

@@ -32,7 +32,7 @@ use tileqr_verify::thread;
 
 use crate::context::{ItemSink, QrError, QrPlan, StreamEntry, StreamInput};
 use crate::driver::QrConfig;
-use crate::executor::{Scheduler, WorkStealing};
+use crate::executor::{RunCtl, Scheduler, WorkStealing};
 use crate::job::{FusedJob, ItemTracker, JobCopy, JobState, TileGate};
 use crate::pool::Job;
 use crate::state::{FactoredParts, FactorizationState};
@@ -610,14 +610,16 @@ impl ItemSink<f64> for CountingSink {
 }
 
 /// The real [`FusedJob`] — state, tracker, work-stealing scheduler,
-/// `drive_worker` — on two workers, raced against an abort: the submitter
-/// triggers the job's cancel token at an arbitrary point, joins the workers
-/// and runs the job-end sweep. The worker performing the copy's last retire
-/// and the sweep compete for the copy; the sink must fire exactly once, with
-/// `Ok` only for a fully factored copy (tiles bitwise equal to the reference
-/// walk — a drain that overtook a running task, or a task that met a drained
-/// tile, shows as a mismatch or a panic) and with the cancellation cause
-/// otherwise, the tile grid intact either way.
+/// `drive_worker`, job controls — shaped as the pool runs it: the main
+/// thread is worker 0, one spawned helper is worker 1, and a third thread
+/// cancels the user token at an arbitrary point, which the workers forward
+/// into the job token between tasks. Once the helper is joined, the main
+/// thread runs the job-end sweep. The worker performing the copy's last
+/// retire and the sweep compete for the copy; the sink must fire exactly
+/// once, with `Ok` only for a fully factored copy (tiles bitwise equal to
+/// the reference walk — a drain that overtook a running task, or a task that
+/// met a drained tile, shows as a mismatch or a panic) and with the
+/// cancellation cause otherwise, the tile grid intact either way.
 #[test]
 fn finish_exactly_once_last_retire_vs_sweep_under_abort() {
     let (plan, a) = tiny_problem();
@@ -645,26 +647,31 @@ fn finish_exactly_once_last_retire_vs_sweep_under_abort() {
                     )
                 })
                 .collect();
+            let control = RunCtl {
+                job_cancel: CancelToken::new(),
+                user_cancel: CancelToken::new(),
+                deadline: None,
+                stall_bound: None,
+            };
+            let user = control.user_cancel.clone();
             let state = JobState::new(
                 vec![JobCopy::new(entry)],
                 slots,
-                CancelToken::new(),
+                control,
                 Arc::clone(&sink) as Arc<dyn ItemSink<f64>>,
             );
             let sched = WorkStealing::new(3, 2);
             sched.seed(&mut state.roots());
             let job = Arc::new(FusedJob { state, sched });
-            let workers: Vec<_> = (0..2)
-                .map(|w| {
-                    let job = Arc::clone(&job);
-                    thread::spawn(move || job.run(w, &AtomicUsize::new(0)))
-                })
-                .collect();
-            job.state.cancel.trigger(CancelCause::Cancelled);
-            for w in workers {
-                w.join().unwrap();
-            }
-            let job = Arc::into_inner(job).expect("workers dropped their references");
+            let helper = {
+                let job = Arc::clone(&job);
+                thread::spawn(move || job.run(1))
+            };
+            let aborter = thread::spawn(move || user.cancel());
+            job.run(0);
+            helper.join().unwrap();
+            aborter.join().unwrap();
+            let job = Arc::into_inner(job).expect("the helper dropped its reference");
             job.state.finish();
             assert_eq!(
                 sink.calls.load(std::sync::atomic::Ordering::SeqCst),

@@ -3,43 +3,38 @@
 //! The scoped executor ([`crate::executor`]) spawns and joins a fresh set of
 //! worker threads on every call — correct, but a stream of moderate-size
 //! factorizations then pays thread startup and teardown per matrix. This
-//! module provides the long-lived alternative the context API is built on:
+//! module provides the long-lived alternative the context API is built on.
+//! **The caller is worker 0 of its own job**:
 //!
-//! * `threads` workers are spawned **once** when the pool is built;
-//! * between jobs they idle through the same three-tier
+//! * a pool for `threads` threads spawns `threads − 1` **helpers**, once,
+//!   when it is built; the thread that submits a job is the remaining one;
+//! * between jobs the helpers idle through the same three-tier
 //!   [`Backoff`](crate::sync::Backoff) the executor uses (spin → yield →
 //!   bounded park), so an idle pool consumes no CPU;
-//! * a job is submitted by publishing an `Arc<dyn Job>` and bumping an
-//!   epoch counter; every worker is unparked, runs `Job::run(worker_index)`,
-//!   and the submitter blocks until all of them have finished. The wake-up
-//!   cost is **per job, not per matrix**: jobs fuse `k` small
-//!   factorizations
+//! * [`WorkerPool::run`] publishes an `Arc<dyn Job>` and bumps an epoch
+//!   counter; every helper is unparked and runs `Job::run(w)` with its index
+//!   `w ∈ 1..threads`, the caller runs `Job::run(0)`, then waits for the
+//!   helpers' done count. The wake-up cost is **per job, not per matrix**:
+//!   jobs fuse `k` small factorizations
 //!   ([`QrContext::factorize_batch`](crate::context::QrContext::factorize_batch),
 //!   service groups) precisely so they ride one epoch bump instead of `k`;
-//! * a panicking job is caught on the worker, the payload is stored, and
-//!   [`WorkerPool::run`] re-raises it on the submitting thread — the pool
-//!   itself stays alive and can run further jobs. When several workers panic
-//!   in one job, only the first payload can be re-raised; the rest are
-//!   **counted**, and the count is surfaced in the re-raised panic instead
-//!   of being dropped silently;
-//! * each worker maintains a **heartbeat counter** (bumped once per retired
-//!   task by the executor loop). The submitter's wait loop can observe the
-//!   heartbeats through a [`RunCtl`]: if the sum stops advancing for longer
-//!   than a stall bound, the watchdog triggers the job's cancel token with
-//!   [`CancelCause::Stalled`] so cooperating workers abandon the job instead
-//!   of hanging the submitter forever. The same poll loop enforces
-//!   deadlines and forwards user cancellation — clock reads happen on the
-//!   *submitting* thread, never on the per-task worker path;
-//! * dropping the pool shuts the workers down and joins them.
+//! * with no helpers (`threads == 1`), `run` is a plain call on the calling
+//!   thread — no lock, no epoch — so concurrent callers of a one-thread
+//!   context run side by side;
+//! * a panicking job is caught on every worker, the caller included, the
+//!   payload is stored, and `run` re-raises it once every helper finished —
+//!   the pool itself stays alive and can run further jobs. When several
+//!   workers panic in one job, only the first payload can be re-raised; the
+//!   rest are **counted**, and the count is surfaced in the re-raised panic
+//!   instead of being dropped silently;
+//! * dropping the pool shuts the helpers down and joins them.
 //!
-//! The watchdog is cooperative: it recovers runs whose workers are *idling*
-//! without progress (the shape of a lost-task bug) and runs whose stalled
-//! task eventually returns (e.g. a long sleep). A task that never returns
-//! wedges its OS thread — safe Rust cannot reclaim that; the watchdog then
-//! still bounds what the *other* workers do, but the submitter must wait for
-//! the wedged task to come back.
+//! The pool knows nothing of cancellation, deadlines or stalls: a job's
+//! workers poll those themselves, between tasks and in their idle loop
+//! ([`drive_worker`](crate::executor::drive_worker)), so a job wound down by
+//! any of them returns through the same path as one that ran to the end.
 //!
-//! Jobs must be `'static` (workers are not scoped threads), which is why the
+//! Jobs must be `'static` (helpers are not scoped threads), which is why the
 //! context wraps the per-factorization state in `Arc`s; the pool itself is
 //! type-erased and knows nothing about matrices or schedulers.
 
@@ -49,105 +44,71 @@ use std::sync::atomic::Ordering;
 use crate::sync::shim::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-use crate::sync::{Backoff, CancelCause, CancelToken, Mutex};
+use crate::sync::{Backoff, Mutex};
 
 /// One unit of pool work: called exactly once per worker with that worker's
-/// index in `0..threads` and the worker's own heartbeat counter (bumped by
-/// the executor loop once per retired task so the submitter-side watchdog
-/// can observe progress). Implementations coordinate internally — the
-/// context's fused job (`job.rs`) drives the shared fused-DAG scheduler from
-/// every worker.
+/// index in `0..threads` — 0 on the calling thread, `1..threads` on the
+/// helpers. Implementations coordinate internally — the context's fused job
+/// (`job.rs`) drives the shared fused-DAG scheduler from every worker.
 pub(crate) trait Job: Send + Sync {
     /// Runs worker `w`'s share of the job.
-    fn run(&self, w: usize, heartbeat: &AtomicUsize);
+    fn run(&self, w: usize);
 }
 
-/// Cache-line-padded heartbeat cell: every worker bumps its own counter once
-/// per task, so sharing a line between workers would turn the cheapest
-/// progress signal into cross-core traffic.
-#[repr(align(64))]
-struct Heartbeat(AtomicUsize);
-
-/// Submitter-side controls for one [`WorkerPool::run_controlled`] call: the
-/// job's cancel token plus the conditions the wait loop polls while workers
-/// run. All clock reads happen here, on the submitting thread — the workers
-/// only ever pay one atomic load per task.
-pub(crate) struct RunCtl {
-    /// The per-job token the workers observe; deadline/stall/user-cancel all
-    /// funnel into it.
-    pub(crate) job_cancel: CancelToken,
-    /// The context's sticky user handle; polled and forwarded into
-    /// `job_cancel` so a `cancel()` from another thread interrupts the job
-    /// within one wait-loop iteration (bounded by the backoff park cap).
-    pub(crate) user_cancel: CancelToken,
-    /// Absolute deadline; when passed, `job_cancel` triggers with
-    /// [`CancelCause::DeadlineExceeded`].
-    pub(crate) deadline: Option<Instant>,
-    /// Watchdog bound: if `done` and every heartbeat stay unchanged for
-    /// longer than this, `job_cancel` triggers with
-    /// [`CancelCause::Stalled`].
-    pub(crate) stall_bound: Option<Duration>,
-}
-
-impl RunCtl {
-    /// Forwards user cancellation and the deadline into the job token (the
-    /// first cause wins); true once the token is triggered, by whatever
-    /// cause.
-    pub(crate) fn poll_cancel(&self) -> bool {
-        if self.user_cancel.is_cancelled() {
-            self.job_cancel.trigger(CancelCause::Cancelled);
-        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.job_cancel.trigger(CancelCause::DeadlineExceeded);
-        }
-        self.job_cancel.is_cancelled()
-    }
-}
-
-/// State shared between the submitter and the workers.
+/// State shared between the caller and the helpers.
 struct Shared {
-    /// The job being executed (present from submission until every worker
-    /// finished). Workers clone the `Arc` out under the lock.
+    /// The job being executed (present from submission until every helper
+    /// finished). Helpers clone the `Arc` out under the lock.
     job: Mutex<Option<Arc<dyn Job>>>,
-    /// Bumped once per submission; workers run one job per observed bump.
+    /// Bumped once per submission; helpers run one job per observed bump.
     epoch: AtomicUsize,
-    /// Number of workers that finished the current job.
+    /// Number of helpers that finished the current job.
     done: AtomicUsize,
-    /// Set once, by `Drop`: workers exit their main loop.
+    /// Set once, by `Drop`: helpers exit their main loop.
     shutdown: AtomicBool,
     /// First panic payload raised by a job, if any.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Panic payloads beyond the first within one job: only one payload can
     /// be re-raised, but the rest must not vanish without a trace.
     suppressed_panics: AtomicUsize,
-    /// Per-worker progress counters, bumped once per retired task.
-    heartbeats: Vec<Heartbeat>,
-    /// The submitting thread, parked while it waits for `done == threads`;
-    /// the last worker to finish unparks it.
+    /// The calling thread, parked while it waits for `done == helpers`; the
+    /// last helper to finish unparks it.
     waiter: Mutex<Option<std::thread::Thread>>,
 }
 
-/// A persistent pool of `threads` parked worker threads executing one
-/// [`Job`] at a time.
+impl Shared {
+    /// Keeps the first payload of a job and counts the rest.
+    fn record_panic(&self, payload: Box<dyn Any + Send>) {
+        let mut slot = self.panic.lock();
+        if slot.is_none() {
+            *slot = Some(payload);
+        } else {
+            self.suppressed_panics.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+}
+
+/// A persistent pool of `threads − 1` parked helper threads that, with the
+/// calling thread as worker 0, execute one [`Job`] at a time.
 pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
-    /// Handles used to unpark the workers on submission and shutdown.
-    wakers: Vec<std::thread::Thread>,
-    joins: Vec<JoinHandle<()>>,
-    /// Serializes submissions from concurrent callers sharing one context.
+    /// The helpers, workers `1..threads`; their handles also unpark them.
+    helpers: Vec<JoinHandle<()>>,
+    /// Serializes submissions from concurrent callers sharing one pool.
     submit: Mutex<()>,
 }
 
 impl WorkerPool {
-    /// Spawns `threads` workers (at least 1) that park until a job arrives.
+    /// A pool for `threads` (at least 1) workers: spawns `threads − 1`
+    /// helpers that park until a job arrives.
     ///
     /// Thread spawning can genuinely fail (resource limits); the error is
-    /// returned instead of panicking, and any workers already spawned are
+    /// returned instead of panicking, and any helpers already spawned are
     /// shut down and joined before it propagates — the context maps it to
     /// [`QrError::ThreadSpawn`](crate::context::QrError::ThreadSpawn).
     pub(crate) fn new(threads: usize) -> std::io::Result<Self> {
-        let threads = threads.max(1);
+        let helpers = threads.max(1) - 1;
         let shared = Arc::new(Shared {
             job: Mutex::new(None),
             epoch: AtomicUsize::new(0),
@@ -155,96 +116,74 @@ impl WorkerPool {
             shutdown: AtomicBool::new(false),
             panic: Mutex::new(None),
             suppressed_panics: AtomicUsize::new(0),
-            heartbeats: (0..threads)
-                .map(|_| Heartbeat(AtomicUsize::new(0)))
-                .collect(),
             waiter: Mutex::new(None),
         });
-        let mut joins: Vec<JoinHandle<()>> = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let worker_shared = Arc::clone(&shared);
-            let spawned = std::thread::Builder::new()
-                .name(format!("tileqr-worker-{w}"))
-                .spawn(move || worker_main(&worker_shared, w, threads));
-            match spawned {
-                Ok(handle) => joins.push(handle),
-                Err(e) => {
-                    // Partial spawn: tear down what exists before reporting.
-                    shared.shutdown.store(true, Ordering::Release);
-                    for j in joins.drain(..) {
-                        j.thread().unpark();
-                        let _ = j.join();
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        let wakers = joins.iter().map(|j| j.thread().clone()).collect();
-        Ok(WorkerPool {
+        let mut pool = WorkerPool {
             shared,
-            wakers,
-            joins,
+            helpers: Vec::with_capacity(helpers),
             submit: Mutex::new(()),
-        })
+        };
+        for w in 1..=helpers {
+            let shared = Arc::clone(&pool.shared);
+            let handle = std::thread::Builder::new()
+                .name(format!("tileqr-worker-{w}"))
+                .spawn(move || helper_main(&shared, w, helpers))?;
+            // On a partial spawn the `?` drops `pool`, which shuts down and
+            // joins the helpers spawned so far.
+            pool.helpers.push(handle);
+        }
+        Ok(pool)
     }
 
-    /// Number of worker threads.
+    /// Number of workers: the caller plus the helpers.
     pub(crate) fn threads(&self) -> usize {
-        self.joins.len()
+        self.helpers.len() + 1
     }
 
-    /// [`WorkerPool::run_controlled`] without deadline, watchdog or
-    /// cancellation — the legacy shape, kept for jobs that manage their own
-    /// lifetime (and for the pool's unit tests).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Runs one job to completion — worker 0 on the calling thread, the
+    /// helpers on theirs — and returns once every helper finished. Re-raises
+    /// the first panic any worker caught, after the job is fully torn down —
+    /// the pool remains usable either way; if more than one worker panicked,
+    /// the re-raised panic reports how many further payloads were
+    /// suppressed.
+    ///
+    /// Concurrent callers of a pool with helpers are serialized: it runs one
+    /// job at a time. Without helpers, `run` just calls `job.run(0)`.
     pub(crate) fn run(&self, job: Arc<dyn Job>) {
-        self.run_controlled(job, None);
-    }
-
-    /// Runs one job to completion on every worker and returns once all of
-    /// them finished. Re-raises the first panic a worker caught, after the
-    /// job is fully torn down — the pool remains usable either way; if more
-    /// than one worker panicked, the re-raised panic reports how many
-    /// further payloads were suppressed.
-    ///
-    /// With a [`RunCtl`], the wait loop additionally polls the user cancel
-    /// token, the deadline and the heartbeat watchdog, funnelling whichever
-    /// fires first into the job's cancel token (first cause wins). The job's
-    /// workers are expected to observe that token between tasks and wind
-    /// down; the submitter still waits for all of them to signal completion.
-    ///
-    /// Concurrent callers are serialized: the pool runs one job at a time.
-    pub(crate) fn run_controlled(&self, job: Arc<dyn Job>, ctl: Option<RunCtl>) {
+        if self.helpers.is_empty() {
+            return job.run(0);
+        }
         let _serialize = self.submit.lock();
         let shared = &self.shared;
         shared.done.store(0, Ordering::Relaxed);
         shared.suppressed_panics.store(0, Ordering::Relaxed);
         *shared.waiter.lock() = Some(std::thread::current());
-        *shared.job.lock() = Some(job);
+        *shared.job.lock() = Some(Arc::clone(&job));
         // The release increment publishes the job slot write above to any
-        // worker that acquires the epoch (the mutex already synchronizes the
-        // slot itself; the epoch is what workers poll without the lock).
+        // helper that acquires the epoch (the mutex already synchronizes the
+        // slot itself; the epoch is what helpers poll without the lock).
         shared.epoch.fetch_add(1, Ordering::Release);
-        for t in &self.wakers {
-            t.unpark();
+        for h in &self.helpers {
+            h.thread().unpark();
         }
-        // Wait for every worker. Workers unpark us when the last one
-        // finishes; the bounded-park backoff makes a missed unpark a
-        // bounded-latency event, never a deadlock.
-        let threads = self.threads();
+        let mine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run(0)));
+        drop(job);
+        if let Err(payload) = mine {
+            shared.record_panic(payload);
+        }
+        // Wait for every helper. The last one unparks us; the bounded-park
+        // backoff makes a missed unpark a bounded-latency event, never a
+        // deadlock.
         let mut backoff = Backoff::new();
-        let mut watch = ctl.as_ref().map(|_| WatchState::new());
-        while shared.done.load(Ordering::Acquire) < threads {
+        while shared.done.load(Ordering::Acquire) < self.helpers.len() {
             backoff.snooze();
-            if let (Some(ctl), Some(watch)) = (&ctl, &mut watch) {
-                self.poll_control(ctl, watch);
-            }
         }
-        // Tear down: drop the pool's reference to the job (workers dropped
+        // Tear down: drop the pool's reference to the job (helpers dropped
         // theirs before signalling done) and clear the waiter slot.
         *shared.job.lock() = None;
         shared.waiter.lock().take();
-        if let Some(payload) = shared.panic.lock().take() {
+        let payload = shared.panic.lock().take();
+        if let Some(payload) = payload {
             let suppressed = shared.suppressed_panics.load(Ordering::Acquire);
             if suppressed == 0 {
                 std::panic::resume_unwind(payload);
@@ -256,67 +195,6 @@ impl WorkerPool {
                 payload_message(&*payload),
                 if suppressed == 1 { "" } else { "s" },
             );
-        }
-    }
-
-    /// One iteration of the submitter-side control poll: forward user
-    /// cancellation, enforce the deadline, and advance the stall watchdog.
-    /// Runs between backoff snoozes, so its cost is per *wait iteration*,
-    /// not per task; once the job token is triggered there is nothing left
-    /// to poll.
-    fn poll_control(&self, ctl: &RunCtl, watch: &mut WatchState) {
-        if ctl.job_cancel.is_cancelled() || ctl.poll_cancel() {
-            return;
-        }
-        if let Some(bound) = ctl.stall_bound {
-            // The digest reads every worker's heartbeat line *while the
-            // workers are writing them* — probing it on every snooze drags
-            // those lines into shared state and measurably slows the workers
-            // down. Probing at an eighth of the bound keeps the steady-state
-            // cost off the workers' cache lines and still detects a stall
-            // within ~9/8 of the configured bound.
-            let now = Instant::now();
-            if now.duration_since(watch.last_probe) < bound / 8 {
-                return;
-            }
-            watch.last_probe = now;
-            let digest = self.progress_digest();
-            if digest != watch.last_digest {
-                watch.last_digest = digest;
-                watch.last_progress = now;
-            } else if now.duration_since(watch.last_progress) > bound {
-                ctl.job_cancel.trigger(CancelCause::Stalled);
-            }
-        }
-    }
-
-    /// Wrapping sum of every worker's heartbeat plus the done count — any
-    /// retired task or finished worker changes it.
-    fn progress_digest(&self) -> usize {
-        let mut digest = self.shared.done.load(Ordering::Acquire);
-        for hb in &self.shared.heartbeats {
-            digest = digest.wrapping_add(hb.0.load(Ordering::Relaxed));
-        }
-        digest
-    }
-}
-
-/// Stall-watchdog bookkeeping of one wait loop.
-struct WatchState {
-    last_digest: usize,
-    last_progress: Instant,
-    last_probe: Instant,
-}
-
-impl WatchState {
-    fn new() -> Self {
-        WatchState {
-            // usize::MAX cannot be a real digest sum's first observation in
-            // practice, so the first poll always registers "progress" and
-            // starts the stall clock from there.
-            last_digest: usize::MAX,
-            last_progress: Instant::now(),
-            last_probe: Instant::now(),
         }
     }
 }
@@ -336,21 +214,21 @@ pub(crate) fn payload_message(payload: &(dyn Any + Send)) -> &str {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for t in &self.wakers {
-            t.unpark();
+        for h in &self.helpers {
+            h.thread().unpark();
         }
-        for j in self.joins.drain(..) {
-            // A worker body never panics outside a job (job panics are
-            // caught and re-raised on the submitter), so join errors are
-            // limited to catastrophic situations; ignore them on teardown.
-            let _ = j.join();
+        for h in self.helpers.drain(..) {
+            // A helper never panics outside a job (job panics are caught and
+            // re-raised on the caller), so join errors are limited to
+            // catastrophic situations; ignore them on teardown.
+            let _ = h.join();
         }
     }
 }
 
-/// Body of one pool worker: park until the epoch advances (or shutdown),
-/// run the published job, signal completion, repeat.
-fn worker_main(shared: &Shared, w: usize, threads: usize) {
+/// Body of helper `w`: park until the epoch advances (or shutdown), run the
+/// published job, signal completion, repeat.
+fn helper_main(shared: &Shared, w: usize, helpers: usize) {
     let mut seen = 0usize;
     loop {
         // Idle phase: wait for a new epoch with spin → yield → bounded park.
@@ -367,34 +245,25 @@ fn worker_main(shared: &Shared, w: usize, threads: usize) {
         };
         seen = epoch;
         let Some(job) = shared.job.lock().clone() else {
-            // Raced with teardown of a job this worker never observed
+            // Raced with teardown of a job this helper never observed
             // (possible only around shutdown); treat as spurious.
             continue;
         };
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            job.run(w, &shared.heartbeats[w].0)
-        }));
-        // Drop our clone *before* signalling: once `done == threads` the
-        // submitter assumes it holds the only references to the job's state.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run(w)));
+        // Drop our clone *before* signalling: once `done == helpers` the
+        // caller assumes it holds the only references to the job's state.
         drop(job);
         if let Err(payload) = result {
-            let mut slot = shared.panic.lock();
-            if slot.is_none() {
-                *slot = Some(payload);
-            } else {
-                // Only one payload can be re-raised; count the rest so the
-                // submitter can report how much was lost.
-                shared.suppressed_panics.fetch_add(1, Ordering::AcqRel);
-            }
+            shared.record_panic(payload);
         }
-        if shared.done.fetch_add(1, Ordering::AcqRel) + 1 == threads {
+        if shared.done.fetch_add(1, Ordering::AcqRel) + 1 == helpers {
             // Unpark without `take()`: a straggler from job N reaching this
             // point after job N+1 was submitted must not consume N+1's
             // waiter registration (that would lose N+1's completion wake-up
-            // and leave its submitter to the bounded-park fallback). A
-            // spurious unpark of the next submitter is harmless — it
-            // re-checks `done` and parks again; the submitter clears its own
-            // registration during teardown.
+            // and leave its caller to the bounded-park fallback). A spurious
+            // unpark of the next caller is harmless — it re-checks `done`
+            // and parks again; the caller clears its own registration
+            // during teardown.
             if let Some(waiter) = shared.waiter.lock().as_ref() {
                 waiter.unpark();
             }
@@ -405,13 +274,14 @@ fn worker_main(shared: &Shared, w: usize, threads: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
 
     struct CountJob {
         hits: Vec<AtomicUsize>,
     }
     impl Job for CountJob {
-        fn run(&self, w: usize, heartbeat: &AtomicUsize) {
-            heartbeat.fetch_add(1, Ordering::Relaxed);
+        fn run(&self, w: usize) {
             self.hits[w].fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -431,10 +301,41 @@ mod tests {
     }
 
     #[test]
+    fn the_caller_is_worker_0_beside_p_minus_1_helpers() {
+        struct WhoRuns(Mutex<Vec<(usize, ThreadId)>>);
+        impl Job for WhoRuns {
+            fn run(&self, w: usize) {
+                self.0.lock().push((w, std::thread::current().id()));
+            }
+        }
+        let caller = std::thread::current().id();
+        for threads in [1usize, 2, 4] {
+            let pool = WorkerPool::new(threads).unwrap();
+            assert_eq!(pool.helpers.len(), threads - 1, "{threads} threads");
+            assert_eq!(pool.threads(), threads);
+            let job = Arc::new(WhoRuns(Mutex::new(Vec::new())));
+            pool.run(job.clone());
+            let mut ran = job.0.lock().clone();
+            ran.sort_by_key(|&(w, _)| w);
+            let workers: Vec<usize> = ran.iter().map(|&(w, _)| w).collect();
+            assert_eq!(workers, (0..threads).collect::<Vec<_>>());
+            assert_eq!(ran[0].1, caller, "worker 0 runs on the calling thread");
+            let helper_ids: HashSet<ThreadId> =
+                pool.helpers.iter().map(|h| h.thread().id()).collect();
+            let ran_on: HashSet<ThreadId> = ran[1..].iter().map(|&(_, id)| id).collect();
+            assert_eq!(ran_on, helper_ids, "workers 1.. run on the spawned helpers");
+            assert!(!helper_ids.contains(&caller));
+        }
+        // A one-thread context spawns no thread: its jobs run on the caller.
+        let ctx = crate::context::QrContext::new(1).unwrap();
+        assert!(ctx.pool.helpers.is_empty());
+    }
+
+    #[test]
     fn pool_survives_a_panicking_job_and_reraises_it() {
         struct Bomb;
         impl Job for Bomb {
-            fn run(&self, w: usize, _heartbeat: &AtomicUsize) {
+            fn run(&self, w: usize) {
                 if w == 0 {
                     panic!("boom from worker 0");
                 }
@@ -444,7 +345,7 @@ mod tests {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.run(Arc::new(Bomb));
         }));
-        assert!(err.is_err(), "job panic must reach the submitter");
+        assert!(err.is_err(), "job panic must reach the caller");
         // The pool is still functional afterwards.
         let job = Arc::new(CountJob {
             hits: (0..2).map(|_| AtomicUsize::new(0)).collect(),
@@ -457,7 +358,7 @@ mod tests {
     fn multiple_worker_panics_surface_a_suppression_count() {
         struct AllBomb;
         impl Job for AllBomb {
-            fn run(&self, w: usize, _heartbeat: &AtomicUsize) {
+            fn run(&self, w: usize) {
                 panic!("boom from worker {w}");
             }
         }
@@ -479,8 +380,8 @@ mod tests {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             struct OneBomb;
             impl Job for OneBomb {
-                fn run(&self, w: usize, _heartbeat: &AtomicUsize) {
-                    if w == 0 {
+                fn run(&self, w: usize) {
+                    if w == 1 {
                         panic!("single boom");
                     }
                 }
@@ -498,7 +399,7 @@ mod tests {
             hits: (0..4).map(|_| AtomicUsize::new(0)).collect(),
         });
         pool.run(job.clone());
-        // All worker clones and the pool's slot reference are gone.
+        // All helper clones and the pool's slot reference are gone.
         let job = Arc::try_unwrap(job).unwrap_or_else(|_| panic!("job uniquely owned"));
         assert!(job.hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
     }
@@ -508,117 +409,5 @@ mod tests {
         let pool = WorkerPool::new(2).unwrap();
         assert_eq!(pool.threads(), 2);
         drop(pool); // must not hang
-    }
-
-    #[test]
-    fn watchdog_turns_a_stalled_job_into_a_cancellation() {
-        // Worker 0 makes no progress (never bumps its heartbeat) until the
-        // job token fires; the other worker finishes instantly. Without the
-        // watchdog the submitter would wait on worker 0 forever.
-        struct StallJob {
-            cancel: CancelToken,
-        }
-        impl Job for StallJob {
-            fn run(&self, w: usize, _heartbeat: &AtomicUsize) {
-                if w == 0 {
-                    while !self.cancel.is_cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            }
-        }
-        let pool = WorkerPool::new(2).unwrap();
-        let token = CancelToken::new();
-        let start = Instant::now();
-        pool.run_controlled(
-            Arc::new(StallJob {
-                cancel: token.clone(),
-            }),
-            Some(RunCtl {
-                job_cancel: token.clone(),
-                user_cancel: CancelToken::new(),
-                deadline: None,
-                stall_bound: Some(Duration::from_millis(20)),
-            }),
-        );
-        assert_eq!(token.cause(), Some(CancelCause::Stalled));
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "watchdog must bound the stall"
-        );
-        // The pool survives and serves ordinary jobs.
-        let job = Arc::new(CountJob {
-            hits: (0..2).map(|_| AtomicUsize::new(0)).collect(),
-        });
-        pool.run(job.clone());
-        assert!(job.hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn deadline_fires_through_the_wait_loop() {
-        struct WaitJob {
-            cancel: CancelToken,
-        }
-        impl Job for WaitJob {
-            fn run(&self, _w: usize, heartbeat: &AtomicUsize) {
-                // Keep "making progress" so the watchdog (absent here)
-                // cannot be what stops the job — only the deadline can.
-                while !self.cancel.is_cancelled() {
-                    heartbeat.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
-        let pool = WorkerPool::new(2).unwrap();
-        let token = CancelToken::new();
-        pool.run_controlled(
-            Arc::new(WaitJob {
-                cancel: token.clone(),
-            }),
-            Some(RunCtl {
-                job_cancel: token.clone(),
-                user_cancel: CancelToken::new(),
-                deadline: Some(Instant::now() + Duration::from_millis(15)),
-                stall_bound: None,
-            }),
-        );
-        assert_eq!(token.cause(), Some(CancelCause::DeadlineExceeded));
-    }
-
-    #[test]
-    fn user_cancellation_is_forwarded_to_the_job_token() {
-        struct WaitJob {
-            cancel: CancelToken,
-        }
-        impl Job for WaitJob {
-            fn run(&self, _w: usize, _heartbeat: &AtomicUsize) {
-                while !self.cancel.is_cancelled() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
-        let pool = WorkerPool::new(2).unwrap();
-        let job_token = CancelToken::new();
-        let user_token = CancelToken::new();
-        let canceller = {
-            let user = user_token.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                user.cancel();
-            })
-        };
-        pool.run_controlled(
-            Arc::new(WaitJob {
-                cancel: job_token.clone(),
-            }),
-            Some(RunCtl {
-                job_cancel: job_token.clone(),
-                user_cancel: user_token,
-                deadline: None,
-                stall_bound: None,
-            }),
-        );
-        canceller.join().unwrap();
-        assert_eq!(job_token.cause(), Some(CancelCause::Cancelled));
     }
 }

@@ -85,7 +85,7 @@ use std::time::{Duration, Instant};
 use tileqr_matrix::rng::Rng;
 use tileqr_matrix::{Matrix, Scalar};
 
-use crate::context::{ItemSink, QrContext, QrError, QrPlan, StreamEntry, StreamInput};
+use crate::context::{deadline_in, ItemSink, QrContext, QrError, QrPlan, StreamEntry, StreamInput};
 use crate::driver::QrFactorization;
 use crate::state::FactoredParts;
 use crate::sync::shim::{AtomicU64, AtomicUsize};
@@ -292,13 +292,18 @@ impl<T: Scalar<Real = f64>> Ticket<T> {
     }
 
     /// [`Ticket::wait`] bounded by `timeout`: the outcome if the item
-    /// resolved in time, otherwise the ticket itself back, still valid.
+    /// resolved in time, otherwise the ticket itself back, still valid. A
+    /// `timeout` too large to represent as an [`Instant`] (e.g.
+    /// [`Duration::MAX`]) waits like [`Ticket::wait`].
     #[allow(clippy::result_large_err)]
     pub fn wait_for(
         self,
         timeout: Duration,
     ) -> Result<Result<QrFactorization<T>, QrError>, Ticket<T>> {
-        match self.slot.wait_deadline(Instant::now() + timeout) {
+        let Some(deadline) = deadline_in(timeout) else {
+            return Ok(self.slot.wait());
+        };
+        match self.slot.wait_deadline(deadline) {
             Some(outcome) => Ok(outcome),
             None => Err(self),
         }
@@ -739,7 +744,9 @@ impl<T: Scalar<Real = f64>> QrClient<T> {
     /// admission (queue space, shed pressure below threshold, quota),
     /// returning [`QrError::QueueFull`] if admission never opened in time
     /// and [`QrError::ServiceShutdown`] if the service closed while
-    /// waiting. Shape mismatches still fail immediately.
+    /// waiting. Shape mismatches still fail immediately. A `timeout` too
+    /// large to represent as an [`Instant`] (e.g. [`Duration::MAX`]) waits
+    /// for admission without a deadline.
     #[allow(clippy::result_large_err)]
     pub fn submit_within(
         &self,
@@ -749,7 +756,7 @@ impl<T: Scalar<Real = f64>> QrClient<T> {
         timeout: Duration,
     ) -> Result<Ticket<T>, QrError> {
         plan.check_shape(&a)?;
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_in(timeout);
         let mut inner = self.shared.inner.lock();
         let ticket = loop {
             match self.shared.check_admission(&inner, self.id, priority) {
@@ -759,15 +766,18 @@ impl<T: Scalar<Real = f64>> QrClient<T> {
                         .enqueue(&mut inner, self.id, a, Arc::clone(plan))
                 }
                 Err(AdmitErr::Shutdown) => return Err(QrError::ServiceShutdown),
-                Err(e) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(self.shared.reject(e));
+                Err(e) => match deadline {
+                    None => inner = self.shared.space_cv.wait(inner),
+                    Some(deadline) => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            return Err(self.shared.reject(e));
+                        }
+                        let (guard, _timed_out) =
+                            self.shared.space_cv.wait_timeout(inner, deadline - now);
+                        inner = guard;
                     }
-                    let (guard, _timed_out) =
-                        self.shared.space_cv.wait_timeout(inner, deadline - now);
-                    inner = guard;
-                }
+                },
             }
         };
         drop(inner);

@@ -23,9 +23,8 @@
 //!   burning CPU when the tail of the DAG is sequential while still reacting
 //!   within a bounded time when work appears.
 //! * [`TaskQueue`] — a locked FIFO of task indices with an *exact*
-//!   preallocated capacity. It backs the legacy `LockedFifo` scheduler and
-//!   serves as the global injector of initially-ready tasks for the
-//!   work-stealing schedulers.
+//!   preallocated capacity: the global injector of initially-ready tasks
+//!   for the work-stealing schedulers.
 //! * [`WorkerDeque`] — a fixed-capacity Chase–Lev work-stealing deque of
 //!   task indices: the owning worker pushes and pops at the bottom (LIFO,
 //!   cache-warm), other workers steal from the top (FIFO, oldest first).
@@ -334,7 +333,8 @@ pub(crate) enum CancelCause {
     Cancelled,
     /// A deadline passed while the job was running (or before it started).
     DeadlineExceeded,
-    /// The pool watchdog saw no progress for longer than the stall bound.
+    /// A worker wanting work saw no task retire for longer than the stall
+    /// bound (the watchdog).
     Stalled,
 }
 
@@ -582,9 +582,9 @@ impl Backoff {
 /// The capacity passed to [`TaskQueue::with_capacity`] is a hard bound, not
 /// a hint: the buffer is reserved exactly once and a debug assertion fires
 /// if a push would ever exceed it, so the allocation-free guarantee of the
-/// executor hot loop holds for the locked scheduler too. (Callers size the
-/// queue to the DAG length; a task index is enqueued at most once, so the
-/// bound is structural.)
+/// executor hot loop holds for the injector too. (Callers size the queue to
+/// the DAG length; a task index is enqueued at most once, so the bound is
+/// structural.)
 #[derive(Debug)]
 pub struct TaskQueue {
     inner: Mutex<VecDeque<usize>>,

@@ -3,7 +3,7 @@
 //! ~100 batched factorizations with shapes, tile sizes, batch widths,
 //! reduction trees, kernel families and scalar types drawn from the in-tree
 //! xoshiro256++ PRNG (fixed seed — every run covers the same deterministic
-//! mix), each executed through **all three schedulers** on a fused batch job
+//! mix), each executed through **both schedulers** on a fused batch job
 //! and checked **bitwise** against the sequential per-matrix factorization
 //! (`qr_factorize` with one thread). The batch machinery fuses k copies of
 //! one DAG into a single pool job; nothing about the fusion — offset task

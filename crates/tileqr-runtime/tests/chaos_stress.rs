@@ -1,7 +1,7 @@
 //! Deterministic chaos suite (`--features fault-injection`).
 //!
 //! A hundred seeded fault schedules over the batch-stress shape mix, each
-//! replayed through **all three schedulers**: panics injected at random
+//! replayed through **both schedulers**: panics injected at random
 //! `(copy, task)` boundaries must be contained to exactly that batch item
 //! (which reports [`QrError::TaskPanicked`] with the faulted task's kind),
 //! while every non-faulted sibling — including the ones slowed down by
@@ -476,7 +476,7 @@ fn hundred_seeded_service_schedules_with_concurrent_clients() {
     let mut rng = Rng::seed_from_u64(0x5E7FA017);
     for it in 0..RUNS {
         // Alternate scalar type; every round replays its schedule on all
-        // three schedulers' services.
+        // both schedulers' services.
         if it % 2 == 0 {
             service_chaos_round::<f64>(&mut rng, &f64_services, it);
         } else {
@@ -593,8 +593,9 @@ fn watchdog_flags_an_injected_stall_as_stalled() {
     let f = ctx.factorize(&plan, &a).expect("healthy run");
     assert_eq!(f.factored_tiles(), reference.factored_tiles());
 
-    // Wedge the first task for far longer than the stall bound: heartbeats
-    // stop, the watchdog cancels the job, and the call returns Stalled well
+    // Wedge the first task for far longer than the stall bound: tasks stop
+    // retiring, the idle worker's stall check cancels the job, and the call
+    // returns Stalled well
     // before a hung-forever worker would (the test itself is the no-hang
     // assertion).
     let armed = FaultPlan::new()

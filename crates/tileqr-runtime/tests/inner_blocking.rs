@@ -11,7 +11,7 @@
 //!   blocking legitimately reorders the compact-WY reductions, so bitwise
 //!   equality across different `ib` values is *not* expected, but the
 //!   backward error must stay at the unblocked level;
-//! * for each `ib`, the sequential run and all three parallel schedulers
+//! * for each `ib`, the sequential run and both parallel schedulers
 //!   must agree **bitwise** (the DAG orders every conflicting pair, so the
 //!   schedule cannot change a single bit regardless of panel width).
 

@@ -6,7 +6,7 @@
 //!
 //! Panic containment and the watchdog have dedicated suites: the
 //! deterministic chaos tests (`chaos_stress.rs`, behind
-//! `--features fault-injection`) and the pool's unit tests.
+//! `--features fault-injection`) and the executor's unit tests.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -158,28 +158,61 @@ fn expired_deadline_rejects_deterministically_with_buffers_untouched() {
 
 #[test]
 fn mid_run_deadline_returns_partial_results() {
-    let ctx = QrContext::new(4).unwrap();
-    let plan = plan();
-    let k = 8;
-    let inputs = mats(k, 150);
-    let references: Vec<_> = inputs
-        .iter()
-        .map(|a| qr_factorize(a, QrConfig::new(NB)))
-        .collect();
-    // Tight but non-zero: whichever items complete must be bitwise right,
-    // the rest must report DeadlineExceeded — and the call must return.
-    let batch = ctx.factorize_batch_with_deadline(&plan, &inputs, Duration::from_micros(300));
-    for (item, reference) in batch.into_iter().zip(&references) {
-        match item {
-            Ok(f) => assert_eq!(f.factored_tiles(), reference.factored_tiles()),
-            Err(QrError::DeadlineExceeded) => {}
-            Err(other) => panic!("unexpected error from a deadlined batch: {other}"),
+    // The caller alone, and the caller beside three helpers: every worker
+    // checks the deadline itself.
+    for threads in [1usize, 4] {
+        let ctx = QrContext::new(threads).unwrap();
+        let plan = plan();
+        let k = 8;
+        let inputs = mats(k, 150);
+        let references: Vec<_> = inputs
+            .iter()
+            .map(|a| qr_factorize(a, QrConfig::new(NB)))
+            .collect();
+        // Tight but non-zero: whichever items complete must be bitwise right,
+        // the rest must report DeadlineExceeded — and the call must return.
+        let batch = ctx.factorize_batch_with_deadline(&plan, &inputs, Duration::from_micros(300));
+        for (item, reference) in batch.into_iter().zip(&references) {
+            match item {
+                Ok(f) => assert_eq!(f.factored_tiles(), reference.factored_tiles()),
+                Err(QrError::DeadlineExceeded) => {}
+                Err(other) => panic!("unexpected error from a deadlined batch: {other}"),
+            }
+        }
+        // Single-matrix deadline variants share the plumbing.
+        match ctx.factorize_with_deadline(&plan, &inputs[0], Duration::from_secs(60)) {
+            Ok(f) => assert_eq!(f.factored_tiles(), references[0].factored_tiles()),
+            Err(e) => panic!("a 60 s deadline should not fire: {e}"),
         }
     }
-    // Single-matrix deadline variants share the plumbing.
-    match ctx.factorize_with_deadline(&plan, &inputs[0], Duration::from_secs(60)) {
-        Ok(f) => assert_eq!(f.factored_tiles(), references[0].factored_tiles()),
-        Err(e) => panic!("a 60 s deadline should not fire: {e}"),
+}
+
+#[test]
+fn a_timeout_beyond_the_clock_means_no_deadline() {
+    // `Duration::MAX` from now is no representable instant; it must mean
+    // "no deadline", not a panic, and the calls must factor bitwise right.
+    for threads in [1usize, 3] {
+        let ctx = QrContext::new(threads).unwrap();
+        let plan = plan();
+        let inputs = mats(2, 220);
+        let references: Vec<_> = inputs
+            .iter()
+            .map(|a| qr_factorize(a, QrConfig::new(NB)))
+            .collect();
+        let f = ctx
+            .factorize_with_deadline(&plan, &inputs[0], Duration::MAX)
+            .expect("no deadline fires");
+        assert_eq!(f.factored_tiles(), references[0].factored_tiles());
+
+        let mut tiles: Vec<TiledMatrix<f64>> = inputs
+            .iter()
+            .map(|a| TiledMatrix::from_dense_padded(a, NB))
+            .collect();
+        let out = ctx.factorize_batch_into_with_deadline(&plan, &mut tiles, Duration::MAX);
+        for ((r, t), reference) in out.into_iter().zip(&tiles).zip(&references) {
+            r.expect("no deadline fires");
+            assert_eq!(t, reference.factored_tiles());
+        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! Integration tests of the scheduling layer: every scheduler — locked
-//! FIFO, Chase–Lev work stealing, and priority work stealing — must produce
+//! Integration tests of the scheduling layer: every scheduler — Chase–Lev
+//! work stealing and priority work stealing — must produce
 //! results bitwise identical to the sequential executor, for both scalar
 //! types, because the DAG totally orders every pair of conflicting tasks;
 //! the scheduling policy can only change *when* commuting tasks run, never

@@ -5,7 +5,8 @@
 //! errors through the ticket, and the service-routed least-squares solve.
 //!
 //! The overload tests pin the dispatcher deterministically: a `threads = 1`
-//! context runs fused jobs *on the dispatcher thread itself*, so one large
+//! context has no helper threads and runs fused jobs *on the dispatcher
+//! thread itself* (the caller is worker 0), so one large
 //! "blocker" submission keeps the dispatcher busy while the test fills the
 //! admission queue at leisure.
 
@@ -362,6 +363,41 @@ fn wait_for_times_out_and_hands_the_ticket_back() {
     };
     assert!(blocker.wait().is_ok());
     assert!(queued.wait().is_ok(), "the returned ticket must stay valid");
+}
+
+#[test]
+fn a_timeout_beyond_the_clock_waits_without_a_deadline() {
+    // `Duration::MAX` from now is no representable instant: both blocking
+    // calls must wait as if untimed instead of panicking.
+    let ctx = QrContext::new(1).unwrap();
+    let service = QrService::new(
+        ctx,
+        ServiceConfig::default()
+            .with_queue_capacity(1)
+            .with_shed_threshold(1),
+    )
+    .unwrap();
+    let client = service.client();
+    let (big, small) = (blocker_plan(), plan());
+    let blocker = client.submit(&big, random_matrix(256, 192, 7)).unwrap();
+    wait_until_drained_queue(&service);
+    let filler = client.submit(&small, random_matrix(M, N, 110)).unwrap();
+    // The queue is full; admission opens once the dispatcher dequeues the
+    // filler.
+    let admitted = client
+        .submit_within(
+            &small,
+            random_matrix(M, N, 111),
+            Priority::Normal,
+            Duration::MAX,
+        )
+        .expect("an unbounded blocking submit is admitted once space frees");
+    for ticket in [blocker, filler, admitted] {
+        match ticket.wait_for(Duration::MAX) {
+            Ok(outcome) => assert!(outcome.is_ok()),
+            Err(ticket) => panic!("an unbounded wait handed {ticket:?} back"),
+        }
+    }
 }
 
 #[test]
