@@ -16,7 +16,9 @@
 //! measured `microblas` cells so the trajectory table keeps its baselines.
 //!
 //! An additional `ib_sweep` group (largest configured tile size only)
-//! measures every kernel across inner blocking factors.
+//! measures every kernel across inner blocking factors, and the
+//! `larfb_products` group (tile sizes up to 128) times the three micro-BLAS
+//! products one panel application is made of.
 //!
 //! A summary of every sample is written to `BENCH_kernels.json` at the
 //! workspace root (override with `TILEQR_BENCH_JSON`) so the perf trajectory
@@ -32,6 +34,7 @@
 use tileqr_bench::microbench::{run, write_json, Sample};
 use tileqr_kernels::blas::gemm_acc;
 use tileqr_kernels::flops::{gemm_flops, KernelKind};
+use tileqr_kernels::microblas::{apack_len, bpack_len, gemm_into, AForm, AMode};
 use tileqr_kernels::simd;
 use tileqr_kernels::{
     geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace,
@@ -441,6 +444,77 @@ fn bench_simd_dispatch(samples: &mut Vec<Sample>) {
     simd::set_active(initial);
 }
 
+/// The three `gemm_into` products of one panel application, at `larfb`'s
+/// shapes: the first panel (`j0 = 0`, `w = ib = nb/4`) of a GEQRT tile
+/// applied to an `nb × nb` target as `Qᴴ`, each product timed on its own at
+/// the active level. These are the calls every update kernel is made of, so
+/// a change to packing or to the microkernel shows here first. GFLOP/s count
+/// the `2·m·n·k` the product computes, structural zeros included.
+fn bench_larfb_products(samples: &mut Vec<Sample>) {
+    let group = "larfb_products";
+    for nb in tile_sizes().into_iter().filter(|&nb| nb <= 128) {
+        let w = (nb / 4).max(1);
+        let mut ws: Workspace<f64> = Workspace::with_inner_block(nb, w);
+        let mut v: Matrix<f64> = random_matrix(nb, nb, 30);
+        let mut t = Matrix::zeros(w, nb);
+        geqrt_ws(&mut v, &mut t, &mut ws);
+        let mut c: Matrix<f64> = random_matrix(nb, nb, 31);
+        let (mut wm, mut w2) = (Matrix::zeros(nb, nb), Matrix::zeros(nb, nb));
+        let mut apack = vec![0.0; apack_len::<f64>(nb, nb)];
+        let mut bpack = vec![0.0; bpack_len::<f64>(nb, nb)];
+        let flops = |m: usize, n: usize, k: usize| Some(2.0 * (m * n * k) as f64);
+        let vcol = |i: usize| v.col(i);
+        run(samples, group, "W+=VhC", nb, flops(w, nb, nb), || {
+            gemm_into(
+                w,
+                nb,
+                nb,
+                AMode::ConjTrans,
+                AForm::UnitLower,
+                vcol,
+                |j| c.col(j),
+                wm.as_mut_slice(),
+                |j| j * nb,
+                false,
+                &mut apack,
+                &mut bpack,
+            );
+        });
+        run(samples, group, "W2=ThW", nb, flops(w, nb, w), || {
+            gemm_into(
+                w,
+                nb,
+                w,
+                AMode::ConjTrans,
+                AForm::Dense,
+                |i| &t.col(i)[..i + 1],
+                |j| &wm.col(j)[..w],
+                w2.as_mut_slice(),
+                |j| j * nb,
+                false,
+                &mut apack,
+                &mut bpack,
+            );
+        });
+        run(samples, group, "C-=VW2", nb, flops(nb, nb, w), || {
+            gemm_into(
+                nb,
+                nb,
+                w,
+                AMode::NoTrans,
+                AForm::UnitLower,
+                vcol,
+                |j| &w2.col(j)[..w],
+                c.as_mut_slice(),
+                |j| j * nb,
+                true,
+                &mut apack,
+                &mut bpack,
+            );
+        });
+    }
+}
+
 /// Prints dispatched-vs-frozen-native ratios and flags any f64 cell where
 /// the best dispatched level falls more than 5% short of the native pin.
 fn print_dispatch_summary(samples: &[Sample]) {
@@ -584,6 +658,7 @@ fn main() {
     let mut samples = vec![host_sample()];
     bench_workspace(&mut samples);
     bench_simd_dispatch(&mut samples);
+    bench_larfb_products(&mut samples);
     bench_ib_sweep(&mut samples);
     bench_complex(&mut samples);
     print_speedups(&samples);

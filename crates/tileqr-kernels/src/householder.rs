@@ -25,8 +25,34 @@ pub struct Reflector<T> {
 /// entry, equal to one, is implicit), and the returned [`Reflector`] carries
 /// `β` (the value that replaces `alpha`) and `τ`. If the tail is zero and
 /// `alpha` has no imaginary part, `τ = 0` and the reflector is the identity.
+///
+/// The norm is formed from the plain sum of squares, which under- or
+/// overflows for entries beyond about `2^±511`. Then, as LAPACK's `dlarfg`
+/// does, the vector is rescaled by a power of two — exactly — and the
+/// reflector of the scaled vector is generated: `v` and `τ` do not depend on
+/// the scale, and `β` is scaled back.
 pub fn larfg<T: Scalar<Real = f64>>(alpha: T, x: &mut [T]) -> Reflector<T> {
     let xnorm_sqr: f64 = x.iter().map(|v| v.abs_sqr()).sum();
+    let sum = alpha.abs_sqr() + xnorm_sqr;
+    if sum.is_normal() {
+        return reflect(alpha, x, xnorm_sqr);
+    }
+    // A sum that underflowed: every nonzero entry is below 2^−511 and lands
+    // in [2^−474, 2^89). One that overflowed: the largest entry lands in
+    // [2^−98, 2^424). Either way the scaled sum is normal; a zero column
+    // stays zero and yields the identity, bit for bit as unscaled.
+    let s = 2f64.powi(if sum < 1.0 { 600 } else { -600 });
+    x.iter_mut().for_each(|v| *v = v.scale(s));
+    let xnorm_sqr = x.iter().map(|v| v.abs_sqr()).sum();
+    let r = reflect(alpha.scale(s), x, xnorm_sqr);
+    Reflector {
+        beta: r.beta.scale(1.0 / s),
+        tau: r.tau,
+    }
+}
+
+/// [`larfg`] once the sum of squares `‖x‖²` is known to be representable.
+fn reflect<T: Scalar<Real = f64>>(alpha: T, x: &mut [T], xnorm_sqr: f64) -> Reflector<T> {
     let alpha_im_sqr = alpha.abs_sqr() - alpha.real() * alpha.real();
     if xnorm_sqr == 0.0 && alpha_im_sqr <= 0.0 {
         // Nothing to annihilate: H = I.
@@ -146,6 +172,27 @@ mod tests {
         check_larfg(Complex64::new(0.0, 1.0), vec![Complex64::new(2.0, 0.0)]);
         let tail: Vec<Complex64> = random_vector(8, 7);
         check_larfg(Complex64::new(-0.3, 0.9), tail);
+    }
+
+    #[test]
+    fn larfg_rescales_out_of_range_columns_exactly() {
+        // Power-of-two scaling is exact, so the scaled column must give the
+        // same τ and v bit for bit, and β scaled.
+        let alpha = Complex64::new(0.3, -0.7);
+        let tail: Vec<Complex64> = random_vector(6, 5);
+        let mut v = tail.clone();
+        let r = larfg(alpha, &mut v);
+        for k in [560, -560, 1000, -1000] {
+            let s = 2f64.powi(k);
+            let mut vs: Vec<Complex64> = tail.iter().map(|x| x.scale(s)).collect();
+            let rs = larfg(alpha.scale(s), &mut vs);
+            assert_eq!((rs.tau, rs.beta.scale(1.0 / s)), (r.tau, r.beta), "2^{k}");
+            assert_eq!(vs, v, "2^{k}");
+        }
+        // A huge leading entry over a tail that squares to nothing: the
+        // sum overflows through `alpha` alone, and scaling down is right.
+        let r = larfg(2f64.powi(1000), &mut [0.5]);
+        assert_eq!((r.beta, r.tau), (2f64.powi(1000), 0.0));
     }
 
     #[test]

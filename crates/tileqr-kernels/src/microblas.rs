@@ -12,7 +12,19 @@
 //!    (`apack`, conjugation applied during packing), so the microkernel
 //!    streams both with unit stride. `MR × NR` is the register block of the
 //!    *active SIMD level* ([`crate::simd::block_shape`]), so the pack layout
-//!    is a property of the level as well;
+//!    is a property of the level as well. Each slab is written front to
+//!    back, in order of `k` step: where a step gathers one entry from each
+//!    of `NR` (or `MR`) source columns — every `B` slab, and `op(A)` under
+//!    [`AMode::ConjTrans`] — four consecutive entries of every source column
+//!    are read side by side and stored as four contiguous steps. Written
+//!    column by column instead, consecutive stores land `NR` slots apart,
+//!    and the block-reflector products, whose `m` is only the panel width
+//!    `ib`, cannot amortise that: packing took 33–38% of the UNMQR/TSMQR/
+//!    TTMQR time at `nb = 128, ib = 32` that way and takes 25–29% now
+//!    (46–50% → 37–46% at `nb = 64, ib = 16`; 2-vCPU AVX-512 Xeon,
+//!    `Instant` probes around the packers). Packing only moves bytes — a
+//!    copy, a zero, a one or a conjugate per slot — so the order it writes
+//!    them in cannot change a result bit;
 //! 2. packing is also where operand **structure** lives and dies: a column
 //!    shorter than the nominal dimension is padded with zeros (triangular
 //!    `T` factors, upper-trapezoidal TT reflectors), and an
@@ -97,30 +109,61 @@ pub enum AForm {
     UnitLower,
 }
 
-/// Packs a `k × n` operand `B` into `NR`-interleaved column slabs:
-/// slab `js` occupies `bp[js·k·NR ..][.. k·NR]` with element `(p, c)` at
-/// `p·NR + c`. Columns shorter than `k` are zero-padded; the columns of the
-/// last slab beyond `n` are left as they are — the microkernel computes
-/// valid columns only and never reads them.
-fn pack_b<'a, T: Scalar + 'a, const NR: usize>(
+/// Packs `n` stored vectors into `L`-interleaved slabs — `B` into its
+/// column slabs, and `op(A)` under [`AMode::ConjTrans`] into its row slabs:
+/// vector `v` becomes slot `v % L` of slab `v / L`, which occupies
+/// `buf[(v / L)·k·L ..][.. k·L]` with its entry `p` at `p·L + v % L`, stored
+/// as `f(col(v)[p])`. Entries a vector does not store are zero; with `unit`
+/// vector `v` is implied zero above entry `v` and one at it (an
+/// [`AForm::UnitLower`] operand), and the slots past `n` are zero (in a `B`
+/// slab the microkernel never reads them).
+///
+/// Each slab is written front to back: the steps `p` that every vector of
+/// the slab stores (the dense body) four contiguous `L`-wide steps at a
+/// time, reading four consecutive entries of each of the `L` sources. The
+/// rest of the slab is zero-filled whole, then each vector's remaining
+/// stored entries and unit diagonal go in — ragged tails, the triangles of
+/// unit-lower and triangular operands and the last few steps of the body
+/// are all that is written strided.
+fn pack_interleaved<'a, T: Scalar + 'a, const L: usize>(
     k: usize,
     n: usize,
-    bcol: &impl Fn(usize) -> &'a [T],
-    bp: &mut [T],
+    unit: bool,
+    col: &impl Fn(usize) -> &'a [T],
+    f: impl Fn(T) -> T,
+    buf: &mut [T],
 ) {
-    for (js, slab) in bp.chunks_exact_mut(k * NR).take(n.div_ceil(NR)).enumerate() {
-        let j0 = js * NR;
-        for c in 0..NR.min(n - j0) {
-            let src = bcol(j0 + c);
-            let src = &src[..src.len().min(k)];
-            let mut rows = slab.chunks_exact_mut(NR);
-            // `src` leads the zip: an exhausted first iterator ends it
-            // without taking (and so skipping the zero of) another row.
-            for (&v, row) in src.iter().zip(&mut rows) {
-                row[c] = v;
+    for (s, slab) in buf.chunks_exact_mut(k * L).take(n.div_ceil(L)).enumerate() {
+        let (i0, valid) = (s * L, L.min(n - s * L));
+        // Vector `r` stores entries `lo(r) .. src[r].len()`.
+        let src: [&[T]; L] = std::array::from_fn(|r| if r < valid { col(i0 + r) } else { &[] });
+        let src = src.map(|s| &s[..s.len().min(k)]);
+        let lo = |r: usize| if unit { (i0 + r + 1).min(k) } else { 0 };
+        // The dense body, in whole groups of four steps: four consecutive
+        // entries of every source, stored as four contiguous steps.
+        let (b0, shortest) = (lo(valid - 1), src.iter().map(|s| s.len()).min());
+        let b1 = b0 + shortest.unwrap_or(0).saturating_sub(b0) / 4 * 4;
+        let body = src.map(|s| s.get(b0..b1).unwrap_or_default());
+        for (q, steps) in slab[b0 * L..b1 * L].chunks_exact_mut(4 * L).enumerate() {
+            let quads: [&[T; 4]; L] =
+                std::array::from_fn(|r| body[r][4 * q..][..4].try_into().expect("four entries"));
+            for (t, step) in steps.chunks_exact_mut(L).enumerate() {
+                for (d, quad) in step.iter_mut().zip(&quads) {
+                    *d = f(quad[t]);
+                }
             }
-            for row in rows {
-                row[c] = T::ZERO;
+        }
+        slab[..b0 * L].fill(T::ZERO);
+        slab[b1 * L..].fill(T::ZERO);
+        for (r, s) in src.iter().enumerate() {
+            for part in [lo(r)..s.len().min(b0), lo(r).max(b1)..s.len()] {
+                let steps = slab[part.start * L..].chunks_exact_mut(L);
+                for (step, &x) in steps.zip(s.get(part).unwrap_or_default()) {
+                    step[r] = f(x);
+                }
+            }
+            if unit && r < valid && i0 + r < k {
+                slab[(i0 + r) * L + r] = T::ONE;
             }
         }
     }
@@ -141,10 +184,9 @@ fn pack_a<'a, T: Scalar + 'a, const MR: usize>(
     ap: &mut [T],
 ) {
     let unit = form == AForm::UnitLower;
-    let n_slabs = m.div_ceil(MR);
     match amode {
         AMode::NoTrans => {
-            for (is, slab) in ap.chunks_exact_mut(k * MR).take(n_slabs).enumerate() {
+            for (is, slab) in ap.chunks_exact_mut(k * MR).take(m.div_ceil(MR)).enumerate() {
                 let (i0, i1) = (is * MR, m.min((is + 1) * MR));
                 for (p, dst) in slab.chunks_exact_mut(MR).enumerate() {
                     let src = acol(p);
@@ -166,35 +208,8 @@ fn pack_a<'a, T: Scalar + 'a, const MR: usize>(
                 }
             }
         }
-        // Stored column `i` becomes packed row `i`: `lo` zeros, the stored
-        // entries from `lo` on, then zeros; all zeros beyond `m`.
-        AMode::ConjTrans => {
-            for (is, slab) in ap.chunks_exact_mut(k * MR).take(n_slabs).enumerate() {
-                for r in 0..MR {
-                    let i = is * MR + r;
-                    let (src, unit) = if i < m {
-                        (acol(i), unit)
-                    } else {
-                        (&[][..], false)
-                    };
-                    let lo = if unit { (i + 1).min(k) } else { 0 };
-                    let stored = src.get(lo..src.len().min(k)).unwrap_or_default();
-                    let mut steps = slab.chunks_exact_mut(MR);
-                    for step in (&mut steps).take(lo) {
-                        step[r] = T::ZERO;
-                    }
-                    for (&v, step) in stored.iter().zip(&mut steps) {
-                        step[r] = v.conj();
-                    }
-                    for step in steps {
-                        step[r] = T::ZERO;
-                    }
-                    if unit && i < k {
-                        slab[i * MR + r] = T::ONE;
-                    }
-                }
-            }
-        }
+        // Stored column `i` becomes packed row `i`.
+        AMode::ConjTrans => pack_interleaved::<T, MR>(k, m, unit, acol, T::conj, ap),
     }
 }
 
@@ -242,8 +257,8 @@ pub fn gemm_into<'a, 'b, T: Scalar + 'a + 'b>(
     // The packers are instantiated per interleave, so their inner loops
     // run on compile-time strides.
     match nr {
-        4 => pack_b::<T, 4>(k, n, &bcol, bpack),
-        8 => pack_b::<T, 8>(k, n, &bcol, bpack),
+        4 => pack_interleaved::<T, 4>(k, n, false, &bcol, |v| v, bpack),
+        8 => pack_interleaved::<T, 8>(k, n, false, &bcol, |v| v, bpack),
         _ => unreachable!("no level has a register block {nr} columns wide"),
     }
     match mr {
@@ -327,8 +342,218 @@ pub fn gemm_matrix<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tileqr_matrix::generate::random_matrix;
+    use tileqr_matrix::generate::{random_matrix, random_vector, RandomScalar};
+    use tileqr_matrix::rng::Rng;
     use tileqr_matrix::Complex64;
+
+    /// The per-element packers the interleaving packer replaced, kept as
+    /// the reference its slabs are compared against byte for byte.
+    mod reference {
+        use super::*;
+
+        /// Packs a `k × n` operand `B` into `NR`-interleaved column slabs:
+        /// slab `js` occupies `bp[js·k·NR ..][.. k·NR]` with element `(p, c)` at
+        /// `p·NR + c`. Columns shorter than `k` are zero-padded; the columns of the
+        /// last slab beyond `n` are left as they are — the microkernel computes
+        /// valid columns only and never reads them.
+        pub fn pack_b<'a, T: Scalar + 'a, const NR: usize>(
+            k: usize,
+            n: usize,
+            bcol: &impl Fn(usize) -> &'a [T],
+            bp: &mut [T],
+        ) {
+            for (js, slab) in bp.chunks_exact_mut(k * NR).take(n.div_ceil(NR)).enumerate() {
+                let j0 = js * NR;
+                for c in 0..NR.min(n - j0) {
+                    let src = bcol(j0 + c);
+                    let src = &src[..src.len().min(k)];
+                    let mut rows = slab.chunks_exact_mut(NR);
+                    // `src` leads the zip: an exhausted first iterator ends it
+                    // without taking (and so skipping the zero of) another row.
+                    for (&v, row) in src.iter().zip(&mut rows) {
+                        row[c] = v;
+                    }
+                    for row in rows {
+                        row[c] = T::ZERO;
+                    }
+                }
+            }
+        }
+
+        /// Packs the whole `m × k` `op(A)` operand into `MR`-interleaved row slabs:
+        /// slab `is` occupies `ap[is·k·MR ..][.. k·MR]` with element `(r, p)` at
+        /// `p·MR + r`. Entries the storage does not hold — short columns, the rows
+        /// of the last slab beyond `m`, the implied part of an
+        /// [`AForm::UnitLower`] operand — are materialised here, so the microkernel
+        /// always runs full-height blocks.
+        pub fn pack_a<'a, T: Scalar + 'a, const MR: usize>(
+            k: usize,
+            m: usize,
+            amode: AMode,
+            form: AForm,
+            acol: &impl Fn(usize) -> &'a [T],
+            ap: &mut [T],
+        ) {
+            let unit = form == AForm::UnitLower;
+            let n_slabs = m.div_ceil(MR);
+            match amode {
+                AMode::NoTrans => {
+                    for (is, slab) in ap.chunks_exact_mut(k * MR).take(n_slabs).enumerate() {
+                        let (i0, i1) = (is * MR, m.min((is + 1) * MR));
+                        for (p, dst) in slab.chunks_exact_mut(MR).enumerate() {
+                            let src = acol(p);
+                            // Stored rows of this column that fall in the slab.
+                            let lo = if unit { (p + 1).max(i0) } else { i0 };
+                            let hi = src.len().min(i1);
+                            if lo == i0 && hi == i0 + MR {
+                                // The bulk: a whole block row, a fixed-size copy.
+                                dst.copy_from_slice(&src[i0..i0 + MR]);
+                                continue;
+                            }
+                            dst.fill(T::ZERO);
+                            if lo < hi {
+                                dst[lo - i0..hi - i0].copy_from_slice(&src[lo..hi]);
+                            }
+                            if unit && (i0..i1).contains(&p) {
+                                dst[p - i0] = T::ONE;
+                            }
+                        }
+                    }
+                }
+                // Stored column `i` becomes packed row `i`: `lo` zeros, the stored
+                // entries from `lo` on, then zeros; all zeros beyond `m`.
+                AMode::ConjTrans => {
+                    for (is, slab) in ap.chunks_exact_mut(k * MR).take(n_slabs).enumerate() {
+                        for r in 0..MR {
+                            let i = is * MR + r;
+                            let (src, unit) = if i < m {
+                                (acol(i), unit)
+                            } else {
+                                (&[][..], false)
+                            };
+                            let lo = if unit { (i + 1).min(k) } else { 0 };
+                            let stored = src.get(lo..src.len().min(k)).unwrap_or_default();
+                            let mut steps = slab.chunks_exact_mut(MR);
+                            for step in (&mut steps).take(lo) {
+                                step[r] = T::ZERO;
+                            }
+                            for (&v, step) in stored.iter().zip(&mut steps) {
+                                step[r] = v.conj();
+                            }
+                            for step in steps {
+                                step[r] = T::ZERO;
+                            }
+                            if unit && i < k {
+                                slab[i * MR + r] = T::ONE;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bit pattern of a scalar, so slabs compare byte for byte.
+    trait Bits: Scalar {
+        fn bits(self) -> [u64; 2];
+    }
+
+    impl Bits for f64 {
+        fn bits(self) -> [u64; 2] {
+            [self.to_bits(), 0]
+        }
+    }
+
+    impl Bits for Complex64 {
+        fn bits(self) -> [u64; 2] {
+            [self.re.to_bits(), self.im.to_bits()]
+        }
+    }
+
+    /// `count` random stored vectors for a `k`-deep operand, in one of
+    /// three profiles: all full (some longer than `k`, which the packers
+    /// cut), all triangular (`i + 1` entries), or mixed — full, ragged,
+    /// triangular or empty, drawn per vector.
+    fn stored_vectors<T: RandomScalar>(rng: &mut Rng, count: usize, k: usize) -> Vec<Vec<T>> {
+        let profile = rng.next_u64() % 3;
+        (0..count)
+            .map(|i| {
+                let draw = if profile == 2 {
+                    rng.next_u64() % 5
+                } else {
+                    profile
+                };
+                let len = match draw {
+                    0 => k + (rng.next_u64() % 3) as usize,
+                    1 => i + 1,
+                    2 => (rng.next_u64() % (k as u64 + 1)) as usize,
+                    3 => 0,
+                    _ => k,
+                };
+                random_vector(len, rng.next_u64())
+            })
+            .collect()
+    }
+
+    /// Packs one random operand with both the production packer and the
+    /// reference into buffers prefilled with different sentinels, so a slot
+    /// either one leaves unwritten shows as a mismatch, and compares every
+    /// slab slot byte for byte — except the columns of the last `B` slab
+    /// beyond `n`, which the reference leaves as they were.
+    fn check_packers<T: RandomScalar + Bits, const L: usize>(rng: &mut Rng) {
+        let k = 1 + (rng.next_u64() % 45) as usize;
+        let count = 1 + (rng.next_u64() % 45) as usize;
+        let cols = stored_vectors::<T>(rng, count, k);
+        let col = |i: usize| &cols[i][..];
+        let sentinels = |len| (vec![T::from_real(-3.5); len], vec![T::from_real(7.25); len]);
+        let same = |got: &[T], want: &[T], slots: usize, what: &str| {
+            for (s, (g, w)) in got.chunks(L).zip(want.chunks(L)).enumerate() {
+                for c in 0..slots.min(L) {
+                    assert_eq!(
+                        g[c].bits(),
+                        w[c].bits(),
+                        "{what} of {}, L = {L}, k = {k}, count = {count}: step {s}, slot {c}",
+                        std::any::type_name::<T>()
+                    );
+                }
+            }
+        };
+        for amode in [AMode::NoTrans, AMode::ConjTrans] {
+            for form in [AForm::Dense, AForm::UnitLower] {
+                // NoTrans reads `k` columns of `count` rows; ConjTrans
+                // `count` columns of `k` rows.
+                let (k, m, cols) = match amode {
+                    AMode::NoTrans => (count, k, stored_vectors::<T>(rng, count, k)),
+                    AMode::ConjTrans => (k, count, cols.clone()),
+                };
+                let col = |i: usize| &cols[i][..];
+                let (mut got, mut want) = sentinels(m.div_ceil(L) * L * k);
+                pack_a::<T, L>(k, m, amode, form, &col, &mut got);
+                reference::pack_a::<T, L>(k, m, amode, form, &col, &mut want);
+                same(&got, &want, L, &format!("pack_a {amode:?} {form:?}"));
+            }
+        }
+        let (mut got, mut want) = sentinels(count.div_ceil(L) * L * k);
+        pack_interleaved::<T, L>(k, count, false, &col, |v| v, &mut got);
+        reference::pack_b::<T, L>(k, count, &col, &mut want);
+        let slabs = got.chunks(k * L).zip(want.chunks(k * L));
+        for (js, (g, w)) in slabs.enumerate() {
+            same(g, w, count - js * L, "pack_b");
+        }
+    }
+
+    #[test]
+    fn packers_match_the_per_element_reference_bytewise() {
+        let mut rng = Rng::seed_from_u64(0x9ac3);
+        for _ in 0..40 {
+            check_packers::<f64, 4>(&mut rng);
+            check_packers::<f64, 8>(&mut rng);
+            check_packers::<f64, 16>(&mut rng);
+            check_packers::<Complex64, 4>(&mut rng);
+            check_packers::<Complex64, 8>(&mut rng);
+            check_packers::<Complex64, 16>(&mut rng);
+        }
+    }
 
     fn naive<T: Scalar>(
         m: usize,

@@ -92,16 +92,9 @@ impl<T: Scalar> TiledMatrix<T> {
     /// themselves.
     pub fn from_dense_padded(a: &Matrix<T>, nb: usize) -> Self {
         assert!(nb > 0, "tile size must be positive");
-        let p = a.rows().div_ceil(nb);
-        let q = a.cols().div_ceil(nb);
+        let (p, q) = (a.rows().div_ceil(nb), a.cols().div_ceil(nb));
         let mut t = TiledMatrix::zeros(p.max(1), q.max(1), nb);
-        for j in 0..a.cols() {
-            for i in 0..a.rows() {
-                let (ti, ri) = (i / nb, i % nb);
-                let (tj, rj) = (j / nb, j % nb);
-                t.tile_mut(ti, tj).set(ri, rj, a.get(i, j));
-            }
-        }
+        t.fill_from_dense_padded(a);
         t
     }
 
@@ -127,20 +120,19 @@ impl<T: Scalar> TiledMatrix<T> {
             self.p,
             self.q
         );
+        // Each tile column: its valid rows as one slice, then zeros.
         for tj in 0..self.q {
             for ti in 0..self.p {
+                let rows = nb.min(a.rows().saturating_sub(ti * nb));
+                let cols = nb.min(a.cols().saturating_sub(tj * nb));
                 let tile = self.tile_mut(ti, tj);
                 for rj in 0..nb {
-                    let j = tj * nb + rj;
-                    for ri in 0..nb {
-                        let i = ti * nb + ri;
-                        let v = if i < a.rows() && j < a.cols() {
-                            a.get(i, j)
-                        } else {
-                            T::ZERO
-                        };
-                        tile.set(ri, rj, v);
+                    let dst = tile.col_mut(rj);
+                    let valid = if rj < cols { rows } else { 0 };
+                    if valid > 0 {
+                        dst[..valid].copy_from_slice(&a.col(tj * nb + rj)[ti * nb..][..valid]);
                     }
+                    dst[valid..].fill(T::ZERO);
                 }
             }
         }

@@ -17,6 +17,7 @@
 use tiled_qr::core::algorithms::Algorithm;
 use tiled_qr::core::KernelFamily;
 use tiled_qr::matrix::generate::{ill_conditioned_matrix, random_matrix, rank_deficient_matrix};
+use tiled_qr::matrix::norms::frobenius_norm;
 use tiled_qr::matrix::{Complex64, Matrix, Scalar};
 use tiled_qr::prelude::{qr_factorize, QrConfig, QrContext, QrPlan};
 
@@ -131,6 +132,41 @@ fn extreme_scale_matrices_neither_overflow_nor_underflow() {
             }
         }
         assert_stable(&mixed, config, "mixed-scale columns");
+    }
+}
+
+/// `R(2^k·A)·2^−k` against `R(A)`, relative in the Frobenius norm. Scaling
+/// by a power of two is exact, so the test's own arithmetic stays finite
+/// and exact; only the factorization can lose the scale.
+fn assert_power_of_two_scaling_is_exact<T: Scalar<Real = f64>>(
+    a: &Matrix<T>,
+    config: QrConfig,
+    what: &str,
+) {
+    let r = qr_factorize(a, config).r();
+    for k in [560, -560, 1000, -1000] {
+        let scaled = a.scaled(T::from_real(2f64.powi(k)));
+        let back = qr_factorize(&scaled, config)
+            .r()
+            .scaled(T::from_real(2f64.powi(-k)));
+        let err = frobenius_norm(&back.sub(&r)) / frobenius_norm(&r);
+        assert!(
+            err < 1e-13,
+            "{what} ({:?}) at 2^{k}: ‖R(2^k·A)·2^-k − R(A)‖/‖R(A)‖ = {err:e}",
+            config.family,
+        );
+    }
+}
+
+#[test]
+fn power_of_two_scaling_beyond_the_square_root_range_is_exact() {
+    // Entries beyond about 2^±511 square out of range inside the reflector
+    // generation; R must still scale with A.
+    for config in both_families(5) {
+        let a: Matrix<f64> = random_matrix(25, 10, 44);
+        assert_power_of_two_scaling_is_exact(&a, config, "f64");
+        let z: Matrix<Complex64> = random_matrix(20, 10, 45);
+        assert_power_of_two_scaling_is_exact(&z, config, "Complex64");
     }
 }
 
