@@ -1,21 +1,19 @@
-//! Scheduler ablation of the parallel executor: Chase–Lev work stealing vs
-//! priority work stealing, across grid shapes and thread counts.
+//! Parallel executor overhead: the work-stealing pool at 2, 4 and 8 threads
+//! against the sequential run, across grid shapes.
 //!
 //! The paper's claim is that tiled QR time tracks the critical path of the
 //! task DAG, so the runtime must not let the *scheduler* become the binding
 //! constraint instead of the elimination tree. Writes every sample to
-//! `BENCH_executor.json` at the repo root (its committed `locked_fifo_*`
-//! rows predate the removal of that scheduler).
+//! `BENCH_executor.json` at the repo root (its committed `locked_fifo_*` and
+//! `ws_priority_*` rows predate the removal of those schedulers; the
+//! `work_stealing_t*` rows keep their names).
 //!
-//! Measurement protocol: the schedulers of one (shape, threads) cell are
-//! timed **interleaved**, one factorization each per round, keeping each
-//! scheduler's best round. CI boxes and shared vCPUs drift by 2–3× over
-//! multi-second windows; interleaving puts every scheduler in the same
-//! window, so the *relative* numbers survive the drift that would wreck
-//! back-to-back timing.
+//! Measurement protocol: every variant is warmed up once, then timed
+//! repeatedly for the target time, keeping its best run. Shared vCPUs drift
+//! by 2–3× over multi-second windows, so compare rows of one run, not runs.
 //!
 //! Environment knobs:
-//! * `TILEQR_BENCH_MS` — target measuring time per scheduler per cell
+//! * `TILEQR_BENCH_MS` — target measuring time per variant per cell
 //!   (default 80);
 //! * `TILEQR_BENCH_NB` — tile size (default 8: small enough that the
 //!   scheduler, not the kernels, is the measured quantity);
@@ -30,7 +28,6 @@ use tileqr_kernels::flops::qr_flops;
 use tileqr_matrix::generate::random_matrix;
 use tileqr_matrix::Matrix;
 use tileqr_runtime::driver::{qr_factorize, QrConfig};
-use tileqr_runtime::SchedulerKind;
 
 fn tile_size() -> usize {
     std::env::var("TILEQR_BENCH_NB")
@@ -47,11 +44,20 @@ fn target_nanos_per_variant() -> u128 {
     u128::from(ms) * 1_000_000
 }
 
-/// Times one closure invocation in nanoseconds.
-fn time_once(mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
+/// Best single run of `f`, in nanoseconds, after one warm-up run (which pays
+/// thread spawns and page faults), over about `target` nanoseconds of runs.
+fn best_of(target: u128, mut f: impl FnMut()) -> f64 {
     f();
-    start.elapsed().as_nanos() as f64
+    let mut best = f64::INFINITY;
+    let mut spent = 0u128;
+    while spent < target {
+        let start = Instant::now();
+        f();
+        let ns = start.elapsed().as_nanos();
+        spent += ns;
+        best = best.min(ns as f64);
+    }
+    best
 }
 
 fn record(samples: &mut Vec<Sample>, group: &str, name: &str, nb: usize, flops: f64, ns: f64) {
@@ -66,7 +72,7 @@ fn record(samples: &mut Vec<Sample>, group: &str, name: &str, nb: usize, flops: 
     });
 }
 
-fn bench_schedulers(samples: &mut Vec<Sample>, smoke: bool) {
+fn bench_executor(samples: &mut Vec<Sample>, smoke: bool) {
     let nb = tile_size();
     let shapes: &[(usize, usize)] = if smoke {
         &[(8, 8)]
@@ -85,49 +91,18 @@ fn bench_schedulers(samples: &mut Vec<Sample>, smoke: bool) {
         // Sequential reference: what a single worker does with no scheduler
         // in the way.
         let seq = QrConfig::new(nb);
-        qr_factorize(&a, seq); // warm-up
-        let mut best_seq = f64::INFINITY;
-        let mut spent = 0u128;
-        while spent < target {
-            let ns = time_once(|| {
-                std::hint::black_box(qr_factorize(&a, seq));
-            });
-            spent += ns as u128;
-            best_seq = best_seq.min(ns);
-        }
+        let best_seq = best_of(target, || {
+            std::hint::black_box(qr_factorize(&a, seq));
+        });
         record(samples, &group, "sequential", nb, flops, best_seq);
 
         for &threads in thread_counts {
-            let configs: Vec<(SchedulerKind, QrConfig)> = SchedulerKind::ALL
-                .iter()
-                .map(|&kind| {
-                    (
-                        kind,
-                        QrConfig::new(nb).with_threads(threads).with_scheduler(kind),
-                    )
-                })
-                .collect();
-            // Warm up every variant (first run pays thread-spawn and page
-            // faults), then measure in interleaved rounds: one run per
-            // scheduler per round, best round kept per scheduler.
-            for (_, config) in &configs {
-                qr_factorize(&a, *config);
-            }
-            let mut best = [f64::INFINITY; SchedulerKind::ALL.len()];
-            let mut spent = 0u128;
-            while spent < target * configs.len() as u128 {
-                for (i, (_, config)) in configs.iter().enumerate() {
-                    let ns = time_once(|| {
-                        std::hint::black_box(qr_factorize(&a, *config));
-                    });
-                    spent += ns as u128;
-                    best[i] = best[i].min(ns);
-                }
-            }
-            for (i, (kind, _)) in configs.iter().enumerate() {
-                let name = format!("{}_t{threads}", kind.name());
-                record(samples, &group, &name, nb, flops, best[i]);
-            }
+            let config = QrConfig::new(nb).with_threads(threads);
+            let best = best_of(target, || {
+                std::hint::black_box(qr_factorize(&a, config));
+            });
+            let name = format!("work_stealing_t{threads}");
+            record(samples, &group, &name, nb, flops, best);
         }
     }
 }
@@ -135,7 +110,7 @@ fn bench_schedulers(samples: &mut Vec<Sample>, smoke: bool) {
 fn main() {
     let smoke = std::env::var("TILEQR_BENCH_SMOKE").is_ok();
     let mut samples = Vec::new();
-    bench_schedulers(&mut samples, smoke);
+    bench_executor(&mut samples, smoke);
     write_json(
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_executor.json"),
         &samples,

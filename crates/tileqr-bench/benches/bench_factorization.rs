@@ -25,7 +25,7 @@ use tileqr_matrix::generate::{random_matrix, random_vector};
 use tileqr_matrix::Matrix;
 use tileqr_runtime::driver::{qr_factorize, QrConfig};
 use tileqr_runtime::solve::least_squares_with_factorization;
-use tileqr_runtime::{QrContext, QrPlan, SchedulerKind};
+use tileqr_runtime::{QrContext, QrPlan};
 
 const NB: usize = 24;
 const P: usize = 10;
@@ -92,32 +92,24 @@ fn bench_threads(samples: &mut Vec<Sample>) {
     let (m, n) = (p * NB, q * NB);
     let a: Matrix<f64> = random_matrix(m, n, 9);
     for threads in [1usize, 2, 4] {
-        // The multi-threaded points are measured once per scheduling policy;
-        // the single-thread point, where the caller runs every task alone,
-        // once.
-        let kinds: &[SchedulerKind] = if threads == 1 {
-            &[SchedulerKind::WorkStealingPriority]
+        let config = QrConfig::new(NB).with_threads(threads);
+        // The multi-threaded rows keep the names of the committed trajectory,
+        // from when more than one scheduler was measured.
+        let name = if threads == 1 {
+            "threads_1".to_string()
         } else {
-            &SchedulerKind::ALL
+            format!("threads_{threads}_work_stealing")
         };
-        for &kind in kinds {
-            let config = QrConfig::new(NB).with_threads(threads).with_scheduler(kind);
-            let name = if threads == 1 {
-                "threads_1".to_string()
-            } else {
-                format!("threads_{threads}_{}", kind.name())
-            };
-            run(
-                samples,
-                "factorization_threads",
-                &name,
-                NB,
-                Some(qr_flops(m, n)),
-                || {
-                    std::hint::black_box(qr_factorize(&a, config));
-                },
-            );
-        }
+        run(
+            samples,
+            "factorization_threads",
+            &name,
+            NB,
+            Some(qr_flops(m, n)),
+            || {
+                std::hint::black_box(qr_factorize(&a, config));
+            },
+        );
     }
 }
 

@@ -12,13 +12,6 @@
 //! 3. **TT vs TS crossover** — the critical-path ratio TS/TT per shape,
 //!    quantifying how much parallelism the TT kernels buy before kernel
 //!    efficiency (Figures 4–5) is taken into account.
-//! 4. **Runtime schedulers** — measured wall-clock of a real multi-threaded
-//!    factorization under each executor scheduling policy (priority work
-//!    stealing against plain work stealing, the default).
-//!    `bench_executor` is the statistical version; this section is the
-//!    quick, human-readable one.
-
-use std::time::Instant;
 
 use tileqr_bench::report::{ratio_cell, Table};
 use tileqr_core::algorithms::greedy::greedy_algorithm4;
@@ -26,10 +19,6 @@ use tileqr_core::algorithms::Algorithm;
 use tileqr_core::dag::TaskDag;
 use tileqr_core::sim::{critical_path, simulate_bounded};
 use tileqr_core::KernelFamily;
-use tileqr_matrix::generate::random_matrix;
-use tileqr_matrix::Matrix;
-use tileqr_runtime::driver::{qr_factorize, QrConfig};
-use tileqr_runtime::SchedulerKind;
 
 fn main() {
     let p = std::env::var("TILEQR_TABLE_P")
@@ -118,47 +107,6 @@ fn main() {
             row.push(ratio_cell(ts as f64 / tt as f64));
         }
         t.push_row(row);
-    }
-    println!("{}", t.render());
-
-    // 4. Runtime scheduler ablation (measured wall-clock, best of 3 runs)
-    let nb = 16usize;
-    let threads = std::env::var("TILEQR_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize)
-        .max(2);
-    let (ps, qs) = (12usize.min(p.max(2)), 6usize.min(p.max(2)));
-    let a: Matrix<f64> = random_matrix(ps * nb, qs * nb, 33);
-    let mut t = Table::new(
-        format!(
-            "Ablation 4 — measured executor schedulers ({ps} x {qs} tiles, nb = {nb}, \
-             {threads} threads, best of 3)"
-        ),
-        &["scheduler", "time (ms)", "vs work stealing"],
-    );
-    let measure = |kind: SchedulerKind| {
-        let config = QrConfig::new(nb).with_threads(threads).with_scheduler(kind);
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let start = Instant::now();
-            std::hint::black_box(qr_factorize(&a, config));
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        }
-        best
-    };
-    let baseline = measure(SchedulerKind::WorkStealing);
-    for kind in SchedulerKind::ALL {
-        let ms = if kind == SchedulerKind::WorkStealing {
-            baseline
-        } else {
-            measure(kind)
-        };
-        t.push_row(vec![
-            kind.name().to_string(),
-            format!("{ms:.2}"),
-            ratio_cell(baseline / ms),
-        ]);
     }
     println!("{}", t.render());
 }

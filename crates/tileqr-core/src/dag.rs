@@ -252,15 +252,9 @@ impl TaskDag {
     ///
     /// A task whose priority equals the DAG's critical path lies *on* the
     /// critical path; executing ready tasks in decreasing priority order is
-    /// the classic critical-path list-scheduling heuristic the runtime's
-    /// priority work-stealing scheduler implements.
+    /// the classic critical-path list-scheduling heuristic.
     pub fn priorities(&self) -> Vec<u64> {
-        self.priorities_with(&self.successors_csr())
-    }
-
-    /// Like [`TaskDag::priorities`], but reuses an already-built successor
-    /// CSR (the runtime builds one anyway) to avoid a second traversal.
-    pub fn priorities_with(&self, succ: &SuccessorsCsr) -> Vec<u64> {
+        let succ = self.successors_csr();
         let n = self.tasks.len();
         let mut prio = vec![0u64; n];
         // Tasks are stored in topological order, so one reverse sweep sees
@@ -732,7 +726,6 @@ mod tests {
         let dag = TaskDag::build(&greedy(8, 4), KernelFamily::TT);
         let succ = dag.successors_csr();
         let prio = dag.priorities();
-        assert_eq!(prio, dag.priorities_with(&succ));
         // Every exit task's priority is exactly its own weight; every other
         // task dominates its successors by its own weight.
         for (i, task) in dag.tasks.iter().enumerate() {

@@ -8,14 +8,15 @@
 //! request. This module splits the API the way PLASMA splits it:
 //!
 //! * [`QrContext`] — the long-lived runtime: a persistent, parkable worker
-//!   pool (built once from `threads` + [`SchedulerKind`]: the calling thread
-//!   is worker 0 of every job, beside `threads − 1` helpers that idle
-//!   through the executor's [`Backoff`](crate::sync::Backoff) between jobs
-//!   instead of being respawned) plus the scheduling policy.
+//!   pool, built once from `threads`: the calling thread is worker 0 of
+//!   every job, beside `threads − 1` helpers that idle through the
+//!   executor's [`Backoff`](crate::sync::Backoff) between jobs instead of
+//!   being respawned. Every job picks its next ready task by work stealing
+//!   ([`WorkStealing`](crate::executor::WorkStealing)); there is no other
+//!   policy to choose.
 //! * [`QrPlan`] — the reusable schedule for one problem shape
 //!   `(m, n, nb, ib, algorithm, family)`: the elimination list, the task
-//!   DAG with its CSR successor lists, the critical-path priorities
-//!   (computed lazily, shared by every job), and a checkout cache of
+//!   DAG with its CSR successor lists and root set, and a checkout cache of
 //!   per-worker kernel [`Workspace`](tileqr_kernels::Workspace)s. Building a plan is the *planning*
 //!   phase; executing it is pure kernel time. For least squares
 //!   ([`QrContext::solve`]) the plan also holds the schedule over `[A | B]`
@@ -59,9 +60,9 @@
 //! Why fuse: a service factoring many *small* matrices pays the pool wake-up
 //! (epoch bump + unpark + park-tier wake latency) per job — for a 6 × 3-tile
 //! problem that rivals the kernel time itself. With `k` copies in one job
-//! the per-shape CSR successor lists and critical-path priorities are shared
-//! instead of re-materialized, there is one wake-up instead of `k`, and the
-//! work-stealing deques load-balance freely *across* matrices — the PLASMA
+//! the per-shape CSR successor lists are shared instead of re-materialized,
+//! there is one wake-up instead of `k`, and the work-stealing deques
+//! load-balance freely *across* matrices — the PLASMA
 //! insight that one DAG-driven pool amortizes over problems, not just tiles.
 //! Per-item errors are isolated ([`Result`] per matrix): an input that fails
 //! validation never enters the job, a copy whose kernel panics fails alone,
@@ -95,7 +96,7 @@
 //! }
 //! ```
 //!
-//! Every way of driving the job (any thread count, either scheduler) runs
+//! Every way of driving the job (any thread count, any steal order) runs
 //! the same kernels in a DAG-respecting order, so results are **bitwise
 //! identical** across all of them and to a plain in-order walk of the tasks
 //! — the equivalence suites pin this down for `f64` and `Complex64`.
@@ -107,7 +108,6 @@ use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
 use crate::driver::QrFactorization;
 pub use crate::error::QrError;
-use crate::executor::SchedulerKind;
 pub(crate) use crate::job::{ItemSink, StreamEntry, StreamInput};
 pub use crate::plan::QrPlan;
 use crate::pool::WorkerPool;
@@ -157,12 +157,11 @@ impl<T: Scalar> Drop for RestorePlaceholders<'_, T> {
     }
 }
 
-/// A long-lived factorization runtime: a persistent worker pool plus a
-/// scheduling policy.
+/// A long-lived factorization runtime: a persistent worker pool.
 ///
-/// Build one context per service (or per thread-count/scheduler choice) and
-/// reuse it for every factorization; combine with a [`QrPlan`] per problem
-/// shape so repeated factorizations skip planning entirely. The thread that
+/// Build one context per service (or per thread count) and reuse it for
+/// every factorization; combine with a [`QrPlan`] per problem shape so
+/// repeated factorizations skip planning entirely. The thread that
 /// calls a factorization is worker 0 of its job, beside the context's
 /// `threads − 1` helper threads; with `threads == 1` no thread is spawned and
 /// every factorization runs on the calling thread.
@@ -171,7 +170,6 @@ impl<T: Scalar> Drop for RestorePlaceholders<'_, T> {
 /// are safe. With helpers they are serialized — the pool runs one job at a
 /// time; a one-thread context runs each on its own caller, side by side.
 pub struct QrContext {
-    pub(crate) scheduler: SchedulerKind,
     pub(crate) pool: WorkerPool,
     /// The sticky user cancellation token handed out by
     /// [`QrContext::cancel_handle`]. Internal causes (deadline, watchdog)
@@ -185,21 +183,27 @@ impl std::fmt::Debug for QrContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QrContext")
             .field("threads", &self.threads())
-            .field("scheduler", &self.scheduler)
             .field("watchdog", &self.watchdog)
             .finish_non_exhaustive()
     }
 }
 
 impl QrContext {
-    /// Builds a context whose jobs run on `threads` threads, with the
-    /// default scheduler ([`SchedulerKind::WorkStealing`]).
+    /// Builds a context whose jobs run on `threads` threads.
     ///
     /// `threads` counts the threads that execute tasks: the calling thread
     /// (worker 0 of each job) plus `threads − 1` persistent helpers spawned
     /// here. `threads == 1` spawns none.
     pub fn new(threads: usize) -> Result<Self, QrError> {
-        QrContext::with_scheduler(threads, SchedulerKind::default())
+        QrContext::validate_threads(threads)?;
+        let pool = WorkerPool::new(threads).map_err(|e| QrError::ThreadSpawn {
+            details: e.to_string(),
+        })?;
+        Ok(QrContext {
+            pool,
+            cancel: CancelToken::new(),
+            watchdog: None,
+        })
     }
 
     /// Validates a worker-thread count; factored out of the constructor so
@@ -216,21 +220,6 @@ impl QrContext {
             });
         }
         Ok(())
-    }
-
-    /// Builds a context whose jobs run on `threads` threads (see
-    /// [`QrContext::new`]) with an explicit ready-task scheduling policy.
-    pub fn with_scheduler(threads: usize, scheduler: SchedulerKind) -> Result<Self, QrError> {
-        QrContext::validate_threads(threads)?;
-        let pool = WorkerPool::new(threads).map_err(|e| QrError::ThreadSpawn {
-            details: e.to_string(),
-        })?;
-        Ok(QrContext {
-            scheduler,
-            pool,
-            cancel: CancelToken::new(),
-            watchdog: None,
-        })
     }
 
     /// Arms the watchdog: if a worker wants work and no task of the job
@@ -267,11 +256,6 @@ impl QrContext {
     /// (1 = the caller alone).
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// Ready-task scheduling policy of the pool.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
     }
 
     /// Factorizes a dense matrix of the plan's shape, returning the full
@@ -398,11 +382,10 @@ impl QrContext {
     /// order.
     ///
     /// All `k` schedules are submitted together — task ids are the plan's
-    /// DAG tiled `k` times, sharing its CSR successor lists and critical-path
-    /// priorities — so small problems pay a single pool wake-up instead of
-    /// `k`, and the work-stealing deques balance load *across* matrices: a
-    /// worker idling at the tail of one matrix's DAG steals ready tasks from
-    /// another's. Each matrix's result is **bitwise identical** to a
+    /// DAG tiled `k` times, sharing its CSR successor lists — so small
+    /// problems pay a single pool wake-up instead of `k`, and the
+    /// work-stealing deques balance load *across* matrices: a worker idling
+    /// at the tail of one matrix's DAG steals ready tasks from another's. Each matrix's result is **bitwise identical** to a
     /// standalone [`QrContext::factorize`] of that matrix (the fused DAG has
     /// no cross-matrix edges, and the per-tile kernel order within each
     /// matrix is unchanged).
@@ -757,23 +740,20 @@ mod tests {
     fn batch_matches_per_call_factorizations_bitwise() {
         let (m, n, nb) = (24usize, 16usize, 4usize);
         let mats: Vec<Matrix<f64>> = (0..5).map(|i| random_matrix(m, n, 300 + i)).collect();
-        for kind in SchedulerKind::ALL {
-            for threads in [1usize, 3] {
-                let ctx = QrContext::with_scheduler(threads, kind).unwrap();
-                let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).unwrap();
-                let batch = ctx.factorize_batch(&plan, &mats);
-                assert_eq!(batch.len(), mats.len());
-                for (a, item) in mats.iter().zip(batch) {
-                    let f = item.expect("conforming matrix must factor");
-                    let solo = ctx.factorize(&plan, a).unwrap();
-                    assert_eq!(
-                        f.factored_tiles(),
-                        solo.factored_tiles(),
-                        "batch and per-call results diverge ({} threads, {})",
-                        threads,
-                        kind.name()
-                    );
-                }
+        for threads in [1usize, 3] {
+            let ctx = QrContext::new(threads).unwrap();
+            let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).unwrap();
+            let batch = ctx.factorize_batch(&plan, &mats);
+            assert_eq!(batch.len(), mats.len());
+            for (a, item) in mats.iter().zip(batch) {
+                let f = item.expect("conforming matrix must factor");
+                let solo = ctx.factorize(&plan, a).unwrap();
+                assert_eq!(
+                    f.factored_tiles(),
+                    solo.factored_tiles(),
+                    "batch and per-call results diverge ({} threads)",
+                    threads
+                );
             }
         }
     }
@@ -902,10 +882,9 @@ mod tests {
     /// The one-engine contract end to end: the *same* entries — three plans
     /// (shapes, tile sizes, inner blockings, trees), one of them twice; one
     /// copy a fused solve with `k = 3`, dense copies (worker-side lazy
-    /// tiling) next to pre-tiled ones — as one job under `threads ∈ {1, 4}`
-    /// × every scheduler. Every outcome must be bitwise equal to the plain
-    /// in-order kernel walk of its own plan, and the solve to the decomposed
-    /// route.
+    /// tiling) next to pre-tiled ones — as one job under `threads ∈ {1, 4}`.
+    /// Every outcome must be bitwise equal to the plain in-order kernel walk
+    /// of its own plan, and the solve to the decomposed route.
     #[test]
     fn one_job_spans_plans_inputs_and_a_solve_bitwise_on_every_engine() {
         #[derive(Clone, Copy, PartialEq)]
@@ -945,48 +924,45 @@ mod tests {
             .map(|(&(p, _), a)| reference_factorization(&plans[p], a))
             .collect();
         for threads in [1usize, 4] {
-            for kind in SchedulerKind::ALL {
-                let ctx = QrContext::with_scheduler(threads, kind).unwrap();
-                let entries = table
-                    .iter()
-                    .zip(&mats)
-                    .enumerate()
-                    .map(|(probe, (&(p, input), a))| {
-                        let plan = &plans[p];
-                        let tiles = TiledMatrix::from_dense_padded(a, plan.nb);
-                        let input = match input {
-                            Input::Dense => StreamInput::Dense(Arc::new(a.clone())),
-                            Input::Tiled => tiles_only(tiles),
-                            Input::Solve => StreamInput::Tiled {
-                                tiles,
-                                rhs: rhs_row_blocks(&b, plan.p, plan.nb),
-                            },
-                        };
-                        StreamEntry { plan, input, probe }
-                    })
-                    .collect();
-                let outcomes = ctx.run_collect(entries, None, None);
-                for (i, ((parts, err), reference)) in
-                    outcomes.into_iter().zip(&references).enumerate()
-                {
-                    let (p, input) = table[i];
-                    let at = format!("entry {i}, {threads} threads, {}", kind.name());
-                    assert_eq!(err, None, "{at}");
-                    if input == Input::Solve {
-                        let x = back_substitute(
-                            &upper_triangle(&parts.tiles, plans[p].n()),
-                            &gather_row_blocks(&parts.rhs, plans[p].n()),
-                        );
-                        let decomposed = back_substitute(&reference.r(), &reference.apply_qh(&b));
-                        assert_eq!(x, decomposed, "fused solve, {at}");
-                    }
-                    let (tiles, reflectors) = plans[p].conclude(parts, None);
-                    let f = reflectors.unwrap().into_factorization(tiles);
-                    assert_eq!(f.factored_tiles(), reference.factored_tiles(), "{at}");
-                    // Replaying Qᴴ reads every T factor.
-                    let probe: Matrix<f64> = random_matrix(plans[p].m(), 2, 7_200);
-                    assert_eq!(f.apply_qh(&probe), reference.apply_qh(&probe), "{at}");
+            let ctx = QrContext::new(threads).unwrap();
+            let entries = table
+                .iter()
+                .zip(&mats)
+                .enumerate()
+                .map(|(probe, (&(p, input), a))| {
+                    let plan = &plans[p];
+                    let tiles = TiledMatrix::from_dense_padded(a, plan.nb);
+                    let input = match input {
+                        Input::Dense => StreamInput::Dense(Arc::new(a.clone())),
+                        Input::Tiled => tiles_only(tiles),
+                        Input::Solve => StreamInput::Tiled {
+                            tiles,
+                            rhs: rhs_row_blocks(&b, plan.p, plan.nb),
+                        },
+                    };
+                    StreamEntry { plan, input, probe }
+                })
+                .collect();
+            let outcomes = ctx.run_collect(entries, None, None);
+            for (i, ((parts, err), reference)) in outcomes.into_iter().zip(&references).enumerate()
+            {
+                let (p, input) = table[i];
+                let at = format!("entry {i}, {threads} threads");
+                assert_eq!(err, None, "{at}");
+                if input == Input::Solve {
+                    let x = back_substitute(
+                        &upper_triangle(&parts.tiles, plans[p].n()),
+                        &gather_row_blocks(&parts.rhs, plans[p].n()),
+                    );
+                    let decomposed = back_substitute(&reference.r(), &reference.apply_qh(&b));
+                    assert_eq!(x, decomposed, "fused solve, {at}");
                 }
+                let (tiles, reflectors) = plans[p].conclude(parts, None);
+                let f = reflectors.unwrap().into_factorization(tiles);
+                assert_eq!(f.factored_tiles(), reference.factored_tiles(), "{at}");
+                // Replaying Qᴴ reads every T factor.
+                let probe: Matrix<f64> = random_matrix(plans[p].m(), 2, 7_200);
+                assert_eq!(f.apply_qh(&probe), reference.apply_qh(&probe), "{at}");
             }
         }
     }

@@ -24,7 +24,6 @@ use tileqr_core::sim::simulate_grasap;
 use tileqr_core::EliminationList;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
-use crate::executor::SchedulerKind;
 use crate::reflectors::QrReflectors;
 use crate::trace::ExecutionTrace;
 
@@ -55,10 +54,6 @@ pub struct QrConfig {
     pub family: KernelFamily,
     /// Worker threads (1 = sequential).
     pub threads: usize,
-    /// Ready-task scheduling policy of the job's workers (with
-    /// `threads == 1`, the order of the caller's own tasks); results are
-    /// bitwise identical under either.
-    pub scheduler: SchedulerKind,
     /// Opt-in pre-submission scan for NaN/Inf entries (off by default — it
     /// costs one pass over the input). Plans built with it reject non-finite
     /// inputs as
@@ -71,7 +66,7 @@ pub struct QrConfig {
 impl QrConfig {
     /// A sensible default: Greedy reduction tree, TT kernels, the tuned
     /// inner blocking (`min(tile_size, `[`DEFAULT_INNER_BLOCK`]`)`),
-    /// sequential, work-stealing scheduler (when threads are enabled).
+    /// sequential.
     pub fn new(tile_size: usize) -> Self {
         QrConfig {
             tile_size,
@@ -79,7 +74,6 @@ impl QrConfig {
             algorithm: Algorithm::Greedy,
             family: KernelFamily::TT,
             threads: 1,
-            scheduler: SchedulerKind::default(),
             check_finite: false,
         }
     }
@@ -111,12 +105,6 @@ impl QrConfig {
     /// Sets the number of worker threads.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the parallel scheduling policy.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -215,7 +203,7 @@ pub(crate) fn transient_session<T: Scalar<Real = f64>>(
     let plan = crate::context::QrPlan::new(m, n, config)
         .expect("shape and tile size were validated above");
     let threads = config.threads.clamp(1, crate::context::MAX_THREADS);
-    let ctx = crate::context::QrContext::with_scheduler(threads, config.scheduler)
+    let ctx = crate::context::QrContext::new(threads)
         .expect("thread count is clamped into the accepted range");
     (plan, ctx)
 }
@@ -396,18 +384,10 @@ mod tests {
     }
 
     #[test]
-    fn every_scheduler_produces_a_correct_factorization() {
+    fn three_thread_config_produces_a_correct_factorization() {
         let a: Matrix<f64> = random_matrix(32, 24, 22);
-        for kind in crate::executor::SchedulerKind::ALL {
-            let config = QrConfig::new(8).with_threads(3).with_scheduler(kind);
-            assert_eq!(config.scheduler, kind);
-            let f = qr_factorize(&a, config);
-            assert!(
-                f.residual(&a) < TOL,
-                "scheduler {} produced a bad factorization",
-                kind.name()
-            );
-        }
+        let f = qr_factorize(&a, QrConfig::new(8).with_threads(3));
+        assert!(f.residual(&a) < TOL, "bad three-thread factorization");
     }
 
     #[test]

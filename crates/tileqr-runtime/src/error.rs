@@ -106,8 +106,7 @@ pub enum QrError {
     /// pathology, not a property of the input — the chance it recurs on a
     /// fresh run is exactly what bounded retries with backoff are for.
     Stalled,
-    /// Spawning a pool worker thread failed ([`QrContext::new`] /
-    /// [`QrContext::with_scheduler`]).
+    /// Spawning a pool worker thread failed ([`QrContext::new`]).
     ThreadSpawn {
         /// The underlying OS error, rendered.
         details: String,

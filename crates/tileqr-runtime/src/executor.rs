@@ -1,4 +1,4 @@
-//! Dependency-counting DAG executors and the pluggable ready-task scheduler.
+//! Dependency-counting DAG executors and their work-stealing scheduler.
 //!
 //! The task graph built by `tileqr-core` is already in topological order with
 //! explicit predecessor lists. Two execution strategies are provided:
@@ -14,30 +14,22 @@
 //! persistent pool, `job.rs`); they stay public as the engine-independent
 //! reference that tests compare against and the benchmark ledger times.
 //!
-//! # Schedulers
+//! # The scheduler
 //!
 //! *Which* ready task a worker runs next is delegated to the [`Scheduler`]
-//! trait; [`SchedulerKind`] selects between the two implementations:
+//! trait, which has one implementation, [`WorkStealing`]: one Chase–Lev
+//! [`WorkerDeque`] per worker plus a global FIFO injector holding the
+//! initially-ready tasks. A worker pushes the tasks it enables onto its *own*
+//! deque and pops them back LIFO (cache-warm tiles); an idle worker first
+//! drains the injector, then steals the *oldest* task from a sibling. No lock
+//! is ever taken on the hot path.
 //!
-//! * [`SchedulerKind::WorkStealing`] — one Chase–Lev
-//!   [`WorkerDeque`] per worker plus a global FIFO
-//!   injector holding the initially-ready tasks. A worker pushes the tasks it
-//!   enables onto its *own* deque and pops them back LIFO (cache-warm tiles);
-//!   an idle worker first drains the injector, then steals the *oldest* task
-//!   from a sibling. No lock is ever taken on the hot path.
-//! * [`SchedulerKind::WorkStealingPriority`] — same deques, but each batch of
-//!   newly-enabled tasks is pushed in increasing **critical-path priority**
-//!   order ([`TaskDag::priorities`]: the weighted longest path from the task
-//!   to a DAG exit), so the owner pops the most critical task first while
-//!   stealers take the least critical — the paper's thesis that measured time
-//!   tracks the critical path, applied to the runtime itself. The injector is
-//!   seeded in decreasing priority order too.
-//!
-//! Both schedulers preallocate every buffer from `dag.len()` during
-//! setup, preserving the executor's **zero per-task allocation** guarantee
+//! The scheduler preallocates every buffer from `dag.len()` during setup,
+//! preserving the executor's **zero per-task allocation** guarantee
 //! (verified by the counting-allocator integration test).
 //!
-//! Both thread a per-worker **workspace** through the task closure: `make_ws` is called once per worker thread (and once for the
+//! Both executors thread a per-worker **workspace** through the task
+//! closure: `make_ws` is called once per worker thread (and once for the
 //! sequential path), and every task executed by that worker receives a
 //! mutable reference to its worker's workspace. With
 //! [`tileqr_kernels::Workspace`] as the workspace type this makes the hot
@@ -45,8 +37,6 @@
 //! task runs. Idle workers back off with
 //! [`Backoff`] (spin → yield → bounded park), so they
 //! stop burning a core at the tail of the DAG.
-//!
-//! [`TaskDag::priorities`]: tileqr_core::dag::TaskDag::priorities
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -69,42 +59,23 @@ where
     }
 }
 
-/// Selects the ready-task scheduling policy of the parallel executor; see
-/// the [module docs](self) for what each policy does.
+/// The ready-task policy argument of [`execute_parallel_with_scheduler`].
+/// Work stealing is the only policy. The type stays only because the
+/// benchmark package passes `SchedulerKind::default()` to that function;
+/// it goes once that call drops the argument.
 ///
-/// The default is plain [`SchedulerKind::WorkStealing`]: LIFO owner pops
-/// walk the DAG depth-first over the tiles the worker just touched, which
-/// measures fastest when cores are scarce (the `bench_executor` ablation).
-/// [`SchedulerKind::WorkStealingPriority`] trades some of that locality for
-/// critical-path order — the right trade once the machine has enough cores
-/// that the critical path, not the work, binds the makespan (the paper's
-/// regime of interest).
+/// Why one policy: LIFO owner pops walk the DAG depth-first over the tiles a
+/// worker just touched. A critical-path priority order, paired against it on
+/// the five benchmark workloads at two workers (2-vCPU AVX-512 host, ten
+/// alternating pairs each), lost `tall_factor` throughput in 9 of 10 pairs
+/// and won no workload in 9 of 10: there `T / cp` is 5–30, so the critical
+/// path never binds the makespan.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Per-worker Chase–Lev deques + global injector; LIFO owner pop, FIFO
-    /// steal (the default).
+    /// steal.
     #[default]
     WorkStealing,
-    /// Work stealing with owner deques ordered by weighted
-    /// critical-path-to-exit priority.
-    WorkStealingPriority,
-}
-
-impl SchedulerKind {
-    /// Short display name (`"work_stealing"`, `"ws_priority"`), used by the
-    /// bench layer.
-    pub const fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::WorkStealing => "work_stealing",
-            SchedulerKind::WorkStealingPriority => "ws_priority",
-        }
-    }
-
-    /// All scheduler kinds, for ablation sweeps.
-    pub const ALL: [SchedulerKind; 2] = [
-        SchedulerKind::WorkStealing,
-        SchedulerKind::WorkStealingPriority,
-    ];
 }
 
 /// A ready-task multiplexer between the workers of the parallel executor.
@@ -169,13 +140,32 @@ impl WorkStealing {
                 .collect(),
         }
     }
+}
 
-    /// Pop order shared by both stealing schedulers: own deque (LIFO), then
-    /// the injector, then one stealing sweep over the siblings starting
-    /// after `w` (so the victims are spread instead of all workers mobbing
-    /// worker 0).
+impl Scheduler for WorkStealing {
+    fn seed(&self, roots: &mut [usize]) {
+        for &r in roots.iter() {
+            self.injector.push(r);
+        }
+    }
+
+    /// Keeps the first successor (topological order — the tiles the worker
+    /// just touched) as the work-first continuation and publishes the rest,
+    /// reverse-pushed so the owner's LIFO pop visits them in original
+    /// order.
+    fn push_ready(&self, w: usize, ready: &mut [usize]) -> Option<usize> {
+        let (&next, rest) = ready.split_first()?;
+        for &r in rest.iter().rev() {
+            self.deques[w].push(r);
+        }
+        Some(next)
+    }
+
+    /// Own deque (LIFO), then the injector, then one stealing sweep over the
+    /// siblings starting after `w` (so the victims are spread instead of all
+    /// workers mobbing worker 0).
     #[inline]
-    fn pop_from(&self, w: usize) -> Option<usize> {
+    fn pop(&self, w: usize) -> Option<usize> {
         if let Some(task) = self.deques[w].pop() {
             return Some(task);
         }
@@ -200,102 +190,8 @@ impl WorkStealing {
     }
 }
 
-impl Scheduler for WorkStealing {
-    fn seed(&self, roots: &mut [usize]) {
-        for &r in roots.iter() {
-            self.injector.push(r);
-        }
-    }
-
-    /// Keeps the first successor (topological order — the tiles the worker
-    /// just touched) as the work-first continuation and publishes the rest,
-    /// reverse-pushed so the owner's LIFO pop visits them in original
-    /// order.
-    fn push_ready(&self, w: usize, ready: &mut [usize]) -> Option<usize> {
-        let (&next, rest) = ready.split_first()?;
-        for &r in rest.iter().rev() {
-            self.deques[w].push(r);
-        }
-        Some(next)
-    }
-
-    fn pop(&self, w: usize) -> Option<usize> {
-        self.pop_from(w)
-    }
-}
-
-/// Work stealing with critical-path priorities: each batch of newly-enabled
-/// tasks is pushed so the owner pops the task with the largest weighted
-/// critical-path-to-exit first, and stealers take the least critical one.
-pub struct WorkStealingPriority {
-    inner: WorkStealing,
-    /// `tables[c][l]` = weighted longest path from task `l` of copy `c` to
-    /// its DAG's exit
-    /// ([`TaskDag::priorities`](tileqr_core::dag::TaskDag::priorities)):
-    /// `Arc` clones of each plan's cached table, so a reusable plan hands the
-    /// same table to many jobs without copying it.
-    tables: Vec<std::sync::Arc<[u64]>>,
-    /// Global id → `(copy, local)`, the same geometry the job drives.
-    map: ItemMap,
-}
-
-impl WorkStealingPriority {
-    /// Builds the scheduler for a fused group: `tables[c]` is copy `c`'s
-    /// shared per-shape priority table, and copy `c` owns the contiguous
-    /// global id range starting at the prefix sum of the earlier table
-    /// lengths. A single DAG is a group of one. Mixed groups cost one small
-    /// `Vec` per job, not a fused priority table.
-    pub fn new_shared_offsets(tables: Vec<std::sync::Arc<[u64]>>, workers: usize) -> Self {
-        let map = ItemMap::from_counts(tables.iter().map(|t| t.len()));
-        WorkStealingPriority {
-            inner: WorkStealing::new(map.total(), workers),
-            tables,
-            map,
-        }
-    }
-
-    /// Sorts a batch by ascending priority, in place, without allocating
-    /// (`sort_unstable` is in-place, and batches are bounded by the DAG's
-    /// maximum out-degree — `O(q)` for tiled QR).
-    #[inline]
-    fn sort_ascending(&self, batch: &mut [usize]) {
-        batch.sort_unstable_by_key(|&t| {
-            let (copy, local) = self.map.locate(t);
-            self.tables[copy][local]
-        });
-    }
-}
-
-impl Scheduler for WorkStealingPriority {
-    fn seed(&self, roots: &mut [usize]) {
-        // FIFO injector: push in *descending* priority so the first pops get
-        // the most critical roots.
-        self.sort_ascending(roots);
-        for &r in roots.iter().rev() {
-            self.inner.injector.push(r);
-        }
-    }
-
-    /// Keeps the most critical successor as the work-first continuation and
-    /// publishes the rest in ascending priority: LIFO owner pops then run
-    /// higher priorities first while stealers take from the top — the least
-    /// critical of the batch.
-    fn push_ready(&self, w: usize, ready: &mut [usize]) -> Option<usize> {
-        self.sort_ascending(ready);
-        let (&next, rest) = ready.split_last()?;
-        for &r in rest.iter() {
-            self.inner.deques[w].push(r);
-        }
-        Some(next)
-    }
-
-    fn pop(&self, w: usize) -> Option<usize> {
-        self.inner.pop_from(w)
-    }
-}
-
 /// Executes the DAG on `num_threads` worker threads with one workspace per
-/// worker and an explicit scheduling policy.
+/// worker, under the [`WorkStealing`] scheduler (the one [`SchedulerKind`]).
 ///
 /// Every worker builds its own workspace with `make_ws` when it starts, then
 /// repeatedly pops a ready task from the scheduler, runs it against its
@@ -306,12 +202,11 @@ impl Scheduler for WorkStealingPriority {
 /// tile with its own lock.
 ///
 /// After the setup phase (scheduler buffers and counters sized to the DAG,
-/// workspaces built per worker) the loop performs no heap allocations, for
-/// every [`SchedulerKind`].
+/// workspaces built per worker) the loop performs no heap allocations.
 pub fn execute_parallel_with_scheduler<W, M, F>(
     dag: &TaskDag,
     num_threads: usize,
-    scheduler: SchedulerKind,
+    _scheduler: SchedulerKind,
     make_ws: M,
     run: F,
 ) where
@@ -331,30 +226,35 @@ pub fn execute_parallel_with_scheduler<W, M, F>(
         }
         return;
     }
-    // One successor CSR serves both the dependency release loop and (for
-    // the priority scheduler) the bottom-level computation.
     let succ = dag.successors_csr();
-    match scheduler {
-        SchedulerKind::WorkStealing => run_pool(
-            dag,
-            &succ,
-            num_threads,
-            &WorkStealing::new(n, num_threads),
-            make_ws,
-            run,
-        ),
-        SchedulerKind::WorkStealingPriority => {
-            let priorities = dag.priorities_with(&succ);
-            run_pool(
-                dag,
-                &succ,
-                num_threads,
-                &WorkStealingPriority::new_shared_offsets(vec![priorities.into()], num_threads),
-                make_ws,
-                run,
-            )
+    let sched = WorkStealing::new(n, num_threads);
+    sched.seed(&mut initial_roots(dag));
+    let remaining = dependency_counters(dag);
+    let completed = AtomicUsize::new(0);
+    let aborted = AtomicBool::new(false);
+    let map = ItemMap::from_counts([n]);
+    let ctl = DriveCtl {
+        num_tasks: n,
+        map: &map,
+        succ: &[&succ],
+        remaining: &remaining,
+        completed: &completed,
+        aborted: &aborted,
+        max_out_degree: succ.max_out_degree(),
+        control: None,
+        faults: None,
+    };
+    std::thread::scope(|scope| {
+        for w in 0..num_threads {
+            let (ctl, sched, make_ws, run) = (&ctl, &sched, &make_ws, &run);
+            scope.spawn(move || {
+                let mut ws = make_ws();
+                drive_worker(ctl, sched, w, &mut |_copy, local| {
+                    run(dag.tasks[local].kind, &mut ws)
+                });
+            });
         }
-    }
+    });
 }
 
 /// Per-task dependency counters of a DAG, freshly initialized for one run.
@@ -674,57 +574,6 @@ pub(crate) fn drive_worker<S: Scheduler + ?Sized>(
     std::mem::forget(abort_guard);
 }
 
-/// The worker pool, generic (monomorphized) over the scheduler so the hot
-/// loop pays no virtual dispatch.
-fn run_pool<S, W, M, F>(
-    dag: &TaskDag,
-    succ: &SuccessorsCsr,
-    num_threads: usize,
-    sched: &S,
-    make_ws: M,
-    run: F,
-) where
-    S: Scheduler,
-    W: Send,
-    M: Fn() -> W + Sync,
-    F: Fn(TaskKind, &mut W) + Sync,
-{
-    let n = dag.tasks.len();
-    let remaining = dependency_counters(dag);
-    let max_out_degree = succ.max_out_degree();
-    let mut roots = initial_roots(dag);
-    sched.seed(&mut roots);
-    let completed = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(false);
-
-    let map = ItemMap::from_counts([n]);
-    let ctl = DriveCtl {
-        num_tasks: n,
-        map: &map,
-        succ: &[succ],
-        remaining: &remaining,
-        completed: &completed,
-        aborted: &aborted,
-        max_out_degree,
-        control: None,
-        faults: None,
-    };
-    std::thread::scope(|scope| {
-        for w in 0..num_threads {
-            let ctl = &ctl;
-            let sched = &sched;
-            let make_ws = &make_ws;
-            let run = &run;
-            scope.spawn(move || {
-                let mut ws = make_ws();
-                drive_worker(ctl, *sched, w, &mut |_copy, local| {
-                    run(dag.tasks[local].kind, &mut ws)
-                });
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,54 +597,49 @@ mod tests {
     }
 
     #[test]
-    fn parallel_visits_every_task_once_with_every_scheduler() {
+    fn parallel_visits_every_task_once() {
         let dag = sample_dag(8, 4);
-        for kind in SchedulerKind::ALL {
-            let seen = Mutex::new(HashSet::new());
-            execute_parallel_with_scheduler(
-                &dag,
-                4,
-                kind,
-                || (),
-                |k, _ws: &mut ()| {
-                    assert!(seen.lock().insert(k), "task executed twice: {k:?}");
-                },
-            );
-            assert_eq!(seen.lock().len(), dag.len(), "scheduler {}", kind.name());
-        }
+        let seen = Mutex::new(HashSet::new());
+        execute_parallel_with_scheduler(
+            &dag,
+            4,
+            SchedulerKind::default(),
+            || (),
+            |k, _ws: &mut ()| {
+                assert!(seen.lock().insert(k), "task executed twice: {k:?}");
+            },
+        );
+        assert_eq!(seen.lock().len(), dag.len());
     }
 
     #[test]
-    fn parallel_respects_dependencies_with_every_scheduler() {
+    fn parallel_respects_dependencies() {
         // Record completion order and verify that every dependency finished
         // before its dependent started. We log positions under a lock.
         let dag = sample_dag(7, 3);
-        for kind in SchedulerKind::ALL {
-            let order = Mutex::new(Vec::new());
-            execute_parallel_with_scheduler(
-                &dag,
-                3,
-                kind,
-                || (),
-                |k, _ws: &mut ()| {
-                    order.lock().push(k);
-                },
-            );
-            let order = order.into_inner();
-            let position: std::collections::HashMap<_, _> =
-                order.iter().enumerate().map(|(i, k)| (*k, i)).collect();
-            for task in &dag.tasks {
-                let me = position[&task.kind];
-                for &d in &task.deps {
-                    let dep = position[&dag.tasks[d].kind];
-                    assert!(
-                        dep < me,
-                        "[{}] dependency ran after dependent: {:?} -> {:?}",
-                        kind.name(),
-                        dag.tasks[d].kind,
-                        task.kind
-                    );
-                }
+        let order = Mutex::new(Vec::new());
+        execute_parallel_with_scheduler(
+            &dag,
+            3,
+            SchedulerKind::default(),
+            || (),
+            |k, _ws: &mut ()| {
+                order.lock().push(k);
+            },
+        );
+        let order = order.into_inner();
+        let position: std::collections::HashMap<_, _> =
+            order.iter().enumerate().map(|(i, k)| (*k, i)).collect();
+        for task in &dag.tasks {
+            let me = position[&task.kind];
+            for &d in &task.deps {
+                let dep = position[&dag.tasks[d].kind];
+                assert!(
+                    dep < me,
+                    "dependency ran after dependent: {:?} -> {:?}",
+                    dag.tasks[d].kind,
+                    task.kind
+                );
             }
         }
     }
@@ -830,19 +674,17 @@ mod tests {
     #[test]
     fn single_thread_parallel_falls_back_to_sequential_order() {
         let dag = sample_dag(5, 2);
-        for kind in SchedulerKind::ALL {
-            let seen = Mutex::new(Vec::new());
-            execute_parallel_with_scheduler(
-                &dag,
-                1,
-                kind,
-                || (),
-                |k, _ws: &mut ()| seen.lock().push(k),
-            );
-            let seen = seen.into_inner();
-            let sequential: Vec<_> = dag.tasks.iter().map(|t| t.kind).collect();
-            assert_eq!(seen, sequential);
-        }
+        let seen = Mutex::new(Vec::new());
+        execute_parallel_with_scheduler(
+            &dag,
+            1,
+            SchedulerKind::default(),
+            || (),
+            |k, _ws: &mut ()| seen.lock().push(k),
+        );
+        let seen = seen.into_inner();
+        let sequential: Vec<_> = dag.tasks.iter().map(|t| t.kind).collect();
+        assert_eq!(seen, sequential);
     }
 
     #[test]
@@ -877,22 +719,20 @@ mod tests {
         // forever on `completed < n`).
         let dag = sample_dag(8, 4);
         let poison = dag.tasks[dag.len() / 2].kind;
-        for kind in SchedulerKind::ALL {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                execute_parallel_with_scheduler(
-                    &dag,
-                    4,
-                    kind,
-                    || (),
-                    |k, _ws: &mut ()| {
-                        if k == poison {
-                            panic!("injected task failure");
-                        }
-                    },
-                );
-            }));
-            assert!(result.is_err(), "panic was swallowed by {}", kind.name());
-        }
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute_parallel_with_scheduler(
+                &dag,
+                4,
+                SchedulerKind::default(),
+                || (),
+                |k, _ws: &mut ()| {
+                    if k == poison {
+                        panic!("injected task failure");
+                    }
+                },
+            );
+        }));
+        assert!(result.is_err(), "panic was swallowed");
     }
 
     #[test]
@@ -906,44 +746,6 @@ mod tests {
         });
         assert_eq!(ws, dag.len());
         assert_eq!(count, dag.len());
-    }
-
-    #[test]
-    fn scheduler_kind_defaults_to_work_stealing() {
-        assert_eq!(SchedulerKind::default(), SchedulerKind::WorkStealing);
-        let names: HashSet<_> = SchedulerKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), 2);
-    }
-
-    #[test]
-    fn priority_scheduler_runs_critical_roots_first_single_consumer() {
-        // Seed the priority scheduler with shuffled roots and drain it from
-        // one worker with no pushes: the injector must yield them in
-        // decreasing priority order.
-        let priority = vec![5u64, 40, 10, 7, 99, 1];
-        let sched = WorkStealingPriority::new_shared_offsets(vec![priority.clone().into()], 2);
-        let mut roots = vec![0usize, 1, 2, 3, 4, 5];
-        sched.seed(&mut roots);
-        let mut got = Vec::new();
-        while let Some(t) = sched.pop(0) {
-            got.push(t);
-        }
-        let drained: Vec<u64> = got.iter().map(|&t| priority[t]).collect();
-        assert_eq!(drained, vec![99, 40, 10, 7, 5, 1]);
-    }
-
-    #[test]
-    fn priority_scheduler_runs_batches_most_critical_first() {
-        let priority = vec![3u64, 8, 1, 12];
-        let sched = WorkStealingPriority::new_shared_offsets(vec![priority.into()], 1);
-        let mut batch = vec![0usize, 1, 2, 3];
-        // The most critical task comes back as the work-first continuation;
-        // the rest pop in decreasing priority.
-        assert_eq!(sched.push_ready(0, &mut batch), Some(3)); // priority 12
-        assert_eq!(sched.pop(0), Some(1)); // priority 8
-        assert_eq!(sched.pop(0), Some(0)); // priority 3
-        assert_eq!(sched.pop(0), Some(2)); // priority 1
-        assert_eq!(sched.pop(0), None);
     }
 
     #[test]
@@ -986,23 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_offsets_ranks_each_copy_by_its_own_table() {
-        // copy 0: ids 0..3 with priorities [3, 8, 1]; copy 1: ids 3..5 with
-        // priorities [12, 2]. Continuation and pops must follow the fused
-        // per-copy ranks, not any shared cyclic table.
-        let tables: Vec<std::sync::Arc<[u64]>> =
-            vec![vec![3u64, 8, 1].into(), vec![12u64, 2].into()];
-        let sched = WorkStealingPriority::new_shared_offsets(tables, 1);
-        let mut batch = vec![0usize, 1, 2, 3, 4];
-        assert_eq!(sched.push_ready(0, &mut batch), Some(3)); // rank 12
-        assert_eq!(sched.pop(0), Some(1)); // rank 8
-        assert_eq!(sched.pop(0), Some(0)); // rank 3
-        assert_eq!(sched.pop(0), Some(4)); // rank 2
-        assert_eq!(sched.pop(0), Some(2)); // rank 1
-        assert_eq!(sched.pop(0), None);
-    }
-
-    #[test]
     fn fused_heterogeneous_copies_run_once_and_respect_deps() {
         // Two *different* DAGs fused under one scheduler through the offset
         // map: every task of each copy runs exactly once, and dependencies
@@ -1035,11 +820,7 @@ mod tests {
                     .map(|(i, _)| base + i),
             );
         }
-        let tables: Vec<std::sync::Arc<[u64]>> = vec![
-            dag_a.priorities_with(&succ_a).into(),
-            dag_b.priorities_with(&succ_b).into(),
-        ];
-        let sched = WorkStealingPriority::new_shared_offsets(tables, 3);
+        let sched = WorkStealing::new(map.total(), 3);
         sched.seed(&mut roots);
         let completed = AtomicUsize::new(0);
         let aborted = AtomicBool::new(false);

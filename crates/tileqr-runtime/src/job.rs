@@ -36,10 +36,10 @@ use crate::context::QrContext;
 use crate::error::QrError;
 use crate::executor::{
     dependency_counters, drive_worker, DriveCtl, FaultSink, ItemMap, RunCtl, Scheduler,
-    SchedulerKind, WorkStealing, WorkStealingPriority,
+    WorkStealing,
 };
 use crate::plan::{PlanCore, QrPlan};
-use crate::pool::{payload_message, Job, WorkerPool};
+use crate::pool::{payload_message, Job};
 use crate::reflectors::TFactors;
 use crate::state::{FactoredParts, FactorizationState};
 use crate::sync::shim::{AtomicBool, AtomicUsize};
@@ -334,12 +334,6 @@ impl<T: Scalar<Real = f64>> JobState<T> {
         roots
     }
 
-    /// The priority scheduler over the copies' cached per-shape tables.
-    fn priority_scheduler(&self, threads: usize) -> WorkStealingPriority {
-        let tables = self.copies.iter().map(|c| c.core.priorities()).collect();
-        WorkStealingPriority::new_shared_offsets(tables, threads)
-    }
-
     /// Drains `copy` and hands its outcome to the sink, unless that already
     /// happened. Called by the worker that performed the copy's last retire
     /// and, for every copy, by the job-end sweep — in both cases no task of
@@ -381,14 +375,14 @@ impl<T: Scalar<Real = f64>> FaultSink for JobState<T> {
     }
 }
 
-/// The pool job: [`JobState`] plus the scheduler instance multiplexing its
+/// The pool job: [`JobState`] plus the work-stealing deques multiplexing its
 /// ready tasks.
-pub(crate) struct FusedJob<T: Scalar, S> {
+pub(crate) struct FusedJob<T: Scalar> {
     pub(crate) state: JobState<T>,
-    pub(crate) sched: S,
+    pub(crate) sched: WorkStealing,
 }
 
-impl<T: Scalar<Real = f64>, S: Scheduler + Send + Sync> Job for FusedJob<T, S> {
+impl<T: Scalar<Real = f64>> Job for FusedJob<T> {
     fn run(&self, w: usize) {
         let job = &self.state;
         let mut slot = job.slots[w].lock();
@@ -486,37 +480,22 @@ impl QrContext {
             })
             .collect();
         let state = JobState::new(copies, slots, control, sink);
-        let slots = match self.scheduler {
-            SchedulerKind::WorkStealing => {
-                launch(&self.pool, state, WorkStealing::new(total, threads))
-            }
-            SchedulerKind::WorkStealingPriority => {
-                let sched = state.priority_scheduler(threads);
-                launch(&self.pool, state, sched)
-            }
-        };
-        // Dropping the span buffers merges them into the trace; the last
-        // task a workspace served may have switched its panel width.
+        let sched = WorkStealing::new(total, threads);
+        sched.seed(&mut state.roots());
+        let job = Arc::new(FusedJob { state, sched });
+        // The calling thread is worker 0; `run` returns only after every
+        // helper dropped its reference to the job (and the pool's own slot
+        // was cleared).
+        self.pool.run(Arc::clone(&job) as Arc<dyn Job>);
+        let job = Arc::into_inner(job)
+            .unwrap_or_else(|| panic!("job still shared after the pool ran it"));
+        // Resolve what the run left unfinished. Dropping the span buffers
+        // merges them into the trace; the last task a workspace served may
+        // have switched its panel width.
+        let slots = job.state.finish();
         ws_owner.restore_workspaces(slots.into_iter().map(|(mut ws, _spans)| {
             ws.set_inner_block(ws_owner.ib);
             ws
         }));
     }
-}
-
-/// Seeds `sched`, runs the job on `pool` — the calling thread as worker 0 —
-/// then resolves what the run left unfinished and returns the worker slots.
-fn launch<T, S>(pool: &WorkerPool, state: JobState<T>, sched: S) -> Vec<WorkerSlot<T>>
-where
-    T: Scalar<Real = f64>,
-    S: Scheduler + Send + Sync + 'static,
-{
-    sched.seed(&mut state.roots());
-    let job = Arc::new(FusedJob { state, sched });
-    pool.run(Arc::clone(&job) as Arc<dyn Job>);
-    // `run` returns only after every helper dropped its reference to the job
-    // (and the pool's own slot was cleared).
-    let job =
-        Arc::into_inner(job).unwrap_or_else(|| panic!("job still shared after the pool ran it"));
-    job.state.finish()
 }

@@ -9,14 +9,11 @@
 //! * [`executor`] — the dependency-counting worker loop every job runs, the
 //!   generic scoped DAG executors built on it (sequential and
 //!   multi-threaded; no factorization path of this crate calls them — they
-//!   serve external callers), and the pluggable ready-task
-//!   [`Scheduler`](executor::Scheduler): per-worker Chase–Lev work-stealing
-//!   deques, and priority work stealing driven by weighted
-//!   critical-path-to-exit lengths
-//!   ([`TaskDag::priorities`](tileqr_core::dag::TaskDag::priorities)).
-//!   Every worker thread gets its own preallocated kernel
-//!   [`Workspace`](tileqr_kernels::Workspace), so the per-task hot loop
-//!   never touches the allocator under any scheduler.
+//!   serve external callers), and the one ready-task scheduler,
+//!   [`WorkStealing`](executor::WorkStealing): per-worker Chase–Lev
+//!   work-stealing deques. Every worker thread gets its own preallocated
+//!   kernel [`Workspace`](tileqr_kernels::Workspace), so the per-task hot
+//!   loop never touches the allocator.
 //! * [`sync`] — std-only synchronisation primitives (mutex, three-tier
 //!   spin/yield/park backoff, exact-capacity ready queue, Chase–Lev
 //!   work-stealing deque) used by the executor, the pool and the state.
@@ -27,7 +24,7 @@
 //!   services: a long-lived [`QrContext`] owning a persistent, parkable
 //!   worker pool (the calling thread is worker 0 of every job, beside
 //!   `threads − 1` helpers), reusable shape-keyed [`QrPlan`]s (elimination
-//!   list, DAG, priorities and workspaces precomputed once), typed [`QrError`]s
+//!   list, DAG and workspaces precomputed once), typed [`QrError`]s
 //!   ([`error`]) instead of panics, and an in-place
 //!   [`QrContext::factorize_into`] path over caller-owned tile storage.
 //!   **One engine**: every call — single, in-place,
@@ -151,7 +148,7 @@
 //! default-off, zero-cost when disabled). The `fault` module installs a
 //! seeded `FaultPlan` injecting panics and delays at chosen `(copy, task)`
 //! boundaries, driving the chaos stress suite: a hundred seeded fault
-//! schedules across shapes and schedulers, asserting every non-faulted item
+//! schedules across shapes, asserting every non-faulted item
 //! stays bitwise identical to its fault-free factorization and every
 //! faulted item reports the right error.
 //!

@@ -36,9 +36,6 @@ pub(crate) struct PlanCore {
     pub(crate) roots: Vec<usize>,
     /// Largest successor batch a single task completion can enable.
     pub(crate) max_out_degree: usize,
-    /// Weighted critical-path-to-exit priorities, computed on first use by
-    /// the priority scheduler and shared by every subsequent job.
-    priorities: OnceLock<Arc<[u64]>>,
 }
 
 impl PlanCore {
@@ -61,14 +58,7 @@ impl PlanCore {
             succ,
             roots,
             max_out_degree,
-            priorities: OnceLock::new(),
         }
-    }
-
-    pub(crate) fn priorities(&self) -> Arc<[u64]> {
-        self.priorities
-            .get_or_init(|| self.dag.priorities_with(&self.succ).into())
-            .clone()
     }
 }
 
@@ -77,9 +67,8 @@ impl PlanCore {
 /// A plan fixes `(m, n, nb, ib, algorithm, family)` and precomputes
 /// everything about the factorization that does not depend on the matrix
 /// *values*: the elimination list, the task DAG (with CSR successor lists
-/// and root set), the critical-path priorities, and a cache of per-worker
-/// kernel workspaces sized for `(nb, ib)`. Repeated factorizations of the
-/// same shape through
+/// and root set), and a cache of per-worker kernel workspaces sized for
+/// `(nb, ib)`. Repeated factorizations of the same shape through
 /// [`QrContext::factorize`](crate::context::QrContext::factorize) then pay
 /// only kernel time (plus the unavoidable per-call tile storage).
 ///
@@ -212,8 +201,8 @@ impl<T: Scalar> std::fmt::Debug for QrPlan<T> {
 impl<T: Scalar> QrPlan<T> {
     /// Builds the plan for factorizing `m × n` matrices with the shape
     /// parameters of `config` (`tile_size`, `inner_block`, `algorithm`,
-    /// `family` — the `threads`/`scheduler` fields belong to the
-    /// [`QrContext`](crate::context::QrContext) and are ignored here).
+    /// `family` — the `threads` field belongs to the
+    /// [`QrContext`](crate::context::QrContext) and is ignored here).
     pub fn new(m: usize, n: usize, config: QrConfig) -> Result<Self, QrError> {
         if config.tile_size == 0 {
             return Err(QrError::ZeroTileSize);

@@ -45,8 +45,8 @@
 //! `(copy, local)` through a per-item offset table: copy `i` owns the
 //! contiguous id range `[offset[i], offset[i+1])` where `offset` is the
 //! prefix sum of the items' DAG sizes, so `copy = partition_point(offset,
-//! ≤ g) − 1` and `local = g − offset[copy]`. Successor release, priority
-//! ranking and `T`-factor recycling all follow that per-copy contract,
+//! ≤ g) − 1` and `local = g − offset[copy]`. Successor release and
+//! `T`-factor recycling both follow that per-copy contract,
 //! and the group's worker workspaces are sized by its largest tile order.
 //! Same-plan groups run on the same map and execute bitwise-identically
 //! to the single-plan service. Per-item tiling happens *inside* the fused job

@@ -23,12 +23,11 @@
 //! nothing in [`FactorizationState::run_ws`] distinguishes them from square
 //! tiles, because the update kernels take a target of any width.
 //!
-//! [`FactorizationState::run_ws`] is the task body every scheduler of the
-//! executor drives ([`SchedulerKind`](crate::executor::SchedulerKind):
-//! locked FIFO, work stealing, priority work stealing). It is
-//! scheduler-agnostic by design: correctness relies only on the DAG
-//! ordering conflicting tasks, never on *which* ready task runs first, so
-//! the factorization output is bitwise identical under every policy.
+//! [`FactorizationState::run_ws`] is the task body the executor's workers
+//! drive ([`WorkStealing`](crate::executor::WorkStealing)). It is
+//! order-agnostic by design: correctness relies only on the DAG ordering
+//! conflicting tasks, never on *which* ready task runs first, so the
+//! factorization output is bitwise identical whatever the workers steal.
 
 use std::sync::Weak;
 
@@ -439,8 +438,8 @@ mod tests {
     }
 
     #[test]
-    fn run_ws_is_bitwise_identical_under_every_scheduler() {
-        // The same DAG executed by each scheduler against a fresh state must
+    fn run_ws_is_bitwise_identical_in_parallel() {
+        // The same DAG executed by four workers against a fresh state must
         // produce bit-for-bit the same tiles and T factors as the sequential
         // reference walk.
         use crate::executor::{execute_parallel_with_scheduler, SchedulerKind};
@@ -454,27 +453,16 @@ mod tests {
         }
         let reference = reference.into_parts();
 
-        for kind in SchedulerKind::ALL {
-            let state = FactorizationState::new(TiledMatrix::from_dense(&a, 4));
-            execute_parallel_with_scheduler(
-                &dag,
-                4,
-                kind,
-                || Workspace::<f64>::new(4),
-                |task, ws| state.run_ws(task, ws),
-            );
-            let got = state.into_parts();
-            assert_eq!(
-                got.tiles,
-                reference.tiles,
-                "tiles differ under {}",
-                kind.name()
-            );
-            assert!(
-                got.t == reference.t,
-                "T factors differ under {}",
-                kind.name()
-            );
-        }
+        let state = FactorizationState::new(TiledMatrix::from_dense(&a, 4));
+        execute_parallel_with_scheduler(
+            &dag,
+            4,
+            SchedulerKind::default(),
+            || Workspace::<f64>::new(4),
+            |task, ws| state.run_ws(task, ws),
+        );
+        let got = state.into_parts();
+        assert_eq!(got.tiles, reference.tiles, "tiles differ");
+        assert!(got.t == reference.t, "T factors differ");
     }
 }

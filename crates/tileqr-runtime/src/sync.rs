@@ -24,7 +24,7 @@
 //!   within a bounded time when work appears.
 //! * [`TaskQueue`] — a locked FIFO of task indices with an *exact*
 //!   preallocated capacity: the global injector of initially-ready tasks
-//!   for the work-stealing schedulers.
+//!   for the work-stealing scheduler.
 //! * [`WorkerDeque`] — a fixed-capacity Chase–Lev work-stealing deque of
 //!   task indices: the owning worker pushes and pops at the bottom (LIFO,
 //!   cache-warm), other workers steal from the top (FIFO, oldest first).

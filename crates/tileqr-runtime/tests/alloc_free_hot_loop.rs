@@ -84,7 +84,6 @@ fn parallel_run_allocations(
     nb: usize,
     ib: usize,
     threads: usize,
-    kind: SchedulerKind,
 ) -> (usize, usize) {
     let a = random_matrix::<f64>(p * nb, q * nb, 7);
     let tiled = TiledMatrix::from_dense(&a, nb);
@@ -94,7 +93,7 @@ fn parallel_run_allocations(
         execute_parallel_with_scheduler(
             &dag,
             threads,
-            kind,
+            SchedulerKind::default(),
             || Workspace::<f64>::with_inner_block(nb, ib),
             |task, ws| state.run_ws(task, ws),
         );
@@ -107,16 +106,14 @@ fn parallel_run_allocations(
 // its own thread spawning would pollute a concurrent measurement window.
 #[test]
 fn hot_loops_do_not_allocate_per_task() {
-    for kind in SchedulerKind::ALL {
-        // ib = nb (unblocked) and ib < nb (micro-BLAS pack buffers and the
-        // trailing panel updates in play): the inner-blocked kernels must stay
-        // zero-allocation too — every panel buffer is preallocated in the
-        // workspace.
-        parallel_check(kind, 4);
-        parallel_check(kind, 2);
-        batch_check(kind);
-        solve_check(kind);
-    }
+    // ib = nb (unblocked) and ib < nb (micro-BLAS pack buffers and the
+    // trailing panel updates in play): the inner-blocked kernels must stay
+    // zero-allocation too — every panel buffer is preallocated in the
+    // workspace.
+    parallel_check(4);
+    parallel_check(2);
+    batch_check();
+    solve_check();
     sequential_check();
 }
 
@@ -126,11 +123,11 @@ fn hot_loops_do_not_allocate_per_task() {
 /// the right-hand side (`m · k`), `R` (`n²`) and per-task bookkeeping. The
 /// first solve of a plan pays for the tiles and the `T` factors, which shows
 /// the probe would see them.
-fn solve_check(kind: SchedulerKind) {
+fn solve_check() {
     let (p, q, nb, k) = (12usize, 2usize, 32usize, 1usize);
     let (m, n) = (p * nb, q * nb);
     let matrix_bytes = m * n * std::mem::size_of::<f64>();
-    let ctx = QrContext::with_scheduler(3, kind).expect("valid thread count");
+    let ctx = QrContext::new(3).expect("valid thread count");
     let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).expect("valid shape");
     let mats: Vec<Matrix<f64>> = (0..3).map(|i| random_matrix(m, n, 90 + i)).collect();
     let b: Matrix<f64> = random_matrix(m, k, 99);
@@ -138,16 +135,14 @@ fn solve_check(kind: SchedulerKind) {
     let cold = solve(&mats[0]);
     assert!(
         cold >= matrix_bytes,
-        "[{}] the first solve allocates its tiles: {cold} bytes for a {matrix_bytes}-byte matrix",
-        kind.name()
+        "the first solve allocates its tiles: {cold} bytes for a {matrix_bytes}-byte matrix"
     );
     solve(&mats[1]);
     for a in &mats {
         let warm = solve(a);
         assert!(
             warm < matrix_bytes / 2,
-            "[{}] a warmed-up solve allocated {warm} bytes; the matrix is {matrix_bytes}",
-            kind.name()
+            "a warmed-up solve allocated {warm} bytes; the matrix is {matrix_bytes}"
         );
     }
 }
@@ -184,11 +179,11 @@ fn batch_steady_state_allocations(
 /// 2. the absolute steady-state count must undercut the 2 · p · q `T`-factor
 ///    allocations a single *non-recycled* matrix would need — direct
 ///    evidence the recycle pool, not the allocator, feeds the `T` slots.
-fn batch_check(kind: SchedulerKind) {
+fn batch_check() {
     let nb = 4;
     let k = 3;
     let threads = 3;
-    let ctx = QrContext::with_scheduler(threads, kind).expect("valid thread count");
+    let ctx = QrContext::new(threads).expect("valid thread count");
     let steady = |p: usize, q: usize| -> usize {
         let plan: QrPlan<f64> =
             QrPlan::new(p * nb, q * nb, QrConfig::new(nb)).expect("valid shape");
@@ -212,40 +207,36 @@ fn batch_check(kind: SchedulerKind) {
     let slack = 32;
     assert!(
         large <= small + slack,
-        "[{}] batch hot path allocates per task/tile: {small} allocs on 6 tiles but {large} on \
-         60 tiles",
-        kind.name()
+        "batch hot path allocates per task/tile: {small} allocs on 6 tiles but {large} on \
+         60 tiles"
     );
     assert!(
         large < 2 * 10 * 6,
-        "[{}] steady-state batch call allocated {large} times — the T-factor pool is not \
+        "steady-state batch call allocated {large} times — the T-factor pool is not \
          feeding the hot path (a cold call needs 2·p·q·k = {})",
-        kind.name(),
         2 * 10 * 6 * k
     );
 }
 
-fn parallel_check(kind: SchedulerKind, ib: usize) {
+fn parallel_check(ib: usize) {
     let threads = 3;
     // Warm up thread-local/runtime one-time allocations.
-    let _ = parallel_run_allocations(2, 1, 4, ib, threads, kind);
-    let (small_allocs, small_tasks) = parallel_run_allocations(3, 2, 4, ib, threads, kind);
-    let (large_allocs, large_tasks) = parallel_run_allocations(10, 6, 4, ib, threads, kind);
+    let _ = parallel_run_allocations(2, 1, 4, ib, threads);
+    let (small_allocs, small_tasks) = parallel_run_allocations(3, 2, 4, ib, threads);
+    let (large_allocs, large_tasks) = parallel_run_allocations(10, 6, 4, ib, threads);
     assert!(
         large_tasks > small_tasks + 300,
         "need a meaningful task-count gap"
     );
-    // Setup allocations (scheduler buffers — locked queue, deques, priority
-    // vector —, counters, per-worker workspaces, thread spawns) scale with
-    // `threads` and `dag.len()`, but the *count* of them is constant per
-    // run. Allow generous slack for allocator-internal noise; one
+    // Setup allocations (scheduler buffers — injector, deques —, counters,
+    // per-worker workspaces, thread spawns) scale with `threads` and
+    // `dag.len()`, but the *count* of them is constant per run. Allow generous slack for allocator-internal noise; one
     // allocation per task would blow through this by an order of magnitude.
     let slack = 64;
     assert!(
         large_allocs <= small_allocs + slack,
-        "[{}] hot loop allocates per task: {small_allocs} allocs for {small_tasks} tasks but \
-         {large_allocs} allocs for {large_tasks} tasks",
-        kind.name()
+        "hot loop allocates per task: {small_allocs} allocs for {small_tasks} tasks but \
+         {large_allocs} allocs for {large_tasks} tasks"
     );
 }
 

@@ -3,14 +3,14 @@
 //! ~100 batched factorizations with shapes, tile sizes, batch widths,
 //! reduction trees, kernel families and scalar types drawn from the in-tree
 //! xoshiro256++ PRNG (fixed seed — every run covers the same deterministic
-//! mix), each executed through **both schedulers** on a fused batch job
-//! and checked **bitwise** against the sequential per-matrix factorization
-//! (`qr_factorize` with one thread). The batch machinery fuses k copies of
-//! one DAG into a single pool job; nothing about the fusion — offset task
-//! ids, shared successor/priority tables, cross-matrix work stealing, T-factor
-//! recycling — may change a single bit of any matrix's result.
+//! mix), each executed on a fused batch job and checked **bitwise** against
+//! the sequential per-matrix factorization (`qr_factorize` with one thread).
+//! The batch machinery fuses k copies of one DAG into a single pool job;
+//! nothing about the fusion — offset task ids, shared successor lists,
+//! cross-matrix work stealing, T-factor recycling — may change a single bit
+//! of any matrix's result.
 //!
-//! The contexts run 4 workers on (usually) fewer cores, so oversubscription
+//! The context runs 4 workers on (usually) fewer cores, so oversubscription
 //! makes steal races, the park-tier backoff and cross-matrix stealing all
 //! fire for real, exactly like the scheduler-equivalence stress suite.
 
@@ -20,21 +20,15 @@ use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::rng::Rng;
 use tileqr_matrix::{Complex64, Matrix, TiledMatrix};
 use tileqr_runtime::driver::{qr_factorize, QrConfig};
-use tileqr_runtime::{QrContext, QrPlan, SchedulerKind};
+use tileqr_runtime::{QrContext, QrPlan};
 
 const RUNS: usize = 100;
 const THREADS: usize = 4;
 
 /// One randomized round: draw a problem, factor a batch of `k` matrices
-/// through every scheduler (alternating the copying and the in-place batch
-/// entry points), and compare each item bitwise against its sequential
-/// one-shot factorization.
-fn stress_round<T: RandomScalar>(
-    rng: &mut Rng,
-    contexts: &[QrContext],
-    it: usize,
-    use_in_place: bool,
-) {
+/// (alternating the copying and the in-place batch entry points), and
+/// compare each item bitwise against its sequential one-shot factorization.
+fn stress_round<T: RandomScalar>(rng: &mut Rng, ctx: &QrContext, it: usize, use_in_place: bool) {
     let algorithms = [
         Algorithm::Greedy,
         Algorithm::FlatTree,
@@ -67,69 +61,63 @@ fn stress_round<T: RandomScalar>(
     let references: Vec<_> = mats.iter().map(|a| qr_factorize(a, config)).collect();
 
     let plan: QrPlan<T> = QrPlan::new(m, n, config).expect("valid random shape");
-    for (ctx, kind) in contexts.iter().zip(SchedulerKind::ALL) {
-        let label = || {
-            format!(
-                "iteration {it}: {m}x{n} nb={nb} ib={ib} k={k} {} {} under {}",
-                algo.name(),
-                family.name(),
-                kind.name()
-            )
-        };
-        if use_in_place {
-            let mut tiles: Vec<TiledMatrix<T>> = mats
-                .iter()
-                .map(|a| TiledMatrix::from_dense_padded(a, nb))
-                .collect();
-            let refls = ctx.factorize_batch_into(&plan, &mut tiles);
-            assert_eq!(refls.len(), k);
-            for ((refl, t), reference) in refls.into_iter().zip(&tiles).zip(&references) {
-                let refl = refl.unwrap_or_else(|e| panic!("{}: {e}", label()));
-                assert_eq!(t, reference.factored_tiles(), "{} (tiles)", label());
-                assert_eq!(
-                    refl.r(t).as_slice(),
-                    reference.r().as_slice(),
-                    "{} (R)",
-                    label()
-                );
-                // Recycling mid-stress: `refl` drops here, later rounds draw
-                // its buffers back out of the pool, so any recycle bug shows
-                // up as a bitwise divergence in a subsequent iteration.
-            }
-        } else {
-            let batch = ctx.factorize_batch(&plan, &mats);
-            assert_eq!(batch.len(), k);
-            for (item, reference) in batch.into_iter().zip(&references) {
-                let f = item.unwrap_or_else(|e| panic!("{}: {e}", label()));
-                assert_eq!(
-                    f.factored_tiles(),
-                    reference.factored_tiles(),
-                    "{} (tiles)",
-                    label()
-                );
-            }
+    let label = || {
+        format!(
+            "iteration {it}: {m}x{n} nb={nb} ib={ib} k={k} {} {}",
+            algo.name(),
+            family.name()
+        )
+    };
+    if use_in_place {
+        let mut tiles: Vec<TiledMatrix<T>> = mats
+            .iter()
+            .map(|a| TiledMatrix::from_dense_padded(a, nb))
+            .collect();
+        let refls = ctx.factorize_batch_into(&plan, &mut tiles);
+        assert_eq!(refls.len(), k);
+        for ((refl, t), reference) in refls.into_iter().zip(&tiles).zip(&references) {
+            let refl = refl.unwrap_or_else(|e| panic!("{}: {e}", label()));
+            assert_eq!(t, reference.factored_tiles(), "{} (tiles)", label());
+            assert_eq!(
+                refl.r(t).as_slice(),
+                reference.r().as_slice(),
+                "{} (R)",
+                label()
+            );
+            // Recycling mid-stress: `refl` drops here, later rounds draw
+            // its buffers back out of the pool, so any recycle bug shows
+            // up as a bitwise divergence in a subsequent iteration.
+        }
+    } else {
+        let batch = ctx.factorize_batch(&plan, &mats);
+        assert_eq!(batch.len(), k);
+        for (item, reference) in batch.into_iter().zip(&references) {
+            let f = item.unwrap_or_else(|e| panic!("{}: {e}", label()));
+            assert_eq!(
+                f.factored_tiles(),
+                reference.factored_tiles(),
+                "{} (tiles)",
+                label()
+            );
         }
     }
 }
 
 #[test]
 fn randomized_batch_stress_is_bitwise_equal_to_sequential() {
-    // One persistent context per scheduler, shared by all rounds — exactly
-    // how a service would hold them, and it stresses pool reuse across many
-    // heterogeneous batch jobs.
-    let contexts: Vec<QrContext> = SchedulerKind::ALL
-        .into_iter()
-        .map(|kind| QrContext::with_scheduler(THREADS, kind).expect("valid thread count"))
-        .collect();
+    // One persistent context, shared by all rounds — exactly how a service
+    // would hold it, and it stresses pool reuse across many heterogeneous
+    // batch jobs.
+    let ctx = QrContext::new(THREADS).expect("valid thread count");
     let mut rng = Rng::seed_from_u64(0xBA7C4ED);
     for it in 0..RUNS {
         // Alternate scalar type and batch entry point so all four
         // combinations appear ~25 times each.
         match it % 4 {
-            0 => stress_round::<f64>(&mut rng, &contexts, it, false),
-            1 => stress_round::<Complex64>(&mut rng, &contexts, it, false),
-            2 => stress_round::<f64>(&mut rng, &contexts, it, true),
-            _ => stress_round::<Complex64>(&mut rng, &contexts, it, true),
+            0 => stress_round::<f64>(&mut rng, &ctx, it, false),
+            1 => stress_round::<Complex64>(&mut rng, &ctx, it, false),
+            2 => stress_round::<f64>(&mut rng, &ctx, it, true),
+            _ => stress_round::<Complex64>(&mut rng, &ctx, it, true),
         }
     }
 }

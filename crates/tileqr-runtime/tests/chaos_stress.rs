@@ -1,10 +1,9 @@
 //! Deterministic chaos suite (`--features fault-injection`).
 //!
-//! A hundred seeded fault schedules over the batch-stress shape mix, each
-//! replayed through **both schedulers**: panics injected at random
-//! `(copy, task)` boundaries must be contained to exactly that batch item
-//! (which reports [`QrError::TaskPanicked`] with the faulted task's kind),
-//! while every non-faulted sibling — including the ones slowed down by
+//! A hundred seeded fault schedules over the batch-stress shape mix: panics
+//! injected at random `(copy, task)` boundaries must be contained to exactly
+//! that batch item (which reports [`QrError::TaskPanicked`] with the faulted
+//! task's kind), while every non-faulted sibling — including the ones slowed down by
 //! injected delays — stays **bitwise identical** to its fault-free
 //! factorization. Separate tests drive the watchdog with an injected stall
 //! and check that bounded delays never trip a generously-bounded watchdog.
@@ -30,7 +29,7 @@ use tileqr_matrix::{Complex64, Matrix, TiledMatrix};
 use tileqr_runtime::driver::{elimination_list_for, qr_factorize, QrConfig};
 use tileqr_runtime::fault::FaultPlan;
 use tileqr_runtime::service::{probe_id, QrService, RetryPolicy, ServiceConfig};
-use tileqr_runtime::{QrContext, QrError, QrPlan, SchedulerKind};
+use tileqr_runtime::{QrContext, QrError, QrPlan};
 
 const RUNS: usize = 100;
 const THREADS: usize = 4;
@@ -43,13 +42,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 /// One chaos round: draw a batch-stress-style problem and a seeded fault
 /// schedule (1..k-1 panicking copies, a few delays on the clean copies),
-/// run it under every scheduler, and check per-item containment.
-fn chaos_round<T: RandomScalar>(
-    rng: &mut Rng,
-    contexts: &[QrContext],
-    it: usize,
-    use_in_place: bool,
-) {
+/// run it, and check per-item containment.
+fn chaos_round<T: RandomScalar>(rng: &mut Rng, ctx: &QrContext, it: usize, use_in_place: bool) {
     let algorithms = [
         Algorithm::Greedy,
         Algorithm::FlatTree,
@@ -97,68 +91,65 @@ fn chaos_round<T: RandomScalar>(
         family,
     );
 
-    for (ctx, kind) in contexts.iter().zip(SchedulerKind::ALL) {
-        let label = |copy: usize| {
-            format!(
-                "iteration {it} copy {copy}: {m}x{n} nb={nb} ib={ib} k={k} {} {} under {}, \
-                 faults {expected:?} (+{} delays)",
-                algo.name(),
-                family.name(),
-                kind.name(),
-                faults.delay_count(),
-            )
-        };
-        let injected = |copy: usize| {
-            expected
-                .iter()
-                .find(|&&(c, _)| c == copy)
-                .map(|&(_, task)| task)
-        };
-        let check =
-            |copy: usize, item: Result<&TiledMatrix<T>, &QrError>| match (injected(copy), item) {
-                (Some(task), Err(QrError::TaskPanicked { kind, message })) => {
-                    assert_eq!(*kind, dag.tasks[task].kind, "{}", label(copy));
-                    let expect_msg = format!("injected fault at (copy {copy}, task {task})");
-                    assert!(
-                        message.contains(&expect_msg),
-                        "{}: got {message:?}",
-                        label(copy)
-                    );
-                }
-                (Some(_), other) => panic!(
-                    "{}: faulted item returned {other:?} instead of TaskPanicked",
-                    label(copy)
-                ),
-                (None, Ok(tiles)) => assert_eq!(
-                    tiles,
-                    references[copy].factored_tiles(),
-                    "{} (clean item diverged bitwise)",
-                    label(copy)
-                ),
-                (None, Err(e)) => panic!("{}: clean item failed: {e}", label(copy)),
-            };
+    let label = |copy: usize| {
+        format!(
+            "iteration {it} copy {copy}: {m}x{n} nb={nb} ib={ib} k={k} {} {}, \
+             faults {expected:?} (+{} delays)",
+            algo.name(),
+            family.name(),
+            faults.delay_count(),
+        )
+    };
+    let injected = |copy: usize| {
+        expected
+            .iter()
+            .find(|&&(c, _)| c == copy)
+            .map(|&(_, task)| task)
+    };
+    let check = |copy: usize, item: Result<&TiledMatrix<T>, &QrError>| match (injected(copy), item)
+    {
+        (Some(task), Err(QrError::TaskPanicked { kind, message })) => {
+            assert_eq!(*kind, dag.tasks[task].kind, "{}", label(copy));
+            let expect_msg = format!("injected fault at (copy {copy}, task {task})");
+            assert!(
+                message.contains(&expect_msg),
+                "{}: got {message:?}",
+                label(copy)
+            );
+        }
+        (Some(_), other) => panic!(
+            "{}: faulted item returned {other:?} instead of TaskPanicked",
+            label(copy)
+        ),
+        (None, Ok(tiles)) => assert_eq!(
+            tiles,
+            references[copy].factored_tiles(),
+            "{} (clean item diverged bitwise)",
+            label(copy)
+        ),
+        (None, Err(e)) => panic!("{}: clean item failed: {e}", label(copy)),
+    };
 
-        let armed = faults.clone().install();
-        if use_in_place {
-            let mut tiles: Vec<TiledMatrix<T>> = mats
-                .iter()
-                .map(|a| TiledMatrix::from_dense_padded(a, nb))
-                .collect();
-            let out = ctx.factorize_batch_into(&plan, &mut tiles);
-            drop(armed);
-            assert_eq!(out.len(), k);
-            for (copy, (slot, t)) in out.iter().zip(&tiles).enumerate() {
-                // A faulted item's buffer legitimately holds partial values;
-                // only clean buffers are compared.
-                check(copy, slot.as_ref().map(|_| t));
-            }
-        } else {
-            let batch = ctx.factorize_batch(&plan, &mats);
-            drop(armed);
-            assert_eq!(batch.len(), k);
-            for (copy, item) in batch.iter().enumerate() {
-                check(copy, item.as_ref().map(|f| f.factored_tiles()));
-            }
+    let armed = faults.clone().install();
+    if use_in_place {
+        let mut tiles: Vec<TiledMatrix<T>> = mats
+            .iter()
+            .map(|a| TiledMatrix::from_dense_padded(a, nb))
+            .collect();
+        let out = ctx.factorize_batch_into(&plan, &mut tiles);
+        drop(armed);
+        assert_eq!(out.len(), k);
+        for (copy, (slot, t)) in out.iter().zip(&tiles).enumerate() {
+            // A faulted item's buffer legitimately holds partial values;
+            // only clean buffers are compared.
+            check(copy, slot.as_ref().map(|_| t));
+        }
+    } else {
+        let batch = ctx.factorize_batch(&plan, &mats);
+        drop(armed);
+        assert_eq!(batch.len(), k);
+        for (copy, item) in batch.iter().enumerate() {
+            check(copy, item.as_ref().map(|f| f.factored_tiles()));
         }
     }
 }
@@ -166,19 +157,16 @@ fn chaos_round<T: RandomScalar>(
 #[test]
 fn hundred_seeded_fault_schedules_are_contained_per_item() {
     let _serial = serial();
-    let contexts: Vec<QrContext> = SchedulerKind::ALL
-        .into_iter()
-        .map(|kind| QrContext::with_scheduler(THREADS, kind).expect("valid thread count"))
-        .collect();
+    let ctx = QrContext::new(THREADS).expect("valid thread count");
     let mut rng = Rng::seed_from_u64(0xFA017);
     for it in 0..RUNS {
         // Alternate scalar type and batch entry point like the fault-free
         // batch-stress suite, so containment is exercised on all four paths.
         match it % 4 {
-            0 => chaos_round::<f64>(&mut rng, &contexts, it, false),
-            1 => chaos_round::<Complex64>(&mut rng, &contexts, it, false),
-            2 => chaos_round::<f64>(&mut rng, &contexts, it, true),
-            _ => chaos_round::<Complex64>(&mut rng, &contexts, it, true),
+            0 => chaos_round::<f64>(&mut rng, &ctx, it, false),
+            1 => chaos_round::<Complex64>(&mut rng, &ctx, it, false),
+            2 => chaos_round::<f64>(&mut rng, &ctx, it, true),
+            _ => chaos_round::<Complex64>(&mut rng, &ctx, it, true),
         }
     }
 }
@@ -208,26 +196,21 @@ fn chaos_service_config() -> ServiceConfig {
         })
 }
 
-fn chaos_services<T: RandomScalar>() -> Vec<QrService<T>> {
-    SchedulerKind::ALL
-        .into_iter()
-        .map(|kind| {
-            let ctx = QrContext::with_scheduler(THREADS, kind).expect("valid thread count");
-            QrService::new(ctx, chaos_service_config()).expect("service spawns")
-        })
-        .collect()
+fn chaos_service<T: RandomScalar>() -> QrService<T> {
+    let ctx = QrContext::new(THREADS).expect("valid thread count");
+    QrService::new(ctx, chaos_service_config()).expect("service spawns")
 }
 
 /// One service chaos round: draw a problem, compute fault-free references,
-/// then — per scheduler — arm a seeded per-attempt fault schedule and push
-/// the items through the service from four concurrent client threads.
+/// then arm a seeded per-attempt fault schedule and push the items through
+/// the service from four concurrent client threads.
 /// Items whose fault chain fits the retry budget must be retried to a
 /// bitwise-identical success; items whose chain exceeds it must surface the
 /// last attempt's panic; clean items must match the references bitwise; and
 /// the retry counter must move by exactly the transient budget consumed
 /// (deterministic failures never retry, so any extra tick would fail the
 /// equality).
-fn service_chaos_round<T: RandomScalar>(rng: &mut Rng, services: &[QrService<T>], it: usize) {
+fn service_chaos_round<T: RandomScalar>(rng: &mut Rng, service: &QrService<T>, it: usize) {
     let algorithms = [
         Algorithm::Greedy,
         Algorithm::FlatTree,
@@ -268,225 +251,215 @@ fn service_chaos_round<T: RandomScalar>(rng: &mut Rng, services: &[QrService<T>]
     let delays = (rng.next_u64() % 4) as usize;
     let fault_seed = rng.next_u64();
 
-    for (service, kind) in services.iter().zip(SchedulerKind::ALL) {
-        let before = service.stats();
-        // The queue is quiescent between rounds, so the next assigned
-        // sequence number equals the accepted-submission count.
-        let base_seq = before.submitted;
-        let (faults, chains) = FaultPlan::seeded_service(
-            fault_seed,
-            base_seq,
-            SERVICE_ITEMS,
-            plan.task_count(),
-            faulted,
-            SERVICE_RETRIES + 1,
-            delays,
-        );
-        let chain_map: HashMap<u64, u32> = chains.iter().copied().collect();
-        // probe copy -> faulted task, for checking the surfaced error's kind.
-        let panic_tasks: HashMap<usize, usize> = faults.panics().into_iter().collect();
-        let label = |idx: usize, seq: u64| {
-            format!(
-                "iteration {it} item {idx} (seq {seq}): {m}x{n} nb={nb} ib={ib} {} {} under {}, \
-                 chains {chains:?} (+{} delays)",
-                algo.name(),
-                family.name(),
-                kind.name(),
-                faults.delay_count(),
-            )
-        };
+    let before = service.stats();
+    // The queue is quiescent between rounds, so the next assigned
+    // sequence number equals the accepted-submission count.
+    let base_seq = before.submitted;
+    let (faults, chains) = FaultPlan::seeded_service(
+        fault_seed,
+        base_seq,
+        SERVICE_ITEMS,
+        plan.task_count(),
+        faulted,
+        SERVICE_RETRIES + 1,
+        delays,
+    );
+    let chain_map: HashMap<u64, u32> = chains.iter().copied().collect();
+    // probe copy -> faulted task, for checking the surfaced error's kind.
+    let panic_tasks: HashMap<usize, usize> = faults.panics().into_iter().collect();
+    let label = |idx: usize, seq: u64| {
+        format!(
+            "iteration {it} item {idx} (seq {seq}): {m}x{n} nb={nb} ib={ib} {} {}, \
+             chains {chains:?} (+{} delays)",
+            algo.name(),
+            family.name(),
+            faults.delay_count(),
+        )
+    };
 
-        let armed = faults.clone().install();
-        // Four concurrent clients submit two items each; the seq ↔ item
-        // mapping is nondeterministic under concurrency, so it is read back
-        // from the tickets rather than assumed.
-        let tickets: Vec<(usize, tileqr_runtime::Ticket<T>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..SERVICE_CLIENTS)
-                .map(|t| {
-                    let client = service.client();
-                    let mats = &mats;
-                    let plan = &plan;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for idx in (t..SERVICE_ITEMS).step_by(SERVICE_CLIENTS) {
-                            let ticket = client
-                                .submit(plan, mats[idx].clone())
-                                .expect("generous admission accepts every chaos submission");
-                            out.push((idx, ticket));
-                        }
-                        out
-                    })
+    let armed = faults.clone().install();
+    // Four concurrent clients submit two items each; the seq ↔ item
+    // mapping is nondeterministic under concurrency, so it is read back
+    // from the tickets rather than assumed.
+    let tickets: Vec<(usize, tileqr_runtime::Ticket<T>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..SERVICE_CLIENTS)
+            .map(|t| {
+                let client = service.client();
+                let mats = &mats;
+                let plan = &plan;
+                s.spawn(move || {
+                    let mut out = Vec::new();
+                    for idx in (t..SERVICE_ITEMS).step_by(SERVICE_CLIENTS) {
+                        let ticket = client
+                            .submit(plan, mats[idx].clone())
+                            .expect("generous admission accepts every chaos submission");
+                        out.push((idx, ticket));
+                    }
+                    out
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread"))
-                .collect()
-        });
-        // Every ticket resolves while the plan is still armed (retries run
-        // through the probed loop too); a leaked ticket would hang here.
-        let outcomes: Vec<(usize, u64, Result<_, QrError>)> = tickets
-            .into_iter()
-            .map(|(idx, t)| {
-                let seq = t.seq();
-                (idx, seq, t.wait())
             })
             .collect();
-        drop(armed);
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    // Every ticket resolves while the plan is still armed (retries run
+    // through the probed loop too); a leaked ticket would hang here.
+    let outcomes: Vec<(usize, u64, Result<_, QrError>)> = tickets
+        .into_iter()
+        .map(|(idx, t)| {
+            let seq = t.seq();
+            (idx, seq, t.wait())
+        })
+        .collect();
+    drop(armed);
 
-        // The round's sequence numbers are exactly the dense range the fault
-        // plan was keyed on.
-        let mut seqs: Vec<u64> = outcomes.iter().map(|&(_, seq, _)| seq).collect();
-        seqs.sort_unstable();
-        let expect_seqs: Vec<u64> = (base_seq..base_seq + SERVICE_ITEMS as u64).collect();
-        assert_eq!(seqs, expect_seqs, "iteration {it} under {}", kind.name());
+    // The round's sequence numbers are exactly the dense range the fault
+    // plan was keyed on.
+    let mut seqs: Vec<u64> = outcomes.iter().map(|&(_, seq, _)| seq).collect();
+    seqs.sort_unstable();
+    let expect_seqs: Vec<u64> = (base_seq..base_seq + SERVICE_ITEMS as u64).collect();
+    assert_eq!(seqs, expect_seqs, "iteration {it}");
 
-        for (idx, seq, outcome) in &outcomes {
-            match (chain_map.get(seq), outcome) {
-                // Chain fits the retry budget: retried to success, and the
-                // result is bitwise identical to the fault-free run.
-                (Some(&a), Ok(f)) if a <= SERVICE_RETRIES => assert_eq!(
-                    f.factored_tiles(),
-                    references[*idx].factored_tiles(),
-                    "{} (retried item diverged bitwise)",
+    for (idx, seq, outcome) in &outcomes {
+        match (chain_map.get(seq), outcome) {
+            // Chain fits the retry budget: retried to success, and the
+            // result is bitwise identical to the fault-free run.
+            (Some(&a), Ok(f)) if a <= SERVICE_RETRIES => assert_eq!(
+                f.factored_tiles(),
+                references[*idx].factored_tiles(),
+                "{} (retried item diverged bitwise)",
+                label(*idx, *seq)
+            ),
+            // Chain exhausts the budget: the final attempt's injected
+            // panic surfaces, with the faulted task's kind.
+            (Some(&a), Err(QrError::TaskPanicked { kind: k, message })) if a > SERVICE_RETRIES => {
+                let probe = probe_id(*seq, SERVICE_RETRIES);
+                let task = panic_tasks[&probe];
+                assert_eq!(*k, dag.tasks[task].kind, "{}", label(*idx, *seq));
+                let expect_msg = format!("injected fault at (copy {probe}, task {task})");
+                assert!(
+                    message.contains(&expect_msg),
+                    "{}: got {message:?}",
                     label(*idx, *seq)
-                ),
-                // Chain exhausts the budget: the final attempt's injected
-                // panic surfaces, with the faulted task's kind.
-                (Some(&a), Err(QrError::TaskPanicked { kind: k, message }))
-                    if a > SERVICE_RETRIES =>
-                {
-                    let probe = probe_id(*seq, SERVICE_RETRIES);
-                    let task = panic_tasks[&probe];
-                    assert_eq!(*k, dag.tasks[task].kind, "{}", label(*idx, *seq));
-                    let expect_msg = format!("injected fault at (copy {probe}, task {task})");
-                    assert!(
-                        message.contains(&expect_msg),
-                        "{}: got {message:?}",
-                        label(*idx, *seq)
-                    );
-                }
-                (Some(&a), other) => panic!(
-                    "{}: {a}-attempt chain resolved as {other:?}",
-                    label(*idx, *seq)
-                ),
-                (None, Ok(f)) => assert_eq!(
-                    f.factored_tiles(),
-                    references[*idx].factored_tiles(),
-                    "{} (clean item diverged bitwise)",
-                    label(*idx, *seq)
-                ),
-                (None, Err(e)) => panic!("{}: clean item failed: {e}", label(*idx, *seq)),
+                );
             }
+            (Some(&a), other) => panic!(
+                "{}: {a}-attempt chain resolved as {other:?}",
+                label(*idx, *seq)
+            ),
+            (None, Ok(f)) => assert_eq!(
+                f.factored_tiles(),
+                references[*idx].factored_tiles(),
+                "{} (clean item diverged bitwise)",
+                label(*idx, *seq)
+            ),
+            (None, Err(e)) => panic!("{}: clean item failed: {e}", label(*idx, *seq)),
         }
-
-        let after = service.stats();
-        assert_eq!(after.submitted - before.submitted, SERVICE_ITEMS as u64);
-        assert_eq!(
-            (after.completed + after.failed) - (before.completed + before.failed),
-            SERVICE_ITEMS as u64,
-            "iteration {it} under {}: a ticket went unaccounted",
-            kind.name()
-        );
-        // Exactly the transient budget is consumed — an `a`-attempt chain
-        // retries `min(a, budget)` times and nothing else retries at all.
-        let expect_retries: u64 = chains
-            .iter()
-            .map(|&(_, a)| u64::from(a.min(SERVICE_RETRIES)))
-            .sum();
-        assert_eq!(
-            after.retries - before.retries,
-            expect_retries,
-            "iteration {it} under {}: retry counter off (chains {chains:?})",
-            kind.name()
-        );
-        assert_eq!(service.queue_depth(), 0, "iteration {it} left residue");
     }
+
+    let after = service.stats();
+    assert_eq!(after.submitted - before.submitted, SERVICE_ITEMS as u64);
+    assert_eq!(
+        (after.completed + after.failed) - (before.completed + before.failed),
+        SERVICE_ITEMS as u64,
+        "iteration {it}: a ticket went unaccounted"
+    );
+    // Exactly the transient budget is consumed — an `a`-attempt chain
+    // retries `min(a, budget)` times and nothing else retries at all.
+    let expect_retries: u64 = chains
+        .iter()
+        .map(|&(_, a)| u64::from(a.min(SERVICE_RETRIES)))
+        .sum();
+    assert_eq!(
+        after.retries - before.retries,
+        expect_retries,
+        "iteration {it}: retry counter off (chains {chains:?})"
+    );
+    assert_eq!(service.queue_depth(), 0, "iteration {it} left residue");
 }
 
 /// Shutdown with faults armed and tickets in flight: every ticket still
 /// resolves — queued items drain with [`QrError::ServiceShutdown`], in-flight
 /// items finish with their real outcome (success or the injected panic; the
 /// drain never retries), and the counters account for every submission.
-fn service_chaos_drain<T: RandomScalar>(services: Vec<QrService<T>>, seed: u64) {
+fn service_chaos_drain<T: RandomScalar>(service: QrService<T>, seed: u64) {
     let mut rng = Rng::seed_from_u64(seed);
-    for service in services {
-        let config = QrConfig::new(4);
-        let plan = Arc::new(QrPlan::<T>::new(20, 12, config).expect("static shape"));
-        let before = service.stats();
-        let (faults, _chains) = FaultPlan::seeded_service(
-            rng.next_u64(),
-            before.submitted,
-            SERVICE_ITEMS,
-            plan.task_count(),
-            2,
-            SERVICE_RETRIES + 1,
-            2,
-        );
-        let armed = faults.install();
-        let client = service.client();
-        let tickets: Vec<_> = (0..SERVICE_ITEMS)
-            .map(|i| {
-                client
-                    .submit(&plan, random_matrix::<T>(20, 12, rng.next_u64() ^ i as u64))
-                    .expect("capacity admits the burst")
-            })
-            .collect();
-        service.shutdown();
-        // Exactly-once drain invariant: every ticket resolves to precisely
-        // one terminal outcome, and the per-category tallies observed by the
-        // clients reconcile with the service's own counters — nothing is
-        // lost, duplicated, or resolved on both sides of the ledger.
-        let (mut ok, mut shut, mut panicked) = (0u64, 0u64, 0u64);
-        for ticket in tickets {
-            match ticket.wait() {
-                Ok(_) => ok += 1,
-                Err(QrError::ServiceShutdown) => shut += 1,
-                Err(QrError::TaskPanicked { .. }) => panicked += 1,
-                Err(e) => panic!("drain resolved a ticket with an unexpected error: {e}"),
-            }
+    let config = QrConfig::new(4);
+    let plan = Arc::new(QrPlan::<T>::new(20, 12, config).expect("static shape"));
+    let before = service.stats();
+    let (faults, _chains) = FaultPlan::seeded_service(
+        rng.next_u64(),
+        before.submitted,
+        SERVICE_ITEMS,
+        plan.task_count(),
+        2,
+        SERVICE_RETRIES + 1,
+        2,
+    );
+    let armed = faults.install();
+    let client = service.client();
+    let tickets: Vec<_> = (0..SERVICE_ITEMS)
+        .map(|i| {
+            client
+                .submit(&plan, random_matrix::<T>(20, 12, rng.next_u64() ^ i as u64))
+                .expect("capacity admits the burst")
+        })
+        .collect();
+    service.shutdown();
+    // Exactly-once drain invariant: every ticket resolves to precisely
+    // one terminal outcome, and the per-category tallies observed by the
+    // clients reconcile with the service's own counters — nothing is
+    // lost, duplicated, or resolved on both sides of the ledger.
+    let (mut ok, mut shut, mut panicked) = (0u64, 0u64, 0u64);
+    for ticket in tickets {
+        match ticket.wait() {
+            Ok(_) => ok += 1,
+            Err(QrError::ServiceShutdown) => shut += 1,
+            Err(QrError::TaskPanicked { .. }) => panicked += 1,
+            Err(e) => panic!("drain resolved a ticket with an unexpected error: {e}"),
         }
-        drop(armed);
-        let after = service.stats();
-        assert_eq!(after.submitted - before.submitted, SERVICE_ITEMS as u64);
-        assert_eq!(
-            ok + shut + panicked,
-            SERVICE_ITEMS as u64,
-            "a ticket resolved more or less than exactly once"
-        );
-        assert_eq!(
-            after.completed - before.completed,
-            ok,
-            "completed counter disagrees with the tickets that resolved Ok"
-        );
-        assert_eq!(
-            after.failed - before.failed,
-            shut + panicked,
-            "failed counter disagrees with the tickets that resolved Err"
-        );
-        assert_eq!(service.queue_depth(), 0);
     }
+    drop(armed);
+    let after = service.stats();
+    assert_eq!(after.submitted - before.submitted, SERVICE_ITEMS as u64);
+    assert_eq!(
+        ok + shut + panicked,
+        SERVICE_ITEMS as u64,
+        "a ticket resolved more or less than exactly once"
+    );
+    assert_eq!(
+        after.completed - before.completed,
+        ok,
+        "completed counter disagrees with the tickets that resolved Ok"
+    );
+    assert_eq!(
+        after.failed - before.failed,
+        shut + panicked,
+        "failed counter disagrees with the tickets that resolved Err"
+    );
+    assert_eq!(service.queue_depth(), 0);
 }
 
 #[test]
 fn hundred_seeded_service_schedules_with_concurrent_clients() {
     let _serial = serial();
-    let f64_services = chaos_services::<f64>();
-    let c64_services = chaos_services::<Complex64>();
+    let f64_service = chaos_service::<f64>();
+    let c64_service = chaos_service::<Complex64>();
     let mut rng = Rng::seed_from_u64(0x5E7FA017);
     for it in 0..RUNS {
-        // Alternate scalar type; every round replays its schedule on all
-        // both schedulers' services.
+        // Alternate scalar type.
         if it % 2 == 0 {
-            service_chaos_round::<f64>(&mut rng, &f64_services, it);
+            service_chaos_round::<f64>(&mut rng, &f64_service, it);
         } else {
-            service_chaos_round::<Complex64>(&mut rng, &c64_services, it);
+            service_chaos_round::<Complex64>(&mut rng, &c64_service, it);
         }
     }
     // Final drain: shutdown with faults armed and tickets in flight must
     // still resolve every ticket.
-    service_chaos_drain(f64_services, 0xD4A1_F00D);
-    service_chaos_drain(c64_services, 0xD4A1_F00E);
+    service_chaos_drain(f64_service, 0xD4A1_F00D);
+    service_chaos_drain(c64_service, 0xD4A1_F00E);
 }
 
 #[test]
@@ -550,10 +523,8 @@ fn a_panic_in_an_rhs_update_fails_only_that_solve() {
         let last = dag.tasks.iter().rposition(|t| on_rhs(t.kind)).unwrap();
 
         let sequential = QrContext::new(1).expect("one thread");
-        let pooled = SchedulerKind::ALL
-            .into_iter()
-            .map(|kind| QrContext::with_scheduler(THREADS, kind).expect("valid thread count"));
-        for ctx in std::iter::once(sequential).chain(pooled) {
+        let pooled = QrContext::new(THREADS).expect("valid thread count");
+        for ctx in [sequential, pooled] {
             let expected = ctx.solve(&plan, &a, &b).expect("fault-free solve");
             let expected_other = ctx.solve(&plan, &other, &b).expect("fault-free solve");
             for task in [first, last] {
@@ -680,7 +651,7 @@ fn mixed_plan_service_chaos_contains_faults_and_retries_exactly() {
         .map(|idx| qr_factorize(&mats[idx], *plan_of(idx).1))
         .collect();
 
-    let ctx = QrContext::with_scheduler(THREADS, SchedulerKind::default()).unwrap();
+    let ctx = QrContext::new(THREADS).unwrap();
     let service = QrService::new(ctx, chaos_service_config()).unwrap();
     let base_seq = service.stats().submitted;
 

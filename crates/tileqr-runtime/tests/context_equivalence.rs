@@ -1,6 +1,6 @@
 //! The session API must be **bitwise identical** to the legacy free
-//! functions, for both scalar types, both kernel families and every
-//! scheduler — the redesign moved planning and thread management around, but
+//! functions, for both scalar types, both kernel families and every thread
+//! count — the redesign moved planning and thread management around, but
 //! every path still runs the same kernels in a DAG-respecting order, and the
 //! factorization output is order-invariant for conflicting-task-ordering
 //! schedules (pinned by the pre-existing scheduler-equivalence suite).
@@ -9,7 +9,7 @@ use tileqr_core::algorithms::Algorithm;
 use tileqr_core::KernelFamily;
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::{Complex64, Matrix, TiledMatrix};
-use tileqr_runtime::{qr_factorize, QrConfig, QrContext, QrPlan, SchedulerKind};
+use tileqr_runtime::{qr_factorize, QrConfig, QrContext, QrPlan};
 
 fn assert_context_matches_legacy<T: RandomScalar>(seed: u64) {
     let (m, n, nb) = (36usize, 20usize, 6usize);
@@ -23,21 +23,18 @@ fn assert_context_matches_legacy<T: RandomScalar>(seed: u64) {
         let reference = qr_factorize(&a, config);
         let plan: QrPlan<T> = QrPlan::new(m, n, config).unwrap();
         for threads in [1usize, 3] {
-            for kind in SchedulerKind::ALL {
-                let ctx = QrContext::with_scheduler(threads, kind).unwrap();
-                let f = ctx.factorize(&plan, &a).unwrap();
-                assert_eq!(
-                    f.factored_tiles(),
-                    reference.factored_tiles(),
-                    "tiles differ: {} threads, {}, {:?}",
-                    threads,
-                    kind.name(),
-                    family
-                );
-                assert_eq!(f.r(), reference.r());
-                let b: Matrix<T> = random_matrix(m, 3, seed + 100);
-                assert_eq!(f.apply_qh(&b), reference.apply_qh(&b));
-            }
+            let ctx = QrContext::new(threads).unwrap();
+            let f = ctx.factorize(&plan, &a).unwrap();
+            assert_eq!(
+                f.factored_tiles(),
+                reference.factored_tiles(),
+                "tiles differ: {} threads, {:?}",
+                threads,
+                family
+            );
+            assert_eq!(f.r(), reference.r());
+            let b: Matrix<T> = random_matrix(m, 3, seed + 100);
+            assert_eq!(f.apply_qh(&b), reference.apply_qh(&b));
         }
     }
 }
@@ -55,18 +52,11 @@ fn context_is_bitwise_identical_to_legacy_complex() {
 #[test]
 fn legacy_parallel_is_bitwise_identical_to_sequential_after_the_redesign() {
     // The legacy entry points now route through the context internally;
-    // their cross-scheduler bitwise equivalence must be unchanged.
+    // their bitwise equivalence to the sequential run must be unchanged.
     let a: Matrix<f64> = random_matrix(40, 24, 21);
     let seq = qr_factorize(&a, QrConfig::new(8));
-    for kind in SchedulerKind::ALL {
-        let par = qr_factorize(&a, QrConfig::new(8).with_threads(4).with_scheduler(kind));
-        assert_eq!(
-            par.factored_tiles(),
-            seq.factored_tiles(),
-            "scheduler {}",
-            kind.name()
-        );
-    }
+    let par = qr_factorize(&a, QrConfig::new(8).with_threads(4));
+    assert_eq!(par.factored_tiles(), seq.factored_tiles());
 }
 
 #[test]
@@ -128,7 +118,7 @@ fn reflectors_roundtrip_q_applications() {
 /// One engine, pinned from the outside: the *same* requests — a dense
 /// factorization, a pre-tiled in-place one and a fused solve with `k = 3`,
 /// each on its own plan (shape, tile size, inner blocking, tree) — through
-/// `threads ∈ {1, 4}` × every scheduler. Every outcome must be bitwise equal
+/// `threads ∈ {1, 4}`. Every outcome must be bitwise equal
 /// to sequential `qr_factorize` of the same configuration and, for the
 /// solve, to the decomposed route (`apply_qh`, `r`, back substitution).
 #[test]
@@ -169,27 +159,25 @@ fn every_entry_point_is_bitwise_identical_on_every_engine() {
         .map(|(&(m, n), config)| QrPlan::new(m, n, config).unwrap())
         .collect();
     for threads in [1usize, 4] {
-        for kind in SchedulerKind::ALL {
-            let at = format!("{threads} threads, {}", kind.name());
-            let ctx = QrContext::with_scheduler(threads, kind).unwrap();
-            let dense = ctx.factorize(&plans[0], &mats[0]).unwrap();
-            assert_eq!(
-                dense.factored_tiles(),
-                references[0].factored_tiles(),
-                "{at}"
-            );
-            let mut tiles = TiledMatrix::from_dense_padded(&mats[1], configs[1].tile_size);
-            let refl = ctx.factorize_into(&plans[1], &mut tiles).unwrap();
-            assert_eq!(&tiles, references[1].factored_tiles(), "{at}");
-            assert_eq!(
-                refl.apply_qh(&tiles, &mats[1]),
-                references[1].apply_qh(&mats[1])
-            );
-            assert_eq!(
-                ctx.solve(&plans[2], &mats[2], &b).unwrap(),
-                decomposed,
-                "{at}"
-            );
-        }
+        let at = format!("{threads} threads");
+        let ctx = QrContext::new(threads).unwrap();
+        let dense = ctx.factorize(&plans[0], &mats[0]).unwrap();
+        assert_eq!(
+            dense.factored_tiles(),
+            references[0].factored_tiles(),
+            "{at}"
+        );
+        let mut tiles = TiledMatrix::from_dense_padded(&mats[1], configs[1].tile_size);
+        let refl = ctx.factorize_into(&plans[1], &mut tiles).unwrap();
+        assert_eq!(&tiles, references[1].factored_tiles(), "{at}");
+        assert_eq!(
+            refl.apply_qh(&tiles, &mats[1]),
+            references[1].apply_qh(&mats[1])
+        );
+        assert_eq!(
+            ctx.solve(&plans[2], &mats[2], &b).unwrap(),
+            decomposed,
+            "{at}"
+        );
     }
 }

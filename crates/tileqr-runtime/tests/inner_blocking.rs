@@ -11,8 +11,8 @@
 //!   blocking legitimately reorders the compact-WY reductions, so bitwise
 //!   equality across different `ib` values is *not* expected, but the
 //!   backward error must stay at the unblocked level;
-//! * for each `ib`, the sequential run and both parallel schedulers
-//!   must agree **bitwise** (the DAG orders every conflicting pair, so the
+//! * for each `ib`, the sequential run and the parallel run must agree
+//!   **bitwise** (the DAG orders every conflicting pair, so the
 //!   schedule cannot change a single bit regardless of panel width).
 
 use tileqr_core::algorithms::Algorithm;
@@ -21,7 +21,6 @@ use tileqr_kernels::reference::householder_qr;
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::{Complex64, Matrix};
 use tileqr_runtime::driver::{qr_factorize, QrConfig};
-use tileqr_runtime::executor::SchedulerKind;
 
 const TOL: f64 = 1e-11;
 
@@ -78,24 +77,20 @@ fn check_ib_sweep<T: RandomScalar>(family: KernelFamily, seed: u64) {
             );
         }
 
-        // Every scheduler agrees bitwise with the sequential run at this ib.
-        for kind in SchedulerKind::ALL {
-            let par = qr_factorize(&a, config.with_threads(4).with_scheduler(kind));
-            assert_eq!(
-                seq.factored_tiles(),
-                par.factored_tiles(),
-                "{} ib={ib}: tiles differ under {}",
-                family.name(),
-                kind.name()
-            );
-            assert_eq!(
-                seq.r().as_slice(),
-                par.r().as_slice(),
-                "{} ib={ib}: R differs under {}",
-                family.name(),
-                kind.name()
-            );
-        }
+        // The parallel run agrees bitwise with the sequential run at this ib.
+        let par = qr_factorize(&a, config.with_threads(4));
+        assert_eq!(
+            seq.factored_tiles(),
+            par.factored_tiles(),
+            "{} ib={ib}: tiles differ",
+            family.name()
+        );
+        assert_eq!(
+            seq.r().as_slice(),
+            par.r().as_slice(),
+            "{} ib={ib}: R differs",
+            family.name()
+        );
     }
 }
 
@@ -149,16 +144,13 @@ fn default_inner_block_is_the_tuned_ib_bitwise() {
             family.name()
         );
         // And the parallel default agrees with the sequential default.
-        for kind in SchedulerKind::ALL {
-            let par = qr_factorize(&a, base.with_threads(4).with_scheduler(kind));
-            assert_eq!(
-                default_run.factored_tiles(),
-                par.factored_tiles(),
-                "{}: new default diverges under {}",
-                family.name(),
-                kind.name()
-            );
-        }
+        let par = qr_factorize(&a, base.with_threads(4));
+        assert_eq!(
+            default_run.factored_tiles(),
+            par.factored_tiles(),
+            "{}: new default diverges",
+            family.name()
+        );
     }
     check::<f64>(KernelFamily::TT, 91);
     check::<f64>(KernelFamily::TS, 92);

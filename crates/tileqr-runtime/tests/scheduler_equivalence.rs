@@ -1,9 +1,8 @@
-//! Integration tests of the scheduling layer: every scheduler — Chase–Lev
-//! work stealing and priority work stealing — must produce
-//! results bitwise identical to the sequential executor, for both scalar
-//! types, because the DAG totally orders every pair of conflicting tasks;
-//! the scheduling policy can only change *when* commuting tasks run, never
-//! what they compute.
+//! Integration tests of the scheduling layer: the Chase–Lev work-stealing
+//! scheduler must produce results bitwise identical to the sequential
+//! executor, for both scalar types, because the DAG totally orders every
+//! pair of conflicting tasks; which worker steals what can only change
+//! *when* commuting tasks run, never what they compute.
 //!
 //! The stress test batters the work-stealing paths with many small
 //! factorizations at 8 worker threads (far more threads than this repo's CI
@@ -17,9 +16,8 @@ use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::rng::Rng;
 use tileqr_matrix::{Complex64, Matrix};
 use tileqr_runtime::driver::{qr_factorize, QrConfig};
-use tileqr_runtime::SchedulerKind;
 
-fn check_all_schedulers_match_sequential<T: RandomScalar>(
+fn check_parallel_matches_sequential<T: RandomScalar>(
     m: usize,
     n: usize,
     nb: usize,
@@ -31,42 +29,38 @@ fn check_all_schedulers_match_sequential<T: RandomScalar>(
     let a: Matrix<T> = random_matrix(m, n, seed);
     let base = QrConfig::new(nb).with_algorithm(algo).with_family(family);
     let seq = qr_factorize(&a, base);
-    for kind in SchedulerKind::ALL {
-        let par = qr_factorize(&a, base.with_threads(threads).with_scheduler(kind));
-        assert_eq!(
-            seq.factored_tiles(),
-            par.factored_tiles(),
-            "tiles differ: {m}x{n} nb={nb} {} {} {} threads={threads}",
-            algo.name(),
-            family.name(),
-            kind.name()
-        );
-        assert_eq!(
-            seq.r().as_slice(),
-            par.r().as_slice(),
-            "R differs: {m}x{n} nb={nb} {} {} {} threads={threads}",
-            algo.name(),
-            family.name(),
-            kind.name()
-        );
-    }
+    let par = qr_factorize(&a, base.with_threads(threads));
+    assert_eq!(
+        seq.factored_tiles(),
+        par.factored_tiles(),
+        "tiles differ: {m}x{n} nb={nb} {} {} threads={threads}",
+        algo.name(),
+        family.name()
+    );
+    assert_eq!(
+        seq.r().as_slice(),
+        par.r().as_slice(),
+        "R differs: {m}x{n} nb={nb} {} {} threads={threads}",
+        algo.name(),
+        family.name()
+    );
 }
 
 #[test]
-fn all_schedulers_are_bitwise_identical_to_sequential_f64() {
+fn work_stealing_is_bitwise_identical_to_sequential_f64() {
     for (algo, family) in [
         (Algorithm::Greedy, KernelFamily::TT),
         (Algorithm::FlatTree, KernelFamily::TS),
         (Algorithm::Fibonacci, KernelFamily::TT),
     ] {
-        check_all_schedulers_match_sequential::<f64>(40, 24, 8, algo, family, 4, 101);
-        check_all_schedulers_match_sequential::<f64>(33, 9, 4, algo, family, 8, 102);
+        check_parallel_matches_sequential::<f64>(40, 24, 8, algo, family, 4, 101);
+        check_parallel_matches_sequential::<f64>(33, 9, 4, algo, family, 8, 102);
     }
 }
 
 #[test]
-fn all_schedulers_are_bitwise_identical_to_sequential_complex() {
-    check_all_schedulers_match_sequential::<Complex64>(
+fn work_stealing_is_bitwise_identical_to_sequential_complex() {
+    check_parallel_matches_sequential::<Complex64>(
         32,
         16,
         8,
@@ -75,7 +69,7 @@ fn all_schedulers_are_bitwise_identical_to_sequential_complex() {
         4,
         201,
     );
-    check_all_schedulers_match_sequential::<Complex64>(
+    check_parallel_matches_sequential::<Complex64>(
         20,
         12,
         4,
@@ -86,13 +80,12 @@ fn all_schedulers_are_bitwise_identical_to_sequential_complex() {
     );
 }
 
-/// Randomized stress: 100 small factorizations per scheduler at 8 worker
-/// threads, each checked bitwise against the sequential reference. Shapes,
+/// Randomized stress: 100 small factorizations at 8 worker threads, each checked bitwise against the sequential reference. Shapes,
 /// tile sizes and trees vary per iteration via the in-tree PRNG, so every
 /// run covers a different mix of DAG widths and tails (deterministically —
 /// the seed is fixed).
 #[test]
-fn randomized_stress_100_factorizations_per_scheduler_at_8_threads() {
+fn randomized_stress_100_factorizations_at_8_threads() {
     const RUNS: usize = 100;
     let mut rng = Rng::seed_from_u64(0xC0FFEE);
     let algorithms = [
@@ -118,17 +111,14 @@ fn randomized_stress_100_factorizations_per_scheduler_at_8_threads() {
         let a: Matrix<f64> = random_matrix(m, n.max(1), seed);
         let base = QrConfig::new(nb).with_algorithm(algo).with_family(family);
         let seq = qr_factorize(&a, base);
-        for kind in SchedulerKind::ALL {
-            let par = qr_factorize(&a, base.with_threads(8).with_scheduler(kind));
-            assert_eq!(
-                seq.factored_tiles(),
-                par.factored_tiles(),
-                "iteration {it}: {m}x{} nb={nb} {} {} diverged under {}",
-                n.max(1),
-                algo.name(),
-                family.name(),
-                kind.name()
-            );
-        }
+        let par = qr_factorize(&a, base.with_threads(8));
+        assert_eq!(
+            seq.factored_tiles(),
+            par.factored_tiles(),
+            "iteration {it}: {m}x{} nb={nb} {} {} diverged",
+            n.max(1),
+            algo.name(),
+            family.name()
+        );
     }
 }

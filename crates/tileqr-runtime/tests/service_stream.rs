@@ -1,5 +1,5 @@
 //! Integration coverage of the streaming multi-tenant service layer:
-//! bitwise-identical streamed results across schedulers, bounded admission
+//! bitwise-identical streamed results across thread counts, bounded admission
 //! (fast-fail and blocking-with-deadline), priority load shedding,
 //! per-client quotas, deficit-round-robin fairness, deterministic input
 //! errors through the ticket, and the service-routed least-squares solve.
@@ -18,7 +18,7 @@ use tileqr_matrix::Matrix;
 use tileqr_runtime::driver::QrConfig;
 use tileqr_runtime::service::{Priority, QrService, RetryPolicy, ServiceConfig};
 use tileqr_runtime::solve::{least_squares_solve_via, least_squares_solve_with};
-use tileqr_runtime::{QrContext, QrError, QrPlan, SchedulerKind};
+use tileqr_runtime::{QrContext, QrError, QrPlan};
 
 const M: usize = 48;
 const N: usize = 32;
@@ -54,7 +54,7 @@ fn fast_retry() -> RetryPolicy {
 }
 
 #[test]
-fn streamed_results_are_bitwise_identical_across_schedulers() {
+fn streamed_results_are_bitwise_identical_across_thread_counts() {
     let plan = plan();
     let reference: Vec<Matrix<f64>> = (0..6)
         .map(|i| {
@@ -64,13 +64,8 @@ fn streamed_results_are_bitwise_identical_across_schedulers() {
                 .r()
         })
         .collect();
-    let mut threaded: Vec<(usize, SchedulerKind)> = SchedulerKind::ALL
-        .iter()
-        .map(|&kind| (4usize, kind))
-        .collect();
-    threaded.push((1, SchedulerKind::default()));
-    for (threads, kind) in threaded {
-        let ctx = QrContext::with_scheduler(threads, kind).unwrap();
+    for threads in [4usize, 1] {
+        let ctx = QrContext::new(threads).unwrap();
         let service =
             QrService::new(ctx, ServiceConfig::default().with_retry(fast_retry())).unwrap();
         // Three tenants interleaving submissions over one shape.
@@ -83,17 +78,13 @@ fn streamed_results_are_bitwise_identical_across_schedulers() {
             })
             .collect();
         for (i, ticket) in tickets.into_iter().enumerate() {
-            let f = ticket.wait().unwrap_or_else(|e| {
-                panic!(
-                    "item {i} failed under {} threads {threads}: {e:?}",
-                    kind.name()
-                )
-            });
+            let f = ticket
+                .wait()
+                .unwrap_or_else(|e| panic!("item {i} failed under threads {threads}: {e:?}"));
             assert_eq!(
                 f.r().as_slice(),
                 reference[i].as_slice(),
-                "item {i} not bitwise identical under {} threads {threads}",
-                kind.name()
+                "item {i} not bitwise identical under threads {threads}"
             );
         }
         let stats = service.stats();

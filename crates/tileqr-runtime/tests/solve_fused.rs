@@ -6,8 +6,7 @@
 //! The two run the same kernels on the same `nb × k` row blocks in the same
 //! per-block order, so they must agree **bitwise** — under every reduction
 //! tree, both kernel families, ragged and exact shapes, both scalar types,
-//! right-hand sides narrower and wider than a tile, and every scheduler at 1
-//! and 4 threads. The factor half of a solve is likewise bitwise the plain
+//! right-hand sides narrower and wider than a tile, at 1 and 4 threads. The factor half of a solve is likewise bitwise the plain
 //! factorization. Agreement with the dense reference solver is checked to
 //! 1e-8.
 
@@ -20,7 +19,7 @@ use tileqr_matrix::{Complex64, Matrix};
 use tileqr_runtime::solve::{
     least_squares_solve, least_squares_solve_with, least_squares_with_factorization,
 };
-use tileqr_runtime::{qr_factorize, QrConfig, QrContext, QrPlan, SchedulerKind};
+use tileqr_runtime::{qr_factorize, QrConfig, QrContext, QrPlan};
 
 const ALGORITHMS: [Algorithm; 8] = [
     Algorithm::FlatTree,
@@ -59,11 +58,7 @@ fn decomposed<T: RandomScalar>(
 fn assert_fused_matches_decomposed<T: RandomScalar>(seed: u64) {
     let contexts: Vec<QrContext> = [1usize, 4]
         .into_iter()
-        .flat_map(|threads| {
-            SchedulerKind::ALL
-                .into_iter()
-                .map(move |kind| QrContext::with_scheduler(threads, kind).unwrap())
-        })
+        .map(|threads| QrContext::new(threads).unwrap())
         .collect();
     for (si, &(m, n, nb, ib)) in SHAPES.iter().enumerate() {
         let a: Matrix<T> = random_matrix(m, n, seed + si as u64);
@@ -84,10 +79,9 @@ fn assert_fused_matches_decomposed<T: RandomScalar>(seed: u64) {
                         assert_eq!(
                             x,
                             expected,
-                            "{m}x{n} nb={nb} ib={ib} k={k} {} {family:?}, {} threads, {}",
+                            "{m}x{n} nb={nb} ib={ib} k={k} {} {family:?}, {} threads",
                             algo.name(),
-                            ctx.threads(),
-                            ctx.scheduler().name()
+                            ctx.threads()
                         );
                     }
                     for j in 0..k {

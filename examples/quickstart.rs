@@ -2,7 +2,7 @@
 //! convenience wrapper.
 //!
 //! A long-lived [`QrContext`] owns a persistent worker pool; a [`QrPlan`]
-//! precomputes the whole schedule (elimination list, task DAG, priorities,
+//! precomputes the whole schedule (elimination list, task DAG, successor lists,
 //! workspaces) for one problem shape. Repeated factorizations of that shape
 //! then pay only kernel time — the shape of a service handling a stream of
 //! requests. For a single factorization the free function `qr_factorize`

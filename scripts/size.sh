@@ -1,8 +1,14 @@
 #!/bin/sh
-# Counted lines of the library crates: non-blank lines of `src/*.rs` that are
-# not `//` comments (`///` and `//!` docs included), up to the file's
-# top-level `#[cfg(test)]`. The runtime's `model_check.rs` (a test-only model
-# suite) is excluded. Zero dependencies: POSIX sh, find and awk.
+# Size of the library crates, two numbers per crate, both taken over
+# `src/*.rs` up to each file's top-level `#[cfg(test)]`; the runtime's
+# `model_check.rs` (a test-only model suite) is excluded.
+#
+# * lines: non-blank lines that are not `//` comments (`///` and `//!` docs
+#   included);
+# * public items: lines declaring a `pub` fn, struct, enum, trait, type,
+#   const, static, mod or use (`pub(crate)` and other `pub(…)` not counted).
+#
+# Zero dependencies: POSIX sh, find and awk.
 #
 # Usage: scripts/size.sh [crate ...]   (default: tileqr-runtime tileqr-kernels)
 set -eu
@@ -16,5 +22,6 @@ for crate in "$@"; do
         /^#\[cfg\(test\)\]/ { counting = 0 }
         !counting || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
         { total++ }
-        END { printf "%-16s %6d\n", crate, total }' {} +
+        /^[[:space:]]*pub[[:space:]]+((unsafe|async)[[:space:]]+)?(fn|struct|enum|trait|type|const|static|mod|use)[[:space:]]/ { items++ }
+        END { printf "%-16s %6d lines %5d public items\n", crate, total, items }' {} +
 done

@@ -52,5 +52,4 @@ pub mod prelude {
     pub use tileqr_runtime::solve::{
         least_squares_solve, least_squares_solve_via, least_squares_solve_with,
     };
-    pub use tileqr_runtime::SchedulerKind;
 }
