@@ -18,6 +18,17 @@
 //! paper-scale runs (`p = 40`, `nb = 200`) can be requested explicitly while
 //! the defaults stay laptop-friendly; each binary is named after the paper
 //! table or figure it reproduces.
+//!
+//! Beside the binaries, the crate holds three microbenches built on
+//! [`microbench`]: `bench_kernels` (the six tile kernels, written to
+//! `BENCH_kernels.json`), `bench_trees` (the elimination-list generators)
+//! and `bench_cp_simulation` (the critical-path simulator). Everything
+//! above the kernels — executor, context, service — is timed by the
+//! workspace's `benchmark/` package alone. `BENCH_executor.json`,
+//! `BENCH_factorization.json`, `BENCH_context.json` and
+//! `BENCH_service.json` at the repository root are frozen history: the
+//! last output of the runtime benches this crate used to hold, written by
+//! nothing now.
 
 #![warn(missing_docs)]
 

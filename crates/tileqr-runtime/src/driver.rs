@@ -28,11 +28,12 @@ use crate::reflectors::QrReflectors;
 use crate::trace::ExecutionTrace;
 
 /// Default inner blocking factor `ib` of [`QrConfig::new`], applied as
-/// `min(tile_size, 16)`. Tuned end-to-end by the `factorization_ib` group of
-/// `bench_factorization`: at `nb = 128` (512 × 256, f64, 1 vCPU) `ib = 16`
-/// reaches 6.09 GFLOP/s against 3.53 at `ib = nb` — a 1.72× win, with every
-/// `ib ∈ {8..32}` within 7 % of the peak. Tiles of order ≤ 16 keep
-/// `ib = nb` (the panels already fit the register-blocked microkernel).
+/// `min(tile_size, 16)`. Tuned end-to-end on the `factorization_ib` rows of
+/// the frozen `BENCH_factorization.json`: at `nb = 128` (512 × 256, f64,
+/// 1 vCPU) `ib = 16` reaches 6.09 GFLOP/s against 3.53 at `ib = nb` — a
+/// 1.72× win, with every `ib ∈ {8..32}` within 7 % of the peak. Tiles of
+/// order ≤ 16 keep `ib = nb` (the panels already fit the register-blocked
+/// microkernel).
 pub const DEFAULT_INNER_BLOCK: usize = 16;
 
 /// Configuration of a tiled QR factorization run.
@@ -192,16 +193,14 @@ pub fn qr_factorize_traced<T: Scalar<Real = f64>>(
 
 /// The transient plan + context behind the one-shot free functions
 /// ([`qr_factorize`], [`crate::solve::least_squares_solve`]), which makes
-/// them thin wrappers over the session API: validates with the historical
-/// panics and clamps the thread count, which the legacy API never limited.
+/// them thin wrappers over the session API: panics with the plan's
+/// validation error and clamps the thread count, which the legacy API never
+/// limited.
 pub(crate) fn transient_session<T: Scalar<Real = f64>>(
     (m, n): (usize, usize),
     config: QrConfig,
 ) -> (crate::context::QrPlan<T>, crate::context::QrContext) {
-    assert!(m >= n, "tiled QR requires a tall or square matrix (m ≥ n)");
-    assert!(config.tile_size >= 1, "tile size must be at least 1");
-    let plan = crate::context::QrPlan::new(m, n, config)
-        .expect("shape and tile size were validated above");
+    let plan = crate::context::QrPlan::new(m, n, config).unwrap_or_else(|e| panic!("{e}"));
     let threads = config.threads.clamp(1, crate::context::MAX_THREADS);
     let ctx = crate::context::QrContext::new(threads)
         .expect("thread count is clamped into the accepted range");

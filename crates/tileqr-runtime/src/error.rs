@@ -1,5 +1,7 @@
 //! [`QrError`]: the typed errors of the session API and the service layer.
 
+#[cfg(doc)]
+use tileqr_core::algorithms::Algorithm;
 use tileqr_core::dag::TaskKind;
 
 #[cfg(doc)]
@@ -37,6 +39,10 @@ pub enum QrError {
     },
     /// The configured tile size is zero.
     ZeroTileSize,
+    /// The configured algorithm is a domain tree
+    /// ([`Algorithm::PlasmaTree`] or [`Algorithm::HadriTree`]) with domain
+    /// size `bs = 0`.
+    ZeroDomainSize,
     /// A context with zero worker threads was requested.
     ZeroThreads,
     /// More worker threads than [`MAX_THREADS`] were requested.
@@ -199,6 +205,7 @@ impl std::fmt::Display for QrError {
                 "tiled QR requires a tall or square matrix (m ≥ n), got {m} × {n}"
             ),
             QrError::ZeroTileSize => write!(f, "tile size must be at least 1"),
+            QrError::ZeroDomainSize => write!(f, "domain size BS must be at least 1"),
             QrError::ZeroThreads => write!(f, "a context needs at least one worker thread"),
             QrError::TooManyThreads { requested, max } => {
                 write!(f, "{requested} worker threads requested, maximum is {max}")

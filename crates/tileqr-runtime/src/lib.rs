@@ -103,8 +103,8 @@
 //! hang forever. The pieces:
 //!
 //! **The [`QrError`] taxonomy.** Configuration and input errors are reported
-//! before any kernel runs: [`QrError::WideMatrix`], [`QrError::ZeroTileSize`]
-//! (plan construction), [`QrError::ZeroThreads`] /
+//! before any kernel runs: [`QrError::WideMatrix`], [`QrError::ZeroTileSize`],
+//! [`QrError::ZeroDomainSize`] (plan construction), [`QrError::ZeroThreads`] /
 //! [`QrError::TooManyThreads`] / [`QrError::ThreadSpawn`] (context
 //! construction — thread-spawn failure is a typed error, not a panic),
 //! [`QrError::ShapeMismatch`] / [`QrError::PlanMismatch`] /
@@ -208,6 +208,7 @@
 //! [`TaskKind`]: tileqr_core::TaskKind
 //! [`QrError::WideMatrix`]: context::QrError::WideMatrix
 //! [`QrError::ZeroTileSize`]: context::QrError::ZeroTileSize
+//! [`QrError::ZeroDomainSize`]: context::QrError::ZeroDomainSize
 //! [`QrError::ZeroThreads`]: context::QrError::ZeroThreads
 //! [`QrError::TooManyThreads`]: context::QrError::TooManyThreads
 //! [`QrError::ThreadSpawn`]: context::QrError::ThreadSpawn

@@ -207,6 +207,9 @@ impl<T: Scalar> QrPlan<T> {
         if config.tile_size == 0 {
             return Err(QrError::ZeroTileSize);
         }
+        if let Algorithm::PlasmaTree { bs: 0 } | Algorithm::HadriTree { bs: 0 } = config.algorithm {
+            return Err(QrError::ZeroDomainSize);
+        }
         if m < n {
             return Err(QrError::WideMatrix { m, n });
         }

@@ -163,13 +163,6 @@ pub struct ServiceConfig {
     /// dispatch round — bounds how long a round can keep the dispatcher
     /// busy before it re-examines the queue.
     pub max_group: usize,
-    /// Bounded coalescing window: with a non-zero linger, a dispatch round
-    /// whose queue holds fewer than [`ServiceConfig::max_group`] items
-    /// waits up to this long for more arrivals before launching the fused
-    /// job, trading that much added latency for full-width groups (fewer
-    /// pool wake-ups and join tails per item). Zero — the default —
-    /// dispatches immediately.
-    pub linger: Duration,
     /// Transient-fault retry policy.
     pub retry: RetryPolicy,
 }
@@ -181,7 +174,6 @@ impl Default for ServiceConfig {
             shed_threshold: 192,
             per_client_quota: 128,
             max_group: 8,
-            linger: Duration::ZERO,
             retry: RetryPolicy::default(),
         }
     }
@@ -210,12 +202,6 @@ impl ServiceConfig {
     /// [`ServiceConfig::max_group`] builder.
     pub fn with_max_group(mut self, max_group: usize) -> Self {
         self.max_group = max_group;
-        self
-    }
-
-    /// [`ServiceConfig::linger`] builder.
-    pub fn with_linger(mut self, linger: Duration) -> Self {
-        self.linger = linger;
         self
     }
 
@@ -837,9 +823,6 @@ fn dispatch_loop<T: Scalar<Real = f64>>(shared: Arc<Shared<T>>) {
     loop {
         let round = {
             let mut inner = shared.inner.lock();
-            // Deadline of the current coalescing window, armed when work
-            // first appears in this round and a linger is configured.
-            let mut linger_until: Option<Instant> = None;
             loop {
                 let now = Instant::now();
                 promote_due_retries(&mut inner, now);
@@ -852,21 +835,8 @@ fn dispatch_loop<T: Scalar<Real = f64>>(shared: Arc<Shared<T>>) {
                     break Round::Exit;
                 }
                 if inner.depth > 0 {
-                    // Linger: with a partial group and time left in the
-                    // window, wait for more arrivals instead of launching a
-                    // narrow fused job.
-                    if !shared.cfg.linger.is_zero() && inner.depth < shared.cfg.max_group {
-                        let until = *linger_until.get_or_insert(now + shared.cfg.linger);
-                        if now < until {
-                            let (guard, _timed_out) =
-                                shared.work_cv.wait_timeout(inner, until - now);
-                            inner = guard;
-                            continue;
-                        }
-                    }
                     break Round::Run(collect_group(&mut inner, shared.cfg.max_group));
                 }
-                linger_until = None;
                 let next_due = inner.delayed.iter().map(|&(due, _)| due).min();
                 inner = match next_due {
                     Some(due) => {
@@ -1036,31 +1006,6 @@ mod tests {
         assert_eq!(cfg.shed_threshold, 1);
         assert_eq!(cfg.per_client_quota, 1);
         assert_eq!(cfg.max_group, 1);
-    }
-
-    #[test]
-    fn linger_coalesces_without_stalling_or_blocking_shutdown() {
-        use tileqr_matrix::generate::random_matrix;
-        let ctx = QrContext::new(2).unwrap();
-        let plan = Arc::new(QrPlan::<f64>::new(24, 16, crate::driver::QrConfig::new(8)).unwrap());
-        let service = QrService::new(
-            ctx,
-            ServiceConfig::default().with_linger(Duration::from_millis(5)),
-        )
-        .unwrap();
-        let client = service.client();
-        // Items trickling in under the linger window still all complete —
-        // the window delays dispatch, it never swallows work.
-        let tickets: Vec<_> = (0..3)
-            .map(|s| client.submit(&plan, random_matrix(24, 16, s)).unwrap())
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        // Shutdown during an armed linger window exits promptly and drains.
-        let _pending = client.submit(&plan, random_matrix(24, 16, 9)).unwrap();
-        service.shutdown();
-        assert_eq!(service.queue_depth(), 0);
     }
 
     #[test]

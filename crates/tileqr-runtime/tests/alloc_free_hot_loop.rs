@@ -9,10 +9,12 @@
 //! `execute_parallel_with_scheduler` are essentially identical: if any task allocated, the large run would
 //! exceed the small one by at least the task-count difference (hundreds).
 //! The session-API probes after it pin the steady state of a batch loop
-//! (allocation count) and of a stream of fused solves (allocation volume).
+//! (allocation count, plain and with the robustness layer armed) and of a
+//! stream of fused solves (allocation volume).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use tileqr_core::algorithms::Algorithm;
 use tileqr_core::dag::TaskDag;
@@ -112,7 +114,12 @@ fn hot_loops_do_not_allocate_per_task() {
     // workspace.
     parallel_check(4);
     parallel_check(2);
-    batch_check();
+    let plain = batch_check(None);
+    let armed = batch_check(Some(Duration::from_secs(60)));
+    assert!(
+        plain == armed,
+        "the armed batch loop must factor bit for bit like the plain one"
+    );
     solve_check();
     sequential_check();
 }
@@ -148,20 +155,26 @@ fn solve_check() {
 }
 
 /// One steady-state iteration of the allocation-free batch loop: refill the
-/// tile buffers, factor them in place as one fused pool job, and drop the
-/// results — which is what returns the `T` storage to the plan's pool.
-/// Returns the allocations performed inside the loop body.
+/// tile buffers, factor them in place as one fused pool job (under
+/// `deadline` if given), and drop the results — which is what returns the
+/// `T` storage to the plan's pool. Returns the allocations performed inside
+/// the loop body.
 fn batch_steady_state_allocations(
     ctx: &QrContext,
     plan: &QrPlan<f64>,
     mats: &[Matrix<f64>],
     tiles: &mut [TiledMatrix<f64>],
+    deadline: Option<Duration>,
 ) -> usize {
     let (allocs, ()) = allocations_during(|| {
         for (t, a) in tiles.iter_mut().zip(mats) {
             t.fill_from_dense_padded(a);
         }
-        for r in ctx.factorize_batch_into(plan, tiles) {
+        let results = match deadline {
+            Some(timeout) => ctx.factorize_batch_into_with_deadline(plan, tiles, timeout),
+            None => ctx.factorize_batch_into(plan, tiles),
+        };
+        for r in results {
             drop(r.expect("conforming buffers must factor"));
         }
     });
@@ -179,12 +192,19 @@ fn batch_steady_state_allocations(
 /// 2. the absolute steady-state count must undercut the 2 · p · q `T`-factor
 ///    allocations a single *non-recycled* matrix would need — direct
 ///    evidence the recycle pool, not the allocator, feeds the `T` slots.
-fn batch_check() {
+///
+/// With a `deadline`, the loop runs with the robustness layer armed: every
+/// call carries that live deadline and the context has the stall watchdog
+/// on. Returns the bits of the factored tiles of the large probe.
+fn batch_check(deadline: Option<Duration>) -> Vec<u64> {
     let nb = 4;
     let k = 3;
     let threads = 3;
-    let ctx = QrContext::new(threads).expect("valid thread count");
-    let steady = |p: usize, q: usize| -> usize {
+    let mut ctx = QrContext::new(threads).expect("valid thread count");
+    if deadline.is_some() {
+        ctx = ctx.with_watchdog(Duration::from_secs(5));
+    }
+    let steady = |p: usize, q: usize| -> (usize, Vec<u64>) {
         let plan: QrPlan<f64> =
             QrPlan::new(p * nb, q * nb, QrConfig::new(nb)).expect("valid shape");
         let mats: Vec<Matrix<f64>> = (0..k)
@@ -198,12 +218,17 @@ fn batch_check() {
         // sizes every retained vector; the measured iteration after it is
         // the steady state a batch service runs in.
         for _ in 0..2 {
-            let _ = batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles);
+            let _ = batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles, deadline);
         }
-        batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles)
+        let allocs = batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles, deadline);
+        let mut bits = Vec::new();
+        for t in &tiles {
+            bits.extend(t.to_dense().as_slice().iter().map(|x| x.to_bits()));
+        }
+        (allocs, bits)
     };
-    let small = steady(3, 2);
-    let large = steady(10, 6);
+    let (small, _) = steady(3, 2);
+    let (large, factored) = steady(10, 6);
     let slack = 32;
     assert!(
         large <= small + slack,
@@ -216,6 +241,7 @@ fn batch_check() {
          feeding the hot path (a cold call needs 2·p·q·k = {})",
         2 * 10 * 6 * k
     );
+    factored
 }
 
 fn parallel_check(ib: usize) {

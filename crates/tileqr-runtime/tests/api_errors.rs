@@ -1,6 +1,7 @@
 //! Error paths of the session API (`QrContext`/`QrPlan`) and the contract
 //! that the legacy free functions keep their documented panicking behavior.
 
+use tileqr_core::algorithms::Algorithm;
 use tileqr_matrix::generate::random_matrix;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_runtime::context::MAX_THREADS;
@@ -20,6 +21,19 @@ fn zero_tile_size_is_reported() {
         QrPlan::<f64>::new(8, 4, QrConfig::new(0)).unwrap_err(),
         QrError::ZeroTileSize
     );
+}
+
+#[test]
+fn zero_domain_size_is_reported() {
+    for algorithm in [
+        Algorithm::PlasmaTree { bs: 0 },
+        Algorithm::HadriTree { bs: 0 },
+    ] {
+        let err =
+            QrPlan::<f64>::new(64, 32, QrConfig::new(8).with_algorithm(algorithm)).unwrap_err();
+        assert_eq!(err, QrError::ZeroDomainSize, "{algorithm:?}");
+        assert!(!err.is_transient());
+    }
 }
 
 #[test]
@@ -332,6 +346,16 @@ fn legacy_qr_factorize_still_panics_on_wide_matrices() {
 fn legacy_qr_factorize_still_panics_on_zero_tile_size() {
     let a: Matrix<f64> = random_matrix(8, 4, 72);
     let _ = qr_factorize(&a, QrConfig::new(0));
+}
+
+#[test]
+#[should_panic(expected = "domain size BS must be at least 1")]
+fn legacy_qr_factorize_still_panics_on_zero_domain_size() {
+    let a: Matrix<f64> = random_matrix(16, 8, 74);
+    let _ = qr_factorize(
+        &a,
+        QrConfig::new(4).with_algorithm(Algorithm::PlasmaTree { bs: 0 }),
+    );
 }
 
 #[test]

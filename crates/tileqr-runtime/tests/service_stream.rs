@@ -446,9 +446,10 @@ fn submissions_after_shutdown_are_rejected_with_service_shutdown() {
 }
 
 /// The tentpole through the public API: three tenants each submitting their
-/// own shape concurrently. The linger window coalesces the backlog into
-/// fused groups that span plans (`mixed_groups` moves), and every item is
-/// bitwise identical to its own sequential single-plan reference.
+/// own shape concurrently. Queued behind one blocker job, the backlog is
+/// dispatched as fused groups that span plans (`mixed_groups` moves), and
+/// every item is bitwise identical to its own sequential single-plan
+/// reference.
 #[test]
 fn mixed_shape_submissions_coalesce_and_stay_bitwise_identical() {
     let shapes: [(usize, usize, usize); 3] = [(M, N, NB), (30, 20, 5), (26, 26, 6)];
@@ -457,16 +458,16 @@ fn mixed_shape_submissions_coalesce_and_stay_bitwise_identical() {
         .map(|&(m, n, nb)| Arc::new(QrPlan::new(m, n, QrConfig::new(nb)).expect("valid shape")))
         .collect();
     let ctx = QrContext::new(4).unwrap();
-    let service = QrService::new(
-        ctx,
-        ServiceConfig::default()
-            .with_max_group(8)
-            .with_linger(Duration::from_millis(50)),
-    )
-    .unwrap();
+    let service = QrService::new(ctx, ServiceConfig::default().with_max_group(8)).unwrap();
     let clients: Vec<_> = (0..3).map(|_| service.client()).collect();
-    // 4 items per tenant, interleaved, all queued well inside one linger
-    // window — the dispatcher must fuse across the three plans.
+    // The dispatcher runs the blocker as worker 0 of its job, so it cannot
+    // dequeue again until the blocker is done.
+    let blocker = clients[0]
+        .submit(&blocker_plan(), random_matrix(256, 192, 7_690))
+        .unwrap();
+    wait_until_drained_queue(&service);
+    // 4 items per tenant, interleaved, all queued behind the blocker — the
+    // dispatcher must fuse across the three plans.
     let mats: Vec<Matrix<f64>> = (0..12)
         .map(|i| {
             let (m, n, _) = shapes[i % 3];
@@ -491,8 +492,9 @@ fn mixed_shape_submissions_coalesce_and_stay_bitwise_identical() {
             i % 3
         );
     }
+    blocker.wait().unwrap();
     let stats = service.stats();
-    assert_eq!(stats.completed, 12);
+    assert_eq!(stats.completed, 13);
     assert_eq!(stats.failed, 0);
     assert!(
         stats.mixed_groups >= 1,

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Size of the library crates, two numbers per crate, both taken over
-# `src/*.rs` up to each file's top-level `#[cfg(test)]`; the runtime's
-# `model_check.rs` (a test-only model suite) is excluded.
+# Size of the workspace crates, two numbers per crate, both taken over
+# `src/*.rs` and `benches/*.rs` up to each file's top-level `#[cfg(test)]`;
+# the runtime's `model_check.rs` (a test-only model suite) is excluded.
 #
 # * lines: non-blank lines that are not `//` comments (`///` and `//!` docs
 #   included);
@@ -15,9 +15,9 @@ set -eu
 root=$(cd "$(dirname "$0")/.." && pwd)
 [ $# -gt 0 ] || set -- tileqr-runtime tileqr-kernels
 for crate in "$@"; do
-    dir="$root/crates/$crate/src"
-    [ -d "$dir" ] || { echo "size.sh: no such crate: $crate" >&2; exit 1; }
-    find "$dir" -name '*.rs' ! -name model_check.rs -exec awk -v crate="$crate" '
+    dir="$root/crates/$crate"
+    [ -d "$dir/src" ] || { echo "size.sh: no such crate: $crate" >&2; exit 1; }
+    find "$dir" \( -path "$dir/src/*" -o -path "$dir/benches/*" \) -name '*.rs' ! -name model_check.rs -exec awk -v crate="$crate" '
         FNR == 1 { counting = 1 }
         /^#\[cfg\(test\)\]/ { counting = 0 }
         !counting || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
