@@ -13,8 +13,9 @@
 //!   controlled by the domain size `BS`.
 //!
 //! The *dynamic* algorithms Asap and Grasap(k) depend on the weighted task
-//! timing and are therefore generated by the simulator
-//! (see [`crate::sim::simulate_asap`] and [`crate::sim::simulate_grasap`]).
+//! timing and are therefore generated by the co-simulator
+//! ([`crate::sim::simulate_grasap`]); [`Algorithm::elimination_list`] runs it
+//! for them, so every algorithm has one list builder.
 
 pub mod binary_tree;
 pub mod fibonacci;
@@ -31,6 +32,7 @@ pub use hadri_tree::hadri_tree;
 pub use plasma_tree::plasma_tree;
 
 use crate::elim::EliminationList;
+use crate::sim::simulate_grasap;
 
 /// Identifier for the algorithms exposed by the crate (static reduction trees
 /// plus the dynamic Asap family), used by the drivers, the benchmark harness
@@ -90,11 +92,11 @@ impl Algorithm {
         !matches!(self, Algorithm::Asap | Algorithm::Grasap { .. })
     }
 
-    /// Builds the elimination list of a static algorithm.
-    ///
-    /// # Panics
-    /// Panics for the dynamic algorithms ([`Algorithm::Asap`],
-    /// [`Algorithm::Grasap`]) — use the simulator entry points instead.
+    /// Builds the elimination list of the algorithm on a `p × q` tile grid:
+    /// the static generators for the reduction trees, and for the dynamic
+    /// algorithms the list the weighted co-simulator produces —
+    /// [`Algorithm::Asap`] is Grasap with every column in Asap mode
+    /// ([`crate::sim::simulate_grasap`]`(p, q, q)`).
     pub fn elimination_list(&self, p: usize, q: usize) -> EliminationList {
         match *self {
             Algorithm::FlatTree => flat_tree(p, q),
@@ -103,9 +105,8 @@ impl Algorithm {
             Algorithm::BinaryTree => binary_tree(p, q),
             Algorithm::PlasmaTree { bs } => plasma_tree(p, q, bs),
             Algorithm::HadriTree { bs } => hadri_tree(p, q, bs),
-            Algorithm::Asap | Algorithm::Grasap { .. } => {
-                panic!("{} is a dynamic algorithm; use tileqr_core::sim::simulate_asap / simulate_grasap", self.name())
-            }
+            Algorithm::Asap => simulate_grasap(p, q, q).list,
+            Algorithm::Grasap { asap_cols } => simulate_grasap(p, q, asap_cols).list,
         }
     }
 
@@ -157,9 +158,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dynamic algorithm")]
-    fn asap_elimination_list_panics() {
-        let _ = Algorithm::Asap.elimination_list(4, 2);
+    fn dynamic_elimination_lists_are_the_co_simulated_ones() {
+        for (p, q) in [(4usize, 2usize), (7, 3), (10, 5)] {
+            assert_eq!(
+                Algorithm::Asap.elimination_list(p, q),
+                simulate_grasap(p, q, q).list
+            );
+            for k in 0..=q {
+                assert_eq!(
+                    Algorithm::Grasap { asap_cols: k }.elimination_list(p, q),
+                    simulate_grasap(p, q, k).list
+                );
+            }
+        }
     }
 
     #[test]

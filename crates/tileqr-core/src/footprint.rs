@@ -104,8 +104,8 @@ pub fn algorithm_roster(p: usize, q: usize) -> Vec<Algorithm> {
     algos
 }
 
-/// Builds the task DAG of any algorithm (static via its elimination list,
-/// dynamic via the co-simulator) — the plan the analyzer checks. `trailing`
+/// Builds the task DAG of any algorithm from its
+/// [`Algorithm::elimination_list`] — the plan the analyzer checks. `trailing`
 /// is the number of update-only columns ([`TaskDag::trailing`]): 0 for a
 /// factorization, 1 for the runtime's fused least-squares plan.
 pub fn plan_dag(
@@ -115,12 +115,7 @@ pub fn plan_dag(
     family: KernelFamily,
     trailing: usize,
 ) -> TaskDag {
-    let list = match algo {
-        Algorithm::Asap => crate::sim::simulate_grasap(p, q, q).list,
-        Algorithm::Grasap { asap_cols } => crate::sim::simulate_grasap(p, q, asap_cols).list,
-        _ => algo.elimination_list(p, q),
-    };
-    TaskDag::build_with_trailing(&list, family, trailing)
+    TaskDag::build_with_trailing(&algo.elimination_list(p, q), family, trailing)
 }
 
 /// The two disjoint triangular regions of a tile.

@@ -44,6 +44,26 @@ pub struct TiledMatrix<T: Scalar> {
     tiles: Vec<Matrix<T>>,
 }
 
+/// Writes tile `(ti, tj)` of the zero-padded tiling of `a` into `tile`,
+/// whose order is the tile size `nb`: the entries of `a` the tile covers,
+/// and zeros where it overhangs `a` — one tile of
+/// [`TiledMatrix::fill_from_dense_padded`], for callers that keep their
+/// tiles elsewhere (e.g. one lock per tile). Each tile column is its valid
+/// rows as one slice copy, then zeros.
+pub fn fill_tile_padded<T: Scalar>(tile: &mut Matrix<T>, a: &Matrix<T>, ti: usize, tj: usize) {
+    let nb = tile.rows();
+    let rows = nb.min(a.rows().saturating_sub(ti * nb));
+    let cols = nb.min(a.cols().saturating_sub(tj * nb));
+    for rj in 0..nb {
+        let dst = tile.col_mut(rj);
+        let valid = if rj < cols { rows } else { 0 };
+        if valid > 0 {
+            dst[..valid].copy_from_slice(&a.col(tj * nb + rj)[ti * nb..][..valid]);
+        }
+        dst[valid..].fill(T::ZERO);
+    }
+}
+
 impl<T: Scalar> TiledMatrix<T> {
     /// Creates a zero tiled matrix with `p × q` tiles of order `nb`.
     pub fn zeros(p: usize, q: usize, nb: usize) -> Self {
@@ -120,20 +140,9 @@ impl<T: Scalar> TiledMatrix<T> {
             self.p,
             self.q
         );
-        // Each tile column: its valid rows as one slice, then zeros.
         for tj in 0..self.q {
             for ti in 0..self.p {
-                let rows = nb.min(a.rows().saturating_sub(ti * nb));
-                let cols = nb.min(a.cols().saturating_sub(tj * nb));
-                let tile = self.tile_mut(ti, tj);
-                for rj in 0..nb {
-                    let dst = tile.col_mut(rj);
-                    let valid = if rj < cols { rows } else { 0 };
-                    if valid > 0 {
-                        dst[..valid].copy_from_slice(&a.col(tj * nb + rj)[ti * nb..][..valid]);
-                    }
-                    dst[valid..].fill(T::ZERO);
-                }
+                fill_tile_padded(self.tile_mut(ti, tj), a, ti, tj);
             }
         }
     }

@@ -10,10 +10,11 @@
 //! * [`QrContext`] — the long-lived runtime: a persistent, parkable worker
 //!   pool, built once from `threads`: the calling thread is worker 0 of
 //!   every job, beside `threads − 1` helpers that idle through the
-//!   executor's [`Backoff`](crate::sync::Backoff) between jobs instead of
-//!   being respawned. Every job picks its next ready task by work stealing
-//!   ([`WorkStealing`](crate::executor::WorkStealing)); there is no other
-//!   policy to choose.
+//!   executor's spin → yield → park backoff between jobs instead of being
+//!   respawned. Every job picks its next ready task by work stealing; there
+//!   is no other policy to choose. Clones share the pool and the
+//!   cancellation token; the per-job bounds ([`QrContext::with_watchdog`],
+//!   [`QrContext::with_deadline`]) are each clone's own.
 //! * [`QrPlan`] — the reusable schedule for one problem shape
 //!   `(m, n, nb, ib, algorithm, family)`: the elimination list, the task
 //!   DAG with its CSR successor lists and root set, and a checkout cache of
@@ -35,19 +36,20 @@
 //!
 //! # One job, many callers
 //!
-//! Every call below runs the same engine (`QrContext::run` in `job.rs`):
-//! the inputs become the *copies* of **one fused pool job** — each copy its
-//! own schedule, contiguous task ids, no cross-copy edges — and each copy's
-//! outcome is handed, exactly once, to the job's *sink*. The calls differ
-//! only in what they put in and where the outcomes go:
+//! A context has five request calls, and every one of them runs the same
+//! engine (`QrContext::run` in `job.rs`): the inputs become the *copies* of
+//! **one fused pool job** — each copy its own schedule, contiguous task ids,
+//! no cross-copy edges — and each copy's outcome is handed, exactly once, to
+//! the job's *sink*. The calls differ only in what they put in and where the
+//! outcomes go:
 //!
-//! * [`QrContext::factorize`] / [`QrContext::factorize_into`] — one copy;
-//!   [`QrContext::factorize_batch`] / [`QrContext::factorize_batch_into`] —
-//!   `k` copies of one plan; [`QrContext::solve`] — one copy running the
-//!   plan's solve schedule with the right-hand side as a trailing tile
-//!   column. All of them (and their `_with_deadline` forms) use a
-//!   *collecting* sink: outcomes are parked until the job returns, then
-//!   wrapped into handles in input order.
+//! * [`QrContext::factorize_into`] / [`QrContext::factorize_batch_into`] —
+//!   one or `k` copies of one plan over caller-owned tiles;
+//!   [`QrContext::factorize`] / [`QrContext::factorize_batch`] — the same,
+//!   over tiles copied from dense matrices; [`QrContext::solve`] — one copy
+//!   running the plan's solve schedule with the right-hand side as a
+//!   trailing tile column. All of them use a *collecting* sink: outcomes are
+//!   parked until the job returns, then wrapped into handles in input order.
 //! * the service ([`crate::service`]) submits mixed-plan groups of dense
 //!   inputs with a sink that resolves each ticket **the moment its copy's
 //!   last task retires**, while sibling copies are still running.
@@ -169,14 +171,22 @@ impl<T: Scalar> Drop for RestorePlaceholders<'_, T> {
 /// The context is `Sync`; concurrent `factorize` calls from several threads
 /// are safe. With helpers they are serialized — the pool runs one job at a
 /// time; a one-thread context runs each on its own caller, side by side.
+///
+/// A clone is a second handle on the **same** pool and the same sticky
+/// cancellation token, so it costs no threads; its bounds are its own. A
+/// per-call deadline is therefore
+/// `ctx.clone().with_deadline(timeout).factorize(..)`.
+#[derive(Clone)]
 pub struct QrContext {
-    pub(crate) pool: WorkerPool,
+    pub(crate) pool: Arc<WorkerPool>,
     /// The sticky user cancellation token handed out by
     /// [`QrContext::cancel_handle`]. Internal causes (deadline, watchdog)
     /// never touch it — each job gets its own token they funnel into.
     pub(crate) cancel: CancelToken,
     /// Stall bound of the watchdog, if enabled.
     pub(crate) watchdog: Option<Duration>,
+    /// Wall-clock bound of every job, measured from its start, if set.
+    pub(crate) deadline: Option<Duration>,
 }
 
 impl std::fmt::Debug for QrContext {
@@ -184,6 +194,7 @@ impl std::fmt::Debug for QrContext {
         f.debug_struct("QrContext")
             .field("threads", &self.threads())
             .field("watchdog", &self.watchdog)
+            .field("deadline", &self.deadline)
             .finish_non_exhaustive()
     }
 }
@@ -200,9 +211,10 @@ impl QrContext {
             details: e.to_string(),
         })?;
         Ok(QrContext {
-            pool,
+            pool: Arc::new(pool),
             cancel: CancelToken::new(),
             watchdog: None,
+            deadline: None,
         })
     }
 
@@ -242,6 +254,32 @@ impl QrContext {
         self
     }
 
+    /// Bounds every job of this context to `timeout` of wall-clock time,
+    /// measured from the job's start: a request that has not finished by
+    /// then is cancelled, and its unfinished items report
+    /// [`QrError::DeadlineExceeded`]. Items that finished before the
+    /// deadline fired still return `Ok`, so a batch can come back partial.
+    /// The bound applies to every call — the four `factorize*` calls,
+    /// [`QrContext::solve`] — and to every fused group of a
+    /// [`QrService`](crate::service::QrService) built over this context.
+    ///
+    /// Every worker checks the deadline between kernel tasks and while idle,
+    /// so the overrun is bounded by one task plus one idle park. A zero
+    /// timeout rejects every request before any kernel runs, with its buffers
+    /// bitwise untouched. A `timeout` too large to represent as an
+    /// [`Instant`] (e.g. [`Duration::MAX`]) means no deadline. A deadline
+    /// failure is never sticky: the next job starts a fresh bound.
+    ///
+    /// The bound belongs to this handle only; bound a clone
+    /// (`ctx.clone().with_deadline(..)`) to limit some calls and not others.
+    /// On [`QrError::DeadlineExceeded`] an in-place buffer keeps its
+    /// plan-shaped grid but may hold a partially factored matrix — refill it
+    /// before retrying.
+    pub fn with_deadline(mut self, timeout: Duration) -> Self {
+        self.deadline = Some(timeout);
+        self
+    }
+
     /// A cloneable cancellation handle shared by every factorization this
     /// context runs. After [`CancelToken::cancel`], in-flight calls wind
     /// down at the next between-task check (unfinished items report
@@ -268,23 +306,7 @@ impl QrContext {
         plan: &QrPlan<T>,
         a: &Matrix<T>,
     ) -> Result<QrFactorization<T>, QrError> {
-        only(self.batch_inner(plan, std::slice::from_ref(a), None, None))
-    }
-
-    /// [`QrContext::factorize`] with a relative deadline: if the
-    /// factorization has not finished `timeout` after the call was made, it
-    /// is cancelled and returns [`QrError::DeadlineExceeded`]. Every worker
-    /// checks the deadline between kernel tasks and while idle, so the
-    /// overrun is bounded by one task plus one idle park. A `timeout` too
-    /// large to represent as an [`Instant`] (e.g. [`Duration::MAX`]) means
-    /// no deadline.
-    pub fn factorize_with_deadline<T: Scalar<Real = f64>>(
-        &self,
-        plan: &QrPlan<T>,
-        a: &Matrix<T>,
-        timeout: Duration,
-    ) -> Result<QrFactorization<T>, QrError> {
-        only(self.batch_inner(plan, std::slice::from_ref(a), deadline_in(timeout), None))
+        only(self.batch_inner(plan, std::slice::from_ref(a), None))
     }
 
     /// Solves the least-squares problem `min ‖A·x − b‖₂` for every column of
@@ -298,7 +320,7 @@ impl QrContext {
     /// `Qᴴ·B` is computed by the workers, in parallel, while each reflector
     /// tile is still in cache, and what is left afterwards is a read of `R`
     /// from the top tile rows and a back substitution. The same scheduler,
-    /// cancellation, panic containment and watchdog apply as for
+    /// cancellation, panic containment, watchdog and deadline apply as for
     /// [`QrContext::factorize`].
     ///
     /// No factorization handle is returned, so the tile buffer and the `T`
@@ -328,7 +350,7 @@ impl QrContext {
         let rhs = rhs_row_blocks(b, plan.p, plan.nb);
         let input = StreamInput::Tiled { tiles, rhs };
         // The copy's `T` factors go back to the plan's pool as `parts` drops.
-        let (parts, err) = only(self.run_collect(copies_of(plan, vec![input]), None, None));
+        let (parts, err) = only(self.run_collect(copies_of(plan, vec![input]), None));
         let x = match err {
             Some(e) => Err(e),
             None => back_substitute(
@@ -364,19 +386,6 @@ impl QrContext {
         only(self.batch_into_inner(plan, std::slice::from_mut(tiles), None))
     }
 
-    /// [`QrContext::factorize_into`] with a relative deadline; see
-    /// [`QrContext::factorize_with_deadline`]. On
-    /// [`QrError::DeadlineExceeded`] the buffer keeps its plan-shaped grid
-    /// but may hold a partially factored matrix — refill it before retrying.
-    pub fn factorize_into_with_deadline<T: Scalar<Real = f64>>(
-        &self,
-        plan: &QrPlan<T>,
-        tiles: &mut TiledMatrix<T>,
-        timeout: Duration,
-    ) -> Result<QrReflectors<T>, QrError> {
-        only(self.batch_into_inner(plan, std::slice::from_mut(tiles), deadline_in(timeout)))
-    }
-
     /// Factorizes a batch of `k` independent matrices of the plan's shape as
     /// **one fused pool job**, returning one [`Result`] per matrix in input
     /// order.
@@ -402,40 +411,34 @@ impl QrContext {
         plan: &QrPlan<T>,
         mats: &[Matrix<T>],
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        self.batch_inner(plan, mats, None, None)
+        self.batch_inner(plan, mats, None)
     }
 
-    /// [`QrContext::factorize_batch`] with a relative deadline shared by the
-    /// whole batch. Items that finished before the deadline fired still
-    /// return `Ok` (partial results); the rest report
-    /// [`QrError::DeadlineExceeded`].
-    pub fn factorize_batch_with_deadline<T: Scalar<Real = f64>>(
-        &self,
-        plan: &QrPlan<T>,
-        mats: &[Matrix<T>],
-        timeout: Duration,
-    ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        self.batch_inner(plan, mats, deadline_in(timeout), None)
-    }
-
-    /// The copying calls: validates and tiles every matrix, runs the
-    /// conforming ones as one job (traced into `trace`, if given) and wraps
-    /// each success into its handle.
+    /// The copying calls: the in-place route over fresh tiles. Checks each
+    /// matrix's shape, tiles the conforming ones, runs them as one job
+    /// (traced into `trace`, if given) and wraps each success into its
+    /// handle. The finiteness scan runs on the tiles; their padding is
+    /// zeros, so it reports the dense matrix's `(row, col)`.
     pub(crate) fn batch_inner<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
         mats: &[Matrix<T>],
-        deadline: Option<Instant>,
         trace: Option<&ExecutionTrace>,
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        let checked = mats.iter().map(|a| {
-            plan.validate(a, None)
-                .map(|()| TiledMatrix::from_dense_padded(a, plan.nb))
-        });
-        self.run_checked(plan, checked.collect(), deadline, trace)
+        let shapes: Vec<_> = mats.iter().map(|a| plan.check_shape(a)).collect();
+        let mut tiles: Vec<TiledMatrix<T>> = mats
+            .iter()
+            .zip(&shapes)
+            .filter(|(_, shape)| shape.is_ok())
+            .map(|(a, _)| TiledMatrix::from_dense_padded(a, plan.nb))
+            .collect();
+        let ran = self.batch_into_inner(plan, &mut tiles, trace);
+        let mut ran = ran.into_iter().zip(tiles);
+        shapes
             .into_iter()
-            .map(|ran| {
-                let (tiles, reflectors) = ran?;
+            .map(|shape| {
+                shape?;
+                let (reflectors, tiles) = ran.next().expect("one result per conforming matrix");
                 Ok(reflectors?.into_factorization(tiles))
             })
             .collect()
@@ -466,97 +469,57 @@ impl QrContext {
         self.batch_into_inner(plan, tiles, None)
     }
 
-    /// [`QrContext::factorize_batch_into`] with a relative deadline shared
-    /// by the whole batch; see
-    /// [`QrContext::factorize_batch_with_deadline`]. Buffers of items that
-    /// report an error keep their plan-shaped grid but may hold partially
-    /// factored values — refill them before retrying.
-    pub fn factorize_batch_into_with_deadline<T: Scalar<Real = f64>>(
-        &self,
-        plan: &QrPlan<T>,
-        tiles: &mut [TiledMatrix<T>],
-        timeout: Duration,
-    ) -> Vec<Result<QrReflectors<T>, QrError>> {
-        self.batch_into_inner(plan, tiles, deadline_in(timeout))
-    }
-
+    /// The checked fan-out/fan-in of every factorization call: runs the
+    /// buffers that pass [`QrPlan::validate_tiles`] as consecutive copies of
+    /// `plan` in one job and hands back, in input order, the check's error
+    /// or what [`QrPlan::conclude`] makes of the copy's outcome.
     fn batch_into_inner<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
         tiles: &mut [TiledMatrix<T>],
-        deadline: Option<Instant>,
+        trace: Option<&ExecutionTrace>,
     ) -> Vec<Result<QrReflectors<T>, QrError>> {
         // A rejected buffer is left untouched; a conforming one moves into
         // the job, a 0 × 0 placeholder standing in for it meanwhile.
-        let checked: Vec<_> = tiles
-            .iter_mut()
-            .map(|t| {
+        let mut checks = Vec::with_capacity(tiles.len());
+        let mut inputs = Vec::with_capacity(tiles.len());
+        for t in tiles.iter_mut() {
+            let check = plan.validate_tiles(t);
+            if check.is_ok() {
                 let placeholder = TiledMatrix::from_tiles(Vec::new(), 0, 0, plan.nb);
-                plan.validate_tiles(t)
-                    .map(|()| std::mem::replace(t, placeholder))
-            })
-            .collect();
+                inputs.push(tiles_only(std::mem::replace(t, placeholder)));
+            }
+            checks.push(check);
+        }
         // If the job unwinds (a bug in the runtime itself — kernel panics
         // are caught per task), the caller's conforming slots must not be
         // left holding the placeholders: the guard puts plan-shaped zero
         // grids back so a recover-and-retry caller can refill the same
         // buffers.
         let guard = RestorePlaceholders {
-            taken: checked.iter().map(Result::is_ok).collect(),
+            taken: checks.iter().map(Result::is_ok).collect(),
             tiles,
             p: plan.p,
             q: plan.q,
             nb: plan.nb,
         };
-        let ran = self.run_checked(plan, checked, deadline, None);
-        ran.into_iter()
+        let mut outcomes = self.run_collect(copies_of(plan, inputs), trace).into_iter();
+        checks
+            .into_iter()
             .zip(guard.tiles.iter_mut())
-            .map(|(ran, slot)| {
+            .map(|(check, slot)| {
+                check?;
                 // The caller gets their buffer back in every outcome: the
                 // factored tiles on success, the partially overwritten tiles
                 // on a contained fault or cancellation (grid intact, values
                 // to be refilled), and the bitwise-untouched tiles when the
                 // run was rejected before any kernel executed.
-                let (factored, reflectors) = ran?;
+                let (parts, err) = outcomes.next().expect("one outcome per conforming input");
+                let (factored, reflectors) = plan.conclude(parts, err);
                 *slot = factored;
                 reflectors
             })
             .collect()
-    }
-
-    /// The checked fan-out/fan-in of the blocking calls: runs the tiles that
-    /// passed their input check as consecutive copies of `plan` in one job
-    /// and hands back, in input order, the check's error or what
-    /// [`QrPlan::conclude`] makes of the copy's outcome.
-    fn run_checked<T: Scalar<Real = f64>>(
-        &self,
-        plan: &QrPlan<T>,
-        checked: Vec<Result<TiledMatrix<T>, QrError>>,
-        deadline: Option<Instant>,
-        trace: Option<&ExecutionTrace>,
-    ) -> Vec<Result<Concluded<T>, QrError>> {
-        let mut rejections = Vec::with_capacity(checked.len());
-        let mut inputs = Vec::with_capacity(checked.len());
-        for check in checked {
-            match check {
-                Ok(tiles) => {
-                    inputs.push(tiles_only(tiles));
-                    rejections.push(None);
-                }
-                Err(e) => rejections.push(Some(e)),
-            }
-        }
-        let mut outcomes = self
-            .run_collect(copies_of(plan, inputs), deadline, trace)
-            .into_iter();
-        let concluded = rejections.into_iter().map(|rejection| match rejection {
-            Some(e) => Err(e),
-            None => {
-                let (parts, err) = outcomes.next().expect("one outcome per conforming input");
-                Ok(plan.conclude(parts, err))
-            }
-        });
-        concluded.collect()
     }
 
     /// Runs `entries` as one job ([`QrContext::run`]) and returns their
@@ -564,13 +527,12 @@ impl QrContext {
     pub(crate) fn run_collect<T: Scalar<Real = f64>>(
         &self,
         entries: Vec<StreamEntry<'_, T>>,
-        deadline: Option<Instant>,
         trace: Option<&ExecutionTrace>,
     ) -> Vec<JobOutcome<T>> {
         let sink = Arc::new(CollectSink(Mutex::new(
             entries.iter().map(|_| None).collect(),
         )));
-        self.run(entries, deadline, trace, Arc::clone(&sink) as _);
+        self.run(entries, trace, Arc::clone(&sink) as _);
         let outcomes = Arc::into_inner(sink)
             .unwrap_or_else(|| panic!("sink still shared after the job ended"))
             .0
@@ -605,10 +567,6 @@ fn copies_of<T: Scalar>(plan: &QrPlan<T>, inputs: Vec<StreamInput<T>>) -> Vec<St
 /// What a job hands back per copy: the parts of its state and the copy's
 /// fault, if any.
 type JobOutcome<T> = (FactoredParts<T>, Option<QrError>);
-
-/// What a blocking call makes of a copy that ran ([`QrPlan::conclude`]): its
-/// tiles, and the reflectors or the copy's fault.
-type Concluded<T> = (TiledMatrix<T>, Result<QrReflectors<T>, QrError>);
 
 /// The [`ItemSink`] of the blocking calls: parks every copy's outcome in its
 /// slot until the job returns.
@@ -677,6 +635,14 @@ mod tests {
             })
         );
         assert_eq!(QrContext::validate_threads(0), Err(QrError::ZeroThreads));
+    }
+
+    #[test]
+    fn clones_share_the_pool_and_keep_their_own_bounds() {
+        let ctx = QrContext::new(2).unwrap();
+        let twin = ctx.clone().with_deadline(Duration::ZERO);
+        assert!(Arc::ptr_eq(&ctx.pool, &twin.pool));
+        assert_eq!((ctx.deadline, twin.deadline), (None, Some(Duration::ZERO)));
     }
 
     #[test]
@@ -850,7 +816,7 @@ mod tests {
                 .map(|a| tiles_only(TiledMatrix::from_dense_padded(a, 4)))
                 .collect();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ctx.run(copies_of(&plan, inputs), None, None, Arc::new(PoisonSink));
+                ctx.run(copies_of(&plan, inputs), None, Arc::new(PoisonSink));
             }));
             assert!(
                 result.is_err(),
@@ -943,7 +909,7 @@ mod tests {
                     StreamEntry { plan, input, probe }
                 })
                 .collect();
-            let outcomes = ctx.run_collect(entries, None, None);
+            let outcomes = ctx.run_collect(entries, None);
             for (i, ((parts, err), reference)) in outcomes.into_iter().zip(&references).enumerate()
             {
                 let (p, input) = table[i];
@@ -978,7 +944,7 @@ mod tests {
             .iter()
             .map(|a| tiles_only(TiledMatrix::from_dense_padded(a, plan.nb)))
             .collect();
-        let outcomes = ctx.run_collect(copies_of(&plan, inputs), None, None);
+        let outcomes = ctx.run_collect(copies_of(&plan, inputs), None);
         for ((parts, err), a) in outcomes.into_iter().zip(&mats) {
             assert_eq!(err, None);
             assert_eq!(
@@ -1011,7 +977,7 @@ mod tests {
                     probe,
                 })
                 .collect();
-            ctx.run_collect(entries, None, None)
+            ctx.run_collect(entries, None)
         };
         for _ in 0..2 {
             drop(round());

@@ -1,9 +1,10 @@
 //! One-shot factorization drivers (convenience wrappers over the session API).
 //!
-//! [`qr_factorize`] / [`qr_factorize_parallel`] take a dense matrix, build a
+//! [`qr_factorize`] / [`qr_factorize_traced`] take a dense matrix, build a
 //! [`QrPlan`](crate::context::QrPlan) and a transient
-//! [`QrContext`](crate::context::QrContext) for it, execute every kernel
-//! (sequentially or on worker threads) and return a [`QrFactorization`]
+//! [`QrContext`](crate::context::QrContext) for it (on
+//! [`QrConfig::threads`] threads), execute every kernel and return a
+//! [`QrFactorization`]
 //! handle from which the user can extract `R`, apply `Q`/`Qᴴ` to arbitrary
 //! matrices, or form `Q` explicitly — the same functionality LAPACK exposes
 //! as `GEQRF` + `ORMQR` + `ORGQR`, but built on the tiled algorithms of the
@@ -20,7 +21,6 @@
 
 use tileqr_core::algorithms::Algorithm;
 use tileqr_core::dag::KernelFamily;
-use tileqr_core::sim::simulate_grasap;
 use tileqr_core::EliminationList;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
@@ -145,14 +145,10 @@ impl<T: Scalar> std::fmt::Debug for QrFactorization<T> {
     }
 }
 
-/// Builds the elimination list for an algorithm, using the dynamic simulator
-/// for Asap/Grasap and the static generators otherwise.
+/// The elimination list of `algorithm` on a `p × q` tile grid
+/// ([`Algorithm::elimination_list`]).
 pub fn elimination_list_for(algorithm: Algorithm, p: usize, q: usize) -> EliminationList {
-    match algorithm {
-        Algorithm::Asap => simulate_grasap(p, q, q).list,
-        Algorithm::Grasap { asap_cols } => simulate_grasap(p, q, asap_cols).list,
-        other => other.elimination_list(p, q),
-    }
+    algorithm.elimination_list(p, q)
 }
 
 /// Factorizes a dense `m × n` matrix (`m ≥ n`) with the given configuration.
@@ -162,16 +158,6 @@ pub fn elimination_list_for(algorithm: Algorithm, p: usize, q: usize) -> Elimina
 /// same way.
 pub fn qr_factorize<T: Scalar<Real = f64>>(a: &Matrix<T>, config: QrConfig) -> QrFactorization<T> {
     factorize_impl(a, config, None)
-}
-
-/// Convenience wrapper running the factorization on `threads` worker threads
-/// with otherwise default configuration (Greedy + TT kernels).
-pub fn qr_factorize_parallel<T: Scalar<Real = f64>>(
-    a: &Matrix<T>,
-    tile_size: usize,
-    threads: usize,
-) -> QrFactorization<T> {
-    factorize_impl(a, QrConfig::new(tile_size).with_threads(threads), None)
 }
 
 /// Factorizes `a` while recording a per-task execution trace (start/finish
@@ -219,7 +205,7 @@ fn factorize_impl<T: Scalar<Real = f64>>(
     // contains kernel panics as `QrError::TaskPanicked`; re-raising the
     // rendered error (which carries the original panic message) keeps this
     // wrapper panicking while results stay bitwise unchanged.
-    ctx.batch_inner(&plan, std::slice::from_ref(a), None, trace)
+    ctx.batch_inner(&plan, std::slice::from_ref(a), trace)
         .pop()
         .expect("one matrix in, one result out")
         .unwrap_or_else(|e| panic!("{e}"))
@@ -376,7 +362,7 @@ mod tests {
     fn parallel_execution_matches_sequential() {
         let a: Matrix<f64> = random_matrix(32, 24, 21);
         let seq = qr_factorize(&a, QrConfig::new(8));
-        let par = qr_factorize_parallel(&a, 8, 4);
+        let par = qr_factorize(&a, QrConfig::new(8).with_threads(4));
         let diff = frobenius_norm(&seq.r().sub(&par.r()));
         assert!(diff < 1e-12, "sequential and parallel R differ by {diff}");
         assert!(par.residual(&a) < TOL);

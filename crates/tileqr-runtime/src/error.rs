@@ -98,8 +98,9 @@ pub enum QrError {
     /// **Deterministic** (never auto-retried): cancellation is a caller
     /// decision; silently re-running cancelled work would defeat it.
     Cancelled,
-    /// A `*_with_deadline` call ran past its deadline. Batch items that had
-    /// already finished still return `Ok`.
+    /// The job ran past its context's deadline
+    /// ([`QrContext::with_deadline`]). Batch items that had already
+    /// finished still return `Ok`.
     ///
     /// **Deterministic** (never auto-retried): the deadline belongs to the
     /// caller; retrying past it cannot make the result arrive in time.

@@ -6,7 +6,7 @@
 //! * [`execute_sequential_with`] simply walks the tasks in order — the
 //!   reference for correctness tests;
 //! * [`execute_parallel_with_scheduler`] runs a scoped pool of worker threads
-//!   that pull ready tasks from a [`Scheduler`] and release their successors
+//!   that pull ready tasks from a `Scheduler` and release their successors
 //!   as they finish — a miniature version of the PLASMA/QUARK dynamic
 //!   scheduler used in the paper's experiments.
 //!
@@ -16,9 +16,9 @@
 //!
 //! # The scheduler
 //!
-//! *Which* ready task a worker runs next is delegated to the [`Scheduler`]
-//! trait, which has one implementation, [`WorkStealing`]: one Chase–Lev
-//! [`WorkerDeque`] per worker plus a global FIFO injector holding the
+//! *Which* ready task a worker runs next is delegated to the crate-private
+//! `Scheduler` trait, which has one implementation, `WorkStealing`: one
+//! Chase–Lev deque per worker plus a global FIFO injector holding the
 //! initially-ready tasks. A worker pushes the tasks it enables onto its *own*
 //! deque and pops them back LIFO (cache-warm tiles); an idle worker first
 //! drains the injector, then steals the *oldest* task from a sibling. No lock
@@ -35,7 +35,7 @@
 //! [`tileqr_kernels::Workspace`] as the workspace type this makes the hot
 //! loop allocation-free: all kernel scratch is preallocated before the first
 //! task runs. Idle workers back off with
-//! [`Backoff`] (spin → yield → bounded park), so they
+//! a three-tier backoff (spin → yield → bounded park), so they
 //! stop burning a core at the tail of the DAG.
 
 use std::sync::atomic::Ordering;
@@ -100,7 +100,7 @@ pub enum SchedulerKind {
 /// are sized from the DAG during construction). A `pop` returning `None` is
 /// *transient* — the executor re-checks its completion counter and retries
 /// with backoff.
-pub trait Scheduler: Sync {
+pub(crate) trait Scheduler: Sync {
     /// Makes the initially-ready tasks available before the pool starts.
     /// The slice may be reordered in place.
     fn seed(&self, roots: &mut [usize]);
@@ -117,7 +117,7 @@ pub trait Scheduler: Sync {
 
 /// Per-worker Chase–Lev deques with a global FIFO injector for the
 /// initially-ready tasks.
-pub struct WorkStealing {
+pub(crate) struct WorkStealing {
     /// Initially-ready tasks; drained when a worker's own deque is empty.
     injector: TaskQueue,
     /// Set once the injector has been observed empty. Tasks enter the
@@ -131,7 +131,7 @@ pub struct WorkStealing {
 impl WorkStealing {
     /// Builds the scheduler: `workers` deques, each able to hold the whole
     /// DAG (`num_tasks` indices), so pushes can never overflow.
-    pub fn new(num_tasks: usize, workers: usize) -> Self {
+    pub(crate) fn new(num_tasks: usize, workers: usize) -> Self {
         WorkStealing {
             injector: TaskQueue::with_capacity(num_tasks),
             injector_drained: AtomicBool::new(false),
@@ -191,7 +191,7 @@ impl Scheduler for WorkStealing {
 }
 
 /// Executes the DAG on `num_threads` worker threads with one workspace per
-/// worker, under the [`WorkStealing`] scheduler (the one [`SchedulerKind`]).
+/// worker, under the work-stealing scheduler (the one [`SchedulerKind`]).
 ///
 /// Every worker builds its own workspace with `make_ws` when it starts, then
 /// repeatedly pops a ready task from the scheduler, runs it against its

@@ -32,7 +32,7 @@ use tileqr_core::dag::{SuccessorsCsr, TaskKind};
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
-use crate::context::QrContext;
+use crate::context::{deadline_in, QrContext};
 use crate::error::QrError;
 use crate::executor::{
     dependency_counters, drive_worker, DriveCtl, FaultSink, ItemMap, RunCtl, Scheduler,
@@ -419,18 +419,19 @@ impl QrContext {
     /// engine behind every `factorize*` call, [`QrContext::solve`], the
     /// service's fused groups and the traced one-shot driver.
     ///
-    /// `deadline` bounds the whole job; `trace`, when given, receives one
-    /// span per executed task (per-worker buffers, merged when the job
-    /// ends). The per-worker workspaces are checked out from the plan with
+    /// The context's deadline ([`QrContext::with_deadline`]) becomes an
+    /// instant here, once, so it bounds the job from its start; `trace`,
+    /// when given, receives one span per executed task (per-worker buffers,
+    /// merged when the job ends). The per-worker workspaces are checked out from the plan with
     /// the **largest** tile order — every buffer is sized from `nb` alone, so
     /// they serve every smaller tile of a mixed group.
     pub(crate) fn run<T: Scalar<Real = f64>>(
         &self,
         entries: Vec<StreamEntry<'_, T>>,
-        deadline: Option<Instant>,
         trace: Option<&ExecutionTrace>,
         sink: Arc<dyn ItemSink<T>>,
     ) {
+        let deadline = self.deadline.and_then(deadline_in);
         // Fail fast before any state is built or kernel runs: a sticky
         // cancellation or an already-expired deadline rejects every entry
         // with its tile buffers bitwise untouched.

@@ -9,14 +9,14 @@
 //! * [`executor`] — the dependency-counting worker loop every job runs, the
 //!   generic scoped DAG executors built on it (sequential and
 //!   multi-threaded; no factorization path of this crate calls them — they
-//!   serve external callers), and the one ready-task scheduler,
-//!   [`WorkStealing`](executor::WorkStealing): per-worker Chase–Lev
-//!   work-stealing deques. Every worker thread gets its own preallocated
-//!   kernel [`Workspace`](tileqr_kernels::Workspace), so the per-task hot
-//!   loop never touches the allocator.
-//! * [`sync`] — std-only synchronisation primitives (mutex, three-tier
-//!   spin/yield/park backoff, exact-capacity ready queue, Chase–Lev
-//!   work-stealing deque) used by the executor, the pool and the state.
+//!   serve external callers), and the one ready-task scheduler, work
+//!   stealing over per-worker Chase–Lev deques. Every worker thread gets its
+//!   own preallocated kernel [`Workspace`](tileqr_kernels::Workspace), so
+//!   the per-task hot loop never touches the allocator.
+//! * `sync` (crate-private) — std-only synchronisation primitives (mutex,
+//!   three-tier spin/yield/park backoff, a locked FIFO injector, Chase–Lev
+//!   work-stealing deque) used by the executor, the pool and the state;
+//!   only [`CancelToken`] is public.
 //! * [`state`] — the shared factorization state: lock-protected tiles plus
 //!   the per-tile `T` factors (preallocated up front), and the mapping from
 //!   a [`TaskKind`] to the corresponding kernel call.
@@ -26,8 +26,11 @@
 //!   `threads − 1` helpers), reusable shape-keyed [`QrPlan`]s (elimination
 //!   list, DAG and workspaces precomputed once), typed [`QrError`]s
 //!   ([`error`]) instead of panics, and an in-place
-//!   [`QrContext::factorize_into`] path over caller-owned tile storage.
-//!   **One engine**: every call — single, in-place,
+//!   [`QrContext::factorize_into`] path over caller-owned tile storage. A
+//!   context has five request calls — `factorize`, `factorize_into`,
+//!   `factorize_batch`, `factorize_batch_into` and `solve` — and bounds every
+//!   job by what it was built with (watchdog, deadline); clones share the
+//!   pool. **One engine**: every call — single, in-place,
 //!   [`QrContext::factorize_batch`] / [`QrContext::factorize_batch_into`],
 //!   the fused solve, a service group, the traced one-shot driver — is *one
 //!   fused pool job* whose copies each bring their own schedule (one worker
@@ -45,9 +48,9 @@
 //!   `Q`/`Qᴴ` replay) and [`context`] (the entry points) — all re-exported
 //!   from [`context`].
 //! * [`driver`] — one-shot convenience wrappers over the session API:
-//!   [`driver::qr_factorize`], [`driver::qr_factorize_parallel`] and the
-//!   [`driver::QrFactorization`] handle (extract `R`, apply `Q`/`Qᴴ`, build
-//!   `Q` explicitly, residuals).
+//!   [`driver::qr_factorize`] (threads from [`QrConfig::threads`]),
+//!   [`driver::qr_factorize_traced`] and the [`driver::QrFactorization`]
+//!   handle (extract `R`, apply `Q`/`Qᴴ`, build `Q` explicitly, residuals).
 //! * [`solve`] — linear least-squares solve on top of the tiled QR, the
 //!   motivating application of the paper's introduction. From `(A, b)` the
 //!   solve is one plan: [`QrContext::solve`] runs the right-hand side as a
@@ -133,10 +136,10 @@
 //!
 //! **Cancellation, deadlines, watchdog.** [`QrContext::cancel_handle`]
 //! returns a sticky, cloneable [`CancelToken`] checked between tasks;
-//! `*_with_deadline` entry-point variants bound wall-clock time; and
-//! [`QrContext::with_watchdog`] arms a stall check that cancels a job when a
-//! worker wants work and no task has retired for longer than the bound
-//! ([`QrError::Stalled`]) instead of hanging the caller. No thread watches a
+//! [`QrContext::with_deadline`] bounds the wall-clock time of every job,
+//! from its start; and [`QrContext::with_watchdog`] arms a stall check that
+//! cancels a job when a worker wants work and no task has retired for longer
+//! than the bound ([`QrError::Stalled`]) instead of hanging the caller. No thread watches a
 //! job from outside: its own workers — the caller, as worker 0, included —
 //! poll all three between tasks, and run the stall check (at most once per
 //! eighth of the bound) while idle. Batches report partial results: items
@@ -157,37 +160,43 @@
 //! The lock-free core of the runtime rests on a small set of invariants,
 //! each of which is *checked mechanically*, not just argued in comments:
 //!
-//! * **Chase–Lev deque** ([`sync::WorkerDeque`]) — every pushed index is
+//! * **Chase–Lev deque** (`sync::WorkerDeque`) — every pushed index is
 //!   popped or stolen exactly once; the single-element owner/stealer race
 //!   resolves via the `SeqCst` compare-exchange on `top`; capacity is a
 //!   hard bound (exceeding it trips a `debug_assert`, the ring never
 //!   grows). The required `SeqCst` fences follow Lê et al. (PPoPP '13);
 //!   each ordering in `sync.rs` carries an audit comment saying which
 //!   reordering it forbids.
-//! * **Ready queue** ([`sync::TaskQueue`]) — exact-capacity MPMC ring:
-//!   slots hand over via per-slot sequence numbers, so an index is consumed
-//!   exactly once and the queue never reports empty while a completed push
-//!   is unconsumed.
+//! * **Injector** (`sync::TaskQueue`) — a `Mutex<VecDeque>` reserved to the
+//!   DAG length up front, holding the initially-ready tasks; every index in
+//!   it is popped exactly once because every pop holds the lock.
 //! * **Dependency counting** (executor/pool) — a task becomes ready exactly
 //!   when its last dependency retires; the release-store/acquire-load pair
 //!   on the remaining-dependency counter publishes the predecessor's tile
 //!   writes to whichever worker picks the task up.
-//! * **Once-slots and parking** — `OnceSlot` publishes at most one value;
-//!   the three-tier backoff never parks a worker that has been signalled.
+//! * **Once-slots, cancellation and wake-ups** — `OnceSlot` publishes at
+//!   most one value; the first cancel cause wins; a blocked submitter or
+//!   ticket waiter is never left asleep after the state it waits on changed.
 //!
 //! Two in-tree verification layers check these claims on every CI run:
 //!
 //! 1. **Model checking.** Building with `RUSTFLAGS="--cfg tileqr_verify"`
-//!    swaps the primitives in [`sync`] onto the deterministic shims of the
+//!    swaps the primitives in `sync` onto the deterministic shims of the
 //!    `tileqr-verify` crate — a loom-style model checker exploring thread
 //!    interleavings (bounded-preemption DFS plus seeded random sampling)
 //!    while tracking happens-before. The `model_check` module (compiled
-//!    only under that cfg) then exhaustively checks small instances of the
-//!    deque, queue, once-slot, backoff and dependency-counter protocols,
-//!    the job's lazy-tiling gate and its deliver-each-copy-exactly-once
-//!    finish (the real job on the main thread as worker 0 and one helper,
-//!    raced against a user cancellation from a third thread),
-//!    and replays any failing schedule deterministically:
+//!    only under that cfg) then checks small instances of these protocols:
+//!    the Chase–Lev deque (handoff, last-element pop against steal, two
+//!    stealers, wrap-around), the cancel token (first cause wins, reset
+//!    against trigger), the once-slot (set against wait and timed wait,
+//!    competing producers), the lazy condvar's wake-up handshake
+//!    (backpressure, shutdown), the claim flag, the job's lazy-tiling gate,
+//!    and its deliver-each-copy-exactly-once finish (the real job — its
+//!    dependency counters included — on the main thread as worker 0 and one
+//!    helper, raced against a user cancellation from a third thread). The
+//!    ready-queue injector and the backoff are not modelled: the first is a
+//!    plain lock, the second only decides how long an idle worker waits.
+//!    A failing schedule replays deterministically:
 //!
 //!    ```text
 //!    RUSTFLAGS="--cfg tileqr_verify" cargo test -p tileqr-runtime --lib model_check
@@ -223,6 +232,8 @@
 //! [`QrConfig::check_finite`]: driver::QrConfig::check_finite
 //! [`QrContext::cancel_handle`]: context::QrContext::cancel_handle
 //! [`QrContext::with_watchdog`]: context::QrContext::with_watchdog
+//! [`QrContext::with_deadline`]: context::QrContext::with_deadline
+//! [`QrConfig::threads`]: driver::QrConfig::threads
 //! [`qr_factorize`]: driver::qr_factorize
 //! [`QrContext::factorize_into`]: context::QrContext::factorize_into
 //! [`QrContext::factorize_batch`]: context::QrContext::factorize_batch
@@ -245,13 +256,11 @@ pub mod reflectors;
 pub mod service;
 pub mod solve;
 pub mod state;
-pub mod sync;
+mod sync;
 pub mod trace;
 
 pub use context::{QrContext, QrError, QrPlan, QrReflectors};
-pub use driver::{
-    qr_factorize, qr_factorize_parallel, QrConfig, QrFactorization, DEFAULT_INNER_BLOCK,
-};
+pub use driver::{qr_factorize, QrConfig, QrFactorization, DEFAULT_INNER_BLOCK};
 pub use executor::SchedulerKind;
 pub use service::{
     Priority, QrClient, QrService, RetryPolicy, ServiceConfig, ServiceStats, Ticket,

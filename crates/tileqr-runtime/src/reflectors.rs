@@ -359,7 +359,7 @@ mod tests {
                 ctx.cancel_handle().reset();
             }),
             ("expired deadline", |ctx, plan, a| {
-                let late = ctx.factorize_with_deadline(plan, a, Duration::ZERO);
+                let late = ctx.clone().with_deadline(Duration::ZERO).factorize(plan, a);
                 assert_eq!(late.err(), Some(QrError::DeadlineExceeded));
             }),
             #[cfg(feature = "fault-injection")]
@@ -375,7 +375,7 @@ mod tests {
                     },
                     probe,
                 };
-                let (_parts, err) = ctx.run_collect(vec![entry], None, None).pop().unwrap();
+                let (_parts, err) = ctx.run_collect(vec![entry], None).pop().unwrap();
                 assert!(matches!(err, Some(QrError::TaskPanicked { .. })), "{err:?}");
             }),
         ];

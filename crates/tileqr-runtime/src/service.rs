@@ -10,16 +10,16 @@
 //! # Admission & backpressure
 //!
 //! The submission queue is bounded ([`ServiceConfig::queue_capacity`]).
-//! [`QrClient::submit`] is the fast-fail path: a full queue, a shed
-//! priority class or an exhausted per-client quota returns
-//! [`QrError::QueueFull`] immediately — a *retriable* signal to back off
-//! and resubmit. [`QrClient::submit_within`] is the blocking path: it waits
-//! for admission up to a deadline, returning `QueueFull` only if space
-//! never opened in time. Deterministic input errors are split across the
-//! two natural boundaries: a wrong shape is rejected **at submit** (it is
-//! metadata, checked in O(1)), while the opt-in non-finite scan runs at
-//! dispatch and resolves the ticket with [`QrError::NonFiniteInput`] —
-//! never retried.
+//! [`QrClient::submit_within`] waits for admission up to a timeout,
+//! returning [`QrError::QueueFull`] — a *retriable* signal to back off and
+//! resubmit — only if space never opened in time; with a zero timeout it is
+//! the fast-fail path, and [`QrClient::submit`] is exactly that call at
+//! [`Priority::Normal`]: a full queue, a shed priority class or an
+//! exhausted per-client quota returns `QueueFull` immediately.
+//! Deterministic input errors are split across the two natural boundaries:
+//! a wrong shape is rejected **at submit** (it is metadata, checked in
+//! O(1)), while the opt-in non-finite scan runs at dispatch and resolves the
+//! ticket with [`QrError::NonFiniteInput`] — never retried.
 //!
 //! # Fairness & shedding
 //!
@@ -35,8 +35,15 @@
 //! Under saturation ([`ServiceConfig::shed_threshold`] queued or more),
 //! new [`Priority::Low`] work is shed at admission with `QueueFull`
 //! (counted in [`ServiceStats::shed`]) so latency-sensitive work keeps a
-//! bounded queue ahead of it; `Normal`/`High` admission is bounded only by
-//! `queue_capacity`.
+//! bounded queue ahead of it; `Normal` admission is bounded only by
+//! `queue_capacity` (and the quota).
+//!
+//! # Deadlines
+//!
+//! Admission has its own bound, the `submit_within` timeout. The run of a
+//! fused group is bounded like every job of the service's context: by its
+//! deadline ([`QrContext::with_deadline`], measured from the group's start),
+//! its stall watchdog and its cancellation token.
 //!
 //! # Mixed-plan fused groups
 //!
@@ -114,13 +121,11 @@ pub enum Priority {
     /// Shed first: rejected at admission once the queue reaches
     /// [`ServiceConfig::shed_threshold`].
     Low,
-    /// Admitted until the queue is full.
-    #[default]
-    Normal,
     /// Admitted until the queue is full; use with
     /// [`QrClient::submit_within`] for work that should wait out a burst
     /// rather than shed.
-    High,
+    #[default]
+    Normal,
 }
 
 /// Bounded-retry policy for transient faults (see the
@@ -693,46 +698,27 @@ impl<T: Scalar<Real = f64>> std::fmt::Debug for QrClient<T> {
 }
 
 impl<T: Scalar<Real = f64>> QrClient<T> {
-    /// Fast-fail submission at [`Priority::Normal`]; see
-    /// [`QrClient::submit_with_priority`].
+    /// Fast-fail submission at [`Priority::Normal`]: returns a [`Ticket`]
+    /// immediately, or a typed rejection without blocking —
+    /// [`QrError::ShapeMismatch`] if `a` does not match the plan,
+    /// [`QrError::QueueFull`] on a full queue or exhausted quota (retriable:
+    /// back off and resubmit), [`QrError::ServiceShutdown`] after shutdown.
+    /// The same as [`QrClient::submit_within`] with a zero timeout.
     #[allow(clippy::result_large_err)]
     pub fn submit(&self, plan: &Arc<QrPlan<T>>, a: Matrix<T>) -> Result<Ticket<T>, QrError> {
-        self.submit_with_priority(plan, a, Priority::Normal)
+        self.submit_within(plan, a, Priority::Normal, Duration::ZERO)
     }
 
-    /// Fast-fail submission: returns a [`Ticket`] immediately, or a typed
-    /// rejection without blocking — [`QrError::ShapeMismatch`] if `a` does
-    /// not match the plan, [`QrError::QueueFull`] on a full queue, shed
-    /// priority class or exhausted quota (retriable: back off and
-    /// resubmit), [`QrError::ServiceShutdown`] after shutdown.
-    #[allow(clippy::result_large_err)]
-    pub fn submit_with_priority(
-        &self,
-        plan: &Arc<QrPlan<T>>,
-        a: Matrix<T>,
-        priority: Priority,
-    ) -> Result<Ticket<T>, QrError> {
-        plan.check_shape(&a)?;
-        let ticket = {
-            let mut inner = self.shared.inner.lock();
-            match self.shared.check_admission(&inner, self.id, priority) {
-                Ok(()) => self
-                    .shared
-                    .enqueue(&mut inner, self.id, a, Arc::clone(plan)),
-                Err(e) => return Err(self.shared.reject(e)),
-            }
-        };
-        self.shared.work_cv.notify_one();
-        Ok(ticket)
-    }
-
-    /// Blocking submission with a deadline: waits up to `timeout` for
-    /// admission (queue space, shed pressure below threshold, quota),
-    /// returning [`QrError::QueueFull`] if admission never opened in time
-    /// and [`QrError::ServiceShutdown`] if the service closed while
-    /// waiting. Shape mismatches still fail immediately. A `timeout` too
-    /// large to represent as an [`Instant`] (e.g. [`Duration::MAX`]) waits
-    /// for admission without a deadline.
+    /// Submission at `priority` that waits up to `timeout` for admission
+    /// (queue space, shed pressure below threshold, quota), returning
+    /// [`QrError::QueueFull`] if admission never opened in time and
+    /// [`QrError::ServiceShutdown`] if the service closed while waiting.
+    /// Shape mismatches still fail immediately. A zero `timeout` never
+    /// blocks: it is the fast-fail path, and a rejection counts in
+    /// [`ServiceStats::rejected`] (and [`ServiceStats::shed`] for shed
+    /// `Low` work) like every other. A `timeout` too large to represent as
+    /// an [`Instant`] (e.g. [`Duration::MAX`]) waits for admission without a
+    /// deadline.
     #[allow(clippy::result_large_err)]
     pub fn submit_within(
         &self,
@@ -985,9 +971,9 @@ fn run_group<T: Scalar<Real = f64>>(shared: &Arc<Shared<T>>, group: Vec<PendingI
         shared: Arc::clone(shared),
         items: runnable.into_iter().map(|i| Mutex::new(Some(i))).collect(),
     });
-    // Per-item deadlines are an admission-time matter (`submit_within`); the
-    // run itself is bounded by the stall watchdog and cancellation only.
-    shared.ctx.run(entries, None, None, sink);
+    // The run is bounded like every job of the context: its deadline
+    // (measured from the group's start), its stall watchdog, cancellation.
+    shared.ctx.run(entries, None, sink);
 }
 
 #[cfg(test)]

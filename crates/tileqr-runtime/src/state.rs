@@ -1,7 +1,7 @@
 //! Shared factorization state and the task → kernel mapping.
 //!
 //! Every tile of the matrix, and every tile's pair of auxiliary `T` factors,
-//! lives behind its own [`Mutex`]. Conflicting tasks are already ordered
+//! lives behind its own mutex. Conflicting tasks are already ordered
 //! by the DAG, so locks are essentially uncontended; they exist to make the
 //! concurrent access to *different parts of the same tile* (e.g. UNMQR
 //! reading the Householder vectors while a TTQRT rewrites the R part above
@@ -24,7 +24,7 @@
 //! tiles, because the update kernels take a target of any width.
 //!
 //! [`FactorizationState::run_ws`] is the task body the executor's workers
-//! drive ([`WorkStealing`](crate::executor::WorkStealing)). It is
+//! drive. It is
 //! order-agnostic by design: correctness relies only on the DAG ordering
 //! conflicting tasks, never on *which* ready task runs first, so the
 //! factorization output is bitwise identical whatever the workers steal.
@@ -38,6 +38,7 @@ use tileqr_core::TaskKind;
 use tileqr_kernels::{
     geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace,
 };
+use tileqr_matrix::tiled::fill_tile_padded;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
 /// Lock-protected storage for the matrix being factored plus the reflector
@@ -171,9 +172,10 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
     /// edge tiles — the lazy-tiling seam of the streaming runtime: a state
     /// built over [`TiledMatrix::zeros`] on the dispatcher thread is
     /// populated here by the first *worker* that touches the copy, keeping
-    /// the `O(m·n)` tiling cost off the admission path. Entries outside the
-    /// dense matrix are left untouched, so the tiles must start zeroed for
-    /// the result to match [`TiledMatrix::from_dense_padded`] bitwise.
+    /// the `O(m·n)` tiling cost off the admission path. Each tile is written
+    /// by [`fill_tile_padded`], the per-tile step of
+    /// [`TiledMatrix::fill_from_dense_padded`], so the result matches
+    /// [`TiledMatrix::from_dense_padded`] bitwise.
     ///
     /// Locks each tile while writing; the caller must order this before any
     /// task of the copy runs (the job's tile gate does).
@@ -196,13 +198,7 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
         );
         for tj in 0..self.q {
             for ti in 0..self.p {
-                let rows = nb.min(a.rows().saturating_sub(ti * nb));
-                let cols = nb.min(a.cols().saturating_sub(tj * nb));
-                if rows == 0 || cols == 0 {
-                    continue;
-                }
-                let mut tile = self.tiles[self.idx(ti, tj)].lock();
-                tile.copy_block(0, 0, a, ti * nb, tj * nb, rows, cols);
+                fill_tile_padded(&mut self.tiles[self.idx(ti, tj)].lock(), a, ti, tj);
             }
         }
     }

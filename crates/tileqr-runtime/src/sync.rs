@@ -173,26 +173,26 @@ pub(crate) mod shim {
 
 /// Infallible mutex: `lock()` returns the guard directly.
 #[derive(Debug, Default)]
-pub struct Mutex<T>(shim::RawMutex<T>);
+pub(crate) struct Mutex<T>(shim::RawMutex<T>);
 
 /// Guard type returned by [`Mutex::lock`].
-pub type MutexGuard<'a, T> = shim::RawMutexGuard<'a, T>;
+pub(crate) type MutexGuard<'a, T> = shim::RawMutexGuard<'a, T>;
 
 impl<T> Mutex<T> {
     /// Wraps a value.
-    pub const fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         Mutex(shim::RawMutex::new(value))
     }
 
     /// Acquires the lock, ignoring poison (a panic on another thread is
     /// already propagating through the thread scope).
     #[inline]
-    pub fn lock(&self) -> MutexGuard<'_, T> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
         shim::raw_lock(&self.0)
     }
 
     /// Consumes the mutex and returns the inner value.
-    pub fn into_inner(self) -> T {
+    pub(crate) fn into_inner(self) -> T {
         shim::raw_into_inner(self.0)
     }
 }
@@ -412,9 +412,8 @@ impl CancelToken {
 
 /// A one-shot blocking result cell.
 ///
-/// The producer calls [`OnceSlot::set`] exactly once; consumers either poll
-/// with [`OnceSlot::try_take`] or block in [`OnceSlot::wait`] /
-/// [`OnceSlot::wait_deadline`]. The value is *taken* (moved out) by whichever
+/// The producer calls [`OnceSlot::set`] exactly once; consumers block in
+/// [`OnceSlot::wait`] / [`OnceSlot::wait_deadline`] (tests also poll). The value is *taken* (moved out) by whichever
 /// consumer call observes it first — the service layer wraps each slot in a
 /// single-owner `Ticket`, so in practice there is exactly one consumer.
 ///
@@ -427,7 +426,7 @@ impl CancelToken {
 /// streaming service stay within its overhead budget against the fused
 /// batch path.
 #[derive(Debug)]
-pub struct OnceSlot<V> {
+pub(crate) struct OnceSlot<V> {
     value: Mutex<Option<V>>,
     cv: LazyCondvar,
 }
@@ -440,7 +439,7 @@ impl<V> Default for OnceSlot<V> {
 
 impl<V> OnceSlot<V> {
     /// An empty slot.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OnceSlot {
             value: Mutex::new(None),
             cv: LazyCondvar::new(),
@@ -451,7 +450,7 @@ impl<V> OnceSlot<V> {
     /// drops `value`) if the slot was already filled — the service resolves
     /// every ticket exactly once, so a double set is a caller bug surfaced
     /// by a debug assertion rather than silent replacement.
-    pub fn set(&self, value: V) -> bool {
+    pub(crate) fn set(&self, value: V) -> bool {
         let stored = {
             let mut slot = self.value.lock();
             if slot.is_some() {
@@ -469,17 +468,18 @@ impl<V> OnceSlot<V> {
     }
 
     /// Takes the value if it has already landed.
-    pub fn try_take(&self) -> Option<V> {
+    #[cfg(test)]
+    pub(crate) fn try_take(&self) -> Option<V> {
         self.value.lock().take()
     }
 
     /// True once a value has landed (and has not been taken yet).
-    pub fn is_set(&self) -> bool {
+    pub(crate) fn is_set(&self) -> bool {
         self.value.lock().is_some()
     }
 
     /// Blocks until the value lands, then takes it.
-    pub fn wait(&self) -> V {
+    pub(crate) fn wait(&self) -> V {
         let mut slot = self.value.lock();
         loop {
             if let Some(v) = slot.take() {
@@ -491,7 +491,7 @@ impl<V> OnceSlot<V> {
 
     /// Blocks until the value lands or `deadline` passes; takes the value if
     /// it landed in time.
-    pub fn wait_deadline(&self, deadline: std::time::Instant) -> Option<V> {
+    pub(crate) fn wait_deadline(&self, deadline: std::time::Instant) -> Option<V> {
         let mut slot = self.value.lock();
         loop {
             if let Some(v) = slot.take() {
@@ -514,7 +514,7 @@ impl<V> OnceSlot<V> {
 /// a DAG instead of burning every core on yields; the cap bounds the wake-up
 /// latency once work reappears.
 #[derive(Debug, Default)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     step: u32,
 }
 
@@ -529,13 +529,13 @@ const MAX_PARK_MICROS: u64 = 200;
 
 impl Backoff {
     /// Fresh backoff (next snooze is a cheap spin).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Backoff { step: 0 }
     }
 
     /// Resets after useful work was found.
     #[inline]
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.step = 0;
     }
 
@@ -545,7 +545,7 @@ impl Backoff {
     /// the sleep shorter, never incorrect — the caller re-checks its
     /// condition on every iteration anyway.
     #[inline]
-    pub fn snooze(&mut self) {
+    pub(crate) fn snooze(&mut self) {
         // Inside a model-checker execution real spinning or parking would
         // only burn wall clock (virtual threads advance by schedule points,
         // not time), so a snooze becomes a single yield point.
@@ -571,8 +571,9 @@ impl Backoff {
 
     /// True once the backoff has escalated past busy spinning and yielding
     /// into the parking tier.
+    #[cfg(test)]
     #[inline]
-    pub fn is_completed(&self) -> bool {
+    pub(crate) fn is_completed(&self) -> bool {
         self.step > YIELD_LIMIT
     }
 }
@@ -586,14 +587,14 @@ impl Backoff {
 /// the DAG length; a task index is enqueued at most once, so the bound is
 /// structural.)
 #[derive(Debug)]
-pub struct TaskQueue {
+pub(crate) struct TaskQueue {
     inner: Mutex<VecDeque<usize>>,
     capacity: usize,
 }
 
 impl TaskQueue {
     /// Creates a queue with room for exactly `capacity` indices.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let mut buf = VecDeque::new();
         buf.reserve_exact(capacity);
         TaskQueue {
@@ -608,7 +609,7 @@ impl TaskQueue {
     /// (a violation means the caller under-sized the queue and the push
     /// would reallocate under the lock).
     #[inline]
-    pub fn push(&self, idx: usize) {
+    pub(crate) fn push(&self, idx: usize) {
         let mut q = self.inner.lock();
         debug_assert!(
             q.len() < self.capacity,
@@ -620,14 +621,14 @@ impl TaskQueue {
 
     /// Dequeues the oldest ready task, if any.
     #[inline]
-    pub fn pop(&self) -> Option<usize> {
+    pub(crate) fn pop(&self) -> Option<usize> {
         self.inner.lock().pop_front()
     }
 }
 
 /// Result of a steal attempt on a [`WorkerDeque`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Steal {
+pub(crate) enum Steal {
     /// The deque was (or appeared) empty.
     Empty,
     /// Lost a race with the owner or another stealer; retrying immediately
@@ -651,7 +652,7 @@ pub enum Steal {
 /// number of tasks that can ever be live (the DAG length), so `push` checks
 /// the bound only by debug assertion.
 #[derive(Debug)]
-pub struct WorkerDeque {
+pub(crate) struct WorkerDeque {
     /// Next steal position (top end). Monotonically increasing.
     top: AtomicIsize,
     /// Next push position (bottom end). Only the owner writes it.
@@ -663,7 +664,7 @@ pub struct WorkerDeque {
 
 impl WorkerDeque {
     /// Creates a deque able to hold at least `capacity` indices at once.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         let cap = capacity.max(1).next_power_of_two();
         let buffer: Box<[AtomicUsize]> = (0..cap).map(|_| AtomicUsize::new(0)).collect();
         WorkerDeque {
@@ -681,7 +682,7 @@ impl WorkerDeque {
 
     /// Pushes a task at the bottom. Owner only.
     #[inline]
-    pub fn push(&self, task: usize) {
+    pub(crate) fn push(&self, task: usize) {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
         debug_assert!(
@@ -703,7 +704,7 @@ impl WorkerDeque {
 
     /// Pops the most recently pushed task (LIFO). Owner only.
     #[inline]
-    pub fn pop(&self) -> Option<usize> {
+    pub(crate) fn pop(&self) -> Option<usize> {
         // Empty fast path: the owner is the only pusher, so if it observes
         // `bottom <= top` the deque is empty (top only grows). This skips
         // the SeqCst fence on the idle path, which workers hit continuously
@@ -739,7 +740,7 @@ impl WorkerDeque {
 
     /// Steals the oldest task (FIFO). Any thread.
     #[inline]
-    pub fn steal(&self) -> Steal {
+    pub(crate) fn steal(&self) -> Steal {
         let t = self.top.load(Ordering::Acquire);
         fence(Ordering::SeqCst);
         let b = self.bottom.load(Ordering::Acquire);
@@ -759,8 +760,9 @@ impl WorkerDeque {
     }
 
     /// True if the deque currently appears empty (racy, advisory only).
+    #[cfg(test)]
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Relaxed);
         t >= b

@@ -155,26 +155,21 @@ fn solve_check() {
 }
 
 /// One steady-state iteration of the allocation-free batch loop: refill the
-/// tile buffers, factor them in place as one fused pool job (under
-/// `deadline` if given), and drop the results — which is what returns the
-/// `T` storage to the plan's pool. Returns the allocations performed inside
-/// the loop body.
+/// tile buffers, factor them in place as one fused pool job (under the
+/// context's bounds), and drop the results — which is what returns the `T`
+/// storage to the plan's pool. Returns the allocations performed inside the
+/// loop body.
 fn batch_steady_state_allocations(
     ctx: &QrContext,
     plan: &QrPlan<f64>,
     mats: &[Matrix<f64>],
     tiles: &mut [TiledMatrix<f64>],
-    deadline: Option<Duration>,
 ) -> usize {
     let (allocs, ()) = allocations_during(|| {
         for (t, a) in tiles.iter_mut().zip(mats) {
             t.fill_from_dense_padded(a);
         }
-        let results = match deadline {
-            Some(timeout) => ctx.factorize_batch_into_with_deadline(plan, tiles, timeout),
-            None => ctx.factorize_batch_into(plan, tiles),
-        };
-        for r in results {
+        for r in ctx.factorize_batch_into(plan, tiles) {
             drop(r.expect("conforming buffers must factor"));
         }
     });
@@ -193,16 +188,18 @@ fn batch_steady_state_allocations(
 ///    allocations a single *non-recycled* matrix would need — direct
 ///    evidence the recycle pool, not the allocator, feeds the `T` slots.
 ///
-/// With a `deadline`, the loop runs with the robustness layer armed: every
-/// call carries that live deadline and the context has the stall watchdog
-/// on. Returns the bits of the factored tiles of the large probe.
+/// With a `deadline`, the loop runs with the robustness layer armed: the
+/// context bounds every job by that live deadline and has the stall
+/// watchdog on. Returns the bits of the factored tiles of the large probe.
 fn batch_check(deadline: Option<Duration>) -> Vec<u64> {
     let nb = 4;
     let k = 3;
     let threads = 3;
     let mut ctx = QrContext::new(threads).expect("valid thread count");
-    if deadline.is_some() {
-        ctx = ctx.with_watchdog(Duration::from_secs(5));
+    if let Some(timeout) = deadline {
+        ctx = ctx
+            .with_watchdog(Duration::from_secs(5))
+            .with_deadline(timeout);
     }
     let steady = |p: usize, q: usize| -> (usize, Vec<u64>) {
         let plan: QrPlan<f64> =
@@ -218,9 +215,9 @@ fn batch_check(deadline: Option<Duration>) -> Vec<u64> {
         // sizes every retained vector; the measured iteration after it is
         // the steady state a batch service runs in.
         for _ in 0..2 {
-            let _ = batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles, deadline);
+            let _ = batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles);
         }
-        let allocs = batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles, deadline);
+        let allocs = batch_steady_state_allocations(&ctx, &plan, &mats, &mut tiles);
         let mut bits = Vec::new();
         for t in &tiles {
             bits.extend(t.to_dense().as_slice().iter().map(|x| x.to_bits()));

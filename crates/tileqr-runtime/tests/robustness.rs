@@ -135,7 +135,8 @@ fn expired_deadline_rejects_deterministically_with_buffers_untouched() {
         let inputs = mats(2, 140);
         // A zero timeout has always expired by the pre-submission check, so
         // the outcome is deterministic even on an arbitrarily fast machine.
-        let batch = ctx.factorize_batch_with_deadline(&plan, &inputs, Duration::ZERO);
+        let late = ctx.clone().with_deadline(Duration::ZERO);
+        let batch = late.factorize_batch(&plan, &inputs);
         assert!(batch
             .iter()
             .all(|r| r.as_ref().err() == Some(&QrError::DeadlineExceeded)));
@@ -145,7 +146,7 @@ fn expired_deadline_rejects_deterministically_with_buffers_untouched() {
             .map(|a| TiledMatrix::from_dense_padded(a, NB))
             .collect();
         let before = tiles.clone();
-        let out = ctx.factorize_batch_into_with_deadline(&plan, &mut tiles, Duration::ZERO);
+        let out = late.factorize_batch_into(&plan, &mut tiles);
         assert!(out
             .iter()
             .all(|r| r.as_ref().err() == Some(&QrError::DeadlineExceeded)));
@@ -171,7 +172,8 @@ fn mid_run_deadline_returns_partial_results() {
             .collect();
         // Tight but non-zero: whichever items complete must be bitwise right,
         // the rest must report DeadlineExceeded — and the call must return.
-        let batch = ctx.factorize_batch_with_deadline(&plan, &inputs, Duration::from_micros(300));
+        let tight = ctx.clone().with_deadline(Duration::from_micros(300));
+        let batch = tight.factorize_batch(&plan, &inputs);
         for (item, reference) in batch.into_iter().zip(&references) {
             match item {
                 Ok(f) => assert_eq!(f.factored_tiles(), reference.factored_tiles()),
@@ -180,7 +182,8 @@ fn mid_run_deadline_returns_partial_results() {
             }
         }
         // Single-matrix deadline variants share the plumbing.
-        match ctx.factorize_with_deadline(&plan, &inputs[0], Duration::from_secs(60)) {
+        let relaxed = ctx.clone().with_deadline(Duration::from_secs(60));
+        match relaxed.factorize(&plan, &inputs[0]) {
             Ok(f) => assert_eq!(f.factored_tiles(), references[0].factored_tiles()),
             Err(e) => panic!("a 60 s deadline should not fire: {e}"),
         }
@@ -199,16 +202,15 @@ fn a_timeout_beyond_the_clock_means_no_deadline() {
             .iter()
             .map(|a| qr_factorize(a, QrConfig::new(NB)))
             .collect();
-        let f = ctx
-            .factorize_with_deadline(&plan, &inputs[0], Duration::MAX)
-            .expect("no deadline fires");
+        let ctx = ctx.with_deadline(Duration::MAX);
+        let f = ctx.factorize(&plan, &inputs[0]).expect("no deadline fires");
         assert_eq!(f.factored_tiles(), references[0].factored_tiles());
 
         let mut tiles: Vec<TiledMatrix<f64>> = inputs
             .iter()
             .map(|a| TiledMatrix::from_dense_padded(a, NB))
             .collect();
-        let out = ctx.factorize_batch_into_with_deadline(&plan, &mut tiles, Duration::MAX);
+        let out = ctx.factorize_batch_into(&plan, &mut tiles);
         for ((r, t), reference) in out.into_iter().zip(&tiles).zip(&references) {
             r.expect("no deadline fires");
             assert_eq!(t, reference.factored_tiles());
@@ -344,9 +346,75 @@ fn deadline_and_cancel_errors_are_not_confused() {
     let plan = plan();
     let a = &mats(1, 210)[0];
     assert_eq!(
-        ctx.factorize_with_deadline(&plan, a, Duration::ZERO).err(),
+        ctx.clone()
+            .with_deadline(Duration::ZERO)
+            .factorize(&plan, a)
+            .err(),
         Some(QrError::DeadlineExceeded)
     );
     ctx.cancel_handle().cancel();
     assert_eq!(ctx.factorize(&plan, a).err(), Some(QrError::Cancelled));
+}
+
+#[test]
+fn clones_share_the_pool_and_the_cancel_token() {
+    for threads in [1usize, 3] {
+        let ctx = QrContext::new(threads).unwrap();
+        let twin = ctx.clone();
+        assert_eq!(twin.threads(), threads);
+        let plan = plan();
+        let a = &mats(1, 230)[0];
+        assert!(twin.factorize(&plan, a).is_ok());
+        // Cancelling through one handle stops the other's next call.
+        ctx.cancel_handle().cancel();
+        assert_eq!(twin.factorize(&plan, a).err(), Some(QrError::Cancelled));
+        twin.cancel_handle().reset();
+        assert!(ctx.factorize(&plan, a).is_ok());
+    }
+}
+
+#[test]
+fn a_deadline_on_a_clone_leaves_the_original_unbounded() {
+    let ctx = QrContext::new(2).unwrap();
+    let plan = plan();
+    let a = &mats(1, 240)[0];
+    let late = ctx.clone().with_deadline(Duration::ZERO);
+    assert_eq!(
+        late.factorize(&plan, a).err(),
+        Some(QrError::DeadlineExceeded)
+    );
+    let f = ctx
+        .factorize(&plan, a)
+        .expect("the original has no deadline");
+    assert_eq!(
+        f.factored_tiles(),
+        qr_factorize(a, QrConfig::new(NB)).factored_tiles()
+    );
+    // The clone's bound is per job, not spent: it still rejects.
+    assert_eq!(
+        late.factorize(&plan, a).err(),
+        Some(QrError::DeadlineExceeded)
+    );
+}
+
+#[test]
+fn solve_honours_the_deadline_and_an_unbounded_clone_still_solves_bitwise() {
+    use tileqr_runtime::solve::least_squares_with_factorization;
+    let plan = plan();
+    let a = &mats(1, 250)[0];
+    let b: Matrix<f64> = random_matrix(M, 1, 251);
+    let ctx = QrContext::new(2).unwrap();
+    let late = ctx.clone().with_deadline(Duration::ZERO);
+    assert_eq!(
+        late.solve(&plan, a, &b).err(),
+        Some(QrError::DeadlineExceeded)
+    );
+    // The rejected solve parked its tile buffer back in the plan; the next
+    // solve refills it.
+    let x = ctx.clone().solve(&plan, a, &b).expect("full rank");
+    let f = qr_factorize(a, QrConfig::new(NB));
+    assert_eq!(
+        x.as_slice(),
+        least_squares_with_factorization(&f, b.as_slice())
+    );
 }

@@ -127,6 +127,76 @@ fn full_queue_fast_fails_with_queue_full() {
     assert_eq!(service.stats().max_queue_depth, 4);
 }
 
+/// `submit` is `submit_within` at `Normal` with a zero timeout: on a full
+/// queue both fast-fail the same way, and each rejection counts once.
+#[test]
+fn submit_and_a_zero_timeout_submit_within_reject_alike_on_a_full_queue() {
+    let ctx = QrContext::new(1).unwrap();
+    let service = QrService::new(
+        ctx,
+        ServiceConfig::default()
+            .with_queue_capacity(2)
+            .with_shed_threshold(2),
+    )
+    .unwrap();
+    let client = service.client();
+    let small = plan();
+    let blocker = client
+        .submit(&blocker_plan(), random_matrix(256, 192, 3))
+        .unwrap();
+    wait_until_drained_queue(&service);
+    let queued: Vec<_> = (0..2u64)
+        .map(|i| client.submit(&small, random_matrix(M, N, 90 + i)).unwrap())
+        .collect();
+    let before = service.stats().rejected;
+    assert_eq!(
+        client.submit(&small, random_matrix(M, N, 92)).err(),
+        Some(QrError::QueueFull)
+    );
+    assert_eq!(service.stats().rejected, before + 1);
+    assert_eq!(
+        client
+            .submit_within(
+                &small,
+                random_matrix(M, N, 93),
+                Priority::Normal,
+                Duration::ZERO
+            )
+            .err(),
+        Some(QrError::QueueFull)
+    );
+    assert_eq!(service.stats().rejected, before + 2);
+    assert_eq!(service.stats().shed, 0);
+    for t in std::iter::once(blocker).chain(queued) {
+        assert!(t.wait().is_ok());
+    }
+}
+
+/// A service runs its groups under its context's deadline: over a
+/// zero-deadline context every ticket resolves `DeadlineExceeded`, and a
+/// deadline is not transient, so nothing is retried.
+#[test]
+fn a_zero_deadline_context_resolves_every_ticket_as_deadline_exceeded() {
+    for threads in [1usize, 3] {
+        let ctx = QrContext::new(threads)
+            .unwrap()
+            .with_deadline(Duration::ZERO);
+        let service =
+            QrService::new(ctx, ServiceConfig::default().with_retry(fast_retry())).unwrap();
+        let client = service.client();
+        let plan = plan();
+        let tickets: Vec<_> = (0..5u64)
+            .map(|i| client.submit(&plan, random_matrix(M, N, 95 + i)).unwrap())
+            .collect();
+        for ticket in tickets {
+            assert_eq!(ticket.wait().err(), Some(QrError::DeadlineExceeded));
+        }
+        let stats = service.stats();
+        assert_eq!(stats.failed, 5);
+        assert_eq!(stats.retries, 0);
+    }
+}
+
 #[test]
 fn low_priority_is_shed_under_saturation_while_normal_is_admitted() {
     let ctx = QrContext::new(1).unwrap();
@@ -145,13 +215,23 @@ fn low_priority_is_shed_under_saturation_while_normal_is_admitted() {
     let t1 = client.submit(&small, random_matrix(M, N, 80)).unwrap();
     let t2 = client.submit(&small, random_matrix(M, N, 81)).unwrap();
     // Depth is now at the shed threshold: Low is rejected (retriable),
-    // Normal and High still get in.
-    match client.submit_with_priority(&small, random_matrix(M, N, 82), Priority::Low) {
+    // Normal still gets in.
+    match client.submit_within(
+        &small,
+        random_matrix(M, N, 82),
+        Priority::Low,
+        Duration::ZERO,
+    ) {
         Err(e @ QrError::QueueFull) => assert!(e.is_transient(), "shedding must be retriable"),
         other => panic!("expected Low work to be shed, got {other:?}"),
     }
     let t3 = client
-        .submit_with_priority(&small, random_matrix(M, N, 83), Priority::High)
+        .submit_within(
+            &small,
+            random_matrix(M, N, 83),
+            Priority::Normal,
+            Duration::ZERO,
+        )
         .unwrap();
     let stats = service.stats();
     assert_eq!(stats.shed, 1);
@@ -437,7 +517,7 @@ fn submissions_after_shutdown_are_rejected_with_service_shutdown() {
     match client.submit_within(
         &plan,
         random_matrix(M, N, 14),
-        Priority::High,
+        Priority::Normal,
         Duration::from_secs(1),
     ) {
         Err(QrError::ServiceShutdown) => {}

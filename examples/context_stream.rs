@@ -2,10 +2,10 @@
 //! workload `QrContext` + `QrPlan` were designed for (a service endpoint
 //! orthogonalizing one panel per request).
 //!
-//! Three strategies factor the same stream:
+//! Four strategies factor the same stream:
 //!
-//! 1. one-shot `qr_factorize_parallel` — re-plans and spawns a fresh worker
-//!    pool per matrix;
+//! 1. one-shot `qr_factorize` with `QrConfig::with_threads` — re-plans and
+//!    spawns a fresh worker pool per matrix;
 //! 2. `QrContext::factorize` with a reused plan — persistent pool, schedule
 //!    built once, per call only the dense→tiled copy + kernels;
 //! 3. `QrContext::factorize_into` — additionally reuses one caller-owned
@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use tiled_qr::matrix::generate::random_matrix;
 use tiled_qr::matrix::{Matrix, TiledMatrix};
-use tiled_qr::prelude::{qr_factorize_parallel, QrConfig, QrContext, QrPlan};
+use tiled_qr::prelude::{qr_factorize, QrConfig, QrContext, QrPlan};
 
 fn main() {
     let (m, n, nb) = (96usize, 48usize, 16usize);
@@ -43,11 +43,11 @@ fn main() {
     let start = Instant::now();
     let mut checksum = 0.0f64;
     for a in &stream {
-        let f = qr_factorize_parallel(a, nb, threads);
+        let f = qr_factorize(a, QrConfig::new(nb).with_threads(threads));
         checksum += f.r().get(0, 0).abs();
     }
     let per_call = start.elapsed();
-    println!("  one-shot qr_factorize_parallel : {per_call:?}");
+    println!("  one-shot qr_factorize          : {per_call:?}");
 
     // 2. Session API: context + plan built once, reused for the stream.
     let ctx = QrContext::new(threads).expect("reasonable thread count");

@@ -4,14 +4,15 @@
 //!
 //! Three tenants share one service over the same plan:
 //!
-//! * a **bulk** tenant floods `Priority::Low` submissions open-loop and
-//!   simply counts how many the admission controller turns away
-//!   ([`QrError::QueueFull`] once the shed threshold / queue capacity is
-//!   reached) — load shedding keeps the queue bounded no matter how fast
-//!   this tenant pushes;
+//! * a **bulk** tenant floods `Priority::Low` submissions open-loop with a
+//!   zero admission timeout (`submit_within(.., Duration::ZERO)`, the
+//!   fast-fail path) and simply counts how many the admission controller
+//!   turns away ([`QrError::QueueFull`] once the shed threshold / queue
+//!   capacity is reached) — load shedding keeps the queue bounded no matter
+//!   how fast this tenant pushes;
 //! * two **interactive** tenants submit `Priority::Normal` work with a
-//!   per-submit deadline ([`QrClient::submit_within`]) — instead of a
-//!   fast-fail they *wait* for admission up to the deadline, riding the
+//!   250 ms admission timeout ([`QrClient::submit_within`]) — instead of a
+//!   fast-fail they *wait* for admission up to the timeout, riding the
 //!   backpressure signal, and measure end-to-end latency per item.
 //!
 //! Deficit-fair dequeueing keeps the bulk tenant from starving the
@@ -69,7 +70,7 @@ fn main() {
                 let mut rejected = 0usize;
                 for i in 0..bulk_total {
                     let a: Matrix<f64> = random_matrix(m, n, i as u64);
-                    match client.submit_with_priority(plan, a, Priority::Low) {
+                    match client.submit_within(plan, a, Priority::Low, Duration::ZERO) {
                         Ok(t) => tickets.push(t),
                         Err(QrError::QueueFull) => rejected += 1,
                         Err(e) => panic!("unexpected admission error: {e}"),

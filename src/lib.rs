@@ -43,9 +43,7 @@ pub mod prelude {
     pub use tileqr_core::dag::KernelFamily;
     pub use tileqr_matrix::{Complex64, Matrix, Scalar, TiledMatrix};
     pub use tileqr_runtime::context::{QrContext, QrError, QrPlan, QrReflectors};
-    pub use tileqr_runtime::driver::{
-        qr_factorize, qr_factorize_parallel, QrConfig, QrFactorization,
-    };
+    pub use tileqr_runtime::driver::{qr_factorize, QrConfig, QrFactorization};
     pub use tileqr_runtime::service::{
         Priority, QrClient, QrService, RetryPolicy, ServiceConfig, ServiceStats, Ticket,
     };

@@ -7,7 +7,7 @@ use tiled_qr::core::KernelFamily;
 use tiled_qr::matrix::generate::{random_matrix, RandomScalar};
 use tiled_qr::matrix::norms::frobenius_norm;
 use tiled_qr::matrix::{Complex64, Matrix};
-use tiled_qr::runtime::driver::{qr_factorize, qr_factorize_parallel, QrConfig};
+use tiled_qr::runtime::driver::{qr_factorize, QrConfig};
 
 const TOL: f64 = 1e-11;
 
@@ -138,7 +138,7 @@ fn parallel_runtime_matches_sequential_bitwise() {
 #[test]
 fn parallel_helper_produces_valid_factorization() {
     let a: Matrix<f64> = random_matrix(40, 16, 700);
-    let f = qr_factorize_parallel(&a, 8, 4);
+    let f = qr_factorize(&a, QrConfig::new(8).with_threads(4));
     assert!(f.residual(&a) < TOL);
 }
 
