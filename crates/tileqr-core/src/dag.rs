@@ -14,6 +14,7 @@
 //! Task weights are the abstract costs of Table 1 in units of `nb³/3` flops.
 
 use crate::elim::EliminationList;
+use crate::footprint::{footprint, Mode, MAX_ACCESSES};
 
 /// Which sequential kernel family implements the eliminations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -176,14 +177,69 @@ impl TaskDag {
     /// [`TaskDag::trailing`]). The factor tasks and the updates of the first
     /// `q` columns are the same, in the same relative order, as with
     /// `trailing = 0`.
+    ///
+    /// One construction serves both families. Per column, tiles are
+    /// triangularized (GEQRT, then UNMQR on the trailing columns) on demand:
+    /// each pivot just before its first elimination, and the diagonal tile at
+    /// the end even if it never pivoted, so that the R factor is complete. An
+    /// elimination whose target tile is still *full* uses TSQRT/TSMQR; one
+    /// whose target has already been triangularized (it served as a pivot
+    /// earlier in the column, as in the binary-tree merge phase of
+    /// PlasmaTree) uses TTQRT/TTMQR, exactly as in PLASMA. This hybrid is
+    /// what keeps the total task weight at `6pq² − 2q³` for every tree
+    /// (Section 2.2). TT is this TS build with every active tile `(i, k)`,
+    /// `i ≥ k`, triangularized before the column's eliminations, so every
+    /// elimination takes the TT kernels.
+    ///
+    /// Dependencies come from the [`footprint`] table, the one the runtime
+    /// locks by and the race analyzer checks: every task follows the last
+    /// writer of each tile its footprint names.
     pub fn build_with_trailing(
         list: &EliminationList,
         family: KernelFamily,
         trailing: usize,
     ) -> TaskDag {
-        match family {
-            KernelFamily::TT => build_tt(list, trailing),
-            KernelFamily::TS => build_ts(list, trailing),
+        let (p, q) = (list.tile_rows(), list.tile_cols());
+        let cols = q + trailing;
+        let mut b = Builder {
+            p,
+            cols,
+            last_writer: vec![None; p * cols],
+            tasks: Vec::new(),
+        };
+        for k in 0..p.min(q) {
+            // triangular[i]: whether tile (i, k) has already been factored
+            let mut triangular = vec![false; p];
+            if family == KernelFamily::TT {
+                for i in k..p {
+                    b.triangularize(&mut triangular, i, k);
+                }
+            }
+            for e in list.column(k) {
+                b.triangularize(&mut triangular, e.piv, k);
+                let (row, piv, col) = (e.row, e.piv, k);
+                let tt = triangular[row];
+                b.push(if tt {
+                    TaskKind::Ttqrt { row, piv, col }
+                } else {
+                    TaskKind::Tsqrt { row, piv, col }
+                });
+                for j in (k + 1)..cols {
+                    b.push(if tt {
+                        TaskKind::Ttmqr { row, piv, col, j }
+                    } else {
+                        TaskKind::Tsmqr { row, piv, col, j }
+                    });
+                }
+            }
+            b.triangularize(&mut triangular, k, k);
+        }
+        TaskDag {
+            p,
+            q,
+            trailing,
+            family,
+            tasks: b.tasks,
         }
     }
 
@@ -300,231 +356,55 @@ impl SuccessorsCsr {
     }
 }
 
-/// Helper tracking, for every tile, the index of the last task that wrote it.
-/// Chaining each new task after the previous writer of every tile it touches
-/// yields exactly the dependencies listed in Section 2.1.
-struct LastWriter {
+/// The task list under construction, with the index of the last task that
+/// wrote each tile.
+struct Builder {
     p: usize,
-    last: Vec<Option<usize>>,
+    /// Tile columns, trailing ones included.
+    cols: usize,
+    last_writer: Vec<Option<usize>>,
+    tasks: Vec<TaskNode>,
 }
 
-impl LastWriter {
-    fn new(p: usize, q: usize) -> Self {
-        LastWriter {
-            p,
-            last: vec![None; p * q],
-        }
-    }
-
-    fn get(&self, row: usize, col: usize) -> Option<usize> {
-        self.last[col * self.p + row]
-    }
-
-    fn set(&mut self, row: usize, col: usize, task: usize) {
-        self.last[col * self.p + row] = Some(task);
-    }
-}
-
-fn push_task(tasks: &mut Vec<TaskNode>, kind: TaskKind, deps: Vec<usize>) -> usize {
-    let idx = tasks.len();
-    let mut deps = deps;
-    deps.sort_unstable();
-    deps.dedup();
-    tasks.push(TaskNode { kind, deps });
-    idx
-}
-
-/// TT construction: every active tile `(i, k)`, `i ≥ k`, is triangularized
-/// (GEQRT) and its row updated (UNMQR on the trailing columns); every
-/// elimination adds a TTQRT plus TTMQR updates on the trailing columns.
-fn build_tt(list: &EliminationList, trailing: usize) -> TaskDag {
-    let p = list.tile_rows();
-    let q = list.tile_cols();
-    let cols = q + trailing;
-    let kmax = p.min(q);
-    let mut tasks = Vec::new();
-    let mut writer = LastWriter::new(p, cols);
-
-    for k in 0..kmax {
-        // Factor + row updates for every active row.
-        for i in k..p {
-            let mut deps = Vec::new();
-            if let Some(d) = writer.get(i, k) {
-                deps.push(d);
-            }
-            let geqrt = push_task(&mut tasks, TaskKind::Geqrt { row: i, col: k }, deps);
-            writer.set(i, k, geqrt);
-            for j in (k + 1)..cols {
-                let mut deps = vec![geqrt];
-                if let Some(d) = writer.get(i, j) {
-                    deps.push(d);
-                }
-                let unmqr = push_task(&mut tasks, TaskKind::Unmqr { row: i, col: k, j }, deps);
-                writer.set(i, j, unmqr);
+impl Builder {
+    /// Appends `kind` after the last writer of every tile its [`footprint`]
+    /// names, then makes it the last writer of the tiles the footprint
+    /// writes. Chaining every task after the previous writer of each tile it
+    /// touches yields exactly the dependencies listed in Section 2.1.
+    fn push(&mut self, kind: TaskKind) {
+        let at = |(row, col): (usize, usize)| col * self.p + row;
+        let accesses = footprint(kind);
+        // Sorted and deduplicated on the stack, then stored at its exact size.
+        let (mut deps, mut n) = ([0; MAX_ACCESSES], 0);
+        for d in accesses
+            .iter()
+            .filter_map(|a| self.last_writer[at(a.resource.tile())])
+        {
+            if let Err(pos) = deps[..n].binary_search(&d) {
+                deps.copy_within(pos..n, pos + 1);
+                deps[pos] = d;
+                n += 1;
             }
         }
-        // Eliminations of this column, in list order.
-        for e in list.column(k) {
-            let mut deps = Vec::new();
-            if let Some(d) = writer.get(e.row, k) {
-                deps.push(d);
-            }
-            if let Some(d) = writer.get(e.piv, k) {
-                deps.push(d);
-            }
-            let ttqrt = push_task(
-                &mut tasks,
-                TaskKind::Ttqrt {
-                    row: e.row,
-                    piv: e.piv,
-                    col: k,
-                },
-                deps,
-            );
-            writer.set(e.row, k, ttqrt);
-            writer.set(e.piv, k, ttqrt);
-            for j in (k + 1)..cols {
-                let mut deps = vec![ttqrt];
-                if let Some(d) = writer.get(e.row, j) {
-                    deps.push(d);
-                }
-                if let Some(d) = writer.get(e.piv, j) {
-                    deps.push(d);
-                }
-                let ttmqr = push_task(
-                    &mut tasks,
-                    TaskKind::Ttmqr {
-                        row: e.row,
-                        piv: e.piv,
-                        col: k,
-                        j,
-                    },
-                    deps,
-                );
-                writer.set(e.row, j, ttmqr);
-                writer.set(e.piv, j, ttmqr);
-            }
+        for a in accesses.iter().filter(|a| a.mode == Mode::Write) {
+            self.last_writer[at(a.resource.tile())] = Some(self.tasks.len());
         }
+        self.tasks.push(TaskNode {
+            kind,
+            deps: deps[..n].to_vec(),
+        });
     }
-    TaskDag {
-        p,
-        q,
-        trailing,
-        family: KernelFamily::TT,
-        tasks,
-    }
-}
 
-/// TS construction: only pivot tiles are triangularized (GEQRT + UNMQR).
-/// An elimination whose target tile is still *full* uses TSQRT/TSMQR; an
-/// elimination whose target tile has already been triangularized (because it
-/// served as a pivot earlier in the column, as happens in the binary-tree
-/// merge phase of PlasmaTree) uses TTQRT/TTMQR, exactly as in PLASMA. This
-/// hybrid is what keeps the total task weight at `6pq² − 2q³` for every tree
-/// (Section 2.2). Diagonal tiles that never serve as pivots (e.g. the last
-/// column of a square matrix) still receive a final GEQRT so that the R
-/// factor is complete.
-fn build_ts(list: &EliminationList, trailing: usize) -> TaskDag {
-    let p = list.tile_rows();
-    let q = list.tile_cols();
-    let cols = q + trailing;
-    let kmax = p.min(q);
-    let mut tasks = Vec::new();
-    let mut writer = LastWriter::new(p, cols);
-
-    for k in 0..kmax {
-        // triangularized[i]: whether tile (i, k) has already been factored
-        let mut triangularized = vec![false; p];
-        let ensure_geqrt = |i: usize,
-                            tasks: &mut Vec<TaskNode>,
-                            writer: &mut LastWriter,
-                            triangularized: &mut Vec<bool>| {
-            if triangularized[i] {
-                return;
-            }
-            triangularized[i] = true;
-            let mut deps = Vec::new();
-            if let Some(d) = writer.get(i, k) {
-                deps.push(d);
-            }
-            let geqrt = push_task(tasks, TaskKind::Geqrt { row: i, col: k }, deps);
-            writer.set(i, k, geqrt);
-            for j in (k + 1)..cols {
-                let mut deps = vec![geqrt];
-                if let Some(d) = writer.get(i, j) {
-                    deps.push(d);
-                }
-                let unmqr = push_task(tasks, TaskKind::Unmqr { row: i, col: k, j }, deps);
-                writer.set(i, j, unmqr);
-            }
-        };
-
-        for e in list.column(k) {
-            ensure_geqrt(e.piv, &mut tasks, &mut writer, &mut triangularized);
-            // A target tile that was previously triangularized (it served as
-            // a pivot earlier in this column) is annihilated with the cheaper
-            // TT kernels; a full target tile uses the TS kernels.
-            let target_is_triangular = triangularized[e.row];
-            let mut deps = Vec::new();
-            if let Some(d) = writer.get(e.row, k) {
-                deps.push(d);
-            }
-            if let Some(d) = writer.get(e.piv, k) {
-                deps.push(d);
-            }
-            let factor_kind = if target_is_triangular {
-                TaskKind::Ttqrt {
-                    row: e.row,
-                    piv: e.piv,
-                    col: k,
-                }
-            } else {
-                TaskKind::Tsqrt {
-                    row: e.row,
-                    piv: e.piv,
-                    col: k,
-                }
-            };
-            let factor = push_task(&mut tasks, factor_kind, deps);
-            writer.set(e.row, k, factor);
-            writer.set(e.piv, k, factor);
-            for j in (k + 1)..cols {
-                let mut deps = vec![factor];
-                if let Some(d) = writer.get(e.row, j) {
-                    deps.push(d);
-                }
-                if let Some(d) = writer.get(e.piv, j) {
-                    deps.push(d);
-                }
-                let update_kind = if target_is_triangular {
-                    TaskKind::Ttmqr {
-                        row: e.row,
-                        piv: e.piv,
-                        col: k,
-                        j,
-                    }
-                } else {
-                    TaskKind::Tsmqr {
-                        row: e.row,
-                        piv: e.piv,
-                        col: k,
-                        j,
-                    }
-                };
-                let update = push_task(&mut tasks, update_kind, deps);
-                writer.set(e.row, j, update);
-                writer.set(e.piv, j, update);
-            }
+    /// `GEQRT(i, k)` and the `UNMQR`s of its row, unless tile `(i, k)` is
+    /// already triangular.
+    fn triangularize(&mut self, triangular: &mut [bool], i: usize, k: usize) {
+        if std::mem::replace(&mut triangular[i], true) {
+            return;
         }
-        // The diagonal tile must end up triangular even if it never pivoted.
-        ensure_geqrt(k, &mut tasks, &mut writer, &mut triangularized);
-    }
-    TaskDag {
-        p,
-        q,
-        trailing,
-        family: KernelFamily::TS,
-        tasks,
+        self.push(TaskKind::Geqrt { row: i, col: k });
+        for j in (k + 1)..self.cols {
+            self.push(TaskKind::Unmqr { row: i, col: k, j });
+        }
     }
 }
 

@@ -1,12 +1,16 @@
-//! Static race-freedom analysis of tiled-QR task DAGs.
+//! Per-kernel storage footprints, and the static race-freedom analysis of
+//! tiled-QR task DAGs built on them.
 //!
-//! The DAG builder in [`crate::dag`] derives dependencies by chaining every
-//! task after the *last writer* of each tile it touches. That construction
-//! never tracks readers, so its correctness rests on a structural claim: at
-//! the granularity the kernels actually access storage, every pair of
-//! conflicting accesses ends up ordered by a DAG path anyway. This module
-//! states the per-kernel footprints explicitly and *proves the claim per
-//! plan*, instead of trusting it.
+//! [`footprint`] is the one table of which storage each kernel task touches.
+//! The DAG builder in [`crate::dag`] reads it to derive dependencies: it
+//! chains every task after the *last writer* of each tile the footprint
+//! names. The runtime (`tileqr-runtime`'s shared factorization state) reads
+//! it to take the locks of those tiles around each kernel. The builder never
+//! tracks readers, so its correctness rests on a structural claim: at the
+//! granularity the kernels actually access storage, every pair of
+//! conflicting accesses ends up ordered by a DAG path anyway. [`analyze`]
+//! *proves the claim per plan*, against the same table, instead of trusting
+//! it.
 //!
 //! # The memory model
 //!
@@ -16,11 +20,12 @@
 //! triangle of the same tile — disjoint in reality, a phantom write-after-read
 //! hazard if the tile is modelled as one cell. The analysis therefore splits
 //! every tile into two [`Region`]s (`Upper` including the diagonal, and
-//! `StrictLower`), and adds one slot per tile for each of the two `T`-factor
-//! arrays the runtime keeps (`T` of `GEQRT`, `T` of the eliminations —
-//! mirroring `t_geqrt` / `t_elim` in the runtime's shared state). Each task
-//! maps to a list of [`Access`]es over these [`Resource`]s; `Write` means
-//! read-modify-write, so it conflicts with everything.
+//! `StrictLower`), and adds one slot per tile for each of the two `T` factors
+//! the runtime keeps with it (`T` of `GEQRT`, `T` of the elimination that
+//! annihilated the tile). Each task maps to a list of [`Access`]es over these
+//! [`Resource`]s; `Write` means read-modify-write, so it conflicts with
+//! everything. [`Resource::tile`] folds the four slots of a tile back into
+//! the tile, the unit the builder orders and the runtime locks.
 //!
 //! # What is checked
 //!
@@ -143,8 +148,7 @@ pub enum Resource {
         /// Which triangle.
         region: Region,
     },
-    /// The `T` factor written by `GEQRT(row, col)` (the runtime's `t_geqrt`
-    /// slot for that tile).
+    /// The `T` factor written by `GEQRT(row, col)`.
     TGeqrt {
         /// Tile row.
         row: usize,
@@ -152,13 +156,25 @@ pub enum Resource {
         col: usize,
     },
     /// The `T` factor written by the elimination (`TSQRT`/`TTQRT`) that
-    /// annihilates tile `(row, col)` (the runtime's `t_elim` slot).
+    /// annihilates tile `(row, col)`.
     TElim {
         /// Annihilated row.
         row: usize,
         /// Panel column.
         col: usize,
     },
+}
+
+impl Resource {
+    /// The tile whose storage holds the resource: a region's own tile, or
+    /// the tile a `T` factor belongs to.
+    pub const fn tile(self) -> (usize, usize) {
+        match self {
+            Resource::Tile { row, col, .. }
+            | Resource::TGeqrt { row, col }
+            | Resource::TElim { row, col } => (row, col),
+        }
+    }
 }
 
 impl std::fmt::Display for Resource {
@@ -226,65 +242,97 @@ const fn strict_lower(row: usize, col: usize) -> Resource {
     }
 }
 
+/// Most accesses one task makes (`TSMQR`).
+pub(crate) const MAX_ACCESSES: usize = 7;
+
+/// The accesses of one task, as [`footprint`] returns them: a fixed-capacity
+/// list, so the DAG builder and the runtime's per-task hot path read it
+/// without allocating. Dereferences to the slice of accesses.
+#[derive(Clone, Copy, Debug)]
+pub struct Footprint {
+    len: usize,
+    accesses: [Access; MAX_ACCESSES],
+}
+
+impl Footprint {
+    #[inline]
+    fn of(accesses: &[Access]) -> Footprint {
+        let mut all = [accesses[0]; MAX_ACCESSES];
+        all[..accesses.len()].copy_from_slice(accesses);
+        Footprint {
+            len: accesses.len(),
+            accesses: all,
+        }
+    }
+}
+
+impl std::ops::Deref for Footprint {
+    type Target = [Access];
+
+    fn deref(&self) -> &[Access] {
+        &self.accesses[..self.len]
+    }
+}
+
 /// The memory footprint of one kernel task, mirroring what the kernels in
 /// `tileqr-kernels` actually dereference (see the module docs for the region
 /// conventions).
-pub fn footprint(kind: TaskKind, out: &mut Vec<Access>) {
-    out.clear();
+#[inline]
+pub fn footprint(kind: TaskKind) -> Footprint {
     match kind {
         // GEQRT factors the full tile in place (R into the upper triangle,
         // V into the strict lower) and fills its T factor.
-        TaskKind::Geqrt { row, col } => {
-            out.push(write(upper(row, col)));
-            out.push(write(strict_lower(row, col)));
-            out.push(write(Resource::TGeqrt { row, col }));
-        }
+        TaskKind::Geqrt { row, col } => Footprint::of(&[
+            write(upper(row, col)),
+            write(strict_lower(row, col)),
+            write(Resource::TGeqrt { row, col }),
+        ]),
         // UNMQR applies GEQRT's reflectors (strict lower V + T, read-only)
         // to the full tile (row, j).
-        TaskKind::Unmqr { row, col, j } => {
-            out.push(read(strict_lower(row, col)));
-            out.push(read(Resource::TGeqrt { row, col }));
-            out.push(write(upper(row, j)));
-            out.push(write(strict_lower(row, j)));
-        }
+        TaskKind::Unmqr { row, col, j } => Footprint::of(&[
+            read(strict_lower(row, col)),
+            read(Resource::TGeqrt { row, col }),
+            write(upper(row, j)),
+            write(strict_lower(row, j)),
+        ]),
         // TSQRT couples the pivot's R triangle with the full square tile
         // being annihilated; the pivot's strict lower (GEQRT's V) is
         // untouched. The annihilated tile becomes full-square V storage.
-        TaskKind::Tsqrt { row, piv, col } => {
-            out.push(write(upper(piv, col)));
-            out.push(write(upper(row, col)));
-            out.push(write(strict_lower(row, col)));
-            out.push(write(Resource::TElim { row, col }));
-        }
+        TaskKind::Tsqrt { row, piv, col } => Footprint::of(&[
+            write(upper(piv, col)),
+            write(upper(row, col)),
+            write(strict_lower(row, col)),
+            write(Resource::TElim { row, col }),
+        ]),
         // TSMQR applies TSQRT's full-square reflectors (read-only) to the
         // tile pair (piv, j), (row, j).
-        TaskKind::Tsmqr { row, piv, col, j } => {
-            out.push(read(upper(row, col)));
-            out.push(read(strict_lower(row, col)));
-            out.push(read(Resource::TElim { row, col }));
-            out.push(write(upper(piv, j)));
-            out.push(write(strict_lower(piv, j)));
-            out.push(write(upper(row, j)));
-            out.push(write(strict_lower(row, j)));
-        }
+        TaskKind::Tsmqr { row, piv, col, j } => Footprint::of(&[
+            read(upper(row, col)),
+            read(strict_lower(row, col)),
+            read(Resource::TElim { row, col }),
+            write(upper(piv, j)),
+            write(strict_lower(piv, j)),
+            write(upper(row, j)),
+            write(strict_lower(row, j)),
+        ]),
         // TTQRT couples two R triangles; both strict lower parts (the GEQRT
         // reflectors of the two rows) are untouched. The annihilated upper
         // triangle becomes triangular-V storage.
-        TaskKind::Ttqrt { row, piv, col } => {
-            out.push(write(upper(piv, col)));
-            out.push(write(upper(row, col)));
-            out.push(write(Resource::TElim { row, col }));
-        }
+        TaskKind::Ttqrt { row, piv, col } => Footprint::of(&[
+            write(upper(piv, col)),
+            write(upper(row, col)),
+            write(Resource::TElim { row, col }),
+        ]),
         // TTMQR applies TTQRT's triangular reflectors (read-only) to the
         // tile pair (piv, j), (row, j).
-        TaskKind::Ttmqr { row, piv, col, j } => {
-            out.push(read(upper(row, col)));
-            out.push(read(Resource::TElim { row, col }));
-            out.push(write(upper(piv, j)));
-            out.push(write(strict_lower(piv, j)));
-            out.push(write(upper(row, j)));
-            out.push(write(strict_lower(row, j)));
-        }
+        TaskKind::Ttmqr { row, piv, col, j } => Footprint::of(&[
+            read(upper(row, col)),
+            read(Resource::TElim { row, col }),
+            write(upper(piv, j)),
+            write(strict_lower(piv, j)),
+            write(upper(row, j)),
+            write(strict_lower(row, j)),
+        ]),
     }
 }
 
@@ -519,12 +567,10 @@ pub fn analyze(dag: &TaskDag) -> AnalysisReport {
     let mut ordered_pairs = 0u64;
     let mut transitive_pairs = 0u64;
     let mut hazards = Vec::new();
-    let mut accesses = Vec::with_capacity(8);
 
     for idx in 0..n {
         let kind = dag.tasks[idx].kind;
-        footprint(kind, &mut accesses);
-        for &Access { resource, mode } in &accesses {
+        for &Access { resource, mode } in footprint(kind).iter() {
             let s = slot(dag.p, resource);
             if !touched[s] {
                 touched[s] = true;

@@ -199,7 +199,7 @@ impl Scheduler for WorkStealing {
 /// successors, handing the scheduler every task whose counter reaches zero.
 /// The closure must be safe to call concurrently for tasks that are not
 /// ordered by the DAG — the state module guarantees this by protecting each
-/// tile with its own lock.
+/// tile, with its `T` pair, by its own lock.
 ///
 /// After the setup phase (scheduler buffers and counters sized to the DAG,
 /// workspaces built per worker) the loop performs no heap allocations.

@@ -202,14 +202,20 @@
 //!    RUSTFLAGS="--cfg tileqr_verify" cargo test -p tileqr-runtime --lib model_check
 //!    ```
 //!
-//! 2. **Static plan analysis.** Independently of the runtime, the
-//!    `tileqr_core::footprint` analyzer proves every schedulable plan
-//!    (all elimination algorithms × kernel families × a broad shape sweep)
-//!    free of RAW/WAR/WAW hazards at tile-region granularity: any two
+//! 2. **Static plan analysis.** `tileqr_core::footprint::footprint` is the
+//!    one table of which storage each kernel task touches: the DAG builder
+//!    chains every task after the last writer of each tile it names, and
+//!    [`FactorizationState::run_ws`](state::FactorizationState::run_ws)
+//!    locks exactly those tiles. The `tileqr_core::footprint` analyzer
+//!    proves, against the same table, every schedulable plan (all
+//!    elimination algorithms × kernel families × a broad shape sweep) free
+//!    of RAW/WAR/WAW hazards at tile-region granularity: any two
 //!    conflicting kernel accesses are ordered by a DAG path, so the
 //!    executor above — which is correct for *any* DAG — never runs two
-//!    conflicting kernels concurrently. `cargo run -p tileqr-core --bin
-//!    tileqr-analyze` is the CI gate; it exits non-zero on any hazard.
+//!    conflicting kernels concurrently. Plans take their DAG from the
+//!    function the analyzer sweeps (`footprint::plan_dag`). `cargo run -p
+//!    tileqr-core --bin tileqr-analyze` is the CI gate; it exits non-zero
+//!    on any hazard.
 //!
 //! Normal builds are untouched: the shim layer is a `cfg` alias, so the
 //! release executor compiles to exactly the same std/atomic code as before.

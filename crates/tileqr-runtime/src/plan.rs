@@ -14,10 +14,11 @@ use std::sync::{Arc, OnceLock};
 
 use tileqr_core::algorithms::Algorithm;
 use tileqr_core::dag::{KernelFamily, SuccessorsCsr, TaskDag};
+use tileqr_core::footprint::plan_dag;
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
-use crate::driver::{elimination_list_for, QrConfig};
+use crate::driver::QrConfig;
 use crate::error::QrError;
 use crate::reflectors::{QrReflectors, TFactors};
 use crate::state::{FactoredParts, FactorizationState};
@@ -40,7 +41,8 @@ pub(crate) struct PlanCore {
 
 impl PlanCore {
     /// Builds the schedule of `algorithm` on a `p × q` grid followed by
-    /// `trailing` update-only columns ([`TaskDag::trailing`]).
+    /// `trailing` update-only columns ([`TaskDag::trailing`]): the DAG of
+    /// [`plan_dag`], the one the race analyzer checks.
     fn build(
         algorithm: Algorithm,
         family: KernelFamily,
@@ -48,8 +50,7 @@ impl PlanCore {
         q: usize,
         trailing: usize,
     ) -> Self {
-        let list = elimination_list_for(algorithm, p, q);
-        let dag = TaskDag::build_with_trailing(&list, family, trailing);
+        let dag = plan_dag(algorithm, p, q, family, trailing);
         let succ = dag.successors_csr();
         let roots = crate::executor::initial_roots(&dag);
         let max_out_degree = succ.max_out_degree();
@@ -327,22 +328,21 @@ impl<T: Scalar> QrPlan<T> {
     /// time): the first non-finite entry when the plan was built with
     /// [`QrConfig::check_finite`], `None` otherwise.
     pub(crate) fn non_finite_in(&self, a: &Matrix<T>) -> Option<(usize, usize)> {
-        self.first_non_finite(a.shape(), |row, col| a.get(row, col))
+        self.first_non_finite((0..a.cols()).map(|col| ((0, col), a.col(col))))
     }
 
-    /// Column-major scan of a `rows × cols` index space for the first
-    /// non-finite entry, if the plan checks finiteness at all.
-    fn first_non_finite(
+    /// The first non-finite entry, in column-major order, of an index space
+    /// given as its column slices — `((row, col), slice)` runs down column
+    /// `col` from `row` — in that order, if the plan checks finiteness at
+    /// all.
+    fn first_non_finite<'a>(
         &self,
-        (rows, cols): (usize, usize),
-        at: impl Fn(usize, usize) -> T,
+        mut slices: impl Iterator<Item = ((usize, usize), &'a [T])>,
     ) -> Option<(usize, usize)> {
         if !self.check_finite {
             return None;
         }
-        (0..cols)
-            .flat_map(|col| (0..rows).map(move |row| (row, col)))
-            .find(|&(row, col)| !at(row, col).is_finite())
+        slices.find_map(|((row, col), s)| Some((row + s.iter().position(|x| !x.is_finite())?, col)))
     }
 
     /// The `O(1)` half of [`QrPlan::validate`]: `a` has the plan's shape.
@@ -385,8 +385,11 @@ impl<T: Scalar> QrPlan<T> {
                 got,
             });
         }
-        let padded = (self.p * self.nb, self.q * self.nb);
-        all_finite(self.first_non_finite(padded, |row, col| t.get(row, col)))
+        let nb = self.nb;
+        let columns = (0..self.q * nb).flat_map(|col| {
+            (0..self.p).map(move |ti| ((ti * nb, col), t.tile(ti, col / nb).col(col % nb)))
+        });
+        all_finite(self.first_non_finite(columns))
     }
 }
 
@@ -457,6 +460,40 @@ mod tests {
             QrPlan::<f64>::new(8, 4, QrConfig::new(0)).err(),
             Some(QrError::ZeroTileSize)
         );
+    }
+
+    #[test]
+    fn finiteness_scan_reports_the_first_entry_in_column_major_order() {
+        // A ragged grid: the scan crosses tile boundaries and has padding.
+        let (m, n, nb) = (11usize, 7usize, 4usize);
+        let config = QrConfig::new(nb).with_check_finite(true);
+        let plan: QrPlan<f64> = QrPlan::new(m, n, config).unwrap();
+        let ctx = QrContext::new(1).unwrap();
+        let first = |row, col| Some(QrError::NonFiniteInput { row, col });
+        let b: Matrix<f64> = random_matrix(m, 2, 601);
+        let mut a: Matrix<f64> = random_matrix(m, n, 600);
+        // The first in column-major order is (6, 2), in tile (1, 0); the
+        // others lie lower in its column, higher in a later column of the
+        // same tile column, or in later tile rows and columns.
+        a.set(9, 6, f64::NAN);
+        a.set(0, 5, f64::NEG_INFINITY);
+        a.set(10, 2, f64::NAN);
+        a.set(6, 2, f64::INFINITY);
+        a.set(1, 3, f64::NAN);
+        // `factorize` scans the tiles, `solve` the dense input.
+        assert_eq!(ctx.factorize(&plan, &a).err(), first(6, 2));
+        assert_eq!(ctx.solve(&plan, &a, &b).err(), first(6, 2));
+        // A clean `a` with a poisoned right-hand side reports `b`'s entry.
+        let (clean, mut b) = (random_matrix(m, n, 602), b);
+        b.set(8, 1, f64::NAN);
+        b.set(3, 1, f64::NAN);
+        assert_eq!(ctx.solve(&plan, &clean, &b).err(), first(3, 1));
+        // In a caller's buffer the padding counts, at padded coordinates:
+        // row m and column n lie past the matrix, inside the grid.
+        let mut tiles = TiledMatrix::from_dense_padded(&clean, nb);
+        tiles.set(2, n, f64::NAN);
+        tiles.set(m, 1, f64::NAN);
+        assert_eq!(ctx.factorize_into(&plan, &mut tiles).err(), first(m, 1));
     }
 
     #[test]

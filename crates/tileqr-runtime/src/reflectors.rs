@@ -97,8 +97,8 @@ impl<T: Scalar> TFactors<T> {
     }
 
     /// Takes the value apart — the slots in [`TFactors::slot`] order and the
-    /// pool they belong to — for a holder that needs each pair behind its own
-    /// lock; [`TFactors::from_slots`] puts it back together.
+    /// pool they belong to — for a holder that keeps each pair under its
+    /// tile's lock; [`TFactors::from_slots`] puts it back together.
     pub(crate) fn into_slots(mut self) -> (Vec<TPair<T>>, Weak<TPool<T>>) {
         // The value has a `Drop`, so the fields are taken, not moved; what is
         // left behind recycles nothing.

@@ -351,6 +351,23 @@ struct ServiceInner<T: Scalar<Real = f64>> {
     shutdown: bool,
 }
 
+impl<T: Scalar<Real = f64>> ServiceInner<T> {
+    /// `client`'s lane, opened at the back of the rotation on first use.
+    fn lane(&mut self, client: u64) -> &mut ClientLane<T> {
+        let lanes = &mut self.lanes;
+        let at = lanes.iter().position(|l| l.client == client);
+        let at = at.unwrap_or_else(|| {
+            lanes.push(ClientLane {
+                client,
+                deficit: 0,
+                items: VecDeque::new(),
+            });
+            lanes.len() - 1
+        });
+        &mut lanes[at]
+    }
+}
+
 struct StatCells {
     submitted: AtomicU64,
     rejected: AtomicU64,
@@ -438,18 +455,7 @@ impl<T: Scalar<Real = f64>> Shared<T> {
             plan,
             slot: Arc::clone(&slot),
         };
-        let lane = match inner.lanes.iter_mut().find(|l| l.client == client) {
-            Some(lane) => lane,
-            None => {
-                inner.lanes.push(ClientLane {
-                    client,
-                    deficit: 0,
-                    items: VecDeque::new(),
-                });
-                inner.lanes.last_mut().expect("just pushed")
-            }
-        };
-        lane.items.push_back(item);
+        inner.lane(client).items.push_back(item);
         inner.depth += 1;
         *inner.outstanding.entry(client).or_insert(0) += 1;
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
@@ -856,19 +862,7 @@ fn promote_due_retries<T: Scalar<Real = f64>>(inner: &mut ServiceInner<T>, now: 
     while i < inner.delayed.len() {
         if inner.delayed[i].0 <= now {
             let (_, item) = inner.delayed.swap_remove(i);
-            let client = item.client;
-            let lane = match inner.lanes.iter_mut().find(|l| l.client == client) {
-                Some(lane) => lane,
-                None => {
-                    inner.lanes.push(ClientLane {
-                        client,
-                        deficit: 0,
-                        items: VecDeque::new(),
-                    });
-                    inner.lanes.last_mut().expect("just pushed")
-                }
-            };
-            lane.items.push_front(item);
+            inner.lane(item.client).items.push_front(item);
             inner.depth += 1;
         } else {
             i += 1;

@@ -1,13 +1,15 @@
 //! Shared factorization state and the task → kernel mapping.
 //!
-//! Every tile of the matrix, and every tile's pair of auxiliary `T` factors,
-//! lives behind its own mutex. Conflicting tasks are already ordered
-//! by the DAG, so locks are essentially uncontended; they exist to make the
-//! concurrent access to *different parts of the same tile* (e.g. UNMQR
-//! reading the Householder vectors while a TTQRT rewrites the R part above
-//! them) trivially sound. Each task acquires all the locks it needs in a
-//! single global order (tile index, then auxiliary arrays), so the executor
-//! can never deadlock.
+//! Every tile of the matrix lives in a slot of its own, behind one mutex,
+//! together with the tile's pair of auxiliary `T` factors: every task that
+//! touches a pair holds the pair's tile anyway. Conflicting tasks are
+//! already ordered by the DAG, so locks are essentially uncontended; they
+//! exist to make the concurrent access to *different parts of the same
+//! tile* (e.g. UNMQR reading the Householder vectors while a TTQRT rewrites
+//! the R part above them) trivially sound. A task locks the distinct tiles
+//! its [`footprint`] names — the table the DAG builder derives the
+//! dependencies from — in ascending slot index order, one global order, so
+//! the executor can never deadlock.
 //!
 //! All `T`-factor storage ([`TFactors`]) is allocated — or checked out of a
 //! plan's recycle pool — before the state is built: together with the
@@ -17,11 +19,12 @@
 //!
 //! A state may also carry a right-hand side as one *trailing* tile column
 //! ([`FactorizationState::with_rhs`]): `p` row blocks of `nb × k` at column
-//! index `q`, behind the same per-tile locks. The update tasks a
-//! [`TaskDag`](tileqr_core::TaskDag) built with a trailing column emits for
-//! `j = q` then turn those blocks into `Qᴴ·b` while the factorization runs;
-//! nothing in [`FactorizationState::run_ws`] distinguishes them from square
-//! tiles, because the update kernels take a target of any width.
+//! index `q`, in slots of their own (with an empty `T` pair). The update
+//! tasks a [`TaskDag`](tileqr_core::TaskDag) built with a trailing column
+//! emits for `j = q` then turn those blocks into `Qᴴ·b` while the
+//! factorization runs; nothing in [`FactorizationState::run_ws`]
+//! distinguishes them from square tiles, because the update kernels take a
+//! target of any width.
 //!
 //! [`FactorizationState::run_ws`] is the task body the executor's workers
 //! drive. It is
@@ -34,10 +37,10 @@ use std::sync::Weak;
 use crate::plan::TPool;
 use crate::reflectors::{TFactors, TPair};
 use crate::sync::{Mutex, MutexGuard};
+use tileqr_core::footprint::footprint;
 use tileqr_core::TaskKind;
-use tileqr_kernels::{
-    geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace,
-};
+use tileqr_kernels::Trans::ConjTrans;
+use tileqr_kernels::{geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Workspace};
 use tileqr_matrix::tiled::fill_tile_padded;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
@@ -48,16 +51,40 @@ pub struct FactorizationState<T: Scalar> {
     q: usize,
     nb: usize,
     ib: usize,
-    /// Tiles of the matrix, tile-column-major, each behind its own lock;
-    /// followed by the `p` right-hand-side row blocks (tile column `q`) when
-    /// the state carries one.
-    tiles: Vec<Mutex<Matrix<T>>>,
-    /// The copy's [`TFactors`] while it runs: every tile's pair behind its
-    /// own lock, in [`TFactors::slot`] order.
-    t: Vec<Mutex<TPair<T>>>,
+    /// One slot per tile of the matrix, tile-column-major (the
+    /// [`TFactors::slot`] order of the copy's `T` pairs), each behind its own
+    /// lock; followed by the `p` right-hand-side row blocks (tile column
+    /// `q`) when the state carries one.
+    slots: Vec<Mutex<Slot<T>>>,
     /// The pool the `T` buffers came from; leaves with them in
     /// [`FactorizationState::take_parts`].
     t_home: Weak<TPool<T>>,
+}
+
+/// A tile and its pair of `T` factors; a right-hand-side block's pair is
+/// empty.
+struct Slot<T: Scalar> {
+    tile: Matrix<T>,
+    t: TPair<T>,
+}
+
+/// Most distinct tiles one task touches (`TSMQR`, `TTMQR`).
+const MAX_TILES: usize = 3;
+
+/// One task's locked slots ([`FactorizationState::lock`]): their indices in
+/// ascending order (`usize::MAX` past the last) and their guards.
+struct Held<'a, T: Scalar> {
+    at: [usize; MAX_TILES],
+    guards: [Option<MutexGuard<'a, Slot<T>>>; MAX_TILES],
+}
+
+impl<T: Scalar> Held<'_, T> {
+    /// The slots at the distinct indices `at`, in that order.
+    fn get<const N: usize>(&mut self, at: [usize; N]) -> [&mut Slot<T>; N] {
+        let at = at.map(|i| self.at.iter().position(|&a| a == i).expect("a locked tile"));
+        let guards = self.guards.get_disjoint_mut(at).expect("distinct tiles");
+        guards.map(|g| &mut **g.as_mut().expect("locked"))
+    }
 }
 
 /// What [`FactorizationState::into_parts`] hands back.
@@ -111,13 +138,15 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
                 .all(|m| { m.shape() == (ib, nb) && m.as_slice().iter().all(|v| *v == T::ZERO) }),
             "T factors must enter the state as zeroed ib × nb buffers"
         );
+        let slots = tiles.into_iter().zip(t);
         FactorizationState {
             p,
             q,
             nb,
             ib,
-            tiles: tiles.into_iter().map(Mutex::new).collect(),
-            t: t.into_iter().map(Mutex::new).collect(),
+            slots: slots
+                .map(|(tile, t)| Mutex::new(Slot { tile, t }))
+                .collect(),
             t_home,
         }
     }
@@ -131,13 +160,17 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
     /// Panics unless there are exactly `p` blocks of `nb` rows and equal
     /// width, or if a right-hand side is already attached.
     pub fn with_rhs(mut self, blocks: Vec<Matrix<T>>) -> Self {
-        assert_eq!(self.tiles.len(), self.p * self.q, "rhs already attached");
+        assert_eq!(self.slots.len(), self.p * self.q, "rhs already attached");
         assert_eq!(blocks.len(), self.p, "one rhs block per tile row");
         let k = blocks.first().map_or(0, Matrix::cols);
         for b in &blocks {
             assert_eq!(b.shape(), (self.nb, k), "rhs block shape mismatch");
         }
-        self.tiles.extend(blocks.into_iter().map(Mutex::new));
+        let slots = blocks.into_iter().map(|tile| Slot {
+            tile,
+            t: TPair::empty(),
+        });
+        self.slots.extend(slots.map(Mutex::new));
         self
     }
 
@@ -164,7 +197,7 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
     #[inline]
     fn idx(&self, row: usize, col: usize) -> usize {
         // `col == q` addresses the right-hand-side blocks, if attached.
-        debug_assert!(row < self.p && col * self.p + row < self.tiles.len());
+        debug_assert!(row < self.p && col * self.p + row < self.slots.len());
         col * self.p + row
     }
 
@@ -198,7 +231,7 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
         );
         for tj in 0..self.q {
             for ti in 0..self.p {
-                fill_tile_padded(&mut self.tiles[self.idx(ti, tj)].lock(), a, ti, tj);
+                fill_tile_padded(&mut self.slots[self.idx(ti, tj)].lock().tile, a, ti, tj);
             }
         }
     }
@@ -207,86 +240,53 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
     /// (zero heap allocations). Safe to call concurrently for tasks that are
     /// not ordered by the DAG.
     pub fn run_ws(&self, task: TaskKind, ws: &mut Workspace<T>) {
+        let mut held = self.lock(task);
+        let at = |row, col| self.idx(row, col);
         match task {
             TaskKind::Geqrt { row, col } => {
-                let mut tile = self.tiles[self.idx(row, col)].lock();
-                geqrt_ws(&mut tile, &mut self.t_of(row, col).geqrt, ws);
+                let [a] = held.get([at(row, col)]);
+                geqrt_ws(&mut a.tile, &mut a.t.geqrt, ws);
             }
             TaskKind::Unmqr { row, col, j } => {
-                // lock order: smaller tile index first
-                let (iv, ic) = (self.idx(row, col), self.idx(row, j));
-                debug_assert!(iv < ic);
-                let v = self.tiles[iv].lock();
-                let mut c = self.tiles[ic].lock();
-                unmqr_ws(&v, &self.t_of(row, col).geqrt, &mut c, Trans::ConjTrans, ws);
+                let [v, c] = held.get([at(row, col), at(row, j)]);
+                unmqr_ws(&v.tile, &v.t.geqrt, &mut c.tile, ConjTrans, ws);
             }
             TaskKind::Tsqrt { row, piv, col } => {
-                let (ip, ir) = (self.idx(piv, col), self.idx(row, col));
-                let (mut first, mut second) = self.lock_pair(ip, ir);
-                // first/second are ordered by index; map back to pivot/row
-                let (r1, a2) = if ip < ir {
-                    (&mut *first, &mut *second)
-                } else {
-                    (&mut *second, &mut *first)
-                };
-                tsqrt_ws(r1, a2, &mut self.t_of(row, col).elim, ws);
+                let [r1, a2] = held.get([at(piv, col), at(row, col)]);
+                tsqrt_ws(&mut r1.tile, &mut a2.tile, &mut a2.t.elim, ws);
             }
             TaskKind::Ttqrt { row, piv, col } => {
-                let (ip, ir) = (self.idx(piv, col), self.idx(row, col));
-                let (mut first, mut second) = self.lock_pair(ip, ir);
-                let (r1, r2) = if ip < ir {
-                    (&mut *first, &mut *second)
-                } else {
-                    (&mut *second, &mut *first)
-                };
-                ttqrt_ws(r1, r2, &mut self.t_of(row, col).elim, ws);
+                let [r1, r2] = held.get([at(piv, col), at(row, col)]);
+                ttqrt_ws(&mut r1.tile, &mut r2.tile, &mut r2.t.elim, ws);
             }
             TaskKind::Tsmqr { row, piv, col, j } => {
-                let iv = self.idx(row, col);
-                let (ic1, ic2) = (self.idx(piv, j), self.idx(row, j));
-                let v = self.tiles[iv].lock();
-                let (mut first, mut second) = self.lock_pair(ic1, ic2);
-                let (c1, c2) = if ic1 < ic2 {
-                    (&mut *first, &mut *second)
-                } else {
-                    (&mut *second, &mut *first)
-                };
-                tsmqr_ws(&v, &self.t_of(row, col).elim, c1, c2, Trans::ConjTrans, ws);
+                let [v, c, d] = held.get([at(row, col), at(piv, j), at(row, j)]);
+                tsmqr_ws(&v.tile, &v.t.elim, &mut c.tile, &mut d.tile, ConjTrans, ws);
             }
             TaskKind::Ttmqr { row, piv, col, j } => {
-                let iv = self.idx(row, col);
-                let (ic1, ic2) = (self.idx(piv, j), self.idx(row, j));
-                let v = self.tiles[iv].lock();
-                let (mut first, mut second) = self.lock_pair(ic1, ic2);
-                let (c1, c2) = if ic1 < ic2 {
-                    (&mut *first, &mut *second)
-                } else {
-                    (&mut *second, &mut *first)
-                };
-                ttmqr_ws(&v, &self.t_of(row, col).elim, c1, c2, Trans::ConjTrans, ws);
+                let [v, c, d] = held.get([at(row, col), at(piv, j), at(row, j)]);
+                ttmqr_ws(&v.tile, &v.t.elim, &mut c.tile, &mut d.tile, ConjTrans, ws);
             }
         }
     }
 
-    /// Locks the `T` pair of tile `(row, col)`. Always taken after the tile
-    /// locks of the task, and every task touching the pair holds tile
-    /// `(row, col)` itself, so the lock is never contended.
-    fn t_of(&self, row: usize, col: usize) -> MutexGuard<'_, TPair<T>> {
-        self.t[TFactors::<T>::slot(self.p, row, col)].lock()
-    }
-
-    /// Locks two distinct tiles in global index order and returns the guards
-    /// in (smaller-index, larger-index) order.
-    fn lock_pair(
-        &self,
-        a: usize,
-        b: usize,
-    ) -> (MutexGuard<'_, Matrix<T>>, MutexGuard<'_, Matrix<T>>) {
-        assert_ne!(a, b, "a task never locks the same tile twice");
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let first = self.tiles[lo].lock();
-        let second = self.tiles[hi].lock();
-        (first, second)
+    /// Locks the distinct tiles `footprint(task)` names, in ascending slot
+    /// index order: the one lock order every task follows.
+    fn lock(&self, task: TaskKind) -> Held<'_, T> {
+        let (mut at, mut n) = ([usize::MAX; MAX_TILES], 0);
+        for access in footprint(task).iter() {
+            let (row, col) = access.resource.tile();
+            let i = self.idx(row, col);
+            if let Err(pos) = at[..n].binary_search(&i) {
+                at.copy_within(pos..n, pos + 1);
+                at[pos] = i;
+                n += 1;
+            }
+        }
+        Held {
+            at,
+            guards: std::array::from_fn(|k| (k < n).then(|| self.slots[at[k]].lock())),
+        }
     }
 
     /// Consumes the state and returns the factored tiles, the `T` factors
@@ -303,11 +303,17 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
     /// state is running or can start any more (a task meeting an emptied
     /// tile would panic).
     pub(crate) fn take_parts(&self) -> FactoredParts<T> {
-        let take = |m: &Mutex<Matrix<T>>| std::mem::replace(&mut *m.lock(), Matrix::zeros(0, 0));
-        let mut tiles: Vec<Matrix<T>> = self.tiles.iter().map(take).collect();
+        let take = |m: &Mutex<Slot<T>>| {
+            let empty = Slot {
+                tile: Matrix::zeros(0, 0),
+                t: TPair::empty(),
+            };
+            let Slot { tile, t } = std::mem::replace(&mut *m.lock(), empty);
+            (tile, t)
+        };
+        let (mut tiles, mut t): (Vec<_>, Vec<_>) = self.slots.iter().map(take).unzip();
         let rhs = tiles.split_off(self.p * self.q);
-        let take_t = |m: &Mutex<TPair<T>>| std::mem::replace(&mut *m.lock(), TPair::empty());
-        let t = self.t.iter().map(take_t).collect();
+        t.truncate(self.p * self.q);
         FactoredParts {
             tiles: TiledMatrix::from_tiles(tiles, self.p, self.q, self.nb),
             t: TFactors::from_slots(self.p, self.ib, t, self.t_home.clone()),
