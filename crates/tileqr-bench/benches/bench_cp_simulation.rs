@@ -4,7 +4,7 @@
 
 use tileqr_bench::microbench::{run, write_json, Sample};
 use tileqr_core::algorithms::Algorithm;
-use tileqr_core::dag::TaskDag;
+use tileqr_core::dag::{TaskDag, TaskKind};
 use tileqr_core::sim::{simulate_asap, simulate_bounded, simulate_unbounded};
 use tileqr_core::KernelFamily;
 
@@ -36,7 +36,7 @@ fn bench_bounded_schedule(samples: &mut Vec<Sample>) {
     for procs in [8usize, 48] {
         let name = format!("bounded_40x20_p{procs}");
         run(samples, "simulate_bounded", &name, procs, None, || {
-            std::hint::black_box(simulate_bounded(&dag, procs));
+            std::hint::black_box(simulate_bounded(&dag, procs, TaskKind::weight));
         });
     }
 }

@@ -16,7 +16,7 @@
 use tileqr_bench::report::{ratio_cell, Table};
 use tileqr_core::algorithms::greedy::greedy_algorithm4;
 use tileqr_core::algorithms::Algorithm;
-use tileqr_core::dag::TaskDag;
+use tileqr_core::dag::{TaskDag, TaskKind};
 use tileqr_core::sim::{critical_path, simulate_bounded};
 use tileqr_core::KernelFamily;
 
@@ -81,7 +81,7 @@ fn main() {
     for procs in [1usize, 2, 4, 8, 16, 32, 48, 96] {
         let mut row = vec![procs.to_string()];
         for (_, dag) in &dags {
-            row.push(simulate_bounded(dag, procs).to_string());
+            row.push(simulate_bounded(dag, procs, TaskKind::weight).to_string());
         }
         row.push(greedy_cp.to_string());
         t.push_row(row);

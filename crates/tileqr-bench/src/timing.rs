@@ -252,7 +252,7 @@ pub fn measure_gamma_seq<T: RandomScalar>(nb: usize) -> f64 {
     let m = 4 * nb;
     let n = 2 * nb;
     let a: Matrix<T> = random_matrix(m, n, 2000);
-    let config = QrConfig::new(nb);
+    let config = QrConfig::new(nb).with_family(KernelFamily::TT);
     let _warm = qr_factorize(&a, config);
     let start = Instant::now();
     let _f = qr_factorize(&a, config);

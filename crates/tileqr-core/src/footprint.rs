@@ -87,8 +87,9 @@ pub const PAPER_TABLE_SHAPES: &[(usize, usize)] = &[
 ];
 
 /// The algorithm roster the analyzer sweeps for a `p × q` grid: the paper's
-/// static baselines, both tree-with-domains variants at two domain sizes,
-/// and the dynamic Asap / Grasap pair.
+/// static baselines, both tree-with-domains variants at the domain sizes
+/// 2–16 (every PlasmaTree [`crate::sim::choose_plan`] can return; BS = 1 is
+/// the BinaryTree), and the dynamic Asap / Grasap pair.
 pub fn algorithm_roster(p: usize, q: usize) -> Vec<Algorithm> {
     let mut algos = vec![
         Algorithm::FlatTree,
@@ -100,7 +101,7 @@ pub fn algorithm_roster(p: usize, q: usize) -> Vec<Algorithm> {
             asap_cols: q.div_ceil(2),
         },
     ];
-    for bs in [2, 4] {
+    for bs in [2, 4, 8, 16] {
         if bs <= p {
             algos.push(Algorithm::PlasmaTree { bs });
             algos.push(Algorithm::HadriTree { bs });

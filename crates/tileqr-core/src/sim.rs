@@ -6,15 +6,17 @@
 //! * the ASAP schedule with **unbounded** processors — task finish times,
 //!   per-tile elimination times (the paper's Tables 3 and 4) and the critical
 //!   path length (Table 5, Figures 1–3 and 6–8);
-//! * a **bounded**-processor list schedule, used to sanity-check the roofline
-//!   performance model of Section 4;
+//! * a **bounded**-processor list schedule under a per-task cost, used to
+//!   sanity-check the roofline performance model of Section 4 (unit costs)
+//!   and, under measured kernel costs, to choose a plan ([`choose_plan`]);
 //! * the **dynamic** algorithms Asap and Grasap(k) of Section 3.2, whose
 //!   elimination choices depend on the weighted task timing and therefore
 //!   must be co-simulated rather than generated statically.
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::sync::OnceLock;
 
-use crate::algorithms::{greedy, pair_bottom_rows};
+use crate::algorithms::{greedy, pair_bottom_rows, Algorithm};
 use crate::dag::{KernelFamily, TaskDag, TaskKind};
 use crate::elim::{Elimination, EliminationList};
 
@@ -72,10 +74,12 @@ pub fn critical_path(list: &EliminationList, family: KernelFamily) -> u64 {
     simulate_unbounded(&TaskDag::build(list, family)).critical_path
 }
 
-/// List-scheduling simulation with `procs` processors: ready tasks are
-/// started in DAG (topological) order whenever a processor is free. Returns
-/// the makespan.
-pub fn simulate_bounded(dag: &TaskDag, procs: usize) -> u64 {
+/// List-scheduling simulation with `procs` processors, each task taking
+/// `cost(kind)` time units: ready tasks are started in DAG (topological)
+/// order whenever a processor is free. Returns the makespan. The paper's
+/// unit is [`TaskKind::weight`]; [`choose_plan`] passes measured kernel
+/// times.
+pub fn simulate_bounded(dag: &TaskDag, procs: usize, cost: impl Fn(TaskKind) -> u64) -> u64 {
     assert!(procs >= 1, "need at least one processor");
     let n = dag.tasks.len();
     if n == 0 {
@@ -105,7 +109,7 @@ pub fn simulate_bounded(dag: &TaskDag, procs: usize) -> u64 {
         ready.remove(&(rt, idx));
         let std::cmp::Reverse(proc_free) = free.pop().expect("no processor");
         let start = rt.max(proc_free);
-        let end = start + dag.tasks[idx].kind.weight();
+        let end = start + cost(dag.tasks[idx].kind);
         finish[idx] = end;
         makespan = makespan.max(end);
         free.push(std::cmp::Reverse(end));
@@ -304,10 +308,89 @@ pub fn best_plasma_tree(p: usize, q: usize, family: KernelFamily) -> (usize, u64
     best
 }
 
+/// Relative time of one task of each kernel, in units of 10 µs: the
+/// `simd_dispatch` AVX-512 rows of `BENCH_kernels.json` at `nb = 128`
+/// (second `host` block), rounded. Per flop the TS kernels run 1.4–1.7×
+/// faster than their TT twins, which the paper's unit weights cannot see.
+/// These are constants rather than a per-host probe so that a plan, and the
+/// bits of its result, do not flip with a noisy timing.
+fn kernel_cost(kind: TaskKind) -> u64 {
+    match kind {
+        TaskKind::Geqrt { .. } => 21,
+        TaskKind::Unmqr { .. } => 16,
+        TaskKind::Tsqrt { .. } => 33,
+        TaskKind::Tsmqr { .. } => 36,
+        TaskKind::Ttqrt { .. } => 19,
+        TaskKind::Ttmqr { .. } => 26,
+    }
+}
+
+/// The PlasmaTree domain sizes [`choose_plan`] tries. The largest is the
+/// accuracy cap: flat TS domains lose orthogonality as they grow
+/// (FlatTree/TS ends over 3× above Greedy/TT's `‖QᴴQ − I‖` at `p = 1024`),
+/// while domains of up to 16 tile rows stay within 2× of it
+/// (`tests/numerics_hardening.rs`).
+const AUTO_DOMAINS: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// The plan — reduction tree and kernel family — with the smallest
+/// simulated makespan on `procs` processors for a `p × q` tile grid, each
+/// task costed by its measured kernel time ([`simulate_bounded`]).
+///
+/// The candidates, in tie-breaking order (the first of equal makespans
+/// wins): Greedy/TT, then PlasmaTree(BS)/TS for BS = 1, 2, 4, 8, 16 — flat
+/// TS domains merged by a binary TT tree, PLASMA's tree and the TSQR shape.
+/// Domains stop at the first BS ≥ p (larger ones build the same plan) and at
+/// 16 rows, the accuracy cap. This is the resolution of
+/// [`Algorithm::Auto`].
+///
+/// The costs are one host's (AVX-512, `nb = 128`), and the plans chosen were
+/// timed end to end only at `procs = 2` and `nb ∈ {64, 128}`; the choices at
+/// other processor counts are the simulation's alone.
+pub fn choose_plan(p: usize, q: usize, procs: usize) -> (Algorithm, KernelFamily) {
+    let mut candidates = vec![(Algorithm::Greedy, KernelFamily::TT)];
+    for bs in AUTO_DOMAINS {
+        candidates.push((Algorithm::PlasmaTree { bs }, KernelFamily::TS));
+        if bs >= p {
+            break;
+        }
+    }
+    // `min_by_key` keeps the first of equal keys.
+    candidates
+        .into_iter()
+        .min_by_key(|&(algo, family)| {
+            let dag = TaskDag::build(&algo.elimination_list(p, q), family);
+            simulate_bounded(&dag, procs, kernel_cost)
+        })
+        .expect("Greedy/TT is always a candidate")
+}
+
+/// The plan a config's `(algorithm, family)` runs on a `p × q` tile grid: a
+/// named tree keeps its family, and [`Algorithm::Auto`] becomes the pair
+/// [`choose_plan`] picks at the host's available parallelism (read once per
+/// process). The one place `Auto` is resolved: the runtime's plans and
+/// [`Algorithm::elimination_list`] both call it.
+pub fn resolve_plan(
+    algorithm: Algorithm,
+    family: KernelFamily,
+    p: usize,
+    q: usize,
+) -> (Algorithm, KernelFamily) {
+    match algorithm {
+        Algorithm::Auto => choose_plan(p, q, host_parallelism()),
+        named => (named, family),
+    }
+}
+
+/// The host's available parallelism, read once per process.
+fn host_parallelism() -> usize {
+    static PROCS: OnceLock<usize> = OnceLock::new();
+    *PROCS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{binary_tree, fibonacci, flat_tree, greedy, plasma_tree, Algorithm};
+    use crate::algorithms::{binary_tree, fibonacci, flat_tree, greedy, plasma_tree};
     use crate::formulas;
 
     fn tt_elim_times(algo: Algorithm, p: usize, q: usize) -> Vec<Vec<Option<u64>>> {
@@ -543,15 +626,67 @@ mod tests {
         let dag = TaskDag::build(&list, KernelFamily::TT);
         let cp = simulate_unbounded(&dag).critical_path;
         let serial = dag.total_weight();
-        let one = simulate_bounded(&dag, 1);
+        let one = simulate_bounded(&dag, 1, TaskKind::weight);
         assert_eq!(one, serial);
-        let many = simulate_bounded(&dag, 10_000);
+        let many = simulate_bounded(&dag, 10_000, TaskKind::weight);
         assert_eq!(many, cp);
-        let four = simulate_bounded(&dag, 4);
+        let four = simulate_bounded(&dag, 4, TaskKind::weight);
         assert!(four >= cp && four <= serial);
         // more processors never hurt
-        let eight = simulate_bounded(&dag, 8);
+        let eight = simulate_bounded(&dag, 8, TaskKind::weight);
         assert!(eight <= four);
+    }
+
+    /// The plans `Algorithm::Auto` resolves to on the benchmark's grids —
+    /// the three library shapes at `nb = 128` and the three service shapes
+    /// at `nb = 64` — from one core to 48. Flat TS domains win while the
+    /// cores are few; Greedy/TT's shorter critical path wins once there are
+    /// enough cores to run its extra parallelism.
+    #[test]
+    fn choose_plan_is_pinned_on_the_benchmark_grids() {
+        let (greedy_tt, ts) = ((Algorithm::Greedy, KernelFamily::TT), KernelFamily::TS);
+        let plasma = |bs| (Algorithm::PlasmaTree { bs }, ts);
+        // (p, q, [P = 1, P = 2, P = 8, P = 48])
+        let cases: [(usize, usize, [_; 4]); 6] = [
+            (32, 4, [plasma(16), plasma(16), plasma(8), greedy_tt]),
+            (10, 10, [plasma(16), plasma(16), plasma(8), greedy_tt]),
+            (64, 2, [plasma(16), plasma(16), plasma(16), greedy_tt]),
+            (8, 2, [plasma(8), plasma(4), greedy_tt, greedy_tt]),
+            (6, 3, [plasma(8), plasma(4), greedy_tt, greedy_tt]),
+            (4, 4, [plasma(4), plasma(4), greedy_tt, greedy_tt]),
+        ];
+        for (p, q, want) in cases {
+            for (procs, want) in [1usize, 2, 8, 48].into_iter().zip(want) {
+                assert_eq!(choose_plan(p, q, procs), want, "{p}x{q} grid, P = {procs}");
+            }
+        }
+    }
+
+    /// Equal makespans go to the first candidate: on one tile row every
+    /// candidate builds the same GEQRT/UNMQR chain, and Greedy/TT comes
+    /// first.
+    #[test]
+    fn choose_plan_breaks_ties_by_candidate_order() {
+        for procs in [1usize, 2, 48] {
+            for q in [1usize, 5] {
+                assert_eq!(
+                    choose_plan(1, q, procs),
+                    (Algorithm::Greedy, KernelFamily::TT)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn auto_elimination_list_is_the_chosen_tree_at_the_host_parallelism() {
+        for (p, q) in [(32usize, 4usize), (8, 2), (4, 4)] {
+            let (algo, _) = choose_plan(p, q, host_parallelism());
+            assert_ne!(algo, Algorithm::Auto);
+            assert_eq!(
+                Algorithm::Auto.elimination_list(p, q),
+                algo.elimination_list(p, q)
+            );
+        }
     }
 
     #[test]

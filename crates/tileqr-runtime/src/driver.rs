@@ -49,9 +49,12 @@ pub struct QrConfig {
     /// [`QrConfig::with_inner_block`]`(tile_size)` for unblocked panels (one
     /// block reflector per tile).
     pub inner_block: usize,
-    /// Reduction tree.
+    /// Reduction tree. [`Algorithm::Auto`] (the default) lets the plan
+    /// choose the tree *and* the kernel family; see [`QrConfig::new`].
     pub algorithm: Algorithm,
-    /// Kernel family (TT or TS).
+    /// Kernel family (TT or TS) of a named tree. Ignored while `algorithm`
+    /// is [`Algorithm::Auto`], which chooses the family with the tree;
+    /// [`QrConfig::with_family`] names the tree too.
     pub family: KernelFamily,
     /// Worker threads (1 = sequential).
     pub threads: usize,
@@ -65,14 +68,30 @@ pub struct QrConfig {
 }
 
 impl QrConfig {
-    /// A sensible default: Greedy reduction tree, TT kernels, the tuned
-    /// inner blocking (`min(tile_size, `[`DEFAULT_INNER_BLOCK`]`)`),
-    /// sequential.
+    /// The default: [`Algorithm::Auto`] — the plan picks its reduction tree
+    /// and kernel family with [`choose_plan`] for its tile grid at the host's
+    /// available parallelism (Greedy/TT or a PlasmaTree/TS with domains of
+    /// at most 16 tile rows) — the tuned inner blocking
+    /// (`min(tile_size, `[`DEFAULT_INNER_BLOCK`]`)`), sequential.
+    ///
+    /// The default's result bits are therefore reproducible on one host, and
+    /// every path (one-shot, context, batch, solve, service) runs the same
+    /// plan for a shape. A host with another core count may choose another
+    /// plan, which changes low-order bits and may flip the signs of rows of
+    /// `R`. For the same bits on every host, name both the tree and the
+    /// family ([`QrConfig::with_algorithm`] and [`QrConfig::with_family`]).
+    ///
+    /// The choice rests on a simulation under kernel costs measured at
+    /// `nb = 128` on one AVX-512 host. Its gain was measured only there, at
+    /// two cores and `nb ∈ {64, 128}`; at other core counts, tile sizes and
+    /// SIMD levels the default plan comes from the simulation alone.
+    ///
+    /// [`choose_plan`]: tileqr_core::sim::choose_plan
     pub fn new(tile_size: usize) -> Self {
         QrConfig {
             tile_size,
             inner_block: tile_size.min(DEFAULT_INNER_BLOCK),
-            algorithm: Algorithm::Greedy,
+            algorithm: Algorithm::Auto,
             family: KernelFamily::TT,
             threads: 1,
             check_finite: false,
@@ -91,14 +110,21 @@ impl QrConfig {
         self.inner_block.clamp(1, self.tile_size.max(1))
     }
 
-    /// Sets the algorithm.
+    /// Sets the algorithm. [`Algorithm::Auto`] chooses the family with the
+    /// tree, so it discards any family set before it:
+    /// `with_family(TS).with_algorithm(Auto)` runs the chosen family.
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
         self.algorithm = algorithm;
         self
     }
 
-    /// Sets the kernel family.
+    /// Sets the kernel family. On an [`Algorithm::Auto`] config it also
+    /// names the tree, [`Algorithm::Greedy`], so a config that names a
+    /// family never leaves the choice of tree to the host.
     pub fn with_family(mut self, family: KernelFamily) -> Self {
+        if self.algorithm == Algorithm::Auto {
+            self.algorithm = Algorithm::Greedy;
+        }
         self.family = family;
         self
     }
@@ -146,7 +172,8 @@ impl<T: Scalar> std::fmt::Debug for QrFactorization<T> {
 }
 
 /// The elimination list of `algorithm` on a `p × q` tile grid
-/// ([`Algorithm::elimination_list`]).
+/// ([`Algorithm::elimination_list`]; for [`Algorithm::Auto`], the list of the
+/// tree the host's plans choose).
 pub fn elimination_list_for(algorithm: Algorithm, p: usize, q: usize) -> EliminationList {
     algorithm.elimination_list(p, q)
 }
@@ -284,7 +311,6 @@ impl<T: Scalar<Real = f64>> QrFactorization<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tileqr_core::dag::TaskDag;
     use tileqr_matrix::generate::{random_matrix, RandomScalar};
     use tileqr_matrix::norms::{frobenius_norm, orthogonality_residual};
     use tileqr_matrix::Complex64;
@@ -323,13 +349,15 @@ mod tests {
 
     #[test]
     fn greedy_tt_factorization_is_correct_real() {
-        check_factorization::<f64>(24, 16, 4, QrConfig::new(4), 1);
-        check_factorization::<f64>(20, 12, 8, QrConfig::new(8), 2);
+        let greedy_tt = |nb| QrConfig::new(nb).with_family(KernelFamily::TT);
+        check_factorization::<f64>(24, 16, 4, greedy_tt(4), 1);
+        check_factorization::<f64>(20, 12, 8, greedy_tt(8), 2);
     }
 
     #[test]
     fn greedy_tt_factorization_is_correct_complex() {
-        check_factorization::<Complex64>(24, 16, 4, QrConfig::new(4), 3);
+        let config = QrConfig::new(4).with_family(KernelFamily::TT);
+        check_factorization::<Complex64>(24, 16, 4, config, 3);
     }
 
     #[test]
@@ -430,8 +458,9 @@ mod tests {
     fn traced_factorization_records_every_task() {
         let a: Matrix<f64> = random_matrix(24, 12, 81);
         let untraced = qr_factorize(&a, QrConfig::new(4));
-        let list = super::elimination_list_for(Algorithm::Greedy, 6, 3);
-        let dag = TaskDag::build(&list, KernelFamily::TT);
+        let tasks = crate::context::QrPlan::<f64>::new(24, 12, QrConfig::new(4))
+            .unwrap()
+            .task_count();
         // The calling thread, a small pool and an oversubscribed one: the
         // trace rides the same job as every other call.
         for threads in [1usize, 2, 4] {
@@ -440,9 +469,9 @@ mod tests {
             assert_eq!(f.r(), untraced.r(), "tracing changed R ({threads} threads)");
             assert!(f.residual(&a) < TOL);
             // one span per DAG task
-            assert_eq!(trace.len(), dag.len(), "{threads} threads");
+            assert_eq!(trace.len(), tasks, "{threads} threads");
             let summary = trace.summary();
-            assert_eq!(summary.tasks, dag.len());
+            assert_eq!(summary.tasks, tasks);
             assert!(
                 summary.makespan >= summary.per_kernel.iter().map(|(_, _, d)| *d).max().unwrap()
             );

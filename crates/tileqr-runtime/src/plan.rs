@@ -15,6 +15,7 @@ use std::sync::{Arc, OnceLock};
 use tileqr_core::algorithms::Algorithm;
 use tileqr_core::dag::{KernelFamily, SuccessorsCsr, TaskDag};
 use tileqr_core::footprint::plan_dag;
+use tileqr_core::sim::resolve_plan;
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
@@ -204,6 +205,16 @@ impl<T: Scalar> QrPlan<T> {
     /// parameters of `config` (`tile_size`, `inner_block`, `algorithm`,
     /// `family` — the `threads` field belongs to the
     /// [`QrContext`](crate::context::QrContext) and is ignored here).
+    ///
+    /// An [`Algorithm::Auto`] config is resolved here, once
+    /// ([`resolve_plan`]): the plan takes the tree and family
+    /// [`choose_plan`] picks for its grid at the host's available
+    /// parallelism, and records them ([`QrPlan::algorithm`],
+    /// [`QrPlan::family`]). Every call that runs the plan runs that pair, so
+    /// results are bitwise equal across paths; they are reproducible on one
+    /// host, and on every host only when the config names tree and family.
+    ///
+    /// [`choose_plan`]: tileqr_core::sim::choose_plan
     pub fn new(m: usize, n: usize, config: QrConfig) -> Result<Self, QrError> {
         if config.tile_size == 0 {
             return Err(QrError::ZeroTileSize);
@@ -220,17 +231,18 @@ impl<T: Scalar> QrPlan<T> {
         // `TiledMatrix::from_dense_padded`.
         let p = m.div_ceil(nb).max(1);
         let q = n.div_ceil(nb).max(1);
+        let (algorithm, family) = resolve_plan(config.algorithm, config.family, p, q);
         Ok(QrPlan {
             m,
             n,
             nb,
             ib,
-            algorithm: config.algorithm,
-            family: config.family,
+            algorithm,
+            family,
             p,
             q,
             check_finite: config.check_finite,
-            core: Arc::new(PlanCore::build(config.algorithm, config.family, p, q, 0)),
+            core: Arc::new(PlanCore::build(algorithm, family, p, q, 0)),
             solve_core: OnceLock::new(),
             solve_tiles: Mutex::new(None),
             ws_cache: Mutex::new(Vec::new()),
@@ -259,12 +271,14 @@ impl<T: Scalar> QrPlan<T> {
         self.ib
     }
 
-    /// Reduction tree the schedule was generated from.
+    /// Reduction tree the schedule was generated from: the config's, or for
+    /// an [`Algorithm::Auto`] config the tree it resolved to — never `Auto`.
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
     }
 
-    /// Kernel family (TT or TS) of the schedule.
+    /// Kernel family (TT or TS) of the schedule: the config's, or for an
+    /// [`Algorithm::Auto`] config the family it resolved to.
     pub fn family(&self) -> KernelFamily {
         self.family
     }
@@ -448,6 +462,7 @@ fn all_finite(non_finite: Option<(usize, usize)>) -> Result<(), QrError> {
 mod tests {
     use super::*;
     use crate::context::QrContext;
+    use tileqr_core::sim::choose_plan;
     use tileqr_matrix::generate::random_matrix;
 
     #[test]
@@ -459,6 +474,47 @@ mod tests {
         assert_eq!(
             QrPlan::<f64>::new(8, 4, QrConfig::new(0)).err(),
             Some(QrError::ZeroTileSize)
+        );
+    }
+
+    #[test]
+    fn the_default_config_resolves_to_a_named_plan_and_a_named_family_pins_greedy() {
+        // The benchmark's shapes, a ragged one and an empty one: the plan
+        // records the pair the chooser picks for its grid on this host.
+        let procs = std::thread::available_parallelism().map_or(1, usize::from);
+        for (m, n, nb) in [
+            (4096usize, 512usize, 128usize),
+            (1280, 1280, 128),
+            (8192, 256, 128),
+            (512, 128, 64),
+            (384, 192, 64),
+            (256, 256, 64),
+            (11, 7, 4),
+            (0, 0, 3),
+        ] {
+            let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).unwrap();
+            assert_ne!(plan.algorithm(), Algorithm::Auto, "{m}x{n}");
+            assert_eq!(
+                (plan.algorithm(), plan.family()),
+                choose_plan(plan.p, plan.q, procs),
+                "{m}x{n}"
+            );
+        }
+        // Naming a family names the tree the default named before `Auto`;
+        // naming a tree keeps the default family.
+        for family in [KernelFamily::TT, KernelFamily::TS] {
+            let plan: QrPlan<f64> =
+                QrPlan::new(40, 16, QrConfig::new(4).with_family(family)).unwrap();
+            assert_eq!(
+                (plan.algorithm(), plan.family()),
+                (Algorithm::Greedy, family)
+            );
+        }
+        let flat = QrConfig::new(4).with_algorithm(Algorithm::FlatTree);
+        let plan: QrPlan<f64> = QrPlan::new(40, 16, flat).unwrap();
+        assert_eq!(
+            (plan.algorithm(), plan.family()),
+            (Algorithm::FlatTree, KernelFamily::TT)
         );
     }
 

@@ -5,10 +5,13 @@
 //! factorization output is order-invariant for conflicting-task-ordering
 //! schedules (pinned by the pre-existing scheduler-equivalence suite).
 
+use std::sync::Arc;
+
 use tileqr_core::algorithms::Algorithm;
 use tileqr_core::KernelFamily;
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::{Complex64, Matrix, TiledMatrix};
+use tileqr_runtime::service::{QrService, ServiceConfig};
 use tileqr_runtime::{qr_factorize, QrConfig, QrContext, QrPlan};
 
 fn assert_context_matches_legacy<T: RandomScalar>(seed: u64) {
@@ -179,5 +182,55 @@ fn every_entry_point_is_bitwise_identical_on_every_engine() {
             decomposed,
             "{at}"
         );
+    }
+}
+
+/// The default config leaves the plan to choose its tree and family for the
+/// host (`Algorithm::Auto`). The plan resolves once, so every path runs the
+/// pair it recorded: `factorize`, `factorize_into`, a batch, `solve` and the
+/// service all give the one-shot driver's bits, on one core as on many.
+#[test]
+fn the_default_config_is_bitwise_identical_on_every_path() {
+    let (m, n, nb) = (96usize, 16usize, 8usize);
+    let config = QrConfig::new(nb);
+    let a: Matrix<f64> = random_matrix(m, n, 400);
+    let b: Matrix<f64> = random_matrix(m, 2, 401);
+    let reference = qr_factorize(&a, config);
+    let decomposed = {
+        let qhb = reference.apply_qh(&b);
+        let mut x: Matrix<f64> = Matrix::zeros(n, 2);
+        for j in 0..2 {
+            let xj = reference.r().solve_upper_triangular(&qhb.col(j)[..n]);
+            x.col_mut(j).copy_from_slice(&xj);
+        }
+        x
+    };
+    let plan = Arc::new(QrPlan::<f64>::new(m, n, config).unwrap());
+    assert_ne!(plan.algorithm(), Algorithm::Auto);
+    let want = reference.factored_tiles();
+    for threads in [1usize, 3] {
+        let at = format!(
+            "{} {:?}, {threads} threads",
+            plan.algorithm().name(),
+            plan.family()
+        );
+        let ctx = QrContext::new(threads).unwrap();
+        let f = ctx.factorize(&plan, &a).unwrap();
+        assert_eq!(f.factored_tiles(), want, "factorize, {at}");
+
+        let mut tiles = TiledMatrix::from_dense_padded(&a, nb);
+        ctx.factorize_into(&plan, &mut tiles).unwrap();
+        assert_eq!(&tiles, want, "factorize_into, {at}");
+
+        for f in ctx.factorize_batch(&plan, &[a.clone(), a.clone()]) {
+            assert_eq!(f.unwrap().factored_tiles(), want, "batch, {at}");
+        }
+
+        assert_eq!(ctx.solve(&plan, &a, &b).unwrap(), decomposed, "solve, {at}");
+
+        let service = QrService::new(ctx, ServiceConfig::default()).unwrap();
+        let served = service.client().submit(&plan, a.clone()).unwrap().wait();
+        assert_eq!(served.unwrap().factored_tiles(), want, "service, {at}");
+        service.shutdown();
     }
 }

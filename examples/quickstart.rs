@@ -14,16 +14,14 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use tiled_qr::core::algorithms::Algorithm;
-use tiled_qr::core::KernelFamily;
 use tiled_qr::matrix::generate::random_matrix;
 use tiled_qr::matrix::norms::{frobenius_norm, orthogonality_residual};
 use tiled_qr::matrix::Matrix;
 use tiled_qr::prelude::{qr_factorize, QrConfig, QrContext, QrPlan};
 
 fn main() {
-    // An 800 × 240 matrix tiled with nb = 40: a 20 × 6 tile grid, the kind of
-    // tall-and-skinny shape where the paper's Greedy algorithm shines.
+    // An 800 × 240 matrix tiled with nb = 40: a 20 × 6 tile grid, the
+    // tall-and-skinny shape where the choice of reduction tree matters.
     let (m, n, nb) = (800usize, 240usize, 40usize);
     let a: Matrix<f64> = random_matrix(m, n, 42);
     let threads = std::thread::available_parallelism()
@@ -37,16 +35,18 @@ fn main() {
         n.div_ceil(nb)
     );
 
-    // The session API: build the runtime and the schedule once...
+    // The session API: build the runtime and the schedule once. The default
+    // config lets the plan choose its reduction tree and kernel family for
+    // this grid on this host; name both (`with_algorithm`, `with_family`) to
+    // get the same bits on every host.
     let ctx = QrContext::new(threads).expect("reasonable thread count");
-    let config = QrConfig::new(nb)
-        .with_algorithm(Algorithm::Greedy)
-        .with_family(KernelFamily::TT);
+    let config = QrConfig::new(nb);
     let plan: QrPlan<f64> = QrPlan::new(m, n, config).expect("tall matrix, positive tile size");
     println!(
-        "  plan: {} kernel tasks for the {} tree",
+        "  plan: {} kernel tasks, {} tree with {} kernels (chosen for {threads} cores)",
         plan.task_count(),
-        plan.algorithm().name()
+        plan.algorithm().name(),
+        plan.family().name()
     );
 
     // ...then factor as many matrices of this shape as you like. The first

@@ -55,7 +55,8 @@ fn main() {
 
     println!();
     println!("Per-kernel breakdown of the Greedy run:");
-    let (_, trace) = qr_factorize_traced(&a, QrConfig::new(nb).with_threads(threads));
+    let greedy = QrConfig::new(nb).with_algorithm(Algorithm::Greedy);
+    let (_, trace) = qr_factorize_traced(&a, greedy.with_threads(threads));
     for (kernel, count, time) in trace.summary().per_kernel {
         println!("  {kernel:<8} x{count:<5} {time:>12.3?}");
     }

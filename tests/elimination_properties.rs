@@ -10,7 +10,7 @@ use tiled_qr::core::algorithms::{
     binary_tree, fibonacci, flat_tree, greedy, plasma_tree, Algorithm,
 };
 use tiled_qr::core::coarse::{coarse_schedule, prescribed_steps};
-use tiled_qr::core::dag::TaskDag;
+use tiled_qr::core::dag::{TaskDag, TaskKind};
 use tiled_qr::core::elim::EliminationList;
 use tiled_qr::core::formulas;
 use tiled_qr::core::sim::{critical_path, simulate_bounded, simulate_grasap, simulate_unbounded};
@@ -178,7 +178,7 @@ fn bounded_schedules_are_sandwiched() {
             let dag = TaskDag::build(&greedy(p, q), KernelFamily::TT);
             let cp = simulate_unbounded(&dag).critical_path;
             let serial = dag.total_weight();
-            let bounded = simulate_bounded(&dag, procs);
+            let bounded = simulate_bounded(&dag, procs, TaskKind::weight);
             assert!(bounded >= cp, "{p}x{q} procs={procs}");
             assert!(bounded <= serial, "{p}x{q} procs={procs}");
             // list scheduling is never worse than fully serial and never

@@ -11,10 +11,12 @@
 //! inputs — hostile inputs are allowed no extra slack.
 //!
 //! Also covered: the batched session API on hostile inputs (bitwise equal
-//! to the one-shot path), and least-squares forward error degrading no
-//! worse than `cond · ε` on graded-column systems.
+//! to the one-shot path), least-squares forward error degrading no worse
+//! than `cond · ε` on graded-column systems, and the accuracy cap on the
+//! flat TS domains the default config's plan chooser may pick.
 
 use tiled_qr::core::algorithms::Algorithm;
+use tiled_qr::core::sim::choose_plan;
 use tiled_qr::core::KernelFamily;
 use tiled_qr::matrix::generate::{ill_conditioned_matrix, random_matrix, rank_deficient_matrix};
 use tiled_qr::matrix::norms::frobenius_norm;
@@ -42,12 +44,15 @@ fn assert_stable<T: Scalar<Real = f64>>(a: &Matrix<T>, config: QrConfig, what: &
     );
 }
 
-fn both_families(nb: usize) -> [QrConfig; 2] {
+/// Both kernel families, and the default config (the plan the host
+/// chooses, which may mix TS domains with a TT merge).
+fn both_families(nb: usize) -> [QrConfig; 3] {
     [
         QrConfig::new(nb).with_family(KernelFamily::TT),
         QrConfig::new(nb)
             .with_family(KernelFamily::TS)
             .with_algorithm(Algorithm::FlatTree),
+        QrConfig::new(nb),
     ]
 }
 
@@ -217,5 +222,62 @@ fn least_squares_forward_error_scales_with_conditioning() {
             (got - want).abs() < 1e-6 * want.abs(),
             "solution component {got} vs {want} outside the cond·ε envelope"
         );
+    }
+}
+
+/// Flat TS domains lose orthogonality as they grow: FlatTree/TS, one domain
+/// of `p` tile rows, ends over 3× above Greedy/TT at `p = 1024`. Capping
+/// the domains the default config's chooser may pick at 16 tile rows keeps
+/// every plan it can return within 2× of Greedy/TT's `‖QᴴQ − I‖` (the mean
+/// over four seeds, `nb = 8`, `q = 2`), at every height; FlatTree/TS fails
+/// the same bound.
+#[test]
+fn every_plan_the_chooser_can_return_keeps_orthogonality_within_twice_greedy() {
+    let greedy_tt = (Algorithm::Greedy, KernelFamily::TT);
+    let mut choosable = vec![greedy_tt];
+    for bs in [1, 2, 4, 8, 16] {
+        choosable.push((Algorithm::PlasmaTree { bs }, KernelFamily::TS));
+    }
+    // The list above is everything the chooser returns.
+    for p in [1usize, 2, 3, 5, 8, 12, 16, 17, 33, 64] {
+        for q in [1usize, 2, 4].into_iter().filter(|&q| q <= p) {
+            for procs in [1usize, 2, 4, 8, 48] {
+                let plan = choose_plan(p, q, procs);
+                assert!(choosable.contains(&plan), "{p}x{q}, P = {procs}: {plan:?}");
+            }
+        }
+    }
+
+    let (nb, q) = (8usize, 2usize);
+    let mean_orthogonality = |(algo, family): (Algorithm, KernelFamily), p: usize| {
+        let config = QrConfig::new(nb).with_algorithm(algo).with_family(family);
+        let seeds = 900..904u64;
+        let n = seeds.end - seeds.start;
+        seeds
+            .map(|seed| {
+                let a: Matrix<f64> = random_matrix(p * nb, q * nb, seed);
+                qr_factorize(&a, config).orthogonality()
+            })
+            .sum::<f64>()
+            / n as f64
+    };
+    for p in [64usize, 256, 1024] {
+        let bound = 2.0 * mean_orthogonality(greedy_tt, p);
+        for &plan in &choosable {
+            let got = mean_orthogonality(plan, p);
+            assert!(
+                got <= bound,
+                "{} {:?} at p = {p}: ‖QᴴQ − I‖ = {got:e} above twice Greedy/TT ({bound:e})",
+                plan.0.name(),
+                plan.1
+            );
+        }
+        if p == 1024 {
+            let flat = mean_orthogonality((Algorithm::FlatTree, KernelFamily::TS), p);
+            assert!(
+                flat > bound,
+                "FlatTree/TS at p = {p}: ‖QᴴQ − I‖ = {flat:e}, within twice Greedy/TT ({bound:e})"
+            );
+        }
     }
 }
