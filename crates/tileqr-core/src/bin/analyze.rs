@@ -3,7 +3,8 @@
 //! Sweeps elimination algorithms × kernel families × grid shapes, proving
 //! for each plan — the plain factorization and the fused least-squares plan
 //! with its trailing right-hand-side column — that every pair of conflicting
-//! tile-region accesses is ordered by the task DAG (see
+//! tile-region accesses is ordered by the task DAG, and that the first-touch
+//! rule the runtime fills a dense input by holds (see
 //! `tileqr_core::footprint`). Prints a hazard
 //! report and exits non-zero if any plan has a race or structural defect —
 //! suitable as a CI gate.
@@ -31,6 +32,7 @@ struct Totals {
     transitive: u64,
     hazards: usize,
     structure: usize,
+    first_touch: usize,
 }
 
 fn usage() -> ! {
@@ -71,10 +73,10 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "tileqr-analyze: prove tiled-QR plans race-free at tile-region \
-                     granularity.\n\nOptions:\n  --paper-tables  only the paper's table \
+                     granularity, with the first-touch fill of a dense input.\n\nOptions:\n  --paper-tables  only the paper's table \
                      shapes\n  --shape PxQ     analyze a single grid shape\n  --max-dim N \
                      skip shapes with p > N\n  --verbose       one line per plan\n\nExits 1 \
-                     if any plan has a hazard or structural defect."
+                     if any plan has a hazard, a structural defect or a first-touch violation."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -115,6 +117,7 @@ fn main() -> ExitCode {
         transitive: 0,
         hazards: 0,
         structure: 0,
+        first_touch: 0,
     };
 
     for &(p, q) in &shapes {
@@ -135,18 +138,23 @@ fn main() -> ExitCode {
                         shape_bad += 1;
                         totals.hazards += report.hazards.len();
                         totals.structure += report.structure_errors.len();
+                        totals.first_touch += report.first_touch_errors.len();
                         println!(
                             "FAIL {p}x{q}+{trailing} {} {family:?}: {} hazard(s), {} structural \
-                             error(s)",
+                             error(s), {} first-touch violation(s)",
                             algo.name(),
                             report.hazards.len(),
-                            report.structure_errors.len()
+                            report.structure_errors.len(),
+                            report.first_touch_errors.len()
                         );
                         for h in report.hazards.iter().take(5) {
                             println!("     {h}");
                         }
                         for e in report.structure_errors.iter().take(5) {
                             println!("     structure: {e}");
+                        }
+                        for e in report.first_touch_errors.iter().take(5) {
+                            println!("     first touch: {e}");
                         }
                     } else if verbose {
                         println!(
@@ -174,7 +182,7 @@ fn main() -> ExitCode {
     println!(
         "\n{} shapes, {} plans ({} factorization + {} with a trailing rhs column), {} tasks \
          analyzed; {} conflicting pairs proven ordered ({} transitively); {} hazards, {} \
-         structural errors",
+         structural errors, {} first-touch violations",
         shapes.len(),
         totals.plans,
         totals.plans - totals.solve_plans,
@@ -183,10 +191,15 @@ fn main() -> ExitCode {
         totals.ordered,
         totals.transitive,
         totals.hazards,
-        totals.structure
+        totals.structure,
+        totals.first_touch
     );
-    if totals.hazards == 0 && totals.structure == 0 {
-        println!("RACE-FREE: every plan proven");
+    if totals.hazards == 0 && totals.structure == 0 && totals.first_touch == 0 {
+        println!(
+            "RACE-FREE: every plan proven, the first-touch fill of its dense input included \
+             ({} plans)",
+            totals.plans
+        );
         ExitCode::SUCCESS
     } else {
         println!("RACES FOUND: the plans above are not safe to execute concurrently");

@@ -50,6 +50,13 @@
 //! acyclic by construction), and the flat CSR successor form consistent with
 //! the per-task predecessor lists (same edges, same out-degrees).
 //!
+//! Last, the *first-touch rule* the runtime fills a dense input by: every
+//! tile is named by some task, the first task that names a tile writes it,
+//! and every other task that names the tile descends from that first task.
+//! The runtime copies each tile from the dense input inside its first task,
+//! under the task's locks, so under the rule no kernel meets an unfilled
+//! tile.
+//!
 //! The `tileqr-analyze` binary exposes the same analysis as a command-line
 //! sweep over algorithms × kernel families × grid shapes and exits non-zero
 //! on any hazard, so CI can gate on plan race-freedom.
@@ -408,12 +415,73 @@ pub struct AnalysisReport {
     /// order, sorted/deduplicated predecessor lists, predecessor/successor
     /// representation agreement).
     pub structure_errors: Vec<String>,
+    /// Violations of the first-touch rule a dense input is filled by: every
+    /// tile is named by some task, the first task (in stored order) that
+    /// names a tile writes it, and every other task that names the tile
+    /// descends from that first task. The runtime fills each tile inside its
+    /// first task, so under the rule no task meets an unfilled tile.
+    pub first_touch_errors: Vec<String>,
 }
 
 impl AnalysisReport {
-    /// True iff the plan was proven race-free.
+    /// True iff the plan was proven race-free, its dense input's
+    /// first-touch fill included.
     pub fn is_race_free(&self) -> bool {
-        self.hazards.is_empty() && self.structure_errors.is_empty()
+        self.hazards.is_empty()
+            && self.structure_errors.is_empty()
+            && self.first_touch_errors.is_empty()
+    }
+}
+
+/// The first-touch rule (see [`AnalysisReport::first_touch_errors`]),
+/// checked in stored order. Per tile it keeps the tasks proven to descend
+/// from the tile's first task (the first one included), in order: a later
+/// task naming the tile is proven by a direct predecessor among them —
+/// what the builder's chaining gives every task — or else by the exact
+/// search.
+fn check_first_touch(dag: &TaskDag, reach: &mut Reachability, errors: &mut Vec<String>) {
+    let mut proven: Vec<Vec<u32>> = vec![Vec::new(); dag.p * (dag.q + dag.trailing)];
+    for (idx, task) in dag.tasks.iter().enumerate() {
+        let me = idx as u32;
+        let accesses = footprint(task.kind);
+        for (i, access) in accesses.iter().enumerate() {
+            let tile = access.resource.tile();
+            let named = |a: &Access| a.resource.tile() == tile;
+            if accesses[..i].iter().any(named) {
+                continue;
+            }
+            let proven = &mut proven[tile.1 * dag.p + tile.0];
+            let Some(&first) = proven.first() else {
+                if !accesses.iter().any(|a| named(a) && a.mode == Mode::Write) {
+                    errors.push(format!(
+                        "task #{idx} {:?} is the first to name tile {tile:?} but only reads it",
+                        task.kind
+                    ));
+                }
+                proven.push(me);
+                continue;
+            };
+            let by_pred = task
+                .deps
+                .iter()
+                .any(|&d| proven.binary_search(&(d as u32)).is_ok());
+            if by_pred || reach.reaches(dag, first, me) {
+                proven.push(me);
+            } else {
+                errors.push(format!(
+                    "task #{idx} {:?} names tile {tile:?} but does not descend from its first \
+                     task #{first} {:?}",
+                    task.kind, dag.tasks[first as usize].kind
+                ));
+            }
+        }
+    }
+    if let Some(at) = proven.iter().position(Vec::is_empty) {
+        errors.push(format!(
+            "tile ({}, {}) is named by no task",
+            at % dag.p,
+            at / dag.p
+        ));
     }
 }
 
@@ -629,6 +697,9 @@ pub fn analyze(dag: &TaskDag) -> AnalysisReport {
         }
     }
 
+    let mut first_touch_errors = Vec::new();
+    check_first_touch(dag, &mut reach, &mut first_touch_errors);
+
     AnalysisReport {
         tasks: n,
         edges: dag.tasks.iter().map(|t| t.deps.len()).sum(),
@@ -637,6 +708,7 @@ pub fn analyze(dag: &TaskDag) -> AnalysisReport {
         transitive_pairs,
         hazards,
         structure_errors,
+        first_touch_errors,
     }
 }
 
@@ -710,6 +782,47 @@ mod tests {
             "severed GEQRT→UNMQR edge not detected: {:?}",
             report.hazards
         );
+    }
+
+    /// The first-touch check has teeth: dropping one dependency edge into a
+    /// task that is the first to name some tile — seeded picks over real
+    /// plans of both families — must surface as a first-touch violation.
+    #[test]
+    fn severed_edge_into_a_first_touch_task_is_reported() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as usize
+        };
+        for (family, trailing) in [(KernelFamily::TT, 0), (KernelFamily::TS, 1)] {
+            let clean = plan_dag(Algorithm::Greedy, 6, 4, family, trailing);
+            assert!(analyze(&clean).first_touch_errors.is_empty());
+            let mut named = vec![false; clean.p * (clean.q + trailing)];
+            let first_touch: Vec<usize> = (0..clean.tasks.len())
+                .filter(|&i| {
+                    let mut first = false;
+                    for access in footprint(clean.tasks[i].kind).iter() {
+                        let (row, col) = access.resource.tile();
+                        first |= !std::mem::replace(&mut named[col * clean.p + row], true);
+                    }
+                    first && !clean.tasks[i].deps.is_empty()
+                })
+                .collect();
+            for _ in 0..8 {
+                let mut dag = clean.clone();
+                let victim = first_touch[next(first_touch.len())];
+                let deps = &mut dag.tasks[victim].deps;
+                let dropped = deps.remove(next(deps.len()));
+                let report = analyze(&dag);
+                assert!(
+                    !report.first_touch_errors.is_empty(),
+                    "{family:?}: dropping #{dropped} → #{victim} {:?} went unnoticed",
+                    dag.tasks[victim].kind
+                );
+            }
+        }
     }
 
     /// An artificial DAG with two unordered writers of the same tile region

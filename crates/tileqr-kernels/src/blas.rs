@@ -4,7 +4,11 @@
 //! * [`dot_conj`] — the reduction of the *in-panel* reflector sweep of the
 //!   factorization kernels (one reflector applied to the remaining columns
 //!   of its own `ib` panel) and of the `T`-factor construction: Level-2 work
-//!   that no block reflector exists for yet.
+//!   that no block reflector exists for yet. On the SIMD levels a TS panel
+//!   reaches it through `reflect` (one reflector's step of the sweep) and
+//!   `trmv_upper` (the `T` recurrence), written over the [`crate::simd`]
+//!   Level-2 operations (eight dots at once, a full-width update), which
+//!   reproduce the generic loops bit for bit.
 //! * [`copy_rows_window_into`] / [`sub_rows_window_assign`] — the identity
 //!   top block of the stacked TS/TT reflectors `[I; V2]`, which moves a
 //!   window of pivot rows in and out of the staging panels without a
@@ -18,6 +22,8 @@
 
 use tileqr_matrix::{Matrix, Scalar};
 
+use crate::simd::{Level2, DOT_PAIRS};
+
 /// Conjugated dot product `aᴴ · b` with four independent accumulators.
 ///
 /// A single-accumulator reduction is latency-bound: every fused
@@ -26,6 +32,13 @@ use tileqr_matrix::{Matrix, Scalar};
 /// compiler cannot do this itself because it must preserve the floating-point
 /// summation order). The result differs from the sequential sum only by
 /// rounding.
+///
+/// The accumulation order is a contract: element `i` goes to partial sum
+/// `i mod 4` (the remainder after the last whole group of four to the
+/// first), every product is rounded before it is added, and the result is
+/// `(s0 + s1) + (s2 + s3)`. The dispatched f64 path of the factor kernels
+/// holds the four partial sums as the lanes of one vector and must
+/// reproduce this order bit for bit.
 #[inline]
 pub fn dot_conj<T: Scalar>(a: &[T], b: &[T]) -> T {
     debug_assert_eq!(a.len(), b.len(), "dot_conj: length mismatch");
@@ -45,6 +58,52 @@ pub fn dot_conj<T: Scalar>(a: &[T], b: &[T]) -> T {
         acc0 += x.conj() * y;
     }
     (acc0 + acc1) + (acc2 + acc3)
+}
+
+/// Applies one reflector `H = I − τ·[1; x]·[1; x]ᴴ`, as `Hᴴ`, to the `ncols`
+/// columns of a TS pair — one step of the in-panel sweep. Column `c`'s tail
+/// is `cols[c·ld ..][.. x.len()]`, its pivot (the entry the reflector's unit
+/// meets) `pivots[c·ld + j]`. Per column: `s = τ̄·(pivot + xᴴ·tail)`,
+/// `pivot −= s`, `tail −= x·s`, as the generic sweep does. The columns are
+/// independent, so their dots are reduced [`DOT_PAIRS`] at a time before
+/// any is updated.
+#[allow(clippy::too_many_arguments)] // one reflector: target layout, pivot row, reflector
+#[inline(always)]
+pub(crate) fn reflect<T: Scalar, L: Level2>(
+    cols: &mut [T],
+    pivots: &mut [T],
+    ld: usize,
+    j: usize,
+    ncols: usize,
+    x: &[T],
+    tau_c: T,
+) {
+    let mut dots = [T::ZERO; DOT_PAIRS];
+    for c0 in (0..ncols).step_by(DOT_PAIRS) {
+        let n = DOT_PAIRS.min(ncols - c0);
+        let tails: [(&[T], &[T]); DOT_PAIRS] =
+            std::array::from_fn(|c| (x, &cols[(c0 + c.min(n - 1)) * ld..][..x.len()]));
+        L::dots(&tails[..n], &mut dots[..n]);
+        for (c, &dot) in (c0..c0 + n).zip(&dots) {
+            let pivot = &mut pivots[c * ld + j];
+            let s = tau_c * (*pivot + dot);
+            *pivot -= s;
+            L::axpy(&mut cols[c * ld..][..x.len()], x, s, true);
+        }
+    }
+}
+
+/// `w := T·w` in place for the upper triangular `n × n` `T` stored at `t`
+/// with leading dimension `ld` (`n = w.len()`), summed column by column of
+/// `T`: entry `i` still adds its terms `T(i, k)·w(k)` in order of `k`, from
+/// zero, each product rounded before its sum — the row-by-row sum bit for
+/// bit, at full width.
+#[inline(always)]
+pub(crate) fn trmv_upper<T: Scalar, L: Level2>(t: &[T], ld: usize, w: &mut [T]) {
+    for k in 0..w.len() {
+        let wk = std::mem::replace(&mut w[k], T::ZERO);
+        L::axpy(&mut w[..=k], &t[k * ld..][..=k], wk, false);
+    }
 }
 
 /// `W(r, j) := C[r0+r, j]` for `r < w`, `j < width`, `C` column-major with

@@ -38,9 +38,10 @@
 
 use tileqr_matrix::{Matrix, Scalar};
 
-use crate::blas::dot_conj;
+use crate::blas::{dot_conj, reflect, trmv_upper};
 use crate::householder::larfg;
 use crate::reflector::Block;
+use crate::simd::{with_level2, Level2, WithLevel2, DOT_PAIRS};
 use crate::workspace::Workspace;
 
 /// GEQRT: in-place QR factorization of a square `nb × nb` tile, with
@@ -137,39 +138,116 @@ fn factor<T: Scalar<Real = f64>>(
     for j0 in (0..nb).step_by(ib) {
         let w = ib.min(nb - j0);
         let j1 = j0 + w;
-        // --- generate the panel's reflectors, applying each to the rest of
-        // the panel ---
-        for jj in 0..w {
-            let j = j0 + jj;
-            let (alpha, x) = block.column(v, j, j);
-            let tail = &mut tail[..x.len()];
-            tail.copy_from_slice(x);
-            let refl = larfg(*alpha, tail);
-            tau[jj] = refl.tau;
-            *alpha = refl.beta;
-            x.copy_from_slice(tail);
-            if refl.tau.is_zero() {
-                continue;
-            }
-            let tau_c = refl.tau.conj();
-            for k in (j + 1)..j1 {
-                let (pivot, c) = block.column(v, j, k);
-                let wv = *pivot + dot_conj(tail, c);
-                let s = tau_c * wv;
-                *pivot -= s;
-                for (ci, &vi) in c.iter_mut().zip(tail.iter()) {
-                    *ci -= vi * s;
+        // --- the Level-2 half of a TS panel on the SIMD levels: the same
+        // steps as below, the same bits ---
+        let dispatched = match &mut block {
+            Block::Pair {
+                pivot,
+                triangular: false,
+            } => with_level2::<T>(TsPanel {
+                r1: pivot,
+                v: &mut *v,
+                t: &mut *t,
+                tau: &mut tau[..w],
+                j0,
+            }),
+            _ => false,
+        };
+        if !dispatched {
+            // --- generate the panel's reflectors, applying each to the rest
+            // of the panel ---
+            for jj in 0..w {
+                let j = j0 + jj;
+                let (alpha, x) = block.column(v, j, j);
+                let tail = &mut tail[..x.len()];
+                tail.copy_from_slice(x);
+                let refl = larfg(*alpha, tail);
+                tau[jj] = refl.tau;
+                *alpha = refl.beta;
+                x.copy_from_slice(tail);
+                if refl.tau.is_zero() {
+                    continue;
+                }
+                let tau_c = refl.tau.conj();
+                for k in (j + 1)..j1 {
+                    let (pivot, c) = block.column(v, j, k);
+                    let wv = *pivot + dot_conj(tail, c);
+                    let s = tau_c * wv;
+                    *pivot -= s;
+                    for (ci, &vi) in c.iter_mut().zip(tail.iter()) {
+                        *ci -= vi * s;
+                    }
                 }
             }
+            // --- the panel's T factor ---
+            panel_t(&block, v, j0, &tau[..w], t, wcol);
         }
-        // --- the panel's T factor ---
-        panel_t(&block, v, j0, &tau[..w], t, wcol);
         // --- trailing update of columns j1..nb ---
         if j1 < nb {
             // The panel's vectors live in columns j0..j1, the targets in
             // j1..nb: split the storage so both can be accessed at once.
             let (left, right) = v.as_mut_slice().split_at_mut(j1 * nb);
             block.apply_panel(left, nb, t, j0, w, true, right, j1, nb - j1, panel);
+        }
+    }
+}
+
+/// The Level-2 half of one panel of a TS pair — columns
+/// `j0 .. j0 + tau.len()` of `v` under the pivot tile `r1` — written over
+/// the [`Level2`] operations of a SIMD level: every step of the generic
+/// sweep and [`panel_t`] in their order, with the dots of independent
+/// columns reduced eight at a time and the `T` recurrence summed column by
+/// column (entry `i` still adds its terms in index order, from zero).
+/// GEQRT and TTQRT panels keep the generic loops: their shorter columns
+/// did not pay for the dispatch on the reference host.
+struct TsPanel<'p, T: Scalar> {
+    r1: &'p mut Matrix<T>,
+    v: &'p mut Matrix<T>,
+    t: &'p mut Matrix<T>,
+    tau: &'p mut [T],
+    j0: usize,
+}
+
+impl<T: Scalar<Real = f64>> WithLevel2 for TsPanel<'_, T> {
+    #[inline(always)]
+    fn run<L: Level2>(self) {
+        let TsPanel { r1, v, t, tau, j0 } = self;
+        let (nb, w) = (v.rows(), tau.len());
+        let j1 = j0 + w;
+        for j in j0..j1 {
+            // Reflector `j` is `[e_j; v_j]`: its unit meets row `j` of `r1`.
+            let refl = larfg(r1.get(j, j), v.col_mut(j));
+            tau[j - j0] = refl.tau;
+            r1.set(j, j, refl.beta);
+            if refl.tau.is_zero() {
+                continue;
+            }
+            let (done, cols) = v.as_mut_slice().split_at_mut((j + 1) * nb);
+            let pivots = &mut r1.as_mut_slice()[(j + 1) * nb..];
+            let x = &done[j * nb..];
+            reflect::<T, L>(cols, pivots, nb, j, j1 - j - 1, x, refl.tau.conj());
+        }
+        let ld = t.rows();
+        for (jj, &tau) in tau.iter().enumerate() {
+            let j = j0 + jj;
+            let (done, rest) = t.as_mut_slice().split_at_mut(j * ld);
+            let col = &mut rest[..w];
+            col.fill(T::ZERO);
+            if tau.is_zero() {
+                continue;
+            }
+            // `w(ii) = v_iiᴴ·v_jj`, parked in the column being built.
+            for ii0 in (0..jj).step_by(DOT_PAIRS) {
+                let n = DOT_PAIRS.min(jj - ii0);
+                let pairs: [(&[T], &[T]); DOT_PAIRS] =
+                    std::array::from_fn(|c| (v.col(j0 + ii0 + c.min(n - 1)), v.col(j)));
+                L::dots(&pairs[..n], &mut col[ii0..ii0 + n]);
+            }
+            trmv_upper::<T, L>(&done[j0 * ld..], ld, &mut col[..jj]);
+            for x in &mut col[..jj] {
+                *x = -tau * *x;
+            }
+            col[jj] = tau;
         }
     }
 }

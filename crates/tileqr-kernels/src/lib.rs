@@ -75,6 +75,16 @@
 //!    pin — and the per-call dispatch cost is zero. Std only, no external
 //!    dependencies.
 //!
+//!    The Level-2 half of a TS panel — the in-panel reflector sweep and the
+//!    `T` build — is dispatched too, once per panel, into a body compiled
+//!    for the level ([`simd`]'s Level-2 operations): the dots of independent
+//!    columns run eight at a time, each holding [`blas::dot_conj`]'s four
+//!    partial sums as the lanes of one vector, and the rank-1 updates at
+//!    full width. These operations stay unfused even under the `fma`
+//!    feature, so GEQRT, TSQRT and TTQRT give every level the scalar
+//!    level's bits; GEQRT and TTQRT panels, `Complex64` and the scalar
+//!    level keep the generic loops.
+//!
 //! Because every element of every product is reduced over `k` in order,
 //! from zero, the block shape and the edge handling never change a result
 //! bit; what *does* define the arithmetic is the formulation above (zeros

@@ -61,6 +61,11 @@
 //!   stable — it is still ordinary Householder arithmetic). The scalar
 //!   fallback itself stays unfused on a generic x86-64 target (see
 //!   [`Scalar::mul_acc`]).
+//! * The Level-2 operations of the factor kernels' panels (the in-panel
+//!   sweep and the `T` build of a TS pair on AVX2 and AVX-512) are never
+//!   fused, whatever the feature: they round every product before its sum
+//!   in the generic loops' order, so the factor kernels at `ib = nb` give
+//!   every level the scalar level's bits in every build.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -501,6 +506,82 @@ fn scalar_block<T: Scalar, const MR: usize, const NR: usize>(
     write_back(acc.as_flattened(), MR, c, coffs, mr_valid, sub);
 }
 
+// ---------------------------------------------------------------------------
+// Level-2 operations
+// ---------------------------------------------------------------------------
+
+/// Most pairs one [`Level2::dots`] call reduces together: enough independent
+/// add chains to keep both vector adders busy.
+pub(crate) const DOT_PAIRS: usize = 8;
+
+/// The two Level-2 operations of the factor kernels' panel (the in-panel
+/// sweep and the `T` build), one implementation per level. Every
+/// implementation rounds exactly as the generic loops: each product before
+/// its sum, never fused, so a body written over them gives every level the
+/// scalar level's bits.
+pub(crate) trait Level2 {
+    /// `out[c] = a_cᴴ·b_c` for the `n ≤ DOT_PAIRS` pairs `(a_c, b_c)`, each
+    /// in [`crate::blas::dot_conj`]'s order.
+    fn dots<T: Scalar>(pairs: &[(&[T], &[T])], out: &mut [T]);
+
+    /// `y −= x·s` (`sub`) or `y += x·s`, elementwise.
+    fn axpy<T: Scalar>(y: &mut [T], x: &[T], s: T, sub: bool);
+}
+
+/// The generic loops, which the SIMD operations fall back to for a scalar
+/// type other than f64.
+#[cfg(target_arch = "x86_64")]
+struct Generic;
+
+#[cfg(target_arch = "x86_64")]
+impl Level2 for Generic {
+    #[inline(always)]
+    fn dots<T: Scalar>(pairs: &[(&[T], &[T])], out: &mut [T]) {
+        for (o, &(a, b)) in out.iter_mut().zip(pairs) {
+            *o = crate::blas::dot_conj(a, b);
+        }
+    }
+
+    #[inline(always)]
+    fn axpy<T: Scalar>(y: &mut [T], x: &[T], s: T, sub: bool) {
+        if sub {
+            y.iter_mut().zip(x).for_each(|(yi, &xi)| *yi -= xi * s);
+        } else {
+            y.iter_mut().zip(x).for_each(|(yi, &xi)| *yi += xi * s);
+        }
+    }
+}
+
+/// A body generic over the [`Level2`] operations — the factor kernels'
+/// panel.
+pub(crate) trait WithLevel2 {
+    /// Runs the body with the operations `L`.
+    fn run<L: Level2>(self);
+}
+
+/// Runs `body` with the active level's [`Level2`] operations, if the level
+/// has them for scalar type `T` (f64 on AVX2 and AVX-512), and says whether
+/// it did; the caller runs its generic loops otherwise. The body runs
+/// inside a function compiled for the level's target features, so the
+/// operations — and the body's own loops — inline there.
+#[inline]
+pub(crate) fn with_level2<T: Scalar>(body: impl WithLevel2) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if same_type::<T, f64>() {
+        match active() {
+            // SAFETY: the active level passed `is_supported`, so its target
+            // features are present.
+            SimdLevel::Avx512 => unsafe { x86::with_avx512(body) },
+            // SAFETY: as above.
+            SimdLevel::Avx2 => unsafe { x86::with_avx2(body) },
+            _ => return false,
+        }
+        return true;
+    }
+    let _ = body;
+    false
+}
+
 /// Generates the baseline-ISA entry point of one kernel: picks the
 /// instantiation of the `#[target_feature]` block for the number of valid
 /// columns.
@@ -884,6 +965,203 @@ mod x86 {
     by_valid_columns! {
         /// Complex64 `4 × 4` register block on AVX-512F.
         c64_avx512 => c64_avx512_block::<1, 2, 3, 4>
+    }
+
+    /// The [`super::Level2`] operations on AVX2 (`ZMM = false`) and AVX-512
+    /// (`ZMM = true`): `ymm` dots on both — a `zmm` would hold eight partial
+    /// sums and change the summation order — and the update at the level's
+    /// full width. Named only here: they run inside [`with_avx2`] and
+    /// [`with_avx512`], whose target features their intrinsics need, and
+    /// serve f64 only (any other `T` takes the generic loops).
+    pub(super) struct Ops<const ZMM: bool>;
+
+    impl<const ZMM: bool> super::Level2 for Ops<ZMM> {
+        #[inline(always)]
+        fn dots<T: super::Scalar>(pairs: &[(&[T], &[T])], out: &mut [T]) {
+            let n = pairs.len();
+            assert!(
+                (1..=8).contains(&n) && out.len() >= n,
+                "one to eight pairs, one output each"
+            );
+            // The vector path serves pairs of one length that share one
+            // operand — loaded once per group. f64 products commute bit for
+            // bit, so a shared right operand may take the left.
+            let (x0, y0) = pairs[0];
+            let shared_left = pairs.iter().all(|(x, _)| x.as_ptr() == x0.as_ptr());
+            let shared_right = pairs.iter().all(|(_, y)| y.as_ptr() == y0.as_ptr());
+            let one_len = pairs
+                .iter()
+                .all(|(x, y)| x.len() == x0.len() && y.len() == x0.len());
+            if !super::same_type::<T, f64>() || !one_len || !(shared_left || shared_right) {
+                return super::Generic::dots(pairs, out);
+            }
+            let (x, others) = if shared_left { (x0, 1) } else { (y0, 0) };
+            let mut ys = [std::ptr::null::<f64>(); 8];
+            for (y, pair) in ys.iter_mut().zip(pairs) {
+                *y = [pair.0, pair.1][others].as_ptr().cast();
+            }
+            // SAFETY: `T == f64`; `x` and every `ys[c]`, `c < n`, hold
+            // `x.len()` f64, and `out` holds `n` (asserted above). AVX is
+            // present: these operations run only inside `with_avx2` or
+            // `with_avx512`, and both levels imply it.
+            unsafe { dots_n(n, x.as_ptr().cast(), &ys, x.len(), out.as_mut_ptr().cast()) }
+        }
+
+        #[inline(always)]
+        fn axpy<T: super::Scalar>(y: &mut [T], x: &[T], s: T, sub: bool) {
+            let Some(&s) = (&s as &dyn std::any::Any).downcast_ref::<f64>() else {
+                return super::Generic::axpy(y, x, s, sub);
+            };
+            assert_eq!(y.len(), x.len(), "axpy operands of unequal length");
+            // `y − x·s` is `y + x·(−s)` bit for bit: IEEE subtraction adds
+            // the negation, and a product rounds symmetrically in sign.
+            let s = if sub { -s } else { s };
+            let (yp, xp, n) = (y.as_mut_ptr().cast(), x.as_ptr().cast(), y.len());
+            // SAFETY: `T == f64`; `y` and `x` hold `n` f64 each, `y`
+            // borrowed exclusively. The ISA is present, as in `dots`.
+            unsafe {
+                if ZMM {
+                    axpy_512(yp, xp, n, s)
+                } else {
+                    axpy_256(yp, xp, n, s)
+                }
+            }
+        }
+    }
+
+    /// Runs `body` with the AVX2 operations, compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn with_avx2(body: impl super::WithLevel2) {
+        body.run::<Ops<false>>()
+    }
+
+    /// Runs `body` with the AVX-512 operations, compiled for AVX-512F.
+    ///
+    /// # Safety
+    ///
+    /// AVX-512F must be present.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn with_avx512(body: impl super::WithLevel2) {
+        body.run::<Ops<true>>()
+    }
+
+    /// `acc + x·y`, rounded twice: the Level-2 operations never fuse.
+    #[target_feature(enable = "avx")]
+    #[inline]
+    fn mul_add_unfused(acc: __m256d, x: __m256d, y: __m256d) -> __m256d {
+        _mm256_add_pd(acc, _mm256_mul_pd(x, y))
+    }
+
+    /// `out[c] = Σ_i x[i]·ys[c][i]` for `c < N`, in
+    /// [`crate::blas::dot_conj`]'s order: column `c`'s four interleaved
+    /// partial sums are the lanes of `acc[c]`, so the `N` add chains
+    /// overlap and `x` is loaded once per group of four; the remainder goes
+    /// to the first partial sum, and `(s0 + s1) + (s2 + s3)` ends it.
+    ///
+    /// # Safety
+    ///
+    /// AVX must be present; `x` and `ys[c]`, `c < N`, must each point at
+    /// `len` f64, and `out` at `N` writable f64.
+    #[target_feature(enable = "avx")]
+    #[inline]
+    unsafe fn dots_ymm<const N: usize>(
+        x: *const f64,
+        ys: &[*const f64; 8],
+        len: usize,
+        out: *mut f64,
+    ) {
+        let mut acc = [_mm256_setzero_pd(); N];
+        let body = len - len % 4;
+        // SAFETY: every access stays below `len`; `out` holds `N`.
+        unsafe {
+            for i in (0..body).step_by(4) {
+                let xv = _mm256_loadu_pd(x.add(i));
+                for (acc, y) in acc.iter_mut().zip(ys) {
+                    *acc = mul_add_unfused(*acc, xv, _mm256_loadu_pd(y.add(i)));
+                }
+            }
+            for (c, (acc, y)) in acc.iter().zip(ys).enumerate() {
+                let mut s = [0.0f64; 4];
+                _mm256_storeu_pd(s.as_mut_ptr(), *acc);
+                for i in body..len {
+                    s[0] += *x.add(i) * *y.add(i);
+                }
+                *out.add(c) = (s[0] + s[1]) + (s[2] + s[3]);
+            }
+        }
+    }
+
+    /// Runs [`dots_ymm`] for the column count `n`.
+    ///
+    /// # Safety
+    ///
+    /// As [`dots_ymm`], with `1 ≤ n ≤ 8`.
+    #[target_feature(enable = "avx")]
+    #[inline]
+    unsafe fn dots_n(n: usize, x: *const f64, ys: &[*const f64; 8], len: usize, out: *mut f64) {
+        // SAFETY: the caller's contract, for the matching `N`.
+        unsafe {
+            match n {
+                1 => dots_ymm::<1>(x, ys, len, out),
+                2 => dots_ymm::<2>(x, ys, len, out),
+                3 => dots_ymm::<3>(x, ys, len, out),
+                4 => dots_ymm::<4>(x, ys, len, out),
+                5 => dots_ymm::<5>(x, ys, len, out),
+                6 => dots_ymm::<6>(x, ys, len, out),
+                7 => dots_ymm::<7>(x, ys, len, out),
+                8 => dots_ymm::<8>(x, ys, len, out),
+                _ => unreachable!("one to eight dot pairs"),
+            }
+        }
+    }
+
+    /// `y[i] += x[i]·s` for `i < n`, four lanes at a time, unfused.
+    ///
+    /// # Safety
+    ///
+    /// AVX must be present; `y` and `x` must each point at `n` f64, `y`
+    /// writable.
+    #[target_feature(enable = "avx")]
+    #[inline]
+    unsafe fn axpy_256(y: *mut f64, x: *const f64, n: usize, s: f64) {
+        let sv = _mm256_set1_pd(s);
+        let body = n - n % 4;
+        // SAFETY: every access stays below `n`.
+        unsafe {
+            for i in (0..body).step_by(4) {
+                let p = _mm256_mul_pd(_mm256_loadu_pd(x.add(i)), sv);
+                _mm256_storeu_pd(y.add(i), _mm256_add_pd(_mm256_loadu_pd(y.add(i)), p));
+            }
+            for i in body..n {
+                *y.add(i) += *x.add(i) * s;
+            }
+        }
+    }
+
+    /// The eight-lane [`axpy_256`].
+    ///
+    /// # Safety
+    ///
+    /// As [`axpy_256`], with AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn axpy_512(y: *mut f64, x: *const f64, n: usize, s: f64) {
+        let sv = _mm512_set1_pd(s);
+        let body = n - n % 8;
+        // SAFETY: every access stays below `n`.
+        unsafe {
+            for i in (0..body).step_by(8) {
+                let p = _mm512_mul_pd(_mm512_loadu_pd(x.add(i)), sv);
+                _mm512_storeu_pd(y.add(i), _mm512_add_pd(_mm512_loadu_pd(y.add(i)), p));
+            }
+            for i in body..n {
+                *y.add(i) += *x.add(i) * s;
+            }
+        }
     }
 }
 

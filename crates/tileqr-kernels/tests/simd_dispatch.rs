@@ -164,9 +164,14 @@ fn check_levels_agree<T: RandomScalar>(type_name: &str) {
     let _restore = LevelRestore::new();
     // nb covers ragged, exact and multi-block tiles for every level's shape
     // (see `gemm_agrees_across_levels_at_block_edges` for the edges proper);
-    // ib sweeps {1, odd, nb} per the inner-blocking contract.
-    for &nb in &[5usize, 16, 24] {
-        for ib in [1usize, 3, nb] {
+    // ib sweeps {1, odd, nb} per the inner-blocking contract. The blockings
+    // the workloads run, and a ragged one, follow: there the in-panel sweep
+    // reduces whole four-column groups at `ib < nb`.
+    let sweep = [5usize, 16, 24]
+        .into_iter()
+        .flat_map(|nb| [(nb, 1), (nb, 3), (nb, nb)]);
+    for (nb, ib) in sweep.chain([(64, 16), (128, 32), (37, 8)]) {
+        {
             let seed = 1000 + 10 * nb as u64 + ib as u64;
             simd::set_active(SimdLevel::Scalar);
             let (reference, scale) = run_all_kernels::<T>(nb, ib, seed);
@@ -188,6 +193,71 @@ fn check_levels_agree<T: RandomScalar>(type_name: &str) {
                         ),
                     );
                 }
+            }
+        }
+    }
+}
+
+/// GEQRT, TSQRT and TTQRT on `nb`-order f64 tiles whose column 1 is zero
+/// (τ = 0 and an all-zero `T` column) and whose column 2 is scaled by
+/// `2^600` (`larfg` rescales it): every tile and `T` factor, in order.
+fn factor_outputs(nb: usize, seed: u64) -> Vec<Matrix<f64>> {
+    let shaped = |seed: u64, upper: bool| {
+        let mut m: Matrix<f64> = random_matrix(nb, nb, seed);
+        if upper {
+            m.zero_below_diagonal();
+        }
+        m.col_mut(1).fill(0.0);
+        m.col_mut(2).iter_mut().for_each(|x| *x *= 2f64.powi(600));
+        m
+    };
+    let mut ws = Workspace::new(nb);
+    let mut out = Vec::new();
+    let (mut a, mut t) = (shaped(seed, false), Matrix::zeros(nb, nb));
+    geqrt_ws(&mut a, &mut t, &mut ws);
+    out.extend([a, t]);
+    for (upper, kernel) in [
+        (false, tsqrt_ws as fn(&mut _, &mut _, &mut _, &mut _)),
+        (true, ttqrt_ws),
+    ] {
+        let (mut r1, mut a2) = (shaped(seed + 1, true), shaped(seed + 2, upper));
+        let mut t = Matrix::zeros(nb, nb);
+        kernel(&mut r1, &mut a2, &mut t, &mut ws);
+        out.extend([r1, a2, t]);
+    }
+    out
+}
+
+/// The factor kernels at `ib = nb` are the Level-2 sweep and the `T` build
+/// alone, which stay unfused on every level: in the default (`fma`) build
+/// too, every level's tiles and `T` factors are the scalar level's bits.
+#[test]
+fn factor_kernels_are_bitwise_scalar_at_every_level() {
+    let _guard = lock();
+    let _restore = LevelRestore::new();
+    for nb in [7usize, 16, 37, 64] {
+        simd::set_active(SimdLevel::Scalar);
+        let reference = factor_outputs(nb, 300 + nb as u64);
+        let t = &reference[1];
+        assert!(
+            t.col(1).iter().all(|&x| x == 0.0),
+            "τ = 0 leaves a zero T column"
+        );
+        for level in simd::available_levels() {
+            simd::set_active(level);
+            for (idx, (r, g)) in reference
+                .iter()
+                .zip(&factor_outputs(nb, 300 + nb as u64))
+                .enumerate()
+            {
+                assert_close(
+                    g,
+                    r,
+                    true,
+                    0.0,
+                    1,
+                    &format!("nb={nb} level={} output #{idx}", level.name()),
+                );
             }
         }
     }

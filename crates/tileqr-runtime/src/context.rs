@@ -23,7 +23,8 @@
 //!   ([`QrContext::solve`]) the plan also holds the schedule over `[A | B]`
 //!   — the same elimination list with the right-hand side as a trailing tile
 //!   column, built by the first solve — and the tile buffer solves factor
-//!   in, parked between calls.
+//!   in, parked between calls. It also holds each schedule's *first-touch*
+//!   table: which task is the first to name each tile.
 //! * [`QrError`] ([`crate::error`]) — typed errors replacing the driver's
 //!   panics: bad shapes, zero tile sizes and oversized thread counts are
 //!   reported as values.
@@ -46,10 +47,16 @@
 //! * [`QrContext::factorize_into`] / [`QrContext::factorize_batch_into`] —
 //!   one or `k` copies of one plan over caller-owned tiles;
 //!   [`QrContext::factorize`] / [`QrContext::factorize_batch`] — the same,
-//!   over tiles copied from dense matrices; [`QrContext::solve`] — one copy
-//!   running the plan's solve schedule with the right-hand side as a
-//!   trailing tile column. All of them use a *collecting* sink: outcomes are
-//!   parked until the job returns, then wrapped into handles in input order.
+//!   over dense matrices; [`QrContext::solve`] — one dense copy running the
+//!   plan's solve schedule with the right-hand side as a trailing tile
+//!   column. A dense input is read where it lies: the first task that names
+//!   a tile copies it in, under the task's tile locks, on whichever worker
+//!   runs that task, and the DAG orders every other access to the tile
+//!   after it (`tileqr-analyze` proves this for every plan). No thread fills
+//!   the whole matrix up front, and the fill of a tile lands in the cache of
+//!   the worker about to factor it. All of them use a *collecting* sink:
+//!   outcomes are parked until the job returns, then wrapped into handles
+//!   in input order.
 //! * the service ([`crate::service`]) submits mixed-plan groups of dense
 //!   inputs with a sink that resolves each ticket **the moment its copy's
 //!   last task retires**, while sibling copies are still running.
@@ -345,10 +352,11 @@ impl QrContext {
     ) -> Result<Matrix<T>, QrError> {
         plan.validate(a, Some(b))?;
         let parked = plan.solve_tiles.lock().take();
-        let mut tiles = parked.unwrap_or_else(|| TiledMatrix::zeros(plan.p, plan.q, plan.nb));
-        tiles.fill_from_dense_padded(a);
-        let rhs = rhs_row_blocks(b, plan.p, plan.nb);
-        let input = StreamInput::Tiled { tiles, rhs };
+        let input = StreamInput {
+            tiles: Some(parked.unwrap_or_else(|| TiledMatrix::zeros(plan.p, plan.q, plan.nb))),
+            dense: Some(a),
+            rhs: rhs_row_blocks(b, plan.p, plan.nb),
+        };
         // The copy's `T` factors go back to the plan's pool as `parts` drops.
         let (parts, err) = only(self.run_collect(copies_of(plan, vec![input]), None));
         let x = match err {
@@ -414,31 +422,34 @@ impl QrContext {
         self.batch_inner(plan, mats, None)
     }
 
-    /// The copying calls: the in-place route over fresh tiles. Checks each
-    /// matrix's shape, tiles the conforming ones, runs them as one job
-    /// (traced into `trace`, if given) and wraps each success into its
-    /// handle. The finiteness scan runs on the tiles; their padding is
-    /// zeros, so it reports the dense matrix's `(row, col)`.
+    /// The copying calls: checks each matrix, runs the conforming ones as
+    /// one job of dense copies — each tile is filled by the first task that
+    /// names it, on the workers — (traced into `trace`, if given) and wraps
+    /// each success into its handle.
     pub(crate) fn batch_inner<T: Scalar<Real = f64>>(
         &self,
         plan: &QrPlan<T>,
         mats: &[Matrix<T>],
         trace: Option<&ExecutionTrace>,
     ) -> Vec<Result<QrFactorization<T>, QrError>> {
-        let shapes: Vec<_> = mats.iter().map(|a| plan.check_shape(a)).collect();
-        let mut tiles: Vec<TiledMatrix<T>> = mats
+        let checks: Vec<_> = mats.iter().map(|a| plan.validate(a, None)).collect();
+        let inputs = mats
             .iter()
-            .zip(&shapes)
-            .filter(|(_, shape)| shape.is_ok())
-            .map(|(a, _)| TiledMatrix::from_dense_padded(a, plan.nb))
+            .zip(&checks)
+            .filter(|(_, check)| check.is_ok())
+            .map(|(a, _)| StreamInput {
+                tiles: None,
+                dense: Some(a),
+                rhs: Vec::new(),
+            })
             .collect();
-        let ran = self.batch_into_inner(plan, &mut tiles, trace);
-        let mut ran = ran.into_iter().zip(tiles);
-        shapes
+        let mut outcomes = self.run_collect(copies_of(plan, inputs), trace).into_iter();
+        checks
             .into_iter()
-            .map(|shape| {
-                shape?;
-                let (reflectors, tiles) = ran.next().expect("one result per conforming matrix");
+            .map(|check| {
+                check?;
+                let (parts, err) = outcomes.next().expect("one outcome per conforming matrix");
+                let (tiles, reflectors) = plan.conclude(parts, err);
                 Ok(reflectors?.into_factorization(tiles))
             })
             .collect()
@@ -526,7 +537,7 @@ impl QrContext {
     /// outcomes in order: the engine call of every blocking entry point.
     pub(crate) fn run_collect<T: Scalar<Real = f64>>(
         &self,
-        entries: Vec<StreamEntry<'_, T>>,
+        entries: Vec<StreamEntry<'_, '_, T>>,
         trace: Option<&ExecutionTrace>,
     ) -> Vec<JobOutcome<T>> {
         let sink = Arc::new(CollectSink(Mutex::new(
@@ -551,15 +562,19 @@ pub(crate) fn deadline_in(timeout: Duration) -> Option<Instant> {
 }
 
 /// A copy's input that is tiles alone — a factorization, not a solve.
-fn tiles_only<T: Scalar>(tiles: TiledMatrix<T>) -> StreamInput<T> {
-    StreamInput::Tiled {
-        tiles,
+fn tiles_only<T: Scalar>(tiles: TiledMatrix<T>) -> StreamInput<'static, T> {
+    StreamInput {
+        tiles: Some(tiles),
+        dense: None,
         rhs: Vec::new(),
     }
 }
 
 /// `inputs` as consecutive copies of one plan, fault-probed by position.
-fn copies_of<T: Scalar>(plan: &QrPlan<T>, inputs: Vec<StreamInput<T>>) -> Vec<StreamEntry<'_, T>> {
+fn copies_of<'a, T: Scalar>(
+    plan: &'a QrPlan<T>,
+    inputs: Vec<StreamInput<'a, T>>,
+) -> Vec<StreamEntry<'a, 'a, T>> {
     let entry = |(probe, input)| StreamEntry { plan, input, probe };
     inputs.into_iter().enumerate().map(entry).collect()
 }
@@ -847,8 +862,9 @@ mod tests {
 
     /// The one-engine contract end to end: the *same* entries — three plans
     /// (shapes, tile sizes, inner blockings, trees), one of them twice; one
-    /// copy a fused solve with `k = 3`, dense copies (worker-side lazy
-    /// tiling) next to pre-tiled ones — as one job under `threads ∈ {1, 4}`.
+    /// copy a fused solve with `k = 3`, dense copies (tiles filled by their
+    /// first tasks) next to pre-tiled ones — as one job under
+    /// `threads ∈ {1, 4}`.
     /// Every outcome must be bitwise equal to the plain in-order kernel walk
     /// of its own plan, and the solve to the decomposed route.
     #[test]
@@ -899,10 +915,17 @@ mod tests {
                     let plan = &plans[p];
                     let tiles = TiledMatrix::from_dense_padded(a, plan.nb);
                     let input = match input {
-                        Input::Dense => StreamInput::Dense(Arc::new(a.clone())),
+                        Input::Dense => StreamInput {
+                            tiles: None,
+                            dense: Some(a),
+                            rhs: Vec::new(),
+                        },
                         Input::Tiled => tiles_only(tiles),
-                        Input::Solve => StreamInput::Tiled {
-                            tiles,
+                        // A borrowed input filled into stale storage: its
+                        // old values must never be read.
+                        Input::Solve => StreamInput {
+                            tiles: Some(TiledMatrix::from_dense_padded(&a.scaled(-3.0), plan.nb)),
+                            dense: Some(a),
                             rhs: rhs_row_blocks(&b, plan.p, plan.nb),
                         },
                     };

@@ -43,7 +43,7 @@ use crate::pool::{payload_message, Job};
 use crate::reflectors::TFactors;
 use crate::state::{FactoredParts, FactorizationState};
 use crate::sync::shim::{AtomicBool, AtomicUsize};
-use crate::sync::{Backoff, CancelCause, CancelToken, ClaimFlag, Mutex};
+use crate::sync::{CancelCause, CancelToken, ClaimFlag, Mutex};
 use crate::trace::{ExecutionTrace, WorkerTrace};
 
 /// Where a job delivers its outcomes: called exactly once per entry of
@@ -63,9 +63,9 @@ pub(crate) trait ItemSink<T: Scalar>: Send + Sync {
 
 /// One copy of a job: the plan it runs under, its input, and its
 /// fault-injection probe id.
-pub(crate) struct StreamEntry<'p, T: Scalar> {
+pub(crate) struct StreamEntry<'p, 'a, T: Scalar> {
     pub(crate) plan: &'p QrPlan<T>,
-    pub(crate) input: StreamInput<T>,
+    pub(crate) input: StreamInput<'a, T>,
     /// Fault-probe id of this copy: the service remaps retry attempts to
     /// fresh probe coordinates so a seeded fault schedule can tell attempt 0
     /// from attempt 1 of one submission; the blocking calls use the copy's
@@ -74,34 +74,32 @@ pub(crate) struct StreamEntry<'p, T: Scalar> {
 }
 
 /// How a copy's matrix enters the job.
-pub(crate) enum StreamInput<T: Scalar> {
-    /// Owned tiles, factored in place. A non-empty `rhs` (the row blocks of
-    /// [`rhs_row_blocks`](crate::state::rhs_row_blocks)) makes the copy a
-    /// fused solve: it runs the plan's solve schedule and the blocks come
-    /// back holding `Qᴴ·b`.
-    Tiled {
-        tiles: TiledMatrix<T>,
-        rhs: Vec<Matrix<T>>,
-    },
-    /// Dense: only a zeroed tile grid is allocated up front and the first
-    /// worker that touches the copy performs the dense → tiled copy
-    /// ([`TileGate`]), so the submitting thread never pays the `O(m·n)`
-    /// tiling cost.
-    Dense(Arc<Matrix<T>>),
+pub(crate) struct StreamInput<'a, T: Scalar> {
+    /// The copy's tiles, factored in place: the input itself, or — with
+    /// `dense` — storage of the plan's grid whose values are never read;
+    /// `None` for fresh storage.
+    pub(crate) tiles: Option<TiledMatrix<T>>,
+    /// A dense input, read where it lies: each tile is filled from it by the
+    /// first task of the copy that names the tile (the plan's first-touch
+    /// table), on whichever worker runs that task, so no thread pays the
+    /// `O(m·n)` copy up front.
+    pub(crate) dense: Option<&'a Matrix<T>>,
+    /// The row blocks of [`rhs_row_blocks`](crate::state::rhs_row_blocks):
+    /// non-empty makes the copy a fused solve, which runs the plan's solve
+    /// schedule and hands the blocks back holding `Qᴴ·b`.
+    pub(crate) rhs: Vec<Matrix<T>>,
 }
 
-impl<T: Scalar> StreamInput<T> {
+impl<T: Scalar> StreamInput<'_, T> {
     /// The parts of a copy rejected before any state was built: its tiles,
     /// bitwise untouched, and no `T` storage.
     fn untouched(self, nb: usize) -> FactoredParts<T> {
-        let (tiles, rhs) = match self {
-            StreamInput::Tiled { tiles, rhs } => (tiles, rhs),
-            StreamInput::Dense(_) => (TiledMatrix::from_tiles(Vec::new(), 0, 0, nb), Vec::new()),
-        };
         FactoredParts {
-            tiles,
+            tiles: self
+                .tiles
+                .unwrap_or_else(|| TiledMatrix::from_tiles(Vec::new(), 0, 0, nb)),
             t: TFactors::none(),
-            rhs,
+            rhs: self.rhs,
         }
     }
 }
@@ -184,80 +182,25 @@ impl ItemTracker {
     }
 }
 
-/// Lazy-tiling gate of one copy ([`StreamInput::Dense`]): the first worker
-/// to touch the copy claims the gate, copies the dense input into the copy's
-/// (zeroed) tiles, and publishes readiness; concurrent same-copy workers spin
-/// briefly until the tiles are in place. Pre-tiled copies are born ready.
-pub(crate) struct TileGate<T: Scalar> {
-    /// The dense input, taken by the claiming worker; `None` once tiled
-    /// (and for pre-tiled inputs).
-    dense: Mutex<Option<Arc<Matrix<T>>>>,
-    claim: ClaimFlag,
-    ready: AtomicBool,
-}
-
-impl<T: Scalar<Real = f64>> TileGate<T> {
-    /// A gate for a copy whose tiles already hold the input (`None`) or one
-    /// holding a dense input awaiting worker-side tiling.
-    pub(crate) fn new(dense: Option<Arc<Matrix<T>>>) -> Self {
-        TileGate {
-            ready: AtomicBool::new(dense.is_none()),
-            dense: Mutex::new(dense),
-            claim: ClaimFlag::new(),
-        }
-    }
-
-    /// Makes sure `state`'s tiles hold the input before a kernel touches
-    /// them: the claiming worker tiles the dense input in place, everyone
-    /// else spins until published. The spin escapes only when the copy
-    /// `failed` (the claimer panicked mid-tiling and can never publish) — a
-    /// failed copy's outcome is an error, so the kernel result that follows
-    /// is discarded either way.
-    #[inline]
-    pub(crate) fn ensure(&self, state: &FactorizationState<T>, failed: impl Fn() -> bool) {
-        if self.ready.load(Ordering::Acquire) {
-            return;
-        }
-        if self.claim.claim() {
-            let dense = self.dense.lock().take();
-            if let Some(dense) = dense {
-                state.fill_tiles_from_dense(&dense);
-            }
-            self.ready.store(true, Ordering::Release);
-        } else {
-            let mut backoff = Backoff::new();
-            while !self.ready.load(Ordering::Acquire) && !failed() {
-                backoff.snooze();
-            }
-        }
-    }
-}
-
 /// One copy of a [`FusedJob`].
-pub(crate) struct JobCopy<T: Scalar> {
+pub(crate) struct JobCopy<'a, T: Scalar> {
     state: FactorizationState<T>,
     /// The schedule the copy runs: its plan's factor or solve core.
     core: Arc<PlanCore>,
+    /// The dense input its first-touch tasks fill the tiles from, if any.
+    dense: Option<&'a Matrix<T>>,
     /// Panel width of the copy's plan; the per-worker workspaces are sized
     /// for the job's largest tile and switched to it per task.
     ib: usize,
     #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
     probe: usize,
-    gate: TileGate<T>,
     tracker: ItemTracker,
 }
 
-impl<T: Scalar<Real = f64>> JobCopy<T> {
-    pub(crate) fn new(entry: StreamEntry<'_, T>) -> Self {
-        let plan = entry.plan;
-        let (tiles, rhs, dense) = match entry.input {
-            StreamInput::Tiled { tiles, rhs } => (tiles, rhs, None),
-            StreamInput::Dense(a) => (
-                TiledMatrix::zeros(plan.p, plan.q, plan.nb),
-                Vec::new(),
-                Some(a),
-            ),
-        };
+impl<'a, T: Scalar<Real = f64>> JobCopy<'a, T> {
+    pub(crate) fn new(entry: StreamEntry<'_, 'a, T>) -> Self {
+        let (plan, StreamInput { tiles, dense, rhs }) = (entry.plan, entry.input);
+        let tiles = tiles.unwrap_or_else(|| TiledMatrix::zeros(plan.p, plan.q, plan.nb));
         let core = Arc::clone(if rhs.is_empty() {
             &plan.core
         } else {
@@ -267,10 +210,18 @@ impl<T: Scalar<Real = f64>> JobCopy<T> {
             state: plan.build_state(tiles, rhs),
             tracker: ItemTracker::new(core.dag.len()),
             core,
+            dense,
             ib: plan.ib,
             probe: entry.probe,
-            gate: TileGate::new(dense),
         }
+    }
+
+    /// Runs task `local`: first fills the tiles it is the first to name,
+    /// when the copy's input is dense, then runs its kernel.
+    fn run_task(&self, local: usize, ws: &mut Workspace<T>) {
+        let kind = self.core.dag.tasks[local].kind;
+        let fill = self.dense.map(|a| (a, self.core.fills[local]));
+        self.state.run_filling(kind, fill, ws);
     }
 }
 
@@ -279,8 +230,8 @@ impl<T: Scalar<Real = f64>> JobCopy<T> {
 pub(crate) type WorkerSlot<T> = (Workspace<T>, WorkerTrace);
 
 /// Everything of a job but its scheduler.
-pub(crate) struct JobState<T: Scalar> {
-    copies: Vec<JobCopy<T>>,
+pub(crate) struct JobState<'a, T: Scalar> {
+    copies: Vec<JobCopy<'a, T>>,
     /// `g → (copy, local)` geometry of the fused group.
     map: ItemMap,
     /// Largest successor batch any copy's task can enable.
@@ -296,10 +247,10 @@ pub(crate) struct JobState<T: Scalar> {
     sink: Arc<dyn ItemSink<T>>,
 }
 
-impl<T: Scalar<Real = f64>> JobState<T> {
+impl<'a, T: Scalar<Real = f64>> JobState<'a, T> {
     /// The shared state of a job over `copies`, one slot per worker.
     pub(crate) fn new(
-        copies: Vec<JobCopy<T>>,
+        copies: Vec<JobCopy<'a, T>>,
         slots: Vec<WorkerSlot<T>>,
         control: RunCtl,
         sink: Arc<dyn ItemSink<T>>,
@@ -357,7 +308,7 @@ impl<T: Scalar<Real = f64>> JobState<T> {
     }
 }
 
-impl<T: Scalar<Real = f64>> FaultSink for JobState<T> {
+impl<T: Scalar<Real = f64>> FaultSink for JobState<'_, T> {
     fn copy_failed(&self, copy: usize) -> bool {
         self.copies[copy].tracker.failed()
     }
@@ -377,12 +328,12 @@ impl<T: Scalar<Real = f64>> FaultSink for JobState<T> {
 
 /// The pool job: [`JobState`] plus the work-stealing deques multiplexing its
 /// ready tasks.
-pub(crate) struct FusedJob<T: Scalar> {
-    pub(crate) state: JobState<T>,
+pub(crate) struct FusedJob<'a, T: Scalar> {
+    pub(crate) state: JobState<'a, T>,
     pub(crate) sched: WorkStealing,
 }
 
-impl<T: Scalar<Real = f64>> Job for FusedJob<T> {
+impl<T: Scalar<Real = f64>> Job for FusedJob<'_, T> {
     fn run(&self, w: usize) {
         let job = &self.state;
         let mut slot = job.slots[w].lock();
@@ -406,9 +357,8 @@ impl<T: Scalar<Real = f64>> Job for FusedJob<T> {
             #[cfg(feature = "fault-injection")]
             crate::fault::check(c.probe, local);
             ws.set_inner_block(c.ib);
-            c.gate.ensure(&c.state, || c.tracker.failed());
             let kind = c.core.dag.tasks[local].kind;
-            spans.record(kind, || c.state.run_ws(kind, ws));
+            spans.record(kind, || c.run_task(local, ws));
         });
     }
 }
@@ -427,7 +377,7 @@ impl QrContext {
     /// they serve every smaller tile of a mixed group.
     pub(crate) fn run<T: Scalar<Real = f64>>(
         &self,
-        entries: Vec<StreamEntry<'_, T>>,
+        entries: Vec<StreamEntry<'_, '_, T>>,
         trace: Option<&ExecutionTrace>,
         sink: Arc<dyn ItemSink<T>>,
     ) {
@@ -456,13 +406,13 @@ impl QrContext {
         // out, wherever they sit among the entries: counted once per plan, at
         // its first entry.
         for (i, first) in entries.iter().enumerate() {
-            let same_plan = |e: &StreamEntry<'_, T>| std::ptr::eq(e.plan, first.plan);
+            let same_plan = |e: &StreamEntry<'_, '_, T>| std::ptr::eq(e.plan, first.plan);
             if !entries[..i].iter().any(same_plan) {
                 let copies = entries[i..].iter().filter(|e| same_plan(e)).count();
                 first.plan.reserve_t_buffers(copies);
             }
         }
-        let copies: Vec<JobCopy<T>> = entries.into_iter().map(JobCopy::new).collect();
+        let copies: Vec<JobCopy<'_, T>> = entries.into_iter().map(JobCopy::new).collect();
         let total = copies.iter().map(|c| c.core.dag.len()).sum();
         let control = RunCtl {
             job_cancel: CancelToken::new(),
@@ -487,7 +437,7 @@ impl QrContext {
         // The calling thread is worker 0; `run` returns only after every
         // helper dropped its reference to the job (and the pool's own slot
         // was cleared).
-        self.pool.run(Arc::clone(&job) as Arc<dyn Job>);
+        self.pool.run(Arc::clone(&job) as Arc<dyn Job + '_>);
         let job = Arc::into_inner(job)
             .unwrap_or_else(|| panic!("job still shared after the pool ran it"));
         // Resolve what the run left unfinished. Dropping the span buffers

@@ -190,8 +190,8 @@
 //!    stealers, wrap-around), the cancel token (first cause wins, reset
 //!    against trigger), the once-slot (set against wait and timed wait,
 //!    competing producers), the lazy condvar's wake-up handshake
-//!    (backpressure, shutdown), the claim flag, the job's lazy-tiling gate,
-//!    and its deliver-each-copy-exactly-once finish (the real job — its
+//!    (backpressure, shutdown), the claim flag, and the job's
+//!    deliver-each-copy-exactly-once finish (the real job — its
 //!    dependency counters included — on the main thread as worker 0 and one
 //!    helper, raced against a user cancellation from a third thread). The
 //!    ready-queue injector and the backoff are not modelled: the first is a
@@ -215,7 +215,9 @@
 //!    conflicting kernels concurrently. Plans take their DAG from the
 //!    function the analyzer sweeps (`footprint::plan_dag`). `cargo run -p
 //!    tileqr-core --bin tileqr-analyze` is the CI gate; it exits non-zero
-//!    on any hazard.
+//!    on any hazard. The same sweep proves the first-touch rule a dense
+//!    input is filled by: each tile's first task writes it and every other
+//!    task naming it descends from that task.
 //!
 //! Normal builds are untouched: the shim layer is a `cfg` alias, so the
 //! release executor compiles to exactly the same std/atomic code as before.

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use tileqr_core::{KernelFamily, TaskKind};
+use tileqr_core::KernelFamily;
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, TiledMatrix};
 use tileqr_verify::cell::RaceCell;
@@ -33,7 +33,7 @@ use tileqr_verify::thread;
 use crate::context::{ItemSink, QrError, QrPlan, StreamEntry, StreamInput};
 use crate::driver::QrConfig;
 use crate::executor::{RunCtl, Scheduler, WorkStealing};
-use crate::job::{FusedJob, ItemTracker, JobCopy, JobState, TileGate};
+use crate::job::{FusedJob, JobCopy, JobState};
 use crate::pool::Job;
 use crate::state::{FactoredParts, FactorizationState};
 use crate::sync::shim::AtomicUsize;
@@ -471,7 +471,7 @@ fn claim_flag_exactly_once() {
     summarize(&report);
 }
 
-// ------------------------------------------------------------- tile gate --
+// ------------------------------------------------------------ job models --
 
 /// Tile order of the job models' problem: the smallest whose `GEQRT` is not
 /// the identity.
@@ -496,104 +496,6 @@ fn tiny_problem() -> (QrPlan<f64>, Matrix<f64>) {
     let plan = QrPlan::new(4, 2, config).expect("4 × 2 is tall");
     let a = Matrix::from_col_major(4, 2, vec![3.0, 4.0, 1.0, 2.0, 5.0, -1.0, 2.0, 6.0]);
     (plan, a)
-}
-
-/// [`TileGate`], claim → fill → publish: two workers reach a dense copy at
-/// once, each about to run the `GEQRT` of its own tile row. Whoever loses the
-/// claim must not get past the gate before the winner's fill is published —
-/// a kernel that ran on a still-zero tile (to be overwritten by the late
-/// fill) leaves tiles that differ from the reference walk.
-#[test]
-fn tile_gate_publishes_the_filled_tiles_to_the_spinner() {
-    let (plan, a) = tiny_problem();
-    let reference = tiny_reference(&plan, &a);
-    let dense = Arc::new(a);
-    let report = model("tile-gate-publish").check(|| {
-        let gate = Arc::new(TileGate::new(Some(Arc::clone(&dense))));
-        let state = Arc::new(FactorizationState::with_inner_block(
-            TiledMatrix::zeros(2, 1, NB),
-            NB,
-        ));
-        let tracker = Arc::new(ItemTracker::new(3));
-        let worker = |row: usize| {
-            let (gate, state, tracker) =
-                (Arc::clone(&gate), Arc::clone(&state), Arc::clone(&tracker));
-            move || {
-                gate.ensure(&state, || tracker.failed());
-                let mut ws = Workspace::with_inner_block(NB, NB);
-                state.run_ws(TaskKind::Geqrt { row, col: 0 }, &mut ws);
-            }
-        };
-        let sibling = thread::spawn(worker(1));
-        worker(0)();
-        sibling.join().unwrap();
-        let elim = TaskKind::Ttqrt {
-            row: 1,
-            piv: 0,
-            col: 0,
-        };
-        state.run_ws(elim, &mut Workspace::with_inner_block(NB, NB));
-        assert_eq!(
-            state.take_parts().tiles,
-            reference,
-            "a kernel passed the gate before the fill was published"
-        );
-    });
-    summarize(&report);
-}
-
-/// [`TileGate`], the escape hatch: the claimer panics mid-fill (here: a
-/// dense input that does not pad to the copy's grid) and can never publish.
-/// The spinner must escape — but only through the copy's failure flag, which
-/// the claimer's containment raises — instead of spinning forever (a
-/// livelock the explorer reports as exceeding its step budget).
-#[test]
-fn tile_gate_spinner_escapes_only_when_the_copy_failed() {
-    let misfit = Arc::new(Matrix::from_col_major(5, 1, vec![1.0; 5]));
-    let report = model("tile-gate-escape")
-        .with_random_samples(env_or("TILEQR_VERIFY_SAMPLES", 2_000).min(500))
-        .check(|| {
-            let gate = Arc::new(TileGate::new(Some(Arc::clone(&misfit))));
-            let state = Arc::new(FactorizationState::with_inner_block(
-                TiledMatrix::<f64>::zeros(2, 1, NB),
-                NB,
-            ));
-            let tracker = Arc::new(ItemTracker::new(3));
-            // What `drive_worker` does around a task: contain the panic,
-            // record it against the copy. True if this worker passed the gate
-            // without panicking.
-            let worker = || {
-                let (gate, state, tracker) =
-                    (Arc::clone(&gate), Arc::clone(&state), Arc::clone(&tracker));
-                move || {
-                    let passed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        gate.ensure(&state, || tracker.failed());
-                    }));
-                    match passed {
-                        Ok(()) => true,
-                        Err(payload) if payload.is::<String>() || payload.is::<&str>() => {
-                            tracker.record_panic(TaskKind::Geqrt { row: 0, col: 0 }, &*payload);
-                            false
-                        }
-                        // The explorer tearing this execution down.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-            };
-            let sibling = thread::spawn(worker());
-            let mine = worker()();
-            let theirs = sibling.join().unwrap();
-            assert!(
-                mine ^ theirs,
-                "exactly one worker claims (and panics); the other escapes"
-            );
-            assert!(tracker.failed(), "the escape is only open to a failed copy");
-            assert!(matches!(
-                tracker.verdict(None),
-                Some(QrError::TaskPanicked { .. })
-            ));
-        });
-    summarize(&report);
 }
 
 // -------------------------------------------------- finish exactly once --
@@ -636,8 +538,9 @@ fn finish_exactly_once_last_retire_vs_sweep_under_abort() {
             });
             let entry = StreamEntry {
                 plan: &plan,
-                input: StreamInput::Tiled {
-                    tiles: TiledMatrix::from_dense_padded(&a, NB),
+                input: StreamInput {
+                    tiles: Some(TiledMatrix::from_dense_padded(&a, NB)),
+                    dense: None,
                     rhs: Vec::new(),
                 },
                 probe: 0,

@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 
 use tileqr_core::algorithms::Algorithm;
 use tileqr_core::dag::{KernelFamily, SuccessorsCsr, TaskDag};
-use tileqr_core::footprint::plan_dag;
+use tileqr_core::footprint::{footprint, plan_dag};
 use tileqr_core::sim::resolve_plan;
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
@@ -38,6 +38,13 @@ pub(crate) struct PlanCore {
     pub(crate) roots: Vec<usize>,
     /// Largest successor batch a single task completion can enable.
     pub(crate) max_out_degree: usize,
+    /// First-touch table of a dense input: bit `i` of task `t`'s entry is
+    /// set when access `i` of its [`footprint`] names a tile of the
+    /// `p × q` matrix that no earlier task names. That task fills the tile
+    /// before its kernel runs; every other task naming the tile descends
+    /// from it in the DAG (`tileqr-analyze` proves this for every plan), so
+    /// none sees the tile unfilled.
+    pub(crate) fills: Vec<u8>,
 }
 
 impl PlanCore {
@@ -55,11 +62,25 @@ impl PlanCore {
         let succ = dag.successors_csr();
         let roots = crate::executor::initial_roots(&dag);
         let max_out_degree = succ.max_out_degree();
+        let mut named = vec![false; p * q];
+        let fills = dag
+            .tasks
+            .iter()
+            .map(|task| {
+                let accesses = footprint(task.kind);
+                let first = accesses.iter().enumerate().filter(|(_, access)| {
+                    let (row, col) = access.resource.tile();
+                    col < q && !std::mem::replace(&mut named[col * p + row], true)
+                });
+                first.fold(0u8, |mask, (i, _)| mask | 1 << i)
+            })
+            .collect();
         PlanCore {
             dag: Arc::new(dag),
             succ,
             roots,
             max_out_degree,
+            fills,
         }
     }
 }
@@ -93,8 +114,8 @@ pub struct QrPlan<T: Scalar> {
     /// one trailing tile column. It does not depend on the width of `B`, so
     /// there is one per plan, built by the first solve.
     solve_core: OnceLock<Arc<PlanCore>>,
-    /// The tile buffer a solve fills and factors in place, parked here
-    /// between solves (at most one is retained), so a stream of solves
+    /// The tile buffer a solve's tasks fill and factor in place, parked
+    /// here between solves (at most one is retained), so a stream of solves
     /// allocates nothing of `m · n` scale.
     pub(crate) solve_tiles: Mutex<Option<TiledMatrix<T>>>,
     /// Checkout cache of kernel workspaces: taken at job start, returned at

@@ -34,9 +34,11 @@
 //! ([`drive_worker`](crate::executor::drive_worker)), so a job wound down by
 //! any of them returns through the same path as one that ran to the end.
 //!
-//! Jobs must be `'static` (helpers are not scoped threads), which is why the
-//! context wraps the per-factorization state in `Arc`s; the pool itself is
-//! type-erased and knows nothing about matrices or schedulers.
+//! A job may borrow from its caller's stack — the context's jobs read the
+//! caller's dense input in place — because `run` is a scope: it returns, or
+//! unwinds, only once every helper has dropped its handle on the job (see
+//! [`WorkerPool::run`]). The pool itself is type-erased and knows nothing
+//! about matrices or schedulers.
 
 use std::any::Any;
 use std::sync::atomic::Ordering;
@@ -149,7 +151,10 @@ impl WorkerPool {
     ///
     /// Concurrent callers of a pool with helpers are serialized: it runs one
     /// job at a time. Without helpers, `run` just calls `job.run(0)`.
-    pub(crate) fn run(&self, job: Arc<dyn Job>) {
+    ///
+    /// The job may borrow data that lives for `'a` only: the helpers' handles
+    /// on it are gone before `run` returns or unwinds.
+    pub(crate) fn run<'a>(&self, job: Arc<dyn Job + 'a>) {
         if self.helpers.is_empty() {
             return job.run(0);
         }
@@ -158,7 +163,15 @@ impl WorkerPool {
         shared.done.store(0, Ordering::Relaxed);
         shared.suppressed_panics.store(0, Ordering::Relaxed);
         *shared.waiter.lock() = Some(std::thread::current());
-        *shared.job.lock() = Some(Arc::clone(&job));
+        // SAFETY: only the lifetime bound changes (same pointer, same
+        // vtable). The helpers reach the job through this slot alone, and
+        // nothing below can unwind before the slot is cleared: worker 0's
+        // panic is caught, and every helper drops its clone before it
+        // counts itself done, which is what the wait below waits for. So no
+        // handle outlives `'a`.
+        let erased: Arc<dyn Job> =
+            unsafe { std::mem::transmute::<Arc<dyn Job + 'a>, Arc<dyn Job>>(Arc::clone(&job)) };
+        *shared.job.lock() = Some(erased);
         // The release increment publishes the job slot write above to any
         // helper that acquires the epoch (the mutex already synchronizes the
         // slot itself; the epoch is what helpers poll without the lock).

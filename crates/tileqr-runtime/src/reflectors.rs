@@ -369,8 +369,9 @@ mod tests {
                 let _armed = crate::fault::FaultPlan::new().panic_at(probe, 2).install();
                 let entry = crate::context::StreamEntry {
                     plan,
-                    input: crate::context::StreamInput::Tiled {
-                        tiles: TiledMatrix::from_dense_padded(a, plan.nb),
+                    input: crate::context::StreamInput {
+                        tiles: Some(TiledMatrix::from_dense_padded(a, plan.nb)),
+                        dense: None,
                         rhs: Vec::new(),
                     },
                     probe,

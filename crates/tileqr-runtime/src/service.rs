@@ -57,8 +57,9 @@
 //! and the group's worker workspaces are sized by its largest tile order.
 //! Same-plan groups run on the same map and execute bitwise-identically
 //! to the single-plan service. Per-item tiling happens *inside* the fused job
-//! (the first worker to touch a copy tiles its dense input), so the
-//! dispatcher thread stays responsive regardless of group size.
+//! (each tile is filled from the dense input by the first task that names
+//! it, on whichever worker runs that task), so the dispatcher thread stays
+//! responsive regardless of group size.
 //!
 //! # Retry
 //!
@@ -318,8 +319,8 @@ struct PendingItem<T: Scalar<Real = f64>> {
     client: u64,
     attempt: u32,
     prev_delay: Duration,
-    /// Shared with the in-flight job (the first worker to touch the copy
-    /// tiles from it — see [`run_group`]) while the service retains it for
+    /// Shared with the in-flight job (each tile's first task fills the tile
+    /// from it — see [`run_group`]) while the service retains it for
     /// potential retries.
     a: Arc<Matrix<T>>,
     plan: Arc<QrPlan<T>>,
@@ -921,10 +922,10 @@ fn collect_group<T: Scalar<Real = f64>>(
 /// Runs one (possibly mixed-plan) group as a fused streaming job.
 /// Deterministic input errors (the opt-in non-finite scan, O(m·n) but
 /// scan-only) resolve immediately without touching the pool; the rest
-/// enter the job as **dense** inputs — the first worker to touch each copy
-/// performs the tiling, so the dispatcher returns to admission in O(group)
-/// instead of blocking for the whole group's tiling time — and stream
-/// their outcomes through the [`GroupSink`].
+/// enter the job as **dense** inputs — each tile is filled by the first task
+/// that names it, on the workers, so the dispatcher returns to admission in
+/// O(group) instead of blocking for the whole group's tiling time — and
+/// stream their outcomes through the [`GroupSink`].
 fn run_group<T: Scalar<Real = f64>>(shared: &Arc<Shared<T>>, group: Vec<PendingItem<T>>) {
     let mut runnable: Vec<PendingItem<T>> = Vec::with_capacity(group.len());
     for item in group {
@@ -949,15 +950,20 @@ fn run_group<T: Scalar<Real = f64>>(shared: &Arc<Shared<T>>, group: Vec<PendingI
     {
         shared.stats.mixed_groups.fetch_add(1, Ordering::Relaxed);
     }
-    // The job borrows the plans; the items (and their own handles on the
-    // plans) move into the sink and resolve while it runs.
+    // The job borrows the plans and the inputs; the items (and their own
+    // handles on both) move into the sink and resolve while it runs.
     let plans: Vec<Arc<QrPlan<T>>> = runnable.iter().map(|i| Arc::clone(&i.plan)).collect();
-    let entries: Vec<StreamEntry<T>> = runnable
+    let inputs: Vec<Arc<Matrix<T>>> = runnable.iter().map(|i| Arc::clone(&i.a)).collect();
+    let entries: Vec<StreamEntry<'_, '_, T>> = runnable
         .iter()
-        .zip(&plans)
-        .map(|(item, plan)| StreamEntry {
+        .zip(plans.iter().zip(&inputs))
+        .map(|(item, (plan, a))| StreamEntry {
             plan,
-            input: StreamInput::Dense(Arc::clone(&item.a)),
+            input: StreamInput {
+                tiles: None,
+                dense: Some(a),
+                rhs: Vec::new(),
+            },
             probe: probe_id(item.seq, item.attempt),
         })
         .collect();

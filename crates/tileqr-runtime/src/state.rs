@@ -201,47 +201,40 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
         col * self.p + row
     }
 
-    /// Fills the tiles in place from a dense matrix, zero-padding partial
-    /// edge tiles — the lazy-tiling seam of the streaming runtime: a state
-    /// built over [`TiledMatrix::zeros`] on the dispatcher thread is
-    /// populated here by the first *worker* that touches the copy, keeping
-    /// the `O(m·n)` tiling cost off the admission path. Each tile is written
-    /// by [`fill_tile_padded`], the per-tile step of
-    /// [`TiledMatrix::fill_from_dense_padded`], so the result matches
-    /// [`TiledMatrix::from_dense_padded`] bitwise.
-    ///
-    /// Locks each tile while writing; the caller must order this before any
-    /// task of the copy runs (the job's tile gate does).
-    ///
-    /// # Panics
-    /// Panics unless the dense matrix pads to this state's grid, i.e.
-    /// `⌈rows/nb⌉ = p` and `⌈cols/nb⌉ = q` (with the same one-tile minimum
-    /// as `from_dense_padded`).
-    pub fn fill_tiles_from_dense(&self, a: &Matrix<T>) {
-        let nb = self.nb;
-        let (p, q) = (a.rows().div_ceil(nb).max(1), a.cols().div_ceil(nb).max(1));
-        assert!(
-            (p, q) == (self.p, self.q),
-            "a {} × {} matrix pads to a {p} × {q} grid of nb = {nb} tiles, \
-             but this state is {} × {}",
-            a.rows(),
-            a.cols(),
-            self.p,
-            self.q
-        );
-        for tj in 0..self.q {
-            for ti in 0..self.p {
-                fill_tile_padded(&mut self.slots[self.idx(ti, tj)].lock().tile, a, ti, tj);
-            }
-        }
-    }
-
     /// Executes one task of the DAG against a caller-provided workspace
     /// (zero heap allocations). Safe to call concurrently for tasks that are
     /// not ordered by the DAG.
     pub fn run_ws(&self, task: TaskKind, ws: &mut Workspace<T>) {
+        self.run_filling(task, None, ws);
+    }
+
+    /// [`FactorizationState::run_ws`] that first fills, under the task's
+    /// locks, the tiles `fill = (a, mask)` names from the dense input `a`:
+    /// the tile of access `i` of the task's footprint when bit `i` of `mask`
+    /// is set (the plan's first-touch table). Each tile is written whole by
+    /// [`fill_tile_padded`], the per-tile step of
+    /// [`TiledMatrix::fill_from_dense_padded`], so the input the kernels see
+    /// matches [`TiledMatrix::from_dense_padded`] bitwise.
+    pub(crate) fn run_filling(
+        &self,
+        task: TaskKind,
+        fill: Option<(&Matrix<T>, u8)>,
+        ws: &mut Workspace<T>,
+    ) {
         let mut held = self.lock(task);
         let at = |row, col| self.idx(row, col);
+        if let Some((a, mask)) = fill.filter(|&(_, mask)| mask != 0) {
+            let named = footprint(task);
+            let first = named
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| mask >> i & 1 == 1);
+            for (_, access) in first {
+                let (row, col) = access.resource.tile();
+                let [slot] = held.get([at(row, col)]);
+                fill_tile_padded(&mut slot.tile, a, row, col);
+            }
+        }
         match task {
             TaskKind::Geqrt { row, col } => {
                 let [a] = held.get([at(row, col)]);
@@ -387,17 +380,6 @@ mod tests {
         assert!(rhs.is_empty());
         // T storage is preallocated and zero until a kernel runs
         assert!(t_slots(&t, 3, 2).all(|m| m.as_slice().iter().all(|v| *v == 0.0)));
-    }
-
-    #[test]
-    fn fill_tiles_from_dense_matches_from_dense_padded_bitwise() {
-        // Ragged shape: exercises partial edge tiles and the zero padding.
-        let a = random_matrix::<f64>(11, 6, 9);
-        let eager = TiledMatrix::from_dense_padded(&a, 4);
-        let lazy =
-            FactorizationState::new(TiledMatrix::zeros(eager.tile_rows(), eager.tile_cols(), 4));
-        lazy.fill_tiles_from_dense(&a);
-        assert_eq!(lazy.into_parts().tiles, eager);
     }
 
     #[test]

@@ -303,7 +303,7 @@ impl LazyCondvar {
 /// exactly one wins. Backs the "deliver each copy exactly once" guarantee of
 /// the fused job (the worker retiring a copy's last task and the job-end
 /// sweep may both reach for it; whichever claims the flag delivers the
-/// outcome) and the tile gate's single filler.
+/// outcome).
 #[derive(Debug, Default)]
 pub(crate) struct ClaimFlag(shim::AtomicBool);
 
