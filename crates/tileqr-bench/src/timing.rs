@@ -63,6 +63,9 @@ fn pool_len<T>(tiles_per_set: usize, nb: usize, mode: CacheMode) -> usize {
 }
 
 /// Measures one kernel at one tile size, returning the achieved GFLOP/s.
+/// The kernel runs at the inner blocking `ib` a factorization with
+/// [`QrConfig::new`]`(nb)` runs (`ib × nb` `T` factors), so the figures
+/// compare the kernels [`measure_gamma_seq`] and the factorizations run.
 ///
 /// `reps` repetitions are timed together after one warm-up call; for the
 /// factorization kernels the (cheap, `O(nb²)`) re-initialization of the
@@ -76,7 +79,8 @@ pub fn measure_kernel<T: RandomScalar>(
 ) -> KernelMeasurement {
     let reps = reps.max(1);
     let flops = kernel.flops(nb) * reps as f64;
-    let mut ws: Workspace<T> = Workspace::new(nb);
+    let ib = QrConfig::new(nb).effective_inner_block();
+    let mut ws: Workspace<T> = Workspace::with_inner_block(nb, ib);
 
     let seconds = match kernel {
         KernelKind::Geqrt => {
@@ -85,7 +89,7 @@ pub fn measure_kernel<T: RandomScalar>(
                 .map(|s| random_matrix(nb, nb, 100 + s as u64))
                 .collect();
             let mut work: Vec<Matrix<T>> = pristine.clone();
-            let mut t = Matrix::zeros(nb, nb);
+            let mut t = Matrix::zeros(ib, nb);
             geqrt_ws(&mut work[0], &mut t, &mut ws); // warm-up
             let start = Instant::now();
             for r in 0..reps {
@@ -105,7 +109,7 @@ pub fn measure_kernel<T: RandomScalar>(
                 })
                 .collect();
             let mut work = pristine.clone();
-            let mut t = Matrix::zeros(nb, nb);
+            let mut t = Matrix::zeros(ib, nb);
             {
                 let (r1, a2) = &mut work[0];
                 tsqrt_ws(r1, a2, &mut t, &mut ws);
@@ -131,7 +135,7 @@ pub fn measure_kernel<T: RandomScalar>(
                 })
                 .collect();
             let mut work = pristine.clone();
-            let mut t = Matrix::zeros(nb, nb);
+            let mut t = Matrix::zeros(ib, nb);
             {
                 let (r1, r2) = &mut work[0];
                 ttqrt_ws(r1, r2, &mut t, &mut ws);
@@ -148,7 +152,7 @@ pub fn measure_kernel<T: RandomScalar>(
         KernelKind::Unmqr => {
             let n_sets = pool_len::<T>(3, nb, mode);
             let mut v: Matrix<T> = random_matrix(nb, nb, 600);
-            let mut t = Matrix::zeros(nb, nb);
+            let mut t = Matrix::zeros(ib, nb);
             geqrt_ws(&mut v, &mut t, &mut ws);
             let mut cs: Vec<Matrix<T>> = (0..n_sets)
                 .map(|s| random_matrix(nb, nb, 700 + s as u64))
@@ -166,7 +170,7 @@ pub fn measure_kernel<T: RandomScalar>(
             let mut r1: Matrix<T> = random_matrix(nb, nb, 800);
             r1.zero_below_diagonal();
             let mut v2: Matrix<T> = random_matrix(nb, nb, 801);
-            let mut t = Matrix::zeros(nb, nb);
+            let mut t = Matrix::zeros(ib, nb);
             tsqrt_ws(&mut r1, &mut v2, &mut t, &mut ws);
             let mut pairs: Vec<(Matrix<T>, Matrix<T>)> = (0..n_sets)
                 .map(|s| {
@@ -194,7 +198,7 @@ pub fn measure_kernel<T: RandomScalar>(
             r1.zero_below_diagonal();
             let mut v2: Matrix<T> = random_matrix(nb, nb, 1001);
             v2.zero_below_diagonal();
-            let mut t = Matrix::zeros(nb, nb);
+            let mut t = Matrix::zeros(ib, nb);
             ttqrt_ws(&mut r1, &mut v2, &mut t, &mut ws);
             let mut pairs: Vec<(Matrix<T>, Matrix<T>)> = (0..n_sets)
                 .map(|s| {

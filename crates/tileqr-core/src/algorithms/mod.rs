@@ -15,8 +15,7 @@
 //! The *dynamic* algorithms Asap and Grasap(k) depend on the weighted task
 //! timing and are therefore generated by the co-simulator
 //! ([`crate::sim::simulate_grasap`]); [`Algorithm::elimination_list`] runs it
-//! for them, so every algorithm has one list builder. [`Algorithm::Auto`] is
-//! the tree [`crate::sim::choose_plan`] picks for the host.
+//! for them, so every algorithm has one list builder.
 
 pub mod binary_tree;
 pub mod fibonacci;
@@ -32,9 +31,8 @@ pub use greedy::greedy;
 pub use hadri_tree::hadri_tree;
 pub use plasma_tree::plasma_tree;
 
-use crate::dag::KernelFamily;
 use crate::elim::EliminationList;
-use crate::sim::{resolve_plan, simulate_grasap};
+use crate::sim::simulate_grasap;
 
 /// Identifier for the algorithms exposed by the crate (static reduction trees
 /// plus the dynamic Asap family), used by the drivers, the benchmark harness
@@ -71,13 +69,6 @@ pub enum Algorithm {
         /// Number of trailing columns processed in Asap mode.
         asap_cols: usize,
     },
-    /// The tree *and* kernel family [`crate::sim::choose_plan`] picks for
-    /// the grid at the host's available parallelism: the candidate with the
-    /// smallest simulated makespan under measured kernel costs. A plan built
-    /// from it records the pair it resolved to; as a tree on its own (for
-    /// example in [`Algorithm::elimination_list`]) it stands for the chosen
-    /// tree.
-    Auto,
 }
 
 impl Algorithm {
@@ -92,26 +83,20 @@ impl Algorithm {
             Algorithm::HadriTree { bs } => format!("HadriTree(BS={bs})"),
             Algorithm::Asap => "Asap".to_string(),
             Algorithm::Grasap { asap_cols } => format!("Grasap({asap_cols})"),
-            Algorithm::Auto => "Auto".to_string(),
         }
     }
 
     /// True for the algorithms whose elimination list only depends on the
-    /// grid shape (not on kernel weights or the host).
+    /// grid shape (not on kernel weights).
     pub fn is_static(&self) -> bool {
-        !matches!(
-            self,
-            Algorithm::Asap | Algorithm::Grasap { .. } | Algorithm::Auto
-        )
+        !matches!(self, Algorithm::Asap | Algorithm::Grasap { .. })
     }
 
     /// Builds the elimination list of the algorithm on a `p × q` tile grid:
     /// the static generators for the reduction trees, and for the dynamic
     /// algorithms the list the weighted co-simulator produces —
     /// [`Algorithm::Asap`] is Grasap with every column in Asap mode
-    /// ([`crate::sim::simulate_grasap`]`(p, q, q)`). [`Algorithm::Auto`]
-    /// builds the list of the tree [`crate::sim::choose_plan`] picks at the
-    /// host's available parallelism.
+    /// ([`crate::sim::simulate_grasap`]`(p, q, q)`).
     pub fn elimination_list(&self, p: usize, q: usize) -> EliminationList {
         match *self {
             Algorithm::FlatTree => flat_tree(p, q),
@@ -122,11 +107,6 @@ impl Algorithm {
             Algorithm::HadriTree { bs } => hadri_tree(p, q, bs),
             Algorithm::Asap => simulate_grasap(p, q, q).list,
             Algorithm::Grasap { asap_cols } => simulate_grasap(p, q, asap_cols).list,
-            Algorithm::Auto => {
-                // The family plays no part in the choice of tree.
-                let (tree, _) = resolve_plan(Algorithm::Auto, KernelFamily::TT, p, q);
-                tree.elimination_list(p, q)
-            }
         }
     }
 
@@ -175,7 +155,6 @@ mod tests {
         assert!(Algorithm::PlasmaTree { bs: 3 }.is_static());
         assert!(!Algorithm::Asap.is_static());
         assert!(!Algorithm::Grasap { asap_cols: 2 }.is_static());
-        assert!(!Algorithm::Auto.is_static());
     }
 
     #[test]

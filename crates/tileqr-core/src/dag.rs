@@ -299,28 +299,6 @@ impl TaskDag {
         }
         SuccessorsCsr { offsets, targets }
     }
-
-    /// Scheduling priority of every task: the weighted length of the longest
-    /// path from the task to an exit of the DAG (its *bottom level*),
-    /// including the task's own weight, in the abstract `nb³/3` unit of
-    /// Table 1 — the same kernel weights the roofline model in
-    /// [`crate::perfmodel`] consumes.
-    ///
-    /// A task whose priority equals the DAG's critical path lies *on* the
-    /// critical path; executing ready tasks in decreasing priority order is
-    /// the classic critical-path list-scheduling heuristic.
-    pub fn priorities(&self) -> Vec<u64> {
-        let succ = self.successors_csr();
-        let n = self.tasks.len();
-        let mut prio = vec![0u64; n];
-        // Tasks are stored in topological order, so one reverse sweep sees
-        // every successor before the task itself.
-        for i in (0..n).rev() {
-            let downstream = succ.of(i).iter().map(|&s| prio[s]).max().unwrap_or(0);
-            prio[i] = downstream + self.tasks[i].kind.weight();
-        }
-        prio
-    }
 }
 
 /// Flat (CSR) successor adjacency of a [`TaskDag`]; see
@@ -599,38 +577,6 @@ mod tests {
             nested.iter().map(|s| s.len()).max().unwrap(),
             "max out-degree must match the nested adjacency"
         );
-    }
-
-    #[test]
-    fn priorities_are_bottom_levels() {
-        let dag = TaskDag::build(&greedy(8, 4), KernelFamily::TT);
-        let succ = dag.successors_csr();
-        let prio = dag.priorities();
-        // Every exit task's priority is exactly its own weight; every other
-        // task dominates its successors by its own weight.
-        for (i, task) in dag.tasks.iter().enumerate() {
-            let downstream = succ.of(i).iter().map(|&s| prio[s]).max().unwrap_or(0);
-            assert_eq!(prio[i], downstream + task.kind.weight());
-        }
-        // The largest bottom level is the critical path of the DAG.
-        let cp = crate::sim::simulate_unbounded(&dag).critical_path;
-        assert_eq!(prio.iter().copied().max().unwrap(), cp);
-    }
-
-    #[test]
-    fn priorities_decrease_along_every_edge() {
-        for family in [KernelFamily::TT, KernelFamily::TS] {
-            let dag = TaskDag::build(&fibonacci(10, 5), family);
-            let prio = dag.priorities();
-            for (idx, task) in dag.tasks.iter().enumerate() {
-                for &d in &task.deps {
-                    assert!(
-                        prio[d] > prio[idx],
-                        "priority must strictly decrease towards the exits"
-                    );
-                }
-            }
-        }
     }
 
     /// The column a task updates, if it is an update task.

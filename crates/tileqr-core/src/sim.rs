@@ -14,7 +14,6 @@
 //!   must be co-simulated rather than generated statically.
 
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::sync::OnceLock;
 
 use crate::algorithms::{greedy, pair_bottom_rows, Algorithm};
 use crate::dag::{KernelFamily, TaskDag, TaskKind};
@@ -330,7 +329,7 @@ fn kernel_cost(kind: TaskKind) -> u64 {
 /// (FlatTree/TS ends over 3× above Greedy/TT's `‖QᴴQ − I‖` at `p = 1024`),
 /// while domains of up to 16 tile rows stay within 2× of it
 /// (`tests/numerics_hardening.rs`).
-const AUTO_DOMAINS: [usize; 5] = [1, 2, 4, 8, 16];
+const CHOOSER_DOMAINS: [usize; 5] = [1, 2, 4, 8, 16];
 
 /// The plan — reduction tree and kernel family — with the smallest
 /// simulated makespan on `procs` processors for a `p × q` tile grid, each
@@ -340,15 +339,15 @@ const AUTO_DOMAINS: [usize; 5] = [1, 2, 4, 8, 16];
 /// wins): Greedy/TT, then PlasmaTree(BS)/TS for BS = 1, 2, 4, 8, 16 — flat
 /// TS domains merged by a binary TT tree, PLASMA's tree and the TSQR shape.
 /// Domains stop at the first BS ≥ p (larger ones build the same plan) and at
-/// 16 rows, the accuracy cap. This is the resolution of
-/// [`Algorithm::Auto`].
+/// 16 rows, the accuracy cap. A pure function of its arguments: the
+/// runtime's default config passes the host's core count.
 ///
 /// The costs are one host's (AVX-512, `nb = 128`), and the plans chosen were
 /// timed end to end only at `procs = 2` and `nb ∈ {64, 128}`; the choices at
 /// other processor counts are the simulation's alone.
 pub fn choose_plan(p: usize, q: usize, procs: usize) -> (Algorithm, KernelFamily) {
     let mut candidates = vec![(Algorithm::Greedy, KernelFamily::TT)];
-    for bs in AUTO_DOMAINS {
+    for bs in CHOOSER_DOMAINS {
         candidates.push((Algorithm::PlasmaTree { bs }, KernelFamily::TS));
         if bs >= p {
             break;
@@ -362,29 +361,6 @@ pub fn choose_plan(p: usize, q: usize, procs: usize) -> (Algorithm, KernelFamily
             simulate_bounded(&dag, procs, kernel_cost)
         })
         .expect("Greedy/TT is always a candidate")
-}
-
-/// The plan a config's `(algorithm, family)` runs on a `p × q` tile grid: a
-/// named tree keeps its family, and [`Algorithm::Auto`] becomes the pair
-/// [`choose_plan`] picks at the host's available parallelism (read once per
-/// process). The one place `Auto` is resolved: the runtime's plans and
-/// [`Algorithm::elimination_list`] both call it.
-pub fn resolve_plan(
-    algorithm: Algorithm,
-    family: KernelFamily,
-    p: usize,
-    q: usize,
-) -> (Algorithm, KernelFamily) {
-    match algorithm {
-        Algorithm::Auto => choose_plan(p, q, host_parallelism()),
-        named => (named, family),
-    }
-}
-
-/// The host's available parallelism, read once per process.
-fn host_parallelism() -> usize {
-    static PROCS: OnceLock<usize> = OnceLock::new();
-    *PROCS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 #[cfg(test)]
@@ -637,7 +613,7 @@ mod tests {
         assert!(eight <= four);
     }
 
-    /// The plans `Algorithm::Auto` resolves to on the benchmark's grids —
+    /// The plans the runtime's default config runs on the benchmark's grids —
     /// the three library shapes at `nb = 128` and the three service shapes
     /// at `nb = 64` — from one core to 48. Flat TS domains win while the
     /// cores are few; Greedy/TT's shorter critical path wins once there are
@@ -674,18 +650,6 @@ mod tests {
                     (Algorithm::Greedy, KernelFamily::TT)
                 );
             }
-        }
-    }
-
-    #[test]
-    fn auto_elimination_list_is_the_chosen_tree_at_the_host_parallelism() {
-        for (p, q) in [(32usize, 4usize), (8, 2), (4, 4)] {
-            let (algo, _) = choose_plan(p, q, host_parallelism());
-            assert_ne!(algo, Algorithm::Auto);
-            assert_eq!(
-                Algorithm::Auto.elimination_list(p, q),
-                algo.elimination_list(p, q)
-            );
         }
     }
 

@@ -9,7 +9,7 @@
 //!   `trmv_upper` (the `T` recurrence), written over the [`crate::simd`]
 //!   Level-2 operations (eight dots at once, a full-width update), which
 //!   reproduce the generic loops bit for bit.
-//! * [`copy_rows_window_into`] / [`sub_rows_window_assign`] — the identity
+//! * `copy_rows_window_into` / `sub_rows_window_assign` — the identity
 //!   top block of the stacked TS/TT reflectors `[I; V2]`, which moves a
 //!   window of pivot rows in and out of the staging panels without a
 //!   product.
@@ -110,7 +110,7 @@ pub(crate) fn trmv_upper<T: Scalar, L: Level2>(t: &[T], ld: usize, w: &mut [T]) 
 /// leading dimension `ld` — stages the pivot-row window of a TS/TT target
 /// (the identity top block of the stacked reflector contributes these rows
 /// directly).
-pub fn copy_rows_window_into<T: Scalar>(
+pub(crate) fn copy_rows_window_into<T: Scalar>(
     c: &[T],
     ld: usize,
     r0: usize,
@@ -130,7 +130,7 @@ pub fn copy_rows_window_into<T: Scalar>(
 
 /// `C[r0+r, j] -= W(r, j)` — the in-place companion of
 /// [`copy_rows_window_into`].
-pub fn sub_rows_window_assign<T: Scalar>(
+pub(crate) fn sub_rows_window_assign<T: Scalar>(
     c: &mut [T],
     ld: usize,
     r0: usize,

@@ -82,7 +82,7 @@ fn reflect<T: Scalar<Real = f64>>(alpha: T, x: &mut [T], xnorm_sqr: f64) -> Refl
 /// of `a`, restricted to columns `col_start..`.
 ///
 /// Used by the unblocked reference QR ([`crate::reference`]).
-pub fn apply_reflector_left<T: Scalar<Real = f64>>(
+pub(crate) fn apply_reflector_left<T: Scalar<Real = f64>>(
     a: &mut Matrix<T>,
     offset: usize,
     tail: &[T],

@@ -64,10 +64,10 @@
 //! 4. **Instruction level (runtime ISA dispatch)** — the register block's
 //!    *shape* and its implementation belong together and are chosen per
 //!    (scalar type, instruction set) in [`simd`]: explicit `core::arch`
-//!    kernels for AVX2+FMA and AVX-512F on x86-64 and NEON on aarch64, and a
-//!    generic scalar fallback, selected **once per process** by runtime
-//!    feature detection (overridable with
-//!    `TILEQR_SIMD={scalar,avx2,avx512,neon}`) and cached. The shape is
+//!    kernels for AVX2+FMA and AVX-512F on x86-64, and a generic scalar
+//!    fallback that every other target runs, selected **once per process**
+//!    by runtime feature detection (overridable with
+//!    `TILEQR_SIMD={scalar,avx2,avx512}`) and cached. The shape is
 //!    sized so that a product only `ib` deep still runs at the kernel's
 //!    steady state — on AVX-512 a `16 × 8` f64 block, 16 accumulator
 //!    registers, where the `8 × 4` of the narrower levels left the FMA pipes

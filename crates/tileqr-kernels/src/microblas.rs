@@ -302,10 +302,10 @@ pub fn gemm_into<'a, 'b, T: Scalar + 'a + 'b>(
 }
 
 /// Convenience wrapper for whole-matrix products `C ±= op(A)·B` on dense
-/// [`Matrix`] operands, allocating its own pack buffers. Used by the
-/// allocating BLAS helpers and the benchmark reference series — the kernels
-/// call [`gemm_into`] with workspace-provided buffers instead.
-pub fn gemm_matrix<T: Scalar>(
+/// [`Matrix`] operands, allocating its own pack buffers: the body of
+/// [`crate::blas::gemm_acc`]. The kernels call [`gemm_into`] with
+/// workspace-provided buffers instead.
+pub(crate) fn gemm_matrix<T: Scalar>(
     c: &mut Matrix<T>,
     amode: AMode,
     a: &Matrix<T>,

@@ -18,7 +18,8 @@
 //! | `Scalar` | baseline (any target) | 8 × 4, generic loop | 4 × 4, generic loop |
 //! | `Avx2`   | x86-64 AVX2 + FMA     | 8 × 4, 8 `ymm` accumulators   | 4 × 4, 8 `ymm` accumulators |
 //! | `Avx512` | x86-64 AVX-512F       | 16 × 8, 16 `zmm` accumulators | 4 × 4, 4–8 `zmm` accumulators |
-//! | `Neon`   | aarch64 NEON          | 8 × 4, 16 `v` accumulators    | 4 × 4, 16 `v` accumulators |
+//!
+//! Every other target, aarch64 included, runs the `Scalar` level.
 //!
 //! The AVX-512 f64 block is `16 × 8` because four `zmm` accumulators (the
 //! `8 × 4` it used to share with the other levels) cannot cover the latency
@@ -28,8 +29,7 @@
 //! The AVX2 block stays `8 × 4`: measured on the same host (forced with
 //! `TILEQR_SIMD=avx2`) it already runs at that level's FMA peak, and `8 × 6`
 //! moved `k = 128` products by ≤ 6% while losing a third on the `ib`-sized
-//! ones to its non-power-of-two interleave. `Scalar`, `Neon` (review-only:
-//! no aarch64 host has measured it) and every
+//! ones to its non-power-of-two interleave. `Scalar` and every
 //! [`Complex64`] block are unchanged.
 //!
 //! Only the valid columns of an edge block are computed, and a full-height
@@ -42,9 +42,8 @@
 //! # Selection
 //!
 //! [`active`] resolves the level once (runtime feature detection via
-//! `is_x86_feature_detected!`/`is_aarch64_feature_detected!`, overridable
-//! with the `TILEQR_SIMD` environment variable — `scalar`, `avx2`, `avx512`
-//! or `neon`) and caches it in a process-global atomic, so the six `*_ws`
+//! `is_x86_feature_detected!`, overridable with the `TILEQR_SIMD`
+//! environment variable — `scalar`, `avx2` or `avx512`) and caches it in a process-global atomic, so the six `*_ws`
 //! kernels, the session API and batching all inherit the choice with no
 //! per-call detection cost. Tests and benchmarks can force a level
 //! in-process with [`set_active`].
@@ -82,19 +81,16 @@ pub enum SimdLevel {
     Avx2 = 2,
     /// x86-64 AVX-512F (512-bit `zmm` registers).
     Avx512 = 3,
-    /// aarch64 NEON/ASIMD (128-bit `v` registers, baseline on aarch64).
-    Neon = 4,
 }
 
 impl SimdLevel {
-    /// The canonical lowercase name (`"scalar"`, `"avx2"`, `"avx512"`,
-    /// `"neon"`) — the values `TILEQR_SIMD` accepts.
+    /// The canonical lowercase name (`"scalar"`, `"avx2"`, `"avx512"`) —
+    /// the values `TILEQR_SIMD` accepts.
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Avx512 => "avx512",
-            SimdLevel::Neon => "neon",
         }
     }
 
@@ -104,7 +100,6 @@ impl SimdLevel {
             "scalar" => Some(SimdLevel::Scalar),
             "avx2" => Some(SimdLevel::Avx2),
             "avx512" | "avx512f" => Some(SimdLevel::Avx512),
-            "neon" => Some(SimdLevel::Neon),
             _ => None,
         }
     }
@@ -113,7 +108,6 @@ impl SimdLevel {
         match v {
             2 => SimdLevel::Avx2,
             3 => SimdLevel::Avx512,
-            4 => SimdLevel::Neon,
             _ => SimdLevel::Scalar,
         }
     }
@@ -130,12 +124,6 @@ pub fn detect() -> SimdLevel {
             return SimdLevel::Avx2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return SimdLevel::Neon;
-        }
-    }
     SimdLevel::Scalar
 }
 
@@ -147,20 +135,14 @@ pub fn is_supported(level: SimdLevel) -> bool {
         SimdLevel::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx512 => is_x86_feature_detected!("avx512f"),
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => std::arch::is_aarch64_feature_detected!("neon"),
         #[allow(unreachable_patterns)]
         _ => false,
     }
 }
 
 /// Every level there is, `Scalar` first.
-pub(crate) const ALL_LEVELS: [SimdLevel; 4] = [
-    SimdLevel::Scalar,
-    SimdLevel::Avx2,
-    SimdLevel::Avx512,
-    SimdLevel::Neon,
-];
+pub(crate) const ALL_LEVELS: [SimdLevel; 3] =
+    [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
 
 /// Every level the running CPU supports, `Scalar` first.
 pub fn available_levels() -> Vec<SimdLevel> {
@@ -261,7 +243,7 @@ pub(crate) const NR_MAX: usize = 8;
 
 /// Elements in the largest register block (AVX-512 f64, `16 × 8`): the size
 /// of the stack block a row-ragged edge is staged through.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 const ACC_CAP: usize = 128;
 
 /// The register block `level` uses for scalar type `T` — the level table in
@@ -298,7 +280,7 @@ fn same_type<A: 'static, B: 'static>() -> bool {
 /// Where an ISA kernel sends a finished block. Pointers and strides are in
 /// `f64` units on the kernel side; `coffs` holds *element* offsets, which
 /// the complex kernels double.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 enum Sink {
     /// Full-height block: `c[coffs[j] + r] ±= acc(r, j)` straight from the
@@ -316,26 +298,18 @@ enum Sink {
 /// One ISA implementation: `(k, ap, bp, nrv, sink)` computes the leading
 /// `nrv` columns of one register block from an `MR`-interleaved `A` slab
 /// and an `NR`-interleaved `B` slab of `k` steps each.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 type BlockFn = unsafe fn(usize, *const f64, *const f64, usize, Sink);
 
 /// The explicit kernel for (`T`, `level`), if this target has one.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 fn simd_block_fn<T: Scalar>(level: SimdLevel) -> Option<BlockFn> {
     let (real, complex) = (same_type::<T, f64>(), same_type::<T, Complex64>());
     match level {
-        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if real => Some(x86::f64_avx2),
-        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if complex => Some(x86::c64_avx2),
-        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx512 if real => Some(x86::f64_avx512),
-        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx512 if complex => Some(x86::c64_avx512),
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon if real => Some(neon::f64_neon),
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon if complex => Some(neon::c64_neon),
         _ => None,
     }
 }
@@ -349,7 +323,7 @@ fn simd_block_fn<T: Scalar>(level: SimdLevel) -> Option<BlockFn> {
 /// `#[target_feature]` kernels need.
 pub(crate) struct Microkernel<T> {
     shape: BlockShape,
-    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    #[cfg(target_arch = "x86_64")]
     simd: Option<BlockFn>,
     _scalar: std::marker::PhantomData<fn(T)>,
 }
@@ -361,7 +335,7 @@ impl<T: Scalar> Microkernel<T> {
         let level = active();
         Microkernel {
             shape: block_shape::<T>(level),
-            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+            #[cfg(target_arch = "x86_64")]
             simd: simd_block_fn::<T>(level),
             _scalar: std::marker::PhantomData,
         }
@@ -415,7 +389,7 @@ impl<T: Scalar> Microkernel<T> {
                 .all(|&off| off <= c.len() && c.len() - off >= mr_valid),
             "register block outside the destination"
         );
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+        #[cfg(target_arch = "x86_64")]
         if let Some(block) = self.simd {
             // `simd` is only set for f64 (as is) and Complex64, which is
             // `#[repr(C)] { re: f64, im: f64 }` — an interleaved f64 pair.
@@ -585,7 +559,7 @@ pub(crate) fn with_level2<T: Scalar>(body: impl WithLevel2) -> bool {
 /// Generates the baseline-ISA entry point of one kernel: picks the
 /// instantiation of the `#[target_feature]` block for the number of valid
 /// columns.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 macro_rules! by_valid_columns {
     ($(#[$doc:meta])* $name:ident => $block:ident :: < $($n:literal),+ >) => {
         $(#[$doc])*
@@ -1165,179 +1139,13 @@ mod x86 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// aarch64 kernels (NEON/ASIMD)
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::{Sink, C64_BLOCK, F64_SCALAR};
-    use core::arch::aarch64::*;
-
-    /// Sends a finished block of `NRV` columns, four 128-bit registers
-    /// each (8 f64 = 8 real or 4 complex rows), to its sink; `scale` is the
-    /// f64 count per element. `C − acc` is computed as `C + (−acc)`, the
-    /// same bits in IEEE arithmetic.
-    ///
-    /// # Safety
-    ///
-    /// The sink's pointers must satisfy the contract of the kernel entry
-    /// points for a block of `8 / scale` rows.
-    #[target_feature(enable = "neon")]
-    #[inline]
-    unsafe fn finish<const NRV: usize>(acc: &[[float64x2_t; 4]; NRV], sink: Sink, scale: usize) {
-        // SAFETY: every offset below stays inside the `NRV` columns of
-        // 8 f64 each that the caller vouches for.
-        unsafe {
-            match sink {
-                Sink::Direct { c, coffs, sub } => {
-                    for (j, col) in acc.iter().enumerate() {
-                        let dst = c.add(*coffs.add(j) * scale);
-                        for (i, &v) in col.iter().enumerate() {
-                            let p = dst.add(2 * i);
-                            let v = if sub { vnegq_f64(v) } else { v };
-                            vst1q_f64(p, vaddq_f64(vld1q_f64(p), v));
-                        }
-                    }
-                }
-                Sink::Spill { acc: out } => {
-                    for (j, col) in acc.iter().enumerate() {
-                        for (i, &v) in col.iter().enumerate() {
-                            vst1q_f64(out.add(2 * (j * 4 + i)), v);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// f64 block on NEON: four 128-bit accumulators per 8-row column.
-    /// `vfmaq_f64` is fused baseline hardware on aarch64; the unfused
-    /// variant mirrors the scalar evaluation order bit for bit.
-    ///
-    /// # Safety
-    ///
-    /// See [`f64_neon`].
-    #[target_feature(enable = "neon")]
-    unsafe fn f64_neon_block<const NRV: usize>(
-        k: usize,
-        ap: *const f64,
-        bp: *const f64,
-        sink: Sink,
-    ) {
-        // SAFETY: the slabs hold `k` steps of `MR` / `NR` f64 (caller's
-        // contract), which is all the loop reads; the sink is forwarded.
-        unsafe {
-            let mut acc = [[vdupq_n_f64(0.0); 4]; NRV];
-            let (mut a, mut b) = (ap, bp);
-            for _ in 0..k {
-                let av = [
-                    vld1q_f64(a),
-                    vld1q_f64(a.add(2)),
-                    vld1q_f64(a.add(4)),
-                    vld1q_f64(a.add(6)),
-                ];
-                for (j, cj) in acc.iter_mut().enumerate() {
-                    let bv = vdupq_n_f64(*b.add(j));
-                    for (cji, &ai) in cj.iter_mut().zip(&av) {
-                        #[cfg(feature = "fma")]
-                        {
-                            *cji = vfmaq_f64(*cji, ai, bv);
-                        }
-                        #[cfg(not(feature = "fma"))]
-                        {
-                            *cji = vaddq_f64(*cji, vmulq_f64(ai, bv));
-                        }
-                    }
-                }
-                a = a.add(F64_SCALAR.mr);
-                b = b.add(F64_SCALAR.nr);
-            }
-            finish(&acc, sink, 1);
-        }
-    }
-
-    by_valid_columns! {
-        /// f64 `8 × 4` register block on NEON (the scalar level's shape).
-        f64_neon => f64_neon_block::<1, 2, 3, 4>
-    }
-
-    /// Complex64 block on NEON: each 128-bit register holds one complex
-    /// element (`[re, im]`), four per column. Complex multiply-accumulate
-    /// via the swapped-operand `[-b_im, +b_im]` formulation; the unfused
-    /// variant matches the scalar complex multiply bit for bit
-    /// (`x + (-y)` ≡ `x - y` in IEEE arithmetic).
-    ///
-    /// # Safety
-    ///
-    /// See [`c64_neon`].
-    #[target_feature(enable = "neon")]
-    unsafe fn c64_neon_block<const NRV: usize>(
-        k: usize,
-        ap: *const f64,
-        bp: *const f64,
-        sink: Sink,
-    ) {
-        // SAFETY: the slabs hold `k` steps of 4 complex = 8 f64 each
-        // (caller's contract), which is all the loop reads; the sink is
-        // forwarded.
-        unsafe {
-            let mut acc = [[vdupq_n_f64(0.0); 4]; NRV];
-            let (mut a, mut b) = (ap, bp);
-            for _ in 0..k {
-                let av = [
-                    vld1q_f64(a),
-                    vld1q_f64(a.add(2)),
-                    vld1q_f64(a.add(4)),
-                    vld1q_f64(a.add(6)),
-                ];
-                let sv = [
-                    vextq_f64(av[0], av[0], 1), // [im, re]
-                    vextq_f64(av[1], av[1], 1),
-                    vextq_f64(av[2], av[2], 1),
-                    vextq_f64(av[3], av[3], 1),
-                ];
-                for (j, cj) in acc.iter_mut().enumerate() {
-                    let b_im = *b.add(2 * j + 1);
-                    let bre = vdupq_n_f64(*b.add(2 * j));
-                    let bpm = vcombine_f64(vdup_n_f64(-b_im), vdup_n_f64(b_im));
-                    for (r, cjr) in cj.iter_mut().enumerate() {
-                        #[cfg(feature = "fma")]
-                        {
-                            *cjr = vfmaq_f64(vfmaq_f64(*cjr, sv[r], bpm), av[r], bre);
-                        }
-                        #[cfg(not(feature = "fma"))]
-                        {
-                            let prod = vaddq_f64(vmulq_f64(av[r], bre), vmulq_f64(sv[r], bpm));
-                            *cjr = vaddq_f64(*cjr, prod);
-                        }
-                    }
-                }
-                a = a.add(2 * C64_BLOCK.mr);
-                b = b.add(2 * C64_BLOCK.nr);
-            }
-            finish(&acc, sink, 2);
-        }
-    }
-
-    by_valid_columns! {
-        /// Complex64 `4 × 4` register block on NEON.
-        c64_neon => c64_neon_block::<1, 2, 3, 4>
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn names_and_parsing_round_trip() {
-        for l in [
-            SimdLevel::Scalar,
-            SimdLevel::Avx2,
-            SimdLevel::Avx512,
-            SimdLevel::Neon,
-        ] {
+        for l in ALL_LEVELS {
             assert_eq!(SimdLevel::parse(l.name()), Some(l));
             assert_eq!(SimdLevel::parse(&l.name().to_uppercase()), Some(l));
         }
@@ -1370,7 +1178,7 @@ mod tests {
         assert_eq!(resolve(Some("scalar")), SimdLevel::Scalar);
         assert_eq!(resolve(Some(" SCALAR ")), SimdLevel::Scalar);
         // A supported level is honored; an unsupported one falls back.
-        for l in [SimdLevel::Avx2, SimdLevel::Avx512, SimdLevel::Neon] {
+        for l in [SimdLevel::Avx2, SimdLevel::Avx512] {
             let want = if is_supported(l) { l } else { detected };
             assert_eq!(resolve(Some(l.name())), want);
         }
@@ -1385,18 +1193,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not supported")]
     fn set_active_rejects_unsupported_levels() {
-        // At most one of Avx2/Neon can be supported on any one target.
-        let unsupported = if cfg!(target_arch = "x86_64") {
-            SimdLevel::Neon
-        } else {
-            SimdLevel::Avx2
+        // Only a CPU without AVX-512 (or a target other than x86-64) has a
+        // level to refuse; where every level runs there is nothing to check.
+        let Some(unsupported) = ALL_LEVELS.into_iter().find(|&l| !is_supported(l)) else {
+            return;
         };
-        if is_supported(unsupported) {
-            // Defensive: never possible, but keep the test honest.
-            panic!("not supported (vacuous)");
-        }
-        set_active(unsupported);
+        let before = active();
+        let err = std::panic::catch_unwind(|| set_active(unsupported)).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("not supported"), "{msg}");
+        assert_eq!(active(), before, "a refused level must not become active");
     }
 }

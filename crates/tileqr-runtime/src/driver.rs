@@ -24,16 +24,16 @@ use tileqr_core::dag::KernelFamily;
 use tileqr_core::EliminationList;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
+use crate::plan::default_plan;
 use crate::reflectors::QrReflectors;
 use crate::trace::ExecutionTrace;
 
 /// Default inner blocking factor `ib` of [`QrConfig::new`], applied as
-/// `min(tile_size, 16)`. Tuned end-to-end on the `factorization_ib` rows of
-/// the frozen `BENCH_factorization.json`: at `nb = 128` (512 × 256, f64,
-/// 1 vCPU) `ib = 16` reaches 6.09 GFLOP/s against 3.53 at `ib = nb` — a
-/// 1.72× win, with every `ib ∈ {8..32}` within 7 % of the peak. Tiles of
-/// order ≤ 16 keep `ib = nb` (the panels already fit the register-blocked
-/// microkernel).
+/// `min(tile_size, 16)`. Rechecked end to end on the default plan at `P = 2`
+/// (2 vCPU Xeon, AVX-512, four shapes, interleaved): `ib` 16 and 32 were
+/// within ~10% of each other in both directions, while `ib = 8` was
+/// 1.25–1.8× and `ib = 64` 1.1–1.4× slower. Tiles of order ≤ 16 keep
+/// `ib = nb` (the panels already fit the register-blocked microkernel).
 pub const DEFAULT_INNER_BLOCK: usize = 16;
 
 /// Configuration of a tiled QR factorization run.
@@ -49,11 +49,11 @@ pub struct QrConfig {
     /// [`QrConfig::with_inner_block`]`(tile_size)` for unblocked panels (one
     /// block reflector per tile).
     pub inner_block: usize,
-    /// Reduction tree. [`Algorithm::Auto`] (the default) lets the plan
-    /// choose the tree *and* the kernel family; see [`QrConfig::new`].
-    pub algorithm: Algorithm,
+    /// Reduction tree. `None` (the default) lets the plan choose the tree
+    /// *and* the kernel family; see [`QrConfig::new`].
+    pub algorithm: Option<Algorithm>,
     /// Kernel family (TT or TS) of a named tree. Ignored while `algorithm`
-    /// is [`Algorithm::Auto`], which chooses the family with the tree;
+    /// is `None`, which chooses the family with the tree;
     /// [`QrConfig::with_family`] names the tree too.
     pub family: KernelFamily,
     /// Worker threads (1 = sequential).
@@ -68,11 +68,11 @@ pub struct QrConfig {
 }
 
 impl QrConfig {
-    /// The default: [`Algorithm::Auto`] — the plan picks its reduction tree
-    /// and kernel family with [`choose_plan`] for its tile grid at the host's
-    /// available parallelism (Greedy/TT or a PlasmaTree/TS with domains of
-    /// at most 16 tile rows) — the tuned inner blocking
-    /// (`min(tile_size, `[`DEFAULT_INNER_BLOCK`]`)`), sequential.
+    /// The default: no named tree (`algorithm: None`) — the plan picks its
+    /// reduction tree and kernel family with [`choose_plan`] for its tile
+    /// grid at the host's available parallelism (Greedy/TT or a
+    /// PlasmaTree/TS with domains of at most 16 tile rows) — the tuned inner
+    /// blocking (`min(tile_size, `[`DEFAULT_INNER_BLOCK`]`)`), sequential.
     ///
     /// The default's result bits are therefore reproducible on one host, and
     /// every path (one-shot, context, batch, solve, service) runs the same
@@ -91,7 +91,7 @@ impl QrConfig {
         QrConfig {
             tile_size,
             inner_block: tile_size.min(DEFAULT_INNER_BLOCK),
-            algorithm: Algorithm::Auto,
+            algorithm: None,
             family: KernelFamily::TT,
             threads: 1,
             check_finite: false,
@@ -110,21 +110,17 @@ impl QrConfig {
         self.inner_block.clamp(1, self.tile_size.max(1))
     }
 
-    /// Sets the algorithm. [`Algorithm::Auto`] chooses the family with the
-    /// tree, so it discards any family set before it:
-    /// `with_family(TS).with_algorithm(Auto)` runs the chosen family.
+    /// Names the reduction tree, which then runs the config's family.
     pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
+        self.algorithm = Some(algorithm);
         self
     }
 
-    /// Sets the kernel family. On an [`Algorithm::Auto`] config it also
-    /// names the tree, [`Algorithm::Greedy`], so a config that names a
-    /// family never leaves the choice of tree to the host.
+    /// Sets the kernel family. On a config with no named tree it also names
+    /// the tree, [`Algorithm::Greedy`], so a config that names a family
+    /// never leaves the choice of tree to the host.
     pub fn with_family(mut self, family: KernelFamily) -> Self {
-        if self.algorithm == Algorithm::Auto {
-            self.algorithm = Algorithm::Greedy;
-        }
+        self.algorithm.get_or_insert(Algorithm::Greedy);
         self.family = family;
         self
     }
@@ -171,11 +167,12 @@ impl<T: Scalar> std::fmt::Debug for QrFactorization<T> {
     }
 }
 
-/// The elimination list of `algorithm` on a `p × q` tile grid
-/// ([`Algorithm::elimination_list`]; for [`Algorithm::Auto`], the list of the
-/// tree the host's plans choose).
-pub fn elimination_list_for(algorithm: Algorithm, p: usize, q: usize) -> EliminationList {
-    algorithm.elimination_list(p, q)
+/// The elimination list a config naming `algorithm` runs on a `p × q` tile
+/// grid: the named tree's ([`Algorithm::elimination_list`]), or for `None`
+/// the list of the tree a default plan chooses on this host.
+pub fn elimination_list_for(algorithm: Option<Algorithm>, p: usize, q: usize) -> EliminationList {
+    let tree = algorithm.unwrap_or_else(|| default_plan(p, q).0);
+    tree.elimination_list(p, q)
 }
 
 /// Factorizes a dense `m × n` matrix (`m ≥ n`) with the given configuration.
@@ -327,23 +324,19 @@ mod tests {
         let a: Matrix<T> = random_matrix(m, n, seed);
         let f = qr_factorize(&a, config);
         let r = f.r();
+        let algorithm = config.algorithm;
         assert!(
             r.is_upper_triangular(),
-            "R not triangular for {}",
-            config.algorithm.name()
+            "R not triangular for {algorithm:?}"
         );
         assert!(
             f.residual(&a) < TOL,
-            "residual too large for {} ({}x{}, nb={nb}): {}",
-            config.algorithm.name(),
-            m,
-            n,
+            "residual too large for {algorithm:?} ({m}x{n}, nb={nb}): {}",
             f.residual(&a)
         );
         assert!(
             f.orthogonality() < TOL,
-            "Q not orthogonal for {}",
-            config.algorithm.name()
+            "Q not orthogonal for {algorithm:?}"
         );
     }
 

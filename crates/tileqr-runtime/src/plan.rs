@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 use tileqr_core::algorithms::Algorithm;
 use tileqr_core::dag::{KernelFamily, SuccessorsCsr, TaskDag};
 use tileqr_core::footprint::{footprint, plan_dag};
-use tileqr_core::sim::resolve_plan;
+use tileqr_core::sim::choose_plan;
 use tileqr_kernels::Workspace;
 use tileqr_matrix::{Matrix, Scalar, TiledMatrix};
 
@@ -221,26 +221,34 @@ impl<T: Scalar> std::fmt::Debug for QrPlan<T> {
     }
 }
 
+/// The tree and family a config that names no tree runs on a `p × q` tile
+/// grid: the pair [`choose_plan`] picks at the host's available parallelism
+/// (read once per process).
+pub(crate) fn default_plan(p: usize, q: usize) -> (Algorithm, KernelFamily) {
+    static PROCS: OnceLock<usize> = OnceLock::new();
+    let procs = *PROCS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    choose_plan(p, q, procs)
+}
+
 impl<T: Scalar> QrPlan<T> {
     /// Builds the plan for factorizing `m × n` matrices with the shape
     /// parameters of `config` (`tile_size`, `inner_block`, `algorithm`,
     /// `family` — the `threads` field belongs to the
     /// [`QrContext`](crate::context::QrContext) and is ignored here).
     ///
-    /// An [`Algorithm::Auto`] config is resolved here, once
-    /// ([`resolve_plan`]): the plan takes the tree and family
-    /// [`choose_plan`] picks for its grid at the host's available
-    /// parallelism, and records them ([`QrPlan::algorithm`],
+    /// A config that names no tree is resolved here, once: the plan takes
+    /// the tree and family [`choose_plan`] picks for its grid at the host's
+    /// available parallelism, and records them ([`QrPlan::algorithm`],
     /// [`QrPlan::family`]). Every call that runs the plan runs that pair, so
     /// results are bitwise equal across paths; they are reproducible on one
     /// host, and on every host only when the config names tree and family.
-    ///
-    /// [`choose_plan`]: tileqr_core::sim::choose_plan
     pub fn new(m: usize, n: usize, config: QrConfig) -> Result<Self, QrError> {
         if config.tile_size == 0 {
             return Err(QrError::ZeroTileSize);
         }
-        if let Algorithm::PlasmaTree { bs: 0 } | Algorithm::HadriTree { bs: 0 } = config.algorithm {
+        if let Some(Algorithm::PlasmaTree { bs: 0 } | Algorithm::HadriTree { bs: 0 }) =
+            config.algorithm
+        {
             return Err(QrError::ZeroDomainSize);
         }
         if m < n {
@@ -252,7 +260,10 @@ impl<T: Scalar> QrPlan<T> {
         // `TiledMatrix::from_dense_padded`.
         let p = m.div_ceil(nb).max(1);
         let q = n.div_ceil(nb).max(1);
-        let (algorithm, family) = resolve_plan(config.algorithm, config.family, p, q);
+        let (algorithm, family) = match config.algorithm {
+            Some(named) => (named, config.family),
+            None => default_plan(p, q),
+        };
         Ok(QrPlan {
             m,
             n,
@@ -293,13 +304,13 @@ impl<T: Scalar> QrPlan<T> {
     }
 
     /// Reduction tree the schedule was generated from: the config's, or for
-    /// an [`Algorithm::Auto`] config the tree it resolved to — never `Auto`.
+    /// a config that names none the tree it resolved to.
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
     }
 
-    /// Kernel family (TT or TS) of the schedule: the config's, or for an
-    /// [`Algorithm::Auto`] config the family it resolved to.
+    /// Kernel family (TT or TS) of the schedule: the config's, or for a
+    /// config that names no tree the family it resolved to.
     pub fn family(&self) -> KernelFamily {
         self.family
     }
@@ -483,7 +494,7 @@ fn all_finite(non_finite: Option<(usize, usize)>) -> Result<(), QrError> {
 mod tests {
     use super::*;
     use crate::context::QrContext;
-    use tileqr_core::sim::choose_plan;
+    use crate::driver::elimination_list_for;
     use tileqr_matrix::generate::random_matrix;
 
     #[test]
@@ -498,8 +509,11 @@ mod tests {
         );
     }
 
+    /// The benchmark's probe builds its DAG from
+    /// `elimination_list_for(config.algorithm, p, q)`, so a default config
+    /// must run the tree the plan runs.
     #[test]
-    fn the_default_config_resolves_to_a_named_plan_and_a_named_family_pins_greedy() {
+    fn default_config_runs_the_chosen_plan_at_the_host_parallelism() {
         // The benchmark's shapes, a ragged one and an empty one: the plan
         // records the pair the chooser picks for its grid on this host.
         let procs = std::thread::available_parallelism().map_or(1, usize::from);
@@ -514,15 +528,19 @@ mod tests {
             (0, 0, 3),
         ] {
             let plan: QrPlan<f64> = QrPlan::new(m, n, QrConfig::new(nb)).unwrap();
-            assert_ne!(plan.algorithm(), Algorithm::Auto, "{m}x{n}");
+            let (p, q) = (plan.p, plan.q);
+            let chosen = choose_plan(p, q, procs);
+            assert_eq!((plan.algorithm(), plan.family()), chosen, "{m}x{n}");
             assert_eq!(
-                (plan.algorithm(), plan.family()),
-                choose_plan(plan.p, plan.q, procs),
+                elimination_list_for(None, p, q),
+                chosen.0.elimination_list(p, q),
                 "{m}x{n}"
             );
         }
-        // Naming a family names the tree the default named before `Auto`;
-        // naming a tree keeps the default family.
+    }
+
+    #[test]
+    fn a_named_family_pins_greedy_and_a_named_tree_keeps_the_default_family() {
         for family in [KernelFamily::TT, KernelFamily::TS] {
             let plan: QrPlan<f64> =
                 QrPlan::new(40, 16, QrConfig::new(4).with_family(family)).unwrap();

@@ -26,7 +26,7 @@ use tileqr_core::KernelFamily;
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::rng::Rng;
 use tileqr_matrix::{Complex64, Matrix, TiledMatrix};
-use tileqr_runtime::driver::{elimination_list_for, qr_factorize, QrConfig};
+use tileqr_runtime::driver::{qr_factorize, QrConfig};
 use tileqr_runtime::fault::FaultPlan;
 use tileqr_runtime::service::{probe_id, QrService, RetryPolicy, ServiceConfig};
 use tileqr_runtime::{QrContext, QrError, QrPlan};
@@ -87,7 +87,7 @@ fn chaos_round<T: RandomScalar>(rng: &mut Rng, ctx: &QrContext, it: usize, use_i
     let expected = faults.panics();
     // The same DAG construction the plan uses, to check the reported kind.
     let dag = TaskDag::build(
-        &elimination_list_for(algo, plan.tile_rows(), plan.tile_cols()),
+        &algo.elimination_list(plan.tile_rows(), plan.tile_cols()),
         family,
     );
 
@@ -244,7 +244,7 @@ fn service_chaos_round<T: RandomScalar>(rng: &mut Rng, service: &QrService<T>, i
 
     let plan = Arc::new(QrPlan::<T>::new(m, n, config).expect("valid random shape"));
     let dag = TaskDag::build(
-        &elimination_list_for(algo, plan.tile_rows(), plan.tile_cols()),
+        &algo.elimination_list(plan.tile_rows(), plan.tile_cols()),
         family,
     );
     let faulted = 1 + (rng.next_u64() as usize) % (SERVICE_ITEMS / 2); // 1..=4
@@ -471,7 +471,9 @@ fn sequential_path_contains_injected_panics_too() {
     let mats: Vec<Matrix<f64>> = (0..3).map(|i| random_matrix(20, 12, 300 + i)).collect();
     let references: Vec<_> = mats.iter().map(|a| qr_factorize(a, config)).collect();
     let dag = TaskDag::build(
-        &elimination_list_for(plan.algorithm(), plan.tile_rows(), plan.tile_cols()),
+        &plan
+            .algorithm()
+            .elimination_list(plan.tile_rows(), plan.tile_cols()),
         plan.family(),
     );
 
@@ -509,7 +511,7 @@ fn a_panic_in_an_rhs_update_fails_only_that_solve() {
         // last update of the trailing column.
         let q = plan.tile_cols();
         let dag = TaskDag::build_with_trailing(
-            &elimination_list_for(plan.algorithm(), plan.tile_rows(), q),
+            &plan.algorithm().elimination_list(plan.tile_rows(), q),
             family,
             1,
         );
@@ -623,11 +625,11 @@ fn mixed_plan_service_chaos_contains_faults_and_retries_exactly() {
     let plan_a = Arc::new(QrPlan::<f64>::new(20, 12, config_a).expect("valid shape"));
     let plan_b = Arc::new(QrPlan::<f64>::new(15, 15, config_b).expect("valid shape"));
     let dag_a = TaskDag::build(
-        &elimination_list_for(Algorithm::Greedy, plan_a.tile_rows(), plan_a.tile_cols()),
+        &Algorithm::Greedy.elimination_list(plan_a.tile_rows(), plan_a.tile_cols()),
         KernelFamily::TT,
     );
     let dag_b = TaskDag::build(
-        &elimination_list_for(Algorithm::FlatTree, plan_b.tile_rows(), plan_b.tile_cols()),
+        &Algorithm::FlatTree.elimination_list(plan_b.tile_rows(), plan_b.tile_cols()),
         KernelFamily::TS,
     );
 

@@ -3,8 +3,8 @@
 # `src/*.rs` and `benches/*.rs` up to each file's top-level `#[cfg(test)]`;
 # the runtime's `model_check.rs` (a test-only model suite) is excluded.
 #
-# * lines: non-blank lines that are not `//` comments (`///` and `//!` docs
-#   included);
+# * lines: non-blank lines that do not start with `//` (so `///` and `//!`
+#   doc lines are not counted either);
 # * public items: lines declaring a `pub` fn, struct, enum, trait, type,
 #   const, static, mod or use (`pub(crate)` and other `pub(…)` not counted).
 #
