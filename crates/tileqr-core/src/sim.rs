@@ -312,7 +312,11 @@ pub fn best_plasma_tree(p: usize, q: usize, family: KernelFamily) -> (usize, u64
 /// (second `host` block), rounded. Per flop the TS kernels run 1.4–1.7×
 /// faster than their TT twins, which the paper's unit weights cannot see.
 /// These are constants rather than a per-host probe so that a plan, and the
-/// bits of its result, do not flip with a noisy timing.
+/// bits of its result, do not flip with a noisy timing. The factor rows
+/// (GEQRT, TSQRT, TTQRT) describe the column-sweep panels the kernels ran
+/// before their panels became recursive, and so overstate the factor
+/// kernels' cost now; the table is kept as it is until the chooser is
+/// re-costed as a whole.
 fn kernel_cost(kind: TaskKind) -> u64 {
     match kind {
         TaskKind::Geqrt { .. } => 21,

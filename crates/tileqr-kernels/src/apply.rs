@@ -159,7 +159,8 @@ fn update<T: Scalar<Real = f64>>(
             block.apply_panel(
                 v.as_slice(),
                 nb,
-                t,
+                &t.as_slice()[j0 * t.rows()..],
+                t.rows(),
                 j0,
                 ib.min(nb - j0),
                 trans.conj_t(),

@@ -1,10 +1,10 @@
 //! The few BLAS-like helpers the tile kernels need beside the micro-BLAS
 //! products of [`crate::microblas`].
 //!
-//! * [`dot_conj`] — the reduction of the *in-panel* reflector sweep of the
-//!   factorization kernels (one reflector applied to the remaining columns
-//!   of its own `ib` panel) and of the `T`-factor construction: Level-2 work
-//!   that no block reflector exists for yet. On the SIMD levels a TS panel
+//! * [`dot_conj`] — the reduction of the factorization kernels' leaf sweep
+//!   (one reflector applied to the remaining columns of its own leaf of a
+//!   recursive panel) and of a leaf's `T`-factor construction: the Level-2
+//!   work left under the block products. On the SIMD levels a TS leaf
 //!   reaches it through `reflect` (one reflector's step of the sweep) and
 //!   `trmv_upper` (the `T` recurrence), written over the [`crate::simd`]
 //!   Level-2 operations (eight dots at once, a full-width update), which
@@ -61,7 +61,7 @@ pub fn dot_conj<T: Scalar>(a: &[T], b: &[T]) -> T {
 }
 
 /// Applies one reflector `H = I − τ·[1; x]·[1; x]ᴴ`, as `Hᴴ`, to the `ncols`
-/// columns of a TS pair — one step of the in-panel sweep. Column `c`'s tail
+/// columns of a TS pair — one step of a leaf's sweep. Column `c`'s tail
 /// is `cols[c·ld ..][.. x.len()]`, its pivot (the entry the reflector's unit
 /// meets) `pivots[c·ld + j]`. Per column: `s = τ̄·(pivot + xᴴ·tail)`,
 /// `pivot −= s`, `tail −= x·s`, as the generic sweep does. The columns are

@@ -36,10 +36,13 @@
 //!    they walk a tile (pair), in place, and decide *what* is computed.
 //! 2. **Inner panel level (`ib`)** — each `nb × nb` tile is factored and
 //!    applied in panels of `ib` columns (the [`Workspace`] carries `ib`).
-//!    Reflectors are generated column by column *inside* a panel; everything
-//!    outside it — the trailing columns of the tile being factored, every
-//!    target tile of an update kernel — meets the panel through **one block
-//!    reflector primitive**, three matrix products per panel:
+//!    A panel is factored recursively: its halves are factored in turn,
+//!    the left one applied to the right one, and only leaves of up to 16
+//!    columns generate their reflectors column by column. Everything
+//!    outside a leaf — the right half of a panel, the trailing columns of
+//!    the tile being factored, every target tile of an update kernel —
+//!    meets the reflectors through **one block reflector primitive**,
+//!    three matrix products per block:
 //!
 //!    ```text
 //!    W += V_sᴴ·C,   W₂ := op(T_s)·W,   C −= V_s·W₂.
@@ -53,7 +56,7 @@
 //!    operands are packed: implied zeros
 //!    and the unit diagonal are written into the pack buffer, never looked
 //!    up by a structured loop. [`blas`] keeps only the Level-2 pieces of
-//!    the in-panel sweep and the pivot-row window of the TS/TT identity
+//!    the leaves' sweep and the pivot-row window of the TS/TT identity
 //!    block.
 //! 3. **Register level** — all three products run on [`microblas`]: packed
 //!    operand panels and a microkernel that holds one register block of `C`
@@ -75,15 +78,15 @@
 //!    pin — and the per-call dispatch cost is zero. Std only, no external
 //!    dependencies.
 //!
-//!    The Level-2 half of a TS panel — the in-panel reflector sweep and the
-//!    `T` build — is dispatched too, once per panel, into a body compiled
-//!    for the level ([`simd`]'s Level-2 operations): the dots of independent
-//!    columns run eight at a time, each holding [`blas::dot_conj`]'s four
-//!    partial sums as the lanes of one vector, and the rank-1 updates at
-//!    full width. These operations stay unfused even under the `fma`
-//!    feature, so GEQRT, TSQRT and TTQRT give every level the scalar
-//!    level's bits; GEQRT and TTQRT panels, `Complex64` and the scalar
-//!    level keep the generic loops.
+//!    The Level-2 half of a TS leaf — its reflector sweep and `T` build —
+//!    is dispatched too, once per leaf, into a body compiled for the level
+//!    ([`simd`]'s Level-2 operations): the dots of independent columns run
+//!    eight at a time, each holding [`blas::dot_conj`]'s four partial sums
+//!    as the lanes of one vector, and the rank-1 updates at full width.
+//!    These operations stay unfused even under the `fma` feature, so a
+//!    leaf gives every level the scalar level's bits; GEQRT and TTQRT
+//!    leaves, `Complex64` and the scalar level keep the generic loops. The
+//!    factor kernels' block products fuse under `fma` like every other.
 //!
 //! Because every element of every product is reduced over `k` in order,
 //! from zero, the block shape and the edge handling never change a result

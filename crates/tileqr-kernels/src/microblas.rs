@@ -7,11 +7,15 @@
 //! [`gemm_into`] entry point, which follows the classic GotoBLAS structure
 //! specialized to tile-sized operands (`m, n, k ≤ nb`):
 //!
-//! 1. both operands are packed once per call: `B` into `NR`-interleaved
-//!    column slabs (`bpack`) and `op(A)` into `MR`-interleaved row slabs
-//!    (`apack`, conjugation applied during packing), so the microkernel
-//!    streams both with unit stride. `MR × NR` is the register block of the
-//!    *active SIMD level* ([`crate::simd::block_shape`]), so the pack layout
+//! 1. `op(A)` is packed once per call into `MR`-interleaved row slabs
+//!    (`apack`, conjugation applied during packing), and so is a `B` with
+//!    a column shorter than `k`, into `NR`-interleaved column slabs
+//!    (`bpack`); a `B` of whole columns is read where it lies, one stream
+//!    per column of the register block (packing it took a fifth of the
+//!    factor kernels' product time at `nb = 128, ib = 32`). Either way the
+//!    microkernel streams its operands with unit stride or a fixed step,
+//!    and multiplies the same values. `MR × NR` is the register block of
+//!    the *active SIMD level* ([`crate::simd::block_shape`]), so the pack layout
 //!    is a property of the level as well. Each slab is written front to
 //!    back, in order of `k` step: where a step gathers one entry from each
 //!    of `NR` (or `MR`) source columns — every `B` slab, and `op(A)` under
@@ -57,7 +61,7 @@
 
 use tileqr_matrix::{Matrix, Scalar};
 
-use crate::simd::{self, BlockShape, Microkernel, NR_MAX};
+use crate::simd::{self, BSlab, BlockShape, Microkernel, NR_MAX};
 
 /// `len` rounded up to whole register blocks at the coarsest interleave any
 /// level uses: the pack buffers outlive a change of the active level, so
@@ -254,9 +258,13 @@ pub fn gemm_into<'a, 'b, T: Scalar + 'a + 'b>(
     let n_jslabs = n.div_ceil(nr);
     assert!(apack.len() >= n_islabs * mr * k, "A pack buffer too small");
     assert!(bpack.len() >= n_jslabs * nr * k, "B pack buffer too small");
-    // The packers are instantiated per interleave, so their inner loops
-    // run on compile-time strides.
+    // A `B` whose columns all hold `k` entries is read where it lies; one
+    // with short columns is packed, its zeros written out. The packers are
+    // instantiated per interleave, so their inner loops run on
+    // compile-time strides.
+    let direct = (0..n).all(|j| bcol(j).len() >= k);
     match nr {
+        _ if direct => {}
         4 => pack_interleaved::<T, 4>(k, n, false, &bcol, |v| v, bpack),
         8 => pack_interleaved::<T, 8>(k, n, false, &bcol, |v| v, bpack),
         _ => unreachable!("no level has a register block {nr} columns wide"),
@@ -286,15 +294,19 @@ pub fn gemm_into<'a, 'b, T: Scalar + 'a + 'b>(
                 for (cc, off) in coffs[..nr_valid].iter_mut().enumerate() {
                     *off = coff(j0 + cc) + i0;
                 }
-                kernel.run(
-                    k,
-                    aslab,
-                    &bpack[js * k * nr..(js + 1) * k * nr],
-                    c,
-                    &coffs[..nr_valid],
-                    mr_valid,
-                    sub,
-                );
+                let bslab = if direct {
+                    BSlab {
+                        cols: std::array::from_fn(|cc| bcol((j0 + cc).min(n - 1))),
+                        step: 1,
+                    }
+                } else {
+                    let slab = &bpack[js * k * nr..(js + 1) * k * nr];
+                    BSlab {
+                        cols: std::array::from_fn(|cc| &slab[cc.min(nr - 1)..]),
+                        step: nr,
+                    }
+                };
+                kernel.run(k, aslab, &bslab, c, &coffs[..nr_valid], mr_valid, sub);
             }
         }
         js0 = js1;

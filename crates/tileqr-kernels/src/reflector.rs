@@ -12,11 +12,14 @@
 //! | `Pair`, `triangular` | TTQRT / TTMQR | `[e_j; V2(:, j)]` | rows `0..=j` of column `j`: the second tile's strictly lower half is never read or written |
 //!
 //! TS and TT differ only in that stored length, so they share every line of
-//! code. A factorization kernel ([`crate::factor`]) generates the reflectors
-//! of an `ib` panel column by column ([`Block::column`]), builds the panel's
-//! `T` from their inner products ([`Block::vdot`]) and updates the trailing
-//! columns with [`Block::apply_panel`]; an update kernel ([`crate::apply`])
-//! is [`Block::apply_panel`] per panel and chunk of target columns. Both work
+//! code. A factorization kernel ([`crate::factor`]) factors each `ib` panel
+//! recursively: a leaf's reflectors are generated column by column
+//! ([`Block::column`]) and its `T` built from their inner products
+//! ([`Block::vdot`]); a factored half is applied to the other half, and a
+//! finished panel to the trailing columns, with [`Block::apply_panel`]; two
+//! halves' `T` factors are merged through their cross product
+//! ([`Block::cross`]). An update kernel ([`crate::apply`]) is
+//! [`Block::apply_panel`] per panel and chunk of target columns. Both work
 //! in place on the tiles: a TT pair's triangle is read and written where it
 //! lies.
 //!
@@ -159,12 +162,16 @@ impl<T: Scalar> Block<'_, T> {
     /// columns `c0 ..` of the tile (pair). The panel's explicit rows are a
     /// tile's from the panel's diagonal down (`R` above it is never read), a
     /// pair's down to the last stored row of the panel's last column.
+    /// `T_s` is the `w × w` upper triangle whose column `i` is
+    /// `t[i·ldt ..][..= i]`: a panel's window of an `ib`-blocked `T`, or a
+    /// diagonal block of one.
     #[allow(clippy::too_many_arguments)] // one larfb: reflector panel, T window, target
     pub(crate) fn apply_panel(
         &mut self,
         v: &[T],
         nb: usize,
-        t: &Matrix<T>,
+        t: &[T],
+        ldt: usize,
         j0: usize,
         w: usize,
         conj_t: bool,
@@ -178,7 +185,7 @@ impl<T: Scalar> Block<'_, T> {
             Block::Tile => (j0, None),
             Block::Pair { pivot, .. } => {
                 let c1 = &mut pivot.as_mut_slice()[c0 * nb..];
-                (0, Some(PivotRows { c1, ld: nb }))
+                (0, Some(PivotRows { c1, ld: nb, j0 }))
             }
         };
         let rows = stored(triangular, nb, j0 + w - 1) - r0;
@@ -187,7 +194,55 @@ impl<T: Scalar> Block<'_, T> {
             &v[j * nb + r0..j * nb + stored(triangular, nb, j)]
         };
         let coff = |j: usize| j * nb + r0;
-        larfb(vcol, rows, pivot, t, j0, w, conj_t, c, coff, width, scratch);
+        larfb(
+            vcol, rows, pivot, t, ldt, w, conj_t, c, coff, width, scratch,
+        );
+    }
+
+    /// `Y := V_bᴴ·V_a` (`n_b × n_a`, leading dimension `ldy`) for the
+    /// adjacent reflector blocks `a .. a+n_a` and `b .. b+n_b`,
+    /// `b = a + n_a`: the cross term of the recursive panel's
+    /// `T₁₂ = −T₁₁·(V_aᴴ·V_b)·T₂₂`. One product over the rows where both
+    /// blocks can be nonzero — a tile's from row `b` down (`V_b`'s unit
+    /// lower trapezoid, [`AForm::UnitLower`], under which `V_a` is dense);
+    /// a pair's stored rows, the identity blocks being orthogonal (a TT
+    /// pair's end at row `b`, past every stored row of `V_a`). Only stored
+    /// entries are read.
+    #[allow(clippy::too_many_arguments)] // one product: two blocks, output, packs
+    pub(crate) fn cross(
+        &self,
+        v: &[T],
+        nb: usize,
+        a: usize,
+        n_a: usize,
+        n_b: usize,
+        y: &mut [T],
+        ldy: usize,
+        apack: &mut [T],
+        bpack: &mut [T],
+    ) {
+        let b = a + n_a;
+        let triangular = self.triangular();
+        let (r0, k, form) = match self {
+            Block::Tile => (b, nb - b, AForm::UnitLower),
+            Block::Pair { .. } => (0, stored(triangular, nb, b - 1), AForm::Dense),
+        };
+        let col = |j: usize| &v[j * nb + r0..j * nb + stored(triangular, nb, j).min(r0 + k)];
+        (0..n_a).for_each(|j| y[j * ldy..][..n_b].fill(T::ZERO));
+        gemm_into(
+            n_b,
+            n_a,
+            k,
+            AMode::ConjTrans,
+            form,
+            |i| col(b + i),
+            |j| col(a + j),
+            y,
+            |j| j * ldy,
+            false,
+            apack,
+            bpack,
+        );
     }
 }
 
@@ -196,6 +251,7 @@ impl<T: Scalar> Block<'_, T> {
 struct PivotRows<'a, T> {
     c1: &'a mut [T],
     ld: usize,
+    j0: usize,
 }
 
 /// The panel application itself, on operand accessors:
@@ -206,8 +262,8 @@ struct PivotRows<'a, T> {
 ///   trapezoid ([`AForm::UnitLower`]); with `pivot` present it is the `V2`
 ///   under an identity that acts on the pivot rows, and columns shorter
 ///   than `rows` end in zeros.
-/// * `T_s` is the upper triangle at rows `0..w` of columns `j0 .. j0+w` of
-///   `t`; `conj_t` selects `T_sᴴ` (applying `Qᴴ`).
+/// * `T_s` is the upper triangle whose column `i` is `t[i·ldt ..][..= i]`;
+///   `conj_t` selects `T_sᴴ` (applying `Qᴴ`).
 /// * Column `j < width` of the target is `c[coff(j) ..][.. rows]`.
 ///
 /// Kept generic over its accessors, as a function of its own: on a 2-vCPU
@@ -218,8 +274,8 @@ fn larfb<'v, T: Scalar + 'v>(
     vcol: impl Fn(usize) -> &'v [T],
     rows: usize,
     pivot: Option<PivotRows<'_, T>>,
-    t: &Matrix<T>,
-    j0: usize,
+    t: &[T],
+    ldt: usize,
     w: usize,
     conj_t: bool,
     c: &mut [T],
@@ -234,7 +290,7 @@ fn larfb<'v, T: Scalar + 'v>(
         bpack,
     } = scratch;
     assert!(
-        wm.rows() >= w && wm.cols() >= width && t.rows() >= w && t.cols() >= j0 + w,
+        wm.rows() >= w && wm.cols() >= width && ldt >= w && t.len() >= (w - 1) * ldt + w,
         "staging panel or T window too small"
     );
     let (ldw, ldw2) = (wm.rows(), w2.rows());
@@ -245,7 +301,7 @@ fn larfb<'v, T: Scalar + 'v>(
     };
     // W := the identity block's share (the pivot rows), or nothing.
     match &pivot {
-        Some(p) => copy_rows_window_into(p.c1, p.ld, j0, w, width, wm),
+        Some(p) => copy_rows_window_into(p.c1, p.ld, p.j0, w, width, wm),
         None => (0..width).for_each(|j| wm.col_mut(j)[..w].fill(T::ZERO)),
     }
     // W += V_sᴴ·C
@@ -276,7 +332,7 @@ fn larfb<'v, T: Scalar + 'v>(
             AMode::NoTrans
         },
         AForm::Dense,
-        |i| &t.col(j0 + i)[..i + 1],
+        |i| &t[i * ldt..][..=i],
         |j| &wm.col(j)[..w],
         w2.as_mut_slice(),
         |j| j * ldw2,
@@ -286,7 +342,7 @@ fn larfb<'v, T: Scalar + 'v>(
     );
     // [pivot rows; C] −= [I; V_s]·W₂
     if let Some(p) = pivot {
-        sub_rows_window_assign(p.c1, p.ld, j0, w, width, w2);
+        sub_rows_window_assign(p.c1, p.ld, p.j0, w, width, w2);
     }
     gemm_into(
         rows,

@@ -60,11 +60,12 @@
 //!   stable — it is still ordinary Householder arithmetic). The scalar
 //!   fallback itself stays unfused on a generic x86-64 target (see
 //!   [`Scalar::mul_acc`]).
-//! * The Level-2 operations of the factor kernels' panels (the in-panel
-//!   sweep and the `T` build of a TS pair on AVX2 and AVX-512) are never
+//! * The Level-2 operations of the factor kernels' leaves (the column
+//!   sweep and the `T` build of a TS leaf on AVX2 and AVX-512) are never
 //!   fused, whatever the feature: they round every product before its sum
-//!   in the generic loops' order, so the factor kernels at `ib = nb` give
-//!   every level the scalar level's bits in every build.
+//!   in the generic loops' order, so a leaf gives every level the scalar
+//!   level's bits in every build. The block products of the factor
+//!   kernels' recursive panels follow the first two rules.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -295,11 +296,21 @@ enum Sink {
     Spill { acc: *mut f64 },
 }
 
-/// One ISA implementation: `(k, ap, bp, nrv, sink)` computes the leading
-/// `nrv` columns of one register block from an `MR`-interleaved `A` slab
-/// and an `NR`-interleaved `B` slab of `k` steps each.
+/// The `B` operand of one register block on the kernel side: column `j`'s
+/// entry at step `p` starts at `cols[j] + p·step` (`f64` units; a complex
+/// entry is the pair from there).
 #[cfg(target_arch = "x86_64")]
-type BlockFn = unsafe fn(usize, *const f64, *const f64, usize, Sink);
+#[derive(Clone, Copy)]
+struct BCols {
+    cols: [*const f64; NR_MAX],
+    step: usize,
+}
+
+/// One ISA implementation: `(k, ap, b, nrv, sink)` computes the leading
+/// `nrv` columns of one register block from an `MR`-interleaved `A` slab
+/// and `k` steps of `B`.
+#[cfg(target_arch = "x86_64")]
+type BlockFn = unsafe fn(usize, *const f64, BCols, usize, Sink);
 
 /// The explicit kernel for (`T`, `level`), if this target has one.
 #[cfg(target_arch = "x86_64")]
@@ -312,6 +323,15 @@ fn simd_block_fn<T: Scalar>(level: SimdLevel) -> Option<BlockFn> {
         SimdLevel::Avx512 if complex => Some(x86::c64_avx512),
         _ => None,
     }
+}
+
+/// The `B` operand of one register block: column `j`'s entry at step `p`
+/// is `cols[j][p·step]` — an `NR`-interleaved slab of the packing
+/// (`cols[j]` from slot `j`, `step = NR`) or the operand's own contiguous
+/// columns (`step = 1`).
+pub(crate) struct BSlab<'a, T> {
+    pub(crate) cols: [&'a [T]; NR_MAX],
+    pub(crate) step: usize,
 }
 
 /// The register-block microkernel of the active level for scalar type `T`.
@@ -348,11 +368,12 @@ impl<T: Scalar> Microkernel<T> {
     }
 
     /// One register block of `C ±= A·B`:
-    /// `c[coffs[j] + r] ±= Σ_{p<k} ap[p·MR + r] · bp[p·NR + j]` for
+    /// `c[coffs[j] + r] ±= Σ_{p<k} ap[p·MR + r] · b.cols[j][p·b.step]` for
     /// `r < mr_valid`, `j < coffs.len()`.
     ///
-    /// `ap`/`bp` are one slab each of the packings of
-    /// [`crate::microblas`]. Only the `coffs.len()` valid columns are
+    /// `ap` is one slab of the `A` packing of [`crate::microblas`]; `b` is
+    /// one slab of its `B` packing or the operand's own columns. Only the
+    /// `coffs.len()` valid columns are
     /// computed (a width-1 right-hand side costs one column, not `NR`), and
     /// a full-height block (`mr_valid == MR`) is written from the
     /// accumulator registers inside the ISA kernel; a row-ragged one is
@@ -365,7 +386,7 @@ impl<T: Scalar> Microkernel<T> {
         &self,
         k: usize,
         ap: &[T],
-        bp: &[T],
+        b: &BSlab<'_, T>,
         c: &mut [T],
         coffs: &[usize],
         mr_valid: usize,
@@ -376,8 +397,12 @@ impl<T: Scalar> Microkernel<T> {
         // The ISA kernels below read and write through raw pointers: these
         // checks are what makes that sound.
         assert!(
-            ap.len() >= k * mr && bp.len() >= k * nr,
-            "packed slab shorter than k steps"
+            k >= 1
+                && ap.len() >= k * mr
+                && b.cols[..nrv.min(nr)]
+                    .iter()
+                    .all(|col| col.len() > (k - 1) * b.step),
+            "operand shorter than k steps"
         );
         assert!(
             (1..=nr).contains(&nrv) && (1..=mr).contains(&mr_valid),
@@ -393,24 +418,30 @@ impl<T: Scalar> Microkernel<T> {
         if let Some(block) = self.simd {
             // `simd` is only set for f64 (as is) and Complex64, which is
             // `#[repr(C)] { re: f64, im: f64 }` — an interleaved f64 pair.
-            let (ap, bp) = (ap.as_ptr().cast::<f64>(), bp.as_ptr().cast::<f64>());
+            let ap = ap.as_ptr().cast::<f64>();
+            let scale = std::mem::size_of::<T>() / std::mem::size_of::<f64>();
+            let bp = BCols {
+                cols: b.cols.map(|col| col.as_ptr().cast::<f64>()),
+                step: b.step * scale,
+            };
             if mr_valid == mr {
                 let sink = Sink::Direct {
                     c: c.as_mut_ptr().cast::<f64>(),
                     coffs: coffs.as_ptr(),
                     sub,
                 };
-                // SAFETY: the level is active, hence supported; the slabs
-                // hold `k·MR` / `k·NR` elements and every one of the `nrv`
-                // destination columns holds `MR` elements from its offset
-                // (asserted above with `mr_valid == MR`).
+                // SAFETY: the level is active, hence supported; the `A` slab
+                // holds `k·MR` elements, each of the `nrv` `B` columns `k`
+                // steps, and every one of the `nrv` destination columns
+                // holds `MR` elements from its offset (asserted above with
+                // `mr_valid == MR`).
                 unsafe { block(k, ap, bp, nrv, sink) };
             } else {
                 let mut acc = [T::ZERO; ACC_CAP];
                 let sink = Sink::Spill {
                     acc: acc.as_mut_ptr().cast::<f64>(),
                 };
-                // SAFETY: as above for the level and the slabs; `acc` holds
+                // SAFETY: as above for the level and the operands; `acc` holds
                 // `ACC_CAP ≥ MR·NR` elements, all a spilling kernel writes.
                 unsafe { block(k, ap, bp, nrv, sink) };
                 write_back(&acc, mr, c, coffs, mr_valid, sub);
@@ -418,9 +449,9 @@ impl<T: Scalar> Microkernel<T> {
             return;
         }
         if same_type::<T, Complex64>() {
-            scalar_block::<T, 4, 4>(k, ap, bp, c, coffs, mr_valid, sub);
+            scalar_block::<T, 4, 4>(k, ap, b, c, coffs, mr_valid, sub);
         } else {
-            scalar_block::<T, 8, 4>(k, ap, bp, c, coffs, mr_valid, sub);
+            scalar_block::<T, 8, 4>(k, ap, b, c, coffs, mr_valid, sub);
         }
     }
 }
@@ -458,7 +489,7 @@ fn write_back<T: Scalar>(
 fn scalar_block<T: Scalar, const MR: usize, const NR: usize>(
     k: usize,
     ap: &[T],
-    bp: &[T],
+    b: &BSlab<'_, T>,
     c: &mut [T],
     coffs: &[usize],
     mr_valid: usize,
@@ -466,8 +497,9 @@ fn scalar_block<T: Scalar, const MR: usize, const NR: usize>(
 ) {
     let nrv = coffs.len();
     let mut acc = [[T::ZERO; MR]; NR];
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(k) {
-        for (col, &bv) in acc.iter_mut().zip(&b[..nrv]) {
+    for (p, a) in ap.chunks_exact(MR).take(k).enumerate() {
+        for (col, bcol) in acc.iter_mut().zip(&b.cols[..nrv]) {
+            let bv = bcol[p * b.step];
             for (cr, &av) in col.iter_mut().zip(a) {
                 // `mul_acc` is mul+add by default and a single hardware
                 // `vfmadd` only when the *compile-time* target guarantees
@@ -488,7 +520,7 @@ fn scalar_block<T: Scalar, const MR: usize, const NR: usize>(
 /// add chains to keep both vector adders busy.
 pub(crate) const DOT_PAIRS: usize = 8;
 
-/// The two Level-2 operations of the factor kernels' panel (the in-panel
+/// The two Level-2 operations of the factor kernels' leaves (the column
 /// sweep and the `T` build), one implementation per level. Every
 /// implementation rounds exactly as the generic loops: each product before
 /// its sum, never fused, so a body written over them gives every level the
@@ -566,16 +598,17 @@ macro_rules! by_valid_columns {
         ///
         /// # Safety
         ///
-        /// The block's ISA must be present; `ap`/`bp` must hold `k·MR` /
-        /// `k·NR` elements of the kernel's scalar type; `nrv ≤ NR`; a
+        /// The block's ISA must be present; `ap` must hold `k·MR` elements
+        /// of the kernel's scalar type and each of `b`'s first `nrv`
+        /// columns `k` steps; `nrv ≤ NR`; a
         /// `Direct` sink's `coffs` must hold `nrv` offsets, each with `MR`
         /// writable elements behind it in `c`; a `Spill` sink's `acc` must
         /// hold `MR·NR` elements.
-        pub unsafe fn $name(k: usize, ap: *const f64, bp: *const f64, nrv: usize, sink: Sink) {
+        pub unsafe fn $name(k: usize, ap: *const f64, b: BCols, nrv: usize, sink: Sink) {
             // SAFETY: the caller's contract is the block's, verbatim.
             unsafe {
                 match nrv {
-                    $($n => $block::<$n>(k, ap, bp, sink),)+
+                    $($n => $block::<$n>(k, ap, b, sink),)+
                     _ => unreachable!("more valid columns than the block has"),
                 }
             }
@@ -589,7 +622,7 @@ macro_rules! by_valid_columns {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{BlockShape, Sink, C64_BLOCK};
+    use super::{BCols, BlockShape, Sink, C64_BLOCK};
     use core::arch::x86_64::*;
 
     /// f64 on AVX2: two `ymm` per column, 8 accumulators of the 16 `ymm`.
@@ -729,27 +762,23 @@ mod x86 {
     ///
     /// See [`f64_avx2`].
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn f64_avx2_block<const NRV: usize>(
-        k: usize,
-        ap: *const f64,
-        bp: *const f64,
-        sink: Sink,
-    ) {
+    unsafe fn f64_avx2_block<const NRV: usize>(k: usize, ap: *const f64, b: BCols, sink: Sink) {
         let mut acc = [[_mm256_setzero_pd(); 2]; NRV];
-        // SAFETY: the slabs hold `k` steps of `MR` / `NR` f64 (caller's
-        // contract), which is all the loop reads; the sink is forwarded.
+        // SAFETY: the `A` slab holds `k` steps of `MR` f64 and each of the
+        // `NRV` `B` columns `k` steps (caller's contract), which is all the
+        // loop reads; the sink is forwarded.
         unsafe {
-            let (mut a, mut b) = (ap, bp);
+            let (mut a, mut p) = (ap, 0);
             for _ in 0..k {
                 let a0 = _mm256_loadu_pd(a);
                 let a1 = _mm256_loadu_pd(a.add(4));
                 for (j, cj) in acc.iter_mut().enumerate() {
-                    let bv = _mm256_broadcast_sd(&*b.add(j));
+                    let bv = _mm256_broadcast_sd(&*b.cols[j].add(p));
                     cj[0] = mul_acc_256(cj[0], a0, bv);
                     cj[1] = mul_acc_256(cj[1], a1, bv);
                 }
                 a = a.add(F64_AVX2.mr);
-                b = b.add(F64_AVX2.nr);
+                p += b.step;
             }
             finish_256(&acc, sink, 1);
         }
@@ -766,27 +795,23 @@ mod x86 {
     ///
     /// See [`f64_avx512`].
     #[target_feature(enable = "avx512f")]
-    unsafe fn f64_avx512_block<const NRV: usize>(
-        k: usize,
-        ap: *const f64,
-        bp: *const f64,
-        sink: Sink,
-    ) {
+    unsafe fn f64_avx512_block<const NRV: usize>(k: usize, ap: *const f64, b: BCols, sink: Sink) {
         let mut acc = [[_mm512_setzero_pd(); 2]; NRV];
-        // SAFETY: the slabs hold `k` steps of `MR` / `NR` f64 (caller's
-        // contract), which is all the loop reads; the sink is forwarded.
+        // SAFETY: the `A` slab holds `k` steps of `MR` f64 and each of the
+        // `NRV` `B` columns `k` steps (caller's contract), which is all the
+        // loop reads; the sink is forwarded.
         unsafe {
-            let (mut a, mut b) = (ap, bp);
+            let (mut a, mut p) = (ap, 0);
             for _ in 0..k {
                 let a0 = _mm512_loadu_pd(a);
                 let a1 = _mm512_loadu_pd(a.add(8));
                 for (j, cj) in acc.iter_mut().enumerate() {
-                    let bv = _mm512_set1_pd(*b.add(j));
+                    let bv = _mm512_set1_pd(*b.cols[j].add(p));
                     cj[0] = mul_acc_512(cj[0], a0, bv);
                     cj[1] = mul_acc_512(cj[1], a1, bv);
                 }
                 a = a.add(F64_AVX512.mr);
-                b = b.add(F64_AVX512.nr);
+                p += b.step;
             }
             finish_512(&acc, sink, 1);
         }
@@ -812,29 +837,24 @@ mod x86 {
     ///
     /// See [`c64_avx2`].
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn c64_avx2_block<const NRV: usize>(
-        k: usize,
-        ap: *const f64,
-        bp: *const f64,
-        sink: Sink,
-    ) {
+    unsafe fn c64_avx2_block<const NRV: usize>(k: usize, ap: *const f64, b: BCols, sink: Sink) {
         // Flips the sign of the even (real-part) lanes.
         #[cfg(feature = "fma")]
         let sign = _mm256_castsi256_pd(_mm256_set_epi64x(0, i64::MIN, 0, i64::MIN));
         let mut acc = [[_mm256_setzero_pd(); 2]; NRV];
-        // SAFETY: the slabs hold `k` steps of 4 complex = 8 f64 each
-        // (caller's contract), which is all the loop reads; the sink is
-        // forwarded.
+        // SAFETY: the `A` slab holds `k` steps of 4 complex = 8 f64 and
+        // each of the `NRV` `B` columns `k` complex steps (caller's
+        // contract), which is all the loop reads; the sink is forwarded.
         unsafe {
-            let (mut a, mut b) = (ap, bp);
+            let (mut a, mut p) = (ap, 0);
             for _ in 0..k {
                 let a0 = _mm256_loadu_pd(a); // rows 0,1: [re0 im0 re1 im1]
                 let a1 = _mm256_loadu_pd(a.add(4)); // rows 2,3
                 let s0 = _mm256_permute_pd(a0, 0b0101); // [im0 re0 im1 re1]
                 let s1 = _mm256_permute_pd(a1, 0b0101);
                 for (j, cj) in acc.iter_mut().enumerate() {
-                    let bre = _mm256_broadcast_sd(&*b.add(2 * j));
-                    let bim = _mm256_broadcast_sd(&*b.add(2 * j + 1));
+                    let bre = _mm256_broadcast_sd(&*b.cols[j].add(p));
+                    let bim = _mm256_broadcast_sd(&*b.cols[j].add(p + 1));
                     #[cfg(feature = "fma")]
                     {
                         let bpm = _mm256_xor_pd(bim, sign); // [-b_im +b_im ...]
@@ -850,7 +870,7 @@ mod x86 {
                     }
                 }
                 a = a.add(2 * C64_BLOCK.mr);
-                b = b.add(2 * C64_BLOCK.nr);
+                p += b.step;
             }
             finish_256(&acc, sink, 2);
         }
@@ -872,12 +892,7 @@ mod x86 {
     ///
     /// See [`c64_avx512`].
     #[target_feature(enable = "avx512f")]
-    unsafe fn c64_avx512_block<const NRV: usize>(
-        k: usize,
-        ap: *const f64,
-        bp: *const f64,
-        sink: Sink,
-    ) {
+    unsafe fn c64_avx512_block<const NRV: usize>(k: usize, ap: *const f64, b: BCols, sink: Sink) {
         // Flips the sign of the even (real-part) lanes.
         let sign = _mm512_castsi512_pd(_mm512_set_epi64(
             0,
@@ -890,11 +905,11 @@ mod x86 {
             i64::MIN,
         ));
         let mut acc = [[_mm512_setzero_pd(); 1]; NRV];
-        // SAFETY: the slabs hold `k` steps of 4 complex = 8 f64 each
-        // (caller's contract), which is all the loops read; the sink is
-        // forwarded.
+        // SAFETY: the `A` slab holds `k` steps of 4 complex = 8 f64 and
+        // each of the `NRV` `B` columns `k` complex steps (caller's
+        // contract), which is all the loops read; the sink is forwarded.
         unsafe {
-            let (mut a, mut b) = (ap, bp);
+            let (mut a, mut p) = (ap, 0);
             #[cfg(feature = "fma")]
             {
                 let mut cim = [_mm512_setzero_pd(); NRV];
@@ -902,13 +917,13 @@ mod x86 {
                     let av = _mm512_loadu_pd(a); // [re0 im0 .. re3 im3]
                     let sv = _mm512_permute_pd(av, 0x55); // [im0 re0 .. im3 re3]
                     for (j, (cre, cim)) in acc.iter_mut().zip(&mut cim).enumerate() {
-                        let bre = _mm512_set1_pd(*b.add(2 * j));
-                        let bpm = xor_pd_512(_mm512_set1_pd(*b.add(2 * j + 1)), sign);
+                        let bre = _mm512_set1_pd(*b.cols[j].add(p));
+                        let bpm = xor_pd_512(_mm512_set1_pd(*b.cols[j].add(p + 1)), sign);
                         cre[0] = _mm512_fmadd_pd(av, bre, cre[0]);
                         *cim = _mm512_fmadd_pd(sv, bpm, *cim);
                     }
                     a = a.add(2 * C64_BLOCK.mr);
-                    b = b.add(2 * C64_BLOCK.nr);
+                    p += b.step;
                 }
                 for (cre, &cim) in acc.iter_mut().zip(&cim) {
                     cre[0] = _mm512_add_pd(cre[0], cim);
@@ -919,8 +934,8 @@ mod x86 {
                 let av = _mm512_loadu_pd(a);
                 let sv = _mm512_permute_pd(av, 0x55);
                 for (j, cj) in acc.iter_mut().enumerate() {
-                    let bre = _mm512_set1_pd(*b.add(2 * j));
-                    let bim = _mm512_set1_pd(*b.add(2 * j + 1));
+                    let bre = _mm512_set1_pd(*b.cols[j].add(p));
+                    let bim = _mm512_set1_pd(*b.cols[j].add(p + 1));
                     let t1 = _mm512_mul_pd(av, bre);
                     // t1 - t2 on real lanes / t1 + t2 on imaginary lanes,
                     // expressed as t1 + (t2 XOR -0.0 on real lanes): IEEE
@@ -930,7 +945,7 @@ mod x86 {
                     cj[0] = _mm512_add_pd(cj[0], _mm512_add_pd(t1, t2));
                 }
                 a = a.add(2 * C64_BLOCK.mr);
-                b = b.add(2 * C64_BLOCK.nr);
+                p += b.step;
             }
             finish_512(&acc, sink, 2);
         }
@@ -942,9 +957,8 @@ mod x86 {
     }
 
     /// The [`super::Level2`] operations on AVX2 (`ZMM = false`) and AVX-512
-    /// (`ZMM = true`): `ymm` dots on both — a `zmm` would hold eight partial
-    /// sums and change the summation order — and the update at the level's
-    /// full width. Named only here: they run inside [`with_avx2`] and
+    /// (`ZMM = true`): a dot's eight partial sums in one `zmm` or two `ymm`,
+    /// and the update at the level's full width. Named only here: they run inside [`with_avx2`] and
     /// [`with_avx512`], whose target features their intrinsics need, and
     /// serve f64 only (any other `T` takes the generic loops).
     pub(super) struct Ops<const ZMM: bool>;
@@ -976,8 +990,9 @@ mod x86 {
             }
             // SAFETY: `T == f64`; `x` and every `ys[c]`, `c < n`, hold
             // `x.len()` f64, and `out` holds `n` (asserted above). AVX is
-            // present: these operations run only inside `with_avx2` or
-            // `with_avx512`, and both levels imply it.
+            // present, and AVX-512F when `ZMM`: these operations run only
+            // inside `with_avx2` or `with_avx512` (`ZMM`), whose levels
+            // imply it.
             unsafe { dots_n(n, x.as_ptr().cast(), &ys, x.len(), out.as_mut_ptr().cast()) }
         }
 

@@ -2,8 +2,9 @@
 //!
 //! Every kernel of this crate needs a small amount of scratch: the
 //! Householder scalars `τ`, the reflector tail being generated, one column of
-//! inner products while building the `T` factor, the two staging panels of
-//! the block-reflector application
+//! inner products while building a leaf's `T` factor, the two staging panels
+//! of the block-reflector application (which also hold the intermediate
+//! products of the factor kernels' `T` merges)
 //!
 //! ```text
 //! W += VᴴC,   W₂ := op(T)·W,   C −= V·W₂,
@@ -26,12 +27,15 @@
 //! # Inner blocking
 //!
 //! The workspace also carries the PLASMA-style inner blocking factor `ib`:
-//! kernels factor/apply each `nb × nb` tile in panels of `ib` columns (see
-//! the crate docs). [`Workspace::new`]`(nb)` uses `ib = nb` (one panel per
-//! tile); [`Workspace::with_inner_block`] selects a smaller panel width. The `T`
-//! factors produced under inner blocking are stored `ib`-blocked (an
-//! `ib × nb` matrix holding one `w × w` triangular factor per panel), so the
-//! same `ib` must be used to factor and to apply.
+//! the factor kernels factor each `nb × nb` tile in panels of `ib` columns,
+//! each panel recursively, and apply a finished panel to the later columns
+//! as one block reflector; the update kernels apply the panels one by one
+//! (see [`crate::factor`] and [`crate::apply`]). [`Workspace::new`]`(nb)`
+//! uses `ib = nb` (one panel per tile); [`Workspace::with_inner_block`]
+//! selects a smaller panel width. The `T` factors are stored `ib`-blocked
+//! (an `ib × nb` matrix holding one `w × w` triangular factor per panel),
+//! so the same `ib` must be used to factor and to apply. No buffer depends
+//! on `ib`: the recursion's `T` blocks live in the output `T` itself.
 //!
 //! Sizing: a workspace built for tile order `nb` serves every kernel on
 //! tiles of order ≤ `nb`; the effective panel width for a smaller tile is
@@ -51,7 +55,7 @@ pub struct Workspace<T: Scalar> {
     pub(crate) tau: Vec<T>,
     /// Tail of the reflector currently being generated.
     pub(crate) tail: Vec<T>,
-    /// One column of inner products while accumulating the `T` factor.
+    /// One column of inner products while accumulating a leaf's `T`.
     pub(crate) wcol: Vec<T>,
     /// Staging panels `W`, `W₂` and micro-BLAS pack buffers of the
     /// block-reflector application.

@@ -152,26 +152,26 @@ fn ibs(nb: usize) -> impl Iterator<Item = usize> {
 /// `(nb, ib, f64 hash, Complex64 hash)`, measured at the scalar level.
 const PINS: &[(usize, usize, u64, u64)] = &[
     (1, 1, 0x3fb0154f28e0f47c, 0xe20c24b0ab6ff22a),
-    (5, 1, 0xbaa0008688a2ddd4, 0xe610ebf002194a42),
-    (5, 3, 0x0e63965899bff9aa, 0x677d6c4d73b64685),
-    (5, 5, 0x1f3099aaff1be491, 0xcb4c4f2b1ce1f55c),
-    (16, 1, 0x5864e47c38c59a57, 0x9631f068adca67aa),
-    (16, 3, 0xe8edf4b867fb7224, 0x0b87e8a3503f8458),
-    (16, 16, 0x5408cdafa0bc7b16, 0x8d2f04c84013c46e),
-    (19, 1, 0xfcec59c8660015a3, 0x2df6287639fd6385),
-    (19, 3, 0x870b6ad3263a7113, 0xd6bcd512dbd2a7fc),
-    (19, 16, 0x09fdb250bf3b46ab, 0x07dee5fdfd3b632d),
-    (19, 19, 0x891c5c23bfb51882, 0xdd16c2dbd476f086),
-    (64, 1, 0x1cbcef9c253f75ca, 0x7fe2a925cb355895),
-    (64, 3, 0xe0134f3c7fe4000b, 0x330d3efa11398ccf),
-    (64, 16, 0xf816a363c354e6f0, 0x2c8f564907f662a1),
-    (64, 32, 0x828a6b4f57315108, 0x96a71a89b0897f45),
-    (64, 64, 0xdff30c14d70326c1, 0x1f762e852ad63b92),
-    (128, 1, 0xc2aee1ef46a9dcdc, 0x511f490da934edcc),
-    (128, 3, 0x9cd5a8906059edb5, 0x07c4a75b548c105b),
-    (128, 16, 0x7afafca25100c56f, 0x8d4a1716d521ddc3),
-    (128, 32, 0x6011303a0e562d33, 0x648c8206c22c1e24),
-    (128, 128, 0x0357ebe2007843b3, 0x76ae11614ee063cd),
+    (5, 1, 0x8289eb923212f8de, 0xff8742d7bb2bb628),
+    (5, 3, 0x0e63965899bff9aa, 0x415c60746317d973),
+    (5, 5, 0x39bf77a8c3e7d87a, 0x870d878639671616),
+    (16, 1, 0xe22d7d917207f094, 0x4b56ec693a53f30c),
+    (16, 3, 0x88ae5414f3f3af3f, 0xe8077e5a0efb7045),
+    (16, 16, 0x354261de610ed462, 0x690dff9a678d190b),
+    (19, 1, 0xd1cd02649cdfc394, 0xf0004e7bb26488d2),
+    (19, 3, 0x81e1ade0d80430e1, 0x560dee24b9d69f70),
+    (19, 16, 0xb4e69baaad160637, 0x38dc7458b3606638),
+    (19, 19, 0xadd46ac71e62b732, 0xc97d699e6dd8d443),
+    (64, 1, 0xf28c2c0b44500e4b, 0x68500af91d7fb32a),
+    (64, 3, 0xcf300f7337fac4bc, 0x651c554716448958),
+    (64, 16, 0x1bb104b2442b1fe5, 0xddf94b9254ec96da),
+    (64, 32, 0x1f44131516c48ca8, 0x9335703124f64c23),
+    (64, 64, 0x66849e9049094e68, 0x4f5b8bff282866a6),
+    (128, 1, 0x00a8240d5c528b92, 0x395c3aa0c809848f),
+    (128, 3, 0x2afa49cf4f4009c9, 0x4e3608e6030f53d1),
+    (128, 16, 0x7421a491d27dccbf, 0x8de4afa8024d14da),
+    (128, 32, 0x0fb4b36edb7c2904, 0x4368e7c790d6b83a),
+    (128, 128, 0x05360b1083aaf999, 0x211023bc7425ba3b),
 ];
 
 fn check(nbs: &[usize]) {

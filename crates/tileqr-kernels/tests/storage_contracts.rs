@@ -3,8 +3,10 @@
 //!
 //! * TTQRT at `ib = nb` (one panel, so no trailing block update) must be
 //!   **bitwise identical** to the plain dense-tile formulation below: the
-//!   kernel runs the same sweep and the same `T` recurrence on the same
-//!   entries, in the same order.
+//!   kernel runs the same recursive panel — leaf sweeps, `T` recurrences
+//!   and block products — on the same entries, in the same order; a dense
+//!   tile holds explicit zeros where the kernel's packing writes them. A
+//!   tile of at most one leaf is the column sweep alone.
 //! * **Ignored-storage invariance of the update kernels.** The structure of
 //!   a reflector block exists only while its operands are packed: the `R`
 //!   triangle sharing a GEQRT tile with `V`, the strictly lower half of a
@@ -23,28 +25,181 @@
 
 use tileqr_kernels::blas::dot_conj;
 use tileqr_kernels::householder::larfg;
+use tileqr_kernels::microblas::{apack_len, bpack_len, gemm_into, AForm, AMode};
 use tileqr_kernels::{geqrt_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Trans, Workspace};
 use tileqr_matrix::generate::{random_matrix, RandomScalar};
 use tileqr_matrix::{Complex64, Matrix, Scalar};
 
-/// Dense-tile TTQRT at `ib = nb`: the straightforward formulation on the
-/// triangles, arithmetic order identical to the production kernel.
+/// Leaf width of the kernels' recursive panel: a panel wider than this is
+/// split in two, its left half rounded up to whole leaves.
+const LEAF: usize = 16;
+
+/// Dense-tile TTQRT at `ib = nb`: the production kernel's recursive panel
+/// on the triangles held as plain dense tiles (`v` is `R2`'s triangle with
+/// explicit zeros below it), each product on full columns.
 fn ttqrt_dense<T: Scalar<Real = f64>>(r1: &mut Matrix<T>, r2: &mut Matrix<T>, t: &mut Matrix<T>) {
     let nb = r1.rows();
-    let mut taus = vec![T::ZERO; nb];
-    let mut tail = vec![T::ZERO; nb];
+    let mut v = Matrix::from_fn(nb, nb, |i, j| if i <= j { r2.get(i, j) } else { T::ZERO });
+    dense_panel(r1, &mut v, t, 0, nb);
     for j in 0..nb {
+        r2.col_mut(j)[..=j].copy_from_slice(&v.col(j)[..=j]);
+    }
+}
+
+/// Columns `a .. a+n` of the dense TT pair `[r1; v]`, their `T` at rows
+/// `a ..`, columns `a ..` of `t`.
+fn dense_panel<T: Scalar<Real = f64>>(
+    r1: &mut Matrix<T>,
+    v: &mut Matrix<T>,
+    t: &mut Matrix<T>,
+    a: usize,
+    n: usize,
+) {
+    if n <= LEAF {
+        return dense_leaf(r1, v, t, a, n);
+    }
+    let n1 = (n / 2).next_multiple_of(LEAF);
+    let (n2, b) = (n - n1, a + n1);
+    dense_panel(r1, v, t, a, n1);
+    // [r1 rows a..b; v rows 0..b] of columns b.. −= [I; V]·T₁₁ᴴ·(...)ᴴ
+    let (nb, rows) = (v.rows(), b);
+    let (mut w, mut w2) = (Matrix::zeros(n1, n2), Matrix::zeros(n1, n2));
+    let (mut ap, mut bp) = (
+        vec![T::ZERO; apack_len::<T>(nb, nb)],
+        vec![T::ZERO; bpack_len::<T>(nb, nb)],
+    );
+    for j in 0..n2 {
+        w.col_mut(j).copy_from_slice(&r1.col(b + j)[a..b]);
+    }
+    let ld = n1;
+    let vs = v.as_slice();
+    gemm_into(
+        n1,
+        n2,
+        rows,
+        AMode::ConjTrans,
+        AForm::Dense,
+        |i| &vs[(a + i) * nb..][..rows],
+        |j| &vs[(b + j) * nb..][..rows],
+        w.as_mut_slice(),
+        |j| j * ld,
+        false,
+        &mut ap,
+        &mut bp,
+    );
+    let ts = t.as_slice();
+    let tld = t.rows();
+    gemm_into(
+        n1,
+        n2,
+        n1,
+        AMode::ConjTrans,
+        AForm::Dense,
+        |i| &ts[(a + i) * tld + a..][..=i],
+        |j| w.col(j),
+        w2.as_mut_slice(),
+        |j| j * ld,
+        false,
+        &mut ap,
+        &mut bp,
+    );
+    for j in 0..n2 {
+        for (x, &y) in r1.col_mut(b + j)[a..b].iter_mut().zip(w2.col(j)) {
+            *x -= y;
+        }
+    }
+    let (left, right) = v.as_mut_slice().split_at_mut(b * nb);
+    gemm_into(
+        rows,
+        n2,
+        n1,
+        AMode::NoTrans,
+        AForm::Dense,
+        |p| &left[(a + p) * nb..][..rows],
+        |j| w2.col(j),
+        right,
+        |j| j * nb,
+        true,
+        &mut ap,
+        &mut bp,
+    );
+    dense_panel(r1, v, t, b, n2);
+    // T₁₂ := −T₁₁·(V₁ᴴ·V₂)·T₂₂, the window below the halves zero.
+    let (mut y, mut z) = (Matrix::zeros(n2, n1), Matrix::zeros(n1, n2));
+    let vs = v.as_slice();
+    gemm_into(
+        n2,
+        n1,
+        b,
+        AMode::ConjTrans,
+        AForm::Dense,
+        |i| &vs[(b + i) * nb..][..b],
+        |j| &vs[(a + j) * nb..][..b],
+        y.as_mut_slice(),
+        |j| j * n2,
+        false,
+        &mut ap,
+        &mut bp,
+    );
+    for j in a..b {
+        t.col_mut(j)[b..b + n2].fill(T::ZERO);
+    }
+    let ts = t.as_slice();
+    gemm_into(
+        n1,
+        n2,
+        n2,
+        AMode::ConjTrans,
+        AForm::Dense,
+        |i| y.col(i),
+        |j| &ts[(b + j) * tld + b..][..=j],
+        z.as_mut_slice(),
+        |j| j * n1,
+        false,
+        &mut ap,
+        &mut bp,
+    );
+    let (t1, t2) = t.as_mut_slice().split_at_mut(b * tld);
+    for j in 0..n2 {
+        t2[j * tld + a..][..n1].fill(T::ZERO);
+    }
+    gemm_into(
+        n1,
+        n2,
+        n1,
+        AMode::NoTrans,
+        AForm::Dense,
+        |p| &t1[(a + p) * tld + a..][..=p],
+        |j| z.col(j),
+        t2,
+        |j| j * tld + a,
+        true,
+        &mut ap,
+        &mut bp,
+    );
+}
+
+/// The column sweep of a leaf and its `T` recurrence, on dense columns.
+fn dense_leaf<T: Scalar<Real = f64>>(
+    r1: &mut Matrix<T>,
+    r2: &mut Matrix<T>,
+    t: &mut Matrix<T>,
+    a: usize,
+    n: usize,
+) {
+    let (j1, mut taus, mut tail) = (a + n, vec![T::ZERO; n], vec![T::ZERO; r2.rows()]);
+    for j in a..j1 {
         let len = j + 1;
         tail[..len].copy_from_slice(&r2.col(j)[..len]);
         let refl = larfg(r1.get(j, j), &mut tail[..len]);
-        taus[j] = refl.tau;
+        taus[j - a] = refl.tau;
         r1.set(j, j, refl.beta);
         r2.col_mut(j)[..len].copy_from_slice(&tail[..len]);
         if refl.tau.is_zero() {
             continue;
         }
         let tau_c = refl.tau.conj();
-        for k in (j + 1)..nb {
+        for k in (j + 1)..j1 {
             let w = r1.get(j, k) + dot_conj(&tail[..len], &r2.col(k)[..len]);
             let s = tau_c * w;
             r1.set(j, k, r1.get(j, k) - s);
@@ -54,30 +209,27 @@ fn ttqrt_dense<T: Scalar<Real = f64>>(r1: &mut Matrix<T>, r2: &mut Matrix<T>, t:
         }
     }
     // T from the triangular bottom block (dense column accesses).
-    let mut wcol = vec![T::ZERO; nb];
-    for j in 0..nb {
-        for i in j..nb {
+    let mut wcol = vec![T::ZERO; n];
+    for jj in 0..n {
+        let j = a + jj;
+        for i in a..j1 {
             t.set(i, j, T::ZERO);
         }
-        if taus[j].is_zero() {
-            for i in 0..j {
-                t.set(i, j, T::ZERO);
-            }
+        if taus[jj].is_zero() {
             continue;
         }
-        let rows = j + 1;
-        for a in 0..j {
-            let lim = (a + 1).min(rows);
-            wcol[a] = dot_conj(&r2.col(a)[..lim], &r2.col(j)[..lim]);
+        for ii in 0..jj {
+            let lim = a + ii + 1;
+            wcol[ii] = dot_conj(&r2.col(a + ii)[..lim], &r2.col(j)[..lim]);
         }
-        for i in 0..j {
+        for i in 0..jj {
             let mut acc = T::ZERO;
-            for (a, &wa) in wcol[..j].iter().enumerate().skip(i) {
-                acc += t.get(i, a) * wa;
+            for (idx, &wa) in wcol[..jj].iter().enumerate().skip(i) {
+                acc += t.get(a + i, a + idx) * wa;
             }
-            t.set(i, j, -taus[j] * acc);
+            t.set(a + i, j, -taus[jj] * acc);
         }
-        t.set(j, j, taus[j]);
+        t.set(j, j, taus[jj]);
     }
 }
 
@@ -110,6 +262,7 @@ fn ttqrt_matches_the_dense_formulation_bitwise_f64() {
         (8, 13),
         (13, 14),
         (24, 15),
+        (40, 16),
     ] {
         check_ttqrt_matches_dense::<f64>(nb, seed);
     }
@@ -117,7 +270,7 @@ fn ttqrt_matches_the_dense_formulation_bitwise_f64() {
 
 #[test]
 fn ttqrt_matches_the_dense_formulation_bitwise_complex() {
-    for (nb, seed) in [(1usize, 20u64), (4, 21), (9, 22), (16, 23)] {
+    for (nb, seed) in [(1usize, 20u64), (4, 21), (9, 22), (16, 23), (33, 24)] {
         check_ttqrt_matches_dense::<Complex64>(nb, seed);
     }
 }

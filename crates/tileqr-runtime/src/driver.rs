@@ -42,9 +42,10 @@ pub struct QrConfig {
     /// Tile size `nb`.
     pub tile_size: usize,
     /// PLASMA-style inner blocking factor `ib` (clamped to `1..=tile_size`
-    /// at use): kernels factor/apply each tile in panels of `ib` columns and
-    /// store `T` factors `ib`-blocked, routing the trailing updates through
-    /// the register-tiled micro-BLAS backend. Defaults to
+    /// at use): it sets the `T` layout (`ib`-blocked, one triangle per
+    /// panel of `ib` columns), the panels the factor kernels split a tile
+    /// into — each factored recursively, mostly in block products — and
+    /// the depth of the update kernels' products. Defaults to
     /// `min(tile_size, `[`DEFAULT_INNER_BLOCK`]`)` — the tuned setting; use
     /// [`QrConfig::with_inner_block`]`(tile_size)` for unblocked panels (one
     /// block reflector per tile).

@@ -217,11 +217,14 @@ impl<'a, T: Scalar<Real = f64>> JobCopy<'a, T> {
     }
 
     /// Runs task `local`: first fills the tiles it is the first to name,
-    /// when the copy's input is dense, then runs its kernel.
-    fn run_task(&self, local: usize, ws: &mut Workspace<T>) {
+    /// when the copy's input is dense, then runs its kernel in a span of
+    /// `spans` — the fill stays outside it, so a traced busy time is kernel
+    /// time.
+    fn run_task(&self, local: usize, ws: &mut Workspace<T>, spans: &mut WorkerTrace) {
         let kind = self.core.dag.tasks[local].kind;
         let fill = self.dense.map(|a| (a, self.core.fills[local]));
-        self.state.run_filling(kind, fill, ws);
+        let held = self.state.lock_filled(kind, fill);
+        spans.record(kind, || self.state.run_held(kind, held, ws));
     }
 }
 
@@ -357,8 +360,7 @@ impl<T: Scalar<Real = f64>> Job for FusedJob<'_, T> {
             #[cfg(feature = "fault-injection")]
             crate::fault::check(c.probe, local);
             ws.set_inner_block(c.ib);
-            let kind = c.core.dag.tasks[local].kind;
-            spans.record(kind, || c.run_task(local, ws));
+            c.run_task(local, ws, spans);
         });
     }
 }

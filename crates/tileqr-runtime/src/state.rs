@@ -73,7 +73,7 @@ const MAX_TILES: usize = 3;
 
 /// One task's locked slots ([`FactorizationState::lock`]): their indices in
 /// ascending order (`usize::MAX` past the last) and their guards.
-struct Held<'a, T: Scalar> {
+pub(crate) struct Held<'a, T: Scalar> {
     at: [usize; MAX_TILES],
     guards: [Option<MutexGuard<'a, Slot<T>>>; MAX_TILES],
 }
@@ -205,24 +205,24 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
     /// (zero heap allocations). Safe to call concurrently for tasks that are
     /// not ordered by the DAG.
     pub fn run_ws(&self, task: TaskKind, ws: &mut Workspace<T>) {
-        self.run_filling(task, None, ws);
+        self.run_held(task, self.lock(task), ws);
     }
 
-    /// [`FactorizationState::run_ws`] that first fills, under the task's
-    /// locks, the tiles `fill = (a, mask)` names from the dense input `a`:
-    /// the tile of access `i` of the task's footprint when bit `i` of `mask`
-    /// is set (the plan's first-touch table). Each tile is written whole by
+    /// Locks the tiles of `task` and fills, under those locks, the tiles
+    /// `fill = (a, mask)` names from the dense input `a`: the tile of access
+    /// `i` of the task's footprint when bit `i` of `mask` is set (the plan's
+    /// first-touch table). Each tile is written whole by
     /// [`fill_tile_padded`], the per-tile step of
     /// [`TiledMatrix::fill_from_dense_padded`], so the input the kernels see
-    /// matches [`TiledMatrix::from_dense_padded`] bitwise.
-    pub(crate) fn run_filling(
+    /// matches [`TiledMatrix::from_dense_padded`] bitwise. The locks are
+    /// held on for [`FactorizationState::run_held`], so a trace can time the
+    /// kernel alone.
+    pub(crate) fn lock_filled(
         &self,
         task: TaskKind,
         fill: Option<(&Matrix<T>, u8)>,
-        ws: &mut Workspace<T>,
-    ) {
+    ) -> Held<'_, T> {
         let mut held = self.lock(task);
-        let at = |row, col| self.idx(row, col);
         if let Some((a, mask)) = fill.filter(|&(_, mask)| mask != 0) {
             let named = footprint(task);
             let first = named
@@ -231,10 +231,16 @@ impl<T: Scalar<Real = f64>> FactorizationState<T> {
                 .filter(|&(i, _)| mask >> i & 1 == 1);
             for (_, access) in first {
                 let (row, col) = access.resource.tile();
-                let [slot] = held.get([at(row, col)]);
+                let [slot] = held.get([self.idx(row, col)]);
                 fill_tile_padded(&mut slot.tile, a, row, col);
             }
         }
+        held
+    }
+
+    /// Runs the kernel of `task` on the tiles `held` locks for it.
+    pub(crate) fn run_held(&self, task: TaskKind, mut held: Held<'_, T>, ws: &mut Workspace<T>) {
+        let at = |row, col| self.idx(row, col);
         match task {
             TaskKind::Geqrt { row, col } => {
                 let [a] = held.get([at(row, col)]);
