@@ -26,11 +26,11 @@ pub struct Reflector<T> {
 /// `β` (the value that replaces `alpha`) and `τ`. If the tail is zero and
 /// `alpha` has no imaginary part, `τ = 0` and the reflector is the identity.
 ///
-/// The norm is formed from the plain sum of squares (four partial sums), which
-/// under- or overflows for entries beyond about `2^±511`. Then, as LAPACK's
-/// `dlarfg` does, the vector is rescaled by a power of two — exactly — and
-/// the reflector of the scaled vector is generated: `v` and `τ` do not
-/// depend on the scale, and `β` is scaled back.
+/// The norm is formed from the plain sum of squares (four partial sums),
+/// which under- or overflows for entries beyond about `2^±511`. Then, as
+/// LAPACK's `dlarfg` does, the vector is rescaled by a power of two —
+/// exactly — and the reflector of the scaled vector is generated: `v` and
+/// `τ` do not depend on the scale, and `β` is scaled back.
 pub fn larfg<T: Scalar<Real = f64>>(alpha: T, x: &mut [T]) -> Reflector<T> {
     let xnorm_sqr = sum_sqr(x);
     let sum = alpha.abs_sqr() + xnorm_sqr;
@@ -53,9 +53,9 @@ pub fn larfg<T: Scalar<Real = f64>>(alpha: T, x: &mut [T]) -> Reflector<T> {
 
 /// `‖x‖²` in four partial sums: entry `i` goes to sum `i mod 4` (the
 /// remainder after the last whole group of four to the first), each square
-/// rounded before it is added, and the result is `(s0 + s1) + (s2 + s3)`. One sequential chain would wait on
-/// every add; plain arithmetic, never fused, keeps the bits the same on
-/// every SIMD level and in every build.
+/// rounded before it is added, and the result is `(s0 + s1) + (s2 + s3)`.
+/// One sequential chain would wait on every add; plain arithmetic, never
+/// fused, keeps the bits the same on every SIMD level and in every build.
 fn sum_sqr<T: Scalar<Real = f64>>(x: &[T]) -> f64 {
     let mut s = [0.0; 4];
     let mut quads = x.chunks_exact(4);

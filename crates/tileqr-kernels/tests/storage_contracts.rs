@@ -61,7 +61,9 @@ fn dense_panel<T: Scalar<Real = f64>>(
     let n1 = (n / 2).next_multiple_of(LEAF);
     let (n2, b) = (n - n1, a + n1);
     dense_panel(r1, v, t, a, n1);
-    // [r1 rows a..b; v rows 0..b] of columns b.. −= [I; V]·T₁₁ᴴ·(...)ᴴ
+    // The left half's `Qᴴ` on the right half's columns: `W` is their
+    // `r1` rows `a..b` plus `Vᴴ·v` over rows `0..b`, `W₂ = T₁₁ᴴ·W`, and
+    // `[r1 rows; v] −= [W₂; V·W₂]`.
     let (nb, rows) = (v.rows(), b);
     let (mut w, mut w2) = (Matrix::zeros(n1, n2), Matrix::zeros(n1, n2));
     let (mut ap, mut bp) = (
