@@ -7,8 +7,9 @@
 //! describing the problem size and thread count.
 
 use tileqr_core::algorithms::Algorithm;
+use tileqr_core::coarse::prescribed_steps;
 use tileqr_core::formulas;
-use tileqr_core::sim::{critical_path, simulate_asap, simulate_grasap};
+use tileqr_core::sim::{best_plasma_tree, critical_path, simulate_asap, simulate_grasap};
 use tileqr_core::KernelFamily;
 use tileqr_kernels::flops::KernelKind;
 use tileqr_matrix::Complex64;
@@ -42,7 +43,7 @@ pub fn table2_report(p: usize, q: usize) -> String {
         "Table 2 — coarse-grain time-steps for a {p} x {q} tile matrix\n\n"
     ));
     for algo in [Algorithm::FlatTree, Algorithm::Fibonacci, Algorithm::Greedy] {
-        let sched = model::coarse_steps(algo, p, q);
+        let sched = prescribed_steps(algo, p, q);
         let name = if algo == Algorithm::FlatTree {
             "Sameh-Kuck".to_string()
         } else {
@@ -175,7 +176,7 @@ pub fn table6_9_report(scenario: Scenario) -> String {
             &["p", "q", "Greedy", "Fibonacci", "Overhead", "Gain"],
         );
         for q in scenario.q_values() {
-            let (bs, _) = model::best_plasma_cp(scenario.p, q, KernelFamily::TT);
+            let (bs, _) = best_plasma_tree(scenario.p, q, KernelFamily::TT);
             let run = |algo: Algorithm| -> f64 {
                 if complex {
                     timing::measure_factorization::<Complex64>(

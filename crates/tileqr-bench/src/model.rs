@@ -5,18 +5,12 @@
 //! the figures).
 
 use tileqr_core::algorithms::Algorithm;
-use tileqr_core::coarse::{prescribed_steps, CoarseSchedule};
 use tileqr_core::dag::TaskDag;
 use tileqr_core::perfmodel::{predicted_rate, PredictionInput};
 use tileqr_core::sim::{
     best_plasma_tree, critical_path, elimination_finish_times, simulate_grasap, simulate_unbounded,
 };
 use tileqr_core::KernelFamily;
-
-/// Coarse-grain time-step table (paper Table 2) for one algorithm.
-pub fn coarse_steps(algo: Algorithm, p: usize, q: usize) -> CoarseSchedule {
-    prescribed_steps(algo, p, q)
-}
 
 /// Tiled (weighted-kernel) elimination times for one algorithm, as in the
 /// paper's Tables 3 and 4. Handles both the static trees and the dynamic
@@ -41,19 +35,13 @@ pub fn tiled_steps(
 
 /// Critical path of an algorithm on a `p × q` grid. For
 /// [`Algorithm::PlasmaTree`] the stored `bs` is used; use
-/// [`best_plasma_cp`] for the exhaustive sweep the paper performs.
+/// [`best_plasma_tree`] for the exhaustive sweep the paper performs.
 pub fn algorithm_critical_path(algo: Algorithm, p: usize, q: usize, family: KernelFamily) -> u64 {
     match algo {
         Algorithm::Asap => simulate_grasap(p, q, q).critical_path,
         Algorithm::Grasap { asap_cols } => simulate_grasap(p, q, asap_cols).critical_path,
         _ => critical_path(&algo.elimination_list(p, q), family),
     }
-}
-
-/// Best PlasmaTree configuration (exhaustive sweep over the domain size,
-/// `1 ≤ BS ≤ p`): returns `(best_bs, critical_path)`.
-pub fn best_plasma_cp(p: usize, q: usize, family: KernelFamily) -> (usize, u64) {
-    best_plasma_tree(p, q, family)
 }
 
 /// One row of the paper's Table 5: theoretical comparison of Greedy against
@@ -88,7 +76,7 @@ pub fn table5(p: usize) -> Vec<Table5Row> {
 /// Computes a single row of Table 5.
 pub fn table5_row(p: usize, q: usize) -> Table5Row {
     let greedy = algorithm_critical_path(Algorithm::Greedy, p, q, KernelFamily::TT);
-    let (best_bs, plasma) = best_plasma_cp(p, q, KernelFamily::TT);
+    let (best_bs, plasma) = best_plasma_tree(p, q, KernelFamily::TT);
     let fibonacci = algorithm_critical_path(Algorithm::Fibonacci, p, q, KernelFamily::TT);
     Table5Row {
         q,
@@ -161,7 +149,7 @@ impl Series {
                 None,
             ),
             Series::PlasmaTreeTs => {
-                let (bs, cp) = best_plasma_cp(p, q, KernelFamily::TS);
+                let (bs, cp) = best_plasma_tree(p, q, KernelFamily::TS);
                 (cp, Some(bs))
             }
             Series::FlatTreeTt => (
@@ -169,7 +157,7 @@ impl Series {
                 None,
             ),
             Series::PlasmaTreeTt => {
-                let (bs, cp) = best_plasma_cp(p, q, KernelFamily::TT);
+                let (bs, cp) = best_plasma_tree(p, q, KernelFamily::TT);
                 (cp, Some(bs))
             }
             Series::Fibonacci => (
@@ -190,12 +178,12 @@ impl Series {
         match self {
             Series::FlatTreeTs => (Algorithm::FlatTree, KernelFamily::TS),
             Series::PlasmaTreeTs => {
-                let (bs, _) = best_plasma_cp(p, q, KernelFamily::TS);
+                let (bs, _) = best_plasma_tree(p, q, KernelFamily::TS);
                 (Algorithm::PlasmaTree { bs }, KernelFamily::TS)
             }
             Series::FlatTreeTt => (Algorithm::FlatTree, KernelFamily::TT),
             Series::PlasmaTreeTt => {
-                let (bs, _) = best_plasma_cp(p, q, KernelFamily::TT);
+                let (bs, _) = best_plasma_tree(p, q, KernelFamily::TT);
                 (Algorithm::PlasmaTree { bs }, KernelFamily::TT)
             }
             Series::Fibonacci => (Algorithm::Fibonacci, KernelFamily::TT),

@@ -28,7 +28,12 @@
 //! the rows of `C1` for [`tsmqr_ws`], the same with columns cut at their
 //! diagonal for [`ttmqr_ws`] (the vectors of an earlier GEQRT below it are
 //! never read). The workspace's `ib` must match the one used at factor time
-//! — the `T` factors are stored `ib`-blocked.
+//! — the `T` factors are stored `ib`-blocked. Nothing checks it: a `T`
+//! buffer with fewer rows than the workspace's `ib` panics, but any other
+//! mismatch reads `T` in the wrong blocks and silently applies a wrong `Q`.
+//! On one random `nb` 32 tile factored by GEQRT at `ib` 8 into a `T` of `nb`
+//! rows, `‖Q·Qᴴ·C − C‖` through [`unmqr_ws`] read 1.2e-14 at `ib` 8, 1.4e2
+//! at `ib` 16 and, factored at 16 and applied at 8, 2.4e1 (`‖C‖` = 1.8e1).
 
 use tileqr_matrix::{Matrix, Scalar};
 
@@ -72,6 +77,9 @@ impl Trans {
 /// `t` is the companion `ib`-blocked triangular factor. `c` may be wider
 /// than `nb`.
 ///
+/// `ws` must carry the `ib` that `t` was factored with: any other `ib` gives
+/// a wrong `Q` without a panic (see the [module docs](self#inner-blocking)).
+///
 /// Paper cost: `6` units of `nb³/3` flops.
 pub fn unmqr_ws<T: Scalar<Real = f64>>(
     v: &Matrix<T>,
@@ -90,6 +98,9 @@ pub fn unmqr_ws<T: Scalar<Real = f64>>(
 ///
 /// `v2` is the dense bottom block of Householder vectors and `t` its
 /// `ib`-blocked triangular factors.
+///
+/// `ws` must carry the `ib` that `t` was factored with: any other `ib` gives
+/// a wrong `Q` without a panic (see the [module docs](self#inner-blocking)).
 ///
 /// Paper cost: `12` units of `nb³/3` flops.
 pub fn tsmqr_ws<T: Scalar<Real = f64>>(
@@ -115,6 +126,9 @@ pub fn tsmqr_ws<T: Scalar<Real = f64>>(
 /// lower part is ignored, matching TTQRT's output). A panel spans only rows
 /// `0 .. j0+w` of `V2` and of `C2`, which is what makes this kernel half the
 /// cost of TSMQR.
+///
+/// `ws` must carry the `ib` that `t` was factored with: any other `ib` gives
+/// a wrong `Q` without a panic (see the [module docs](self#inner-blocking)).
 ///
 /// Paper cost: `6` units of `nb³/3` flops.
 pub fn ttmqr_ws<T: Scalar<Real = f64>>(

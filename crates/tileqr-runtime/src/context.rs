@@ -10,7 +10,7 @@
 //! * [`QrContext`] — the long-lived runtime: a persistent, parkable worker
 //!   pool, built once from `threads`: the calling thread is worker 0 of
 //!   every job, beside `threads − 1` helpers that idle through the
-//!   executor's spin → yield → park backoff between jobs instead of being
+//!   workers' spin → yield → park backoff between jobs instead of being
 //!   respawned. Every job picks its next ready task by work stealing; there
 //!   is no other policy to choose. Clones share the pool and the
 //!   cancellation token; the per-job bounds ([`QrContext::with_watchdog`],
@@ -88,9 +88,9 @@
 //! steady-state loop of `factorize_batch_into` over refilled tile buffers
 //! that drops its results performs only a fixed, small *number* of heap
 //! allocations per call — none per task, per tile or per `T` factor. (The
-//! few per-call bookkeeping buffers that remain — dependency counters,
-//! scheduler deques — are each one allocation whose *size* scales with the
-//! fused DAG; the counting-allocator test pins the count.)
+//! few per-call bookkeeping buffers that remain — dependency counters, the
+//! scheduler's injector and deques — are each one allocation whose *size*
+//! scales with the fused DAG; the counting-allocator test pins the count.)
 //!
 //! ```
 //! use tileqr_matrix::{generate::random_matrix, Matrix};

@@ -6,17 +6,19 @@
 //! the real floating-point kernels of `tileqr-kernels`, either sequentially
 //! or on a pool of worker threads with dependency-driven scheduling.
 //!
-//! * [`executor`] — the dependency-counting worker loop every job runs, the
-//!   generic scoped DAG executors built on it (sequential and
-//!   multi-threaded; no factorization path of this crate calls them — they
-//!   serve external callers), and the one ready-task scheduler, work
-//!   stealing over per-worker Chase–Lev deques. Every worker thread gets its
-//!   own preallocated kernel [`Workspace`](tileqr_kernels::Workspace), so
-//!   the per-task hot loop never touches the allocator.
+//! * `job` (crate-private) — the one engine: the dependency-counting worker
+//!   loop every run drives, its ready-task scheduler (work stealing over
+//!   per-worker Chase–Lev deques, the roots in a FIFO injector) and the
+//!   fused pool job. Every worker thread gets its own preallocated kernel
+//!   [`Workspace`](tileqr_kernels::Workspace), so the per-task hot loop
+//!   never touches the allocator.
+//! * [`executor`] — the generic reference executors of a DAG, sequential
+//!   and on scoped threads running the same loop; no factorization path of
+//!   this crate calls them — they serve external callers.
 //! * `sync` (crate-private) — std-only synchronisation primitives (mutex,
 //!   three-tier spin/yield/park backoff, a locked FIFO injector, Chase–Lev
-//!   work-stealing deque) used by the executor, the pool and the state;
-//!   only [`CancelToken`] is public.
+//!   work-stealing deque) used by the engine, the pool and the state; only
+//!   [`CancelToken`] is public.
 //! * [`state`] — the shared factorization state: lock-protected tiles plus
 //!   the per-tile `T` factors (preallocated up front), and the mapping from
 //!   a [`TaskKind`] to the corresponding kernel call.
@@ -120,7 +122,7 @@
 //! [`QrError::Stalled`].
 //!
 //! **Panic containment.** Every kernel task of a job runs under
-//! `catch_unwind` — at one site, the executor's worker loop: a panic marks
+//! `catch_unwind` — at one site, the job's task body: a panic marks
 //! only that task's batch copy failed
 //! (its remaining tasks are skipped — counted as released, never executed)
 //! while sibling items run to completion, the pool survives, and the failed
@@ -170,7 +172,7 @@
 //! * **Injector** (`sync::TaskQueue`) — a `Mutex<VecDeque>` reserved to the
 //!   DAG length up front, holding the initially-ready tasks; every index in
 //!   it is popped exactly once because every pop holds the lock.
-//! * **Dependency counting** (executor/pool) — a task becomes ready exactly
+//! * **Dependency counting** (`job::drive_worker`) — a task becomes ready exactly
 //!   when its last dependency retires; the release-store/acquire-load pair
 //!   on the remaining-dependency counter publishes the predecessor's tile
 //!   writes to whichever worker picks the task up.
@@ -193,9 +195,9 @@
 //!    (backpressure, shutdown), the claim flag, and the job's
 //!    deliver-each-copy-exactly-once finish (the real job — its
 //!    dependency counters included — on the main thread as worker 0 and one
-//!    helper, raced against a user cancellation from a third thread). The
-//!    ready-queue injector and the backoff are not modelled: the first is a
-//!    plain lock, the second only decides how long an idle worker waits.
+//!    helper, raced against a user cancellation from a third thread — its
+//!    roots pass through the injector there). The backoff is not modelled:
+//!    it only decides how long an idle worker waits.
 //!    A failing schedule replays deterministically:
 //!
 //!    ```text

@@ -32,8 +32,7 @@ use tileqr_verify::thread;
 
 use crate::context::{ItemSink, QrError, QrPlan, StreamEntry, StreamInput};
 use crate::driver::QrConfig;
-use crate::executor::{RunCtl, Scheduler, WorkStealing};
-use crate::job::{FusedJob, JobCopy, JobState};
+use crate::job::{FusedJob, JobCopy, RunCtl};
 use crate::pool::Job;
 use crate::state::{FactoredParts, FactorizationState};
 use crate::sync::shim::AtomicUsize;
@@ -560,15 +559,12 @@ fn finish_exactly_once_last_retire_vs_sweep_under_abort() {
                 stall_bound: None,
             };
             let user = control.user_cancel.clone();
-            let state = JobState::new(
+            let job = Arc::new(FusedJob::new(
                 vec![JobCopy::new(entry)],
                 slots,
                 control,
                 Arc::clone(&sink) as Arc<dyn ItemSink<f64>>,
-            );
-            let sched = WorkStealing::new(3, 2);
-            sched.seed(&mut state.roots());
-            let job = Arc::new(FusedJob { state, sched });
+            ));
             let helper = {
                 let job = Arc::clone(&job);
                 thread::spawn(move || job.run(1))
@@ -578,7 +574,7 @@ fn finish_exactly_once_last_retire_vs_sweep_under_abort() {
             helper.join().unwrap();
             aborter.join().unwrap();
             let job = Arc::into_inner(job).expect("the helper dropped its reference");
-            job.state.finish();
+            job.finish();
             assert_eq!(
                 sink.calls.load(std::sync::atomic::Ordering::SeqCst),
                 1,

@@ -60,7 +60,7 @@ impl PlanCore {
     ) -> Self {
         let dag = plan_dag(algorithm, p, q, family, trailing);
         let succ = dag.successors_csr();
-        let roots = crate::executor::initial_roots(&dag);
+        let roots = crate::job::initial_roots(&dag).collect();
         let max_out_degree = succ.max_out_degree();
         let mut named = vec![false; p * q];
         let fills = dag

@@ -9,8 +9,8 @@
 //! * a pool for `threads` threads spawns `threads − 1` **helpers**, once,
 //!   when it is built; the thread that submits a job is the remaining one;
 //! * between jobs the helpers idle through the same three-tier
-//!   [`Backoff`](crate::sync::Backoff) the executor uses (spin → yield →
-//!   bounded park), so an idle pool consumes no CPU;
+//!   [`Backoff`] a job's idle workers use (spin → yield → bounded park), so
+//!   an idle pool consumes no CPU;
 //! * [`WorkerPool::run`] publishes an `Arc<dyn Job>` and bumps an epoch
 //!   counter; every helper is unparked and runs `Job::run(w)` with its index
 //!   `w ∈ 1..threads`, the caller runs `Job::run(0)`, then waits for the
@@ -31,7 +31,7 @@
 //!
 //! The pool knows nothing of cancellation, deadlines or stalls: a job's
 //! workers poll those themselves, between tasks and in their idle loop
-//! ([`drive_worker`](crate::executor::drive_worker)), so a job wound down by
+//! ([`drive_worker`](crate::job::drive_worker)), so a job wound down by
 //! any of them returns through the same path as one that ran to the end.
 //!
 //! A job may borrow from its caller's stack — the context's jobs read the

@@ -96,7 +96,7 @@ use tileqr_matrix::{Matrix, Scalar};
 use crate::context::{deadline_in, ItemSink, QrContext, QrError, QrPlan, StreamEntry, StreamInput};
 use crate::driver::QrFactorization;
 use crate::state::FactoredParts;
-use crate::sync::shim::{AtomicU64, AtomicUsize};
+use crate::sync::shim::AtomicU64;
 use crate::sync::{Condvar, LazyCondvar, Mutex, OnceSlot};
 
 /// Probe-id stride between retry attempts of one submission.
@@ -350,6 +350,8 @@ struct ServiceInner<T: Scalar<Real = f64>> {
     /// the quota denominator.
     outstanding: HashMap<u64, usize>,
     shutdown: bool,
+    /// The lifetime counters, bumped by the paths that hold this lock anyway.
+    stats: ServiceStats,
 }
 
 impl<T: Scalar<Real = f64>> ServiceInner<T> {
@@ -367,19 +369,22 @@ impl<T: Scalar<Real = f64>> ServiceInner<T> {
         });
         &mut lanes[at]
     }
-}
 
-struct StatCells {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    retries: AtomicU64,
-    groups: AtomicU64,
-    group_items: AtomicU64,
-    mixed_groups: AtomicU64,
-    max_queue_depth: AtomicUsize,
+    /// Maps an admission failure to its client-facing error and counts it.
+    fn reject(&mut self, err: AdmitErr) -> QrError {
+        match err {
+            AdmitErr::Shutdown => QrError::ServiceShutdown,
+            AdmitErr::Shed => {
+                self.stats.rejected += 1;
+                self.stats.shed += 1;
+                QrError::QueueFull
+            }
+            AdmitErr::Full | AdmitErr::Quota => {
+                self.stats.rejected += 1;
+                QrError::QueueFull
+            }
+        }
+    }
 }
 
 struct Shared<T: Scalar<Real = f64>> {
@@ -397,7 +402,6 @@ struct Shared<T: Scalar<Real = f64>> {
     /// Backoff jitter source (deterministic seed: backoff spread needs no
     /// entropy, and reproducible delays keep the chaos suite replayable).
     rng: Mutex<Rng>,
-    stats: StatCells,
 }
 
 /// Why an admission attempt did not accept the submission.
@@ -459,38 +463,20 @@ impl<T: Scalar<Real = f64>> Shared<T> {
         inner.lane(client).items.push_back(item);
         inner.depth += 1;
         *inner.outstanding.entry(client).or_insert(0) += 1;
-        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .max_queue_depth
-            .fetch_max(inner.depth, Ordering::Relaxed);
+        inner.stats.submitted += 1;
+        inner.stats.max_queue_depth = inner.stats.max_queue_depth.max(inner.depth);
         Ticket { seq, slot }
-    }
-
-    /// Maps an admission failure to its client-facing error and counts it.
-    fn reject(&self, err: AdmitErr) -> QrError {
-        match err {
-            AdmitErr::Shutdown => QrError::ServiceShutdown,
-            AdmitErr::Shed => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                QrError::QueueFull
-            }
-            AdmitErr::Full | AdmitErr::Quota => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                QrError::QueueFull
-            }
-        }
     }
 
     /// Delivers an item's final outcome: resolves the ticket, releases the
     /// quota slot and wakes blocked submitters.
     fn resolve(&self, item: PendingItem<T>, outcome: Result<QrFactorization<T>, QrError>) {
-        match &outcome {
-            Ok(_) => self.stats.completed.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.stats.failed.fetch_add(1, Ordering::Relaxed),
-        };
         {
             let mut inner = self.inner.lock();
+            match &outcome {
+                Ok(_) => inner.stats.completed += 1,
+                Err(_) => inner.stats.failed += 1,
+            }
             if let Some(count) = inner.outstanding.get_mut(&item.client) {
                 *count -= 1;
                 if *count == 0 {
@@ -518,7 +504,7 @@ impl<T: Scalar<Real = f64>> Shared<T> {
                     let delay = self.next_delay(item.prev_delay);
                     item.prev_delay = delay;
                     item.attempt += 1;
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
+                    inner.stats.retries += 1;
                     inner.delayed.push((Instant::now() + delay, item));
                     drop(inner);
                     self.work_cv.notify_one();
@@ -536,21 +522,6 @@ impl<T: Scalar<Real = f64>> Shared<T> {
         let hi = (prev.as_nanos() as u64).saturating_mul(3).max(lo + 1);
         let draw = lo + self.rng.lock().next_u64() % (hi - lo);
         Duration::from_nanos(draw).min(self.cfg.retry.max_delay)
-    }
-
-    fn stats_snapshot(&self) -> ServiceStats {
-        ServiceStats {
-            submitted: self.stats.submitted.load(Ordering::Relaxed),
-            rejected: self.stats.rejected.load(Ordering::Relaxed),
-            shed: self.stats.shed.load(Ordering::Relaxed),
-            completed: self.stats.completed.load(Ordering::Relaxed),
-            failed: self.stats.failed.load(Ordering::Relaxed),
-            retries: self.stats.retries.load(Ordering::Relaxed),
-            groups: self.stats.groups.load(Ordering::Relaxed),
-            group_items: self.stats.group_items.load(Ordering::Relaxed),
-            mixed_groups: self.stats.mixed_groups.load(Ordering::Relaxed),
-            max_queue_depth: self.stats.max_queue_depth.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -605,24 +576,13 @@ impl<T: Scalar<Real = f64>> QrService<T> {
                 delayed: Vec::new(),
                 outstanding: HashMap::new(),
                 shutdown: false,
+                stats: ServiceStats::default(),
             }),
             work_cv: Condvar::new(),
             space_cv: LazyCondvar::new(),
             next_client: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
             rng: Mutex::new(Rng::seed_from_u64(0x9E37_79B9_7F4A_7C15)),
-            stats: StatCells {
-                submitted: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-                completed: AtomicU64::new(0),
-                failed: AtomicU64::new(0),
-                retries: AtomicU64::new(0),
-                groups: AtomicU64::new(0),
-                group_items: AtomicU64::new(0),
-                mixed_groups: AtomicU64::new(0),
-                max_queue_depth: AtomicUsize::new(0),
-            },
         });
         let for_thread = Arc::clone(&shared);
         let dispatcher = std::thread::Builder::new()
@@ -649,7 +609,7 @@ impl<T: Scalar<Real = f64>> QrService<T> {
 
     /// Snapshot of the service's lifetime counters.
     pub fn stats(&self) -> ServiceStats {
-        self.shared.stats_snapshot()
+        self.shared.inner.lock().stats
     }
 
     /// Currently queued (admitted, not yet dispatched) submissions.
@@ -750,7 +710,7 @@ impl<T: Scalar<Real = f64>> QrClient<T> {
                     Some(deadline) => {
                         let now = Instant::now();
                         if now >= deadline {
-                            return Err(self.shared.reject(e));
+                            return Err(inner.reject(e));
                         }
                         let (guard, _timed_out) =
                             self.shared.space_cv.wait_timeout(inner, deadline - now);
@@ -766,7 +726,7 @@ impl<T: Scalar<Real = f64>> QrClient<T> {
 
     /// Snapshot of the service's lifetime counters.
     pub fn stats(&self) -> ServiceStats {
-        self.shared.stats_snapshot()
+        self.shared.inner.lock().stats
     }
 }
 
@@ -939,16 +899,14 @@ fn run_group<T: Scalar<Real = f64>>(shared: &Arc<Shared<T>>, group: Vec<PendingI
     let Some(first) = runnable.first() else {
         return;
     };
-    shared.stats.groups.fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
-        .group_items
-        .fetch_add(runnable.len() as u64, Ordering::Relaxed);
-    if runnable
+    let mixed = runnable
         .iter()
-        .any(|item| !Arc::ptr_eq(&item.plan, &first.plan))
+        .any(|item| !Arc::ptr_eq(&item.plan, &first.plan));
     {
-        shared.stats.mixed_groups.fetch_add(1, Ordering::Relaxed);
+        let stats = &mut shared.inner.lock().stats;
+        stats.groups += 1;
+        stats.group_items += runnable.len() as u64;
+        stats.mixed_groups += u64::from(mixed);
     }
     // The job borrows the plans and the inputs; the items (and their own
     // handles on both) move into the sink and resolve while it runs.

@@ -1,8 +1,8 @@
 //! Std-only synchronisation primitives for the runtime.
 //!
 //! The workspace builds offline, so instead of `parking_lot` and `crossbeam`
-//! this module provides the primitives the executor and the shared
-//! factorization state actually need:
+//! this module provides the primitives the engine (`job.rs`), the pool and
+//! the shared factorization state actually need:
 //!
 //! * [`Mutex`] — a thin wrapper over `std::sync::Mutex` with the
 //!   `parking_lot`-style infallible `lock()` API (a poisoned lock means a
@@ -642,7 +642,7 @@ pub(crate) enum Steal {
 ///
 /// One worker *owns* the deque and is the only caller of
 /// [`WorkerDeque::push`] and [`WorkerDeque::pop`] (bottom end, LIFO); any
-/// thread may call [`WorkerDeque::steal`] (top end, FIFO). The executor
+/// thread may call [`WorkerDeque::steal`] (top end, FIFO). The scheduler
 /// enforces the single-owner discipline by indexing one deque per worker.
 /// All methods take `&self`: the cells are atomics, so a violation of the
 /// discipline could lose or duplicate a *task index* but can never be a
